@@ -13,7 +13,9 @@ Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -29,7 +31,7 @@ from .numerics import RngStream
 from .promptx import (DEFAULT_LAMBDA1, DEFAULT_LAMBDA2, FixtureGenerator,
                       Gazetteer, HashEmbedder, artist_histogram, build_index,
                       extend_prompt, load_corpus_jsonl, read_artwork_table,
-                      tfidf_fit, top_share)
+                      tfidf_from_index, top_share)
 from .samplers import (DEFAULT_ETA, DEFAULT_GUIDANCE_SCALE, DEFAULT_STEPS,
                        SamplingPlan, sample)
 from .schedule import (DEFAULT_BETA_END, DEFAULT_BETA_START, DEFAULT_T,
@@ -324,15 +326,18 @@ def cmd_prompt_extend(args) -> int:
     lambda1 = resolver.get("lambda1", DEFAULT_LAMBDA1, float)
     lambda2 = resolver.get("lambda2", DEFAULT_LAMBDA2, float)
     topk = resolver.get("topk", 10, int)
+    if topk < 1:
+        raise ConfigError(f"--topk must be >= 1, got {topk}")
+    for name, value in (("lambda1", lambda1), ("lambda2", lambda2)):
+        if not (math.isfinite(value) and value >= 0.0):   # inf would write "Infinity" scores
+            raise ConfigError(f"--{name} must be a finite number >= 0, got {value}")
     out = resolver.out_dir()
 
-    docs = load_corpus_jsonl(corpus_path)
-    index = build_index(docs)
-    model = tfidf_fit(docs) if docs else None
-    if model is None:
+    index = build_index(load_corpus_jsonl(corpus_path))
+    if index.size == 0:
         candidates = []
     else:
-        candidates = extend_prompt(prompt, index, model, HashEmbedder(),
+        candidates = extend_prompt(prompt, index, tfidf_from_index(index), HashEmbedder(),
                                    FixtureGenerator.from_file(fixtures_path),
                                    lambda1, lambda2, topk,
                                    Gazetteer.from_file(gazetteer_path))
@@ -352,6 +357,13 @@ def cmd_prompt_extend(args) -> int:
 # corpus-stats
 # ---------------------------------------------------------------------------
 
+def _write_csv(path: Path, rows) -> None:
+    """Rows through the csv module, so fields holding commas or quotes
+    are quoted; newline line ends like the other CSV outputs."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
 def cmd_corpus_stats(args) -> int:
     resolver = Resolver(args)
     metadata_path = _require_file(resolver.get("metadata", None), "metadata")
@@ -360,12 +372,9 @@ def cmd_corpus_stats(args) -> int:
 
     metas, malformed = read_artwork_table(metadata_path, delimiter)
     histogram = artist_histogram(metas)
-    lines = ["artist,count"] + [f"{artist},{count}" for artist, count in histogram]
-    (out / "artist_histogram.csv").write_text("\n".join(lines) + "\n")
-    share_lines = ["top_k,share_pct"]
-    for k in (10, 20, 30):
-        share_lines.append(f"{k},{_fmt(100.0 * top_share(histogram, k))}")
-    (out / "shares.csv").write_text("\n".join(share_lines) + "\n")
+    _write_csv(out / "artist_histogram.csv", [("artist", "count"), *histogram])
+    _write_csv(out / "shares.csv", [("top_k", "share_pct")]
+               + [(k, _fmt(100.0 * top_share(histogram, k))) for k in (10, 20, 30)])
     _write_manifest(out, "corpus-stats", resolver,
                     {"rows": len(metas), "malformed_rows": malformed})
     print(f"{len(metas)} rows ({malformed} malformed); "
@@ -386,6 +395,10 @@ def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timesteps", type=int, help="diffusion chain length T")
     p.add_argument("--beta_start", type=float)
     p.add_argument("--beta_end", type=float)
+
+
+MU0_HELP = ("oracle data mean, comma-separated; write a negative first "
+            "component with '=', e.g. --mu0=-1.4,2")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -423,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--batch", type=int)
     p.add_argument("--oracle", action="store_true", default=None)
-    p.add_argument("--mu0", help="oracle data mean, comma-separated")
+    p.add_argument("--mu0", help=MU0_HELP)
     p.add_argument("--var0", type=float, help="oracle data variance")
     p.add_argument("--checkpoint", help="trained denoiser checkpoint")
     p.add_argument("--label", type=int, help="condition label for a conditional checkpoint")
@@ -434,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare-samplers",
                        help="endpoint errors and convergence orders vs a fine reference")
     _add_common(p)
-    p.add_argument("--mu0")
+    p.add_argument("--mu0", help=MU0_HELP)
     p.add_argument("--var0", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--batch", type=int)

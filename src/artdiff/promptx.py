@@ -6,14 +6,23 @@ Heavy external pieces (encoder LMs, generator LMs, neural NER, live
 Wikipedia) are replaced by deterministic seams: a hashed bag-of-tokens
 embedder, fixture-backed generators, and gazetteer plus regular-expression
 entity rules. The ranking pipeline itself is complete.
+
+Retrieval runs over one tokenization pass of the corpus: ``build_index``
+stores the postings in compressed sparse row form (see ``Bm25Index``),
+and ``tfidf_from_index`` reads the TF-IDF document frequencies from the
+same postings. ``bm25_search`` scores only the postings of the query
+terms and returns the k best documents by descending score, then
+ascending id; documents sharing no term with the query score 0.0.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
-from collections import Counter
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Protocol
@@ -55,13 +64,29 @@ class Document:
         return f"{self.title} {self.body}" if self.body else self.title
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bm25Index:
-    """Inverted index over title+body tokens with Okapi scoring state."""
+    """Inverted index over title+body tokens with Okapi scoring state.
+
+    Postings are stored in compressed sparse row (CSR) form. Documents are
+    addressed by their position in ``documents``. Term ``vocab[t]`` owns
+    the slice ``indptr[row]:indptr[row + 1]`` of ``doc_pos`` (document
+    positions, ascending) and ``tfs`` (term frequencies), so its document
+    frequency is the slice length. ``lengths`` holds each document's token
+    count. ``id_rank[pos]`` is the rank of a document's id in ascending id
+    order and ``id_order`` is its inverse, so ties break on id without
+    comparing strings. The arrays are read-only and int32, except
+    ``indptr``, which is int64.
+    """
 
     documents: tuple[Document, ...]
-    postings: dict[str, dict[str, int]]  # term -> {doc id -> term frequency}
-    doc_lens: dict[str, int]
+    vocab: dict[str, int]
+    indptr: np.ndarray
+    doc_pos: np.ndarray
+    tfs: np.ndarray
+    lengths: np.ndarray
+    id_rank: np.ndarray
+    id_order: np.ndarray
     avgdl: float
     k1: float
     b: float
@@ -72,48 +97,94 @@ class Bm25Index:
 
     def idf(self, term: str) -> float:
         n = self.size
-        df = len(self.postings.get(term, ()))
+        row = self.vocab.get(term)
+        df = 0 if row is None else int(self.indptr[row + 1] - self.indptr[row])
         return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    arr = np.asarray(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
 
 
 def build_index(corpus: Iterable[Document], k1: float = DEFAULT_K1,
                 b: float = DEFAULT_B) -> Bm25Index:
+    """Index ``corpus`` in one tokenization pass.
+
+    ``k1 >= 0`` and ``0 <= b <= 1`` are required; they make every document
+    that shares a term with a query score above zero.
+    """
+    if not (k1 >= 0.0 and 0.0 <= b <= 1.0):
+        raise ValueError("BM25 needs k1 >= 0 and 0 <= b <= 1")
     docs = tuple(corpus)
     seen = set()
     for doc in docs:
         if doc.id in seen:
             raise ValueError(f"duplicate document id {doc.id!r}")
         seen.add(doc.id)
-    postings: dict[str, dict[str, int]] = {}
-    doc_lens: dict[str, int] = {}
+    vocab: defaultdict[str, int] = defaultdict(itertools.count().__next__)  # new term: next row
+    term_ids, tfs = array("i"), array("i")           # one entry per (document, term)
+    n_terms, lengths = array("i"), array("i")        # one entry per document
     for doc in docs:
         tokens = tokenize(doc.text())
-        doc_lens[doc.id] = len(tokens)
-        for term, tf in Counter(tokens).items():
-            postings.setdefault(term, {})[doc.id] = tf
-    total = sum(doc_lens.values())
-    avgdl = total / len(docs) if docs else 0.0
-    return Bm25Index(documents=docs, postings=postings, doc_lens=doc_lens,
-                     avgdl=avgdl, k1=k1, b=b)
+        counts = Counter(tokens)
+        term_ids.fromlist(list(map(vocab.__getitem__, counts)))
+        tfs.fromlist(list(counts.values()))
+        n_terms.append(len(counts))
+        lengths.append(len(tokens))
+    rows = np.frombuffer(term_ids, dtype=np.intc)
+    positions = np.repeat(np.arange(len(docs), dtype=np.int32), n_terms)
+    order = np.argsort(rows, kind="stable")   # keeps positions ascending per term
+    indptr = np.zeros(len(vocab) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=len(vocab)), out=indptr[1:])
+    by_id = sorted(range(len(docs)), key=lambda pos: docs[pos].id)
+    id_rank = np.empty(len(docs), dtype=np.int32)
+    id_rank[by_id] = np.arange(len(docs), dtype=np.int32)
+    avgdl = sum(lengths) / len(docs) if docs else 0.0
+    return Bm25Index(documents=docs, vocab=dict(vocab), indptr=_frozen(indptr, np.int64),
+                     doc_pos=_frozen(positions[order], np.int32),
+                     tfs=_frozen(np.frombuffer(tfs, dtype=np.intc)[order], np.int32),
+                     lengths=_frozen(lengths, np.int32), id_rank=_frozen(id_rank, np.int32),
+                     id_order=_frozen(by_id, np.int32), avgdl=avgdl, k1=k1, b=b)
 
 
 def bm25_search(index: Bm25Index, query: str, k: int) -> list[tuple[Document, float]]:
     """Top-k documents by Okapi score, ties broken by ascending id.
 
     Query tokens contribute once per occurrence; an empty query scores
-    every document zero.
+    every document zero. Only the postings of the query terms are read:
+    each token adds ``idf * (tf*(k1+1)) / (tf + k1*(1-b+b*dl/avgdl))`` to
+    its documents, in query-token order starting from 0.0, so every score
+    is bit-identical to the scalar formula. Documents the query does not
+    touch score 0.0; when fewer than k are touched they fill the tail in
+    ascending id order.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    scores = {doc.id: 0.0 for doc in index.documents}
+    n = index.size
+    if n == 0:
+        return []
+    k = min(k, n)
+    acc = np.zeros(n)
+    k1, b = index.k1, index.b
     for term in tokenize(query):
-        idf = index.idf(term)
-        for doc_id, tf in index.postings.get(term, {}).items():
-            dl = index.doc_lens[doc_id]
-            norm = index.k1 * (1.0 - index.b + index.b * dl / index.avgdl)
-            scores[doc_id] += idf * (tf * (index.k1 + 1.0)) / (tf + norm)
-    ranked = sorted(index.documents, key=lambda d: (-scores[d.id], d.id))
-    return [(doc, scores[doc.id]) for doc in ranked[:k]]
+        row = index.vocab.get(term)
+        if row is None:
+            continue
+        lo, hi = int(index.indptr[row]), int(index.indptr[row + 1])
+        pos, tf = index.doc_pos[lo:hi], index.tfs[lo:hi]
+        norm = k1 * (1.0 - b + b * index.lengths[pos] / index.avgdl)
+        acc[pos] += index.idf(term) * (tf * (k1 + 1.0)) / (tf + norm)
+    touched = np.flatnonzero(acc)
+    if touched.size > k:
+        kth = np.partition(acc[touched], touched.size - k)[touched.size - k]
+        touched = touched[acc[touched] >= kth]   # every tie at the k-th score
+    ranked = touched[np.lexsort((index.id_rank[touched], -acc[touched]))][:k]
+    if ranked.size < k:
+        untouched = index.id_order[acc[index.id_order] == 0.0]
+        ranked = np.concatenate([ranked, untouched[:k - ranked.size]])
+    return [(index.documents[pos], float(acc[pos])) for pos in ranked.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +199,11 @@ class TfidfModel:
     n_docs: int
 
 
+def _tfidf_model(doc_freqs: Iterable[tuple[str, int]], n: int) -> TfidfModel:
+    idf = {term: max(0.0, math.log(n / (1.0 + count))) for term, count in doc_freqs}
+    return TfidfModel(idf=idf, n_docs=n)
+
+
 def tfidf_fit(training_corpus: Iterable[Document]) -> TfidfModel:
     docs = list(training_corpus)
     if not docs:
@@ -135,9 +211,15 @@ def tfidf_fit(training_corpus: Iterable[Document]) -> TfidfModel:
     df: Counter = Counter()
     for doc in docs:
         df.update(set(tokenize(doc.text())))
-    n = len(docs)
-    idf = {term: max(0.0, math.log(n / (1.0 + count))) for term, count in df.items()}
-    return TfidfModel(idf=idf, n_docs=n)
+    return _tfidf_model(df.items(), len(docs))
+
+
+def tfidf_from_index(index: Bm25Index) -> TfidfModel:
+    """The model ``tfidf_fit`` gives on the indexed documents, read from
+    the index's document frequencies instead of tokenizing them again."""
+    if index.size == 0:
+        raise ValueError("tfidf_from_index needs a nonempty index")
+    return _tfidf_model(zip(index.vocab, np.diff(index.indptr).tolist()), index.size)
 
 
 def tfidf_score(model: TfidfModel, text: str) -> float:
@@ -278,13 +360,20 @@ class PromptCandidate:
 
 def score_candidate(u: str, v: str, tfidf_model: TfidfModel, embedder: Embedder,
                     lambda1: float, lambda2: float, gazetteer: Gazetteer,
-                    source: str = "wiki-sentence") -> PromptCandidate:
+                    source: str = "wiki-sentence", *,
+                    u_embedding: Optional[np.ndarray] = None) -> PromptCandidate:
     """Combined importance: tfidf(v) + lambda1 * cos(embed(u), embed(v))
-    + lambda2 * (spatial + temporal entity count)."""
+    + lambda2 * (spatial + temporal entity count).
+
+    ``u_embedding``, when given, must be ``embedder.embed(u)``; callers
+    scoring many candidates for one prompt pass it to embed ``u`` once.
+    """
     if lambda1 < 0.0 or lambda2 < 0.0:
         raise ValueError("lambda1 and lambda2 must be >= 0")
     fert = tfidf_score(tfidf_model, v)
-    cos = cosine(embedder.embed(u), embedder.embed(v))
+    if u_embedding is None:
+        u_embedding = embedder.embed(u)
+    cos = cosine(u_embedding, embedder.embed(v))
     spatial, temporal = entity_count(v, gazetteer)
     score = fert + lambda1 * cos + lambda2 * (spatial + temporal)
     return PromptCandidate(text=v, source=source, tfidf=fert, cos=cos,
@@ -364,12 +453,13 @@ def extend_prompt(u: str, index: Bm25Index, tfidf_model: TfidfModel,
     for text in generator.responses(u):
         pool.append((text, "generator-response"))
 
+    u_embedding = embedder.embed(u)
     best: dict[str, PromptCandidate] = {}
     for text, source in pool:
         if not text.strip():
             continue
         cand = score_candidate(u, text, tfidf_model, embedder, lambda1, lambda2,
-                               gaz, source=source)
+                               gaz, source=source, u_embedding=u_embedding)
         key = _normalized(text)
         cur = best.get(key)
         if (cur is None or cand.score > cur.score

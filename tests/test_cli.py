@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 from pathlib import Path
@@ -69,6 +70,22 @@ def test_sample_oracle_writes_rows_and_is_deterministic(tmp_path):
     rows = fa["samples.csv"].decode().strip().splitlines()
     assert len(rows) == 200
     assert all(len(r.split(",")) == 2 for r in rows)
+
+
+def test_sample_oracle_negative_first_mean_component_with_equals(tmp_path):
+    # after a space argparse takes "-1.4,2" for an option; the "=" form works
+    out = tmp_path / "o"
+    assert run(["sample", "--oracle", "--mu0=-1.4,2", "--var0", "0.25",
+                "--ddim_steps", 10, "--batch", 3, "--seed", 1, "--out", out]) == 0
+    rows = (out / "samples.csv").read_text().strip().splitlines()
+    assert [len(r.split(",")) for r in rows] == [2, 2, 2]
+
+
+@pytest.mark.parametrize("command", ["sample", "compare-samplers"])
+def test_mu0_help_documents_equals_form(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert "--mu0=-1.4,2" in " ".join(capsys.readouterr().out.split())
 
 
 def test_sample_requires_predictor_source(tmp_path, capsys):
@@ -181,6 +198,60 @@ def test_prompt_extend_missing_gazetteer_names_file(tmp_path, capsys):
     assert "missing-gaz.txt" in capsys.readouterr().err
 
 
+def test_prompt_extend_candidates_bytes_are_pinned(tmp_path):
+    # retrieval changes must leave every score and the ranking byte-identical
+    out = tmp_path / "o"
+    assert run(["prompt-extend", "urbanization of China",
+                "--corpus", DATA / "micro_corpus.jsonl",
+                "--gazetteer", DATA / "gazetteer.txt",
+                "--fixtures", DATA / "fixtures.jsonl",
+                "--topk", 10, "--out", out]) == 0
+    assert (out / "candidates.jsonl").read_bytes() == \
+        (DATA / "micro_candidates_top10.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--topk", "0", "--topk must be >= 1"),
+    ("--topk", "-3", "--topk must be >= 1"),
+    ("--lambda1", "-1", "--lambda1 must be a finite number >= 0"),
+    ("--lambda2", "-1", "--lambda2 must be a finite number >= 0"),
+    ("--lambda1", "nan", "--lambda1 must be a finite number >= 0"),
+    ("--lambda2", "inf", "--lambda2 must be a finite number >= 0"),
+])
+def test_prompt_extend_bad_flag_exits_2(tmp_path, capsys, flag, value, message):
+    code = run(["prompt-extend", "urbanization of China",
+                "--corpus", DATA / "micro_corpus.jsonl",
+                "--gazetteer", DATA / "gazetteer.txt",
+                "--fixtures", DATA / "fixtures.jsonl",
+                flag, value, "--out", tmp_path / "o"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_prompt_extend_topk_zero_on_empty_corpus_exits_2(tmp_path, capsys):
+    corpus = tmp_path / "empty.jsonl"
+    corpus.write_text("")
+    code = run(["prompt-extend", "x", "--corpus", corpus,
+                "--gazetteer", DATA / "gazetteer.txt",
+                "--fixtures", DATA / "fixtures.jsonl",
+                "--topk", 0, "--out", tmp_path / "o"])
+    assert code == 2
+    assert "--topk must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_prompt_extend_empty_corpus_writes_no_candidates(tmp_path):
+    corpus = tmp_path / "empty.jsonl"
+    corpus.write_text("")
+    out = tmp_path / "o"
+    assert run(["prompt-extend", "x", "--corpus", corpus,
+                "--gazetteer", DATA / "gazetteer.txt",
+                "--fixtures", DATA / "fixtures.jsonl", "--out", out]) == 0
+    assert (out / "candidates.jsonl").read_bytes() == b""
+
+
 def test_corpus_stats(tmp_path):
     out = tmp_path / "stats"
     assert run(["corpus-stats", "--metadata", DATA / "artworks.csv",
@@ -204,6 +275,22 @@ def test_corpus_stats_single_artist_share(tmp_path):
     shares = dict(l.split(",") for l in
                   (out / "shares.csv").read_text().strip().splitlines()[1:])
     assert float(shares["10"]) == 100.0
+
+
+def test_corpus_stats_quotes_comma_bearing_artist(tmp_path):
+    table = tmp_path / "names.csv"
+    table.write_text('a,"Smith, John",s,g,1900\n'
+                     'b,"Smith, John",s,g,1901\n'
+                     'c,"Say ""Hi"" Lee",s,g,1902\n')
+    out = tmp_path / "stats"
+    assert run(["corpus-stats", "--metadata", table, "--out", out]) == 0
+    with open(out / "artist_histogram.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["artist", "count"], ["Smith, John", "2"], ['Say "Hi" Lee', "1"]]
+    with open(out / "shares.csv", newline="", encoding="utf-8") as fh:
+        shares = list(csv.reader(fh))
+    assert shares[0] == ["top_k", "share_pct"]
+    assert [len(r) for r in shares] == [2, 2, 2, 2]
 
 
 def test_config_file_flags_override(tmp_path):

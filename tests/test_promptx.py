@@ -10,8 +10,8 @@ from artdiff.promptx import (ArtworkMeta, Document, FixtureGenerator,
                              build_index, compose_caption, cosine,
                              entity_count, extend_prompt, load_corpus_jsonl,
                              read_artwork_table, score_candidate,
-                             split_sentences, tfidf_fit, tfidf_score,
-                             tokenize, top_share)
+                             split_sentences, tfidf_fit, tfidf_from_index,
+                             tfidf_score, tokenize, top_share)
 
 
 def naive_bm25_scores(docs, query, k1=1.2, b=0.75):
@@ -88,11 +88,17 @@ def test_build_index_postings_match_recount():
         Document(id="c", title="wheat", body="village wheat wheat"),
     ]
     index = build_index(docs)
-    for doc in docs:
+    assert index.indptr[-1] == len(index.doc_pos) == len(index.tfs)
+    assert index.indptr[-1] == sum(len(set(tokenize(d.text()))) for d in docs)
+    for pos, doc in enumerate(docs):
         toks = tokenize(doc.text())
         for term in set(toks):
-            assert index.postings[term][doc.id] == toks.count(term)
-        assert index.doc_lens[doc.id] == len(toks)
+            row = index.vocab[term]
+            lo, hi = index.indptr[row], index.indptr[row + 1]
+            row_docs = index.doc_pos[lo:hi].tolist()
+            assert row_docs == sorted(row_docs)
+            assert dict(zip(row_docs, index.tfs[lo:hi].tolist()))[pos] == toks.count(term)
+        assert index.lengths[pos] == len(toks)
 
 
 def test_build_index_duplicate_id():
@@ -154,6 +160,96 @@ def test_bm25_rank_is_deterministic_with_ties():
     assert [doc.id for doc, _ in results] == ["x", "y", "z"]
 
 
+def brute_top_k(docs, query, k):
+    """(id, score) of the k best documents under the brute-force scores,
+    ordered by descending score, then ascending id."""
+    want = naive_bm25_scores(docs, query)
+    order = sorted(range(len(docs)), key=lambda i: (-want[i], docs[i].id))
+    return [(docs[i].id, want[i]) for i in order[:k]]
+
+
+def random_query(rng):
+    """One to four tokens; "zebra" is in no document."""
+    vocab = WORDS + ["zebra"]
+    q_len = int(rng.integers(1, 4, (1,))[0])
+    return " ".join(vocab[int(j)] for j in rng.integers(0, len(vocab) - 1, (q_len,)))
+
+
+def test_bm25_bounded_top_k_matches_brute_force():
+    rng = RngStream(202)
+    for trial in range(150):
+        n_docs = 2 + int(rng.integers(0, 30, (1,))[0])
+        docs = random_docs(rng, n_docs)
+        # ids in an order unrelated to corpus position, so that the tie
+        # break on id is not the positional order
+        ids = [f"doc-{int(j)}" for j in rng.integers(0, 10**6, (n_docs,))]
+        if len(set(ids)) < n_docs:
+            continue
+        docs = [Document(id=i, title=d.title, body=d.body) for i, d in zip(ids, docs)]
+        index = build_index(docs)
+        query = random_query(rng)
+        k = 1 + int(rng.integers(0, n_docs - 2, (1,))[0])   # 1 <= k < n_docs
+        got = [(doc.id, score) for doc, score in bm25_search(index, query, k)]
+        assert got == brute_top_k(docs, query, k)  # ids and exact scores
+
+
+def test_bm25_top_k_keeps_id_order_for_ties_at_the_cut():
+    docs = [Document(id="m", title="china city"), Document(id="d", title="china"),
+            Document(id="c", title="china"), Document(id="b", title="china"),
+            Document(id="a", title="wheat")]
+    got = bm25_search(build_index(docs), "china city", 3)
+    # b, c and d tie for second place; the cut after the third keeps b, c
+    assert [doc.id for doc, _ in got] == ["m", "b", "c"]
+    assert got[1][1] == got[2][1] == naive_bm25_scores(docs, "china city")[1]
+    assert [(doc.id, s) for doc, s in got] == brute_top_k(docs, "china city", 3)
+
+
+def test_bm25_pads_with_zero_score_documents_in_id_order():
+    docs = [Document(id="c", title="river"), Document(id="a", title="sky"),
+            Document(id="d", title="china"), Document(id="b", title="night")]
+    got = bm25_search(build_index(docs), "china", 3)
+    assert [doc.id for doc, _ in got] == ["d", "a", "b"]
+    assert got[0][1] > 0.0
+    assert [s for _, s in got[1:]] == [0.0, 0.0]
+
+
+def test_bm25_repeated_query_tokens_count_per_occurrence():
+    docs = random_docs(RngStream(5), 12)
+    index = build_index(docs)
+    for query in ("china china", "city china city", "river river river"):
+        got = [(doc.id, s) for doc, s in bm25_search(index, query, 4)]
+        assert got == brute_top_k(docs, query, 4)
+    once = dict((d.id, s) for d, s in bm25_search(index, "china", 12))
+    twice = dict((d.id, s) for d, s in bm25_search(index, "china china", 12))
+    assert all(twice[i] == once[i] + once[i] for i in once)
+
+
+def test_bm25_out_of_vocabulary_query_returns_first_ids():
+    docs = [Document(id=c, title="china city") for c in "dbca"]
+    got = bm25_search(build_index(docs), "zebra unicorn", 2)
+    assert [(doc.id, s) for doc, s in got] == [("a", 0.0), ("b", 0.0)]
+
+
+def test_bm25_k_larger_than_corpus_returns_every_document():
+    docs = random_docs(RngStream(9), 5)
+    got = bm25_search(build_index(docs), "china river", 50)
+    assert [(doc.id, s) for doc, s in got] == brute_top_k(docs, "china river", 5)
+
+
+def test_bm25_rejects_bad_k():
+    index = build_index([Document(id="a", title="china")])
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            bm25_search(index, "china", k)
+
+
+def test_build_index_rejects_out_of_range_parameters():
+    docs = [Document(id="a", title="china")]
+    for k1, b in ((-0.1, 0.75), (1.2, -0.1), (1.2, 1.5), (float("nan"), 0.75)):
+        with pytest.raises(ValueError):
+            build_index(docs, k1=k1, b=b)
+
+
 # ---------------------------------------------------------------------------
 # TF-IDF
 # ---------------------------------------------------------------------------
@@ -198,6 +294,22 @@ def test_tfidf_idf_decreases_when_term_spreads():
     idf_before = tfidf_fit(base).idf["china"]
     idf_after = tfidf_fit(grown).idf["china"]
     assert idf_after < idf_before
+
+
+def test_tfidf_from_index_equals_tfidf_fit(data_dir):
+    corpora = [load_corpus_jsonl(data_dir / "micro_corpus.jsonl")]
+    rng = RngStream(303)
+    corpora += [random_docs(rng, 1 + int(rng.integers(0, 40, (1,))[0])) for _ in range(30)]
+    for docs in corpora:
+        fitted = tfidf_fit(docs)
+        derived = tfidf_from_index(build_index(docs))
+        assert derived.n_docs == fitted.n_docs
+        assert derived.idf == fitted.idf  # same keys, exact floats
+
+
+def test_tfidf_from_index_rejects_empty():
+    with pytest.raises(ValueError):
+        tfidf_from_index(build_index([]))
 
 
 def test_tfidf_fit_rejects_empty():
@@ -442,6 +554,44 @@ def test_extend_prompt_uses_generators_and_dedupes(data_dir):
     # the duplicated train sentence appears exactly once
     train_hits = [c for c in got if "train runs on the snow" in c.text]
     assert len(train_hits) == 1
+
+
+class CountingEmbedder(HashEmbedder):
+    def __init__(self):
+        super().__init__()
+        self.texts = []
+
+    def embed(self, text):
+        self.texts.append(text)
+        return super().embed(text)
+
+
+def test_extend_prompt_embeds_prompt_once_per_call(data_dir):
+    docs = load_corpus_jsonl(data_dir / "micro_corpus.jsonl")
+    index = build_index(docs)
+    model = tfidf_from_index(index)
+    gen = FixtureGenerator.from_file(data_dir / "fixtures.jsonl")
+    gaz = Gazetteer.from_file(data_dir / "gazetteer.txt")
+    u = "urbanization of China"
+    counting = CountingEmbedder()
+    for call in (1, 2):
+        got = extend_prompt(u, index, model, counting, gen, 1.0, 0.1, 10, gaz)
+        assert counting.texts.count(u) == call
+    assert len(counting.texts) > 2   # the candidates were embedded too
+    plain = extend_prompt(u, index, model, HashEmbedder(), gen, 1.0, 0.1, 10, gaz)
+    assert got == plain
+
+
+def test_score_candidate_reuses_given_prompt_embedding(data_dir):
+    model = tfidf_fit(load_corpus_jsonl(data_dir / "micro_corpus.jsonl"))
+    gaz = Gazetteer.from_file(data_dir / "gazetteer.txt")
+    counting = CountingEmbedder()
+    u, v = "urbanization of China", "Shenzhen grew in 1980."
+    fresh = score_candidate(u, v, model, counting, 1.0, 0.1, gaz)
+    reused = score_candidate(u, v, model, counting, 1.0, 0.1, gaz,
+                             u_embedding=HashEmbedder().embed(u))
+    assert fresh == reused
+    assert counting.texts == [u, v, v]
 
 
 def test_extend_prompt_top_k():
