@@ -17,6 +17,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -73,7 +74,11 @@ class Resolver:
             value = flag
         elif key in self.file_values:
             raw = self.file_values[key]
-            value = (raw.lower() in ("1", "true", "yes")) if cast is bool else cast(raw)
+            try:
+                value = (raw.lower() in ("1", "true", "yes")) if cast is bool else cast(raw)
+            except ValueError:
+                raise ConfigError(f"config value {key}={raw!r} is not a valid "
+                                  f"{cast.__name__}") from None
         else:
             value = default
         self.resolved[key] = value
@@ -108,9 +113,26 @@ def _require_file(path, what: str) -> Path:
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
-        return np.array([float(part) for part in str(text).split(",")])
+        vec = np.array([float(part) for part in str(text).split(",")])
     except ValueError as exc:
         raise ConfigError(f"cannot parse vector {text!r}: {exc}") from None
+    if not np.all(np.isfinite(vec)):
+        raise ConfigError(f"vector {text!r} has non-finite components")
+    return vec
+
+
+def _seed_from(resolver: Resolver, default: int) -> int:
+    seed = resolver.get("seed", default, int)
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"--seed must be an integer in [0, 2**64), got {seed}")
+    return seed
+
+
+def _var0_from(resolver: Resolver) -> float:
+    var0 = resolver.get("var0", 0.25, float)
+    if not (math.isfinite(var0) and var0 >= 0.0):
+        raise ConfigError(f"--var0 must be a finite number >= 0, got {var0}")
+    return var0
 
 
 def _schedule_from(resolver: Resolver):
@@ -154,7 +176,7 @@ def cmd_toy_train(args) -> int:
         raise ConfigError(f"unknown dataset {name!r}; available: {known}")
     dataset = get_dataset(name)
     schedule, consts = _schedule_from(resolver)
-    seed = resolver.get("seed", 0, int)
+    seed = _seed_from(resolver, 0)
     steps = resolver.get("steps", 20000, int)
     batch = resolver.get("batch", 64, int)
     lr = resolver.get("lr", 1e-3, float)
@@ -172,8 +194,11 @@ def cmd_toy_train(args) -> int:
             raise ConfigError(f"dataset {name!r} has no labels for conditional training")
         embedding = LabelEmbedding.create(dataset.n_classes, params.cond_width, seed)
 
-    config = TrainConfig(steps=steps, batch_size=batch, learning_rate=lr,
-                         seed=seed, optimizer=optimizer, drop_prob=drop_prob)
+    try:
+        config = TrainConfig(steps=steps, batch_size=batch, learning_rate=lr,
+                             seed=seed, optimizer=optimizer, drop_prob=drop_prob)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     params, losses = train(params, dataset, config, schedule, embedding)
     save_denoiser(out / "checkpoint.bin", params, schedule, embedding)
 
@@ -216,7 +241,7 @@ def cmd_sample(args) -> int:
     eta = resolver.get("ddim_eta", DEFAULT_ETA, float)
     steps = resolver.get("ddim_steps", DEFAULT_STEPS, int)
     scale = resolver.get("scale", DEFAULT_GUIDANCE_SCALE, float)
-    seed = resolver.get("seed", 0, int)
+    seed = _seed_from(resolver, 0)
     batch = resolver.get("batch", 1000, int)
     oracle = bool(resolver.get("oracle", False, bool))
     label = resolver.get("label", None, int)
@@ -226,7 +251,7 @@ def cmd_sample(args) -> int:
     condition = None
     if oracle:
         mu0 = _parse_vector(resolver.get("mu0", "3,-1"))
-        var0 = resolver.get("var0", 0.25, float)
+        var0 = _var0_from(resolver)
         schedule, consts = _schedule_from(resolver)
         predictor = GaussianOracle(mu0=mu0, var0=var0, schedule=schedule)
         shape = (mu0.size,)
@@ -239,6 +264,9 @@ def cmd_sample(args) -> int:
         if label is not None:
             if embedding is None:
                 raise ConfigError("checkpoint was trained unconditionally; --label is unusable")
+            if not 0 <= label < len(embedding.tokens):
+                raise ConfigError(f"--label must lie in [0, {len(embedding.tokens)}), "
+                                  f"got {label}")
             condition = embedding.condition(label)
     else:
         raise ConfigError("sample needs either --oracle or --checkpoint")
@@ -247,9 +275,9 @@ def cmd_sample(args) -> int:
         plan = SamplingPlan(timeline=subsequence(schedule, steps), kind=kind,
                             shape=shape, seed=seed, batch=batch, eta=eta,
                             guidance_scale=scale)
-        samples = sample(predictor, plan, schedule, condition)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    samples = sample(predictor, plan, schedule, condition)
 
     _write_samples_csv(out / "samples.csv", samples)
     if plot and shape == (2,):
@@ -272,8 +300,8 @@ def _fit_order(step_counts, errors) -> float:
 def cmd_compare_samplers(args) -> int:
     resolver = Resolver(args)
     mu0 = _parse_vector(resolver.get("mu0", "3,-1"))
-    var0 = resolver.get("var0", 0.25, float)
-    seed = resolver.get("seed", 123, int)
+    var0 = _var0_from(resolver)
+    seed = _seed_from(resolver, 123)
     batch = resolver.get("batch", 256, int)
     beta_start = resolver.get("beta_start", DEFAULT_BETA_START, float)
     beta_end = resolver.get("beta_end", DEFAULT_BETA_END, float)
@@ -397,8 +425,7 @@ def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta_end", type=float)
 
 
-MU0_HELP = ("oracle data mean, comma-separated; write a negative first "
-            "component with '=', e.g. --mu0=-1.4,2")
+MU0_HELP = "oracle data mean, comma-separated, e.g. --mu0 -1.4,2 or --mu0=-1.4,2"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -475,8 +502,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_dash_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--mu0 -1.4,2`` as ``--mu0=-1.4,2``: argparse would read a
+    value that starts with '-' and is not a plain number as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--mu0" and re.match(r"-\.?\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_join_dash_values(argv))
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -105,23 +105,31 @@ class AttentionWeights:
 
 
 def _attend(h: np.ndarray, memory: np.ndarray, w: AttentionWeights):
-    """Batched single-query attention: h (B, W) against memory (B, n, dc).
+    """Single-query attention of each row of h (B, W) over condition memory:
+    (n, dc) shared by every row, or (B, n, dc) with one memory per row.
 
-    Returns the projected attention output (B, W) and a cache for backward.
+    Shared memory is projected to keys and values once. Returns the
+    projected attention output (B, W) and a cache for backward.
     """
     dk = w.wq.shape[0]
     q = h @ w.wq.T                                   # (B, W)
-    k = np.einsum("bnd,wd->bnw", memory, w.wk)       # (B, n, W)
-    v = np.einsum("bnd,wd->bnw", memory, w.wv)       # (B, n, W)
-    scores = np.einsum("bw,bnw->bn", q, k) / math.sqrt(dk)
-    weights = softmax(scores)                        # rows sum to 1
-    z = np.einsum("bn,bnw->bw", weights, v)
+    if memory.ndim == 2:
+        k = memory @ w.wk.T                          # (n, W)
+        v = memory @ w.wv.T
+        weights = softmax((q @ k.T) / math.sqrt(dk))   # rows sum to 1
+        z = weights @ v
+    else:
+        k = np.einsum("bnd,wd->bnw", memory, w.wk)   # (B, n, W)
+        v = np.einsum("bnd,wd->bnw", memory, w.wv)
+        weights = softmax(np.einsum("bw,bnw->bn", q, k) / math.sqrt(dk))
+        z = np.einsum("bn,bnw->bw", weights, v)
     out = z @ w.wo.T
     cache = (h, memory, q, k, v, weights, z)
     return out, cache
 
 
 def _attend_backward(g_out: np.ndarray, cache, w: AttentionWeights):
+    """Gradients of the per-row (B, n, dc) memory form, the one training uses."""
     h, memory, q, k, v, weights, z = cache
     dk = w.wq.shape[0]
     d_wo = g_out.T @ z
@@ -145,10 +153,7 @@ def cross_attention(queries: np.ndarray, memory: ConditionTokens,
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2:
         raise ValueError("queries must be a (m, width) token sequence")
-    memory = check_condition_tokens(memory)
-    m = queries.shape[0]
-    mem_b = np.broadcast_to(memory, (m,) + memory.shape)
-    out, _ = _attend(queries, mem_b, weights)
+    out, _ = _attend(queries, check_condition_tokens(memory), weights)
     return out
 
 
@@ -217,31 +222,32 @@ class ToyDenoiserParams:
         return replace(self, **{k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()})
 
 
+def _param_shapes(data_width: int, width: int, time_dim: int,
+                  cond_width: int) -> dict[str, tuple[int, ...]]:
+    """Shape of every weight array, in _PARAM_ORDER."""
+    w, d = width, data_width
+    return {
+        "w_in": (w, d), "b_in": (w,), "w_time": (w, time_dim),
+        "ff1_w1": (w, w), "ff1_b1": (w,), "ff1_w2": (w, w), "ff1_b2": (w,),
+        "wq": (w, w), "wk": (w, cond_width), "wv": (w, cond_width), "wo": (w, w),
+        "ff2_w1": (w, w), "ff2_b1": (w,), "ff2_w2": (w, w), "ff2_b2": (w,),
+        "w_out": (d, w), "b_out": (d,),
+    }
+
+
 def init_toy_denoiser(rng: RngStream, data_width: int, width: int = 16,
                       time_dim: int = 16, cond_width: int = 16) -> ToyDenoiserParams:
     """Gaussian fan-in initialization of every weight matrix, zero biases."""
-    def mat(rows, cols):
-        return rng.normal((rows, cols)) / math.sqrt(cols)
-
-    return ToyDenoiserParams(
-        data_width=int(data_width), width=int(width),
-        time_dim=int(time_dim), cond_width=int(cond_width),
-        w_in=mat(width, data_width), b_in=np.zeros(width),
-        w_time=mat(width, time_dim),
-        ff1_w1=mat(width, width), ff1_b1=np.zeros(width),
-        ff1_w2=mat(width, width), ff1_b2=np.zeros(width),
-        wq=mat(width, width), wk=mat(width, cond_width),
-        wv=mat(width, cond_width), wo=mat(width, width),
-        ff2_w1=mat(width, width), ff2_b1=np.zeros(width),
-        ff2_w2=mat(width, width), ff2_b2=np.zeros(width),
-        w_out=mat(data_width, width), b_out=np.zeros(data_width),
-    )
+    widths = dict(data_width=int(data_width), width=int(width),
+                  time_dim=int(time_dim), cond_width=int(cond_width))
+    arrays = {name: np.zeros(shape) if len(shape) == 1
+              else rng.normal(shape) / math.sqrt(shape[1])
+              for name, shape in _param_shapes(**widths).items()}
+    return ToyDenoiserParams(**widths, **arrays)
 
 
-def _forward_pass(params: ToyDenoiserParams, xt: np.ndarray, t,
-                  memory: Optional[np.ndarray], cond_mask: Optional[np.ndarray]):
-    """Shared forward; returns the prediction and every intermediate needed
-    for the closed-form backward pass."""
+def _as_batch(params: ToyDenoiserParams, xt) -> tuple[np.ndarray, bool]:
+    """(batch, data_width) input and whether xt was a single 1D sample."""
     x = np.asarray(xt, dtype=np.float64)
     squeeze = x.ndim == 1
     if squeeze:
@@ -249,54 +255,100 @@ def _forward_pass(params: ToyDenoiserParams, xt: np.ndarray, t,
     if x.ndim != 2 or x.shape[1] != params.data_width:
         raise ValueError(f"input width {x.shape[-1] if x.ndim else '?'} does not match "
                          f"configured width {params.data_width}")
-    batch = x.shape[0]
+    return x, squeeze
 
-    temb = time_embedding(np.broadcast_to(np.asarray(t, dtype=np.float64), (batch,)),
-                          params.time_dim)
+
+def _check_memory(params: ToyDenoiserParams, memory, batch: int) -> np.ndarray:
+    mem = np.asarray(memory, dtype=np.float64)
+    if not (mem.ndim == 2 or (mem.ndim == 3 and mem.shape[0] == batch)) \
+            or mem.shape[-1] != params.cond_width:
+        raise ValueError("condition memory must be (n, cond_width) or (batch, n, cond_width)")
+    return mem
+
+
+def _trunk(params: ToyDenoiserParams, x: np.ndarray, t):
+    """Input projection, time features and the first FF block.
+
+    A scalar t gives one (1, time_dim) feature row, broadcast over the
+    batch; per-sample t gives (batch, time_dim).
+    """
+    t_arr = np.asarray(t, dtype=np.float64)
+    if t_arr.ndim == 0:
+        temb = time_embedding(t_arr, params.time_dim)[None, :]
+    else:
+        temb = time_embedding(np.broadcast_to(t_arr, (x.shape[0],)), params.time_dim)
     h1 = x @ params.w_in.T + params.b_in + temb @ params.w_time.T
-
-    z1 = h1 @ params.ff1_w1.T + params.ff1_b1
-    a1 = np.tanh(z1)
+    a1 = np.tanh(h1 @ params.ff1_w1.T + params.ff1_b1)
     h2 = h1 + a1 @ params.ff1_w2.T + params.ff1_b2
+    return temb, h1, a1, h2
 
-    attn_cache = None
-    mask = None
+
+def _head(params: ToyDenoiserParams, h3: np.ndarray):
+    """Second FF block and output projection: (a2, h4, prediction)."""
+    a2 = np.tanh(h3 @ params.ff2_w1.T + params.ff2_b1)
+    h4 = h3 + a2 @ params.ff2_w2.T + params.ff2_b2
+    return a2, h4, h4 @ params.w_out.T + params.b_out
+
+
+def _forward_pass(params: ToyDenoiserParams, xt: np.ndarray, t,
+                  memory: Optional[np.ndarray], cond_mask: Optional[np.ndarray]):
+    """Shared forward; returns the prediction and every intermediate needed
+    for the closed-form backward pass."""
+    x, squeeze = _as_batch(params, xt)
+    batch = x.shape[0]
+    temb, h1, a1, h2 = _trunk(params, x, t)
+
+    attn_cache = mask = None
+    h3 = h2
     if memory is not None:
-        mem = np.asarray(memory, dtype=np.float64)
-        if mem.ndim == 2:
-            mem = np.broadcast_to(mem, (batch,) + mem.shape)
-        if mem.ndim != 3 or mem.shape[0] != batch or mem.shape[2] != params.cond_width:
-            raise ValueError("condition memory must be (n, cond_width) or (batch, n, cond_width)")
-        attn_out, attn_cache = _attend(h2, mem, params.attention)
+        attn_out, attn_cache = _attend(h2, _check_memory(params, memory, batch),
+                                       params.attention)
         mask = np.ones((batch, 1)) if cond_mask is None \
             else np.asarray(cond_mask, dtype=np.float64).reshape(batch, 1)
         h3 = h2 + mask * attn_out
-    else:
-        h3 = h2
 
-    z2 = h3 @ params.ff2_w1.T + params.ff2_b1
-    a2 = np.tanh(z2)
-    h4 = h3 + a2 @ params.ff2_w2.T + params.ff2_b2
-
-    out = h4 @ params.w_out.T + params.b_out
+    a2, h4, out = _head(params, h3)
     cache = (x, temb, h1, a1, h2, attn_cache, mask, h3, a2, h4, squeeze)
     return out, cache
 
 
 def toy_denoiser_forward(params: ToyDenoiserParams, xt: Tensor, t,
-                         condition: Optional[ConditionTokens] = None) -> Tensor:
-    """Noise prediction with xt's shape; condition may be absent."""
+                         condition: Optional[ConditionTokens] = None, *,
+                         pair: bool = False):
+    """Noise prediction with xt's shape; condition may be absent.
+
+    With ``pair=True`` a condition is required, and the result is the
+    (unconditional, conditional) pair that classifier-free guidance
+    combines. Both branches see the same (xt, t), so the trunk and the
+    attention run once on the batch; only the second FF block and the
+    output projection run on the stacked [h2, h2 + attention] rows.
+    """
     memory = None if condition is None else check_condition_tokens(condition)
-    out, cache = _forward_pass(params, xt, t, memory, None)
+    if not pair:
+        out, cache = _forward_pass(params, xt, t, memory, None)
+        require_finite(out, "denoiser output")
+        return out[0] if cache[-1] else out
+    if memory is None:
+        raise ValueError("a guidance pair needs a condition")
+    x, squeeze = _as_batch(params, xt)
+    h2 = _trunk(params, x, t)[-1]
+    attn_out, _ = _attend(h2, _check_memory(params, memory, x.shape[0]), params.attention)
+    out = _head(params, np.concatenate([h2, h2 + attn_out]))[-1]
     require_finite(out, "denoiser output")
-    return out[0] if cache[-1] else out
+    uncond, cond = np.split(out, 2)
+    return (uncond[0], cond[0]) if squeeze else (uncond, cond)
 
 
 def _loss_and_grad(params: ToyDenoiserParams, xt: np.ndarray, t,
                    eps: np.ndarray, memory, cond_mask):
     """Mean-squared noise-prediction loss and its gradient for every array."""
+    if memory is not None and np.ndim(memory) == 2:
+        # _attend_backward takes the per-row (batch, n, dc) form
+        memory = np.broadcast_to(memory, (len(np.atleast_2d(xt)),) + np.shape(memory))
     out, cache = _forward_pass(params, xt, t, memory, cond_mask)
     x, temb, h1, a1, h2, attn_cache, mask, h3, a2, h4, _ = cache
+    if temb.shape[0] != x.shape[0]:     # a scalar t gives one shared row
+        temb = np.broadcast_to(temb, (x.shape[0], temb.shape[1]))
     eps = np.asarray(eps, dtype=np.float64).reshape(out.shape)
     diff = out - eps
     loss = float(np.mean(diff * diff))
@@ -352,6 +404,11 @@ class ToyDenoiser:
     def predict(self, xt: Tensor, t: int, condition: Optional[ConditionTokens] = None) -> Tensor:
         return toy_denoiser_forward(self.params, xt, t, condition)
 
+    def predict_pair(self, xt: Tensor, t: int, condition: ConditionTokens
+                     ) -> tuple[Tensor, Tensor]:
+        """(unconditional, conditional) noise estimates from one shared-trunk pass."""
+        return toy_denoiser_forward(self.params, xt, t, condition, pair=True)
+
 
 # ---------------------------------------------------------------------------
 # Condition encoding and training
@@ -400,7 +457,8 @@ class TrainConfig:
 def save_denoiser(path, params: ToyDenoiserParams, schedule: NoiseSchedule,
                   label_embedding: Optional[LabelEmbedding] = None) -> None:
     """Write a denoiser checkpoint: parameters, widths, the linear-schedule
-    constants, and the frozen label tokens when training was conditional."""
+    constants, and the frozen label tokens when training was conditional.
+    Non-finite values are refused."""
     arrays = dict(params.arrays())
     arrays["meta"] = np.array([params.data_width, params.width, params.time_dim,
                                params.cond_width], dtype=np.float64)
@@ -408,21 +466,57 @@ def save_denoiser(path, params: ToyDenoiserParams, schedule: NoiseSchedule,
                                    float(schedule.betas[-1])])
     if label_embedding is not None:
         arrays["label_tokens"] = label_embedding.tokens
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise ckpt.CheckpointError(f"{path}: refusing to save non-finite values "
+                                       f"in {name!r}")
     ckpt.save_arrays(path, ckpt.DENOISER_MAGIC, arrays)
 
 
+def _is_whole(values: np.ndarray, low: float) -> bool:
+    return bool(np.all(values >= low) and np.all(values == np.floor(values)))
+
+
 def load_denoiser(path):
-    """Returns (params, schedule, label_embedding or None)."""
+    """Returns (params, schedule, label_embedding or None).
+
+    The array set, every shape (against the widths in ``meta``) and every
+    value are checked; any failure raises CheckpointError.
+    """
     arrays = ckpt.load_arrays(path, ckpt.DENOISER_MAGIC)
-    meta = arrays.pop("meta")
-    sched_consts = arrays.pop("schedule")
-    tokens = arrays.pop("label_tokens", None)
+
+    def bad(message: str) -> ckpt.CheckpointError:
+        return ckpt.CheckpointError(f"{path}: {message}")
+
+    required = {"meta", "schedule", *_PARAM_ORDER}
+    missing = sorted(required - set(arrays))
+    unexpected = sorted(set(arrays) - required - {"label_tokens"})
+    if missing or unexpected:
+        raise bad(f"wrong array set: missing {missing}, unexpected {unexpected}")
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise bad(f"array {name!r} contains non-finite values")
+    meta, consts = arrays["meta"], arrays["schedule"]
+    if meta.shape != (4,) or not _is_whole(meta, 1) or meta[2] % 2 != 0:
+        raise bad("meta must hold four positive integer widths with an even time width")
     data_width, width, time_dim, cond_width = (int(v) for v in meta)
-    template = init_toy_denoiser(RngStream(0), data_width, width=width,
-                                 time_dim=time_dim, cond_width=cond_width)
-    params = template.with_arrays(arrays)
-    schedule = linear_schedule(int(sched_consts[0]), float(sched_consts[1]),
-                               float(sched_consts[2]))
+    for name, shape in _param_shapes(data_width, width, time_dim, cond_width).items():
+        if arrays[name].shape != shape:
+            raise bad(f"array {name!r} has shape {arrays[name].shape}, "
+                      f"meta implies {shape}")
+    tokens = arrays.get("label_tokens")
+    if tokens is not None and (tokens.ndim != 2 or tokens.shape[0] < 1
+                               or tokens.shape[1] != cond_width):
+        raise bad(f"label_tokens has shape {tokens.shape}, expected (n, {cond_width})")
+    if consts.shape != (3,) or not _is_whole(consts[:1], 1):
+        raise bad("schedule must hold (T, beta_start, beta_end) with a positive integer T")
+    try:
+        schedule = linear_schedule(int(consts[0]), float(consts[1]), float(consts[2]))
+    except ValueError as exc:
+        raise bad(f"invalid schedule constants: {exc}") from None
+    params = ToyDenoiserParams(data_width=data_width, width=width, time_dim=time_dim,
+                               cond_width=cond_width,
+                               **{name: arrays[name] for name in _PARAM_ORDER})
     embedding = LabelEmbedding(tokens=tokens) if tokens is not None else None
     return params, schedule, embedding
 

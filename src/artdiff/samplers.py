@@ -181,17 +181,26 @@ def cfg_combine(eps_uncond: Tensor, eps_cond: Tensor, scale: float) -> Tensor:
 
 
 class _GuidedPredictor:
-    """Wraps a predictor so every query returns the guidance-combined noise."""
+    """Wraps a predictor so every query returns the guidance-combined noise.
+
+    A predictor with a ``predict_pair(xt, t, condition)`` method returns
+    both branches from one evaluation; any other predictor is called
+    once per branch.
+    """
 
     def __init__(self, base, scale: float):
         self._base = base
         self._scale = float(scale)
+        self._pair = getattr(base, "predict_pair", None)
 
     def predict(self, xt, t, condition=None):
         if condition is None or self._scale == 1.0:
             return self._base.predict(xt, t, condition)
-        uncond = self._base.predict(xt, t, None)
-        cond = self._base.predict(xt, t, condition)
+        if self._pair is not None:
+            uncond, cond = self._pair(xt, t, condition)
+        else:
+            uncond = self._base.predict(xt, t, None)
+            cond = self._base.predict(xt, t, condition)
         return cfg_combine(uncond, cond, self._scale)
 
 

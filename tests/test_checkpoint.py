@@ -99,3 +99,69 @@ def test_autoencoder_checkpoint_roundtrip(tmp_path):
     # the two container kinds are not interchangeable
     with pytest.raises(CheckpointError):
         load_arrays(path, DENOISER_MAGIC)
+
+
+# ---------------------------------------------------------------------------
+# denoiser checkpoints with a valid checksum but bad content
+# ---------------------------------------------------------------------------
+
+def _denoiser_parts():
+    from artdiff.denoisers import LabelEmbedding, init_toy_denoiser
+    from artdiff.schedule import linear_schedule
+
+    params = init_toy_denoiser(RngStream(4), 2)
+    return params, linear_schedule(50), LabelEmbedding.create(8, params.cond_width, 4)
+
+
+def _crafted(tmp_path, **changes):
+    """Save a valid denoiser checkpoint, then rewrite its arrays (None drops one)."""
+    from artdiff.denoisers import save_denoiser
+
+    path = tmp_path / "crafted.bin"
+    save_denoiser(path, *_denoiser_parts())
+    arrays = load_arrays(path, DENOISER_MAGIC)
+    for name, value in changes.items():
+        if value is None:
+            del arrays[name]
+        else:
+            arrays[name] = value
+    save_arrays(path, DENOISER_MAGIC, arrays)
+    return path
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"extra": np.zeros(3)}, "unexpected ['extra']"),
+    ({"meta": None}, "missing ['meta']"),
+    ({"wq": None}, "missing ['wq']"),
+    ({"w_in": np.zeros((16, 3))}, "'w_in' has shape (16, 3)"),
+    ({"b_out": np.zeros(3)}, "'b_out' has shape (3,)"),
+    ({"meta": np.array([2.0, 16.0, 15.0, 16.0])}, "even time width"),
+    ({"meta": np.array([2.0, 16.0, 16.0])}, "meta"),
+    ({"label_tokens": np.zeros((8, 5))}, "label_tokens"),
+    ({"schedule": np.array([50.0, 0.5, 0.1])}, "schedule"),
+    ({"b_out": np.array([np.inf, 0.0])}, "'b_out' contains non-finite"),
+    ({"label_tokens": np.full((8, 16), np.nan)}, "'label_tokens' contains non-finite"),
+], ids=["extra-array", "no-meta", "no-wq", "w_in-shape", "b_out-shape", "odd-time-width",
+        "short-meta", "token-width", "bad-schedule", "inf-bias", "nan-tokens"])
+def test_load_denoiser_rejects_crafted_content(tmp_path, changes, message):
+    from artdiff.denoisers import load_denoiser
+
+    path = _crafted(tmp_path, **changes)
+    with pytest.raises(CheckpointError) as info:
+        load_denoiser(path)
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_save_denoiser_refuses_non_finite_weights(tmp_path, bad):
+    from dataclasses import replace
+
+    from artdiff.denoisers import save_denoiser
+
+    params, schedule, embedding = _denoiser_parts()
+    b_in = params.b_in.copy()
+    b_in[3] = bad
+    path = tmp_path / "never.bin"
+    with pytest.raises(CheckpointError, match="non-finite"):
+        save_denoiser(path, replace(params, b_in=b_in), schedule, embedding)
+    assert not path.exists()

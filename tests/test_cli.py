@@ -73,19 +73,30 @@ def test_sample_oracle_writes_rows_and_is_deterministic(tmp_path):
 
 
 def test_sample_oracle_negative_first_mean_component_with_equals(tmp_path):
-    # after a space argparse takes "-1.4,2" for an option; the "=" form works
-    out = tmp_path / "o"
-    assert run(["sample", "--oracle", "--mu0=-1.4,2", "--var0", "0.25",
-                "--ddim_steps", 10, "--batch", 3, "--seed", 1, "--out", out]) == 0
+    # a negative first component works after '=' and after a space alike
+    out, spaced = tmp_path / "o", tmp_path / "spaced"
+    common = ["--var0", "0.25", "--ddim_steps", 10, "--batch", 3, "--seed", 1]
+    assert run(["sample", "--oracle", "--mu0=-1.4,2", *common, "--out", out]) == 0
+    assert run(["sample", "--oracle", "--mu0", "-1.4,2", *common, "--out", spaced]) == 0
     rows = (out / "samples.csv").read_text().strip().splitlines()
     assert [len(r.split(",")) for r in rows] == [2, 2, 2]
+    assert (spaced / "samples.csv").read_bytes() == (out / "samples.csv").read_bytes()
+
+
+def test_compare_samplers_accepts_spaced_negative_mu0(tmp_path):
+    out, spaced = tmp_path / "o", tmp_path / "spaced"
+    assert run(["compare-samplers", "--mu0=-1.4,2", "--batch", 8, "--out", out]) == 0
+    assert run(["compare-samplers", "--mu0", "-1.4,2", "--batch", 8, "--out", spaced]) == 0
+    assert (spaced / "report.csv").read_bytes() == (out / "report.csv").read_bytes()
 
 
 @pytest.mark.parametrize("command", ["sample", "compare-samplers"])
 def test_mu0_help_documents_equals_form(capsys, command):
     with pytest.raises(SystemExit):
         main([command, "--help"])
-    assert "--mu0=-1.4,2" in " ".join(capsys.readouterr().out.split())
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--mu0=-1.4,2" in help_text
+    assert "--mu0 -1.4,2" in help_text
 
 
 def test_sample_requires_predictor_source(tmp_path, capsys):
@@ -357,3 +368,89 @@ def test_manifest_records_resolved_config(tmp_path):
     assert manifest["config"]["ddim_steps"] == 10
     assert manifest["schedule"]["T"] == 1000
     assert manifest["schedule"]["beta_start"] == 1e-4
+
+
+# ---------------------------------------------------------------------------
+# input boundaries: exit 2 for bad input, 1 for runtime failures
+# ---------------------------------------------------------------------------
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    return err
+
+
+def test_config_file_uncastable_seed_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dataset=8-gaussian-ring\nsteps=0\nseed=abc\n")
+    assert run(["toy-train", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert "seed='abc'" in _one_line_error(capsys)
+
+
+def test_toy_train_negative_seed_exits_2(tmp_path, capsys):
+    assert run(["toy-train", "--dataset", "8-gaussian-ring", "--steps", 0,
+                "--seed", -1, "--out", tmp_path / "o"]) == 2
+    assert "--seed" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--oracle", "--seed", -1],
+    ["sample", "--oracle", "--var0", -0.5],
+    ["sample", "--oracle", "--mu0", "nan,1"],
+    ["compare-samplers", "--seed", -2],
+    ["toy-train", "--dataset", "8-gaussian-ring", "--steps", -1],
+    ["toy-train", "--dataset", "8-gaussian-ring", "--lr", 0],
+], ids=["sample-seed", "sample-var0", "sample-mu0", "compare-seed", "train-steps",
+        "train-lr"])
+def test_bad_flag_values_exit_2(tmp_path, capsys, argv):
+    assert run(argv + ["--out", tmp_path / "o"]) == 2
+    assert _one_line_error(capsys).startswith("error: ")
+
+
+def _train_conditional(tmp_path):
+    out = tmp_path / "train"
+    assert run(["toy-train", "--dataset", "8-gaussian-ring", "--steps", 0, "--conditional",
+                "--seed", 1, "--timesteps", 50, "--out", out]) == 0
+    return out / "checkpoint.bin"
+
+
+def test_sample_label_out_of_range_exits_2(tmp_path, capsys):
+    ckpt_path = _train_conditional(tmp_path)
+    assert run(["sample", "--checkpoint", ckpt_path, "--label", 8, "--ddim_steps", 5,
+                "--batch", 2, "--out", tmp_path / "o"]) == 2
+    assert "--label" in _one_line_error(capsys)
+
+
+def _rewrite_checkpoint(path, **changes):
+    from artdiff.checkpoint import DENOISER_MAGIC, load_arrays, save_arrays
+    arrays = load_arrays(path, DENOISER_MAGIC)
+    arrays.update(changes)
+    save_arrays(path, DENOISER_MAGIC, arrays)
+
+
+def test_sample_overflowing_checkpoint_is_runtime_failure(tmp_path, capsys):
+    # finite weights whose output overflows: a runtime failure, not bad input
+    ckpt_path = _train_conditional(tmp_path)
+    _rewrite_checkpoint(ckpt_path, b_out=np.array([1.7e308, 1.7e308]),
+                        w_out=np.full((2, 16), 1e307))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run(["sample", "--checkpoint", ckpt_path, "--label", 3, "--ddim_steps", 5,
+                    "--batch", 2, "--out", tmp_path / "o"])
+    assert code == 1
+    assert "non-finite" in _one_line_error(capsys)
+
+
+def test_sample_inf_bias_checkpoint_exits_1(tmp_path, capsys):
+    ckpt_path = _train_conditional(tmp_path)
+    _rewrite_checkpoint(ckpt_path, b_out=np.array([np.inf, 0.0]))
+    assert run(["sample", "--checkpoint", ckpt_path, "--ddim_steps", 5,
+                "--batch", 2, "--out", tmp_path / "o"]) == 1
+    assert "non-finite" in _one_line_error(capsys)
+
+
+def test_sample_wrong_shape_checkpoint_exits_1(tmp_path, capsys):
+    ckpt_path = _train_conditional(tmp_path)
+    _rewrite_checkpoint(ckpt_path, w_in=np.zeros((16, 3)))
+    assert run(["sample", "--checkpoint", ckpt_path, "--ddim_steps", 5,
+                "--batch", 2, "--out", tmp_path / "o"]) == 1
+    assert "'w_in'" in _one_line_error(capsys)

@@ -371,3 +371,83 @@ def test_toy_denoiser_predictor_facade(default_schedule):
     pred = ToyDenoiser(p)
     xt = RngStream(27).normal((3, 2))
     assert np.array_equal(pred.predict(xt, 10), toy_denoiser_forward(p, xt, 10))
+
+
+# ---------------------------------------------------------------------------
+# fused guidance pair, shared-memory attention, scalar-t features
+# ---------------------------------------------------------------------------
+
+def _rel_err(a, b):
+    return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300))
+
+
+@pytest.mark.parametrize("batch", [1, 2000])
+def test_fused_guidance_pair_matches_two_forward_calls(batch):
+    from artdiff.samplers import cfg_combine
+
+    rng = RngStream(40)
+    p = init_toy_denoiser(rng.child("init"), 2)
+    cond = rng.child("c").normal((1, 16))
+    xt = rng.child("x").normal((2,) if batch == 1 else (batch, 2))
+    for t in (1, 37, 999):
+        uncond, conditioned = toy_denoiser_forward(p, xt, t, cond, pair=True)
+        ref_u = toy_denoiser_forward(p, xt, t)
+        ref_c = toy_denoiser_forward(p, xt, t, cond)
+        assert uncond.shape == conditioned.shape == xt.shape
+        assert _rel_err(uncond, ref_u) <= 1e-12
+        assert _rel_err(conditioned, ref_c) <= 1e-12
+        assert _rel_err(cfg_combine(uncond, conditioned, 5.0),
+                        cfg_combine(ref_u, ref_c, 5.0)) <= 1e-12
+    pair = ToyDenoiser(p).predict_pair(xt, 37, cond)
+    assert all(np.array_equal(a, b)
+               for a, b in zip(pair, toy_denoiser_forward(p, xt, 37, cond, pair=True)))
+
+
+def test_fused_guidance_pair_needs_condition():
+    p = init_toy_denoiser(RngStream(41), 2)
+    with pytest.raises(ValueError):
+        toy_denoiser_forward(p, np.zeros((3, 2)), 5, pair=True)
+
+
+def test_attend_shared_memory_matches_per_row_memory():
+    from artdiff.denoisers import _attend
+
+    rng = RngStream(42)
+    p = init_toy_denoiser(rng.child("init"), 2)
+    h = rng.child("h").normal((50, 16))
+    mem = rng.child("m").normal((3, 16))
+    out, cache = _attend(h, mem, p.attention)
+    ref, ref_cache = _attend(h, np.broadcast_to(mem, (50, 3, 16)), p.attention)
+    assert _rel_err(out, ref) <= 1e-12
+    assert _rel_err(cache[5], ref_cache[5]) <= 1e-12     # attention weights
+
+
+def test_scalar_t_features_match_per_row_features():
+    from artdiff.denoisers import _trunk
+
+    rng = RngStream(43)
+    p = init_toy_denoiser(rng.child("init"), 2)
+    x = rng.child("x").normal((40, 2))
+    for t in (1, 500, 1000):
+        temb, h1, _, h2 = _trunk(p, x, t)
+        ref_temb, ref_h1, _, ref_h2 = _trunk(p, x, np.full(40, t))
+        assert temb.shape == (1, 16) and ref_temb.shape == (40, 16)
+        assert np.array_equal(np.broadcast_to(temb, ref_temb.shape), ref_temb)
+        assert _rel_err(h1, ref_h1) <= 1e-12
+        assert _rel_err(h2, ref_h2) <= 1e-12
+
+
+def test_gradients_with_scalar_t_and_shared_memory_match_per_row():
+    # scalar t and 2D memory reach the backward pass as per-row inputs
+    rng = RngStream(44)
+    p = init_toy_denoiser(rng.child("init"), 2)
+    xt = rng.child("x").normal((5, 2))
+    eps = rng.child("e").normal((5, 2))
+    mem = rng.child("m").normal((2, 16))
+    mask = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
+    loss, grads = _loss_and_grad(p, xt, 300, eps, mem, mask)
+    ref_loss, ref_grads = _loss_and_grad(p, xt, np.full(5, 300), eps,
+                                         np.broadcast_to(mem, (5, 2, 16)), mask)
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    for name, g in ref_grads.items():
+        assert np.allclose(grads[name], g, rtol=1e-12, atol=1e-15), name

@@ -484,3 +484,52 @@ def test_plms_tracks_fine_ddim_reference():
     err_plms = np.linalg.norm(endpoint("plms", 20) - ref) / np.linalg.norm(ref)
     err_ddim = np.linalg.norm(endpoint("ddim", 20) - ref) / np.linalg.norm(ref)
     assert err_plms < err_ddim / 5
+
+
+class PairPredictor(CondSensitivePredictor):
+    """Offers both branches from one call; counts the calls of each kind."""
+
+    def __init__(self):
+        self.calls = {"predict": 0, "predict_pair": 0}
+
+    def predict(self, xt, t, condition=None):
+        self.calls["predict"] += 1
+        return super().predict(xt, t, condition)
+
+    def predict_pair(self, xt, t, condition):
+        self.calls["predict_pair"] += 1
+        return np.zeros(np.shape(xt)), np.ones(np.shape(xt))
+
+
+@pytest.mark.parametrize("kind", ["ddim", "plms"])
+def test_guidance_uses_one_pair_call_per_step_when_offered(default_schedule, kind):
+    cond = np.ones((1, 3))
+    plan = make_plan(default_schedule, kind, 10, guidance_scale=5.0)
+    pair_pred = PairPredictor()
+    paired = sample(pair_pred, plan, default_schedule, condition=cond)
+    two_calls = sample(CondSensitivePredictor(), plan, default_schedule, condition=cond)
+    assert np.array_equal(paired, two_calls)
+    assert pair_pred.calls["predict"] == 0
+    assert pair_pred.calls["predict_pair"] == (11 if kind == "plms" else 10)
+    # unguided runs never ask for the pair
+    sample(pair_pred, make_plan(default_schedule, kind, 10, guidance_scale=5.0),
+           default_schedule)
+    assert pair_pred.calls["predict_pair"] == (11 if kind == "plms" else 10)
+
+
+def test_toy_denoiser_guided_sampling_matches_two_call_path(default_schedule):
+    from artdiff.denoisers import ToyDenoiser, init_toy_denoiser
+
+    class TwoCallToy:
+        """The toy denoiser without its pair method."""
+
+        def __init__(self, params):
+            self.predict = ToyDenoiser(params).predict
+
+    params = init_toy_denoiser(RngStream(31), 2)
+    cond = RngStream(32).normal((1, 16))
+    for kind in ("ddim", "plms"):
+        plan = make_plan(default_schedule, kind, 20, batch=64, eta=1.0, guidance_scale=5.0)
+        fused = sample(ToyDenoiser(params), plan, default_schedule, cond)
+        two = sample(TwoCallToy(params), plan, default_schedule, cond)
+        assert float(np.max(np.abs(fused - two))) <= 1e-12 * float(np.max(np.abs(two)))
