@@ -183,6 +183,8 @@ def cmd_toy_train(args) -> int:
     optimizer = resolver.get("optimizer", "adam")
     drop_prob = resolver.get("drop_prob", 0.1, float)
     hidden = resolver.get("hidden", 16, int)
+    if hidden < 1:
+        raise ConfigError(f"--hidden must be an integer >= 1, got {hidden}")
     conditional = bool(resolver.get("conditional", False, bool))
     out = resolver.out_dir()
 

@@ -33,10 +33,13 @@ def ring_centers(modes: int = RING_MODES, radius: float = RING_RADIUS) -> np.nda
     return radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
+_RING_CENTERS = ring_centers()
+_RING_CENTERS.setflags(write=False)
+
+
 def _sample_ring(n: int, rng: RngStream):
-    centers = ring_centers()
     labels = rng.integers(0, RING_MODES - 1, (n,))
-    points = centers[labels] + RING_STD * rng.normal((n, 2))
+    points = _RING_CENTERS[labels] + RING_STD * rng.normal((n, 2))
     return points, labels
 
 

@@ -207,19 +207,18 @@ class ToyDenoiserParams:
         return np.concatenate([getattr(self, n).ravel() for n in _PARAM_ORDER])
 
     def with_vector(self, vec: np.ndarray) -> "ToyDenoiserParams":
-        vec = np.asarray(vec, dtype=np.float64)
-        updates = {}
-        offset = 0
-        for name in _PARAM_ORDER:
-            cur = getattr(self, name)
-            updates[name] = vec[offset:offset + cur.size].reshape(cur.shape).copy()
-            offset += cur.size
-        if offset != vec.size:
-            raise ValueError("parameter vector has the wrong length")
-        return replace(self, **updates)
+        """Same widths, weights read from a copy of ``vec`` (to_vector order)."""
+        return self.view_of(np.array(vec, dtype=np.float64))
 
-    def with_arrays(self, arrays: dict[str, np.ndarray]) -> "ToyDenoiserParams":
-        return replace(self, **{k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()})
+    def view_of(self, vec: np.ndarray) -> "ToyDenoiserParams":
+        """Same widths, every array a zero-copy view into the flat float64
+        ``vec`` (to_vector order), so writing to ``vec`` updates them."""
+        sizes = [getattr(self, n).size for n in _PARAM_ORDER]
+        if vec.dtype != np.float64 or vec.shape != (sum(sizes),):
+            raise ValueError("parameter vector has the wrong length")
+        ends = np.cumsum(sizes)
+        return replace(self, **{name: vec[end - size:end].reshape(getattr(self, name).shape)
+                                for name, size, end in zip(_PARAM_ORDER, sizes, ends)})
 
 
 def _param_shapes(data_width: int, width: int, time_dim: int,
@@ -266,17 +265,19 @@ def _check_memory(params: ToyDenoiserParams, memory, batch: int) -> np.ndarray:
     return mem
 
 
-def _trunk(params: ToyDenoiserParams, x: np.ndarray, t):
+def _trunk(params: ToyDenoiserParams, x: np.ndarray, t, temb=None):
     """Input projection, time features and the first FF block.
 
     A scalar t gives one (1, time_dim) feature row, broadcast over the
-    batch; per-sample t gives (batch, time_dim).
+    batch; per-sample t gives (batch, time_dim). Features precomputed for
+    t may be passed as ``temb``.
     """
-    t_arr = np.asarray(t, dtype=np.float64)
-    if t_arr.ndim == 0:
-        temb = time_embedding(t_arr, params.time_dim)[None, :]
-    else:
-        temb = time_embedding(np.broadcast_to(t_arr, (x.shape[0],)), params.time_dim)
+    if temb is None:
+        t_arr = np.asarray(t, dtype=np.float64)
+        if t_arr.ndim == 0:
+            temb = time_embedding(t_arr, params.time_dim)[None, :]
+        else:
+            temb = time_embedding(np.broadcast_to(t_arr, (x.shape[0],)), params.time_dim)
     h1 = x @ params.w_in.T + params.b_in + temb @ params.w_time.T
     a1 = np.tanh(h1 @ params.ff1_w1.T + params.ff1_b1)
     h2 = h1 + a1 @ params.ff1_w2.T + params.ff1_b2
@@ -291,12 +292,13 @@ def _head(params: ToyDenoiserParams, h3: np.ndarray):
 
 
 def _forward_pass(params: ToyDenoiserParams, xt: np.ndarray, t,
-                  memory: Optional[np.ndarray], cond_mask: Optional[np.ndarray]):
+                  memory: Optional[np.ndarray], cond_mask: Optional[np.ndarray],
+                  temb: Optional[np.ndarray] = None):
     """Shared forward; returns the prediction and every intermediate needed
     for the closed-form backward pass."""
     x, squeeze = _as_batch(params, xt)
     batch = x.shape[0]
-    temb, h1, a1, h2 = _trunk(params, x, t)
+    temb, h1, a1, h2 = _trunk(params, x, t, temb)
 
     attn_cache = mask = None
     h3 = h2
@@ -340,12 +342,15 @@ def toy_denoiser_forward(params: ToyDenoiserParams, xt: Tensor, t,
 
 
 def _loss_and_grad(params: ToyDenoiserParams, xt: np.ndarray, t,
-                   eps: np.ndarray, memory, cond_mask):
-    """Mean-squared noise-prediction loss and its gradient for every array."""
+                   eps: np.ndarray, memory, cond_mask, temb=None):
+    """Mean-squared noise-prediction loss and its gradient for every array.
+
+    ``temb`` optionally holds the time features of t, precomputed.
+    """
     if memory is not None and np.ndim(memory) == 2:
         # _attend_backward takes the per-row (batch, n, dc) form
         memory = np.broadcast_to(memory, (len(np.atleast_2d(xt)),) + np.shape(memory))
-    out, cache = _forward_pass(params, xt, t, memory, cond_mask)
+    out, cache = _forward_pass(params, xt, t, memory, cond_mask, temb)
     x, temb, h1, a1, h2, attn_cache, mask, h3, a2, h4, _ = cache
     if temb.shape[0] != x.shape[0]:     # a scalar t gives one shared row
         temb = np.broadcast_to(temb, (x.shape[0], temb.shape[1]))
@@ -444,8 +449,9 @@ class TrainConfig:
     drop_prob: float = 0.0   # condition-drop probability for guidance training
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning rate must be a finite number > 0, "
+                             f"got {self.learning_rate}")
         if not 0.0 <= self.drop_prob <= 1.0:
             raise ValueError("drop probability must lie in [0, 1]")
         if self.optimizer not in ("adam", "sgd"):
@@ -466,15 +472,7 @@ def save_denoiser(path, params: ToyDenoiserParams, schedule: NoiseSchedule,
                                    float(schedule.betas[-1])])
     if label_embedding is not None:
         arrays["label_tokens"] = label_embedding.tokens
-    for name, arr in arrays.items():
-        if not np.all(np.isfinite(arr)):
-            raise ckpt.CheckpointError(f"{path}: refusing to save non-finite values "
-                                       f"in {name!r}")
-    ckpt.save_arrays(path, ckpt.DENOISER_MAGIC, arrays)
-
-
-def _is_whole(values: np.ndarray, low: float) -> bool:
-    return bool(np.all(values >= low) and np.all(values == np.floor(values)))
+    ckpt.save_finite(path, ckpt.DENOISER_MAGIC, arrays)
 
 
 def load_denoiser(path):
@@ -483,32 +481,22 @@ def load_denoiser(path):
     The array set, every shape (against the widths in ``meta``) and every
     value are checked; any failure raises CheckpointError.
     """
-    arrays = ckpt.load_arrays(path, ckpt.DENOISER_MAGIC)
+    arrays = ckpt.load_checked(path, ckpt.DENOISER_MAGIC, {"meta", "schedule", *_PARAM_ORDER},
+                               {"label_tokens"})
 
     def bad(message: str) -> ckpt.CheckpointError:
         return ckpt.CheckpointError(f"{path}: {message}")
 
-    required = {"meta", "schedule", *_PARAM_ORDER}
-    missing = sorted(required - set(arrays))
-    unexpected = sorted(set(arrays) - required - {"label_tokens"})
-    if missing or unexpected:
-        raise bad(f"wrong array set: missing {missing}, unexpected {unexpected}")
-    for name, arr in arrays.items():
-        if not np.all(np.isfinite(arr)):
-            raise bad(f"array {name!r} contains non-finite values")
     meta, consts = arrays["meta"], arrays["schedule"]
-    if meta.shape != (4,) or not _is_whole(meta, 1) or meta[2] % 2 != 0:
+    if not ckpt.positive_ints(meta, 4) or meta[2] % 2 != 0:
         raise bad("meta must hold four positive integer widths with an even time width")
     data_width, width, time_dim, cond_width = (int(v) for v in meta)
-    for name, shape in _param_shapes(data_width, width, time_dim, cond_width).items():
-        if arrays[name].shape != shape:
-            raise bad(f"array {name!r} has shape {arrays[name].shape}, "
-                      f"meta implies {shape}")
+    ckpt.check_shapes(path, arrays, _param_shapes(data_width, width, time_dim, cond_width))
     tokens = arrays.get("label_tokens")
     if tokens is not None and (tokens.ndim != 2 or tokens.shape[0] < 1
                                or tokens.shape[1] != cond_width):
         raise bad(f"label_tokens has shape {tokens.shape}, expected (n, {cond_width})")
-    if consts.shape != (3,) or not _is_whole(consts[:1], 1):
+    if consts.shape != (3,) or not ckpt.positive_ints(consts[:1], 1):
         raise bad("schedule must hold (T, beta_start, beta_end) with a positive integer T")
     try:
         schedule = linear_schedule(int(consts[0]), float(consts[1]), float(consts[2]))
@@ -522,23 +510,23 @@ def load_denoiser(path):
 
 
 class _AdamState:
-    def __init__(self, params: ToyDenoiserParams, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam moments over one flat parameter vector."""
+
+    def __init__(self, size: int, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = {k: np.zeros_like(v) for k, v in params.arrays().items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.arrays().items()}
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
         self.t = 0
 
-    def update(self, arrays: dict, grads: dict, lr: float) -> dict:
+    def update(self, vec: np.ndarray, g: np.ndarray, lr: float) -> None:
+        """One Adam step on ``vec`` in place, from the flat gradient ``g``."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        out = {}
-        for k, g in grads.items():
-            self.m[k] = b1 * self.m[k] + (1 - b1) * g
-            self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
-            mhat = self.m[k] / (1 - b1 ** self.t)
-            vhat = self.v[k] / (1 - b2 ** self.t)
-            out[k] = arrays[k] - lr * mhat / (np.sqrt(vhat) + self.eps)
-        return out
+        self.m = b1 * self.m + (1 - b1) * g
+        self.v = b2 * self.v + (1 - b2) * g * g
+        mhat = self.m / (1 - b1 ** self.t)
+        vhat = self.v / (1 - b2 ** self.t)
+        vec -= lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
 def train(params: ToyDenoiserParams, dataset, config: TrainConfig,
@@ -551,6 +539,11 @@ def train(params: ToyDenoiserParams, dataset, config: TrainConfig,
     fresh noise, and (when a label embedding is supplied) drops each
     sample's condition with the configured probability so the network also
     learns the unconditional branch.
+
+    The weights live in one flat vector; the named arrays the forward and
+    backward passes read are views into it, so each step's update is one
+    vectorised expression. Time features come from a table of every
+    t in {1..T}, built once.
     """
     rng = RngStream(config.seed)
     rng_data = rng.child("data")
@@ -559,7 +552,10 @@ def train(params: ToyDenoiserParams, dataset, config: TrainConfig,
     rng_drop = rng.child("drop")
 
     abar = schedule.alpha_bars
-    adam = _AdamState(params) if config.optimizer == "adam" else None
+    vec = params.to_vector()
+    params = params.view_of(vec)
+    time_table = time_embedding(np.arange(1, schedule.T + 1), params.time_dim)
+    adam = _AdamState(vec.size) if config.optimizer == "adam" else None
     losses = np.zeros(config.steps)
 
     for step in range(config.steps):
@@ -576,16 +572,15 @@ def train(params: ToyDenoiserParams, dataset, config: TrainConfig,
         else:
             memory, keep = None, None
 
-        loss, grads = _loss_and_grad(params, xt, t, eps, memory, keep)
+        loss, grads = _loss_and_grad(params, xt, t, eps, memory, keep, time_table[t - 1])
         if not math.isfinite(loss):
             raise TrainingDivergedError(f"loss became non-finite at step {step}")
         losses[step] = loss
 
-        arrays = params.arrays()
+        g = np.concatenate([grads[name].ravel() for name in _PARAM_ORDER])
         if adam is not None:
-            arrays = adam.update(arrays, grads, config.learning_rate)
+            adam.update(vec, g, config.learning_rate)
         else:
-            arrays = {k: arrays[k] - config.learning_rate * grads[k] for k in grads}
-        params = params.with_arrays(arrays)
+            vec -= config.learning_rate * g
 
     return params, losses

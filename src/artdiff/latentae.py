@@ -52,15 +52,19 @@ class ToyAutoencoderParams:
         return replace(self, **{k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()})
 
 
+def _ae_shapes(data_width: int, latent_width: int) -> dict[str, tuple[int, ...]]:
+    return {"w_enc": (2 * latent_width, data_width), "b_enc": (2 * latent_width,),
+            "w_dec": (data_width, latent_width), "b_dec": (data_width,)}
+
+
 def init_toy_autoencoder(rng: RngStream, data_width: int,
                          latent_width: int) -> ToyAutoencoderParams:
-    return ToyAutoencoderParams(
-        data_width=int(data_width), latent_width=int(latent_width),
-        w_enc=rng.normal((2 * latent_width, data_width)) / math.sqrt(data_width),
-        b_enc=np.zeros(2 * latent_width),
-        w_dec=rng.normal((data_width, latent_width)) / math.sqrt(latent_width),
-        b_dec=np.zeros(data_width),
-    )
+    """Gaussian fan-in initialization of both matrices, zero biases."""
+    widths = dict(data_width=int(data_width), latent_width=int(latent_width))
+    arrays = {name: np.zeros(shape) if len(shape) == 1
+              else rng.normal(shape) / math.sqrt(shape[1])
+              for name, shape in _ae_shapes(**widths).items()}
+    return ToyAutoencoderParams(**widths, **arrays)
 
 
 def encode_moments(x: Tensor, params: ToyAutoencoderParams) -> MomentPair:
@@ -114,18 +118,24 @@ def gan_loss_component(d_real, d_fake) -> float:
 
 def save_autoencoder(path, params: ToyAutoencoderParams) -> None:
     """Autoencoder checkpoints share the denoiser container format under a
-    distinct magic string."""
+    distinct magic string. Non-finite values are refused."""
     arrays = dict(params.arrays())
     arrays["meta"] = np.array([params.data_width, params.latent_width],
                               dtype=np.float64)
-    ckpt.save_arrays(path, ckpt.AUTOENC_MAGIC, arrays)
+    ckpt.save_finite(path, ckpt.AUTOENC_MAGIC, arrays)
 
 
 def load_autoencoder(path) -> ToyAutoencoderParams:
-    arrays = ckpt.load_arrays(path, ckpt.AUTOENC_MAGIC)
+    """The array set, every shape (against the widths in ``meta``) and every
+    value are checked; any failure raises CheckpointError."""
+    arrays = ckpt.load_checked(path, ckpt.AUTOENC_MAGIC,
+                               {"meta", "w_enc", "b_enc", "w_dec", "b_dec"})
     meta = arrays.pop("meta")
-    return ToyAutoencoderParams(data_width=int(meta[0]), latent_width=int(meta[1]),
-                                **arrays)
+    if not ckpt.positive_ints(meta, 2):
+        raise ckpt.CheckpointError(f"{path}: meta must hold two positive integer widths")
+    data_width, latent_width = (int(v) for v in meta)
+    ckpt.check_shapes(path, arrays, _ae_shapes(data_width, latent_width))
+    return ToyAutoencoderParams(data_width=data_width, latent_width=latent_width, **arrays)
 
 
 @dataclass(frozen=True)
@@ -137,10 +147,11 @@ class AeTrainConfig:
     kl_weight: float = 1e-3
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning rate must be positive")
-        if self.kl_weight < 0.0:
-            raise ValueError("kl_weight must be >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning rate must be a finite number > 0, "
+                             f"got {self.learning_rate}")
+        if not (math.isfinite(self.kl_weight) and self.kl_weight >= 0.0):
+            raise ValueError(f"kl_weight must be a finite number >= 0, got {self.kl_weight}")
 
 
 def _ae_loss_and_grad(params: ToyAutoencoderParams, x: np.ndarray,

@@ -165,3 +165,52 @@ def test_save_denoiser_refuses_non_finite_weights(tmp_path, bad):
     with pytest.raises(CheckpointError, match="non-finite"):
         save_denoiser(path, replace(params, b_in=b_in), schedule, embedding)
     assert not path.exists()
+
+
+# ---------------------------------------------------------------------------
+# autoencoder checkpoints with a valid checksum but bad content
+# ---------------------------------------------------------------------------
+
+def _ae_params():
+    from artdiff.latentae import init_toy_autoencoder
+
+    return init_toy_autoencoder(RngStream(6), 2, 1)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"extra": np.zeros(3)}, "unexpected ['extra']"),
+    ({"meta": None}, "missing ['meta']"),
+    ({"w_dec": np.zeros((3, 3))}, "'w_dec' has shape (3, 3)"),
+    ({"b_dec": np.array([np.inf, 0.0])}, "'b_dec' contains non-finite"),
+    ({"meta": np.array([2.0, 0.5])}, "meta"),
+], ids=["extra-array", "no-meta", "w_dec-shape", "inf-b_dec", "fractional-meta"])
+def test_load_autoencoder_rejects_crafted_content(tmp_path, changes, message):
+    from artdiff.latentae import load_autoencoder, save_autoencoder
+
+    path = tmp_path / "crafted.bin"
+    save_autoencoder(path, _ae_params())
+    arrays = load_arrays(path, AUTOENC_MAGIC)
+    for name, value in changes.items():
+        if value is None:
+            del arrays[name]
+        else:
+            arrays[name] = value
+    save_arrays(path, AUTOENC_MAGIC, arrays)
+    with pytest.raises(CheckpointError) as info:
+        load_autoencoder(path)
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_save_autoencoder_refuses_non_finite_weights(tmp_path, bad):
+    from dataclasses import replace
+
+    from artdiff.latentae import save_autoencoder
+
+    params = _ae_params()
+    w_enc = params.w_enc.copy()
+    w_enc[0, 1] = bad
+    path = tmp_path / "never.bin"
+    with pytest.raises(CheckpointError, match="non-finite"):
+        save_autoencoder(path, replace(params, w_enc=w_enc))
+    assert not path.exists()

@@ -400,11 +400,21 @@ def test_toy_train_negative_seed_exits_2(tmp_path, capsys):
     ["compare-samplers", "--seed", -2],
     ["toy-train", "--dataset", "8-gaussian-ring", "--steps", -1],
     ["toy-train", "--dataset", "8-gaussian-ring", "--lr", 0],
+    ["toy-train", "--dataset", "8-gaussian-ring", "--lr", "nan"],
+    ["toy-train", "--dataset", "8-gaussian-ring", "--lr", "inf"],
 ], ids=["sample-seed", "sample-var0", "sample-mu0", "compare-seed", "train-steps",
-        "train-lr"])
+        "train-lr", "train-lr-nan", "train-lr-inf"])
 def test_bad_flag_values_exit_2(tmp_path, capsys, argv):
     assert run(argv + ["--out", tmp_path / "o"]) == 2
     assert _one_line_error(capsys).startswith("error: ")
+
+
+@pytest.mark.parametrize("hidden", [0, -3])
+def test_toy_train_non_positive_hidden_exits_2(tmp_path, capsys, hidden):
+    assert run(["toy-train", "--dataset", "8-gaussian-ring", "--steps", 1,
+                "--hidden", hidden, "--out", tmp_path / "o"]) == 2
+    assert "--hidden" in _one_line_error(capsys)
+    assert not (tmp_path / "o" / "checkpoint.bin").exists()
 
 
 def _train_conditional(tmp_path):

@@ -1,16 +1,20 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from artdiff import denoisers
+from artdiff.cli import _fmt, main
 from artdiff.datasets import get_dataset
 from artdiff.denoisers import (AttentionWeights, GaussianOracle, LabelEmbedding,
                                ToyDenoiser, TrainConfig, _loss_and_grad,
-                               cross_attention, init_toy_denoiser,
+                               cross_attention, init_toy_denoiser, save_denoiser,
                                time_embedding, toy_denoiser_forward, train)
 from artdiff.diffusion import loss_simple, q_sample
 from artdiff.errors import TrainingDivergedError
 from artdiff.numerics import RngStream
+from artdiff.schedule import linear_schedule
 
 
 def loop_attention_reference(queries, memory):
@@ -32,6 +36,58 @@ def loop_attention_reference(queries, memory):
 def identity_weights(width):
     eye = np.eye(width)
     return AttentionWeights(wq=eye, wk=eye, wv=eye, wo=eye)
+
+
+class ReferenceAdam:
+    """Per-array Adam over a dict of named arrays: the update that the flat
+    vectorised update in ``train`` must reproduce bit for bit."""
+
+    def __init__(self, arrays, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m = {k: np.zeros_like(v) for k, v in arrays.items()}
+        self.v = {k: np.zeros_like(v) for k, v in arrays.items()}
+        self.t = 0
+
+    def update(self, arrays, grads, lr):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        out = {}
+        for k, g in grads.items():
+            self.m[k] = b1 * self.m[k] + (1 - b1) * g
+            self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
+            mhat = self.m[k] / (1 - b1 ** self.t)
+            vhat = self.v[k] / (1 - b2 ** self.t)
+            out[k] = arrays[k] - lr * mhat / (np.sqrt(vhat) + self.eps)
+        return out
+
+
+def reference_train(params, dataset, config, schedule, label_embedding=None):
+    """Training loop with one named array per weight: time features computed
+    per step, a per-array optimizer update and new params every step."""
+    rng = RngStream(config.seed)
+    rng_data, rng_t = rng.child("data"), rng.child("timesteps")
+    rng_eps, rng_drop = rng.child("noise"), rng.child("drop")
+    adam = ReferenceAdam(params.arrays()) if config.optimizer == "adam" else None
+    losses = np.zeros(config.steps)
+    for step in range(config.steps):
+        x0, labels = dataset.sample(config.batch_size, rng_data)
+        b = x0.shape[0]
+        t = rng_t.integers(1, schedule.T, (b,))
+        eps = rng_eps.normal(x0.shape)
+        a = schedule.alpha_bars[t - 1][:, None]
+        xt = np.sqrt(a) * x0 + np.sqrt(1.0 - a) * eps
+        memory = keep = None
+        if label_embedding is not None and labels is not None:
+            memory = label_embedding.memory_for(labels)
+            keep = (rng_drop.uniform((b,)) >= config.drop_prob).astype(np.float64)
+        losses[step], grads = _loss_and_grad(params, xt, t, eps, memory, keep)
+        arrays = params.arrays()
+        if adam is not None:
+            arrays = adam.update(arrays, grads, config.learning_rate)
+        else:
+            arrays = {k: arrays[k] - config.learning_rate * grads[k] for k in grads}
+        params = replace(params, **arrays)
+    return params, losses
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +385,97 @@ def test_train_single_sgd_step_matches_hand_update(default_schedule):
         assert np.array_equal(trained.arrays()[name], expect)
 
 
+def test_train_two_adam_steps_match_hand_update(default_schedule):
+    # replay two conditional steps' draws and apply a dict-based Adam by hand
+    ds = get_dataset("8-gaussian-ring")
+    p = init_toy_denoiser(RngStream(24), 2)
+    emb = LabelEmbedding.create(8, p.cond_width, 2)
+    cfg = TrainConfig(steps=2, batch_size=6, learning_rate=0.01, seed=4, drop_prob=0.5)
+    trained, losses = train(p, ds, cfg, default_schedule, emb)
+
+    rng = RngStream(4)
+    streams = [rng.child(n) for n in ("data", "timesteps", "noise", "drop")]
+    adam = ReferenceAdam(p.arrays())
+    expect = p
+    for step in range(2):
+        x0, labels = ds.sample(6, streams[0])
+        t = streams[1].integers(1, default_schedule.T, (6,))
+        eps = streams[2].normal((6, 2))
+        keep = (streams[3].uniform((6,)) >= 0.5).astype(np.float64)
+        a = default_schedule.alpha_bars[t - 1][:, None]
+        xt = np.sqrt(a) * x0 + np.sqrt(1 - a) * eps
+        loss, grads = _loss_and_grad(expect, xt, t, eps, emb.memory_for(labels), keep)
+        assert losses[step] == loss
+        expect = replace(expect, **adam.update(expect.arrays(), grads, 0.01))
+    for name, arr in expect.arrays().items():
+        assert np.array_equal(trained.arrays()[name], arr), name
+
+
+@pytest.mark.parametrize("variant", ["cond-adam", "uncond-adam", "cond-sgd"])
+def test_train_matches_reference_loop(default_schedule, variant):
+    ds = get_dataset("8-gaussian-ring")
+    p = init_toy_denoiser(RngStream(26), 2)
+    emb = None if variant.startswith("uncond") else LabelEmbedding.create(8, p.cond_width, 3)
+    cfg = TrainConfig(steps=25, batch_size=16, learning_rate=0.01, seed=8, drop_prob=0.2,
+                      optimizer=variant.split("-")[1])
+    trained, losses = train(p, ds, cfg, default_schedule, emb)
+    expect, expect_losses = reference_train(p, ds, cfg, default_schedule, emb)
+    assert np.array_equal(losses, expect_losses)
+    for name, arr in expect.arrays().items():
+        assert np.array_equal(trained.arrays()[name], arr), name
+
+
+@pytest.mark.parametrize("variant", ["cond-adam", "uncond-adam", "cond-sgd"])
+def test_toy_train_outputs_match_reference_loop_bytes(tmp_path, variant):
+    argv = ["toy-train", "--dataset", "8-gaussian-ring", "--steps", "30", "--batch", "16",
+            "--lr", "0.01", "--seed", "3", "--timesteps", "200", "--drop_prob", "0.1",
+            "--optimizer", variant.split("-")[1], "--out", str(tmp_path / "cli")]
+    conditional = not variant.startswith("uncond")
+    assert main(argv + ["--conditional"] * conditional) == 0
+
+    schedule = linear_schedule(200)
+    p = init_toy_denoiser(RngStream(3).child("init"), 2)
+    emb = LabelEmbedding.create(8, p.cond_width, 3) if conditional else None
+    cfg = TrainConfig(steps=30, batch_size=16, learning_rate=0.01, seed=3, drop_prob=0.1,
+                      optimizer=variant.split("-")[1])
+    expect, losses = reference_train(p, get_dataset("8-gaussian-ring"), cfg, schedule, emb)
+    save_denoiser(tmp_path / "ref.bin", expect, schedule, emb)
+    loss_csv = "\n".join(["step,loss"] + [f"{i},{_fmt(v)}" for i, v in enumerate(losses)])
+    assert (tmp_path / "cli" / "checkpoint.bin").read_bytes() == \
+        (tmp_path / "ref.bin").read_bytes()
+    assert (tmp_path / "cli" / "loss.csv").read_text() == loss_csv + "\n"
+
+
+def test_time_table_rows_match_time_embedding(default_schedule, monkeypatch):
+    T = default_schedule.T
+    table = time_embedding(np.arange(1, T + 1), 16)
+    for t in range(1, T + 1):
+        assert np.array_equal(table[t - 1], time_embedding(t, 16)), t
+    # per-sample t in training reads the table, built once per train call
+    calls = []
+    original = denoisers.time_embedding
+    monkeypatch.setattr(denoisers, "time_embedding",
+                        lambda t, dim: calls.append(np.shape(t)) or original(t, dim))
+    train(init_toy_denoiser(RngStream(27), 2), get_dataset("8-gaussian-ring"),
+          TrainConfig(steps=5, batch_size=4), default_schedule)
+    assert calls == [(T,)]
+
+
+def test_param_views_share_the_flat_vector():
+    p = init_toy_denoiser(RngStream(28), 2)
+    vec = p.to_vector()
+    view = p.view_of(vec)
+    vec += 1.0
+    assert np.array_equal(view.to_vector(), vec)
+    assert np.array_equal(view.b_out, p.b_out + 1.0)
+    before = vec.copy()
+    copy = p.with_vector(vec)
+    vec += 1.0
+    assert np.array_equal(copy.to_vector(), before)
+    with pytest.raises(ValueError):
+        p.view_of(vec[:-1])
+
+
 def test_train_reduces_loss_on_ring(default_schedule):
     ds = get_dataset("8-gaussian-ring")
     p = init_toy_denoiser(RngStream(0).child("init"), 2)
@@ -350,6 +497,9 @@ def test_train_detects_divergence(default_schedule):
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
+    for lr in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(learning_rate=lr)
     with pytest.raises(ValueError):
         TrainConfig(drop_prob=1.5)
     with pytest.raises(ValueError):

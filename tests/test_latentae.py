@@ -187,3 +187,10 @@ def test_config_validation():
         AeTrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         AeTrainConfig(kl_weight=-1.0)
+
+
+@pytest.mark.parametrize("field", ["learning_rate", "kl_weight"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        AeTrainConfig(**{field: value})
