@@ -2,7 +2,7 @@
 
 
 class ConfigError(ValueError):
-    """Invalid run configuration (maps to CLI exit code 2)."""
+    """Invalid run configuration or input file (maps to CLI exit code 2)."""
 
 
 class TrainingDivergedError(RuntimeError):

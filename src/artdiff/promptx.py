@@ -25,9 +25,11 @@ from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Protocol
+from typing import Iterable, Iterator, Optional, Protocol
 
 import numpy as np
+
+from .errors import ConfigError
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -35,15 +37,23 @@ DEFAULT_LAMBDA1 = 1.0
 DEFAULT_LAMBDA2 = 0.1
 EMBED_WIDTH = 64
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+# Byte table for ``tokenize``: every byte outside [a-z0-9] becomes a space.
+_TOKEN_BYTES = bytes(c if chr(c) in "abcdefghijklmnopqrstuvwxyz0123456789" else 0x20
+                     for c in range(256))
 _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+")
 
 CANDIDATE_SOURCES = ("wiki-sentence", "generator-continuation", "generator-response")
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase tokens split on any non-alphanumeric run."""
-    return _TOKEN_RE.findall(text.lower())
+    """Lowercase tokens split on any non-alphanumeric run.
+
+    Equal to ``re.findall(r"[a-z0-9]+", text.lower())``: lowercasing runs
+    first, so a character that lowercases to ASCII (U+212A KELVIN SIGN to
+    ``k``) joins a token, and every other non-ASCII character, lone
+    surrogates included, encodes to ``?`` and then splits like punctuation.
+    """
+    return text.lower().encode("ascii", "replace").translate(_TOKEN_BYTES).decode("ascii").split()
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +118,49 @@ def _frozen(values, dtype) -> np.ndarray:
     return arr
 
 
+def _count_terms(docs: tuple[Document, ...], int32_limit: int = 2**31
+                 ) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Tokenize every document once and count its terms.
+
+    Returns ``(vocab, indptr, doc_pos, tfs, lengths)`` as laid out on
+    ``Bm25Index``, with rows in order of first appearance. The token ids of
+    all documents stream into one buffer; the (term, document) keys
+    ``row * n + pos`` are then sorted once, so each run of equal keys is one
+    posting and its length is the term frequency. Keys are int32 while
+    ``len(vocab) * n < int32_limit`` and int64 otherwise.
+    """
+    vocab: defaultdict[str, int] = defaultdict(itertools.count().__next__)  # new term: next row
+    ids, lengths = array("i"), array("i")
+    for doc in docs:
+        tokens = tokenize(doc.text())
+        ids.extend(map(vocab.__getitem__, tokens))
+        lengths.append(len(tokens))
+    n = len(docs)
+    dtype = np.int32 if len(vocab) * n < int32_limit else np.int64
+    key = np.frombuffer(ids, dtype=np.intc).astype(dtype, copy=False)  # int32 keys reuse ids
+    del ids
+    key *= n
+    key += np.repeat(np.arange(n, dtype=dtype), lengths)
+    key.sort()
+    bounds = np.empty(key.size + 1, dtype=bool)   # where a run starts, and the end
+    bounds[0] = bounds[-1] = True
+    np.not_equal(key[1:], key[:-1], out=bounds[1:-1])
+    bounds = np.flatnonzero(bounds)
+    key = key[bounds[:-1]]                         # one key per posting
+    tfs = np.empty(key.size, dtype=np.int32)
+    np.subtract(bounds[1:], bounds[:-1], out=tfs, casting="unsafe")
+    del bounds
+    doc_pos = (key % max(n, 1)).astype(np.int32, copy=False)
+    key //= max(n, 1)                              # now the row of each posting
+    indptr = np.zeros(len(vocab) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key, minlength=len(vocab)), out=indptr[1:])
+    return (dict(vocab), indptr, doc_pos, tfs,
+            np.frombuffer(lengths, dtype=np.intc).astype(np.int32))
+
+
 def build_index(corpus: Iterable[Document], k1: float = DEFAULT_K1,
                 b: float = DEFAULT_B) -> Bm25Index:
-    """Index ``corpus`` in one tokenization pass.
+    """Index ``corpus`` in one tokenization pass (see ``_count_terms``).
 
     ``k1 >= 0`` and ``0 <= b <= 1`` are required; they make every document
     that shares a term with a query score above zero.
@@ -123,28 +173,13 @@ def build_index(corpus: Iterable[Document], k1: float = DEFAULT_K1,
         if doc.id in seen:
             raise ValueError(f"duplicate document id {doc.id!r}")
         seen.add(doc.id)
-    vocab: defaultdict[str, int] = defaultdict(itertools.count().__next__)  # new term: next row
-    term_ids, tfs = array("i"), array("i")           # one entry per (document, term)
-    n_terms, lengths = array("i"), array("i")        # one entry per document
-    for doc in docs:
-        tokens = tokenize(doc.text())
-        counts = Counter(tokens)
-        term_ids.fromlist(list(map(vocab.__getitem__, counts)))
-        tfs.fromlist(list(counts.values()))
-        n_terms.append(len(counts))
-        lengths.append(len(tokens))
-    rows = np.frombuffer(term_ids, dtype=np.intc)
-    positions = np.repeat(np.arange(len(docs), dtype=np.int32), n_terms)
-    order = np.argsort(rows, kind="stable")   # keeps positions ascending per term
-    indptr = np.zeros(len(vocab) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=len(vocab)), out=indptr[1:])
+    vocab, indptr, doc_pos, tfs, lengths = _count_terms(docs)
     by_id = sorted(range(len(docs)), key=lambda pos: docs[pos].id)
     id_rank = np.empty(len(docs), dtype=np.int32)
     id_rank[by_id] = np.arange(len(docs), dtype=np.int32)
-    avgdl = sum(lengths) / len(docs) if docs else 0.0
-    return Bm25Index(documents=docs, vocab=dict(vocab), indptr=_frozen(indptr, np.int64),
-                     doc_pos=_frozen(positions[order], np.int32),
-                     tfs=_frozen(np.frombuffer(tfs, dtype=np.intc)[order], np.int32),
+    avgdl = int(lengths.sum()) / len(docs) if docs else 0.0
+    return Bm25Index(documents=docs, vocab=vocab, indptr=_frozen(indptr, np.int64),
+                     doc_pos=_frozen(doc_pos, np.int32), tfs=_frozen(tfs, np.int32),
                      lengths=_frozen(lengths, np.int32), id_rank=_frozen(id_rank, np.int32),
                      id_order=_frozen(by_id, np.int32), avgdl=avgdl, k1=k1, b=b)
 
@@ -199,19 +234,21 @@ class TfidfModel:
     n_docs: int
 
 
-def _tfidf_model(doc_freqs: Iterable[tuple[str, int]], n: int) -> TfidfModel:
-    idf = {term: max(0.0, math.log(n / (1.0 + count))) for term, count in doc_freqs}
+def _tfidf_model(vocab: dict[str, int], indptr: np.ndarray, n: int) -> TfidfModel:
+    """The model for CSR postings: a term's df is its row length."""
+    df = np.diff(indptr).tolist()
+    idf = {term: max(0.0, math.log(n / (1.0 + count))) for term, count in zip(vocab, df)}
     return TfidfModel(idf=idf, n_docs=n)
 
 
 def tfidf_fit(training_corpus: Iterable[Document]) -> TfidfModel:
-    docs = list(training_corpus)
+    """Fit on ``training_corpus``, counted as ``build_index`` counts it;
+    duplicate document ids are allowed here."""
+    docs = tuple(training_corpus)
     if not docs:
         raise ValueError("tfidf_fit needs a nonempty corpus")
-    df: Counter = Counter()
-    for doc in docs:
-        df.update(set(tokenize(doc.text())))
-    return _tfidf_model(df.items(), len(docs))
+    vocab, indptr, *_ = _count_terms(docs)
+    return _tfidf_model(vocab, indptr, len(docs))
 
 
 def tfidf_from_index(index: Bm25Index) -> TfidfModel:
@@ -219,7 +256,7 @@ def tfidf_from_index(index: Bm25Index) -> TfidfModel:
     the index's document frequencies instead of tokenizing them again."""
     if index.size == 0:
         raise ValueError("tfidf_from_index needs a nonempty index")
-    return _tfidf_model(zip(index.vocab, np.diff(index.indptr).tolist()), index.size)
+    return _tfidf_model(index.vocab, index.indptr, index.size)
 
 
 def tfidf_score(model: TfidfModel, text: str) -> float:
@@ -392,8 +429,9 @@ class Generator(Protocol):
 class FixtureGenerator:
     """Canned generator outputs keyed by prompt, loaded from JSON Lines.
 
-    Each line is an object with fields ``prompt``, ``continuations``, and
-    ``responses``. Unknown prompts yield empty lists.
+    Each line is an object with a string ``prompt`` and optional lists of
+    strings ``continuations`` and ``responses``. Unknown prompts yield
+    empty lists.
     """
 
     def __init__(self, table: dict[str, tuple[list[str], list[str]]]):
@@ -401,14 +439,18 @@ class FixtureGenerator:
 
     @classmethod
     def from_file(cls, path) -> "FixtureGenerator":
+        """A malformed line raises ``ConfigError`` naming the file and line."""
         table = {}
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            table[row["prompt"]] = (list(row.get("continuations", [])),
-                                    list(row.get("responses", [])))
+        for lineno, row in _jsonl_objects(path):
+            prompt = _json_field(row, "prompt", (str,), path, lineno)
+            lists = []
+            for name in ("continuations", "responses"):
+                texts = _json_field(row, name, (list,), path, lineno, default=[])
+                if not all(type(text) is str for text in texts):
+                    raise ConfigError(f"{path}:{lineno}: every entry of {name!r} "
+                                      "must be a string")
+                lists.append(texts)
+            table[prompt] = tuple(lists)
         return cls(table)
 
     def continuations(self, prompt: str) -> list[str]:
@@ -516,16 +558,71 @@ def top_share(histogram: list[tuple[str, int]], k: int) -> float:
 # File loaders
 # ---------------------------------------------------------------------------
 
-def load_corpus_jsonl(path) -> list[Document]:
-    """Corpus file: one JSON object per line with fields id, title, body."""
-    docs = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               float: "a number", bool: "a boolean", type(None): "null"}
+_MISSING = object()
+
+
+def _jsonl_objects(path) -> Iterator[tuple[int, dict]]:
+    """(1-based line number, object) for each nonblank line of a JSON Lines
+    file. Only a line feed ends a line, so a U+2028 inside a string stays
+    in its line. Text that is not UTF-8, a line that is not JSON and a value that
+    is not an object raise ``ConfigError`` naming the file and line."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+    decode = json.JSONDecoder().raw_decode   # json.loads without its per-call wrapping
+    for lineno, line in enumerate(lines, 1):
+        start = len(line) - len(line.lstrip())
+        if start == len(line):
             continue
-        row = json.loads(line)
-        docs.append(Document(id=str(row["id"]), title=row["title"],
-                             body=row.get("body", "")))
+        try:
+            row, end = decode(line, start)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}:{lineno}: invalid JSON: {exc.msg} "
+                              f"(column {exc.colno})") from None
+        rest = line[end:].lstrip()
+        if rest:
+            raise ConfigError(f"{path}:{lineno}: invalid JSON: extra data "
+                              f"(column {len(line) - len(rest) + 1})")
+        if type(row) is not dict:
+            raise ConfigError(f"{path}:{lineno}: expected a JSON object, "
+                              f"got {_JSON_KINDS[type(row)]}")
+        yield lineno, row
+
+
+def _json_field(row: dict, name: str, kinds: tuple, path, lineno: int, default=_MISSING):
+    """``row[name]``, whose exact type must be one of ``kinds``."""
+    value = row.get(name, default)
+    if value is _MISSING:
+        raise ConfigError(f"{path}:{lineno}: missing field {name!r}")
+    if type(value) not in kinds:
+        wanted = " or ".join(_JSON_KINDS[k] for k in kinds)
+        raise ConfigError(f"{path}:{lineno}: field {name!r} must be {wanted}, "
+                          f"got {_JSON_KINDS[type(value)]}")
+    return value
+
+
+def load_corpus_jsonl(path) -> list[Document]:
+    """Corpus file: one JSON object per line with fields ``id`` (a string or
+    an integer, unique), ``title`` (a nonempty string) and ``body`` (a
+    string, optional). A malformed line raises ``ConfigError`` naming the
+    file and its line."""
+    docs = []
+    first_line: dict[str, int] = {}
+    for lineno, row in _jsonl_objects(path):
+        doc_id = str(_json_field(row, "id", (str, int), path, lineno))
+        title = _json_field(row, "title", (str,), path, lineno)
+        body = _json_field(row, "body", (str,), path, lineno, default="")
+        if not title:
+            raise ConfigError(f"{path}:{lineno}: document {doc_id!r} has an empty title")
+        if doc_id in first_line:
+            raise ConfigError(f"{path}:{lineno}: duplicate document id {doc_id!r} "
+                              f"(first on line {first_line[doc_id]})")
+        first_line[doc_id] = lineno
+        docs.append(Document(id=doc_id, title=title, body=body))
     return docs
 
 

@@ -49,8 +49,9 @@ class SamplingPlan:
             raise ConfigError(f"unknown sampler kind {self.kind!r}; expected one of {SAMPLER_KINDS}")
         if not 0.0 <= self.eta <= 1.0:
             raise ConfigError("eta must lie in [0, 1]")
-        if self.guidance_scale < 0.0:
-            raise ConfigError("guidance_scale must be >= 0")
+        if not (math.isfinite(self.guidance_scale) and self.guidance_scale >= 0.0):
+            raise ConfigError(f"guidance_scale must be a finite number >= 0, "
+                              f"got {self.guidance_scale}")
         if int(self.batch) < 1:
             raise ConfigError("batch must be a positive integer")
         shape = tuple(int(s) for s in self.shape)

@@ -464,3 +464,54 @@ def test_sample_wrong_shape_checkpoint_exits_1(tmp_path, capsys):
     assert run(["sample", "--checkpoint", ckpt_path, "--ddim_steps", 5,
                 "--batch", 2, "--out", tmp_path / "o"]) == 1
     assert "'w_in'" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+def test_sample_oracle_non_finite_scale_exits_2(tmp_path, capsys, scale):
+    assert run(["sample", "--oracle", "--scale", scale, "--ddim_steps", 5,
+                "--batch", 2, "--out", tmp_path / "o"]) == 2
+    assert "guidance_scale must be a finite number" in _one_line_error(capsys)
+    assert not (tmp_path / "o" / "samples.csv").exists()
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+def test_sample_checkpoint_non_finite_scale_exits_2(tmp_path, capsys, scale):
+    ckpt_path = _train_conditional(tmp_path)
+    assert run(["sample", "--checkpoint", ckpt_path, "--label", 0, "--scale", scale,
+                "--ddim_steps", 5, "--batch", 2, "--out", tmp_path / "o"]) == 2
+    assert "guidance_scale must be a finite number" in _one_line_error(capsys)
+    assert not (tmp_path / "o" / "samples.csv").exists()
+
+
+GOOD_DOC = '{"id": "a", "title": "urban china"}\n'
+
+
+@pytest.mark.parametrize("text, line, message", [
+    (GOOD_DOC + '{"id": "b", "body": "x"}\n', 2, "missing field 'title'"),
+    (GOOD_DOC + '["b", "title"]\n', 2, "expected a JSON object, got an array"),
+    ('{"id": "a", "title": 5}\n', 1, "field 'title' must be a string, got an integer"),
+    (GOOD_DOC + '{"id": "b" "title": "x"}\n', 2, "invalid JSON"),
+    (GOOD_DOC + '\n{"id": "a", "title": "x"}\n', 3, "duplicate document id 'a'"),
+    (GOOD_DOC + '{"id": "b", "title": ""}\n', 2, "empty title"),
+], ids=["missing-title", "array-line", "integer-title", "bad-json-line-2",
+        "duplicate-id", "empty-title"])
+def test_prompt_extend_malformed_corpus_exits_2(tmp_path, capsys, text, line, message):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(text)
+    assert run(["prompt-extend", "x", "--corpus", corpus,
+                "--gazetteer", DATA / "gazetteer.txt",
+                "--fixtures", DATA / "fixtures.jsonl", "--out", tmp_path / "o"]) == 2
+    err = _one_line_error(capsys)
+    assert f"{corpus}:{line}: " in err
+    assert message in err
+    assert not (tmp_path / "o" / "candidates.jsonl").exists()
+
+
+def test_prompt_extend_malformed_fixtures_exits_2(tmp_path, capsys):
+    fixtures = tmp_path / "fixtures.jsonl"
+    fixtures.write_text('{"prompt": "x", "responses": ["ok"]}\n{"prompt": "y"\n')
+    assert run(["prompt-extend", "x", "--corpus", DATA / "micro_corpus.jsonl",
+                "--gazetteer", DATA / "gazetteer.txt",
+                "--fixtures", fixtures, "--out", tmp_path / "o"]) == 2
+    assert f"{fixtures}:2: invalid JSON" in _one_line_error(capsys)
+    assert not (tmp_path / "o" / "candidates.jsonl").exists()

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from artdiff import promptx
+from artdiff.errors import ConfigError
 from artdiff.numerics import RngStream
 from artdiff.promptx import (ArtworkMeta, Document, FixtureGenerator,
                              Gazetteer, HashEmbedder, PromptCandidate,
@@ -66,6 +68,13 @@ def test_tokenize_rule_application():
         ["left", "behind", "children", "1980"]
 
 
+def test_tokenize_non_ascii_splits_like_punctuation():
+    # U+212A KELVIN SIGN lowercases to ASCII "k"; U+0130 lowercases to "i"
+    # plus a combining dot, which splits; NUL and a lone surrogate split too
+    assert tokenize("\u212aelvin \u0130stanbul a\x00b c\ud800d caf\u00e9s") == \
+        ["kelvin", "i", "stanbul", "a", "b", "c", "d", "caf", "s"]
+
+
 # ---------------------------------------------------------------------------
 # BM25
 # ---------------------------------------------------------------------------
@@ -99,6 +108,17 @@ def test_build_index_postings_match_recount():
             assert row_docs == sorted(row_docs)
             assert dict(zip(row_docs, index.tfs[lo:hi].tolist()))[pos] == toks.count(term)
         assert index.lengths[pos] == len(toks)
+
+
+def test_count_terms_int64_keys_match_int32_keys(data_dir):
+    docs = tuple(load_corpus_jsonl(data_dir / "micro_corpus.jsonl"))
+    narrow = promptx._count_terms(docs)
+    wide = promptx._count_terms(docs, int32_limit=0)   # forces int64 keys
+    assert len(narrow[0]) * len(docs) < 2**31
+    assert narrow[0] == wide[0] and list(narrow[0]) == list(wide[0])
+    for a, b in zip(narrow[1:], wide[1:]):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
 
 
 def test_build_index_duplicate_id():
@@ -315,6 +335,14 @@ def test_tfidf_from_index_rejects_empty():
 def test_tfidf_fit_rejects_empty():
     with pytest.raises(ValueError):
         tfidf_fit([])
+
+
+def test_tfidf_fit_accepts_duplicate_ids():
+    # build_index rejects duplicate ids; the TF-IDF fit counts every document
+    docs = [Document(id="a", title="china city"), Document(id="a", title="china"),
+            Document(id="b", title="wheat")]
+    assert tfidf_fit(docs).idf == {"china": 0.0, "city": math.log(3 / 2),
+                                   "wheat": math.log(3 / 2)}
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +641,23 @@ def test_fixture_generator_unknown_prompt(data_dir):
     assert gen.responses("missing prompt") == []
 
 
+@pytest.mark.parametrize("line, message", [
+    ('{"continuations": []}', "missing field 'prompt'"),
+    ('{"prompt": 3}', "field 'prompt' must be a string, got an integer"),
+    ('{"prompt": "y", "continuations": "text"}',
+     "field 'continuations' must be an array, got a string"),
+    ('{"prompt": "y", "responses": ["ok", null]}', "every entry of 'responses' must be a string"),
+    ('"y"', "expected a JSON object, got a string"),
+    ('{"prompt": "y"} {}', "invalid JSON: extra data (column 17)"),
+])
+def test_fixture_generator_rejects_malformed_line(tmp_path, line, message):
+    path = tmp_path / "fixtures.jsonl"
+    path.write_text('{"prompt": "x", "responses": ["ok"]}\n\n' + line + "\n")
+    with pytest.raises(ConfigError) as info:
+        FixtureGenerator.from_file(path)
+    assert str(info.value) == f"{path}:3: {message}"
+
+
 # ---------------------------------------------------------------------------
 # captions and histograms
 # ---------------------------------------------------------------------------
@@ -715,3 +760,39 @@ def test_load_corpus_jsonl(data_dir):
     docs = load_corpus_jsonl(data_dir / "micro_corpus.jsonl")
     assert len(docs) == 6
     assert {d.id for d in docs} >= {"shenzhen", "urban-growth"}
+
+
+def test_load_corpus_jsonl_accepts_integer_ids_and_line_separators(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    # U+2028 is legal inside a JSON string; it does not end the line
+    path.write_text('{"id": 7, "title": "a\u2028b"}\r\n\n  {"id": "x", "title": "c", "body": "d"}\n',
+                    encoding="utf-8")
+    docs = load_corpus_jsonl(path)
+    assert docs == [Document(id="7", title="a\u2028b"), Document(id="x", title="c", body="d")]
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"title": "t"}', "missing field 'id'"),
+    ('{"id": true, "title": "t"}', "field 'id' must be a string or an integer, got a boolean"),
+    ('{"id": 1.5, "title": "t"}', "field 'id' must be a string or an integer, got a number"),
+    ('{"id": "b"}', "missing field 'title'"),
+    ('{"id": "b", "title": 5}', "field 'title' must be a string, got an integer"),
+    ('{"id": "b", "title": "t", "body": null}', "field 'body' must be a string, got null"),
+    ('{"id": "b", "title": ""}', "document 'b' has an empty title"),
+    ('{"id": 1, "title": "t"}', "duplicate document id '1' (first on line 1)"),
+    ('[1, 2]', "expected a JSON object, got an array"),
+    ('{"id": "b" "title": "t"}', "invalid JSON: Expecting ',' delimiter (column 12)"),
+])
+def test_load_corpus_jsonl_rejects_malformed_line(tmp_path, line, message):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id": "1", "title": "first"}\n' + line + "\n")
+    with pytest.raises(ConfigError) as info:
+        load_corpus_jsonl(path)
+    assert str(info.value) == f"{path}:2: {message}"
+
+
+def test_load_corpus_jsonl_rejects_non_utf8(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(b'{"id": "1", "title": "first"}\n{"id": "2", "title": "\xff"}\n')
+    with pytest.raises(ConfigError, match=r":2: not UTF-8 text"):
+        load_corpus_jsonl(path)

@@ -1,0 +1,124 @@
+"""Property tests for tokenizing, index counting and the JSON Lines loaders.
+
+They need hypothesis (the ``test`` extra) and are skipped without it.
+"""
+
+import json
+import math
+import re
+from collections import Counter
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from artdiff import promptx  # noqa: E402
+from artdiff.errors import ConfigError  # noqa: E402
+from artdiff.promptx import (Document, FixtureGenerator, build_index,  # noqa: E402
+                             load_corpus_jsonl, tfidf_fit, tfidf_from_index, tokenize)
+
+PROPERTY = settings(max_examples=150, deadline=None)
+
+
+def reference_tokenize(text):
+    """The tokenizer's specification."""
+    return re.findall(r"[a-z0-9]+", text.lower())
+
+
+# NUL, lone surrogates, characters whose lowercase is longer (U+0130) or
+# ASCII (U+212A KELVIN SIGN), ligatures, line separators and plain ASCII
+EDGE_CHARS = st.sampled_from(["\x00", "\ud800", "\udfff", "\u0130", "\u212a", "\u00df",
+                              "\ufb01", "\u03a3", "\u2028", "\x85", "\t", " ", "-", "_",
+                              "A", "z", "Z", "0", "9", "\u00e9", "\U0001f3a8"])
+TEXT = st.lists(st.one_of(st.characters(), EDGE_CHARS), max_size=40).map("".join)
+
+# small word pool, so tokens repeat within and across documents
+WORDS = st.sampled_from(["art", "Art", "ART", "river", "x1", "42", "\u00fcber", "\u212aelvin",
+                         "\u0130zmir", "...", "--", "", "a", "b", "caf\u00e9"])
+DOC_TEXT = st.one_of(st.lists(WORDS, max_size=12).map(" ".join), TEXT)
+CORPUS = st.lists(st.tuples(DOC_TEXT, DOC_TEXT), max_size=8).map(
+    lambda pairs: [Document(id=f"d{i}", title=title or ".", body=body)
+                   for i, (title, body) in enumerate(pairs)])
+
+
+@PROPERTY
+@given(TEXT)
+def test_tokenize_matches_regex_reference(text):
+    assert tokenize(text) == reference_tokenize(text)
+
+
+@PROPERTY
+@given(CORPUS)
+def test_index_fields_match_per_document_recount(docs):
+    index = build_index(docs)
+    counts = [Counter(tokenize(doc.text())) for doc in docs]
+    first_seen = list(dict.fromkeys(tok for doc in docs for tok in tokenize(doc.text())))
+    assert list(index.vocab) == first_seen
+    assert list(index.vocab.values()) == list(range(len(first_seen)))
+    assert index.indptr[0] == 0 and index.indptr[-1] == len(index.doc_pos) == len(index.tfs)
+    for term, row in index.vocab.items():
+        lo, hi = index.indptr[row], index.indptr[row + 1]
+        postings = list(zip(index.doc_pos[lo:hi].tolist(), index.tfs[lo:hi].tolist()))
+        assert postings == [(pos, c[term]) for pos, c in enumerate(counts) if term in c]
+    assert index.lengths.tolist() == [sum(c.values()) for c in counts]
+    assert index.avgdl == (sum(sum(c.values()) for c in counts) / len(docs) if docs else 0.0)
+    narrow = promptx._count_terms(tuple(docs))
+    wide = promptx._count_terms(tuple(docs), int32_limit=0)
+    assert narrow[0] == wide[0]
+    assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(narrow[1:], wide[1:]))
+
+
+@PROPERTY
+@given(CORPUS.filter(bool))
+def test_tfidf_fit_equals_index_idf_and_recount(docs):
+    fitted = tfidf_fit(docs)
+    assert fitted.idf == tfidf_from_index(build_index(docs)).idf
+    df = Counter()
+    for doc in docs:
+        df.update(set(tokenize(doc.text())))
+    n = len(docs)
+    assert fitted.idf == {term: max(0.0, math.log(n / (1.0 + count))) for term, count in df.items()}
+
+
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), TEXT,
+                        st.lists(st.one_of(st.integers(), TEXT), max_size=2))
+JSON_OBJECTS = st.dictionaries(
+    st.sampled_from(["id", "title", "body", "prompt", "continuations", "responses", "x"]),
+    JSON_VALUES, max_size=4).map(lambda obj: json.dumps(obj, ensure_ascii=False))
+LINES = st.lists(st.one_of(JSON_OBJECTS, TEXT), max_size=5).map("\n".join)
+
+
+@pytest.fixture(scope="module")
+def jsonl_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("jsonl") / "input.jsonl"
+
+
+@PROPERTY
+@given(text=LINES)
+def test_corpus_loader_returns_documents_or_config_error(jsonl_path, text):
+    jsonl_path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    try:
+        docs = load_corpus_jsonl(jsonl_path)
+    except ConfigError as exc:
+        assert str(exc).startswith(f"{jsonl_path}:")
+        assert "\n" not in str(exc)
+        return
+    assert all(isinstance(doc, Document) and doc.title for doc in docs)
+    assert len({doc.id for doc in docs}) == len(docs)
+
+
+@PROPERTY
+@given(text=LINES)
+def test_fixture_loader_returns_lists_of_strings_or_config_error(jsonl_path, text):
+    jsonl_path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    try:
+        generator = FixtureGenerator.from_file(jsonl_path)
+    except ConfigError as exc:
+        assert str(exc).startswith(f"{jsonl_path}:")
+        assert "\n" not in str(exc)
+        return
+    for prompt, (continuations, responses) in generator._table.items():
+        assert type(prompt) is str
+        assert all(type(t) is str for t in continuations + responses)

@@ -54,6 +54,13 @@ def test_plan_rejects_bad_fields(default_schedule):
         SamplingPlan(timeline=tl, kind="ddim", shape=(0,), seed=0)
 
 
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), float("-inf")])
+def test_plan_rejects_non_finite_guidance_scale(default_schedule, scale):
+    with pytest.raises(ConfigError, match="guidance_scale must be a finite number"):
+        SamplingPlan(timeline=subsequence(default_schedule, 10), kind="ddim",
+                     shape=(2,), seed=0, guidance_scale=scale)
+
+
 def test_ddpm_requires_identity_timeline(default_schedule):
     plan = make_plan(default_schedule, "ddpm", 200)
     with pytest.raises(ConfigError):
