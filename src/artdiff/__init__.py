@@ -7,9 +7,9 @@ from .schedule import (NoiseSchedule, SamplingTimeline, linear_schedule,
 from .diffusion import (PosteriorParams, kl_same_variance_gaussians,
                         latent_loss, loss_simple, posterior_params, q_sample,
                         q_step)
-from .samplers import (EpsHistory, SamplingPlan, cfg_combine, ddim_sigma,
-                       ddim_step, ddpm_step, plms_combine, plms_sample,
-                       predict_x0, sample)
+from .samplers import (SamplingPlan, cfg_combine, ddim_sigma, ddim_step,
+                       ddpm_step, plms_combine, plms_sample, predict_x0,
+                       sample)
 from .denoisers import (ConditionTokens, EpsilonPredictor, GaussianOracle,
                         LabelEmbedding, ToyDenoiser, ToyDenoiserParams,
                         TrainConfig, cross_attention, init_toy_denoiser,

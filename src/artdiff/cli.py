@@ -135,8 +135,11 @@ def _var0_from(resolver: Resolver) -> float:
     return var0
 
 
-def _schedule_from(resolver: Resolver):
-    T = resolver.get("timesteps", DEFAULT_T, int)
+def _schedule_from(resolver: Resolver, T: int | None = None):
+    """The linear schedule of the resolved --timesteps (or a fixed T) and
+    betas, with its constants; a bad value raises ``ConfigError``."""
+    if T is None:
+        T = resolver.get("timesteps", DEFAULT_T, int)
     beta_start = resolver.get("beta_start", DEFAULT_BETA_START, float)
     beta_end = resolver.get("beta_end", DEFAULT_BETA_END, float)
     try:
@@ -305,13 +308,11 @@ def cmd_compare_samplers(args) -> int:
     var0 = _var0_from(resolver)
     seed = _seed_from(resolver, 123)
     batch = resolver.get("batch", 256, int)
-    beta_start = resolver.get("beta_start", DEFAULT_BETA_START, float)
-    beta_end = resolver.get("beta_end", DEFAULT_BETA_END, float)
-    out = resolver.out_dir()
-
     # The reference trajectory needs 2000 distinct timesteps, so this
     # experiment runs on its own T=2000 schedule.
-    schedule = linear_schedule(COMPARISON_T, beta_start, beta_end)
+    schedule, (_, beta_start, beta_end) = _schedule_from(resolver, COMPARISON_T)
+    out = resolver.out_dir()
+
     oracle = GaussianOracle(mu0=mu0, var0=var0, schedule=schedule)
     shape = (mu0.size,)
 
@@ -398,6 +399,8 @@ def cmd_corpus_stats(args) -> int:
     resolver = Resolver(args)
     metadata_path = _require_file(resolver.get("metadata", None), "metadata")
     delimiter = resolver.get("delimiter", ",")
+    if len(delimiter) != 1:
+        raise ConfigError(f"--delimiter must be exactly one character, got {delimiter!r}")
     out = resolver.out_dir()
 
     metas, malformed = read_artwork_table(metadata_path, delimiter)

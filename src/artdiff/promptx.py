@@ -17,6 +17,7 @@ ascending id; documents sharing no term with the query score 0.0.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
@@ -24,7 +25,6 @@ import re
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Iterator, Optional, Protocol
 
 import numpy as np
@@ -341,7 +341,8 @@ class Gazetteer:
 
     @classmethod
     def from_file(cls, path) -> "Gazetteer":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        """Text that is not UTF-8 raises ``ConfigError`` naming the file and line."""
+        lines = _read_utf8(path).splitlines()
         return cls(line.strip() for line in lines if line.strip())
 
     def match_count(self, tokens: list[str]) -> int:
@@ -430,7 +431,8 @@ class FixtureGenerator:
     """Canned generator outputs keyed by prompt, loaded from JSON Lines.
 
     Each line is an object with a string ``prompt`` and optional lists of
-    strings ``continuations`` and ``responses``. Unknown prompts yield
+    strings ``continuations`` and ``responses``. A prompt on several lines
+    gets the lists of all of them, in file order. Unknown prompts yield
     empty lists.
     """
 
@@ -440,17 +442,16 @@ class FixtureGenerator:
     @classmethod
     def from_file(cls, path) -> "FixtureGenerator":
         """A malformed line raises ``ConfigError`` naming the file and line."""
-        table = {}
+        table: dict[str, tuple[list[str], list[str]]] = {}
         for lineno, row in _jsonl_objects(path):
             prompt = _json_field(row, "prompt", (str,), path, lineno)
-            lists = []
-            for name in ("continuations", "responses"):
+            lists = table.setdefault(prompt, ([], []))
+            for name, texts_so_far in zip(("continuations", "responses"), lists):
                 texts = _json_field(row, name, (list,), path, lineno, default=[])
                 if not all(type(text) is str for text in texts):
                     raise ConfigError(f"{path}:{lineno}: every entry of {name!r} "
                                       "must be a string")
-                lists.append(texts)
-            table[prompt] = tuple(lists)
+                texts_so_far.extend(texts)
         return cls(table)
 
     def continuations(self, prompt: str) -> list[str]:
@@ -563,16 +564,23 @@ _JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an in
 _MISSING = object()
 
 
+def _read_utf8(path, newline: str | None = None) -> str:
+    """The whole text of a file, read with ``open``'s newline mode. Bytes
+    that are not UTF-8 raise ``ConfigError`` naming the file and line."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            raise ConfigError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+
+
 def _jsonl_objects(path) -> Iterator[tuple[int, dict]]:
     """(1-based line number, object) for each nonblank line of a JSON Lines
     file. Only a line feed ends a line, so a U+2028 inside a string stays
     in its line. Text that is not UTF-8, a line that is not JSON and a value that
     is not an object raise ``ConfigError`` naming the file and line."""
-    try:
-        lines = Path(path).read_text(encoding="utf-8").split("\n")
-    except UnicodeDecodeError as exc:
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise ConfigError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+    lines = _read_utf8(path).split("\n")
     decode = json.JSONDecoder().raw_decode   # json.loads without its per-call wrapping
     for lineno, line in enumerate(lines, 1):
         start = len(line) - len(line.lstrip())
@@ -629,11 +637,12 @@ def load_corpus_jsonl(path) -> list[Document]:
 def read_artwork_table(path, delimiter: str = ",") -> tuple[list[ArtworkMeta], int]:
     """Character-separated artwork metadata with columns
     title, artist, style, genre, year. Returns (rows, malformed count);
-    malformed rows are skipped, not fatal."""
+    malformed rows are skipped, not fatal. Text that is not UTF-8 raises
+    ``ConfigError`` naming the file and line."""
     import csv
     metas = []
     malformed = 0
-    with open(path, newline="", encoding="utf-8") as fh:
+    with io.StringIO(_read_utf8(path, newline=""), newline="") as fh:
         for row in csv.reader(fh, delimiter=delimiter):
             if not row or all(not cell.strip() for cell in row):
                 continue

@@ -1,14 +1,17 @@
-"""Reverse-process generation: ancestral (DDPM) sampling, the DDIM step
-family, the pseudo linear multistep (PLMS) sampler, and classifier-free
+"""Reverse-process generation: one sampling loop for the ancestral (DDPM),
+DDIM and pseudo linear multistep (PLMS) samplers, plus classifier-free
 guidance combination.
 
-The multistep sampler follows the published algorithm: a pseudo improved
-Euler warmup for the first transfer, then Adams-Bashforth combinations of
-the last 2/3/4 noise predictions, each followed by the deterministic DDIM
-transfer. Timelines may be strided; the indices t+1, t+2, ... refer to
-previously visited timeline entries, not arithmetic neighbours. The final
-transfer targets the virtual step t = 0 where alpha_bar is 1, so with
-sigma = 0 it returns the denoised observation exactly.
+Every sampler is the DDIM transfer in one loop over the timeline: predict
+the noise, pass it through the sampler's rule, move from t_cur to t_next.
+ddim uses the plan's eta. ddpm is eta = 1 on the identity timeline, which
+injects exactly the ancestral posterior variance. plms is eta = 0; its
+rule is a pseudo improved Euler warmup for the first transfer, then
+Adams-Bashforth combinations of the last 2/3/4 noise predictions.
+Timelines may be strided; the indices t+1, t+2, ... refer to previously
+visited timeline entries, not arithmetic neighbours. The final transfer
+targets the virtual step t = 0 where alpha_bar is 1, so with sigma = 0 it
+returns the denoised observation exactly.
 """
 
 from __future__ import annotations
@@ -60,25 +63,6 @@ class SamplingPlan:
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "batch", int(self.batch))
         object.__setattr__(self, "seed", int(self.seed))
-
-
-class EpsHistory:
-    """Ring buffer of up to three previous noise predictions, newest first."""
-
-    def __init__(self):
-        self._entries: deque = deque(maxlen=3)
-
-    def push(self, eps: Tensor) -> None:
-        eps = np.asarray(eps, dtype=np.float64)
-        if self._entries:
-            require_same_shape(eps, self._entries[0], "history entries")
-        self._entries.appendleft(eps)
-
-    def entries(self) -> tuple[Tensor, ...]:
-        return tuple(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 def predict_x0(xt: Tensor, eps: Tensor, t: int, schedule: NoiseSchedule) -> Tensor:
@@ -138,8 +122,9 @@ def ddpm_step(predictor, xt: Tensor, t: int, schedule: NoiseSchedule,
               rng: RngStream, condition=None) -> Tensor:
     """Ancestral reverse step from N(posterior mean, posterior variance).
 
-    At t = 1 the posterior variance is zero and the step is the pure mean;
-    no randomness is consumed there.
+    ``sample`` runs ddpm as the eta = 1 DDIM transfer; this direct form is
+    the reference it is checked against. At t = 1 the posterior variance
+    is zero and the step is the pure mean; no randomness is consumed there.
     """
     t = schedule.check_step(t)
     eps = predictor.predict(xt, t, condition)
@@ -155,12 +140,13 @@ def ddpm_step(predictor, xt: Tensor, t: int, schedule: NoiseSchedule,
 def plms_combine(e_t: Tensor, history) -> Tensor:
     """Adams-Bashforth combination of the newest prediction with history.
 
-    History is ordered newest first; supported depths are 1, 2, and 3:
+    History is a sequence ordered newest first; supported depths are 1, 2,
+    and 3:
       1: (3 e_t - e_{t+1}) / 2
       2: (23 e_t - 16 e_{t+1} + 5 e_{t+2}) / 12
       3: (55 e_t - 59 e_{t+1} + 37 e_{t+2} - 9 e_{t+3}) / 24
     """
-    entries = history.entries() if isinstance(history, EpsHistory) else tuple(history)
+    entries = tuple(history)
     e_t = np.asarray(e_t, dtype=np.float64)
     for h in entries:
         require_same_shape(e_t, h, "e_t and history entry")
@@ -205,46 +191,12 @@ class _GuidedPredictor:
         return cfg_combine(uncond, cond, self._scale)
 
 
-def _validate_plan(plan: SamplingPlan, schedule: NoiseSchedule) -> None:
-    if max(plan.timeline.steps) > schedule.T:
-        raise ConfigError("timeline indices exceed the schedule length")
-    if plan.kind == "ddpm" and not plan.timeline.is_identity(schedule.T):
-        raise ConfigError("ddpm requires the full identity timeline (T, T-1, ..., 1)")
-
-
 def plms_sample(predictor, plan: SamplingPlan, schedule: NoiseSchedule,
                 condition=None) -> Tensor:
-    """Batch generation by the pseudo linear multistep algorithm.
-
-    Transfers are the deterministic (sigma = 0) DDIM map; randomness enters
-    only through the initial x_T draw. The warmup re-evaluates the predictor
-    at the next timeline entry; when the timeline has a single entry the
-    transfer targets t = 0 where no re-evaluation is possible, so the plain
-    prediction is used.
-    """
+    """``sample`` for a plan whose kind must be 'plms'."""
     if plan.kind != "plms":
         raise ConfigError("plms_sample requires a plan with kind='plms'")
-    _validate_plan(plan, schedule)
-    rng = RngStream(plan.seed)
-    x = rng.normal((plan.batch, *plan.shape))
-    guided = _GuidedPredictor(predictor, plan.guidance_scale)
-    history = EpsHistory()
-    for t_cur, t_next in plan.timeline.pairs():
-        e_t = guided.predict(x, t_cur, condition)
-        require_same_shape(e_t, x, "prediction and state")
-        if len(history) == 0:
-            if t_next >= 1:
-                x_probe, _ = ddim_step(x, e_t, t_cur, t_next, 0.0, schedule)
-                e_next = guided.predict(x_probe, t_next, condition)
-                e_prime = 0.5 * (e_t + e_next)
-            else:
-                e_prime = e_t
-        else:
-            e_prime = plms_combine(e_t, history)
-        x, _ = ddim_step(x, e_prime, t_cur, t_next, 0.0, schedule)
-        history.push(e_t)
-    require_finite(x, "plms_sample output")
-    return x
+    return sample(predictor, plan, schedule, condition)
 
 
 def sample(predictor, plan: SamplingPlan, schedule: NoiseSchedule,
@@ -252,24 +204,34 @@ def sample(predictor, plan: SamplingPlan, schedule: NoiseSchedule,
     """Draw x_T from the plan's seed and run the configured sampler.
 
     Guidance is applied to every noise prediction when a condition is
-    present and guidance_scale differs from 1. Fully deterministic given
+    present and guidance_scale differs from 1. ddpm ignores the plan's eta.
+    Randomness enters through the x_T draw and, when sigma > 0, one draw
+    per transfer. The plms warmup re-evaluates the predictor at the next
+    timeline entry; when the first transfer targets t = 0 no re-evaluation
+    is possible, so the plain prediction is used. Fully deterministic given
     (plan, predictor, condition).
     """
-    _validate_plan(plan, schedule)
-    if plan.kind == "plms":
-        return plms_sample(predictor, plan, schedule, condition)
-
+    if max(plan.timeline.steps) > schedule.T:
+        raise ConfigError("timeline indices exceed the schedule length")
+    if plan.kind == "ddpm" and not plan.timeline.is_identity(schedule.T):
+        raise ConfigError("ddpm requires the full identity timeline (T, T-1, ..., 1)")
+    eta = {"ddpm": 1.0, "ddim": plan.eta, "plms": 0.0}[plan.kind]
     rng = RngStream(plan.seed)
     x = rng.normal((plan.batch, *plan.shape))
     guided = _GuidedPredictor(predictor, plan.guidance_scale)
-    if plan.kind == "ddpm":
-        for t in plan.timeline.steps:
-            x = ddpm_step(guided, x, t, schedule, rng, condition)
-    else:
-        for t_cur, t_next in plan.timeline.pairs():
-            e_t = guided.predict(x, t_cur, condition)
-            require_same_shape(e_t, x, "prediction and state")
-            sigma = ddim_sigma(plan.eta, t_cur, t_next, schedule)
-            x, _ = ddim_step(x, e_t, t_cur, t_next, sigma, schedule, rng)
+    history: deque = deque(maxlen=3)   # plms noise predictions, newest first
+    for t_cur, t_next in plan.timeline.pairs():
+        eps = guided.predict(x, t_cur, condition)
+        require_same_shape(eps, x, "prediction and state")
+        e = eps
+        if plan.kind == "plms":
+            if history:
+                e = plms_combine(eps, history)
+            elif t_next >= 1:
+                probe, _ = ddim_step(x, eps, t_cur, t_next, 0.0, schedule)
+                e = 0.5 * (eps + guided.predict(probe, t_next, condition))
+            history.appendleft(eps)
+        sigma = ddim_sigma(eta, t_cur, t_next, schedule)
+        x, _ = ddim_step(x, e, t_cur, t_next, sigma, schedule, rng)
     require_finite(x, "sample output")
     return x

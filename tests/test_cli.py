@@ -169,6 +169,37 @@ def test_compare_samplers_report_shape(tmp_path):
     assert 0.8 <= orders["ddim"] <= 1.3
 
 
+SAMPLE_PINS = DATA / "sample_pins"
+PINNED_RUNS = {
+    "ddim-guided": ["--sampler", "ddim", "--label", 3, "--scale", 5],
+    "ddim-unguided": ["--sampler", "ddim"],
+    "plms-guided": ["--sampler", "plms", "--label", 3, "--scale", 5],
+    "plms-unguided": ["--sampler", "plms"],
+    "oracle-ddim": ["--oracle", "--mu0", "3,-1", "--var0", 0.25, "--timesteps", 100,
+                    "--ddim_steps", 20, "--sampler", "ddim"],
+}
+
+
+@pytest.fixture(scope="module")
+def pin_checkpoint(tmp_path_factory):
+    out = tmp_path_factory.mktemp("pin-train")
+    assert run(["toy-train", "--dataset", "8-gaussian-ring", "--steps", 50, "--seed", 1,
+                "--timesteps", 100, "--conditional", "--out", out]) == 0
+    return out / "checkpoint.bin"
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_sample_bytes_are_pinned(tmp_path, pin_checkpoint, name):
+    # sampler changes must leave every ddim and plms sample byte-identical
+    # (eta 1.0 by default, so the ddim runs also pin the noise draws)
+    argv = PINNED_RUNS[name]
+    if "--oracle" not in argv:
+        argv = ["--checkpoint", pin_checkpoint, "--ddim_steps", 10, *argv]
+    assert run(["sample", *argv, "--batch", 8, "--seed", 2, "--out", tmp_path]) == 0
+    assert (tmp_path / "samples.csv").read_bytes() == \
+        (SAMPLE_PINS / f"{name}.csv").read_bytes()
+
+
 def test_prompt_extend_end_to_end(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     args = ["prompt-extend", "urbanization of China",
@@ -515,3 +546,45 @@ def test_prompt_extend_malformed_fixtures_exits_2(tmp_path, capsys):
                 "--fixtures", fixtures, "--out", tmp_path / "o"]) == 2
     assert f"{fixtures}:2: invalid JSON" in _one_line_error(capsys)
     assert not (tmp_path / "o" / "candidates.jsonl").exists()
+
+
+def _with_setting(tmp_path, argv, form, key, value):
+    """argv with ``key`` set to ``value`` as a flag or in a config file."""
+    if form == "flag":
+        return argv + [f"--{key}", value]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    return argv + ["--config", cfg]
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+def test_corpus_stats_multi_character_delimiter_exits_2(tmp_path, capsys, form):
+    argv = ["corpus-stats", "--metadata", DATA / "artworks.csv", "--out", tmp_path / "o"]
+    argv = _with_setting(tmp_path, argv, form, "delimiter", "ab")
+    assert run(argv) == 2
+    assert "--delimiter must be exactly one character, got 'ab'" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+def test_compare_samplers_bad_beta_start_exits_2(tmp_path, capsys, form):
+    argv = ["compare-samplers", "--batch", 2, "--out", tmp_path / "o"]
+    argv = _with_setting(tmp_path, argv, form, "beta_start", 0)
+    assert run(argv) == 2
+    assert "beta_start" in _one_line_error(capsys)
+    assert not (tmp_path / "o" / "report.csv").exists()
+
+
+def test_prompt_extend_non_utf8_gazetteer_exits_2(tmp_path, capsys):
+    gazetteer = tmp_path / "gazetteer.txt"
+    gazetteer.write_bytes(b"Shenzhen\nBei\xffjing\n")
+    assert run(["prompt-extend", "x", "--corpus", DATA / "micro_corpus.jsonl",
+                "--gazetteer", gazetteer, "--fixtures", DATA / "fixtures.jsonl",
+                "--out", tmp_path / "o"]) == 2
+    assert f"{gazetteer}:2: not UTF-8 text" in _one_line_error(capsys)
+
+
+def test_corpus_stats_non_utf8_metadata_exits_2(tmp_path, capsys):
+    table = tmp_path / "rows.csv"
+    table.write_bytes(b"a,Solo Artist,s,g,1900\nb,Solo \xffArtist,s,g,1901\n")
+    assert run(["corpus-stats", "--metadata", table, "--out", tmp_path / "o"]) == 2
+    assert f"{table}:2: not UTF-8 text" in _one_line_error(capsys)

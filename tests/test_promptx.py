@@ -658,6 +658,17 @@ def test_fixture_generator_rejects_malformed_line(tmp_path, line, message):
     assert str(info.value) == f"{path}:3: {message}"
 
 
+def test_fixture_generator_joins_lines_of_a_repeated_prompt(tmp_path):
+    path = tmp_path / "fixtures.jsonl"
+    path.write_text('{"prompt": "a", "responses": ["first"]}\n'
+                    '{"prompt": "b", "continuations": ["other"]}\n'
+                    '{"prompt": "a", "continuations": ["more"], "responses": ["second"]}\n')
+    gen = FixtureGenerator.from_file(path)
+    assert gen.responses("a") == ["first", "second"]
+    assert gen.continuations("a") == ["more"]
+    assert gen.continuations("b") == ["other"]
+
+
 # ---------------------------------------------------------------------------
 # captions and histograms
 # ---------------------------------------------------------------------------

@@ -4,13 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from artdiff import samplers
 from artdiff.denoisers import GaussianOracle
 from artdiff.diffusion import posterior_mean_from_eps, q_sample
 from artdiff.errors import ConfigError
 from artdiff.numerics import RngStream
-from artdiff.samplers import (EpsHistory, SamplingPlan, cfg_combine,
-                              ddim_sigma, ddim_step, ddpm_step, plms_combine,
-                              plms_sample, predict_x0, sample)
+from artdiff.samplers import (SamplingPlan, cfg_combine, ddim_sigma, ddim_step,
+                              ddpm_step, plms_combine, plms_sample, predict_x0,
+                              sample)
 from artdiff.schedule import SamplingTimeline, linear_schedule, subsequence
 
 
@@ -283,14 +284,6 @@ def test_plms_combine_empty_history_is_misuse():
         plms_combine(np.zeros(1), [])
 
 
-def test_eps_history_evicts_oldest():
-    h = EpsHistory()
-    for i in range(5):
-        h.push(np.array([float(i)]))
-    assert len(h) == 3
-    assert [e[0] for e in h.entries()] == [4.0, 3.0, 2.0]
-
-
 # ---------------------------------------------------------------------------
 # plms_sample and sample drivers
 # ---------------------------------------------------------------------------
@@ -349,6 +342,31 @@ def test_sample_ddpm_matches_identity_timeline():
     b = sample(oracle, plan, s)
     assert np.array_equal(a, b)
     assert a.shape == (6, 2)
+
+
+def test_sample_ddpm_matches_ancestral_step_loop(default_schedule, monkeypatch):
+    # ddpm runs as the eta = 1 transfer and ignores the plan's eta; the
+    # direct ancestral steps are its reference: the same draws, and the
+    # same endpoint up to rounding
+    streams = []
+
+    class RecordedStream(RngStream):
+        def __init__(self, seed):
+            super().__init__(seed)
+            streams.append(self)
+
+    monkeypatch.setattr(samplers, "RngStream", RecordedStream)
+    oracle = GaussianOracle(mu0=np.array([3.0, -1.0]), var0=0.25,
+                            schedule=default_schedule)
+    plan = SamplingPlan(timeline=subsequence(default_schedule, default_schedule.T),
+                        kind="ddpm", shape=(2,), seed=41, batch=16, eta=0.0)
+    got = sample(oracle, plan, default_schedule)
+    rng = RngStream(plan.seed)
+    want = rng.normal((16, 2))
+    for t in plan.timeline.steps:
+        want = ddpm_step(oracle, want, t, default_schedule, rng)
+    assert [s.draws for s in streams] == [rng.draws]
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 def test_ddim_eta_zero_consumes_randomness_only_for_init(default_schedule):
