@@ -58,6 +58,8 @@ class Resolver:
             path = Path(args.config)
             if not path.exists():
                 raise ConfigError(f"config file not found: {path}")
+            known = _config_keys()
+            first_line: dict[str, int] = {}
             for lineno, line in enumerate(path.read_text().splitlines(), 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -65,7 +67,14 @@ class Resolver:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key=value")
                 key, _, value = line.partition("=")
-                self.file_values[key.strip()] = value.strip()
+                key = key.strip()
+                if key not in known:
+                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                if key in first_line:
+                    raise ConfigError(f"{path}:{lineno}: key {key!r} is already set "
+                                      f"on line {first_line[key]}")
+                first_line[key] = lineno
+                self.file_values[key] = value.strip()
         self.resolved: dict = {}
 
     def get(self, key: str, default, cast=str):
@@ -90,7 +99,11 @@ class Resolver:
             out = os.environ.get(ENV_OUT) or "artdiff-out"
         self.resolved["out"] = str(out)
         out = Path(out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out}: "
+                              f"{exc.strerror or exc}") from None
         return out
 
 
@@ -507,6 +520,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_keys() -> set[str]:
+    """Every key a config file may set: the flags of all subcommands."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {action.dest for sub in commands.choices.values() for action in sub._actions
+            if action.option_strings and action.dest not in ("help", "config")}
+
+
 def _join_dash_values(argv: list[str]) -> list[str]:
     """Rewrite ``--mu0 -1.4,2`` as ``--mu0=-1.4,2``: argparse would read a
     value that starts with '-' and is not a plain number as an option."""
@@ -535,6 +556,9 @@ def main(argv=None) -> int:
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1
 
 

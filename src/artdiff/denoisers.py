@@ -7,6 +7,14 @@ time features, a residual tanh stage, a residual single-head cross-attention
 insertion (identity when unconditioned), a second residual tanh stage, and
 an output projection. Gradients are computed in closed form and are checked
 against finite differences in the test suite.
+
+Inference takes one wiring, ``PreparedToyDenoiser``. ``ToyDenoiser.prepare``
+binds it to one sampling call: the condition is checked and projected to
+keys and values once, and the time features of the call's timesteps come
+from one ``time_embedding`` call. With a one-token condition (a label) the
+softmax over the single key is exactly 1, so the attention is the affine
+map wo·wv·token, the same for every row and every step; it is computed once.
+Training keeps its own forward pass, which caches what the backward needs.
 """
 
 from __future__ import annotations
@@ -26,6 +34,12 @@ ConditionTokens = np.ndarray  # (n_tokens, token_width), frozen float64
 
 
 class EpsilonPredictor(Protocol):
+    """A noise predictor. The sampler also uses two optional methods:
+    ``predict_pair(xt, t, condition)``, the (unconditional, conditional)
+    pair from one evaluation, and ``prepare(condition, timesteps)``, a
+    predictor bound to one sampling call whose ``predict(xt, t)`` and
+    ``predict_pair(xt, t)`` give the same values."""
+
     def predict(self, xt: Tensor, t: int, condition: Optional[ConditionTokens] = None) -> Tensor:
         """Noise estimate with xt's shape; deterministic per (xt, t, condition)."""
         ...
@@ -111,21 +125,28 @@ def _attend(h: np.ndarray, memory: np.ndarray, w: AttentionWeights):
     Shared memory is projected to keys and values once. Returns the
     projected attention output (B, W) and a cache for backward.
     """
-    dk = w.wq.shape[0]
-    q = h @ w.wq.T                                   # (B, W)
     if memory.ndim == 2:
         k = memory @ w.wk.T                          # (n, W)
         v = memory @ w.wv.T
-        weights = softmax((q @ k.T) / math.sqrt(dk))   # rows sum to 1
-        z = weights @ v
+        q, weights, z = _softmax_attention(h, k, v, w)
     else:
+        q = h @ w.wq.T                               # (B, W)
         k = np.einsum("bnd,wd->bnw", memory, w.wk)   # (B, n, W)
         v = np.einsum("bnd,wd->bnw", memory, w.wv)
-        weights = softmax(np.einsum("bw,bnw->bn", q, k) / math.sqrt(dk))
+        weights = softmax(np.einsum("bw,bnw->bn", q, k) / math.sqrt(w.wq.shape[0]))
         z = np.einsum("bn,bnw->bw", weights, v)
     out = z @ w.wo.T
     cache = (h, memory, q, k, v, weights, z)
     return out, cache
+
+
+def _softmax_attention(h: np.ndarray, k: np.ndarray, v: np.ndarray, w: AttentionWeights):
+    """Queries of h (B, W) against shared keys and values (n, W):
+    returns (q, weights, z), z = softmax(q k^T / sqrt(W)) v before the
+    output projection."""
+    q = h @ w.wq.T
+    weights = softmax((q @ k.T) / math.sqrt(w.wq.shape[0]))   # rows sum to 1
+    return q, weights, weights @ v
 
 
 def _attend_backward(g_out: np.ndarray, cache, w: AttentionWeights):
@@ -265,19 +286,22 @@ def _check_memory(params: ToyDenoiserParams, memory, batch: int) -> np.ndarray:
     return mem
 
 
+def _time_features(params: ToyDenoiserParams, t, batch: int) -> np.ndarray:
+    """A scalar t gives one (1, time_dim) feature row, broadcast over the
+    batch; per-sample t gives (batch, time_dim)."""
+    t_arr = np.asarray(t, dtype=np.float64)
+    if t_arr.ndim == 0:
+        return time_embedding(t_arr, params.time_dim)[None, :]
+    return time_embedding(np.broadcast_to(t_arr, (batch,)), params.time_dim)
+
+
 def _trunk(params: ToyDenoiserParams, x: np.ndarray, t, temb=None):
     """Input projection, time features and the first FF block.
 
-    A scalar t gives one (1, time_dim) feature row, broadcast over the
-    batch; per-sample t gives (batch, time_dim). Features precomputed for
-    t may be passed as ``temb``.
+    Features precomputed for t may be passed as ``temb``.
     """
     if temb is None:
-        t_arr = np.asarray(t, dtype=np.float64)
-        if t_arr.ndim == 0:
-            temb = time_embedding(t_arr, params.time_dim)[None, :]
-        else:
-            temb = time_embedding(np.broadcast_to(t_arr, (x.shape[0],)), params.time_dim)
+        temb = _time_features(params, t, x.shape[0])
     h1 = x @ params.w_in.T + params.b_in + temb @ params.w_time.T
     a1 = np.tanh(h1 @ params.ff1_w1.T + params.ff1_b1)
     h2 = h1 + a1 @ params.ff1_w2.T + params.ff1_b2
@@ -314,6 +338,90 @@ def _forward_pass(params: ToyDenoiserParams, xt: np.ndarray, t,
     return out, cache
 
 
+class _ProjectedCondition:
+    """Condition tokens, checked and projected to keys and values once,
+    and the attention output they give a batch of hidden rows."""
+
+    def __init__(self, params: ToyDenoiserParams, condition: ConditionTokens):
+        memory = check_condition_tokens(condition)
+        if memory.shape[1] != params.cond_width:
+            raise ValueError(f"condition tokens have width {memory.shape[1]}, "
+                             f"expected {params.cond_width}")
+        self._w = params.attention
+        self._k = memory @ self._w.wk.T                  # (n, W)
+        self._v = memory @ self._w.wv.T
+        self._one_token_out: dict[int, np.ndarray] = {}  # batch size -> output
+
+    def attend(self, h: np.ndarray) -> np.ndarray:
+        if self._k.shape[0] > 1:
+            return _softmax_attention(h, self._k, self._v, self._w)[2] @ self._w.wo.T
+        # A softmax over one key is exactly 1, so z = v in every row and the
+        # output wo·wv·token does not depend on h: it is computed once per
+        # batch size, with the same (batch, W) product the general path makes.
+        out = self._one_token_out.get(len(h))
+        if out is None:
+            z = np.repeat(self._v, len(h), axis=0)
+            out = self._one_token_out[len(h)] = z @ self._w.wo.T
+        return out
+
+
+class PreparedToyDenoiser:
+    """The toy denoiser bound to one condition (or none) and, optionally,
+    one set of timesteps: the inference wiring every toy prediction takes.
+
+    The condition is checked and projected to keys and values once. With
+    ``timesteps`` the time-feature rows of all of them come from one
+    ``time_embedding`` call, and only those timesteps may be queried;
+    without, each query computes its own. ``predict`` gives the bound
+    condition's branch, ``predict_pair`` the (unconditional, conditional)
+    pair that classifier-free guidance combines. Both branches see the same
+    (xt, t), so the trunk and the attention run once on the batch; only the
+    second FF block and the output projection run on the stacked
+    [h2, h2 + attention] rows.
+    """
+
+    def __init__(self, params: ToyDenoiserParams, condition: Optional[ConditionTokens],
+                 timesteps=None):
+        self.params = params
+        self._cond = None if condition is None else _ProjectedCondition(params, condition)
+        self._features = None
+        if timesteps is not None:
+            steps = [int(t) for t in timesteps]
+            table = time_embedding(np.asarray(steps, dtype=np.float64), params.time_dim)
+            self._features = {t: table[i:i + 1] for i, t in enumerate(steps)}
+
+    def predict(self, xt: Tensor, t) -> Tensor:
+        return self._run(xt, t, pair=False)
+
+    def predict_pair(self, xt: Tensor, t) -> tuple[Tensor, Tensor]:
+        if self._cond is None:
+            raise ValueError("a guidance pair needs a condition")
+        return self._run(xt, t, pair=True)
+
+    def _run(self, xt, t, pair: bool):
+        params = self.params
+        x, squeeze = _as_batch(params, xt)
+        if self._features is None:
+            temb = _time_features(params, t, len(x))
+        elif t in self._features:
+            temb = self._features[t]
+        else:
+            raise ValueError(f"timestep {t} is not one of the prepared timesteps")
+        h2 = _trunk(params, x, t, temb)[-1]
+        if self._cond is None:
+            h3 = h2
+        elif pair:
+            h3 = np.concatenate([h2, h2 + self._cond.attend(h2)])
+        else:
+            h3 = h2 + self._cond.attend(h2)
+        out = _head(params, h3)[-1]
+        require_finite(out, "denoiser output")
+        if not pair:
+            return out[0] if squeeze else out
+        uncond, cond = out[:len(x)], out[len(x):]
+        return (uncond[0], cond[0]) if squeeze else (uncond, cond)
+
+
 def toy_denoiser_forward(params: ToyDenoiserParams, xt: Tensor, t,
                          condition: Optional[ConditionTokens] = None, *,
                          pair: bool = False):
@@ -321,24 +429,10 @@ def toy_denoiser_forward(params: ToyDenoiserParams, xt: Tensor, t,
 
     With ``pair=True`` a condition is required, and the result is the
     (unconditional, conditional) pair that classifier-free guidance
-    combines. Both branches see the same (xt, t), so the trunk and the
-    attention run once on the batch; only the second FF block and the
-    output projection run on the stacked [h2, h2 + attention] rows.
+    combines. One call of ``PreparedToyDenoiser``.
     """
-    memory = None if condition is None else check_condition_tokens(condition)
-    if not pair:
-        out, cache = _forward_pass(params, xt, t, memory, None)
-        require_finite(out, "denoiser output")
-        return out[0] if cache[-1] else out
-    if memory is None:
-        raise ValueError("a guidance pair needs a condition")
-    x, squeeze = _as_batch(params, xt)
-    h2 = _trunk(params, x, t)[-1]
-    attn_out, _ = _attend(h2, _check_memory(params, memory, x.shape[0]), params.attention)
-    out = _head(params, np.concatenate([h2, h2 + attn_out]))[-1]
-    require_finite(out, "denoiser output")
-    uncond, cond = np.split(out, 2)
-    return (uncond[0], cond[0]) if squeeze else (uncond, cond)
+    bound = PreparedToyDenoiser(params, condition)
+    return bound.predict_pair(xt, t) if pair else bound.predict(xt, t)
 
 
 def _loss_and_grad(params: ToyDenoiserParams, xt: np.ndarray, t,
@@ -413,6 +507,11 @@ class ToyDenoiser:
                      ) -> tuple[Tensor, Tensor]:
         """(unconditional, conditional) noise estimates from one shared-trunk pass."""
         return toy_denoiser_forward(self.params, xt, t, condition, pair=True)
+
+    def prepare(self, condition: Optional[ConditionTokens], timesteps) -> PreparedToyDenoiser:
+        """This denoiser bound to one condition and the timesteps of one
+        sampling call; see ``PreparedToyDenoiser``."""
+        return PreparedToyDenoiser(self.params, condition, timesteps)
 
 
 # ---------------------------------------------------------------------------

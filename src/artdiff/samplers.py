@@ -12,6 +12,13 @@ Timelines may be strided; the indices t+1, t+2, ... refer to previously
 visited timeline entries, not arithmetic neighbours. The final transfer
 targets the virtual step t = 0 where alpha_bar is 1, so with sigma = 0 it
 returns the denoised observation exactly.
+
+A sampling call works out everything that does not depend on the state
+before its loop: a table of every transfer's coefficients (sigma and the
+square roots of abar and of the remainder 1 - abar_next - sigma^2), and
+the predictor bound to the call's condition and timeline when it offers
+``prepare(condition, timesteps)``. Each step is then the predictor's
+arithmetic, the transfer and one finiteness check of the state.
 """
 
 from __future__ import annotations
@@ -65,6 +72,29 @@ class SamplingPlan:
         object.__setattr__(self, "seed", int(self.seed))
 
 
+def _denoised(xt: np.ndarray, eps: np.ndarray, sqrt_1m_ac: float, sqrt_ac: float) -> np.ndarray:
+    """(x_t - sqrt(1 - abar_t) eps) / sqrt(abar_t)."""
+    return (xt - sqrt_1m_ac * eps) / sqrt_ac
+
+
+def _transfer(xt: np.ndarray, eps: np.ndarray, coefs, rng: RngStream | None
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """The DDIM transfer sqrt(abar_next) x0_pred + sqrt(rem) eps, plus sigma
+    times a fresh normal draw when sigma > 0; returns (x_next, x0_pred).
+
+    ``coefs`` is (sqrt(1 - abar_cur), sqrt(abar_cur), sqrt(abar_next),
+    sqrt(rem), sigma) with rem = 1 - abar_next - sigma^2.
+    """
+    sqrt_1m_ac, sqrt_ac, sqrt_an, sqrt_rem, sigma = coefs
+    x0_pred = _denoised(xt, eps, sqrt_1m_ac, sqrt_ac)
+    x_next = sqrt_an * x0_pred + sqrt_rem * eps
+    if sigma > 0.0:
+        if rng is None:
+            raise ValueError("sigma > 0 requires an RngStream")
+        x_next = x_next + sigma * rng.normal(x_next.shape)
+    return x_next, x0_pred
+
+
 def predict_x0(xt: Tensor, eps: Tensor, t: int, schedule: NoiseSchedule) -> Tensor:
     """Denoised observation: (x_t - sqrt(1 - abar_t) eps) / sqrt(abar_t)."""
     require_same_shape(xt, eps, "xt and eps")
@@ -72,9 +102,8 @@ def predict_x0(xt: Tensor, eps: Tensor, t: int, schedule: NoiseSchedule) -> Tens
     a = schedule.alpha_bar(t)
     if a <= 0.0:
         raise ValueError("alpha_bar vanished; denoised observation is singular")
-    xt = np.asarray(xt, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    return (xt - math.sqrt(1.0 - a) * eps) / math.sqrt(a)
+    return _denoised(np.asarray(xt, dtype=np.float64), np.asarray(eps, dtype=np.float64),
+                     math.sqrt(1.0 - a), math.sqrt(a))
 
 
 def ddim_sigma(eta: float, t_cur: int, t_next: int, schedule: NoiseSchedule) -> float:
@@ -103,19 +132,40 @@ def ddim_step(xt: Tensor, eps: Tensor, t_cur: int, t_next: int, sigma: float,
     """
     if sigma < 0.0:
         raise ValueError("sigma must be >= 0")
-    x0_pred = predict_x0(xt, eps, t_cur, schedule)
+    require_same_shape(xt, eps, "xt and eps")
+    ac = schedule.alpha_bar(schedule.check_step(t_cur))
     an = schedule.alpha_bar(schedule.check_step(t_next, low=0))
     rem = 1.0 - an - sigma * sigma
     if rem < -1e-12:
         raise ValueError(f"invalid sigma {sigma}: 1 - abar_next - sigma^2 is negative")
-    rem = max(rem, 0.0)
-    x_next = math.sqrt(an) * x0_pred + math.sqrt(rem) * np.asarray(eps, dtype=np.float64)
-    if sigma > 0.0:
-        if rng is None:
-            raise ValueError("sigma > 0 requires an RngStream")
-        x_next = x_next + sigma * rng.normal(x_next.shape)
+    coefs = (math.sqrt(1.0 - ac), math.sqrt(ac), math.sqrt(an), math.sqrt(max(rem, 0.0)), sigma)
+    x_next, x0_pred = _transfer(np.asarray(xt, dtype=np.float64),
+                                np.asarray(eps, dtype=np.float64), coefs, rng)
     require_finite(x_next, "ddim_step output")
     return x_next, x0_pred
+
+
+def _transfer_table(timeline: SamplingTimeline, schedule: NoiseSchedule, eta: float):
+    """The coefficients of every transfer of the timeline, computed once.
+
+    Returns an (n, 5) array with one ``_transfer`` coefficient row per pair
+    of ``timeline.pairs()``, at noise scale ``ddim_sigma(eta, ...)``, and
+    the coefficients of the first transfer at sigma = 0 (the plms probe).
+    The values come from the same elementwise operations, in the same
+    order, as ``ddim_sigma`` and ``ddim_step``, so they equal theirs bit
+    for bit.
+    """
+    abar = np.concatenate(([1.0], schedule.alpha_bars))   # abar[0] = 1 at the virtual t = 0
+    ac = abar[list(timeline.steps)]
+    an = abar[list(timeline.steps[1:]) + [0]]
+    sigma = eta * np.sqrt((1.0 - an) / (1.0 - ac)) * np.sqrt(1.0 - ac / an)
+    rem = 1.0 - an - sigma * sigma
+    if np.any(rem < -1e-12):
+        raise ValueError(f"invalid eta {eta}: 1 - abar_next - sigma^2 is negative")
+    table = np.stack([np.sqrt(1.0 - ac), np.sqrt(ac), np.sqrt(an),
+                      np.sqrt(np.maximum(rem, 0.0)), sigma], axis=1)
+    probe = (*table[0, :3].tolist(), math.sqrt(1.0 - float(an[0])), 0.0)   # 1 - abar_next - 0^2
+    return table, probe
 
 
 def ddpm_step(predictor, xt: Tensor, t: int, schedule: NoiseSchedule,
@@ -168,27 +218,35 @@ def cfg_combine(eps_uncond: Tensor, eps_cond: Tensor, scale: float) -> Tensor:
 
 
 class _GuidedPredictor:
-    """Wraps a predictor so every query returns the guidance-combined noise.
+    """The noise prediction eps(x, t) of one sampling call, combined by
+    classifier-free guidance when a condition is present and the scale
+    differs from 1.
 
-    A predictor with a ``predict_pair(xt, t, condition)`` method returns
-    both branches from one evaluation; any other predictor is called
+    A predictor with ``prepare(condition, timesteps)`` is bound to the
+    call once. Any other is queried through ``predict(xt, t, condition)``,
+    and through ``predict_pair(xt, t, condition)`` when it has one, else
     once per branch.
     """
 
-    def __init__(self, base, scale: float):
-        self._base = base
+    def __init__(self, base, condition, scale: float, timesteps):
         self._scale = float(scale)
-        self._pair = getattr(base, "predict_pair", None)
-
-    def predict(self, xt, t, condition=None):
-        if condition is None or self._scale == 1.0:
-            return self._base.predict(xt, t, condition)
-        if self._pair is not None:
-            uncond, cond = self._pair(xt, t, condition)
+        self._guided = condition is not None and self._scale != 1.0
+        prepare = getattr(base, "prepare", None)
+        if prepare is not None:
+            bound = prepare(condition, timesteps)
+            self._one, self._pair = bound.predict, bound.predict_pair
+            return
+        self._one = lambda xt, t: base.predict(xt, t, condition)
+        pair = getattr(base, "predict_pair", None)
+        if pair is not None:
+            self._pair = lambda xt, t: pair(xt, t, condition)
         else:
-            uncond = self._base.predict(xt, t, None)
-            cond = self._base.predict(xt, t, condition)
-        return cfg_combine(uncond, cond, self._scale)
+            self._pair = lambda xt, t: (base.predict(xt, t, None), base.predict(xt, t, condition))
+
+    def predict(self, xt, t):
+        if not self._guided:
+            return self._one(xt, t)
+        return cfg_combine(*self._pair(xt, t), self._scale)
 
 
 def plms_sample(predictor, plan: SamplingPlan, schedule: NoiseSchedule,
@@ -209,29 +267,33 @@ def sample(predictor, plan: SamplingPlan, schedule: NoiseSchedule,
     per transfer. The plms warmup re-evaluates the predictor at the next
     timeline entry; when the first transfer targets t = 0 no re-evaluation
     is possible, so the plain prediction is used. Fully deterministic given
-    (plan, predictor, condition).
+    (plan, predictor, condition). The prediction's shape is checked on
+    the first step, the state's finiteness on every step.
     """
     if max(plan.timeline.steps) > schedule.T:
         raise ConfigError("timeline indices exceed the schedule length")
     if plan.kind == "ddpm" and not plan.timeline.is_identity(schedule.T):
         raise ConfigError("ddpm requires the full identity timeline (T, T-1, ..., 1)")
     eta = {"ddpm": 1.0, "ddim": plan.eta, "plms": 0.0}[plan.kind]
+    table, probe_coefs = _transfer_table(plan.timeline, schedule, eta)
     rng = RngStream(plan.seed)
     x = rng.normal((plan.batch, *plan.shape))
-    guided = _GuidedPredictor(predictor, plan.guidance_scale)
+    predict = _GuidedPredictor(predictor, condition, plan.guidance_scale,
+                               plan.timeline.steps).predict
     history: deque = deque(maxlen=3)   # plms noise predictions, newest first
-    for t_cur, t_next in plan.timeline.pairs():
-        eps = guided.predict(x, t_cur, condition)
-        require_same_shape(eps, x, "prediction and state")
+    for i, ((t_cur, t_next), row) in enumerate(zip(plan.timeline.pairs(), table)):
+        coefs = row.tolist()
+        eps = predict(x, t_cur)
+        if i == 0:
+            require_same_shape(eps, x, "prediction and state")
         e = eps
         if plan.kind == "plms":
             if history:
                 e = plms_combine(eps, history)
             elif t_next >= 1:
-                probe, _ = ddim_step(x, eps, t_cur, t_next, 0.0, schedule)
-                e = 0.5 * (eps + guided.predict(probe, t_next, condition))
+                probe, _ = _transfer(x, eps, probe_coefs, None)
+                e = 0.5 * (eps + predict(probe, t_next))
             history.appendleft(eps)
-        sigma = ddim_sigma(eta, t_cur, t_next, schedule)
-        x, _ = ddim_step(x, e, t_cur, t_next, sigma, schedule, rng)
-    require_finite(x, "sample output")
+        x, _ = _transfer(x, e, coefs, rng)
+        require_finite(x, "sample state")
     return x

@@ -588,3 +588,41 @@ def test_corpus_stats_non_utf8_metadata_exits_2(tmp_path, capsys):
     table.write_bytes(b"a,Solo Artist,s,g,1900\nb,Solo \xffArtist,s,g,1901\n")
     assert run(["corpus-stats", "--metadata", table, "--out", tmp_path / "o"]) == 2
     assert f"{table}:2: not UTF-8 text" in _one_line_error(capsys)
+
+
+def test_out_path_that_is_a_file_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    assert run(["sample", "--oracle", "--ddim_steps", 5, "--batch", 2, "--out", blocker]) == 2
+    assert f"cannot create output directory {blocker}" in _one_line_error(capsys)
+    assert blocker.read_text() == "not a directory\n"
+
+
+def test_out_of_memory_is_one_line_runtime_failure(tmp_path, capsys, monkeypatch):
+    # the allocation failure is simulated: a real huge request could succeed
+    # under memory overcommit and then fill memory
+    from artdiff import cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.46 TiB for an array with shape "
+                          "(100000000000, 2) and data type float64")
+
+    monkeypatch.setattr(cli, "sample", exhausted)
+    assert run(["sample", "--oracle", "--ddim_steps", 5, "--batch", 2,
+                "--out", tmp_path / "o"]) == 1
+    assert _one_line_error(capsys).startswith("error: out of memory: Unable to allocate")
+
+
+def test_config_file_rejects_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("timesteps=40\n# comment\nbogus=1\n")
+    assert run(["schedule-dump", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert f"{cfg}:3: unknown key 'bogus'" in _one_line_error(capsys)
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_file_rejects_repeated_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("oracle=true\nddim_steps=5\nbatch=2\nddim_steps=6\n")
+    assert run(["sample", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert f"{cfg}:4: key 'ddim_steps' is already set on line 2" in _one_line_error(capsys)

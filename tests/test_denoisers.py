@@ -601,3 +601,83 @@ def test_gradients_with_scalar_t_and_shared_memory_match_per_row():
     assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
     for name, g in ref_grads.items():
         assert np.allclose(grads[name], g, rtol=1e-12, atol=1e-15), name
+
+
+# ---------------------------------------------------------------------------
+# the prepared predictor of one sampling call
+# ---------------------------------------------------------------------------
+
+def _reference_forward(p, xt, t, cond):
+    """The training forward (per-step time features, softmax attention)."""
+    return denoisers._forward_pass(p, xt, t, cond, None)[0]
+
+
+def _reference_pair(p, xt, t, cond):
+    """The guidance pair as the softmax path computes it: the trunk and
+    attention once, the head on the stacked rows."""
+    h2 = denoisers._trunk(p, xt, t)[-1]
+    attn, _ = denoisers._attend(h2, cond, p.attention)
+    out = denoisers._head(p, np.concatenate([h2, h2 + attn]))[-1]
+    return out[:len(xt)], out[len(xt):]
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+def test_prepared_predictor_matches_forward_bit_for_bit(default_schedule, batch):
+    from artdiff.samplers import _GuidedPredictor, cfg_combine
+    from artdiff.schedule import subsequence
+
+    rng = RngStream(45)
+    p = init_toy_denoiser(rng.child("init"), 2)
+    cond = rng.child("c").normal((1, 16))
+    steps = subsequence(default_schedule, 200).steps
+    bound = ToyDenoiser(p).prepare(cond, steps)
+    plain = ToyDenoiser(p).prepare(None, steps)
+    guided = _GuidedPredictor(ToyDenoiser(p), cond, 5.0, steps)
+    scale1 = _GuidedPredictor(ToyDenoiser(p), cond, 1.0, steps)
+    unguided = _GuidedPredictor(ToyDenoiser(p), None, 5.0, steps)
+    x = rng.child("x").normal((batch, 2))
+    for t in steps:
+        single = toy_denoiser_forward(p, x, t, cond)
+        uncond = toy_denoiser_forward(p, x, t)
+        pair = toy_denoiser_forward(p, x, t, cond, pair=True)
+        assert np.array_equal(bound.predict(x, t), single)
+        assert np.array_equal(single, _reference_forward(p, x, t, cond))
+        assert np.array_equal(plain.predict(x, t), uncond)
+        assert np.array_equal(uncond, _reference_forward(p, x, t, None))
+        for got, want, ref in zip(bound.predict_pair(x, t), pair,
+                                  _reference_pair(p, x, t, cond)):
+            assert np.array_equal(got, want) and np.array_equal(want, ref)
+        assert np.array_equal(guided.predict(x, t), cfg_combine(*pair, 5.0))
+        assert np.array_equal(scale1.predict(x, t), single)
+        assert np.array_equal(unguided.predict(x, t), uncond)
+    # a single sample as a 1D vector keeps its shape
+    pair = bound.predict_pair(x[0], steps[3])
+    assert pair[0].shape == pair[1].shape == (2,)
+    for got, want in zip(pair, toy_denoiser_forward(p, x[0], steps[3], cond, pair=True)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(bound.predict(x[0], steps[3]),
+                          toy_denoiser_forward(p, x[0], steps[3], cond))
+
+
+def test_prepared_predictor_rejects_unprepared_timestep_and_missing_condition():
+    p = init_toy_denoiser(RngStream(46), 2)
+    bound = ToyDenoiser(p).prepare(None, (10, 5))
+    with pytest.raises(ValueError, match="timestep 7"):
+        bound.predict(np.zeros((2, 2)), 7)
+    with pytest.raises(ValueError, match="needs a condition"):
+        bound.predict_pair(np.zeros((2, 2)), 10)
+    with pytest.raises(ValueError, match="width"):
+        ToyDenoiser(p).prepare(np.zeros((1, 3)), (10,))
+
+
+@pytest.mark.parametrize("n_tokens", [1, 3])
+def test_projected_condition_equals_general_attend(n_tokens):
+    # one token takes z = v with no scores; several keep the softmax; both
+    # equal _attend exactly, also when the one-token output is reused
+    rng = RngStream(47)
+    p = init_toy_denoiser(rng.child("init"), 2)
+    memory = rng.child("m").normal((n_tokens, 16))
+    projected = denoisers._ProjectedCondition(p, memory)
+    for i, batch in enumerate((1, 7, 2000, 7, 1)):
+        h = rng.child(f"h{i}").normal((batch, 16))
+        assert np.array_equal(projected.attend(h), denoisers._attend(h, memory, p.attention)[0])

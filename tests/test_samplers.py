@@ -558,3 +558,124 @@ def test_toy_denoiser_guided_sampling_matches_two_call_path(default_schedule):
         fused = sample(ToyDenoiser(params), plan, default_schedule, cond)
         two = sample(TwoCallToy(params), plan, default_schedule, cond)
         assert float(np.max(np.abs(fused - two))) <= 1e-12 * float(np.max(np.abs(two)))
+
+
+# ---------------------------------------------------------------------------
+# the per-call transfer table, prepared predictors and per-step overhead
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("T", [1000, 2000])
+@pytest.mark.parametrize("eta", [0.0, 0.3, 1.0])
+def test_transfer_table_matches_scalar_expressions(T, eta):
+    s = linear_schedule(T)
+    x = RngStream(50).normal((3, 2))
+    eps = RngStream(51).normal((3, 2))
+    for timeline in (subsequence(s, 200), subsequence(s, 7), subsequence(s, T)):
+        table, probe = samplers._transfer_table(timeline, s, eta)
+        pairs = timeline.pairs()
+        assert table.shape == (len(pairs), 5)
+        for (t_cur, t_next), row in zip(pairs, table.tolist()):
+            ac, an = s.alpha_bar(t_cur), s.alpha_bar(t_next)
+            sigma = ddim_sigma(eta, t_cur, t_next, s)
+            rem = max(1.0 - an - sigma * sigma, 0.0)
+            assert row == [math.sqrt(1.0 - ac), math.sqrt(ac), math.sqrt(an),
+                           math.sqrt(rem), sigma]
+        an = s.alpha_bar(pairs[0][1])
+        assert probe == (*table[0, :3].tolist(), math.sqrt(max(1.0 - an - 0.0 * 0.0, 0.0)), 0.0)
+        # and the transfer it drives is ddim_step, bit for bit, draws included
+        for i in (0, 1, 2, -3, -2, -1):
+            (t_cur, t_next), coefs = pairs[i], table[i].tolist()
+            r1, r2 = RngStream(52), RngStream(52)
+            got = samplers._transfer(x, eps, coefs, r1)
+            want = ddim_step(x, eps, t_cur, t_next, ddim_sigma(eta, t_cur, t_next, s), s, r2)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert r1.draws == r2.draws
+        got = samplers._transfer(x, eps, probe, None)
+        want = ddim_step(x, eps, *pairs[0], 0.0, s)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+class PreparingPredictor(CondSensitivePredictor):
+    """Offers ``prepare``; counts the preparations and the bound calls."""
+
+    def __init__(self):
+        self.calls = {"prepare": 0, "predict": 0, "predict_pair": 0}
+        self.prepared_with = None
+
+    def prepare(self, condition, timesteps):
+        self.calls["prepare"] += 1
+        self.prepared_with = tuple(timesteps)
+        outer = self
+
+        class Bound:
+            def predict(self, xt, t):
+                outer.calls["predict"] += 1
+                return np.full(np.shape(xt), 0.0 if condition is None else 1.0)
+
+            def predict_pair(self, xt, t):
+                outer.calls["predict_pair"] += 1
+                return np.zeros(np.shape(xt)), np.ones(np.shape(xt))
+
+        return Bound()
+
+
+@pytest.mark.parametrize("kind", ["ddim", "plms"])
+def test_sample_prepares_the_predictor_once_per_call(default_schedule, kind):
+    cond = np.ones((1, 3))
+    plan = make_plan(default_schedule, kind, 10, guidance_scale=5.0)
+    pred = PreparingPredictor()
+    got = sample(pred, plan, default_schedule, condition=cond)
+    assert np.array_equal(got, sample(CondSensitivePredictor(), plan, default_schedule, cond))
+    evaluations = 11 if kind == "plms" else 10
+    assert pred.calls == {"prepare": 1, "predict": 0, "predict_pair": evaluations}
+    assert pred.prepared_with == plan.timeline.steps
+    sample(pred, plan, default_schedule)            # unguided: the single branch
+    assert pred.calls == {"prepare": 2, "predict": evaluations, "predict_pair": evaluations}
+
+
+def test_sample_checks_prediction_shape(default_schedule):
+    class WrongShape:
+        def predict(self, xt, t, condition=None):
+            return np.zeros((1, 2))
+
+    with pytest.raises(ValueError, match="prediction and state"):
+        sample(WrongShape(), make_plan(default_schedule, "ddim", 5), default_schedule)
+
+
+def test_guided_sample_has_no_per_step_overhead(monkeypatch):
+    # a count guard, no timing: in one 200-step guided call the per-call
+    # work (time features, the condition check, schedule lookups) must not
+    # run once per step
+    from artdiff import denoisers, numerics
+    from artdiff.schedule import NoiseSchedule
+
+    counts = {"time_embedding": 0, "check_condition_tokens": 0, "check_step": 0,
+              "require_finite": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(denoisers, "time_embedding")
+    counted(denoisers, "check_condition_tokens")
+    counted(NoiseSchedule, "check_step")
+    counted(numerics, "require_finite")
+    monkeypatch.setattr(denoisers, "require_finite", numerics.require_finite)
+    monkeypatch.setattr(samplers, "require_finite", numerics.require_finite)
+
+    s = linear_schedule(1000)
+    params = denoisers.init_toy_denoiser(RngStream(53), 2)
+    cond = RngStream(54).normal((1, 16))
+    plan = SamplingPlan(timeline=subsequence(s, 200), kind="ddim", shape=(2,), seed=55,
+                        batch=1, eta=1.0, guidance_scale=5.0)
+    sample(denoisers.ToyDenoiser(params), plan, s, cond)
+    assert counts["time_embedding"] == 1
+    assert counts["check_condition_tokens"] == 1
+    assert counts["check_step"] == 0
+    # per step: the denoiser output and the state; once: the condition
+    assert counts["require_finite"] == 2 * 200 + 1
