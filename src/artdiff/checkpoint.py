@@ -4,7 +4,7 @@ Layout (all integers little-endian):
   8 bytes   magic
   u32       format version (1)
   u32       number of arrays
-  per array: u16 name length, utf-8 name, u8 ndim, u64 * ndim extents
+  per array: u16 name length, utf-8 name, u8 ndim (at most 32), u64 * ndim extents
   payload   float64 little-endian array data, in table order
   u64       checksum: first 8 bytes of SHA-256 over everything before it
 """
@@ -12,6 +12,7 @@ Layout (all integers little-endian):
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from pathlib import Path
 
@@ -20,6 +21,7 @@ import numpy as np
 FORMAT_VERSION = 1
 DENOISER_MAGIC = b"ARTDNSR1"
 AUTOENC_MAGIC = b"ARTAENC1"
+MAX_NDIM = 32
 
 
 class CheckpointError(ValueError):
@@ -62,23 +64,34 @@ def load_arrays(path, expected_magic: bytes) -> dict[str, np.ndarray]:
     (count,) = struct.unpack_from("<I", body, 12)
     offset = 16
     table = []
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", body, offset)
-        offset += 2
-        name = body[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack_from("<B", body, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{ndim}Q", body, offset) if ndim else ()
-        offset += 8 * ndim
-        table.append((name, shape))
+    try:
+        for _ in range(count):
+            (name_len,) = struct.unpack_from("<H", body, offset)
+            offset += 2
+            name = body[offset:offset + name_len].decode("utf-8")
+            offset += name_len
+            (ndim,) = struct.unpack_from("<B", body, offset)
+            offset += 1
+            if ndim > MAX_NDIM:
+                raise CheckpointError(f"{path}: array {name!r} has {ndim} dimensions, "
+                                      f"at most {MAX_NDIM} are allowed")
+            shape = struct.unpack_from(f"<{ndim}Q", body, offset)
+            offset += 8 * ndim
+            table.append((name, shape))
+    except struct.error:
+        raise CheckpointError(f"{path}: shape table is cut short") from None
+    except UnicodeDecodeError:
+        raise CheckpointError(f"{path}: an array name is not valid UTF-8") from None
     arrays = {}
     for name, shape in table:
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        end = offset + 8 * size
+        end = offset + 8 * math.prod(shape)    # Python ints: no overflow
         if end > len(body):
             raise CheckpointError(f"{path}: payload shorter than shape table promises")
-        arrays[name] = np.frombuffer(body[offset:end], dtype="<f8").reshape(shape).copy()
+        try:
+            arrays[name] = np.frombuffer(body[offset:end], dtype="<f8").reshape(shape).copy()
+        except ValueError:      # an empty array with an extent numpy cannot index
+            raise CheckpointError(f"{path}: array {name!r} has shape {shape}, "
+                                  f"which numpy cannot hold") from None
         offset = end
     if offset != len(body):
         raise CheckpointError(f"{path}: trailing bytes after payload")

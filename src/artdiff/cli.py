@@ -319,6 +319,9 @@ def cmd_compare_samplers(args) -> int:
     resolver = Resolver(args)
     mu0 = _parse_vector(resolver.get("mu0", "3,-1"))
     var0 = _var0_from(resolver)
+    if var0 == 0.0:
+        raise ConfigError("compare-samplers needs --var0 > 0: point-mass data gives every "
+                          "sampler zero error, so no order can be fitted")
     seed = _seed_from(resolver, 123)
     batch = resolver.get("batch", 256, int)
     # The reference trajectory needs 2000 distinct timesteps, so this

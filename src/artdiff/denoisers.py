@@ -8,13 +8,18 @@ insertion (identity when unconditioned), a second residual tanh stage, and
 an output projection. Gradients are computed in closed form and are checked
 against finite differences in the test suite.
 
-Inference takes one wiring, ``PreparedToyDenoiser``. ``ToyDenoiser.prepare``
-binds it to one sampling call: the condition is checked and projected to
-keys and values once, and the time features of the call's timesteps come
-from one ``time_embedding`` call. With a one-token condition (a label) the
-softmax over the single key is exactly 1, so the attention is the affine
-map wo·wv·token, the same for every row and every step; it is computed once.
-Training keeps its own forward pass, which caches what the backward needs.
+There is one attention, ``_attend``, over keys and values projected from
+the condition; training, inference and ``cross_attention`` all take it.
+With one condition token (a label) the softmax over the single key is
+exactly 1, so the attention is the affine map wo·wv·token: no query or
+score is formed, and the gradients of wq and wk are exact zeros, so
+training leaves both at their initial values.
+
+Inference takes one wiring, ``PreparedToyDenoiser``, which
+``ToyDenoiser.prepare`` binds to one sampling call: the condition is
+checked and projected once, a one-token attention output is computed once
+per batch size, and the call's time features come from one
+``time_embedding`` call.
 """
 
 from __future__ import annotations
@@ -118,47 +123,49 @@ class AttentionWeights:
     wo: np.ndarray  # (width, width)
 
 
-def _attend(h: np.ndarray, memory: np.ndarray, w: AttentionWeights):
-    """Single-query attention of each row of h (B, W) over condition memory:
-    (n, dc) shared by every row, or (B, n, dc) with one memory per row.
+def _project(memory: np.ndarray, w: AttentionWeights):
+    """Keys and values (k, v) of condition memory: (n, W) each from shared
+    (n, dc) memory, (B, n, W) each from per-row (B, n, dc) memory."""
+    if memory.ndim == 2:
+        return memory @ w.wk.T, memory @ w.wv.T
+    return (np.einsum("bnd,wd->bnw", memory, w.wk),
+            np.einsum("bnd,wd->bnw", memory, w.wv))
 
-    Shared memory is projected to keys and values once. Returns the
+
+def _attend(h: np.ndarray, k: np.ndarray, v: np.ndarray, w: AttentionWeights):
+    """Single-query attention of each row of h (B, W) over projected keys
+    and values, (n, W) shared by every row or (B, n, W) one set per row.
+
+    A softmax over one key is exactly 1, so with n == 1 the attention is
+    z = v in every row and no query or score is formed. Returns the
     projected attention output (B, W) and a cache for backward.
     """
-    if memory.ndim == 2:
-        k = memory @ w.wk.T                          # (n, W)
-        v = memory @ w.wv.T
-        q, weights, z = _softmax_attention(h, k, v, w)
+    if k.shape[-2] == 1:
+        z = np.repeat(v, len(h), axis=0) if v.ndim == 2 else v[:, 0]
+        q = weights = None
     else:
-        q = h @ w.wq.T                               # (B, W)
-        k = np.einsum("bnd,wd->bnw", memory, w.wk)   # (B, n, W)
-        v = np.einsum("bnd,wd->bnw", memory, w.wv)
-        weights = softmax(np.einsum("bw,bnw->bn", q, k) / math.sqrt(w.wq.shape[0]))
-        z = np.einsum("bn,bnw->bw", weights, v)
+        q = h @ w.wq.T                                           # (B, W)
+        weights = softmax((k @ q[:, :, None])[..., 0] / math.sqrt(w.wq.shape[0]))
+        z = (weights[:, None, :] @ v)[:, 0]
     out = z @ w.wo.T
-    cache = (h, memory, q, k, v, weights, z)
+    cache = (h, q, k, v, weights, z)
     return out, cache
 
 
-def _softmax_attention(h: np.ndarray, k: np.ndarray, v: np.ndarray, w: AttentionWeights):
-    """Queries of h (B, W) against shared keys and values (n, W):
-    returns (q, weights, z), z = softmax(q k^T / sqrt(W)) v before the
-    output projection."""
-    q = h @ w.wq.T
-    weights = softmax((q @ k.T) / math.sqrt(w.wq.shape[0]))   # rows sum to 1
-    return q, weights, weights @ v
-
-
-def _attend_backward(g_out: np.ndarray, cache, w: AttentionWeights):
-    """Gradients of the per-row (B, n, dc) memory form, the one training uses."""
-    h, memory, q, k, v, weights, z = cache
-    dk = w.wq.shape[0]
+def _attend_backward(g_out: np.ndarray, cache, memory: np.ndarray, w: AttentionWeights):
+    """Gradients (dh, d_wq, d_wk, d_wv, d_wo) of ``_attend`` over per-row
+    (B, n, dc) memory, the form training uses. With one token the scores
+    do not depend on h, wq or wk, so their gradients are exact zeros."""
+    h, q, k, v, weights, z = cache
     d_wo = g_out.T @ z
     dz = g_out @ w.wo
+    if weights is None:
+        d_wv = np.einsum("bnw,bnd->wd", dz[:, None, :], memory)
+        return np.zeros_like(h), np.zeros_like(w.wq), np.zeros_like(w.wk), d_wv, d_wo
     d_weights = np.einsum("bw,bnw->bn", dz, v)
     dv = np.einsum("bn,bw->bnw", weights, dz)
     ds = (d_weights - (d_weights * weights).sum(axis=1, keepdims=True)) * weights
-    ds = ds / math.sqrt(dk)
+    ds = ds / math.sqrt(w.wq.shape[0])
     dq = np.einsum("bn,bnw->bw", ds, k)
     dkk = np.einsum("bn,bw->bnw", ds, q)
     d_wq = dq.T @ h
@@ -174,8 +181,8 @@ def cross_attention(queries: np.ndarray, memory: ConditionTokens,
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2:
         raise ValueError("queries must be a (m, width) token sequence")
-    out, _ = _attend(queries, check_condition_tokens(memory), weights)
-    return out
+    k, v = _project(check_condition_tokens(memory), weights)
+    return _attend(queries, k, v, weights)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -324,55 +331,29 @@ def _forward_pass(params: ToyDenoiserParams, xt: np.ndarray, t,
     batch = x.shape[0]
     temb, h1, a1, h2 = _trunk(params, x, t, temb)
 
-    attn_cache = mask = None
+    mem = attn_cache = mask = None
     h3 = h2
     if memory is not None:
-        attn_out, attn_cache = _attend(h2, _check_memory(params, memory, batch),
-                                       params.attention)
+        mem = _check_memory(params, memory, batch)
+        attn_out, attn_cache = _attend(h2, *_project(mem, params.attention), params.attention)
         mask = np.ones((batch, 1)) if cond_mask is None \
             else np.asarray(cond_mask, dtype=np.float64).reshape(batch, 1)
         h3 = h2 + mask * attn_out
 
     a2, h4, out = _head(params, h3)
-    cache = (x, temb, h1, a1, h2, attn_cache, mask, h3, a2, h4, squeeze)
+    cache = (x, temb, h1, a1, h2, mem, attn_cache, mask, h3, a2, h4, squeeze)
     return out, cache
-
-
-class _ProjectedCondition:
-    """Condition tokens, checked and projected to keys and values once,
-    and the attention output they give a batch of hidden rows."""
-
-    def __init__(self, params: ToyDenoiserParams, condition: ConditionTokens):
-        memory = check_condition_tokens(condition)
-        if memory.shape[1] != params.cond_width:
-            raise ValueError(f"condition tokens have width {memory.shape[1]}, "
-                             f"expected {params.cond_width}")
-        self._w = params.attention
-        self._k = memory @ self._w.wk.T                  # (n, W)
-        self._v = memory @ self._w.wv.T
-        self._one_token_out: dict[int, np.ndarray] = {}  # batch size -> output
-
-    def attend(self, h: np.ndarray) -> np.ndarray:
-        if self._k.shape[0] > 1:
-            return _softmax_attention(h, self._k, self._v, self._w)[2] @ self._w.wo.T
-        # A softmax over one key is exactly 1, so z = v in every row and the
-        # output wo·wv·token does not depend on h: it is computed once per
-        # batch size, with the same (batch, W) product the general path makes.
-        out = self._one_token_out.get(len(h))
-        if out is None:
-            z = np.repeat(self._v, len(h), axis=0)
-            out = self._one_token_out[len(h)] = z @ self._w.wo.T
-        return out
 
 
 class PreparedToyDenoiser:
     """The toy denoiser bound to one condition (or none) and, optionally,
     one set of timesteps: the inference wiring every toy prediction takes.
 
-    The condition is checked and projected to keys and values once. With
-    ``timesteps`` the time-feature rows of all of them come from one
-    ``time_embedding`` call, and only those timesteps may be queried;
-    without, each query computes its own. ``predict`` gives the bound
+    The condition is checked and projected to keys and values once. A
+    one-token condition's attention output does not depend on h2, so it is
+    kept per batch size. With ``timesteps`` the time-feature rows of all of
+    them come from one ``time_embedding`` call, and only those timesteps may
+    be queried; without, each query computes its own. ``predict`` gives the bound
     condition's branch, ``predict_pair`` the (unconditional, conditional)
     pair that classifier-free guidance combines. Both branches see the same
     (xt, t), so the trunk and the attention run once on the batch; only the
@@ -383,7 +364,14 @@ class PreparedToyDenoiser:
     def __init__(self, params: ToyDenoiserParams, condition: Optional[ConditionTokens],
                  timesteps=None):
         self.params = params
-        self._cond = None if condition is None else _ProjectedCondition(params, condition)
+        self._kv = None
+        if condition is not None:
+            memory = check_condition_tokens(condition)
+            if memory.shape[1] != params.cond_width:
+                raise ValueError(f"condition tokens have width {memory.shape[1]}, "
+                                 f"expected {params.cond_width}")
+            self._kv = _project(memory, params.attention)
+        self._one_token_out: dict[int, np.ndarray] = {}   # batch size -> output
         self._features = None
         if timesteps is not None:
             steps = [int(t) for t in timesteps]
@@ -394,7 +382,7 @@ class PreparedToyDenoiser:
         return self._run(xt, t, pair=False)
 
     def predict_pair(self, xt: Tensor, t) -> tuple[Tensor, Tensor]:
-        if self._cond is None:
+        if self._kv is None:
             raise ValueError("a guidance pair needs a condition")
         return self._run(xt, t, pair=True)
 
@@ -408,18 +396,26 @@ class PreparedToyDenoiser:
         else:
             raise ValueError(f"timestep {t} is not one of the prepared timesteps")
         h2 = _trunk(params, x, t, temb)[-1]
-        if self._cond is None:
+        if self._kv is None:
             h3 = h2
         elif pair:
-            h3 = np.concatenate([h2, h2 + self._cond.attend(h2)])
+            h3 = np.concatenate([h2, h2 + self._attention(h2)])
         else:
-            h3 = h2 + self._cond.attend(h2)
+            h3 = h2 + self._attention(h2)
         out = _head(params, h3)[-1]
         require_finite(out, "denoiser output")
         if not pair:
             return out[0] if squeeze else out
         uncond, cond = out[:len(x)], out[len(x):]
         return (uncond[0], cond[0]) if squeeze else (uncond, cond)
+
+    def _attention(self, h2: np.ndarray) -> np.ndarray:
+        k, v = self._kv
+        if len(k) > 1:
+            return _attend(h2, k, v, self.params.attention)[0]
+        if len(h2) not in self._one_token_out:
+            self._one_token_out[len(h2)] = _attend(h2, k, v, self.params.attention)[0]
+        return self._one_token_out[len(h2)]
 
 
 def toy_denoiser_forward(params: ToyDenoiserParams, xt: Tensor, t,
@@ -445,7 +441,7 @@ def _loss_and_grad(params: ToyDenoiserParams, xt: np.ndarray, t,
         # _attend_backward takes the per-row (batch, n, dc) form
         memory = np.broadcast_to(memory, (len(np.atleast_2d(xt)),) + np.shape(memory))
     out, cache = _forward_pass(params, xt, t, memory, cond_mask, temb)
-    x, temb, h1, a1, h2, attn_cache, mask, h3, a2, h4, _ = cache
+    x, temb, h1, a1, h2, memory, attn_cache, mask, h3, a2, h4, _ = cache
     if temb.shape[0] != x.shape[0]:     # a scalar t gives one shared row
         temb = np.broadcast_to(temb, (x.shape[0], temb.shape[1]))
     eps = np.asarray(eps, dtype=np.float64).reshape(out.shape)
@@ -469,7 +465,8 @@ def _loss_and_grad(params: ToyDenoiserParams, xt: np.ndarray, t,
 
     if attn_cache is not None:
         g_attn = mask * gh3
-        dh, d_wq, d_wk, d_wv, d_wo = _attend_backward(g_attn, attn_cache, params.attention)
+        dh, d_wq, d_wk, d_wv, d_wo = _attend_backward(g_attn, attn_cache, memory,
+                                                      params.attention)
         grads["wq"], grads["wk"], grads["wv"], grads["wo"] = d_wq, d_wk, d_wv, d_wo
         gh2 = gh3 + dh
     else:

@@ -14,6 +14,8 @@ import numpy as np
 DEFAULT_T = 1000
 DEFAULT_BETA_START = 1e-4
 DEFAULT_BETA_END = 0.02
+MAX_T = 1_000_000   # bounds what a flag or checkpoint can allocate; alpha_bar underflows
+                    # far below it at the default betas
 
 
 @dataclass(frozen=True)
@@ -103,8 +105,8 @@ def linear_schedule(T: int = DEFAULT_T,
                     beta_end: float = DEFAULT_BETA_END) -> NoiseSchedule:
     """Linearly interpolated betas from beta_start (t=1) to beta_end (t=T)."""
     T = int(T)
-    if T < 1:
-        raise ValueError("T must be a positive integer")
+    if not 1 <= T <= MAX_T:
+        raise ValueError(f"T must be an integer in [1, {MAX_T}], got {T}")
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ValueError("need 0 < beta_start <= beta_end < 1")
     return NoiseSchedule(betas=np.linspace(beta_start, beta_end, T))

@@ -1,3 +1,6 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -102,6 +105,49 @@ def test_autoencoder_checkpoint_roundtrip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# crafted shape tables with a valid checksum
+# ---------------------------------------------------------------------------
+
+def _entry(name: bytes, shape) -> bytes:
+    return (struct.pack("<H", len(name)) + name + struct.pack("<B", len(shape))
+            + struct.pack(f"<{len(shape)}Q", *shape))
+
+
+def _blob(entries, payload=b"\0" * 8) -> bytes:
+    """A checkpoint body from raw table entries, with its checksum appended."""
+    body = (DENOISER_MAGIC + struct.pack("<II", 1, len(entries)) + b"".join(entries)
+            + payload)
+    return body + hashlib.sha256(body).digest()[:8]
+
+
+@pytest.mark.parametrize("blob, message", [
+    (_blob([_entry(b"a", (1,)), _entry(b"b", (2, 3))[:-8]], payload=b""),
+     "shape table is cut short"),
+    (_blob([_entry(b"\xff\xfe", ())]), "not valid UTF-8"),
+    (_blob([_entry(b"a", (2 ** 62, 4))]), "payload shorter than shape table promises"),
+    (_blob([_entry(b"a", (1,) * 33)]), "33 dimensions, at most 32"),
+    (_blob([_entry(b"a", (0, 2 ** 63)), _entry(b"b", ())]), "numpy cannot hold"),
+], ids=["short-table", "non-utf8-name", "extent-2**62", "ndim-33",
+        "empty-huge-extent"])
+def test_crafted_shape_table_raises_checkpoint_error(tmp_path, blob, message):
+    path = tmp_path / "crafted.bin"
+    path.write_bytes(blob)
+    with pytest.raises(CheckpointError) as info:
+        load_arrays(path, DENOISER_MAGIC)
+    assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
+
+
+def test_cli_crafted_shape_table_exits_1_with_one_line(tmp_path, capsys):
+    from artdiff.cli import main
+
+    path = tmp_path / "crafted.bin"
+    path.write_bytes(_blob([_entry(b"\xff", ())]))
+    assert main(["sample", "--checkpoint", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(path) in err and "UTF-8" in err
+
+
+# ---------------------------------------------------------------------------
 # denoiser checkpoints with a valid checksum but bad content
 # ---------------------------------------------------------------------------
 
@@ -139,10 +185,11 @@ def _crafted(tmp_path, **changes):
     ({"meta": np.array([2.0, 16.0, 16.0])}, "meta"),
     ({"label_tokens": np.zeros((8, 5))}, "label_tokens"),
     ({"schedule": np.array([50.0, 0.5, 0.1])}, "schedule"),
+    ({"schedule": np.array([50.0 * 2 ** 32, 1e-4, 0.02])}, "T must be an integer in [1, "),
     ({"b_out": np.array([np.inf, 0.0])}, "'b_out' contains non-finite"),
     ({"label_tokens": np.full((8, 16), np.nan)}, "'label_tokens' contains non-finite"),
 ], ids=["extra-array", "no-meta", "no-wq", "w_in-shape", "b_out-shape", "odd-time-width",
-        "short-meta", "token-width", "bad-schedule", "inf-bias", "nan-tokens"])
+        "short-meta", "token-width", "bad-schedule", "huge-T", "inf-bias", "nan-tokens"])
 def test_load_denoiser_rejects_crafted_content(tmp_path, changes, message):
     from artdiff.denoisers import load_denoiser
 

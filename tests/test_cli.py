@@ -200,6 +200,22 @@ def test_sample_bytes_are_pinned(tmp_path, pin_checkpoint, name):
         (SAMPLE_PINS / f"{name}.csv").read_bytes()
 
 
+TRAIN_PINS = DATA / "train_pins"
+PINNED_TRAINING = {
+    "cond-adam": [],
+    "cond-sgd": ["--optimizer", "sgd", "--lr", 0.01],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TRAINING))
+def test_train_loss_bytes_are_pinned(tmp_path, name):
+    # attention changes must leave every conditional training loss byte-identical
+    assert run(["toy-train", "--dataset", "8-gaussian-ring", "--conditional", "--steps", 100,
+                "--seed", 1, "--timesteps", 100, "--batch", 32, "--drop_prob", 0.2,
+                *PINNED_TRAINING[name], "--out", tmp_path]) == 0
+    assert (tmp_path / "loss.csv").read_bytes() == (TRAIN_PINS / f"{name}.csv").read_bytes()
+
+
 def test_prompt_extend_end_to_end(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     args = ["prompt-extend", "urbanization of China",
@@ -433,11 +449,24 @@ def test_toy_train_negative_seed_exits_2(tmp_path, capsys):
     ["toy-train", "--dataset", "8-gaussian-ring", "--lr", 0],
     ["toy-train", "--dataset", "8-gaussian-ring", "--lr", "nan"],
     ["toy-train", "--dataset", "8-gaussian-ring", "--lr", "inf"],
+    ["schedule-dump", "--timesteps", 2_000_000],
 ], ids=["sample-seed", "sample-var0", "sample-mu0", "compare-seed", "train-steps",
-        "train-lr", "train-lr-nan", "train-lr-inf"])
+        "train-lr", "train-lr-nan", "train-lr-inf", "schedule-huge-T"])
 def test_bad_flag_values_exit_2(tmp_path, capsys, argv):
     assert run(argv + ["--out", tmp_path / "o"]) == 2
     assert _one_line_error(capsys).startswith("error: ")
+
+
+@pytest.mark.parametrize("mu0", [[], ["--mu0", "0,0"]], ids=["default-mu0", "zero-mu0"])
+def test_compare_samplers_zero_var0_exits_2(tmp_path, capsys, mu0):
+    # point-mass data: every error is exactly 0 and the fitted order is undefined
+    out = tmp_path / "o"
+    assert run(["compare-samplers", *mu0, "--var0", 0, "--batch", 2, "--out", out]) == 2
+    assert "--var0 > 0" in _one_line_error(capsys)
+    assert not (out / "report.csv").exists()
+    # the oracle itself stays defined for a point mass
+    assert run(["sample", "--oracle", *mu0, "--var0", 0, "--ddim_steps", 5, "--batch", 2,
+                "--out", tmp_path / "s"]) == 0
 
 
 @pytest.mark.parametrize("hidden", [0, -3])

@@ -13,7 +13,7 @@ from artdiff.denoisers import (AttentionWeights, GaussianOracle, LabelEmbedding,
                                time_embedding, toy_denoiser_forward, train)
 from artdiff.diffusion import loss_simple, q_sample
 from artdiff.errors import TrainingDivergedError
-from artdiff.numerics import RngStream
+from artdiff.numerics import RngStream, softmax
 from artdiff.schedule import linear_schedule
 
 
@@ -243,11 +243,11 @@ def test_attention_two_query_three_memory_hand_case():
 def test_attention_weights_nonnegative_rows_sum_one():
     rng = RngStream(8)
     p = init_toy_denoiser(rng, 2)
-    from artdiff.denoisers import _attend
+    from artdiff.denoisers import _attend, _project
     h = rng.normal((6, 16))
     mem = rng.normal((6, 3, 16))
-    _, cache = _attend(h, mem, p.attention)
-    weights = cache[5]
+    _, cache = _attend(h, *_project(mem, p.attention), p.attention)
+    weights = cache[4]
     assert np.all(weights >= 0.0)
     assert np.max(np.abs(weights.sum(axis=1) - 1.0)) <= 1e-12
 
@@ -560,16 +560,17 @@ def test_fused_guidance_pair_needs_condition():
 
 
 def test_attend_shared_memory_matches_per_row_memory():
-    from artdiff.denoisers import _attend
+    from artdiff.denoisers import _attend, _project
 
     rng = RngStream(42)
     p = init_toy_denoiser(rng.child("init"), 2)
     h = rng.child("h").normal((50, 16))
     mem = rng.child("m").normal((3, 16))
-    out, cache = _attend(h, mem, p.attention)
-    ref, ref_cache = _attend(h, np.broadcast_to(mem, (50, 3, 16)), p.attention)
+    out, cache = _attend(h, *_project(mem, p.attention), p.attention)
+    ref, ref_cache = _attend(h, *_project(np.broadcast_to(mem, (50, 3, 16)), p.attention),
+                             p.attention)
     assert _rel_err(out, ref) <= 1e-12
-    assert _rel_err(cache[5], ref_cache[5]) <= 1e-12     # attention weights
+    assert _rel_err(cache[4], ref_cache[4]) <= 1e-12     # attention weights
 
 
 def test_scalar_t_features_match_per_row_features():
@@ -616,7 +617,7 @@ def _reference_pair(p, xt, t, cond):
     """The guidance pair as the softmax path computes it: the trunk and
     attention once, the head on the stacked rows."""
     h2 = denoisers._trunk(p, xt, t)[-1]
-    attn, _ = denoisers._attend(h2, cond, p.attention)
+    attn, _ = denoisers._attend(h2, *denoisers._project(cond, p.attention), p.attention)
     out = denoisers._head(p, np.concatenate([h2, h2 + attn]))[-1]
     return out[:len(xt)], out[len(xt):]
 
@@ -671,13 +672,95 @@ def test_prepared_predictor_rejects_unprepared_timestep_and_missing_condition():
 
 
 @pytest.mark.parametrize("n_tokens", [1, 3])
-def test_projected_condition_equals_general_attend(n_tokens):
-    # one token takes z = v with no scores; several keep the softmax; both
-    # equal _attend exactly, also when the one-token output is reused
+def test_prepared_attention_equals_fresh_attend(n_tokens):
+    # the prepared predictor keeps a one-token output per batch size; it
+    # equals a fresh _attend exactly, also when it is reused
     rng = RngStream(47)
     p = init_toy_denoiser(rng.child("init"), 2)
     memory = rng.child("m").normal((n_tokens, 16))
-    projected = denoisers._ProjectedCondition(p, memory)
+    bound = ToyDenoiser(p).prepare(memory, (1,))
     for i, batch in enumerate((1, 7, 2000, 7, 1)):
         h = rng.child(f"h{i}").normal((batch, 16))
-        assert np.array_equal(projected.attend(h), denoisers._attend(h, memory, p.attention)[0])
+        fresh = denoisers._attend(h, *denoisers._project(memory, p.attention), p.attention)[0]
+        assert np.array_equal(bound._attention(h), fresh)
+
+
+# ---------------------------------------------------------------------------
+# one-token attention: the softmax over one key is exactly 1
+# ---------------------------------------------------------------------------
+
+def _softmax_attend_reference(h, memory, w):
+    """The general softmax attention, shared (n, dc) or per-row (B, n, dc)
+    memory: (out, q, k, v, weights, z)."""
+    q = h @ w.wq.T
+    if memory.ndim == 2:
+        k, v = memory @ w.wk.T, memory @ w.wv.T
+        weights = softmax((q @ k.T) / math.sqrt(w.wq.shape[0]))
+        z = weights @ v
+    else:
+        k = np.einsum("bnd,wd->bnw", memory, w.wk)
+        v = np.einsum("bnd,wd->bnw", memory, w.wv)
+        weights = softmax(np.einsum("bw,bnw->bn", q, k) / math.sqrt(w.wq.shape[0]))
+        z = np.einsum("bn,bnw->bw", weights, v)
+    return z @ w.wo.T, q, k, v, weights, z
+
+
+def _softmax_attend_backward_reference(g_out, h, memory, q, k, v, weights, z, w):
+    """Closed-form gradients of the per-row softmax attention:
+    (dh, d_wq, d_wk, d_wv, d_wo)."""
+    d_wo = g_out.T @ z
+    dz = g_out @ w.wo
+    d_weights = np.einsum("bw,bnw->bn", dz, v)
+    dv = np.einsum("bn,bw->bnw", weights, dz)
+    ds = (d_weights - (d_weights * weights).sum(axis=1, keepdims=True)) * weights
+    ds = ds / math.sqrt(w.wq.shape[0])
+    dq = np.einsum("bn,bnw->bw", ds, k)
+    dkk = np.einsum("bn,bw->bnw", ds, q)
+    return (dq @ w.wq, dq.T @ h, np.einsum("bnw,bnd->wd", dkk, memory),
+            np.einsum("bnw,bnd->wd", dv, memory), d_wo)
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
+@pytest.mark.parametrize("batch", [1, 9])
+def test_one_token_attend_equals_softmax_reference(shared, batch):
+    rng = RngStream(48)
+    p = init_toy_denoiser(rng.child("init"), 2)
+    w = p.attention
+    h = rng.child("h").normal((batch, 16))
+    memory = rng.child("m").normal((1, 16) if shared else (batch, 1, 16))
+    out, cache = denoisers._attend(h, *denoisers._project(memory, w), w)
+    ref = _softmax_attend_reference(h, memory, w)
+    assert np.array_equal(out, ref[0])
+    assert np.array_equal(cache[-1], ref[-1])       # z = v in every row
+    assert cache[1] is None and cache[4] is None    # no query, no scores
+
+
+def test_one_token_attend_backward_is_exact():
+    rng = RngStream(49)
+    p = init_toy_denoiser(rng.child("init"), 2)
+    w = p.attention
+    h = rng.child("h").normal((12, 16))
+    memory = rng.child("m").normal((12, 1, 16))
+    g_out = rng.child("g").normal((12, 16))
+    _, cache = denoisers._attend(h, *denoisers._project(memory, w), w)
+    dh, d_wq, d_wk, d_wv, d_wo = denoisers._attend_backward(g_out, cache, memory, w)
+    _, q, k, v, weights, z = _softmax_attend_reference(h, memory, w)
+    ref = _softmax_attend_backward_reference(g_out, h, memory, q, k, v, weights, z, w)
+    for got, want in zip((dh, d_wq, d_wk), ref[:3]):
+        assert got.shape == want.shape and not np.any(got)
+        assert np.all(want == 0.0)
+    assert np.array_equal(d_wv, ref[3])
+    assert np.array_equal(d_wo, ref[4])
+
+
+@pytest.mark.parametrize("optimizer,lr", [("adam", 1e-3), ("sgd", 0.05)])
+def test_conditional_training_leaves_query_and_key_weights_unchanged(default_schedule,
+                                                                      optimizer, lr):
+    ds = get_dataset("8-gaussian-ring")
+    p = init_toy_denoiser(RngStream(50), 2)
+    emb = LabelEmbedding.create(8, p.cond_width, 5)
+    cfg = TrainConfig(steps=200, batch_size=32, learning_rate=lr, seed=6, drop_prob=0.1,
+                      optimizer=optimizer)
+    trained, _ = train(p, ds, cfg, default_schedule, emb)
+    assert np.array_equal(trained.wq, p.wq) and np.array_equal(trained.wk, p.wk)
+    assert not np.array_equal(trained.wv, p.wv) and not np.array_equal(trained.wo, p.wo)
