@@ -3,7 +3,8 @@ comparison, prompt extension, and corpus statistics.
 
 Every run resolves its configuration from flags, then an optional
 key=value config file (flags win), writes a manifest.json capturing the
-resolved values, and emits line-oriented text artifacts so runs can be
+resolved values, the numpy and Python versions and the sha256 of each
+output file, and emits line-oriented text artifacts so runs can be
 compared byte-for-byte. The ARTDIFF_OUT environment variable overrides the
 default output directory when --out is not given.
 
@@ -14,9 +15,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import os
+import platform
 import re
 import sys
 from pathlib import Path
@@ -107,9 +110,15 @@ class Resolver:
         return out
 
 
-def _write_manifest(out: Path, command: str, resolver: Resolver,
+def _write_manifest(out: Path, command: str, resolver: Resolver, outputs: list[str],
                     extra: dict | None = None) -> None:
-    manifest = {"command": command, "config": resolver.resolved}
+    """manifest.json: the command, its resolved config, the numpy and
+    Python versions (the bytes are reproducible at a fixed numpy version)
+    and the sha256 of each named output file the command wrote."""
+    manifest = {"command": command, "config": resolver.resolved,
+                "versions": {"numpy": np.__version__, "python": platform.python_version()},
+                "outputs": {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                            for name in outputs}}
     if extra:
         manifest.update(extra)
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -174,7 +183,7 @@ def cmd_schedule_dump(args) -> int:
         lines.append(",".join([str(t), _fmt(schedule.beta(t)), _fmt(schedule.alpha(t)),
                                _fmt(schedule.alpha_bar(t)), _fmt(schedule.posterior_var(t))]))
     (out / "schedule.csv").write_text("\n".join(lines) + "\n")
-    _write_manifest(out, "schedule-dump", resolver,
+    _write_manifest(out, "schedule-dump", resolver, ["schedule.csv"],
                     {"schedule": {"T": consts[0], "beta_start": consts[1], "beta_end": consts[2]}})
     print(f"wrote {out / 'schedule.csv'}")
     return 0
@@ -222,7 +231,7 @@ def cmd_toy_train(args) -> int:
 
     loss_lines = ["step,loss"] + [f"{i},{_fmt(v)}" for i, v in enumerate(losses)]
     (out / "loss.csv").write_text("\n".join(loss_lines) + "\n")
-    _write_manifest(out, "toy-train", resolver,
+    _write_manifest(out, "toy-train", resolver, ["checkpoint.bin", "loss.csv"],
                     {"schedule": {"T": consts[0], "beta_start": consts[1], "beta_end": consts[2]},
                      "final_loss": float(losses[-1]) if len(losses) else None})
     print(f"trained {name} for {steps} steps; wrote {out / 'checkpoint.bin'}")
@@ -298,9 +307,11 @@ def cmd_sample(args) -> int:
     samples = sample(predictor, plan, schedule, condition)
 
     _write_samples_csv(out / "samples.csv", samples)
+    outputs = ["samples.csv"]
     if plot and shape == (2,):
         _write_density_ppm(out / "density.ppm", samples)
-    _write_manifest(out, "sample", resolver,
+        outputs.append("density.ppm")
+    _write_manifest(out, "sample", resolver, outputs,
                     {"schedule": {"T": consts[0], "beta_start": consts[1], "beta_end": consts[2]}})
     print(f"wrote {batch} samples to {out / 'samples.csv'}")
     return 0
@@ -352,7 +363,7 @@ def cmd_compare_samplers(args) -> int:
     for kind, order in orders.items():
         lines.append(f"{kind},order,{_fmt(order)}")
     (out / "report.csv").write_text("\n".join(lines) + "\n")
-    _write_manifest(out, "compare-samplers", resolver,
+    _write_manifest(out, "compare-samplers", resolver, ["report.csv"],
                     {"schedule": {"T": COMPARISON_T, "beta_start": beta_start,
                                   "beta_end": beta_end}})
     print(f"wrote {out / 'report.csv'}; fitted orders: "
@@ -394,8 +405,8 @@ def cmd_prompt_extend(args) -> int:
                         sort_keys=True)
              for c in candidates]
     (out / "candidates.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""))
-    _write_manifest(out, "prompt-extend", resolver, {"prompt": prompt,
-                                                     "n_candidates": len(candidates)})
+    _write_manifest(out, "prompt-extend", resolver, ["candidates.jsonl"],
+                    {"prompt": prompt, "n_candidates": len(candidates)})
     print(f"wrote {len(candidates)} candidates to {out / 'candidates.jsonl'}")
     return 0
 
@@ -424,7 +435,7 @@ def cmd_corpus_stats(args) -> int:
     _write_csv(out / "artist_histogram.csv", [("artist", "count"), *histogram])
     _write_csv(out / "shares.csv", [("top_k", "share_pct")]
                + [(k, _fmt(100.0 * top_share(histogram, k))) for k in (10, 20, 30)])
-    _write_manifest(out, "corpus-stats", resolver,
+    _write_manifest(out, "corpus-stats", resolver, ["artist_histogram.csv", "shares.csv"],
                     {"rows": len(metas), "malformed_rows": malformed})
     print(f"{len(metas)} rows ({malformed} malformed); "
           f"wrote {out / 'artist_histogram.csv'}")

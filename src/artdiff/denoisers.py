@@ -19,7 +19,9 @@ Inference takes one wiring, ``PreparedToyDenoiser``, which
 ``ToyDenoiser.prepare`` binds to one sampling call: the condition is
 checked and projected once, a one-token attention output is computed once
 per batch size, and the call's time features come from one
-``time_embedding`` call.
+``time_embedding`` call. Its trunk and head write each stage into a
+per-call workspace of buffers, one set per row count, and its predictions
+are fresh arrays that never alias that workspace.
 """
 
 from __future__ import annotations
@@ -125,22 +127,26 @@ class AttentionWeights:
 
 def _project(memory: np.ndarray, w: AttentionWeights):
     """Keys and values (k, v) of condition memory: (n, W) each from shared
-    (n, dc) memory, (B, n, W) each from per-row (B, n, dc) memory."""
-    if memory.ndim == 2:
-        return memory @ w.wk.T, memory @ w.wv.T
-    return (np.einsum("bnd,wd->bnw", memory, w.wk),
-            np.einsum("bnd,wd->bnw", memory, w.wv))
+    (n, dc) memory, (B, n, W) each from per-row (B, n, dc) memory. One
+    token's key is never read (see ``_attend``), so k is None then."""
+    def project(weight):
+        if memory.ndim == 2:
+            return memory @ weight.T
+        return np.einsum("bnd,wd->bnw", memory, weight)
+
+    return (project(w.wk) if memory.shape[-2] > 1 else None), project(w.wv)
 
 
-def _attend(h: np.ndarray, k: np.ndarray, v: np.ndarray, w: AttentionWeights):
+def _attend(h: np.ndarray, k: Optional[np.ndarray], v: np.ndarray, w: AttentionWeights):
     """Single-query attention of each row of h (B, W) over projected keys
     and values, (n, W) shared by every row or (B, n, W) one set per row.
 
-    A softmax over one key is exactly 1, so with n == 1 the attention is
-    z = v in every row and no query or score is formed. Returns the
-    projected attention output (B, W) and a cache for backward.
+    A softmax over one key is exactly 1, so with n == 1 (read from v) the
+    attention is z = v in every row, no query or score is formed and k is
+    not read. Returns the projected attention output (B, W) and a cache
+    for backward.
     """
-    if k.shape[-2] == 1:
+    if v.shape[-2] == 1:
         z = np.repeat(v, len(h), axis=0) if v.ndim == 2 else v[:, 0]
         q = weights = None
     else:
@@ -302,23 +308,41 @@ def _time_features(params: ToyDenoiserParams, t, batch: int) -> np.ndarray:
     return time_embedding(np.broadcast_to(t_arr, (batch,)), params.time_dim)
 
 
-def _trunk(params: ToyDenoiserParams, x: np.ndarray, t, temb=None):
+def _trunk(params: ToyDenoiserParams, x: np.ndarray, t, temb=None, out=None):
     """Input projection, time features and the first FF block.
 
-    Features precomputed for t may be passed as ``temb``.
+    Features precomputed for t may be passed as ``temb``. ``out``
+    optionally holds three (rows, width) buffers that h1, a1 and h2 are
+    written into; without it each stage is a fresh array.
     """
     if temb is None:
         temb = _time_features(params, t, x.shape[0])
-    h1 = x @ params.w_in.T + params.b_in + temb @ params.w_time.T
-    a1 = np.tanh(h1 @ params.ff1_w1.T + params.ff1_b1)
-    h2 = h1 + a1 @ params.ff1_w2.T + params.ff1_b2
+    h1, a1, h2 = out if out is not None else (None, None, None)
+    h1 = np.matmul(x, params.w_in.T, out=h1)
+    h1 += params.b_in
+    h1 += temb @ params.w_time.T
+    a1 = np.matmul(h1, params.ff1_w1.T, out=a1)
+    a1 += params.ff1_b1
+    np.tanh(a1, out=a1)
+    h2 = np.matmul(a1, params.ff1_w2.T, out=h2)
+    np.add(h1, h2, out=h2)
+    h2 += params.ff1_b2
     return temb, h1, a1, h2
 
 
-def _head(params: ToyDenoiserParams, h3: np.ndarray):
-    """Second FF block and output projection: (a2, h4, prediction)."""
-    a2 = np.tanh(h3 @ params.ff2_w1.T + params.ff2_b1)
-    h4 = h3 + a2 @ params.ff2_w2.T + params.ff2_b2
+def _head(params: ToyDenoiserParams, h3: np.ndarray, out=None):
+    """Second FF block and output projection: (a2, h4, prediction).
+
+    ``out`` optionally holds two (rows, width) buffers that a2 and h4 are
+    written into. The prediction is always a fresh array.
+    """
+    a2, h4 = out if out is not None else (None, None)
+    a2 = np.matmul(h3, params.ff2_w1.T, out=a2)
+    a2 += params.ff2_b1
+    np.tanh(a2, out=a2)
+    h4 = np.matmul(a2, params.ff2_w2.T, out=h4)
+    np.add(h3, h4, out=h4)
+    h4 += params.ff2_b2
     return a2, h4, h4 @ params.w_out.T + params.b_out
 
 
@@ -345,6 +369,23 @@ def _forward_pass(params: ToyDenoiserParams, xt: np.ndarray, t,
     return out, cache
 
 
+class _Workspace:
+    """Three (rows, width) buffers for the forward stages of one row count;
+    h3 is the third. A guidance pair's trunk writes the first half of each,
+    and its h2 + attention goes to the second half of h3. The views are
+    made once, because at one row making a view costs as much as the
+    arithmetic it serves."""
+
+    def __init__(self, rows: int, width: int):
+        self.buffers = np.empty((3, rows, width))
+        buf1, buf2, self.h3 = self.buffers
+        half = rows // 2
+        self.trunk = (buf1, buf2, self.h3)
+        self.pair_trunk = (buf1[:half], buf2[:half], self.h3[:half])
+        self.pair_cond = self.h3[half:]
+        self.head = (buf1, buf2)
+
+
 class PreparedToyDenoiser:
     """The toy denoiser bound to one condition (or none) and, optionally,
     one set of timesteps: the inference wiring every toy prediction takes.
@@ -359,6 +400,12 @@ class PreparedToyDenoiser:
     (xt, t), so the trunk and the attention run once on the batch; only the
     second FF block and the output projection run on the stacked
     [h2, h2 + attention] rows.
+
+    The trunk and the second FF block write their stages into a workspace
+    of three (rows, width) buffers per row count, allocated on first use
+    and reused by every later call with that count (a pair of B rows takes
+    the 2B entry). The returned predictions are fresh arrays that never
+    alias the workspace, so a caller may keep them across calls.
     """
 
     def __init__(self, params: ToyDenoiserParams, condition: Optional[ConditionTokens],
@@ -372,6 +419,7 @@ class PreparedToyDenoiser:
                                  f"expected {params.cond_width}")
             self._kv = _project(memory, params.attention)
         self._one_token_out: dict[int, np.ndarray] = {}   # batch size -> output
+        self._workspace: dict[int, _Workspace] = {}       # rows -> buffers
         self._features = None
         if timesteps is not None:
             steps = [int(t) for t in timesteps]
@@ -389,29 +437,34 @@ class PreparedToyDenoiser:
     def _run(self, xt, t, pair: bool):
         params = self.params
         x, squeeze = _as_batch(params, xt)
+        rows = len(x)
         if self._features is None:
-            temb = _time_features(params, t, len(x))
+            temb = _time_features(params, t, rows)
         elif t in self._features:
             temb = self._features[t]
         else:
             raise ValueError(f"timestep {t} is not one of the prepared timesteps")
-        h2 = _trunk(params, x, t, temb)[-1]
-        if self._kv is None:
-            h3 = h2
-        elif pair:
-            h3 = np.concatenate([h2, h2 + self._attention(h2)])
+        total = 2 * rows if pair else rows
+        ws = self._workspace.get(total)
+        if ws is None:
+            ws = self._workspace[total] = _Workspace(total, params.width)
+        if pair:
+            h2 = _trunk(params, x, t, temb, ws.pair_trunk)[-1]
+            np.add(h2, self._attention(h2), out=ws.pair_cond)
         else:
-            h3 = h2 + self._attention(h2)
-        out = _head(params, h3)[-1]
+            h2 = _trunk(params, x, t, temb, ws.trunk)[-1]
+            if self._kv is not None:
+                np.add(h2, self._attention(h2), out=h2)
+        out = _head(params, ws.h3, ws.head)[-1]
         require_finite(out, "denoiser output")
         if not pair:
             return out[0] if squeeze else out
-        uncond, cond = out[:len(x)], out[len(x):]
+        uncond, cond = out[:rows], out[rows:]
         return (uncond[0], cond[0]) if squeeze else (uncond, cond)
 
     def _attention(self, h2: np.ndarray) -> np.ndarray:
         k, v = self._kv
-        if len(k) > 1:
+        if len(v) > 1:
             return _attend(h2, k, v, self.params.attention)[0]
         if len(h2) not in self._one_token_out:
             self._one_token_out[len(h2)] = _attend(h2, k, v, self.params.attention)[0]

@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import json
 import os
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -415,6 +417,44 @@ def test_manifest_records_resolved_config(tmp_path):
     assert manifest["config"]["ddim_steps"] == 10
     assert manifest["schedule"]["T"] == 1000
     assert manifest["schedule"]["beta_start"] == 1e-4
+
+
+def _check_output_digests(out):
+    """The manifest names every other file in ``out`` with its sha256."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["versions"] == {"numpy": np.__version__,
+                                    "python": platform.python_version()}
+    written = {p.name for p in out.iterdir()} - {"manifest.json"}
+    assert set(manifest["outputs"]) == written
+    for name, digest in manifest["outputs"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+def test_identical_sample_runs_write_identical_manifests(tmp_path):
+    out = tmp_path / "o"
+    argv = ["sample", "--oracle", "--ddim_steps", 10, "--batch", 5, "--seed", 8,
+            "--plot", "--out", out]
+    assert run(argv) == 0
+    first = read_all(out)
+    assert run(argv) == 0
+    assert read_all(out) == first
+    _check_output_digests(out)
+    assert set(json.loads(first["manifest.json"])["outputs"]) == {"samples.csv",
+                                                                   "density.ppm"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["schedule-dump", "--timesteps", 20],
+    ["toy-train", "--dataset", "8-gaussian-ring", "--steps", 5, "--timesteps", 20],
+    ["compare-samplers", "--batch", 4],
+    ["prompt-extend", "urbanization of China", "--corpus", DATA / "micro_corpus.jsonl",
+     "--gazetteer", DATA / "gazetteer.txt", "--fixtures", DATA / "fixtures.jsonl"],
+    ["corpus-stats", "--metadata", DATA / "artworks.csv"],
+], ids=lambda argv: argv[0])
+def test_manifest_digests_every_output_file(tmp_path, argv):
+    out = tmp_path / "o"
+    assert run(argv + ["--out", out]) == 0
+    _check_output_digests(out)
 
 
 # ---------------------------------------------------------------------------

@@ -685,6 +685,60 @@ def test_prepared_attention_equals_fresh_attend(n_tokens):
         assert np.array_equal(bound._attention(h), fresh)
 
 
+def test_prepared_predictions_never_alias_the_workspace():
+    # plms keeps earlier predictions, so a later call must not overwrite
+    # them: each result stays bit-identical to a copy taken when returned
+    rng = RngStream(51)
+    p = init_toy_denoiser(rng.child("init"), 2)
+    cond = rng.child("c").normal((1, 16))
+    steps = (900, 400, 120, 3)
+    bound = ToyDenoiser(p).prepare(cond, steps)
+    kept = []
+    for i, batch in enumerate((2000, 1, 7, 2000)):
+        x = rng.child(f"x{i}").normal((batch, 2))
+        for t in steps:
+            for result in (bound.predict(x, t), *bound.predict_pair(x, t)):
+                kept.append((result, result.copy()))
+    assert sorted(bound._workspace) == [1, 2, 7, 14, 2000, 4000]
+    for rows, ws in bound._workspace.items():
+        assert ws.buffers.shape == (3, rows, p.width)
+    for result, copy in kept:
+        assert result.tobytes() == copy.tobytes()
+        assert not any(np.shares_memory(result, ws.buffers)
+                       for ws in bound._workspace.values())
+
+
+def test_prepared_pair_allocates_no_batch_sized_temporaries():
+    # a repeat guided pair at B=2000 writes its (2B, width) stages into the
+    # workspace; numpy reports its buffers to tracemalloc, so the traced
+    # peak stays below one such buffer
+    import tracemalloc
+
+    rng = RngStream(52)
+    p = init_toy_denoiser(rng.child("init"), 2)
+    bound = ToyDenoiser(p).prepare(rng.child("c").normal((1, 16)), (10, 9))
+    x = rng.child("x").normal((2000, 2))
+    bound.predict_pair(x, 10)     # allocates the workspace
+    tracemalloc.start()
+    try:
+        bound.predict_pair(x, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(x) * p.width * 8
+
+
+def test_project_skips_the_key_of_one_token():
+    # one token's key is never read, so it is not projected
+    rng = RngStream(53)
+    w = init_toy_denoiser(rng.child("init"), 2).attention
+    for memory in (rng.child("s").normal((1, 16)), rng.child("r").normal((5, 1, 16))):
+        k, v = denoisers._project(memory, w)
+        assert k is None and v.shape[-2] == 1
+    k, v = denoisers._project(rng.child("m").normal((3, 16)), w)
+    assert k.shape == v.shape == (3, 16)
+
+
 # ---------------------------------------------------------------------------
 # one-token attention: the softmax over one key is exactly 1
 # ---------------------------------------------------------------------------
