@@ -45,6 +45,7 @@ ENV_OUT = "ARTDIFF_OUT"
 COMPARISON_T = 2000
 COMPARE_STEP_COUNTS = (10, 20, 40, 80, 200)
 ORDER_FIT_COUNTS = (10, 20, 40, 80)
+CONFIG_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def _fmt(x: float) -> str:
@@ -87,10 +88,10 @@ class Resolver:
         elif key in self.file_values:
             raw = self.file_values[key]
             try:
-                value = (raw.lower() in ("1", "true", "yes")) if cast is bool else cast(raw)
-            except ValueError:
-                raise ConfigError(f"config value {key}={raw!r} is not a valid "
-                                  f"{cast.__name__}") from None
+                value = CONFIG_BOOLEANS[raw.lower()] if cast is bool else cast(raw)
+            except (KeyError, ValueError):
+                what = "boolean (1/true/yes or 0/false/no)" if cast is bool else cast.__name__
+                raise ConfigError(f"config value {key}={raw!r} is not a valid {what}") from None
         else:
             value = default
         self.resolved[key] = value

@@ -15,13 +15,14 @@ exactly 1, so the attention is the affine map wo·wv·token: no query or
 score is formed, and the gradients of wq and wk are exact zeros, so
 training leaves both at their initial values.
 
-Inference takes one wiring, ``PreparedToyDenoiser``, which
-``ToyDenoiser.prepare`` binds to one sampling call: the condition is
-checked and projected once, a one-token attention output is computed once
-per batch size, and the call's time features come from one
-``time_embedding`` call. Its trunk and head write each stage into a
-per-call workspace of buffers, one set per row count, and its predictions
-are fresh arrays that never alias that workspace.
+Both predictors keep one contract, ``EpsilonPredictor``: ``predict`` for
+a single evaluation, ``prepare`` to bind one sampling call, the only way
+the sampler queries them. The oracle's binding looks alpha_bar up once
+per timestep. The toy's, ``PreparedToyDenoiser``, checks and projects the
+condition once, keeps a one-token attention output per batch size, and
+takes all time features from one ``time_embedding`` call. Its trunk and
+head write each stage into a per-call workspace of buffers, one set per
+row count, and its predictions are fresh arrays that never alias it.
 """
 
 from __future__ import annotations
@@ -41,15 +42,28 @@ ConditionTokens = np.ndarray  # (n_tokens, token_width), frozen float64
 
 
 class EpsilonPredictor(Protocol):
-    """A noise predictor. The sampler also uses two optional methods:
-    ``predict_pair(xt, t, condition)``, the (unconditional, conditional)
-    pair from one evaluation, and ``prepare(condition, timesteps)``, a
-    predictor bound to one sampling call whose ``predict(xt, t)`` and
-    ``predict_pair(xt, t)`` give the same values."""
+    """A noise predictor. ``predict(xt, t, condition)`` serves single
+    evaluations (``ddpm_step``, ``loss_simple``, the bench's output checks).
+    Sampling binds it once per call with ``prepare(condition, timesteps)``:
+    the bound ``predict(xt, t)`` equals ``predict(xt, t, condition)`` at
+    those timesteps and raises ValueError at any other, and with a condition
+    bound, ``predict_pair(xt, t)`` is the (unconditional, conditional) pair
+    that classifier-free guidance combines."""
 
     def predict(self, xt: Tensor, t: int, condition: Optional[ConditionTokens] = None) -> Tensor:
         """Noise estimate with xt's shape; deterministic per (xt, t, condition)."""
         ...
+
+    def prepare(self, condition: Optional[ConditionTokens], timesteps):
+        ...
+
+
+def _prepared(table: dict, t):
+    """The entry a prepared predictor keeps for timestep t."""
+    try:
+        return table[t]
+    except KeyError:
+        raise ValueError(f"timestep {t} is not one of the prepared timesteps") from None
 
 
 def check_condition_tokens(condition: ConditionTokens) -> ConditionTokens:
@@ -82,13 +96,39 @@ class GaussianOracle:
         object.__setattr__(self, "mu0", np.asarray(self.mu0, dtype=np.float64))
 
     def predict(self, xt: Tensor, t: int, condition=None) -> Tensor:
-        a = self.schedule.alpha_bar(self.schedule.check_step(t))
-        if a >= 1.0:
-            raise ValueError("alpha_bar must be < 1 for the oracle to be defined")
+        t = self.schedule.check_step(t)
+        return self.prepare(None, (t,)).predict(xt, t)
+
+    def prepare(self, condition, timesteps) -> "PreparedGaussianOracle":
+        """This oracle bound to the timesteps of one sampling call; the
+        condition is ignored."""
+        return PreparedGaussianOracle(self, timesteps)
+
+
+class PreparedGaussianOracle:
+    """A ``GaussianOracle`` bound to the timesteps of one sampling call:
+    alpha_bar is read from the schedule's table and the factors of the
+    posterior mean are computed once per timestep. The oracle ignores the
+    condition, so ``predict_pair`` is the same prediction twice."""
+
+    def __init__(self, oracle: GaussianOracle, timesteps):
+        steps = [int(t) for t in timesteps]
+        schedule, mu0, var0 = oracle.schedule, oracle.mu0, oracle.var0
+        if any(not 1 <= t <= schedule.T for t in steps):
+            raise ValueError(f"timesteps must lie in [1, {schedule.T}]")
+        abar = schedule.alpha_bars[np.asarray(steps, dtype=np.int64) - 1].tolist()
+        self._factors = {t: (math.sqrt(a) * var0, (1.0 - a) * mu0, a * var0 + 1.0 - a,
+                             math.sqrt(a), math.sqrt(1.0 - a)) for t, a in zip(steps, abar)}
+
+    def predict(self, xt: Tensor, t) -> Tensor:
+        sqrt_a_var0, prior_term, denom, sqrt_a, sqrt_1ma = _prepared(self._factors, t)
         xt = np.asarray(xt, dtype=np.float64)
-        x0_mean = (math.sqrt(a) * self.var0 * xt + (1.0 - a) * self.mu0) \
-            / (a * self.var0 + 1.0 - a)
-        return (xt - math.sqrt(a) * x0_mean) / math.sqrt(1.0 - a)
+        x0_mean = (sqrt_a_var0 * xt + prior_term) / denom
+        return (xt - sqrt_a * x0_mean) / sqrt_1ma
+
+    def predict_pair(self, xt: Tensor, t) -> tuple[Tensor, Tensor]:
+        eps = self.predict(xt, t)
+        return eps, eps
 
 
 # ---------------------------------------------------------------------------
@@ -387,16 +427,16 @@ class _Workspace:
 
 
 class PreparedToyDenoiser:
-    """The toy denoiser bound to one condition (or none) and, optionally,
-    one set of timesteps: the inference wiring every toy prediction takes.
+    """The toy denoiser bound to one condition (or none) and one set of
+    timesteps: the inference wiring every toy prediction takes.
 
     The condition is checked and projected to keys and values once. A
     one-token condition's attention output does not depend on h2, so it is
-    kept per batch size. With ``timesteps`` the time-feature rows of all of
-    them come from one ``time_embedding`` call, and only those timesteps may
-    be queried; without, each query computes its own. ``predict`` gives the bound
-    condition's branch, ``predict_pair`` the (unconditional, conditional)
-    pair that classifier-free guidance combines. Both branches see the same
+    kept per batch size. The time-feature rows of all the timesteps come
+    from one ``time_embedding`` call, and only those timesteps may be
+    queried. ``predict`` gives the bound condition's branch,
+    ``predict_pair`` the (unconditional, conditional) pair that
+    classifier-free guidance combines. Both branches see the same
     (xt, t), so the trunk and the attention run once on the batch; only the
     second FF block and the output projection run on the stacked
     [h2, h2 + attention] rows.
@@ -409,7 +449,7 @@ class PreparedToyDenoiser:
     """
 
     def __init__(self, params: ToyDenoiserParams, condition: Optional[ConditionTokens],
-                 timesteps=None):
+                 timesteps):
         self.params = params
         self._kv = None
         if condition is not None:
@@ -420,11 +460,9 @@ class PreparedToyDenoiser:
             self._kv = _project(memory, params.attention)
         self._one_token_out: dict[int, np.ndarray] = {}   # batch size -> output
         self._workspace: dict[int, _Workspace] = {}       # rows -> buffers
-        self._features = None
-        if timesteps is not None:
-            steps = [int(t) for t in timesteps]
-            table = time_embedding(np.asarray(steps, dtype=np.float64), params.time_dim)
-            self._features = {t: table[i:i + 1] for i, t in enumerate(steps)}
+        steps = [int(t) for t in timesteps]
+        table = time_embedding(np.asarray(steps, dtype=np.float64), params.time_dim)
+        self._features = {t: table[i:i + 1] for i, t in enumerate(steps)}
 
     def predict(self, xt: Tensor, t) -> Tensor:
         return self._run(xt, t, pair=False)
@@ -438,12 +476,7 @@ class PreparedToyDenoiser:
         params = self.params
         x, squeeze = _as_batch(params, xt)
         rows = len(x)
-        if self._features is None:
-            temb = _time_features(params, t, rows)
-        elif t in self._features:
-            temb = self._features[t]
-        else:
-            raise ValueError(f"timestep {t} is not one of the prepared timesteps")
+        temb = _prepared(self._features, t)
         total = 2 * rows if pair else rows
         ws = self._workspace.get(total)
         if ws is None:
@@ -471,17 +504,11 @@ class PreparedToyDenoiser:
         return self._one_token_out[len(h2)]
 
 
-def toy_denoiser_forward(params: ToyDenoiserParams, xt: Tensor, t,
-                         condition: Optional[ConditionTokens] = None, *,
-                         pair: bool = False):
-    """Noise prediction with xt's shape; condition may be absent.
-
-    With ``pair=True`` a condition is required, and the result is the
-    (unconditional, conditional) pair that classifier-free guidance
-    combines. One call of ``PreparedToyDenoiser``.
-    """
-    bound = PreparedToyDenoiser(params, condition)
-    return bound.predict_pair(xt, t) if pair else bound.predict(xt, t)
+def toy_denoiser_forward(params: ToyDenoiserParams, xt: Tensor, t: int,
+                         condition: Optional[ConditionTokens] = None) -> Tensor:
+    """Noise prediction with xt's shape at timestep t; condition may be
+    absent. One call of ``PreparedToyDenoiser`` bound to (t,)."""
+    return PreparedToyDenoiser(params, condition, (t,)).predict(xt, t)
 
 
 def _loss_and_grad(params: ToyDenoiserParams, xt: np.ndarray, t,
@@ -552,11 +579,6 @@ class ToyDenoiser:
 
     def predict(self, xt: Tensor, t: int, condition: Optional[ConditionTokens] = None) -> Tensor:
         return toy_denoiser_forward(self.params, xt, t, condition)
-
-    def predict_pair(self, xt: Tensor, t: int, condition: ConditionTokens
-                     ) -> tuple[Tensor, Tensor]:
-        """(unconditional, conditional) noise estimates from one shared-trunk pass."""
-        return toy_denoiser_forward(self.params, xt, t, condition, pair=True)
 
     def prepare(self, condition: Optional[ConditionTokens], timesteps) -> PreparedToyDenoiser:
         """This denoiser bound to one condition and the timesteps of one

@@ -16,9 +16,11 @@ returns the denoised observation exactly.
 A sampling call works out everything that does not depend on the state
 before its loop: a table of every transfer's coefficients (sigma and the
 square roots of abar and of the remainder 1 - abar_next - sigma^2), and
-the predictor bound to the call's condition and timeline when it offers
-``prepare(condition, timesteps)``. Each step is then the predictor's
-arithmetic, the transfer and one finiteness check of the state.
+the predictor bound to the call's condition and timeline by
+``prepare(condition, timesteps)``, the one way ``sample`` queries a
+predictor: each step takes the bound ``predict(xt, t)``, or under guidance
+``cfg_combine`` of the bound ``predict_pair(xt, t)``, then the transfer
+and one finiteness check of the state.
 """
 
 from __future__ import annotations
@@ -217,38 +219,6 @@ def cfg_combine(eps_uncond: Tensor, eps_cond: Tensor, scale: float) -> Tensor:
     return u + float(scale) * (c - u)
 
 
-class _GuidedPredictor:
-    """The noise prediction eps(x, t) of one sampling call, combined by
-    classifier-free guidance when a condition is present and the scale
-    differs from 1.
-
-    A predictor with ``prepare(condition, timesteps)`` is bound to the
-    call once. Any other is queried through ``predict(xt, t, condition)``,
-    and through ``predict_pair(xt, t, condition)`` when it has one, else
-    once per branch.
-    """
-
-    def __init__(self, base, condition, scale: float, timesteps):
-        self._scale = float(scale)
-        self._guided = condition is not None and self._scale != 1.0
-        prepare = getattr(base, "prepare", None)
-        if prepare is not None:
-            bound = prepare(condition, timesteps)
-            self._one, self._pair = bound.predict, bound.predict_pair
-            return
-        self._one = lambda xt, t: base.predict(xt, t, condition)
-        pair = getattr(base, "predict_pair", None)
-        if pair is not None:
-            self._pair = lambda xt, t: pair(xt, t, condition)
-        else:
-            self._pair = lambda xt, t: (base.predict(xt, t, None), base.predict(xt, t, condition))
-
-    def predict(self, xt, t):
-        if not self._guided:
-            return self._one(xt, t)
-        return cfg_combine(*self._pair(xt, t), self._scale)
-
-
 def plms_sample(predictor, plan: SamplingPlan, schedule: NoiseSchedule,
                 condition=None) -> Tensor:
     """``sample`` for a plan whose kind must be 'plms'."""
@@ -261,8 +231,9 @@ def sample(predictor, plan: SamplingPlan, schedule: NoiseSchedule,
            condition=None) -> Tensor:
     """Draw x_T from the plan's seed and run the configured sampler.
 
-    Guidance is applied to every noise prediction when a condition is
-    present and guidance_scale differs from 1. ddpm ignores the plan's eta.
+    The predictor is bound once with ``prepare``. Guidance combines its pair
+    at every step when a condition is present and guidance_scale differs
+    from 1. ddpm ignores the plan's eta.
     Randomness enters through the x_T draw and, when sigma > 0, one draw
     per transfer. The plms warmup re-evaluates the predictor at the next
     timeline entry; when the first transfer targets t = 0 no re-evaluation
@@ -278,8 +249,13 @@ def sample(predictor, plan: SamplingPlan, schedule: NoiseSchedule,
     table, probe_coefs = _transfer_table(plan.timeline, schedule, eta)
     rng = RngStream(plan.seed)
     x = rng.normal((plan.batch, *plan.shape))
-    predict = _GuidedPredictor(predictor, condition, plan.guidance_scale,
-                               plan.timeline.steps).predict
+    bound = predictor.prepare(condition, plan.timeline.steps)
+    scale = plan.guidance_scale
+    if condition is None or scale == 1.0:
+        predict = bound.predict
+    else:
+        def predict(xt, t):
+            return cfg_combine(*bound.predict_pair(xt, t), scale)
     history: deque = deque(maxlen=3)   # plms noise predictions, newest first
     for i, ((t_cur, t_next), row) in enumerate(zip(plan.timeline.pairs(), table)):
         coefs = row.tolist()

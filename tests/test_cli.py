@@ -474,6 +474,31 @@ def test_config_file_uncastable_seed_exits_2(tmp_path, capsys):
     assert "seed='abc'" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("argv,line", [
+    (["toy-train", "--dataset", "8-gaussian-ring", "--steps", 0], "conditional=ture"),
+    (["sample", "--oracle", "--ddim_steps", 5, "--batch", 2], "plot=maybe"),
+])
+def test_config_file_misspelled_boolean_exits_2(tmp_path, capsys, argv, line):
+    # a misspelled switch must not read as false and run the other mode
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert run(argv + ["--config", cfg, "--out", tmp_path / "o"]) == 2
+    key, value = line.split("=")
+    assert f"{key}='{value}' is not a valid boolean" in _one_line_error(capsys)
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+def test_config_file_booleans_accept_every_spelling_in_any_case(tmp_path):
+    for i, value in enumerate(["1", "TRUE", "Yes", "0", "false", "NO"]):
+        cfg = tmp_path / f"run{i}.cfg"
+        cfg.write_text(f"conditional={value}\n")
+        out = tmp_path / f"o{i}"
+        assert run(["toy-train", "--dataset", "8-gaussian-ring", "--steps", 0,
+                    "--config", cfg, "--out", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["conditional"] is (i < 3)
+
+
 def test_toy_train_negative_seed_exits_2(tmp_path, capsys):
     assert run(["toy-train", "--dataset", "8-gaussian-ring", "--steps", 0,
                 "--seed", -1, "--out", tmp_path / "o"]) == 2

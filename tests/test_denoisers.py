@@ -177,6 +177,41 @@ def test_oracle_rejects_negative_variance(default_schedule):
         GaussianOracle(mu0=np.zeros(1), var0=-0.1, schedule=default_schedule)
 
 
+def _closed_form_oracle(oracle, xt, t):
+    """The oracle's noise prediction, written out with one schedule lookup."""
+    a = oracle.schedule.alpha_bar(t)
+    x0_mean = (math.sqrt(a) * oracle.var0 * xt + (1.0 - a) * oracle.mu0) \
+        / (a * oracle.var0 + 1.0 - a)
+    return (xt - math.sqrt(a) * x0_mean) / math.sqrt(1.0 - a)
+
+
+@pytest.mark.parametrize("batch", [1, 2000])
+def test_prepared_oracle_matches_predict_bit_for_bit(default_schedule, batch):
+    from artdiff.schedule import subsequence
+
+    oracle = GaussianOracle(mu0=np.array([3.0, -1.0]), var0=0.25, schedule=default_schedule)
+    x = RngStream(7).normal((batch, 2))
+    for timeline in (subsequence(default_schedule, 200),
+                     subsequence(default_schedule, default_schedule.T)):
+        bound = oracle.prepare(None, timeline.steps)
+        for t in timeline.steps:
+            got = bound.predict(x, t)
+            assert got.tobytes() == oracle.predict(x, t).tobytes()
+            assert got.tobytes() == _closed_form_oracle(oracle, x, t).tobytes()
+    # the condition is ignored: the guidance pair is the prediction twice
+    pair = oracle.prepare(np.ones((1, 4)), (10,)).predict_pair(x, 10)
+    assert all(eps.tobytes() == oracle.predict(x, 10).tobytes() for eps in pair)
+
+
+def test_prepared_oracle_rejects_unprepared_and_out_of_range_timesteps(default_schedule):
+    oracle = GaussianOracle(mu0=np.zeros(2), var0=1.0, schedule=default_schedule)
+    with pytest.raises(ValueError, match="timestep 7"):
+        oracle.prepare(None, (10, 5)).predict(np.zeros((2, 2)), 7)
+    for steps in ((0, 5), (default_schedule.T + 1,)):
+        with pytest.raises(ValueError, match="timesteps must lie in"):
+            oracle.prepare(None, steps)
+
+
 # ---------------------------------------------------------------------------
 # time embedding
 # ---------------------------------------------------------------------------
@@ -540,7 +575,7 @@ def test_fused_guidance_pair_matches_two_forward_calls(batch):
     cond = rng.child("c").normal((1, 16))
     xt = rng.child("x").normal((2,) if batch == 1 else (batch, 2))
     for t in (1, 37, 999):
-        uncond, conditioned = toy_denoiser_forward(p, xt, t, cond, pair=True)
+        uncond, conditioned = ToyDenoiser(p).prepare(cond, (t,)).predict_pair(xt, t)
         ref_u = toy_denoiser_forward(p, xt, t)
         ref_c = toy_denoiser_forward(p, xt, t, cond)
         assert uncond.shape == conditioned.shape == xt.shape
@@ -548,15 +583,6 @@ def test_fused_guidance_pair_matches_two_forward_calls(batch):
         assert _rel_err(conditioned, ref_c) <= 1e-12
         assert _rel_err(cfg_combine(uncond, conditioned, 5.0),
                         cfg_combine(ref_u, ref_c, 5.0)) <= 1e-12
-    pair = ToyDenoiser(p).predict_pair(xt, 37, cond)
-    assert all(np.array_equal(a, b)
-               for a, b in zip(pair, toy_denoiser_forward(p, xt, 37, cond, pair=True)))
-
-
-def test_fused_guidance_pair_needs_condition():
-    p = init_toy_denoiser(RngStream(41), 2)
-    with pytest.raises(ValueError):
-        toy_denoiser_forward(p, np.zeros((3, 2)), 5, pair=True)
 
 
 def test_attend_shared_memory_matches_per_row_memory():
@@ -624,7 +650,6 @@ def _reference_pair(p, xt, t, cond):
 
 @pytest.mark.parametrize("batch", [1, 7])
 def test_prepared_predictor_matches_forward_bit_for_bit(default_schedule, batch):
-    from artdiff.samplers import _GuidedPredictor, cfg_combine
     from artdiff.schedule import subsequence
 
     rng = RngStream(45)
@@ -633,29 +658,21 @@ def test_prepared_predictor_matches_forward_bit_for_bit(default_schedule, batch)
     steps = subsequence(default_schedule, 200).steps
     bound = ToyDenoiser(p).prepare(cond, steps)
     plain = ToyDenoiser(p).prepare(None, steps)
-    guided = _GuidedPredictor(ToyDenoiser(p), cond, 5.0, steps)
-    scale1 = _GuidedPredictor(ToyDenoiser(p), cond, 1.0, steps)
-    unguided = _GuidedPredictor(ToyDenoiser(p), None, 5.0, steps)
     x = rng.child("x").normal((batch, 2))
     for t in steps:
         single = toy_denoiser_forward(p, x, t, cond)
         uncond = toy_denoiser_forward(p, x, t)
-        pair = toy_denoiser_forward(p, x, t, cond, pair=True)
         assert np.array_equal(bound.predict(x, t), single)
         assert np.array_equal(single, _reference_forward(p, x, t, cond))
         assert np.array_equal(plain.predict(x, t), uncond)
         assert np.array_equal(uncond, _reference_forward(p, x, t, None))
-        for got, want, ref in zip(bound.predict_pair(x, t), pair,
-                                  _reference_pair(p, x, t, cond)):
-            assert np.array_equal(got, want) and np.array_equal(want, ref)
-        assert np.array_equal(guided.predict(x, t), cfg_combine(*pair, 5.0))
-        assert np.array_equal(scale1.predict(x, t), single)
-        assert np.array_equal(unguided.predict(x, t), uncond)
+        for got, ref in zip(bound.predict_pair(x, t), _reference_pair(p, x, t, cond)):
+            assert np.array_equal(got, ref)
     # a single sample as a 1D vector keeps its shape
     pair = bound.predict_pair(x[0], steps[3])
     assert pair[0].shape == pair[1].shape == (2,)
-    for got, want in zip(pair, toy_denoiser_forward(p, x[0], steps[3], cond, pair=True)):
-        assert np.array_equal(got, want)
+    for got, ref in zip(pair, _reference_pair(p, x[:1], steps[3], cond)):
+        assert np.array_equal(got, ref[0])
     assert np.array_equal(bound.predict(x[0], steps[3]),
                           toy_denoiser_forward(p, x[0], steps[3], cond))
 
@@ -669,6 +686,15 @@ def test_prepared_predictor_rejects_unprepared_timestep_and_missing_condition():
         bound.predict_pair(np.zeros((2, 2)), 10)
     with pytest.raises(ValueError, match="width"):
         ToyDenoiser(p).prepare(np.zeros((1, 3)), (10,))
+
+
+@pytest.mark.parametrize("dim", [2, 4, 16, 64])
+def test_time_feature_table_rows_equal_scalar_features(dim):
+    # a prepared predictor reads one table of every timestep's features,
+    # toy_denoiser_forward a one-row table; both equal the scalar features
+    table = time_embedding(np.arange(1, 2001, dtype=np.float64), dim)
+    for t in range(1, 2001):
+        assert np.array_equal(table[t - 1], time_embedding(t, dim))
 
 
 @pytest.mark.parametrize("n_tokens", [1, 3])

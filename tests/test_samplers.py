@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,24 @@ from artdiff.samplers import (SamplingPlan, cfg_combine, ddim_sigma, ddim_step,
 from artdiff.schedule import SamplingTimeline, linear_schedule, subsequence
 
 
-class ConstantPredictor:
+class FakePredictor:
+    """Base of the fakes passed to ``sample``: gives them the ``prepare``
+    of the predictor contract, bound to ``predict(xt, t, condition)`` at the
+    prepared timesteps and, for the guidance pair, also at no condition."""
+
+    def prepare(self, condition, timesteps):
+        steps = set(timesteps)
+
+        def predict(xt, t, cond=condition):
+            if t not in steps:
+                raise ValueError(f"timestep {t} is not one of the prepared timesteps")
+            return self.predict(xt, t, cond)
+
+        return SimpleNamespace(predict=predict,
+                               predict_pair=lambda xt, t: (predict(xt, t, None), predict(xt, t)))
+
+
+class ConstantPredictor(FakePredictor):
     def __init__(self, value):
         self.value = float(value)
 
@@ -23,7 +41,7 @@ class ConstantPredictor:
         return np.full(np.shape(xt), self.value)
 
 
-class CondSensitivePredictor:
+class CondSensitivePredictor(FakePredictor):
     """Unconditional branch returns 0, conditional branch returns 1."""
 
     def predict(self, xt, t, condition=None):
@@ -511,55 +529,6 @@ def test_plms_tracks_fine_ddim_reference():
     assert err_plms < err_ddim / 5
 
 
-class PairPredictor(CondSensitivePredictor):
-    """Offers both branches from one call; counts the calls of each kind."""
-
-    def __init__(self):
-        self.calls = {"predict": 0, "predict_pair": 0}
-
-    def predict(self, xt, t, condition=None):
-        self.calls["predict"] += 1
-        return super().predict(xt, t, condition)
-
-    def predict_pair(self, xt, t, condition):
-        self.calls["predict_pair"] += 1
-        return np.zeros(np.shape(xt)), np.ones(np.shape(xt))
-
-
-@pytest.mark.parametrize("kind", ["ddim", "plms"])
-def test_guidance_uses_one_pair_call_per_step_when_offered(default_schedule, kind):
-    cond = np.ones((1, 3))
-    plan = make_plan(default_schedule, kind, 10, guidance_scale=5.0)
-    pair_pred = PairPredictor()
-    paired = sample(pair_pred, plan, default_schedule, condition=cond)
-    two_calls = sample(CondSensitivePredictor(), plan, default_schedule, condition=cond)
-    assert np.array_equal(paired, two_calls)
-    assert pair_pred.calls["predict"] == 0
-    assert pair_pred.calls["predict_pair"] == (11 if kind == "plms" else 10)
-    # unguided runs never ask for the pair
-    sample(pair_pred, make_plan(default_schedule, kind, 10, guidance_scale=5.0),
-           default_schedule)
-    assert pair_pred.calls["predict_pair"] == (11 if kind == "plms" else 10)
-
-
-def test_toy_denoiser_guided_sampling_matches_two_call_path(default_schedule):
-    from artdiff.denoisers import ToyDenoiser, init_toy_denoiser
-
-    class TwoCallToy:
-        """The toy denoiser without its pair method."""
-
-        def __init__(self, params):
-            self.predict = ToyDenoiser(params).predict
-
-    params = init_toy_denoiser(RngStream(31), 2)
-    cond = RngStream(32).normal((1, 16))
-    for kind in ("ddim", "plms"):
-        plan = make_plan(default_schedule, kind, 20, batch=64, eta=1.0, guidance_scale=5.0)
-        fused = sample(ToyDenoiser(params), plan, default_schedule, cond)
-        two = sample(TwoCallToy(params), plan, default_schedule, cond)
-        assert float(np.max(np.abs(fused - two))) <= 1e-12 * float(np.max(np.abs(two)))
-
-
 # ---------------------------------------------------------------------------
 # the per-call transfer table, prepared predictors and per-step overhead
 # ---------------------------------------------------------------------------
@@ -631,10 +600,14 @@ def test_sample_prepares_the_predictor_once_per_call(default_schedule, kind):
     assert pred.prepared_with == plan.timeline.steps
     sample(pred, plan, default_schedule)            # unguided: the single branch
     assert pred.calls == {"prepare": 2, "predict": evaluations, "predict_pair": evaluations}
+    scale1 = make_plan(default_schedule, kind, 10, guidance_scale=1.0)
+    sample(pred, scale1, default_schedule, cond)    # scale 1: the conditional branch alone
+    assert pred.calls == {"prepare": 3, "predict": 2 * evaluations,
+                          "predict_pair": evaluations}
 
 
 def test_sample_checks_prediction_shape(default_schedule):
-    class WrongShape:
+    class WrongShape(FakePredictor):
         def predict(self, xt, t, condition=None):
             return np.zeros((1, 2))
 
@@ -679,3 +652,28 @@ def test_guided_sample_has_no_per_step_overhead(monkeypatch):
     assert counts["check_step"] == 0
     # per step: the denoiser output and the state; once: the condition
     assert counts["require_finite"] == 2 * 200 + 1
+
+
+@pytest.mark.parametrize("kind", ["ddim", "plms"])
+def test_oracle_sample_schedule_lookups_do_not_grow_with_steps(monkeypatch, kind):
+    # a count guard, no timing: the prepared oracle reads the schedule table
+    # once per call, so a 200-step call makes as many check_step calls as a
+    # 2-step one; its guidance pair is one prediction twice
+    from artdiff.schedule import NoiseSchedule
+
+    calls = []
+    check_step = NoiseSchedule.check_step
+    monkeypatch.setattr(NoiseSchedule, "check_step",
+                        lambda self, *a, **k: calls.append(1) or check_step(self, *a, **k))
+    s = linear_schedule(1000)
+    oracle = GaussianOracle(mu0=np.array([3.0, -1.0]), var0=0.25, schedule=s)
+    counts = {}
+    for steps in (2, 200):
+        plan = SamplingPlan(timeline=subsequence(s, steps), kind=kind, shape=(2,), seed=56,
+                            batch=3, eta=1.0, guidance_scale=5.0)
+        calls.clear()
+        guided = sample(oracle, plan, s, np.ones((1, 4)))
+        counts[steps] = len(calls)
+        assert np.array_equal(guided, sample(oracle, plan, s))
+    assert counts[200] == counts[2]
+
