@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -461,7 +462,10 @@ def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
 MU0_HELP = "oracle data mean, comma-separated, e.g. --mu0 -1.4,2 or --mu0=-1.4,2"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: parsing leaves
+    it unchanged, so every ``main`` call and ``_config_keys`` share it."""
     parser = argparse.ArgumentParser(prog="artdiff",
                                      description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -18,11 +18,14 @@ training leaves both at their initial values.
 Both predictors keep one contract, ``EpsilonPredictor``: ``predict`` for
 a single evaluation, ``prepare`` to bind one sampling call, the only way
 the sampler queries them. The oracle's binding looks alpha_bar up once
-per timestep. The toy's, ``PreparedToyDenoiser``, checks and projects the
-condition once, keeps a one-token attention output per batch size, and
-takes all time features from one ``time_embedding`` call. Its trunk and
-head write each stage into a per-call workspace of buffers, one set per
-row count, and its predictions are fresh arrays that never alias it.
+per timestep and writes the stages of the posterior mean into a workspace
+per state shape, which holds mu0 tiled to that shape. The toy's,
+``PreparedToyDenoiser``, checks and projects the condition once, keeps a
+one-token attention output per batch size, and takes all time features
+from one ``time_embedding`` call. Its trunk and head write each stage into
+a per-call workspace of buffers, one set per row count, and add each bias
+as a (1, width) row. Both bindings return fresh predictions that never
+alias their workspace, so a caller (plms) may keep them across calls.
 """
 
 from __future__ import annotations
@@ -109,22 +112,43 @@ class PreparedGaussianOracle:
     """A ``GaussianOracle`` bound to the timesteps of one sampling call:
     alpha_bar is read from the schedule's table and the factors of the
     posterior mean are computed once per timestep. The oracle ignores the
-    condition, so ``predict_pair`` is the same prediction twice."""
+    condition, so ``predict_pair`` is the same prediction twice.
+
+    Each state shape gets a workspace on first use: mu0 tiled to that shape
+    and one scratch buffer. The prior term is (1 - abar) times the tile,
+    elementwise the same product as (1 - abar) mu0 broadcast over the rows,
+    so the add that follows runs over equal shapes. Every stage is written
+    in place; the returned prediction is a fresh array that never aliases
+    the workspace, because plms keeps past predictions.
+    """
 
     def __init__(self, oracle: GaussianOracle, timesteps):
         steps = [int(t) for t in timesteps]
-        schedule, mu0, var0 = oracle.schedule, oracle.mu0, oracle.var0
+        schedule, var0 = oracle.schedule, oracle.var0
         if any(not 1 <= t <= schedule.T for t in steps):
             raise ValueError(f"timesteps must lie in [1, {schedule.T}]")
+        self._mu0 = oracle.mu0
         abar = schedule.alpha_bars[np.asarray(steps, dtype=np.int64) - 1].tolist()
-        self._factors = {t: (math.sqrt(a) * var0, (1.0 - a) * mu0, a * var0 + 1.0 - a,
+        self._factors = {t: (math.sqrt(a) * var0, 1.0 - a, a * var0 + 1.0 - a,
                              math.sqrt(a), math.sqrt(1.0 - a)) for t, a in zip(steps, abar)}
+        self._workspace: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 
     def predict(self, xt: Tensor, t) -> Tensor:
-        sqrt_a_var0, prior_term, denom, sqrt_a, sqrt_1ma = _prepared(self._factors, t)
+        sqrt_a_var0, one_m_a, denom, sqrt_a, sqrt_1ma = _prepared(self._factors, t)
         xt = np.asarray(xt, dtype=np.float64)
-        x0_mean = (sqrt_a_var0 * xt + prior_term) / denom
-        return (xt - sqrt_a * x0_mean) / sqrt_1ma
+        ws = self._workspace.get(xt.shape)
+        if ws is None:
+            tile = np.broadcast_to(self._mu0, xt.shape).copy()   # C order, as xt
+            ws = self._workspace[xt.shape] = (tile, np.empty_like(tile))
+        tile, scratch = ws
+        prior = np.multiply(one_m_a, tile, out=scratch)
+        eps = np.multiply(sqrt_a_var0, xt)
+        eps += prior
+        eps /= denom                                   # E[x0 | xt]
+        np.multiply(sqrt_a, eps, out=scratch)
+        np.subtract(xt, scratch, out=eps)
+        eps /= sqrt_1ma
+        return eps
 
     def predict_pair(self, xt: Tensor, t) -> tuple[Tensor, Tensor]:
         eps = self.predict(xt, t)
@@ -242,6 +266,7 @@ _PARAM_ORDER = (
     "ff2_w1", "ff2_b1", "ff2_w2", "ff2_b2",
     "w_out", "b_out",
 )
+_BIASES = ("b_in", "ff1_b1", "ff1_b2", "ff2_b1", "ff2_b2", "b_out")
 
 
 @dataclass(frozen=True)
@@ -458,6 +483,10 @@ class PreparedToyDenoiser:
                 raise ValueError(f"condition tokens have width {memory.shape[1]}, "
                                  f"expected {params.cond_width}")
             self._kv = _project(memory, params.attention)
+        # the trunk and head add each bias as a (1, width) row: at one row
+        # numpy then takes its same-shape path instead of a broadcast
+        self._row_params = replace(params, **{name: getattr(params, name)[None, :]
+                                              for name in _BIASES})
         self._one_token_out: dict[int, np.ndarray] = {}   # batch size -> output
         self._workspace: dict[int, _Workspace] = {}       # rows -> buffers
         steps = [int(t) for t in timesteps]
@@ -473,7 +502,7 @@ class PreparedToyDenoiser:
         return self._run(xt, t, pair=True)
 
     def _run(self, xt, t, pair: bool):
-        params = self.params
+        params = self._row_params
         x, squeeze = _as_batch(params, xt)
         rows = len(x)
         temb = _prepared(self._features, t)

@@ -24,7 +24,7 @@ def tensor(data) -> Tensor:
 
 
 def require_finite(x: Tensor, name: str = "value") -> None:
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError(f"{name} contains non-finite elements")
 
 
@@ -73,10 +73,15 @@ class RngStream:
         """Derive an independent labeled substream."""
         return RngStream(self.seed, self._path + (str(label),))
 
-    def normal(self, shape) -> Tensor:
-        """Draw i.i.d. standard normal values of the given shape."""
+    def normal(self, shape, out: Tensor | None = None) -> Tensor:
+        """Draw i.i.d. standard normal values of the given shape.
+
+        ``out`` optionally is a C-contiguous float64 buffer of that shape to
+        fill and return (ValueError for any other shape); the values and the
+        draw count are those of a fresh draw.
+        """
         shape = _check_shape(shape)
-        out = self._gen.standard_normal(shape, dtype=np.float64)
+        out = self._gen.standard_normal(shape, dtype=np.float64, out=out)
         self.draws += out.size
         return out
 

@@ -21,6 +21,13 @@ the predictor bound to the call's condition and timeline by
 predictor: each step takes the bound ``predict(xt, t)``, or under guidance
 ``cfg_combine`` of the bound ``predict_pair(xt, t)``, then the transfer
 and one finiteness check of the state.
+
+The loop allocates its buffers once per call: the state, x0_pred, one
+scratch term and the noise draw. Each transfer writes its stages into them
+with the same operations in the same order as the fresh-array form, so the
+bits do not depend on which form ran. The plms warm-up probe is a fresh
+transfer and never overwrites the state. Predictions are never written
+to: plms keeps the last three.
 """
 
 from __future__ import annotations
@@ -74,26 +81,34 @@ class SamplingPlan:
         object.__setattr__(self, "seed", int(self.seed))
 
 
-def _denoised(xt: np.ndarray, eps: np.ndarray, sqrt_1m_ac: float, sqrt_ac: float) -> np.ndarray:
-    """(x_t - sqrt(1 - abar_t) eps) / sqrt(abar_t)."""
-    return (xt - sqrt_1m_ac * eps) / sqrt_ac
-
-
-def _transfer(xt: np.ndarray, eps: np.ndarray, coefs, rng: RngStream | None
+def _transfer(xt: np.ndarray, eps: np.ndarray, coefs, rng: RngStream | None, out=None
               ) -> tuple[np.ndarray, np.ndarray]:
     """The DDIM transfer sqrt(abar_next) x0_pred + sqrt(rem) eps, plus sigma
     times a fresh normal draw when sigma > 0; returns (x_next, x0_pred).
 
     ``coefs`` is (sqrt(1 - abar_cur), sqrt(abar_cur), sqrt(abar_next),
-    sqrt(rem), sigma) with rem = 1 - abar_next - sigma^2.
+    sqrt(rem), sigma) with rem = 1 - abar_next - sigma^2. ``out`` optionally
+    holds four buffers of xt's shape that x_next, x0_pred, a scratch term
+    and the noise draw are written into; x_next may be xt itself, which is
+    read only before it is written. Without ``out`` each is a fresh array.
+    Either way the operations and their order are those of x0_pred =
+    (xt - sqrt(1 - abar_cur) eps) / sqrt(abar_cur) and the expression
+    above, so the bits are the same.
     """
     sqrt_1m_ac, sqrt_ac, sqrt_an, sqrt_rem, sigma = coefs
-    x0_pred = _denoised(xt, eps, sqrt_1m_ac, sqrt_ac)
-    x_next = sqrt_an * x0_pred + sqrt_rem * eps
+    x_next, x0_pred, scratch, noise = out if out is not None else (None, None, None, None)
+    scratch = np.multiply(sqrt_1m_ac, eps, out=scratch)
+    np.subtract(xt, scratch, out=scratch)
+    x0_pred = np.divide(scratch, sqrt_ac, out=x0_pred)
+    x_next = np.multiply(sqrt_an, x0_pred, out=x_next)
+    np.multiply(sqrt_rem, eps, out=scratch)
+    x_next += scratch
     if sigma > 0.0:
         if rng is None:
             raise ValueError("sigma > 0 requires an RngStream")
-        x_next = x_next + sigma * rng.normal(x_next.shape)
+        noise = rng.normal(x_next.shape, out=noise)
+        noise *= sigma
+        x_next += noise
     return x_next, x0_pred
 
 
@@ -104,8 +119,8 @@ def predict_x0(xt: Tensor, eps: Tensor, t: int, schedule: NoiseSchedule) -> Tens
     a = schedule.alpha_bar(t)
     if a <= 0.0:
         raise ValueError("alpha_bar vanished; denoised observation is singular")
-    return _denoised(np.asarray(xt, dtype=np.float64), np.asarray(eps, dtype=np.float64),
-                     math.sqrt(1.0 - a), math.sqrt(a))
+    xt, eps = np.asarray(xt, dtype=np.float64), np.asarray(eps, dtype=np.float64)
+    return (xt - math.sqrt(1.0 - a) * eps) / math.sqrt(a)
 
 
 def ddim_sigma(eta: float, t_cur: int, t_next: int, schedule: NoiseSchedule) -> float:
@@ -249,6 +264,7 @@ def sample(predictor, plan: SamplingPlan, schedule: NoiseSchedule,
     table, probe_coefs = _transfer_table(plan.timeline, schedule, eta)
     rng = RngStream(plan.seed)
     x = rng.normal((plan.batch, *plan.shape))
+    buffers = (x, np.empty_like(x), np.empty_like(x), np.empty_like(x))   # state first
     bound = predictor.prepare(condition, plan.timeline.steps)
     scale = plan.guidance_scale
     if condition is None or scale == 1.0:
@@ -257,8 +273,7 @@ def sample(predictor, plan: SamplingPlan, schedule: NoiseSchedule,
         def predict(xt, t):
             return cfg_combine(*bound.predict_pair(xt, t), scale)
     history: deque = deque(maxlen=3)   # plms noise predictions, newest first
-    for i, ((t_cur, t_next), row) in enumerate(zip(plan.timeline.pairs(), table)):
-        coefs = row.tolist()
+    for i, ((t_cur, t_next), coefs) in enumerate(zip(plan.timeline.pairs(), table.tolist())):
         eps = predict(x, t_cur)
         if i == 0:
             require_same_shape(eps, x, "prediction and state")
@@ -267,9 +282,9 @@ def sample(predictor, plan: SamplingPlan, schedule: NoiseSchedule,
             if history:
                 e = plms_combine(eps, history)
             elif t_next >= 1:
-                probe, _ = _transfer(x, eps, probe_coefs, None)
+                probe, _ = _transfer(x, eps, probe_coefs, None)   # fresh: x stays the state
                 e = 0.5 * (eps + predict(probe, t_next))
             history.appendleft(eps)
-        x, _ = _transfer(x, e, coefs, rng)
+        _transfer(x, e, coefs, rng, buffers)
         require_finite(x, "sample state")
     return x

@@ -113,14 +113,20 @@ def linear_schedule(T: int = DEFAULT_T,
 
 
 def subsequence(schedule: NoiseSchedule, num_steps: int) -> SamplingTimeline:
-    """Uniformly strided descending timeline of num_steps indices from T down.
+    """Evenly spread descending timeline of num_steps indices from T down to
+    s = T // num_steps.
 
-    The stride is floor(T / num_steps), so the timeline starts at T and its
-    last entry lands within one stride of t = 1.
+    Entry i is T - (i (T - s)) // (num_steps - 1), so neighbouring gaps
+    differ by at most one and none is shorter than the last transfer, from
+    s to the virtual t = 0. When num_steps divides T this is the stride-s
+    timeline T, T - s, ..., s; one step gives (T,).
     """
     num_steps = int(num_steps)
     T = schedule.T
     if not 1 <= num_steps <= T:
         raise ValueError(f"num_steps must lie in [1, {T}], got {num_steps}")
-    stride = T // num_steps
-    return SamplingTimeline(steps=tuple(T - i * stride for i in range(num_steps)))
+    if num_steps == 1:
+        return SamplingTimeline(steps=(T,))
+    span = T - T // num_steps
+    return SamplingTimeline(steps=tuple(T - (i * span) // (num_steps - 1)
+                                        for i in range(num_steps)))

@@ -179,6 +179,13 @@ PINNED_RUNS = {
     "plms-unguided": ["--sampler", "plms"],
     "oracle-ddim": ["--oracle", "--mu0", "3,-1", "--var0", 0.25, "--timesteps", 100,
                     "--ddim_steps", 20, "--sampler", "ddim"],
+    "oracle-plms": ["--oracle", "--mu0", "3,-1", "--var0", 0.25, "--timesteps", 100,
+                    "--ddim_steps", 20, "--sampler", "plms"],
+    "oracle-ddpm": ["--oracle", "--mu0", "3,-1", "--var0", 0.25, "--timesteps", 100,
+                    "--ddim_steps", 100, "--sampler", "ddpm"],
+    # one row: the guided pair and the loop buffers at their smallest
+    "ddim-guided-b1": ["--sampler", "ddim", "--label", 3, "--scale", 5, "--batch", 1],
+    "plms-guided-b1": ["--sampler", "plms", "--label", 3, "--scale", 5, "--batch", 1],
 }
 
 
@@ -197,7 +204,7 @@ def test_sample_bytes_are_pinned(tmp_path, pin_checkpoint, name):
     argv = PINNED_RUNS[name]
     if "--oracle" not in argv:
         argv = ["--checkpoint", pin_checkpoint, "--ddim_steps", 10, *argv]
-    assert run(["sample", *argv, "--batch", 8, "--seed", 2, "--out", tmp_path]) == 0
+    assert run(["sample", "--batch", 8, "--seed", 2, *argv, "--out", tmp_path]) == 0
     assert (tmp_path / "samples.csv").read_bytes() == \
         (SAMPLE_PINS / f"{name}.csv").read_bytes()
 
@@ -720,3 +727,21 @@ def test_config_file_rejects_repeated_key(tmp_path, capsys):
     cfg.write_text("oracle=true\nddim_steps=5\nbatch=2\nddim_steps=6\n")
     assert run(["sample", "--config", cfg, "--out", tmp_path / "o"]) == 2
     assert f"{cfg}:4: key 'ddim_steps' is already set on line 2" in _one_line_error(capsys)
+
+
+def test_parser_is_built_once_per_process():
+    from artdiff.cli import _config_keys, build_parser
+
+    assert build_parser() is build_parser()
+    assert {"timesteps", "ddim_steps", "delimiter"} <= _config_keys()
+
+
+def test_bad_flag_after_a_good_call_still_exits_2(tmp_path, capsys):
+    # the shared parser keeps no state from one call to the next
+    assert run(["schedule-dump", "--timesteps", 10, "--out", tmp_path / "a"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        run(["schedule-dump", "--bogus", 1, "--out", tmp_path / "b"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert run(["schedule-dump", "--timesteps", 10, "--out", tmp_path / "c"]) == 0
+    assert read_all(tmp_path / "a")["schedule.csv"] == read_all(tmp_path / "c")["schedule.csv"]

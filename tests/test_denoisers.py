@@ -203,6 +203,46 @@ def test_prepared_oracle_matches_predict_bit_for_bit(default_schedule, batch):
     assert all(eps.tobytes() == oracle.predict(x, 10).tobytes() for eps in pair)
 
 
+def test_prepared_oracle_predictions_never_alias_its_workspace(default_schedule):
+    # plms keeps earlier predictions, so a later call must not overwrite
+    # them: each result stays bit-identical to a copy taken when returned
+    oracle = GaussianOracle(mu0=np.array([3.0, -1.0]), var0=0.25, schedule=default_schedule)
+    steps = (900, 400, 120, 3)
+    bound = oracle.prepare(None, steps)
+    rng = RngStream(8)
+    kept = []
+    for i, batch in enumerate((20000, 1, 7, 20000)):
+        x = rng.child(f"x{i}").normal((batch, 2))
+        for t in steps:
+            for result in (bound.predict(x, t), *bound.predict_pair(x, t)):
+                kept.append((result, result.copy()))
+            assert result.tobytes() == _closed_form_oracle(oracle, x, t).tobytes()
+    assert sorted(bound._workspace) == [(1, 2), (7, 2), (20000, 2)]
+    for result, copy in kept:
+        assert result.tobytes() == copy.tobytes()
+        assert not any(np.shares_memory(result, buf)
+                       for ws in bound._workspace.values() for buf in ws)
+
+
+def test_prepared_oracle_allocates_only_its_prediction(default_schedule):
+    # a repeat B=20000 prediction writes its stages into the workspace;
+    # numpy reports its buffers to tracemalloc, so the traced peak stays
+    # below two (B, d) arrays: the returned prediction is the only one
+    import tracemalloc
+
+    oracle = GaussianOracle(mu0=np.array([3.0, -1.0]), var0=0.25, schedule=default_schedule)
+    bound = oracle.prepare(None, (500, 499))
+    x = RngStream(9).normal((20000, 2))
+    bound.predict(x, 500)     # allocates the workspace
+    tracemalloc.start()
+    try:
+        bound.predict(x, 499)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * x.nbytes
+
+
 def test_prepared_oracle_rejects_unprepared_and_out_of_range_timesteps(default_schedule):
     oracle = GaussianOracle(mu0=np.zeros(2), var0=1.0, schedule=default_schedule)
     with pytest.raises(ValueError, match="timestep 7"):

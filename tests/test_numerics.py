@@ -136,3 +136,23 @@ def test_softmax_shift_invariance_and_normalization():
 def test_softmax_empty_errors():
     with pytest.raises(ValueError):
         softmax(np.array([]))
+
+
+def test_normal_into_a_buffer_equals_a_fresh_draw():
+    filled, fresh = RngStream(21), RngStream(21)
+    buf = np.full((5, 3), np.nan)
+    for _ in range(3):     # the buffer is refilled; the stream advances as a fresh one does
+        got = filled.normal((5, 3), out=buf)
+        assert got is buf
+        assert got.tobytes() == fresh.normal((5, 3)).tobytes()
+        assert filled.draws == fresh.draws
+    assert filled.normal((2,)).tobytes() == fresh.normal((2,)).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (15,), (5, 3, 1)])
+def test_normal_rejects_a_buffer_of_the_wrong_shape(shape):
+    rng = RngStream(22)
+    with pytest.raises(ValueError):
+        rng.normal((5, 3), out=np.empty(shape))
+    assert rng.draws == 0
+    assert rng.normal((5, 3)).tobytes() == RngStream(22).normal((5, 3)).tobytes()

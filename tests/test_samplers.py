@@ -677,3 +677,90 @@ def test_oracle_sample_schedule_lookups_do_not_grow_with_steps(monkeypatch, kind
         assert np.array_equal(guided, sample(oracle, plan, s))
     assert counts[200] == counts[2]
 
+
+# ---------------------------------------------------------------------------
+# the loop's buffers
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("sigma", [0.0, 0.4])
+def test_transfer_into_buffers_equals_fresh_arrays(sigma):
+    # the loop's x_next buffer is the state itself, read before it is written
+    x = RngStream(60).normal((7, 2))
+    eps = RngStream(61).normal((7, 2))
+    coefs = (0.8, 0.6, 0.7, 0.5, sigma)
+    r1, r2 = RngStream(62), RngStream(62)
+    want = samplers._transfer(x, eps, coefs, r1)
+    state = x.copy()
+    buffers = (state, np.empty_like(x), np.empty_like(x), np.empty_like(x))
+    got = samplers._transfer(state, eps, coefs, r2, buffers)
+    assert got[0] is state and got[1] is buffers[1]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    assert r1.draws == r2.draws
+
+
+def test_transfer_into_buffers_allocates_nothing():
+    # numpy reports its buffers to tracemalloc, so the traced peak of an
+    # eta-1 transfer at B=20000, noise draw included, stays below one
+    # (B, d) array
+    import tracemalloc
+
+    x = RngStream(63).normal((20000, 2))
+    eps = RngStream(64).normal((20000, 2))
+    rng = RngStream(65)
+    buffers = (x, np.empty_like(x), np.empty_like(x), np.empty_like(x))
+    coefs = (0.8, 0.6, 0.7, 0.5, 0.1)
+    samplers._transfer(x, eps, coefs, rng, buffers)
+    tracemalloc.start()
+    try:
+        samplers._transfer(x, eps, coefs, rng, buffers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes
+
+
+def test_sample_returns_its_state_and_keeps_each_prediction():
+    # plms keeps the predictions it was given; a predictor that records
+    # them sees none of them overwritten by the loop's buffers
+    class Recording(FakePredictor):
+        def __init__(self):
+            self.seen = []
+
+        def predict(self, xt, t, condition=None):
+            eps = 0.1 * xt + 0.01 * t
+            self.seen.append((xt, eps, eps.copy()))
+            return eps
+
+    s = linear_schedule(100)
+    pred = Recording()
+    sample(pred, SamplingPlan(timeline=subsequence(s, 10), kind="plms", shape=(2,),
+                              seed=66, batch=5), s)
+    assert len(pred.seen) == 11
+    for _, eps, copy in pred.seen:
+        assert eps.tobytes() == copy.tobytes()
+    # the warm-up probe is a fresh array; the state is one buffer
+    states = [xt for xt, _, _ in pred.seen]
+    assert states[1] is not states[0] and all(xt is states[0] for xt in states[2:])
+
+
+def _exact_flow_endpoint(x_T, oracle, abar_T):
+    """The probability-flow ODE of N(mu0, var0 I) data, solved from abar_T
+    to t = 0 in closed form."""
+    mu0, var0 = oracle.mu0, oracle.var0
+    return mu0 + math.sqrt(var0 / (abar_T * var0 + 1.0 - abar_T)) * (x_T - math.sqrt(abar_T) * mu0)
+
+
+def test_ddim_past_a_divisor_step_count_stays_as_accurate():
+    # 501 steps of T = 1000 used to end at t = 500 and jump to t = 0 in one
+    # transfer; the evenly spread timeline ends at t = 1
+    s = linear_schedule(1000)
+    oracle = GaussianOracle(mu0=np.array([3.0, -1.0]), var0=0.25, schedule=s)
+    exact = _exact_flow_endpoint(RngStream(67).normal((256, 2)), oracle, s.alpha_bar(s.T))
+    errors = {}
+    for steps in (500, 501):
+        plan = SamplingPlan(timeline=subsequence(s, steps), kind="ddim", shape=(2,),
+                            seed=67, batch=256, eta=0.0)
+        got = sample(oracle, plan, s)
+        errors[steps] = np.linalg.norm(got - exact) / np.linalg.norm(exact)
+    assert errors[500] < 1e-2
+    assert errors[501] <= 1.5 * errors[500]

@@ -128,3 +128,26 @@ def test_timeline_validation():
 
 def test_timeline_pairs_end_at_zero():
     assert SamplingTimeline(steps=(9, 5, 2)).pairs() == [(9, 5), (5, 2), (2, 0)]
+
+
+@pytest.mark.parametrize("T", [7, 10, 100, 999, 1000])
+def test_subsequence_spreads_every_step_count_evenly(T):
+    # for every n: strictly decreasing from T to T // n, neighbouring gaps
+    # within one of each other, and the old stride-T//n timeline whenever
+    # n divides T
+    s = linear_schedule(T)
+    for n in range(1, T + 1):
+        steps = np.array(subsequence(s, n).steps)
+        assert len(steps) == n and steps[0] == T and steps[-1] == T // n
+        gaps = -np.diff(steps)
+        assert np.all(gaps >= max(T // n, 1))   # no gap shorter than the last transfer
+        assert np.all(np.abs(np.diff(gaps)) <= 1)
+        if T % n == 0:
+            assert tuple(steps) == tuple(range(T, 0, -(T // n)))[:n]
+
+
+def test_subsequence_non_divisor_timeline_values():
+    s = linear_schedule(1000)
+    assert subsequence(s, 501).steps[-3:] == (5, 3, 1)
+    assert subsequence(s, 300).steps[:4] == (1000, 997, 994, 990)
+    assert subsequence(s, 300).steps[-2:] == (7, 3)
