@@ -1,19 +1,16 @@
 """artdiff: a desk-scale diffusion sampling stack with verification oracles
 and a prompt-extension scoring pipeline."""
 
-from .numerics import RngStream, Tensor, gaussian, sample_stats, softmax
+from .numerics import RngStream, Tensor, softmax
 from .schedule import (NoiseSchedule, SamplingTimeline, linear_schedule,
                        subsequence)
-from .diffusion import (PosteriorParams, kl_same_variance_gaussians,
-                        latent_loss, loss_simple, posterior_params, q_sample,
-                        q_step)
-from .samplers import (SamplingPlan, cfg_combine, ddim_sigma, ddim_step,
-                       ddpm_step, plms_combine, plms_sample, predict_x0,
+from .samplers import (SamplingPlan, cfg_combine, ddim_step, ddpm_step,
+                       plms_combine, plms_sample, posterior_mean_from_eps,
                        sample)
 from .denoisers import (ConditionTokens, EpsilonPredictor, GaussianOracle,
                         LabelEmbedding, ToyDenoiser, ToyDenoiserParams,
-                        TrainConfig, cross_attention, init_toy_denoiser,
-                        time_embedding, toy_denoiser_forward, train)
+                        TrainConfig, init_toy_denoiser, time_embedding,
+                        toy_denoiser_forward, train)
 from .latentae import (AeTrainConfig, MomentPair, ToyAutoencoderParams,
                        decode, encode_moments, gan_loss_component,
                        init_toy_autoencoder, kl_loss, recon_loss,

@@ -20,7 +20,6 @@ import numpy as np
 
 FORMAT_VERSION = 1
 DENOISER_MAGIC = b"ARTDNSR1"
-AUTOENC_MAGIC = b"ARTAENC1"
 MAX_NDIM = 32
 
 

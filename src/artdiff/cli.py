@@ -17,6 +17,7 @@ import argparse
 import csv
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -418,10 +419,19 @@ def cmd_prompt_extend(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _write_csv(path: Path, rows) -> None:
-    """Rows through the csv module, so fields holding commas or quotes
-    are quoted; newline line ends like the other CSV outputs."""
+    """Rows through the csv module, so fields holding commas, quotes or
+    line breaks are quoted; newline line ends like the other CSV outputs.
+    A csv writer quotes only the characters of its own line terminator, so
+    each row is formatted with "\r\n" (which quotes a bare "\r" too) and
+    written with "\n"."""
+    line = io.StringIO()
+    writer = csv.writer(line, lineterminator="\r\n")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+        for row in rows:
+            line.seek(0)
+            line.truncate()
+            writer.writerow(row)
+            fh.write(line.getvalue()[:-2] + "\n")
 
 
 def cmd_corpus_stats(args) -> int:

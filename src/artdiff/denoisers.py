@@ -9,7 +9,7 @@ an output projection. Gradients are computed in closed form and are checked
 against finite differences in the test suite.
 
 There is one attention, ``_attend``, over keys and values projected from
-the condition; training, inference and ``cross_attention`` all take it.
+the condition; training and inference both take it.
 With one condition token (a label) the softmax over the single key is
 exactly 1, so the attention is the affine map wo·wv·token: no query or
 score is formed, and the gradients of wq and wk are exact zeros, so
@@ -46,7 +46,8 @@ ConditionTokens = np.ndarray  # (n_tokens, token_width), frozen float64
 
 class EpsilonPredictor(Protocol):
     """A noise predictor. ``predict(xt, t, condition)`` serves single
-    evaluations (``ddpm_step``, ``loss_simple``, the bench's output checks).
+    evaluations (``ddpm_step``, the tests' ``loss_simple``, the bench's
+    output checks).
     Sampling binds it once per call with ``prepare(condition, timesteps)``:
     the bound ``predict(xt, t)`` equals ``predict(xt, t, condition)`` at
     those timesteps and raises ValueError at any other, and with a condition
@@ -245,16 +246,6 @@ def _attend_backward(g_out: np.ndarray, cache, memory: np.ndarray, w: AttentionW
     return dh, d_wq, d_wk, d_wv, d_wo
 
 
-def cross_attention(queries: np.ndarray, memory: ConditionTokens,
-                    weights: AttentionWeights) -> np.ndarray:
-    """Attend a sequence of query tokens (m, W) over condition memory (n, dc)."""
-    queries = np.asarray(queries, dtype=np.float64)
-    if queries.ndim != 2:
-        raise ValueError("queries must be a (m, width) token sequence")
-    k, v = _project(check_condition_tokens(memory), weights)
-    return _attend(queries, k, v, weights)[0]
-
-
 # ---------------------------------------------------------------------------
 # Toy denoiser
 # ---------------------------------------------------------------------------
@@ -304,10 +295,6 @@ class ToyDenoiserParams:
 
     def to_vector(self) -> np.ndarray:
         return np.concatenate([getattr(self, n).ravel() for n in _PARAM_ORDER])
-
-    def with_vector(self, vec: np.ndarray) -> "ToyDenoiserParams":
-        """Same widths, weights read from a copy of ``vec`` (to_vector order)."""
-        return self.view_of(np.array(vec, dtype=np.float64))
 
     def view_of(self, vec: np.ndarray) -> "ToyDenoiserParams":
         """Same widths, every array a zero-copy view into the flat float64

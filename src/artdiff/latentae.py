@@ -9,7 +9,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import checkpoint as ckpt
 from .errors import TrainingDivergedError
 from .numerics import RngStream, Tensor, require_finite, require_same_shape
 
@@ -47,9 +46,6 @@ class ToyAutoencoderParams:
     def arrays(self) -> dict[str, np.ndarray]:
         return {"w_enc": self.w_enc, "b_enc": self.b_enc,
                 "w_dec": self.w_dec, "b_dec": self.b_dec}
-
-    def with_arrays(self, arrays: dict[str, np.ndarray]) -> "ToyAutoencoderParams":
-        return replace(self, **{k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()})
 
 
 def _ae_shapes(data_width: int, latent_width: int) -> dict[str, tuple[int, ...]]:
@@ -116,28 +112,6 @@ def gan_loss_component(d_real, d_fake) -> float:
     return float(np.mean(np.log(d_real) + np.log(1.0 - d_fake)))
 
 
-def save_autoencoder(path, params: ToyAutoencoderParams) -> None:
-    """Autoencoder checkpoints share the denoiser container format under a
-    distinct magic string. Non-finite values are refused."""
-    arrays = dict(params.arrays())
-    arrays["meta"] = np.array([params.data_width, params.latent_width],
-                              dtype=np.float64)
-    ckpt.save_finite(path, ckpt.AUTOENC_MAGIC, arrays)
-
-
-def load_autoencoder(path) -> ToyAutoencoderParams:
-    """The array set, every shape (against the widths in ``meta``) and every
-    value are checked; any failure raises CheckpointError."""
-    arrays = ckpt.load_checked(path, ckpt.AUTOENC_MAGIC,
-                               {"meta", "w_enc", "b_enc", "w_dec", "b_dec"})
-    meta = arrays.pop("meta")
-    if not ckpt.positive_ints(meta, 2):
-        raise ckpt.CheckpointError(f"{path}: meta must hold two positive integer widths")
-    data_width, latent_width = (int(v) for v in meta)
-    ckpt.check_shapes(path, arrays, _ae_shapes(data_width, latent_width))
-    return ToyAutoencoderParams(data_width=data_width, latent_width=latent_width, **arrays)
-
-
 @dataclass(frozen=True)
 class AeTrainConfig:
     steps: int = 2000
@@ -196,13 +170,14 @@ def train_toy_ae(params: ToyAutoencoderParams, dataset,
     per-step loss curve."""
     rng = RngStream(config.seed)
     x, _ = dataset.sample(config.batch_size, rng.child("data"))
+    arrays = {k: np.array(v, dtype=np.float64) for k, v in params.arrays().items()}
+    params = replace(params, **arrays)     # copies, updated in place below
     losses = np.zeros(config.steps)
     for step in range(config.steps):
         loss, grads = _ae_loss_and_grad(params, x, config.kl_weight)
         if not math.isfinite(loss):
             raise TrainingDivergedError(f"autoencoder loss became non-finite at step {step}")
         losses[step] = loss
-        arrays = params.arrays()
-        params = params.with_arrays(
-            {k: arrays[k] - config.learning_rate * grads[k] for k in grads})
+        for k, g in grads.items():
+            arrays[k] -= config.learning_rate * g
     return params, losses

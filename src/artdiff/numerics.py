@@ -1,5 +1,5 @@
-"""Shaped float64 tensors, deterministic seeded random streams, and small
-statistical helpers shared by every other module.
+"""Float64 tensor checks, deterministic seeded random streams and the
+softmax, shared by every other module.
 
 All arrays are 64-bit floats in row-major order. Public operations never
 let NaN or Inf escape: outputs are checked before they are returned.
@@ -14,13 +14,6 @@ import numpy as np
 Tensor = np.ndarray
 
 _U64 = 2**64
-
-
-def tensor(data) -> Tensor:
-    """Build a float64 tensor and verify every element is finite."""
-    arr = np.asarray(data, dtype=np.float64)
-    require_finite(arr, "tensor data")
-    return arr
 
 
 def require_finite(x: Tensor, name: str = "value") -> None:
@@ -101,37 +94,6 @@ class RngStream:
     def __repr__(self) -> str:
         path = "/".join(self._path)
         return f"RngStream(seed={self.seed}, path={path!r}, draws={self.draws})"
-
-
-def gaussian(shape, rng: RngStream) -> Tensor:
-    """Tensor of i.i.d. standard normal entries, advancing ``rng``."""
-    return rng.normal(shape)
-
-
-def sample_stats(batch: list[Tensor]) -> tuple[Tensor, Tensor]:
-    """Unbiased mean and covariance of a batch of equal-shaped tensors.
-
-    The mean keeps the element shape; the covariance is computed over the
-    flattened element dimension with the n-1 divisor.
-    """
-    if len(batch) == 0:
-        raise ValueError("sample_stats needs a nonempty batch")
-    first = np.asarray(batch[0], dtype=np.float64)
-    rows = []
-    for item in batch:
-        arr = np.asarray(item, dtype=np.float64)
-        require_same_shape(arr, first, "batch elements")
-        rows.append(arr.ravel())
-    n = len(rows)
-    if n < 2:
-        raise ValueError("covariance is undefined for a single-element batch")
-    stacked = np.stack(rows)
-    mean = stacked.mean(axis=0)
-    centered = stacked - mean
-    cov = centered.T @ centered / (n - 1)
-    require_finite(mean, "sample mean")
-    require_finite(cov, "sample covariance")
-    return mean.reshape(first.shape), cov
 
 
 def softmax(v: Tensor) -> Tensor:

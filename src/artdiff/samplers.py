@@ -38,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import posterior_mean_from_eps
 from .errors import ConfigError
 from .numerics import RngStream, Tensor, require_finite, require_same_shape
 from .schedule import NoiseSchedule, SamplingTimeline
@@ -112,40 +111,15 @@ def _transfer(xt: np.ndarray, eps: np.ndarray, coefs, rng: RngStream | None, out
     return x_next, x0_pred
 
 
-def predict_x0(xt: Tensor, eps: Tensor, t: int, schedule: NoiseSchedule) -> Tensor:
-    """Denoised observation: (x_t - sqrt(1 - abar_t) eps) / sqrt(abar_t)."""
-    require_same_shape(xt, eps, "xt and eps")
-    t = schedule.check_step(t)
-    a = schedule.alpha_bar(t)
-    if a <= 0.0:
-        raise ValueError("alpha_bar vanished; denoised observation is singular")
-    xt, eps = np.asarray(xt, dtype=np.float64), np.asarray(eps, dtype=np.float64)
-    return (xt - math.sqrt(1.0 - a) * eps) / math.sqrt(a)
-
-
-def ddim_sigma(eta: float, t_cur: int, t_next: int, schedule: NoiseSchedule) -> float:
-    """Per-transfer noise scale: eta * sqrt((1-abar_n)/(1-abar_c)) * sqrt(1 - abar_c/abar_n).
-
-    eta = 0 gives the deterministic sampler; eta = 1 on adjacent steps
-    reproduces the ancestral posterior variance exactly.
-    """
-    if eta < 0.0:
-        raise ValueError("eta must be >= 0")
-    t_cur = schedule.check_step(t_cur)
-    t_next = schedule.check_step(t_next, low=0)
-    if t_next >= t_cur:
-        raise ValueError("t_next must be strictly below t_cur")
-    ac = schedule.alpha_bar(t_cur)
-    an = schedule.alpha_bar(t_next)
-    return eta * math.sqrt((1.0 - an) / (1.0 - ac)) * math.sqrt(1.0 - ac / an)
-
-
 def ddim_step(xt: Tensor, eps: Tensor, t_cur: int, t_next: int, sigma: float,
               schedule: NoiseSchedule, rng: RngStream | None = None
               ) -> tuple[Tensor, Tensor]:
     """One DDIM transfer from t_cur to t_next; returns (x_next, x0_pred).
 
-    No randomness is consumed when sigma = 0.
+    ``sample`` reads its transfers from ``_transfer_table``; this scalar
+    form is the reference they are checked against, with sigma from the
+    tests' ``ddim_sigma`` (tests/reference.py). No randomness is consumed
+    when sigma = 0.
     """
     if sigma < 0.0:
         raise ValueError("sigma must be >= 0")
@@ -166,11 +140,12 @@ def _transfer_table(timeline: SamplingTimeline, schedule: NoiseSchedule, eta: fl
     """The coefficients of every transfer of the timeline, computed once.
 
     Returns an (n, 5) array with one ``_transfer`` coefficient row per pair
-    of ``timeline.pairs()``, at noise scale ``ddim_sigma(eta, ...)``, and
-    the coefficients of the first transfer at sigma = 0 (the plms probe).
-    The values come from the same elementwise operations, in the same
-    order, as ``ddim_sigma`` and ``ddim_step``, so they equal theirs bit
-    for bit.
+    of ``timeline.pairs()``, at noise scale
+    eta * sqrt((1 - abar_next) / (1 - abar_cur)) * sqrt(1 - abar_cur / abar_next),
+    and the coefficients of the first transfer at sigma = 0 (the plms
+    probe). The values come from the same elementwise operations, in the
+    same order, as the scalar ``ddim_sigma`` of tests/reference.py and
+    ``ddim_step``, so they equal theirs bit for bit.
     """
     abar = np.concatenate(([1.0], schedule.alpha_bars))   # abar[0] = 1 at the virtual t = 0
     ac = abar[list(timeline.steps)]
@@ -183,6 +158,17 @@ def _transfer_table(timeline: SamplingTimeline, schedule: NoiseSchedule, eta: fl
                       np.sqrt(np.maximum(rem, 0.0)), sigma], axis=1)
     probe = (*table[0, :3].tolist(), math.sqrt(1.0 - float(an[0])), 0.0)   # 1 - abar_next - 0^2
     return table, probe
+
+
+def posterior_mean_from_eps(xt: Tensor, eps: Tensor, t: int,
+                            schedule: NoiseSchedule) -> Tensor:
+    """Posterior mean in noise form: (x_t - (1-alpha_t)/sqrt(1-abar_t) * eps) / sqrt(alpha_t)."""
+    require_same_shape(xt, eps, "xt and eps")
+    a = schedule.alpha(t)
+    abar = schedule.alpha_bar(t)
+    xt = np.asarray(xt, dtype=np.float64)
+    eps = np.asarray(eps, dtype=np.float64)
+    return (xt - (1.0 - a) / math.sqrt(1.0 - abar) * eps) / math.sqrt(a)
 
 
 def ddpm_step(predictor, xt: Tensor, t: int, schedule: NoiseSchedule,

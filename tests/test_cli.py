@@ -360,6 +360,21 @@ def test_corpus_stats_quotes_comma_bearing_artist(tmp_path):
     assert [len(r) for r in shares] == [2, 2, 2, 2]
 
 
+def test_corpus_stats_quotes_an_artist_with_a_carriage_return(tmp_path):
+    # a csv writer quotes only the characters of its own line terminator,
+    # "\n" here, so a bare "\r" in a name used to split its row in two
+    table = tmp_path / "names.csv"
+    with open(table, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([["a", "Ann\rBell", "s", "g", "1900"],
+                                  ["b", "Ann\r\nBell", "s", "g", "1901"]])
+    out = tmp_path / "stats"
+    assert run(["corpus-stats", "--metadata", table, "--out", out]) == 0
+    with open(out / "artist_histogram.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["artist", "count"], ["Ann\r\nBell", "1"], ["Ann\rBell", "1"]]
+    assert (out / "shares.csv").read_bytes() == b"top_k,share_pct\n10,100.0\n20,100.0\n30,100.0\n"
+
+
 def test_config_file_flags_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("timesteps=40\nbeta_start=0.001\n# comment line\n")

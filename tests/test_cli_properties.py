@@ -3,7 +3,9 @@
 They need hypothesis (the ``test`` extra) and are skipped without it.
 """
 
+import csv
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from artdiff.cli import _write_samples_csv  # noqa: E402
+from artdiff.cli import _write_samples_csv, main  # noqa: E402
+from artdiff.promptx import artist_histogram, read_artwork_table  # noqa: E402
+
+# non-empty, already stripped names that hold commas, quotes and line breaks
+ARTISTS = st.text(st.one_of(st.sampled_from(',"\'\n\r '), st.characters(categories=("L", "N", "P"))),
+                  min_size=1, max_size=10).filter(lambda name: name == name.strip() != "")
 
 FINITE_ARRAYS = hnp.arrays(
     np.float64, st.tuples(st.integers(1, 6), st.integers(1, 4)),
@@ -30,3 +37,20 @@ def test_samples_csv_fields_parse_back_to_the_same_bits(samples):
     parsed = np.array([[float(field) for field in line.split(",")] for line in lines])
     assert parsed.shape == samples.shape
     assert parsed.tobytes() == samples.tobytes()     # bits, so -0.0 stays -0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(ARTISTS, min_size=1, max_size=4, unique=True).flatmap(
+    lambda names: st.lists(st.sampled_from(names), min_size=1, max_size=12)))
+def test_artist_histogram_csv_reads_back_as_the_histogram(artists):
+    with tempfile.TemporaryDirectory() as tmp:
+        table, out = Path(tmp) / "artworks.csv", Path(tmp) / "stats"
+        with open(table, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([f"work {i}", artist, "style", "genre", "1900"]
+                                     for i, artist in enumerate(artists))
+        assert main(["corpus-stats", "--metadata", str(table), "--out", str(out)]) == 0
+        with open(out / "artist_histogram.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        histogram = artist_histogram(read_artwork_table(table)[0])
+    assert rows == [["artist", "count"]] + [[artist, str(count)] for artist, count in histogram]
+    assert dict(histogram) == Counter(artists)

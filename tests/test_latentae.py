@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -145,8 +146,8 @@ def test_ae_gradients_match_finite_differences():
             am = {k: v.copy() for k, v in p.arrays().items()}
             ap[name].ravel()[i] += h
             am[name].ravel()[i] -= h
-            lp, _ = _ae_loss_and_grad(p.with_arrays(ap), x, 1e-3)
-            lm, _ = _ae_loss_and_grad(p.with_arrays(am), x, 1e-3)
+            lp, _ = _ae_loss_and_grad(replace(p, **ap), x, 1e-3)
+            lm, _ = _ae_loss_and_grad(replace(p, **am), x, 1e-3)
             fd = (lp - lm) / (2 * h)
             assert abs(fd - flat_grad[i]) <= 1e-6 * max(abs(fd), abs(flat_grad[i]), 1e-6)
 

@@ -7,13 +7,13 @@ import pytest
 
 from artdiff import samplers
 from artdiff.denoisers import GaussianOracle
-from artdiff.diffusion import posterior_mean_from_eps, q_sample
 from artdiff.errors import ConfigError
 from artdiff.numerics import RngStream
-from artdiff.samplers import (SamplingPlan, cfg_combine, ddim_sigma, ddim_step,
-                              ddpm_step, plms_combine, plms_sample, predict_x0,
+from artdiff.samplers import (SamplingPlan, cfg_combine, ddim_step, ddpm_step,
+                              plms_combine, plms_sample, posterior_mean_from_eps,
                               sample)
 from artdiff.schedule import SamplingTimeline, linear_schedule, subsequence
+from reference import ddim_sigma, exact_flow_endpoint, predict_x0, q_sample
 
 
 class FakePredictor:
@@ -743,24 +743,31 @@ def test_sample_returns_its_state_and_keeps_each_prediction():
     assert states[1] is not states[0] and all(xt is states[0] for xt in states[2:])
 
 
-def _exact_flow_endpoint(x_T, oracle, abar_T):
-    """The probability-flow ODE of N(mu0, var0 I) data, solved from abar_T
-    to t = 0 in closed form."""
-    mu0, var0 = oracle.mu0, oracle.var0
-    return mu0 + math.sqrt(var0 / (abar_T * var0 + 1.0 - abar_T)) * (x_T - math.sqrt(abar_T) * mu0)
+def _ddim_errors_against_the_exact_flow(seed, step_counts):
+    """Relative L2 error of the eta = 0 ddim endpoint (T = 1000, batch 256)
+    against the closed-form flow map from the same x_T, per step count."""
+    s = linear_schedule(1000)
+    oracle = GaussianOracle(mu0=np.array([3.0, -1.0]), var0=0.25, schedule=s)
+    x_T = RngStream(seed).normal((256, 2))      # the plan's first draw
+    exact = exact_flow_endpoint(x_T, oracle.mu0, oracle.var0, s.alpha_bar(s.T))
+    errors = {}
+    for steps in step_counts:
+        plan = SamplingPlan(timeline=subsequence(s, steps), kind="ddim", shape=(2,),
+                            seed=seed, batch=256, eta=0.0)
+        errors[steps] = np.linalg.norm(sample(oracle, plan, s) - exact) / np.linalg.norm(exact)
+    return errors
 
 
 def test_ddim_past_a_divisor_step_count_stays_as_accurate():
     # 501 steps of T = 1000 used to end at t = 500 and jump to t = 0 in one
     # transfer; the evenly spread timeline ends at t = 1
-    s = linear_schedule(1000)
-    oracle = GaussianOracle(mu0=np.array([3.0, -1.0]), var0=0.25, schedule=s)
-    exact = _exact_flow_endpoint(RngStream(67).normal((256, 2)), oracle, s.alpha_bar(s.T))
-    errors = {}
-    for steps in (500, 501):
-        plan = SamplingPlan(timeline=subsequence(s, steps), kind="ddim", shape=(2,),
-                            seed=67, batch=256, eta=0.0)
-        got = sample(oracle, plan, s)
-        errors[steps] = np.linalg.norm(got - exact) / np.linalg.norm(exact)
+    errors = _ddim_errors_against_the_exact_flow(67, (500, 501))
     assert errors[500] < 1e-2
     assert errors[501] <= 1.5 * errors[500]
+
+
+def test_ddim_converges_at_first_order_to_the_exact_flow():
+    # eta = 0 ddim integrates the probability-flow ODE at first order, so
+    # halving the step count doubles its error against the closed form
+    errors = _ddim_errors_against_the_exact_flow(123, (500, 1000))
+    assert 1.8 <= errors[500] / errors[1000] <= 2.2
