@@ -95,42 +95,3 @@ def load_arrays(path, expected_magic: bytes) -> dict[str, np.ndarray]:
     if offset != len(body):
         raise CheckpointError(f"{path}: trailing bytes after payload")
     return arrays
-
-
-def save_finite(path, magic: bytes, arrays: dict[str, np.ndarray]) -> None:
-    """save_arrays, refusing any non-finite value."""
-    for name, arr in arrays.items():
-        if not np.all(np.isfinite(arr)):
-            raise CheckpointError(f"{path}: refusing to save non-finite values in {name!r}")
-    save_arrays(path, magic, arrays)
-
-
-def load_checked(path, expected_magic: bytes, required: set[str],
-                 optional: set[str] = frozenset()) -> dict[str, np.ndarray]:
-    """load_arrays, then require every ``required`` array, nothing outside
-    ``required`` and ``optional``, and finite values throughout."""
-    arrays = load_arrays(path, expected_magic)
-    missing = sorted(required - set(arrays))
-    unexpected = sorted(set(arrays) - required - optional)
-    if missing or unexpected:
-        raise CheckpointError(f"{path}: wrong array set: missing {missing}, "
-                              f"unexpected {unexpected}")
-    for name, arr in arrays.items():
-        if not np.all(np.isfinite(arr)):
-            raise CheckpointError(f"{path}: array {name!r} contains non-finite values")
-    return arrays
-
-
-def check_shapes(path, arrays: dict[str, np.ndarray],
-                 shapes: dict[str, tuple[int, ...]]) -> None:
-    """Every named array has the shape the checkpoint's ``meta`` implies."""
-    for name, shape in shapes.items():
-        if arrays[name].shape != shape:
-            raise CheckpointError(f"{path}: array {name!r} has shape {arrays[name].shape}, "
-                                  f"meta implies {shape}")
-
-
-def positive_ints(values: np.ndarray, count: int) -> bool:
-    """Whether ``values`` holds exactly ``count`` whole numbers >= 1."""
-    return values.shape == (count,) and bool(np.all(values >= 1)
-                                             and np.all(values == np.floor(values)))

@@ -36,8 +36,8 @@ from .errors import ConfigError, TrainingDivergedError
 from .numerics import RngStream
 from .promptx import (DEFAULT_LAMBDA1, DEFAULT_LAMBDA2, FixtureGenerator,
                       Gazetteer, HashEmbedder, artist_histogram, build_index,
-                      extend_prompt, load_corpus_jsonl, read_artwork_table,
-                      tfidf_from_index, top_share)
+                      _read_utf8, extend_prompt, load_corpus_jsonl,
+                      read_artwork_table, tfidf_from_index, top_share)
 from .samplers import (DEFAULT_ETA, DEFAULT_GUIDANCE_SCALE, DEFAULT_STEPS,
                        SamplingPlan, sample)
 from .schedule import (DEFAULT_BETA_END, DEFAULT_BETA_START, DEFAULT_T,
@@ -61,12 +61,10 @@ class Resolver:
         self.args = args
         self.file_values: dict[str, str] = {}
         if getattr(args, "config", None):
-            path = Path(args.config)
-            if not path.exists():
-                raise ConfigError(f"config file not found: {path}")
+            path = _require_file(args.config, "config")
             known = _config_keys()
             first_line: dict[str, int] = {}
-            for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            for lineno, line in enumerate(_read_utf8(path).splitlines(), 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue

@@ -23,9 +23,13 @@ per state shape, which holds mu0 tiled to that shape. The toy's,
 ``PreparedToyDenoiser``, checks and projects the condition once, keeps a
 one-token attention output per batch size, and takes all time features
 from one ``time_embedding`` call. Its trunk and head write each stage into
-a per-call workspace of buffers, one set per row count, and add each bias
-as a (1, width) row. Both bindings return fresh predictions that never
-alias their workspace, so a caller (plms) may keep them across calls.
+a per-call workspace of buffers, one set per row count. Both bindings
+return fresh predictions that never alias their workspace, so a caller
+(plms) may keep them across calls.
+
+The toy's weights, ``ToyDenoiserParams``, are one flat float64 vector cut
+by one layout table into named views, each bias a (1, width) row; its
+gradient has the same form, so training updates the whole vector at once.
 """
 
 from __future__ import annotations
@@ -250,66 +254,10 @@ def _attend_backward(g_out: np.ndarray, cache, memory: np.ndarray, w: AttentionW
 # Toy denoiser
 # ---------------------------------------------------------------------------
 
-_PARAM_ORDER = (
-    "w_in", "b_in", "w_time",
-    "ff1_w1", "ff1_b1", "ff1_w2", "ff1_b2",
-    "wq", "wk", "wv", "wo",
-    "ff2_w1", "ff2_b1", "ff2_w2", "ff2_b2",
-    "w_out", "b_out",
-)
-_BIASES = ("b_in", "ff1_b1", "ff1_b2", "ff2_b1", "ff2_b2", "b_out")
-
-
-@dataclass(frozen=True)
-class ToyDenoiserParams:
-    """All weights of the toy conditional denoiser, as named float64 arrays."""
-
-    data_width: int
-    width: int
-    time_dim: int
-    cond_width: int
-    w_in: np.ndarray
-    b_in: np.ndarray
-    w_time: np.ndarray
-    ff1_w1: np.ndarray
-    ff1_b1: np.ndarray
-    ff1_w2: np.ndarray
-    ff1_b2: np.ndarray
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
-    wo: np.ndarray
-    ff2_w1: np.ndarray
-    ff2_b1: np.ndarray
-    ff2_w2: np.ndarray
-    ff2_b2: np.ndarray
-    w_out: np.ndarray
-    b_out: np.ndarray
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in _PARAM_ORDER}
-
-    @property
-    def attention(self) -> AttentionWeights:
-        return AttentionWeights(wq=self.wq, wk=self.wk, wv=self.wv, wo=self.wo)
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([getattr(self, n).ravel() for n in _PARAM_ORDER])
-
-    def view_of(self, vec: np.ndarray) -> "ToyDenoiserParams":
-        """Same widths, every array a zero-copy view into the flat float64
-        ``vec`` (to_vector order), so writing to ``vec`` updates them."""
-        sizes = [getattr(self, n).size for n in _PARAM_ORDER]
-        if vec.dtype != np.float64 or vec.shape != (sum(sizes),):
-            raise ValueError("parameter vector has the wrong length")
-        ends = np.cumsum(sizes)
-        return replace(self, **{name: vec[end - size:end].reshape(getattr(self, name).shape)
-                                for name, size, end in zip(_PARAM_ORDER, sizes, ends)})
-
-
 def _param_shapes(data_width: int, width: int, time_dim: int,
                   cond_width: int) -> dict[str, tuple[int, ...]]:
-    """Shape of every weight array, in _PARAM_ORDER."""
+    """The layout table: every weight array's name and checkpoint shape, in
+    the order the arrays tile the flat parameter vector."""
     w, d = width, data_width
     return {
         "w_in": (w, d), "b_in": (w,), "w_time": (w, time_dim),
@@ -320,15 +268,55 @@ def _param_shapes(data_width: int, width: int, time_dim: int,
     }
 
 
+@dataclass(frozen=True)
+class ToyDenoiserParams:
+    """All weights of the toy conditional denoiser in one flat float64
+    ``vector``. Each named weight (``params.w_in``, ...) is a view into it,
+    cut in the order of the layout table ``_param_shapes``, so writing to
+    ``vector`` updates every view. A bias is viewed as a (1, width) row:
+    at one row numpy then adds it by its same-shape path instead of a
+    broadcast. A gradient has the same form: its ``vector`` is the flat
+    gradient."""
+
+    data_width: int
+    width: int
+    time_dim: int
+    cond_width: int
+    vector: np.ndarray
+
+    def __post_init__(self):
+        shapes = self._layout()
+        size = sum(math.prod(shape) for shape in shapes.values())
+        vec = self.vector
+        if not isinstance(vec, np.ndarray) or vec.dtype != np.float64 or vec.shape != (size,):
+            raise ValueError(f"parameter vector must be float64 of shape ({size},)")
+        end = 0
+        for name, shape in shapes.items():
+            start, end = end, end + math.prod(shape)
+            object.__setattr__(self, name, vec[start:end].reshape(shape if len(shape) == 2
+                                                                  else (1,) + shape))
+
+    def _layout(self) -> dict[str, tuple[int, ...]]:
+        return _param_shapes(self.data_width, self.width, self.time_dim, self.cond_width)
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The named weights in checkpoint shapes (biases 1-D), as views."""
+        return {name: getattr(self, name).reshape(shape) for name, shape in self._layout().items()}
+
+    @property
+    def attention(self) -> AttentionWeights:
+        return AttentionWeights(wq=self.wq, wk=self.wk, wv=self.wv, wo=self.wo)
+
+
 def init_toy_denoiser(rng: RngStream, data_width: int, width: int = 16,
                       time_dim: int = 16, cond_width: int = 16) -> ToyDenoiserParams:
     """Gaussian fan-in initialization of every weight matrix, zero biases."""
     widths = dict(data_width=int(data_width), width=int(width),
                   time_dim=int(time_dim), cond_width=int(cond_width))
-    arrays = {name: np.zeros(shape) if len(shape) == 1
-              else rng.normal(shape) / math.sqrt(shape[1])
-              for name, shape in _param_shapes(**widths).items()}
-    return ToyDenoiserParams(**widths, **arrays)
+    vector = np.concatenate([np.zeros(shape) if len(shape) == 1
+                             else (rng.normal(shape) / math.sqrt(shape[1])).ravel()
+                             for shape in _param_shapes(**widths).values()])
+    return ToyDenoiserParams(**widths, vector=vector)
 
 
 def _as_batch(params: ToyDenoiserParams, xt) -> tuple[np.ndarray, bool]:
@@ -470,10 +458,6 @@ class PreparedToyDenoiser:
                 raise ValueError(f"condition tokens have width {memory.shape[1]}, "
                                  f"expected {params.cond_width}")
             self._kv = _project(memory, params.attention)
-        # the trunk and head add each bias as a (1, width) row: at one row
-        # numpy then takes its same-shape path instead of a broadcast
-        self._row_params = replace(params, **{name: getattr(params, name)[None, :]
-                                              for name in _BIASES})
         self._one_token_out: dict[int, np.ndarray] = {}   # batch size -> output
         self._workspace: dict[int, _Workspace] = {}       # rows -> buffers
         steps = [int(t) for t in timesteps]
@@ -489,7 +473,7 @@ class PreparedToyDenoiser:
         return self._run(xt, t, pair=True)
 
     def _run(self, xt, t, pair: bool):
-        params = self._row_params
+        params = self.params
         x, squeeze = _as_batch(params, xt)
         rows = len(x)
         temb = _prepared(self._features, t)
@@ -527,9 +511,11 @@ def toy_denoiser_forward(params: ToyDenoiserParams, xt: Tensor, t: int,
     return PreparedToyDenoiser(params, condition, (t,)).predict(xt, t)
 
 
-def _loss_and_grad(params: ToyDenoiserParams, xt: np.ndarray, t,
-                   eps: np.ndarray, memory, cond_mask, temb=None):
-    """Mean-squared noise-prediction loss and its gradient for every array.
+def _loss_and_grad(params: ToyDenoiserParams, grads: ToyDenoiserParams, xt: np.ndarray, t,
+                   eps: np.ndarray, memory, cond_mask, temb=None) -> float:
+    """Mean-squared noise-prediction loss. Every array's gradient is written
+    into ``grads`` (the attention's as zeros without condition memory), so
+    its ``vector`` is then the whole flat gradient.
 
     ``temb`` optionally holds the time features of t, precomputed.
     """
@@ -545,46 +531,42 @@ def _loss_and_grad(params: ToyDenoiserParams, xt: np.ndarray, t,
     loss = float(np.mean(diff * diff))
     g_out = 2.0 * diff / diff.size
 
-    grads = {}
-    grads["w_out"] = g_out.T @ h4
-    grads["b_out"] = g_out.sum(axis=0)
+    np.matmul(g_out.T, h4, out=grads.w_out)
+    g_out.sum(axis=0, keepdims=True, out=grads.b_out)
     gh4 = g_out @ params.w_out
 
     gh3 = gh4.copy()
-    grads["ff2_w2"] = gh4.T @ a2
-    grads["ff2_b2"] = gh4.sum(axis=0)
+    np.matmul(gh4.T, a2, out=grads.ff2_w2)
+    gh4.sum(axis=0, keepdims=True, out=grads.ff2_b2)
     ga2 = gh4 @ params.ff2_w2
     gz2 = ga2 * (1.0 - a2 * a2)
-    grads["ff2_w1"] = gz2.T @ h3
-    grads["ff2_b1"] = gz2.sum(axis=0)
+    np.matmul(gz2.T, h3, out=grads.ff2_w1)
+    gz2.sum(axis=0, keepdims=True, out=grads.ff2_b1)
     gh3 += gz2 @ params.ff2_w1
 
     if attn_cache is not None:
         g_attn = mask * gh3
-        dh, d_wq, d_wk, d_wv, d_wo = _attend_backward(g_attn, attn_cache, memory,
-                                                      params.attention)
-        grads["wq"], grads["wk"], grads["wv"], grads["wo"] = d_wq, d_wk, d_wv, d_wo
+        dh, grads.wq[...], grads.wk[...], grads.wv[...], grads.wo[...] = \
+            _attend_backward(g_attn, attn_cache, memory, params.attention)
         gh2 = gh3 + dh
     else:
-        grads["wq"] = np.zeros_like(params.wq)
-        grads["wk"] = np.zeros_like(params.wk)
-        grads["wv"] = np.zeros_like(params.wv)
-        grads["wo"] = np.zeros_like(params.wo)
+        for slot in (grads.wq, grads.wk, grads.wv, grads.wo):
+            slot.fill(0.0)
         gh2 = gh3
 
     gh1 = gh2.copy()
-    grads["ff1_w2"] = gh2.T @ a1
-    grads["ff1_b2"] = gh2.sum(axis=0)
+    np.matmul(gh2.T, a1, out=grads.ff1_w2)
+    gh2.sum(axis=0, keepdims=True, out=grads.ff1_b2)
     ga1 = gh2 @ params.ff1_w2
     gz1 = ga1 * (1.0 - a1 * a1)
-    grads["ff1_w1"] = gz1.T @ h1
-    grads["ff1_b1"] = gz1.sum(axis=0)
+    np.matmul(gz1.T, h1, out=grads.ff1_w1)
+    gz1.sum(axis=0, keepdims=True, out=grads.ff1_b1)
     gh1 += gz1 @ params.ff1_w1
 
-    grads["w_time"] = gh1.T @ temb
-    grads["w_in"] = gh1.T @ x
-    grads["b_in"] = gh1.sum(axis=0)
-    return loss, grads
+    np.matmul(gh1.T, temb, out=grads.w_time)
+    np.matmul(gh1.T, x, out=grads.w_in)
+    gh1.sum(axis=0, keepdims=True, out=grads.b_in)
+    return loss
 
 
 class ToyDenoiser:
@@ -652,48 +634,64 @@ def save_denoiser(path, params: ToyDenoiserParams, schedule: NoiseSchedule,
     """Write a denoiser checkpoint: parameters, widths, the linear-schedule
     constants, and the frozen label tokens when training was conditional.
     Non-finite values are refused."""
-    arrays = dict(params.arrays())
+    arrays = params.arrays()
     arrays["meta"] = np.array([params.data_width, params.width, params.time_dim,
                                params.cond_width], dtype=np.float64)
     arrays["schedule"] = np.array([schedule.T, float(schedule.betas[0]),
                                    float(schedule.betas[-1])])
     if label_embedding is not None:
         arrays["label_tokens"] = label_embedding.tokens
-    ckpt.save_finite(path, ckpt.DENOISER_MAGIC, arrays)
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise ckpt.CheckpointError(f"{path}: refusing to save non-finite values in {name!r}")
+    ckpt.save_arrays(path, ckpt.DENOISER_MAGIC, arrays)
 
 
 def load_denoiser(path):
     """Returns (params, schedule, label_embedding or None).
 
-    The array set, every shape (against the widths in ``meta``) and every
-    value are checked; any failure raises CheckpointError.
+    The array set (the layout's names, ``meta``, ``schedule`` and optional
+    ``label_tokens``), every value, and every shape (against the widths in
+    ``meta``) are checked; any failure raises CheckpointError.
     """
-    arrays = ckpt.load_checked(path, ckpt.DENOISER_MAGIC, {"meta", "schedule", *_PARAM_ORDER},
-                               {"label_tokens"})
+    arrays = ckpt.load_arrays(path, ckpt.DENOISER_MAGIC)
 
     def bad(message: str) -> ckpt.CheckpointError:
         return ckpt.CheckpointError(f"{path}: {message}")
 
+    def whole_positive(values: np.ndarray) -> bool:
+        return bool(np.all(values >= 1) and np.all(values == np.floor(values)))
+
+    required = {"meta", "schedule", *_param_shapes(0, 0, 0, 0)}   # names only
+    missing = sorted(required - set(arrays))
+    unexpected = sorted(set(arrays) - required - {"label_tokens"})
+    if missing or unexpected:
+        raise bad(f"wrong array set: missing {missing}, unexpected {unexpected}")
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise bad(f"array {name!r} contains non-finite values")
     meta, consts = arrays["meta"], arrays["schedule"]
-    if not ckpt.positive_ints(meta, 4) or meta[2] % 2 != 0:
+    if meta.shape != (4,) or not whole_positive(meta) or meta[2] % 2 != 0:
         raise bad("meta must hold four positive integer widths with an even time width")
-    data_width, width, time_dim, cond_width = (int(v) for v in meta)
-    ckpt.check_shapes(path, arrays, _param_shapes(data_width, width, time_dim, cond_width))
+    widths = [int(v) for v in meta]
+    cond_width = widths[3]
+    shapes = _param_shapes(*widths)
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise bad(f"array {name!r} has shape {arrays[name].shape}, meta implies {shape}")
     tokens = arrays.get("label_tokens")
     if tokens is not None and (tokens.ndim != 2 or tokens.shape[0] < 1
                                or tokens.shape[1] != cond_width):
         raise bad(f"label_tokens has shape {tokens.shape}, expected (n, {cond_width})")
-    if consts.shape != (3,) or not ckpt.positive_ints(consts[:1], 1):
+    if consts.shape != (3,) or not whole_positive(consts[0]):
         raise bad("schedule must hold (T, beta_start, beta_end) with a positive integer T")
     try:
         schedule = linear_schedule(int(consts[0]), float(consts[1]), float(consts[2]))
     except ValueError as exc:
         raise bad(f"invalid schedule constants: {exc}") from None
-    params = ToyDenoiserParams(data_width=data_width, width=width, time_dim=time_dim,
-                               cond_width=cond_width,
-                               **{name: arrays[name] for name in _PARAM_ORDER})
+    vector = np.concatenate([arrays[name].ravel() for name in shapes])
     embedding = LabelEmbedding(tokens=tokens) if tokens is not None else None
-    return params, schedule, embedding
+    return ToyDenoiserParams(*widths, vector=vector), schedule, embedding
 
 
 class _AdamState:
@@ -727,8 +725,9 @@ def train(params: ToyDenoiserParams, dataset, config: TrainConfig,
     sample's condition with the configured probability so the network also
     learns the unconditional branch.
 
-    The weights live in one flat vector; the named arrays the forward and
-    backward passes read are views into it, so each step's update is one
+    The weights are a copy of ``params.vector``, and the gradient is one
+    flat vector of the same layout, both viewed once per call; each step's
+    backward pass writes the gradient in place and the update is one
     vectorised expression. Time features come from a table of every
     t in {1..T}, built once.
     """
@@ -739,8 +738,9 @@ def train(params: ToyDenoiserParams, dataset, config: TrainConfig,
     rng_drop = rng.child("drop")
 
     abar = schedule.alpha_bars
-    vec = params.to_vector()
-    params = params.view_of(vec)
+    vec = params.vector.copy()
+    params = replace(params, vector=vec)
+    grads = replace(params, vector=np.empty_like(vec))    # written whole every step
     time_table = time_embedding(np.arange(1, schedule.T + 1), params.time_dim)
     adam = _AdamState(vec.size) if config.optimizer == "adam" else None
     losses = np.zeros(config.steps)
@@ -759,15 +759,14 @@ def train(params: ToyDenoiserParams, dataset, config: TrainConfig,
         else:
             memory, keep = None, None
 
-        loss, grads = _loss_and_grad(params, xt, t, eps, memory, keep, time_table[t - 1])
+        loss = _loss_and_grad(params, grads, xt, t, eps, memory, keep, time_table[t - 1])
         if not math.isfinite(loss):
             raise TrainingDivergedError(f"loss became non-finite at step {step}")
         losses[step] = loss
 
-        g = np.concatenate([grads[name].ravel() for name in _PARAM_ORDER])
         if adam is not None:
-            adam.update(vec, g, config.learning_rate)
+            adam.update(vec, grads.vector, config.learning_rate)
         else:
-            vec -= config.learning_rate * g
+            vec -= config.learning_rate * grads.vector
 
     return params, losses

@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from artdiff.denoisers import (AttentionWeights, ConditionTokens, ToyDenoiserParams,
-                               _attend, _project, check_condition_tokens)
+from artdiff.denoisers import (AttentionWeights, ConditionTokens, _attend, _project,
+                               check_condition_tokens)
 from artdiff.numerics import RngStream, Tensor, require_finite, require_same_shape
 from artdiff.schedule import NoiseSchedule
 
@@ -145,7 +145,3 @@ def cross_attention(queries: np.ndarray, memory: ConditionTokens,
     k, v = _project(check_condition_tokens(memory), weights)
     return _attend(queries, k, v, weights)[0]
 
-
-def with_vector(params: ToyDenoiserParams, vec: np.ndarray) -> ToyDenoiserParams:
-    """Same widths, weights read from a copy of ``vec`` (to_vector order)."""
-    return params.view_of(np.array(vec, dtype=np.float64))

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from artdiff.samplers import (SamplingPlan, plms_combine, posterior_mean_from_ep
                               sample)
 from artdiff.schedule import linear_schedule, subsequence
 
-from reference import ddim_sigma, q_step, sample_stats, with_vector
+from reference import ddim_sigma, q_step, sample_stats
 from test_promptx import WORDS, naive_bm25_scores, random_docs
 
 DATA = Path(__file__).parent / "data"
@@ -179,18 +180,19 @@ def test_criterion_06_gradient_fidelity():
     memory = rng.child("m").normal((3, 2, 16))
     mask = np.array([1.0, 0.0, 1.0])
 
-    _, grads = _loss_and_grad(params, xt, t, eps, memory, mask)
+    grads = replace(params, vector=np.empty_like(params.vector))
+    scratch = replace(params, vector=np.empty_like(params.vector))
+    _loss_and_grad(params, grads, xt, t, eps, memory, mask)
 
     def loss_at(vec):
-        loss, _ = _loss_and_grad(with_vector(params, vec), xt, t, eps, memory, mask)
-        return loss
+        return _loss_and_grad(replace(params, vector=vec), scratch, xt, t, eps, memory, mask)
 
-    vec = params.to_vector()
+    vec = params.vector
     h = 1e-4
     offset = 0
     worst_by_group = {}
     for name, arr in params.arrays().items():
-        gflat = grads[name].ravel()
+        gflat = grads.vector[offset:offset + arr.size]
         worst = 0.0
         for j in range(arr.size):
             i = offset + j

@@ -189,9 +189,9 @@ def test_save_denoiser_refuses_non_finite_weights(tmp_path, bad):
     from artdiff.denoisers import save_denoiser
 
     params, schedule, embedding = _denoiser_parts()
-    b_in = params.b_in.copy()
-    b_in[3] = bad
+    params = replace(params, vector=params.vector.copy())
+    params.b_in[0, 3] = bad
     path = tmp_path / "never.bin"
     with pytest.raises(CheckpointError, match="non-finite"):
-        save_denoiser(path, replace(params, b_in=b_in), schedule, embedding)
+        save_denoiser(path, params, schedule, embedding)
     assert not path.exists()

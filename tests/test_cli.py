@@ -428,6 +428,20 @@ def test_config_file_rejects_malformed_line(tmp_path, capsys):
     assert "expected key=value" in capsys.readouterr().err
 
 
+def test_config_path_that_is_a_directory_exits_2_with_one_line(tmp_path, capsys):
+    assert run(["schedule-dump", "--config", tmp_path, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "config file not found" in err and str(tmp_path) in err
+
+
+def test_config_file_not_utf8_exits_2_naming_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"seed=1\n\xff=2\n")
+    assert run(["toy-train", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{cfg}:2: not UTF-8 text" in err
+
+
 def test_manifest_records_resolved_config(tmp_path):
     out = tmp_path / "o"
     assert run(["sample", "--oracle", "--mu0", "1,2", "--var0", "0.5",

@@ -9,12 +9,12 @@ from artdiff.cli import _fmt, main
 from artdiff.datasets import get_dataset
 from artdiff.denoisers import (AttentionWeights, GaussianOracle, LabelEmbedding,
                                ToyDenoiser, TrainConfig, _loss_and_grad,
-                               init_toy_denoiser, save_denoiser, time_embedding,
-                               toy_denoiser_forward, train)
+                               init_toy_denoiser, load_denoiser, save_denoiser,
+                               time_embedding, toy_denoiser_forward, train)
 from artdiff.errors import TrainingDivergedError
 from artdiff.numerics import RngStream, softmax
 from artdiff.schedule import linear_schedule
-from reference import cross_attention, loss_simple, q_sample, with_vector
+from reference import cross_attention, loss_simple, q_sample
 
 
 def loop_attention_reference(queries, memory):
@@ -61,6 +61,17 @@ class ReferenceAdam:
         return out
 
 
+def zero_grads(params):
+    """A gradient of params' layout, for ``_loss_and_grad`` to write into."""
+    return replace(params, vector=np.zeros_like(params.vector))
+
+
+def from_arrays(params, arrays):
+    """Same widths, the weights built from named arrays in checkpoint shapes."""
+    return replace(params, vector=np.concatenate([arrays[name].ravel()
+                                                  for name in params.arrays()]))
+
+
 def reference_train(params, dataset, config, schedule, label_embedding=None):
     """Training loop with one named array per weight: time features computed
     per step, a per-array optimizer update and new params every step."""
@@ -80,13 +91,14 @@ def reference_train(params, dataset, config, schedule, label_embedding=None):
         if label_embedding is not None and labels is not None:
             memory = label_embedding.memory_for(labels)
             keep = (rng_drop.uniform((b,)) >= config.drop_prob).astype(np.float64)
-        losses[step], grads = _loss_and_grad(params, xt, t, eps, memory, keep)
-        arrays = params.arrays()
+        grads = zero_grads(params)
+        losses[step] = _loss_and_grad(params, grads, xt, t, eps, memory, keep)
+        arrays, grads = params.arrays(), grads.arrays()
         if adam is not None:
             arrays = adam.update(arrays, grads, config.learning_rate)
         else:
             arrays = {k: arrays[k] - config.learning_rate * grads[k] for k in grads}
-        params = replace(params, **arrays)
+        params = from_arrays(params, arrays)
     return params, losses
 
 
@@ -350,7 +362,7 @@ def test_attention_rejects_empty_memory():
 
 def test_forward_zero_params_zero_output(default_schedule):
     p = init_toy_denoiser(RngStream(10), 2)
-    zeroed = with_vector(p, np.zeros(p.to_vector().size))
+    zeroed = replace(p, vector=np.zeros_like(p.vector))
     xt = RngStream(11).normal((5, 2))
     out = toy_denoiser_forward(zeroed, xt, 500)
     assert np.array_equal(out, np.zeros((5, 2)))
@@ -410,17 +422,18 @@ def test_gradients_match_finite_differences_spot_check(default_schedule):
     xt = np.sqrt(a) * x0 + np.sqrt(1 - a) * eps
     for mem, mask in [(None, None),
                       (rng.child("m").normal((4, 1, 16)), np.array([1.0, 0.0, 1.0, 1.0]))]:
-        _, grads = _loss_and_grad(p, xt, t, eps, mem, mask)
-        gvec = np.concatenate([grads[n].ravel() for n in p.arrays()])
-        vec = p.to_vector()
+        grads, scratch = zero_grads(p), zero_grads(p)
+        _loss_and_grad(p, grads, xt, t, eps, mem, mask)
+        gvec = grads.vector
+        vec = p.vector
         coords = RngStream(21).integers(0, vec.size - 1, (60,))
         h = 1e-4
         for i in coords:
             vp, vm = vec.copy(), vec.copy()
             vp[i] += h
             vm[i] -= h
-            lp, _ = _loss_and_grad(with_vector(p, vp), xt, t, eps, mem, mask)
-            lm, _ = _loss_and_grad(with_vector(p, vm), xt, t, eps, mem, mask)
+            lp = _loss_and_grad(replace(p, vector=vp), scratch, xt, t, eps, mem, mask)
+            lm = _loss_and_grad(replace(p, vector=vm), scratch, xt, t, eps, mem, mask)
             fd = (lp - lm) / (2 * h)
             assert abs(fd - gvec[i]) <= 1e-4 * max(abs(fd), abs(gvec[i]), 1e-6)
 
@@ -453,10 +466,11 @@ def test_train_single_sgd_step_matches_hand_update(default_schedule):
     eps = rng.child("noise").normal((6, 2))
     a = default_schedule.alpha_bars[t - 1][:, None]
     xt = np.sqrt(a) * x0 + np.sqrt(1 - a) * eps
-    loss, grads = _loss_and_grad(p, xt, t, eps, None, None)
+    grads = zero_grads(p)
+    loss = _loss_and_grad(p, grads, xt, t, eps, None, None)
     assert losses[0] == loss
     for name, arr in p.arrays().items():
-        expect = arr - 0.05 * grads[name]
+        expect = arr - 0.05 * grads.arrays()[name]
         assert np.array_equal(trained.arrays()[name], expect)
 
 
@@ -479,9 +493,10 @@ def test_train_two_adam_steps_match_hand_update(default_schedule):
         keep = (streams[3].uniform((6,)) >= 0.5).astype(np.float64)
         a = default_schedule.alpha_bars[t - 1][:, None]
         xt = np.sqrt(a) * x0 + np.sqrt(1 - a) * eps
-        loss, grads = _loss_and_grad(expect, xt, t, eps, emb.memory_for(labels), keep)
+        grads = zero_grads(expect)
+        loss = _loss_and_grad(expect, grads, xt, t, eps, emb.memory_for(labels), keep)
         assert losses[step] == loss
-        expect = replace(expect, **adam.update(expect.arrays(), grads, 0.01))
+        expect = from_arrays(expect, adam.update(expect.arrays(), grads.arrays(), 0.01))
     for name, arr in expect.arrays().items():
         assert np.array_equal(trained.arrays()[name], arr), name
 
@@ -536,19 +551,44 @@ def test_time_table_rows_match_time_embedding(default_schedule, monkeypatch):
     assert calls == [(T,)]
 
 
-def test_param_views_share_the_flat_vector():
+def test_param_views_share_the_flat_vector(tmp_path):
     p = init_toy_denoiser(RngStream(28), 2)
-    vec = p.to_vector()
-    view = p.view_of(vec)
-    vec += 1.0
-    assert np.array_equal(view.to_vector(), vec)
-    assert np.array_equal(view.b_out, p.b_out + 1.0)
-    before = vec.copy()
-    copy = with_vector(p, vec)
-    vec += 1.0
-    assert np.array_equal(copy.to_vector(), before)
-    with pytest.raises(ValueError):
-        p.view_of(vec[:-1])
+    shapes = denoisers._param_shapes(p.data_width, p.width, p.time_dim, p.cond_width)
+    # the views tile the vector exactly once, in layout order; a bias is a row
+    p.vector[:] = np.arange(p.vector.size)
+    offset = 0
+    for name, shape in shapes.items():
+        view = getattr(p, name)
+        assert view.shape == (shape if len(shape) == 2 else (1,) + shape), name
+        assert np.array_equal(view.ravel(), np.arange(offset, offset + view.size)), name
+        offset += view.size
+    assert offset == p.vector.size
+    p.vector[-2] = -1.0                     # writes reach the views
+    assert p.b_out[0, 0] == -1.0
+    # arrays() gives the checkpoint shapes: biases 1-D
+    assert {n: a.shape for n, a in p.arrays().items()} == shapes
+    # a checkpoint round trip returns an equal vector
+    save_denoiser(tmp_path / "p.bin", p, linear_schedule(10))
+    assert np.array_equal(load_denoiser(tmp_path / "p.bin")[0].vector, p.vector)
+    for bad in (p.vector[:-1], np.append(p.vector, 0.0), p.vector.astype(np.float32),
+                p.vector.tolist()):
+        with pytest.raises(ValueError):
+            replace(p, vector=bad)
+
+
+def test_loss_and_grad_writes_every_gradient_slot():
+    # a gradient pre-filled with NaN comes out bit-identical to a zeroed one,
+    # so every slot, the attention's included, is written on every call
+    rng = RngStream(29)
+    p = init_toy_denoiser(rng.child("init"), 2)
+    xt = rng.child("x").normal((4, 2))
+    eps = rng.child("e").normal((4, 2))
+    t = np.array([3, 77, 500, 998])
+    for mem in (None, rng.child("m1").normal((4, 1, 16)), rng.child("m2").normal((4, 2, 16))):
+        zeroed, nans = zero_grads(p), replace(p, vector=np.full(p.vector.size, np.nan))
+        loss = _loss_and_grad(p, zeroed, xt, t, eps, mem, None)
+        assert _loss_and_grad(p, nans, xt, t, eps, mem, None) == loss
+        assert zeroed.vector.tobytes() == nans.vector.tobytes()
 
 
 def test_train_reduces_loss_on_ring(default_schedule):
@@ -662,12 +702,13 @@ def test_gradients_with_scalar_t_and_shared_memory_match_per_row():
     eps = rng.child("e").normal((5, 2))
     mem = rng.child("m").normal((2, 16))
     mask = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
-    loss, grads = _loss_and_grad(p, xt, 300, eps, mem, mask)
-    ref_loss, ref_grads = _loss_and_grad(p, xt, np.full(5, 300), eps,
-                                         np.broadcast_to(mem, (5, 2, 16)), mask)
+    grads, ref_grads = zero_grads(p), zero_grads(p)
+    loss = _loss_and_grad(p, grads, xt, 300, eps, mem, mask)
+    ref_loss = _loss_and_grad(p, ref_grads, xt, np.full(5, 300), eps,
+                              np.broadcast_to(mem, (5, 2, 16)), mask)
     assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
-    for name, g in ref_grads.items():
-        assert np.allclose(grads[name], g, rtol=1e-12, atol=1e-15), name
+    for name, g in ref_grads.arrays().items():
+        assert np.allclose(grads.arrays()[name], g, rtol=1e-12, atol=1e-15), name
 
 
 # ---------------------------------------------------------------------------
