@@ -60,7 +60,7 @@ class Resolver:
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.file_values: dict[str, str] = {}
-        if getattr(args, "config", None):
+        if getattr(args, "config", None) is not None:
             path = _require_file(args.config, "config")
             known = _config_keys()
             first_line: dict[str, int] = {}

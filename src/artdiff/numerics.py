@@ -30,10 +30,10 @@ def _check_shape(shape) -> tuple[int, ...]:
     if isinstance(shape, (int, np.integer)):
         shape = (int(shape),)
     else:
-        shape = tuple(int(s) for s in shape)
-    if len(shape) == 0:
+        shape = tuple(map(int, shape))
+    if not shape:
         raise ValueError("invalid shape: must have at least one extent")
-    if any(s < 1 for s in shape):
+    if min(shape) < 1:
         raise ValueError(f"invalid shape {shape}: every extent must be >= 1")
     return shape
 

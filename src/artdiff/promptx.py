@@ -13,6 +13,12 @@ and ``tfidf_from_index`` reads the TF-IDF document frequencies from the
 same postings. ``bm25_search`` scores only the postings of the query
 terms and returns the k best documents by descending score, then
 ascending id; documents sharing no term with the query score 0.0.
+
+Candidate scoring runs over one token list per candidate: ``extend_prompt``
+tokenizes each pooled text once, keys the deduplication on that list and
+hands it to ``tfidf_score`` and ``entity_count``; only the embedder
+tokenizes the text again. ``Gazetteer.match_count`` skips every position
+whose token starts no place name through a first-token index.
 """
 
 from __future__ import annotations
@@ -259,9 +265,14 @@ def tfidf_from_index(index: Bm25Index) -> TfidfModel:
     return _tfidf_model(index.vocab, index.indptr, index.size)
 
 
-def tfidf_score(model: TfidfModel, text: str) -> float:
-    """Mean over the text's token occurrences of tf * idf; OOV terms score 0."""
-    tokens = tokenize(text)
+def tfidf_score(model: TfidfModel, text: str, *,
+                tokens: Optional[list[str]] = None) -> float:
+    """Mean over the text's token occurrences of tf * idf; OOV terms score 0.
+
+    ``tokens``, when given, must be ``tokenize(text)``.
+    """
+    if tokens is None:
+        tokens = tokenize(text)
     if not tokens:
         return 0.0
     counts = Counter(tokens)
@@ -328,16 +339,22 @@ _MONTH_RE = re.compile(r"\b(?:" + "|".join(_MONTHS) + r")\b", re.IGNORECASE)
 
 
 class Gazetteer:
-    """Pre-tokenized place-name phrases for longest-match counting."""
+    """Pre-tokenized place-name phrases for longest-match counting.
+
+    ``longest`` maps each token that starts a phrase to the length of the
+    longest phrase it starts.
+    """
 
     def __init__(self, names: Iterable[str]):
         phrases = set()
+        longest: dict[str, int] = {}
         for name in names:
             tokens = tuple(tokenize(name))
             if tokens:
                 phrases.add(tokens)
+                longest[tokens[0]] = max(longest.get(tokens[0], 0), len(tokens))
         self.phrases = frozenset(phrases)
-        self.max_len = max((len(p) for p in self.phrases), default=0)
+        self.longest = longest
 
     @classmethod
     def from_file(cls, path) -> "Gazetteer":
@@ -346,32 +363,40 @@ class Gazetteer:
         return cls(line.strip() for line in lines if line.strip())
 
     def match_count(self, tokens: list[str]) -> int:
-        """Number of non-overlapping phrase matches, longest match first."""
+        """Number of non-overlapping phrase matches, longest match first.
+
+        Scanning left to right, a position past the last match whose token
+        starts a phrase tries the lengths from its longest phrase down to 1;
+        every other position is skipped at once.
+        """
         count = 0
-        i = 0
+        end = 0   # positions before ``end`` lie inside the last match
         n = len(tokens)
-        while i < n:
-            hit = 0
-            for length in range(min(self.max_len, n - i), 0, -1):
-                if tuple(tokens[i:i + length]) in self.phrases:
-                    hit = length
+        longest, phrases = self.longest, self.phrases
+        for i, token in enumerate(tokens):
+            top = longest.get(token)
+            if top is None or i < end:
+                continue
+            for length in range(min(top, n - i), 0, -1):
+                if tuple(tokens[i:i + length]) in phrases:
+                    count += 1
+                    end = i + length
                     break
-            if hit:
-                count += 1
-                i += hit
-            else:
-                i += 1
         return count
 
 
-def entity_count(text: str, gazetteer: Gazetteer) -> tuple[int, int]:
+def entity_count(text: str, gazetteer: Gazetteer, *,
+                 tokens: Optional[list[str]] = None) -> tuple[int, int]:
     """(spatial, temporal) entity counts.
 
     Spatial entities are gazetteer phrase matches over the token stream;
     temporal entities are regex matches on the raw text for 4-digit years
     1000-2999, month names, clock times, and ordinal day numbers.
+    ``tokens``, when given, must be ``tokenize(text)``.
     """
-    spatial = gazetteer.match_count(tokenize(text))
+    if tokens is None:
+        tokens = tokenize(text)
+    spatial = gazetteer.match_count(tokens)
     temporal = (len(_YEAR_RE.findall(text)) + len(_CLOCK_RE.findall(text))
                 + len(_MONTH_RE.findall(text)) + len(_ORDINAL_DAY_RE.findall(text)))
     return spatial, temporal
@@ -399,20 +424,25 @@ class PromptCandidate:
 def score_candidate(u: str, v: str, tfidf_model: TfidfModel, embedder: Embedder,
                     lambda1: float, lambda2: float, gazetteer: Gazetteer,
                     source: str = "wiki-sentence", *,
-                    u_embedding: Optional[np.ndarray] = None) -> PromptCandidate:
+                    u_embedding: Optional[np.ndarray] = None,
+                    tokens: Optional[list[str]] = None) -> PromptCandidate:
     """Combined importance: tfidf(v) + lambda1 * cos(embed(u), embed(v))
     + lambda2 * (spatial + temporal entity count).
 
     ``u_embedding``, when given, must be ``embedder.embed(u)``; callers
     scoring many candidates for one prompt pass it to embed ``u`` once.
+    ``tokens``, when given, must be ``tokenize(v)``; the TF-IDF and entity
+    scores then read it instead of tokenizing ``v`` again.
     """
     if lambda1 < 0.0 or lambda2 < 0.0:
         raise ValueError("lambda1 and lambda2 must be >= 0")
-    fert = tfidf_score(tfidf_model, v)
+    if tokens is None:
+        tokens = tokenize(v)
+    fert = tfidf_score(tfidf_model, v, tokens=tokens)
     if u_embedding is None:
         u_embedding = embedder.embed(u)
     cos = cosine(u_embedding, embedder.embed(v))
-    spatial, temporal = entity_count(v, gazetteer)
+    spatial, temporal = entity_count(v, gazetteer, tokens=tokens)
     score = fert + lambda1 * cos + lambda2 * (spatial + temporal)
     return PromptCandidate(text=v, source=source, tfidf=fert, cos=cos,
                            spatial_entities=spatial, temporal_entities=temporal,
@@ -466,10 +496,6 @@ def split_sentences(text: str) -> list[str]:
     return [s.strip() for s in _SENTENCE_SPLIT_RE.split(text) if s.strip()]
 
 
-def _normalized(text: str) -> str:
-    return " ".join(tokenize(text))
-
-
 def extend_prompt(u: str, index: Bm25Index, tfidf_model: TfidfModel,
                   embedder: Embedder, generator: Generator,
                   lambda1: float = DEFAULT_LAMBDA1,
@@ -480,8 +506,9 @@ def extend_prompt(u: str, index: Bm25Index, tfidf_model: TfidfModel,
 
     The candidate pool is the sentences of the top-k retrieved documents
     plus the generator's continuations and responses. Candidates are
-    deduplicated on normalized text (keeping the best-scoring variant) and
-    the top k are returned, ties broken by ascending text.
+    deduplicated on their space-joined tokens (keeping the best-scoring
+    variant) and the top k are returned, ties broken by ascending text.
+    Each candidate is tokenized once for its key and its scores.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -501,9 +528,10 @@ def extend_prompt(u: str, index: Bm25Index, tfidf_model: TfidfModel,
     for text, source in pool:
         if not text.strip():
             continue
+        tokens = tokenize(text)
         cand = score_candidate(u, text, tfidf_model, embedder, lambda1, lambda2,
-                               gaz, source=source, u_embedding=u_embedding)
-        key = _normalized(text)
+                               gaz, source=source, u_embedding=u_embedding, tokens=tokens)
+        key = " ".join(tokens)
         cur = best.get(key)
         if (cur is None or cand.score > cur.score
                 or (cand.score == cur.score and cand.text < cur.text)):

@@ -4,7 +4,8 @@ Nothing in ``artdiff`` calls these functions. They are the forward process,
 the tractable posterior, the training loss, the DDIM noise scale and the
 denoised observation written out directly, plus small helpers the
 acceptance criteria need. Nothing here imports ``artdiff.samplers``, so a
-sampler check never compares the sampler with itself.
+sampler check never compares the sampler with itself. The prompt-extension
+piece is the gazetteer scan that tries every position.
 """
 
 from __future__ import annotations
@@ -145,3 +146,24 @@ def cross_attention(queries: np.ndarray, memory: ConditionTokens,
     k, v = _project(check_condition_tokens(memory), weights)
     return _attend(queries, k, v, weights)[0]
 
+
+def gazetteer_match_count(phrases, tokens: list[str]) -> int:
+    """Non-overlapping matches of the token tuples ``phrases`` in ``tokens``,
+    longest match first: every position tries every length up to the
+    longest phrase."""
+    max_len = max((len(p) for p in phrases), default=0)
+    count = 0
+    i = 0
+    n = len(tokens)
+    while i < n:
+        hit = 0
+        for length in range(min(max_len, n - i), 0, -1):
+            if tuple(tokens[i:i + length]) in phrases:
+                hit = length
+                break
+        if hit:
+            count += 1
+            i += hit
+        else:
+            i += 1
+    return count

@@ -434,6 +434,14 @@ def test_config_path_that_is_a_directory_exits_2_with_one_line(tmp_path, capsys)
     assert err.count("\n") == 1 and "config file not found" in err and str(tmp_path) in err
 
 
+def test_empty_config_path_exits_2_config_file_not_found(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["schedule-dump", "--config", "", "--timesteps", 5, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "config file not found" in err
+    assert not out.exists()
+
+
 def test_config_file_not_utf8_exits_2_naming_file_and_line(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(b"seed=1\n\xff=2\n")

@@ -4,6 +4,7 @@ They need hypothesis (the ``test`` extra) and are skipped without it.
 """
 
 import csv
+import json
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -16,7 +17,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from artdiff.cli import _write_samples_csv, main  # noqa: E402
-from artdiff.promptx import artist_histogram, read_artwork_table  # noqa: E402
+from artdiff.promptx import (FixtureGenerator, Gazetteer, HashEmbedder,  # noqa: E402
+                             artist_histogram, build_index, extend_prompt, load_corpus_jsonl,
+                             read_artwork_table, tfidf_from_index)
 
 # non-empty, already stripped names that hold commas, quotes and line breaks
 ARTISTS = st.text(st.one_of(st.sampled_from(',"\'\n\r '), st.characters(categories=("L", "N", "P"))),
@@ -54,3 +57,45 @@ def test_artist_histogram_csv_reads_back_as_the_histogram(artists):
         histogram = artist_histogram(read_artwork_table(table)[0])
     assert rows == [["artist", "count"]] + [[artist, str(count)] for artist, count in histogram]
     assert dict(histogram) == Counter(artists)
+
+
+# texts with commas, quotes, line breaks, U+2028, lone surrogates and a few
+# words the corpus, the prompt and the gazetteer share
+CANDIDATE_TEXT = st.lists(st.one_of(
+    st.sampled_from([",", '"', "'", "\r", "\n", "\u2028", "\ud800", "\udfff", " ", ". ",
+                     "river", "Lhasa", "1980", "art"]),
+    st.characters(categories=("L", "N", "P", "Z"))), max_size=12).map("".join)
+PROMPT = "river art"
+CANDIDATE_KEYS = {"text", "source", "tfidf", "cos", "spatial_entities",
+                  "temporal_entities", "score"}
+
+
+def write_jsonl(path, rows):
+    # json.dumps escapes every non-ASCII character, lone surrogates included
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(CANDIDATE_TEXT, min_size=1, max_size=4), st.lists(CANDIDATE_TEXT, max_size=3),
+       st.lists(CANDIDATE_TEXT, max_size=3))
+def test_candidates_jsonl_reads_back_as_the_ranked_candidates(bodies, continuations,
+                                                              responses):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        corpus, gazetteer = tmp / "corpus.jsonl", tmp / "gazetteer.txt"
+        fixtures, out = tmp / "fixtures.jsonl", tmp / "px"
+        write_jsonl(corpus, [{"id": f"d{i}", "title": f"river {i}", "body": body}
+                             for i, body in enumerate(bodies)])
+        write_jsonl(fixtures, [{"prompt": PROMPT, "continuations": continuations,
+                                "responses": responses}])
+        gazetteer.write_text("Lhasa\nPearl River\n", encoding="utf-8")
+        assert main(["prompt-extend", PROMPT, "--corpus", str(corpus), "--gazetteer",
+                     str(gazetteer), "--fixtures", str(fixtures), "--out", str(out)]) == 0
+        lines = (out / "candidates.jsonl").read_text(encoding="utf-8").splitlines()
+        index = build_index(load_corpus_jsonl(corpus))
+        expected = extend_prompt(PROMPT, index, tfidf_from_index(index), HashEmbedder(),
+                                 FixtureGenerator.from_file(fixtures),
+                                 gazetteer=Gazetteer.from_file(gazetteer))
+    rows = [json.loads(line) for line in lines]
+    assert rows and all(set(row) == CANDIDATE_KEYS for row in rows)
+    assert rows == [vars(c) for c in expected]

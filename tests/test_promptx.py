@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from artdiff.promptx import (ArtworkMeta, Document, FixtureGenerator,
                              read_artwork_table, score_candidate,
                              split_sentences, tfidf_fit, tfidf_from_index,
                              tfidf_score, tokenize, top_share)
+from reference import gazetteer_match_count
 
 
 def naive_bm25_scores(docs, query, k1=1.2, b=0.75):
@@ -442,6 +444,10 @@ def test_gazetteer_non_overlapping():
     # longest match consumes both tokens, leaving no second match
     assert gaz.match_count(tokenize("china city")) == 1
     assert gaz.match_count(tokenize("china china city")) == 2
+    gaz = Gazetteer(["China", "China City", "china city north gate", "Lhasa", "Pearl River"])
+    assert gaz.longest == {"china": 4, "lhasa": 1, "pearl": 2}
+    tokens = tokenize("china city north china lhasa pearl river china city north gate")
+    assert gaz.match_count(tokens) == gazetteer_match_count(gaz.phrases, tokens) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +626,51 @@ def test_score_candidate_reuses_given_prompt_embedding(data_dir):
                              u_embedding=HashEmbedder().embed(u))
     assert fresh == reused
     assert counting.texts == [u, v, v]
+
+
+def test_score_candidate_with_its_token_list_equals_tokenizing_again(data_dir):
+    docs = load_corpus_jsonl(data_dir / "micro_corpus.jsonl")
+    model = tfidf_fit(docs)
+    gaz = Gazetteer.from_file(data_dir / "gazetteer.txt")
+    gen = FixtureGenerator.from_file(data_dir / "fixtures.jsonl")
+    u = "urbanization of China"
+    texts = [s for doc in docs for s in split_sentences(doc.title) + split_sentences(doc.body)]
+    texts += gen.continuations(u) + gen.responses(u)
+    for v in texts + ["!!!", "China, China city; 3rd of May 2024 at 7:30"]:
+        with_tokens = score_candidate(u, v, model, HashEmbedder(), 1.0, 0.1, gaz,
+                                      tokens=tokenize(v))
+        assert with_tokens == score_candidate(u, v, model, HashEmbedder(), 1.0, 0.1, gaz)
+        assert with_tokens.tfidf == tfidf_score(model, v, tokens=tokenize(v)) == tfidf_score(model, v)
+        assert entity_count(v, gaz, tokens=tokenize(v)) == entity_count(v, gaz)
+
+
+def test_extend_prompt_tokenizes_each_candidate_at_most_twice(data_dir, monkeypatch):
+    index = build_index(load_corpus_jsonl(data_dir / "micro_corpus.jsonl"))
+    model = tfidf_from_index(index)
+    gen = FixtureGenerator.from_file(data_dir / "fixtures.jsonl")
+    gaz = Gazetteer.from_file(data_dir / "gazetteer.txt")
+    prompts = ("urbanization of China", "Asian morning")
+    plain = [extend_prompt(u, index, model, HashEmbedder(), gen, 1.0, 0.1, 10, gaz)
+             for u in prompts]
+    calls = Counter()
+    real_tokenize, real_score = promptx.tokenize, promptx.score_candidate
+
+    def counting_tokenize(text):
+        calls["tokenize"] += 1
+        return real_tokenize(text)
+
+    def counting_score(*args, **kwargs):
+        calls["scored"] += 1
+        return real_score(*args, **kwargs)
+
+    monkeypatch.setattr(promptx, "tokenize", counting_tokenize)
+    monkeypatch.setattr(promptx, "score_candidate", counting_score)
+    for u, expected in zip(prompts, plain):
+        calls.clear()
+        assert extend_prompt(u, index, model, HashEmbedder(), gen, 1.0, 0.1, 10, gaz) == expected
+        assert calls["scored"] > 10
+        # the prompt is tokenized twice too: once for BM25, once for its embedding
+        assert calls["tokenize"] <= 2 * calls["scored"] + 2
 
 
 def test_extend_prompt_top_k():

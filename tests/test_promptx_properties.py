@@ -1,4 +1,5 @@
-"""Property tests for tokenizing, index counting and the JSON Lines loaders.
+"""Property tests for tokenizing, index counting, gazetteer matching and the
+JSON Lines loaders.
 
 They need hypothesis (the ``test`` extra) and are skipped without it.
 """
@@ -12,12 +13,14 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from artdiff import promptx  # noqa: E402
 from artdiff.errors import ConfigError  # noqa: E402
-from artdiff.promptx import (Document, FixtureGenerator, build_index,  # noqa: E402
-                             load_corpus_jsonl, tfidf_fit, tfidf_from_index, tokenize)
+from artdiff.promptx import (Document, FixtureGenerator, Gazetteer,  # noqa: E402
+                             build_index, load_corpus_jsonl, tfidf_fit, tfidf_from_index,
+                             tokenize)
+from reference import gazetteer_match_count  # noqa: E402
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -88,6 +91,20 @@ JSON_OBJECTS = st.dictionaries(
     st.sampled_from(["id", "title", "body", "prompt", "continuations", "responses", "x"]),
     JSON_VALUES, max_size=4).map(lambda obj: json.dumps(obj, ensure_ascii=False))
 LINES = st.lists(st.one_of(JSON_OBJECTS, TEXT), max_size=5).map("\n".join)
+
+
+# four tokens, so phrases often share a first token, one phrase is often a
+# prefix of another, and single-token phrases are common
+PLACE_TOKENS = st.sampled_from(["a", "b", "c", "d"])
+PHRASES = st.lists(st.lists(PLACE_TOKENS, min_size=1, max_size=4).map(tuple), max_size=6)
+
+
+@PROPERTY
+@given(PHRASES, st.lists(PLACE_TOKENS, max_size=30))
+@example([("a",), ("a", "b"), ("a", "b", "c"), ("b", "c", "d")], list("abcdabcabda"))
+def test_gazetteer_match_count_equals_the_full_scan(phrases, tokens):
+    gazetteer = Gazetteer(" ".join(phrase) for phrase in phrases)
+    assert gazetteer.match_count(tokens) == gazetteer_match_count(set(phrases), tokens)
 
 
 @pytest.fixture(scope="module")
