@@ -244,8 +244,10 @@ def cmd_toy_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _write_samples_csv(path: Path, samples: np.ndarray) -> None:
+    # repr of the Python floats that tolist gives is _fmt of each value; a
+    # row at a time, so no list of every value is held at once
     flat = samples.reshape(samples.shape[0], -1)
-    lines = [",".join(_fmt(v) for v in row) for row in flat]
+    lines = [",".join(map(repr, row.tolist())) for row in flat]
     path.write_text("\n".join(lines) + "\n")
 
 

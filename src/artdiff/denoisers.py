@@ -23,9 +23,12 @@ per state shape, which holds mu0 tiled to that shape. The toy's,
 ``PreparedToyDenoiser``, checks and projects the condition once, keeps a
 one-token attention output per batch size, and takes all time features
 from one ``time_embedding`` call. Its trunk and head write each stage into
-a per-call workspace of buffers, one set per row count. Both bindings
-return fresh predictions that never alias their workspace, so a caller
-(plms) may keep them across calls.
+a per-call workspace, one per row count, that also holds the biases tiled
+to its rows and the FF weights as contiguous transposes, so every bias add
+is same-shape and no FF product reads a transposed view; a one-row stage
+keeps the views, since gemv rounds by layout. Both bindings return fresh
+predictions that never alias their workspace, so a caller (plms) may keep
+them across calls.
 
 The toy's weights, ``ToyDenoiserParams``, are one flat float64 vector cut
 by one layout table into named views, each bias a (1, width) row; its
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Protocol
 
 import numpy as np
@@ -348,42 +352,54 @@ def _time_features(params: ToyDenoiserParams, t, batch: int) -> np.ndarray:
     return time_embedding(np.broadcast_to(t_arr, (batch,)), params.time_dim)
 
 
-def _trunk(params: ToyDenoiserParams, x: np.ndarray, t, temb=None, out=None):
+def _trunk(params: ToyDenoiserParams, x: np.ndarray, t, temb=None, ops=None):
     """Input projection, time features and the first FF block.
 
-    Features precomputed for t may be passed as ``temb``. ``out``
-    optionally holds three (rows, width) buffers that h1, a1 and h2 are
-    written into; without it each stage is a fresh array.
+    Features precomputed for t may be passed as ``temb``. ``ops``
+    optionally holds a workspace's operands for this stage (see
+    ``_Workspace``): three (rows, width) buffers that h1, a1 and h2 are
+    written into, the biases b_in, ff1_b1 and ff1_b2, and the right-hand
+    FF weights ff1_w1.T and ff1_w2.T. Without it each stage is a fresh
+    array, each bias a (1, width) row and each weight a transposed view.
     """
     if temb is None:
         temb = _time_features(params, t, x.shape[0])
-    h1, a1, h2 = out if out is not None else (None, None, None)
+    h1, a1, h2, b_in, b1, b2, w1, w2 = ops if ops is not None else (
+        None, None, None, params.b_in, params.ff1_b1, params.ff1_b2,
+        params.ff1_w1.T, params.ff1_w2.T)
     h1 = np.matmul(x, params.w_in.T, out=h1)
-    h1 += params.b_in
+    h1 += b_in
     h1 += temb @ params.w_time.T
-    a1 = np.matmul(h1, params.ff1_w1.T, out=a1)
-    a1 += params.ff1_b1
+    a1 = np.matmul(h1, w1, out=a1)
+    a1 += b1
     np.tanh(a1, out=a1)
-    h2 = np.matmul(a1, params.ff1_w2.T, out=h2)
+    h2 = np.matmul(a1, w2, out=h2)
     np.add(h1, h2, out=h2)
-    h2 += params.ff1_b2
+    h2 += b2
     return temb, h1, a1, h2
 
 
-def _head(params: ToyDenoiserParams, h3: np.ndarray, out=None):
+def _head(params: ToyDenoiserParams, h3: np.ndarray, ops=None):
     """Second FF block and output projection: (a2, h4, prediction).
 
-    ``out`` optionally holds two (rows, width) buffers that a2 and h4 are
-    written into. The prediction is always a fresh array.
+    ``ops`` optionally holds a workspace's operands for this stage: two
+    (rows, width) buffers that a2 and h4 are written into, the biases
+    ff2_b1, ff2_b2 and b_out, and the right-hand FF weights ff2_w1.T and
+    ff2_w2.T; without it, as in ``_trunk``. The prediction is always a
+    fresh array.
     """
-    a2, h4 = out if out is not None else (None, None)
-    a2 = np.matmul(h3, params.ff2_w1.T, out=a2)
-    a2 += params.ff2_b1
+    a2, h4, b1, b2, b_out, w1, w2 = ops if ops is not None else (
+        None, None, params.ff2_b1, params.ff2_b2, params.b_out,
+        params.ff2_w1.T, params.ff2_w2.T)
+    a2 = np.matmul(h3, w1, out=a2)
+    a2 += b1
     np.tanh(a2, out=a2)
-    h4 = np.matmul(a2, params.ff2_w2.T, out=h4)
+    h4 = np.matmul(a2, w2, out=h4)
     np.add(h3, h4, out=h4)
-    h4 += params.ff2_b2
-    return a2, h4, h4 @ params.w_out.T + params.b_out
+    h4 += b2
+    out = h4 @ params.w_out.T
+    out += b_out
+    return a2, h4, out
 
 
 def _forward_pass(params: ToyDenoiserParams, xt: np.ndarray, t,
@@ -410,20 +426,53 @@ def _forward_pass(params: ToyDenoiserParams, xt: np.ndarray, t,
 
 
 class _Workspace:
-    """Three (rows, width) buffers for the forward stages of one row count;
-    h3 is the third. A guidance pair's trunk writes the first half of each,
-    and its h2 + attention goes to the second half of h3. The views are
-    made once, because at one row making a view costs as much as the
-    arithmetic it serves."""
+    """The operands of the forward stages for one row count: three
+    (rows, width) buffers, h3 the third, each bias tiled to the rows its
+    stage runs on, and the FF weights as right-hand operands. A guidance
+    pair's trunk runs on the first half of the rows, and its h2 + attention
+    goes to the second half of h3. The trunk operands of ``predict`` and
+    of a pair are each built on first use, so a workspace that serves only
+    pairs holds trunk tiles of half its rows.
 
-    def __init__(self, rows: int, width: int):
-        self.buffers = np.empty((3, rows, width))
-        buf1, buf2, self.h3 = self.buffers
-        half = rows // 2
-        self.trunk = (buf1, buf2, self.h3)
-        self.pair_trunk = (buf1[:half], buf2[:half], self.h3[:half])
-        self.pair_cond = self.h3[half:]
-        self.head = (buf1, buf2)
+    A tiled bias makes each bias add same-shape, which numpy runs about
+    twice as fast at 2000 rows as the broadcast of a (1, width) row, with
+    the same sums. Each FF weight is kept as a C-contiguous copy of its
+    transpose, which matmul reads about twice as fast as the transposed
+    view and which gives the same bits at two rows and more. A one-row
+    stage keeps the view: numpy sends a one-row product to gemv, whose
+    rounding depends on the layout. The operand tuples are made once,
+    because at one row making a view costs as much as the arithmetic it
+    serves."""
+
+    # per stage: the buffers it writes, its biases, its FF weights
+    TRUNK = (3, ("b_in", "ff1_b1", "ff1_b2"), ("ff1_w1", "ff1_w2"))
+    HEAD = (2, ("ff2_b1", "ff2_b2", "b_out"), ("ff2_w1", "ff2_w2"))
+
+    def __init__(self, params: ToyDenoiserParams, rows: int):
+        self.params = params
+        self.buffers = np.empty((3, rows, params.width))
+        self.h3 = self.buffers[2]
+        self.pair_cond = self.h3[rows // 2:]
+        self.head = self._operands(self.HEAD, rows)
+
+    @cached_property
+    def trunk(self) -> tuple:
+        return self._operands(self.TRUNK, len(self.h3))
+
+    @cached_property
+    def pair_trunk(self) -> tuple:
+        return self._operands(self.TRUNK, len(self.h3) // 2)
+
+    def _operands(self, stage, rows: int) -> tuple:
+        """The stage's buffers cut to rows, its biases tiled to rows and
+        its right-hand FF weights, in the order ``_trunk`` and ``_head``
+        unpack them."""
+        n_buffers, biases, weights = stage
+        params = self.params
+        return (*(buf[:rows] for buf in self.buffers[:n_buffers]),
+                *(np.repeat(getattr(params, name), rows, axis=0) for name in biases),
+                *(getattr(params, name).T if rows == 1
+                  else np.ascontiguousarray(getattr(params, name).T) for name in weights))
 
 
 class PreparedToyDenoiser:
@@ -442,9 +491,11 @@ class PreparedToyDenoiser:
     [h2, h2 + attention] rows.
 
     The trunk and the second FF block write their stages into a workspace
-    of three (rows, width) buffers per row count, allocated on first use
-    and reused by every later call with that count (a pair of B rows takes
-    the 2B entry). The returned predictions are fresh arrays that never
+    per row count, allocated on first use and reused by every later call
+    with that count (a pair of B rows takes the 2B entry). It holds three
+    (rows, width) buffers and the operands those stages read: the biases
+    tiled to its rows and the FF weights as contiguous transposes (see
+    ``_Workspace``). The returned predictions are fresh arrays that never
     alias the workspace, so a caller may keep them across calls.
     """
 
@@ -480,7 +531,7 @@ class PreparedToyDenoiser:
         total = 2 * rows if pair else rows
         ws = self._workspace.get(total)
         if ws is None:
-            ws = self._workspace[total] = _Workspace(total, params.width)
+            ws = self._workspace[total] = _Workspace(params, total)
         if pair:
             h2 = _trunk(params, x, t, temb, ws.pair_trunk)[-1]
             np.add(h2, self._attention(h2), out=ws.pair_cond)

@@ -23,6 +23,7 @@ whose token starts no place name through a first-token index.
 
 from __future__ import annotations
 
+import csv
 import io
 import itertools
 import json
@@ -662,16 +663,26 @@ def load_corpus_jsonl(path) -> list[Document]:
     return docs
 
 
+def _csv_rows(fh, delimiter: str, path) -> Iterator[list[str]]:
+    """The rows ``csv.reader`` reads from fh; a ``csv.Error`` becomes a
+    ``ConfigError`` naming the file and line."""
+    reader = csv.reader(fh, delimiter=delimiter)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ConfigError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def read_artwork_table(path, delimiter: str = ",") -> tuple[list[ArtworkMeta], int]:
     """Character-separated artwork metadata with columns
     title, artist, style, genre, year. Returns (rows, malformed count);
-    malformed rows are skipped, not fatal. Text that is not UTF-8 raises
+    malformed rows are skipped, not fatal. Text that is not UTF-8, or that
+    the csv module refuses (a field over its length limit), raises
     ``ConfigError`` naming the file and line."""
-    import csv
     metas = []
     malformed = 0
     with io.StringIO(_read_utf8(path, newline=""), newline="") as fh:
-        for row in csv.reader(fh, delimiter=delimiter):
+        for row in _csv_rows(fh, delimiter, path):
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != 5:

@@ -5,7 +5,8 @@ the tractable posterior, the training loss, the DDIM noise scale and the
 denoised observation written out directly, plus small helpers the
 acceptance criteria need. Nothing here imports ``artdiff.samplers``, so a
 sampler check never compares the sampler with itself. The prompt-extension
-piece is the gazetteer scan that tries every position.
+piece is the gazetteer scan that tries every position, and the output piece
+is the text of ``samples.csv`` written value by value.
 """
 
 from __future__ import annotations
@@ -167,3 +168,10 @@ def gazetteer_match_count(phrases, tokens: list[str]) -> int:
         else:
             i += 1
     return count
+
+
+def samples_csv_text(samples: np.ndarray) -> str:
+    """``samples.csv`` as the CLI writes it: one line per sample, each value
+    the repr of its Python float, joined by commas."""
+    flat = np.asarray(samples).reshape(len(samples), -1)
+    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in flat)

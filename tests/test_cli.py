@@ -728,6 +728,15 @@ def test_corpus_stats_non_utf8_metadata_exits_2(tmp_path, capsys):
     assert f"{table}:2: not UTF-8 text" in _one_line_error(capsys)
 
 
+def test_corpus_stats_over_long_metadata_field_exits_2(tmp_path, capsys):
+    # the csv module refuses a field over its limit of 131,072 characters
+    table = tmp_path / "rows.csv"
+    table.write_text("a,Solo Artist,s,g,1900\nb,\"" + "x" * 131_073 + "\",s,g,1901\n",
+                     encoding="utf-8")
+    assert run(["corpus-stats", "--metadata", table, "--out", tmp_path / "o"]) == 2
+    assert f"{table}:2: field larger than field limit" in _one_line_error(capsys)
+
+
 def test_out_path_that_is_a_file_exits_2(tmp_path, capsys):
     blocker = tmp_path / "taken"
     blocker.write_text("not a directory\n")

@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from artdiff.cli import _write_samples_csv, main  # noqa: E402
 from artdiff.promptx import (FixtureGenerator, Gazetteer, HashEmbedder,  # noqa: E402
                              artist_histogram, build_index, extend_prompt, load_corpus_jsonl,
                              read_artwork_table, tfidf_from_index)
+from reference import samples_csv_text  # noqa: E402
 
 # non-empty, already stripped names that hold commas, quotes and line breaks
 ARTISTS = st.text(st.one_of(st.sampled_from(',"\'\n\r '), st.characters(categories=("L", "N", "P"))),
@@ -40,6 +41,28 @@ def test_samples_csv_fields_parse_back_to_the_same_bits(samples):
     parsed = np.array([[float(field) for field in line.split(",")] for line in lines])
     assert parsed.shape == samples.shape
     assert parsed.tobytes() == samples.tobytes()     # bits, so -0.0 stays -0.0
+
+
+# -0.0, the smallest and largest subnormals, the smallest normal, and the
+# two points where repr switches between positional and exponent notation
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                               2.2250738585072014e-308, 1e16, 9999999999999998.0, 1e-5,
+                               0.0001, -1e-5, 1.0, 0.1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 3)),
+                  elements=st.one_of(EDGE_FLOATS, st.floats(allow_nan=False,
+                                                            allow_infinity=False))))
+@example(np.array([[-0.0], [5e-324], [1e16], [1e-5]]))
+@example(np.array([[-0.0, 5e-324], [1e16, 1e-5]]))
+@example(np.array([[-0.0, 5e-324, 1e16], [1e-5, -2.2250738585072014e-308, 1e-323]]))
+def test_samples_csv_bytes_equal_the_reference_formatter(samples):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "samples.csv"
+        _write_samples_csv(path, samples)
+        written = path.read_bytes()
+    assert written == samples_csv_text(samples).encode()
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,5 @@
-"""Property tests for tokenizing, index counting, gazetteer matching and the
-JSON Lines loaders.
+"""Property tests for tokenizing, index counting, gazetteer matching, the
+JSON Lines loaders and the artwork metadata table.
 
 They need hypothesis (the ``test`` extra) and are skipped without it.
 """
@@ -17,9 +17,9 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from artdiff import promptx  # noqa: E402
 from artdiff.errors import ConfigError  # noqa: E402
-from artdiff.promptx import (Document, FixtureGenerator, Gazetteer,  # noqa: E402
-                             build_index, load_corpus_jsonl, tfidf_fit, tfidf_from_index,
-                             tokenize)
+from artdiff.promptx import (ArtworkMeta, Document, FixtureGenerator,  # noqa: E402
+                             Gazetteer, build_index, load_corpus_jsonl, read_artwork_table,
+                             tfidf_fit, tfidf_from_index, tokenize)
 from reference import gazetteer_match_count  # noqa: E402
 
 PROPERTY = settings(max_examples=150, deadline=None)
@@ -139,3 +139,39 @@ def test_fixture_loader_returns_lists_of_strings_or_config_error(jsonl_path, tex
     for prompt, (continuations, responses) in generator._table.items():
         assert type(prompt) is str
         assert all(type(t) is str for t in continuations + responses)
+
+
+# metadata tables: the csv specials, other delimiters, a header, cells that
+# parse as a year, lone surrogates (the file is then not UTF-8) and a field
+# over the csv module's limit of 131,072 characters
+OVER_LONG = "x" * 131_073
+HEADER = "title,artist,style,genre,year\n"
+TABLE_TEXT = st.tuples(st.sampled_from(["", HEADER]), st.lists(st.one_of(
+    st.sampled_from([",", '"', "\r", "\n", "\r\n", "\x00", ";", "\t", "|", " ",
+                     "1900", "-7", "Artist", "\ud800", OVER_LONG]),
+    st.characters()), max_size=40).map("".join)).map("".join)
+
+
+@pytest.fixture(scope="module")
+def table_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("table") / "artworks.csv"
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=TABLE_TEXT, delimiter=st.one_of(st.sampled_from(",;\t| \"\r\n\x00"),
+                                            st.characters(exclude_categories=("Cs",))))
+@example(text=HEADER + "a,Solo Artist,s,g,1900\n", delimiter=",")
+@example(text=f'a,"{OVER_LONG}",s,g,1900\n', delimiter=",")
+def test_artwork_table_returns_rows_with_an_artist_or_config_error(table_path, text, delimiter):
+    table_path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    try:
+        metas, malformed = read_artwork_table(table_path, delimiter)
+    except ConfigError as exc:
+        assert str(exc).startswith(f"{table_path}:")
+        assert "\n" not in str(exc)
+        return
+    assert type(malformed) is int and malformed >= 0
+    for meta in metas:
+        assert type(meta) is ArtworkMeta
+        assert meta.artist and meta.artist == meta.artist.strip()
+        assert meta.year is None or type(meta.year) is int
