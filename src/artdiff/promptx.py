@@ -266,14 +266,9 @@ def tfidf_from_index(index: Bm25Index) -> TfidfModel:
     return _tfidf_model(index.vocab, index.indptr, index.size)
 
 
-def tfidf_score(model: TfidfModel, text: str, *,
-                tokens: Optional[list[str]] = None) -> float:
-    """Mean over the text's token occurrences of tf * idf; OOV terms score 0.
-
-    ``tokens``, when given, must be ``tokenize(text)``.
-    """
-    if tokens is None:
-        tokens = tokenize(text)
+def tfidf_score(model: TfidfModel, tokens: list[str]) -> float:
+    """Mean over a text's token occurrences of tf * idf; OOV terms score 0.
+    ``tokens`` is ``tokenize`` of the text."""
     if not tokens:
         return 0.0
     counts = Counter(tokens)
@@ -386,17 +381,14 @@ class Gazetteer:
         return count
 
 
-def entity_count(text: str, gazetteer: Gazetteer, *,
-                 tokens: Optional[list[str]] = None) -> tuple[int, int]:
+def entity_count(text: str, gazetteer: Gazetteer, tokens: list[str]) -> tuple[int, int]:
     """(spatial, temporal) entity counts.
 
     Spatial entities are gazetteer phrase matches over the token stream;
     temporal entities are regex matches on the raw text for 4-digit years
     1000-2999, month names, clock times, and ordinal day numbers.
-    ``tokens``, when given, must be ``tokenize(text)``.
+    ``tokens`` is ``tokenize(text)``.
     """
-    if tokens is None:
-        tokens = tokenize(text)
     spatial = gazetteer.match_count(tokens)
     temporal = (len(_YEAR_RE.findall(text)) + len(_CLOCK_RE.findall(text))
                 + len(_MONTH_RE.findall(text)) + len(_ORDINAL_DAY_RE.findall(text)))
@@ -439,11 +431,11 @@ def score_candidate(u: str, v: str, tfidf_model: TfidfModel, embedder: Embedder,
         raise ValueError("lambda1 and lambda2 must be >= 0")
     if tokens is None:
         tokens = tokenize(v)
-    fert = tfidf_score(tfidf_model, v, tokens=tokens)
+    fert = tfidf_score(tfidf_model, tokens)
     if u_embedding is None:
         u_embedding = embedder.embed(u)
     cos = cosine(u_embedding, embedder.embed(v))
-    spatial, temporal = entity_count(v, gazetteer, tokens=tokens)
+    spatial, temporal = entity_count(v, gazetteer, tokens)
     score = fert + lambda1 * cos + lambda2 * (spatial + temporal)
     return PromptCandidate(text=v, source=source, tfidf=fert, cos=cos,
                            spatial_entities=spatial, temporal_entities=temporal,

@@ -3,6 +3,8 @@ import hashlib
 import json
 import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -211,18 +213,24 @@ def test_sample_bytes_are_pinned(tmp_path, pin_checkpoint, name):
 
 TRAIN_PINS = DATA / "train_pins"
 PINNED_TRAINING = {
-    "cond-adam": [],
-    "cond-sgd": ["--optimizer", "sgd", "--lr", 0.01],
+    "cond-adam": ["--conditional"],
+    "uncond-adam": [],
+    "cond-sgd": ["--conditional", "--optimizer", "sgd", "--lr", 0.01],
 }
+# "<sha256>  <run>/checkpoint.bin" lines, as sha256sum prints them
+CHECKPOINT_PINS = dict(line.split()[::-1] for line in
+                       (TRAIN_PINS / "checkpoints.sha256").read_text().splitlines())
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_TRAINING))
 def test_train_loss_bytes_are_pinned(tmp_path, name):
-    # attention changes must leave every conditional training loss byte-identical
-    assert run(["toy-train", "--dataset", "8-gaussian-ring", "--conditional", "--steps", 100,
+    # training changes must leave every loss and checkpoint byte-identical
+    assert run(["toy-train", "--dataset", "8-gaussian-ring", "--steps", 100,
                 "--seed", 1, "--timesteps", 100, "--batch", 32, "--drop_prob", 0.2,
                 *PINNED_TRAINING[name], "--out", tmp_path]) == 0
     assert (tmp_path / "loss.csv").read_bytes() == (TRAIN_PINS / f"{name}.csv").read_bytes()
+    digest = hashlib.sha256((tmp_path / "checkpoint.bin").read_bytes()).hexdigest()
+    assert digest == CHECKPOINT_PINS[f"{name}/checkpoint.bin"]
 
 
 def test_prompt_extend_end_to_end(tmp_path):
@@ -617,6 +625,19 @@ def test_sample_overflowing_checkpoint_is_runtime_failure(tmp_path, capsys):
                     "--batch", 2, "--out", tmp_path / "o"])
     assert code == 1
     assert "non-finite" in _one_line_error(capsys)
+
+
+def test_diverging_toy_train_prints_one_line(tmp_path):
+    # a fresh process, so numpy's floating-point warnings reach stderr as
+    # they would for a user, and pytest's warning capture cannot hide them
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "artdiff.cli", "toy-train", "--dataset",
+                           "8-gaussian-ring", "--lr", "1e300", "--steps", "2",
+                           "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: loss became non-finite at step 1"]
 
 
 def test_sample_inf_bias_checkpoint_exits_1(tmp_path, capsys):

@@ -503,16 +503,21 @@ def test_train_two_adam_steps_match_hand_update(default_schedule):
 
 @pytest.mark.parametrize("variant", ["cond-adam", "uncond-adam", "cond-sgd"])
 def test_train_matches_reference_loop(default_schedule, variant):
+    # the later runs cross two block boundaries of the timestep, noise and
+    # drop draws and end in a short block: at an odd batch, and at a batch
+    # large enough to cut the block to two steps
     ds = get_dataset("8-gaussian-ring")
     p = init_toy_denoiser(RngStream(26), 2)
     emb = None if variant.startswith("uncond") else LabelEmbedding.create(8, p.cond_width, 3)
-    cfg = TrainConfig(steps=25, batch_size=16, learning_rate=0.01, seed=8, drop_prob=0.2,
-                      optimizer=variant.split("-")[1])
-    trained, losses = train(p, ds, cfg, default_schedule, emb)
-    expect, expect_losses = reference_train(p, ds, cfg, default_schedule, emb)
-    assert np.array_equal(losses, expect_losses)
-    for name, arr in expect.arrays().items():
-        assert np.array_equal(trained.arrays()[name], arr), name
+    large = denoisers.TRAIN_BLOCK_ROWS // 2 - 1
+    for steps, batch in ((25, 16), (2 * denoisers.TRAIN_BLOCK + 3, 7), (5, large)):
+        cfg = TrainConfig(steps=steps, batch_size=batch, learning_rate=0.01, seed=8,
+                          drop_prob=0.2, optimizer=variant.split("-")[1])
+        trained, losses = train(p, ds, cfg, default_schedule, emb)
+        expect, expect_losses = reference_train(p, ds, cfg, default_schedule, emb)
+        assert np.array_equal(losses, expect_losses), steps
+        for name, arr in expect.arrays().items():
+            assert np.array_equal(trained.arrays()[name], arr), (steps, name)
 
 
 @pytest.mark.parametrize("variant", ["cond-adam", "uncond-adam", "cond-sgd"])

@@ -150,3 +150,22 @@ def test_normal_rejects_a_buffer_of_the_wrong_shape(shape):
         rng.normal((5, 3), out=np.empty(shape))
     assert rng.draws == 0
     assert rng.normal((5, 3)).tobytes() == RngStream(22).normal((5, 3)).tobytes()
+
+
+@pytest.mark.parametrize("batch", [1, 7, 64])
+@pytest.mark.parametrize("kind", ["integers", "normal", "uniform"])
+def test_block_draws_equal_per_step_draws(kind, batch):
+    # training draws k steps' timesteps, noise and drop masks in one call;
+    # that gives the values, in order, and the count of k per-step calls
+    draw = {"integers": lambda rng, shape: rng.integers(1, 1000, shape),
+            "normal": lambda rng, shape: rng.normal(shape),
+            "uniform": lambda rng, shape: rng.uniform(shape)}[kind]
+    steps = 5
+    per_step, block = RngStream(23).child(kind), RngStream(23).child(kind)
+    shape = (batch, 2) if kind == "normal" else (batch,)
+    expect = np.stack([draw(per_step, shape) for _ in range(steps)])
+    got = draw(block, (steps, *shape))
+    assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
+    assert block.draws == per_step.draws == steps * np.prod(shape)
+    # both streams continue alike after the block
+    assert draw(block, shape).tobytes() == draw(per_step, shape).tobytes()

@@ -278,8 +278,8 @@ def test_build_index_rejects_out_of_range_parameters():
 
 def test_tfidf_oov_scores_zero():
     model = tfidf_fit([Document(id="a", title="china city")])
-    assert tfidf_score(model, "wheat plateau") == 0.0
-    assert tfidf_score(model, "") == 0.0
+    assert tfidf_score(model, tokenize("wheat plateau")) == 0.0
+    assert tfidf_score(model, tokenize("")) == 0.0
 
 
 def test_tfidf_single_doc_convention():
@@ -288,7 +288,7 @@ def test_tfidf_single_doc_convention():
     doc = Document(id="a", title="china city urban")
     model = tfidf_fit([doc])
     assert model.idf["china"] == 0.0
-    assert tfidf_score(model, doc.text()) == 0.0
+    assert tfidf_score(model, tokenize(doc.text())) == 0.0
 
 
 def test_tfidf_hand_computation():
@@ -302,7 +302,7 @@ def test_tfidf_hand_computation():
     # idf(china) = idf(city) = ln(4 / (1 + 1)) = ln 2; text tokens are
     # (china, china, city) so occurrence values are (2/3, 2/3, 1/3) * ln 2
     expect = ((2 / 3) * math.log(2.0) * 2 + (1 / 3) * math.log(2.0)) / 3
-    assert tfidf_score(model, "china china city") == pytest.approx(expect, rel=1e-12)
+    assert tfidf_score(model, tokenize("china china city")) == pytest.approx(expect, rel=1e-12)
 
 
 def test_tfidf_idf_decreases_when_term_spreads():
@@ -411,32 +411,36 @@ def make_gazetteer():
     return Gazetteer(["Shenzhen", "Qinghai-Tibet Plateau", "China"])
 
 
+def count_entities(text, gazetteer):
+    return entity_count(text, gazetteer, tokenize(text))
+
+
 def test_entity_count_none():
-    assert entity_count("a cat", make_gazetteer()) == (0, 0)
+    assert count_entities("a cat", make_gazetteer()) == (0, 0)
 
 
 def test_entity_count_place_and_year():
-    assert entity_count("Shenzhen in 1980", make_gazetteer()) == (1, 1)
+    assert count_entities("Shenzhen in 1980", make_gazetteer()) == (1, 1)
 
 
 def test_entity_count_longest_match_and_times():
-    got = entity_count("Qinghai-Tibet Plateau at 7:30 in March", make_gazetteer())
+    got = count_entities("Qinghai-Tibet Plateau at 7:30 in March", make_gazetteer())
     assert got == (1, 2)
 
 
 def test_entity_count_ordinal_and_month():
-    spatial, temporal = entity_count("the 3rd of March, 2024 in China",
-                                     make_gazetteer())
+    spatial, temporal = count_entities("the 3rd of March, 2024 in China",
+                                       make_gazetteer())
     assert spatial == 1
     assert temporal == 3  # ordinal day + month + year
 
 
 def test_entity_year_bounds():
     gaz = Gazetteer([])
-    assert entity_count("year 999", gaz) == (0, 0)
-    assert entity_count("year 1000", gaz) == (0, 1)
-    assert entity_count("year 2999", gaz) == (0, 1)
-    assert entity_count("year 3000", gaz) == (0, 0)
+    assert count_entities("year 999", gaz) == (0, 0)
+    assert count_entities("year 1000", gaz) == (0, 1)
+    assert count_entities("year 2999", gaz) == (0, 1)
+    assert count_entities("year 3000", gaz) == (0, 0)
 
 
 def test_gazetteer_non_overlapping():
@@ -640,8 +644,9 @@ def test_score_candidate_with_its_token_list_equals_tokenizing_again(data_dir):
         with_tokens = score_candidate(u, v, model, HashEmbedder(), 1.0, 0.1, gaz,
                                       tokens=tokenize(v))
         assert with_tokens == score_candidate(u, v, model, HashEmbedder(), 1.0, 0.1, gaz)
-        assert with_tokens.tfidf == tfidf_score(model, v, tokens=tokenize(v)) == tfidf_score(model, v)
-        assert entity_count(v, gaz, tokens=tokenize(v)) == entity_count(v, gaz)
+        assert with_tokens.tfidf == tfidf_score(model, tokenize(v))
+        assert (with_tokens.spatial_entities, with_tokens.temporal_entities) == \
+            entity_count(v, gaz, tokenize(v))
 
 
 def test_extend_prompt_tokenizes_each_candidate_at_most_twice(data_dir, monkeypatch):
