@@ -18,7 +18,8 @@ Candidate scoring runs over one token list per candidate: ``extend_prompt``
 tokenizes each pooled text once, keys the deduplication on that list and
 hands it to ``tfidf_score`` and ``entity_count``; only the embedder
 tokenizes the text again. ``Gazetteer.match_count`` skips every position
-whose token starts no place name through a first-token index.
+whose token starts no place name through a first-token index, and
+``entity_count`` runs a temporal pattern only on a text that could match it.
 """
 
 from __future__ import annotations
@@ -90,10 +91,14 @@ class Bm25Index:
     the slice ``indptr[row]:indptr[row + 1]`` of ``doc_pos`` (document
     positions, ascending) and ``tfs`` (term frequencies), so its document
     frequency is the slice length. ``lengths`` holds each document's token
-    count. ``id_rank[pos]`` is the rank of a document's id in ascending id
-    order and ``id_order`` is its inverse, so ties break on id without
-    comparing strings. The arrays are read-only and int32, except
-    ``indptr``, which is int64.
+    count, and ``norms`` its length norm ``k1 * (1.0 - b + b * dl / avgdl)``,
+    built once in that operation order, so a query gathers the scalar
+    formula's value bit for bit instead of computing it over every posting.
+    When ``avgdl`` is 0 every document is empty, no posting reads a norm, and
+    each norm is ``k1 * (1 - b)``. ``id_rank[pos]`` is the rank of a
+    document's id in ascending id order and ``id_order`` is its inverse, so
+    ties break on id without comparing strings. The arrays are read-only and
+    int32, except ``indptr`` (int64) and ``norms`` (float64).
     """
 
     documents: tuple[Document, ...]
@@ -102,6 +107,7 @@ class Bm25Index:
     doc_pos: np.ndarray
     tfs: np.ndarray
     lengths: np.ndarray
+    norms: np.ndarray
     id_rank: np.ndarray
     id_order: np.ndarray
     avgdl: float
@@ -185,10 +191,15 @@ def build_index(corpus: Iterable[Document], k1: float = DEFAULT_K1,
     id_rank = np.empty(len(docs), dtype=np.int32)
     id_rank[by_id] = np.arange(len(docs), dtype=np.int32)
     avgdl = int(lengths.sum()) / len(docs) if docs else 0.0
+    if avgdl:
+        norms = k1 * (1.0 - b + b * lengths / avgdl)
+    else:   # every document is empty: 0 / 0 would warn, and no posting reads it
+        norms = np.full(len(docs), k1 * (1.0 - b))
     return Bm25Index(documents=docs, vocab=vocab, indptr=_frozen(indptr, np.int64),
                      doc_pos=_frozen(doc_pos, np.int32), tfs=_frozen(tfs, np.int32),
-                     lengths=_frozen(lengths, np.int32), id_rank=_frozen(id_rank, np.int32),
-                     id_order=_frozen(by_id, np.int32), avgdl=avgdl, k1=k1, b=b)
+                     lengths=_frozen(lengths, np.int32), norms=_frozen(norms, np.float64),
+                     id_rank=_frozen(id_rank, np.int32), id_order=_frozen(by_id, np.int32),
+                     avgdl=avgdl, k1=k1, b=b)
 
 
 def bm25_search(index: Bm25Index, query: str, k: int) -> list[tuple[Document, float]]:
@@ -197,10 +208,10 @@ def bm25_search(index: Bm25Index, query: str, k: int) -> list[tuple[Document, fl
     Query tokens contribute once per occurrence; an empty query scores
     every document zero. Only the postings of the query terms are read:
     each token adds ``idf * (tf*(k1+1)) / (tf + k1*(1-b+b*dl/avgdl))`` to
-    its documents, in query-token order starting from 0.0, so every score
-    is bit-identical to the scalar formula. Documents the query does not
-    touch score 0.0; when fewer than k are touched they fill the tail in
-    ascending id order.
+    its documents, in query-token order starting from 0.0, with the length
+    norm read from ``index.norms``, so every score is bit-identical to the
+    scalar formula. Documents the query does not touch score 0.0; when fewer
+    than k are touched they fill the tail in ascending id order.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -209,15 +220,14 @@ def bm25_search(index: Bm25Index, query: str, k: int) -> list[tuple[Document, fl
         return []
     k = min(k, n)
     acc = np.zeros(n)
-    k1, b = index.k1, index.b
+    k1 = index.k1
     for term in tokenize(query):
         row = index.vocab.get(term)
         if row is None:
             continue
         lo, hi = int(index.indptr[row]), int(index.indptr[row + 1])
         pos, tf = index.doc_pos[lo:hi], index.tfs[lo:hi]
-        norm = k1 * (1.0 - b + b * index.lengths[pos] / index.avgdl)
-        acc[pos] += index.idf(term) * (tf * (k1 + 1.0)) / (tf + norm)
+        acc[pos] += index.idf(term) * (tf * (k1 + 1.0)) / (tf + index.norms[pos])
     touched = np.flatnonzero(acc)
     if touched.size > k:
         kth = np.partition(acc[touched], touched.size - k)[touched.size - k]
@@ -332,6 +342,8 @@ _ORDINAL_DAY_RE = re.compile(r"\b\d{1,2}(?:st|nd|rd|th)\b", re.IGNORECASE)
 _MONTHS = ("january", "february", "march", "april", "may", "june", "july",
            "august", "september", "october", "november", "december")
 _MONTH_RE = re.compile(r"\b(?:" + "|".join(_MONTHS) + r")\b", re.IGNORECASE)
+_MONTH_TOKENS = frozenset(_MONTHS)
+_DIGIT_RE = re.compile(r"\d")
 
 
 class Gazetteer:
@@ -382,16 +394,34 @@ class Gazetteer:
 
 
 def entity_count(text: str, gazetteer: Gazetteer, tokens: list[str]) -> tuple[int, int]:
-    """(spatial, temporal) entity counts.
+    r"""(spatial, temporal) entity counts.
 
     Spatial entities are gazetteer phrase matches over the token stream;
     temporal entities are regex matches on the raw text for 4-digit years
     1000-2999, month names, clock times, and ordinal day numbers.
     ``tokens`` is ``tokenize(text)``.
+
+    A pattern runs only on a text it could match, and each gate is exact:
+
+    - Every match of the year, clock and ordinal patterns holds a ``\d``
+      character, so a text in which ``\d`` (any Unicode digit) finds
+      nothing has none of them.
+    - In ASCII text a month match is a whole ``[A-Za-z0-9_]`` run equal to
+      a month name. The characters around it are none of those, so they
+      split tokens too, and ``tokenize`` yields the run as one lowercase
+      token: no month token means no match. Non-ASCII text always runs the
+      month pattern, because IGNORECASE lets some non-ASCII letters match
+      ASCII ones (U+017F LONG S matches ``s``, U+212A KELVIN SIGN ``k``,
+      U+0131 DOTLESS I ``i``): "augu\u017ft" is a month although its tokens
+      are ``augu`` and ``t``.
     """
     spatial = gazetteer.match_count(tokens)
-    temporal = (len(_YEAR_RE.findall(text)) + len(_CLOCK_RE.findall(text))
-                + len(_MONTH_RE.findall(text)) + len(_ORDINAL_DAY_RE.findall(text)))
+    temporal = 0
+    if _DIGIT_RE.search(text):
+        temporal += (len(_YEAR_RE.findall(text)) + len(_CLOCK_RE.findall(text))
+                     + len(_ORDINAL_DAY_RE.findall(text)))
+    if not text.isascii() or not _MONTH_TOKENS.isdisjoint(tokens):
+        temporal += len(_MONTH_RE.findall(text))
     return spatial, temporal
 
 

@@ -5,13 +5,15 @@ the tractable posterior, the training loss, the DDIM noise scale and the
 denoised observation written out directly, plus small helpers the
 acceptance criteria need. Nothing here imports ``artdiff.samplers``, so a
 sampler check never compares the sampler with itself. The prompt-extension
-piece is the gazetteer scan that tries every position, and the output piece
-is the text of ``samples.csv`` written value by value.
+pieces are the gazetteer scan that tries every position and the temporal
+count that runs all four patterns on every text, and the output piece is
+the text of ``samples.csv`` written value by value.
 """
 
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -168,6 +170,21 @@ def gazetteer_match_count(phrases, tokens: list[str]) -> int:
         else:
             i += 1
     return count
+
+
+_YEAR_RE = re.compile(r"\b[12][0-9]{3}\b")
+_CLOCK_RE = re.compile(r"\b\d{1,2}:\d{2}\b")
+_ORDINAL_DAY_RE = re.compile(r"\b\d{1,2}(?:st|nd|rd|th)\b", re.IGNORECASE)
+_MONTH_RE = re.compile(r"\b(?:january|february|march|april|may|june|july|august|september"
+                       r"|october|november|december)\b", re.IGNORECASE)
+
+
+def temporal_count(text: str) -> int:
+    """Temporal entities in ``text``: matches of the year (1000-2999),
+    clock-time, month-name and ordinal-day patterns, each scanned over the
+    whole text."""
+    return (len(_YEAR_RE.findall(text)) + len(_CLOCK_RE.findall(text))
+            + len(_MONTH_RE.findall(text)) + len(_ORDINAL_DAY_RE.findall(text)))
 
 
 def samples_csv_text(samples: np.ndarray) -> str:

@@ -627,17 +627,34 @@ def test_sample_overflowing_checkpoint_is_runtime_failure(tmp_path, capsys):
     assert "non-finite" in _one_line_error(capsys)
 
 
-def test_diverging_toy_train_prints_one_line(tmp_path):
-    # a fresh process, so numpy's floating-point warnings reach stderr as
-    # they would for a user, and pytest's warning capture cannot hide them
+def run_in_fresh_process(argv):
+    """The CLI in a new interpreter, so numpy's floating-point warnings reach
+    stderr as they would for a user, and pytest's warning capture cannot
+    hide them."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "artdiff.cli", "toy-train", "--dataset",
-                           "8-gaussian-ring", "--lr", "1e300", "--steps", "2",
-                           "--out", str(tmp_path / "o")],
+    return subprocess.run([sys.executable, "-m", "artdiff.cli"] + [str(a) for a in argv],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_diverging_toy_train_prints_one_line(tmp_path):
+    proc = run_in_fresh_process(["toy-train", "--dataset", "8-gaussian-ring", "--lr", "1e300",
+                                 "--steps", "2", "--out", tmp_path / "o"])
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == ["error: loss became non-finite at step 1"]
+
+
+def test_prompt_extend_on_a_corpus_without_tokens_prints_nothing(tmp_path):
+    # every document tokenizes to nothing, so the mean document length is 0
+    corpus = tmp_path / "marks.jsonl"
+    corpus.write_text('{"id": "a", "title": "!!!"}\n{"id": "b", "title": "???"}\n')
+    out = tmp_path / "o"
+    proc = run_in_fresh_process(["prompt-extend", "x", "--corpus", corpus,
+                                 "--gazetteer", DATA / "gazetteer.txt",
+                                 "--fixtures", DATA / "fixtures.jsonl", "--out", out])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert [json.loads(line)["text"] for line in
+            (out / "candidates.jsonl").read_text().splitlines()] == ["!!!"]
 
 
 def test_sample_inf_bias_checkpoint_exits_1(tmp_path, capsys):

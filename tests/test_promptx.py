@@ -272,6 +272,25 @@ def test_build_index_rejects_out_of_range_parameters():
             build_index(docs, k1=k1, b=b)
 
 
+@pytest.mark.parametrize("k1, b", [(1.2, 0.75), (0.0, 0.3), (2.0, 1.0), (0.9, 0.0)])
+def test_bm25_norms_equal_the_scalar_formula_and_are_read_only(k1, b):
+    index = build_index(random_docs(np.random.default_rng(5), 40), k1=k1, b=b)
+    assert index.norms.dtype == np.float64
+    assert index.norms.tolist() == [k1 * (1.0 - b + b * dl / index.avgdl)
+                                    for dl in index.lengths.tolist()]
+    with pytest.raises(ValueError):
+        index.norms[0] = 1.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bm25_on_a_corpus_without_tokens_warns_nothing():
+    index = build_index([Document(id="b", title="???"), Document(id="a", title="!!!")])
+    assert index.avgdl == 0.0
+    assert index.norms.tolist() == [1.2 * (1.0 - 0.75)] * 2
+    got = bm25_search(index, "anything at all", 5)
+    assert [(doc.id, score) for doc, score in got] == [("a", 0.0), ("b", 0.0)]
+
+
 # ---------------------------------------------------------------------------
 # TF-IDF
 # ---------------------------------------------------------------------------
@@ -676,6 +695,53 @@ def test_extend_prompt_tokenizes_each_candidate_at_most_twice(data_dir, monkeypa
         assert calls["scored"] > 10
         # the prompt is tokenized twice too: once for BM25, once for its embedding
         assert calls["tokenize"] <= 2 * calls["scored"] + 2
+
+
+@pytest.fixture
+def temporal_scans(monkeypatch):
+    """Counts the ``findall`` calls of each temporal pattern in ``promptx``."""
+    calls = Counter()
+
+    class CountingPattern:
+        def __init__(self, name, pattern):
+            self.name, self.pattern = name, pattern
+
+        def findall(self, text):
+            calls[self.name] += 1
+            return self.pattern.findall(text)
+
+    for name in ("_YEAR_RE", "_CLOCK_RE", "_MONTH_RE", "_ORDINAL_DAY_RE"):
+        monkeypatch.setattr(promptx, name, CountingPattern(name, getattr(promptx, name)))
+    return calls
+
+
+def test_extend_prompt_runs_no_temporal_pattern_without_digits_or_months(temporal_scans):
+    # a count guard, no timing: every pooled text is ASCII with no digit and
+    # no month token, so no temporal pattern can match and none runs
+    docs = [Document(id="a", title="Red river", body="The river runs by the mill. Boats rest!"),
+            Document(id="b", title="Mill", body="Grain comes to the mill at dusk.")]
+    index = build_index(docs)
+    gen = FixtureGenerator({"river mill": (["a quiet river"], ["the mill, marching on"])})
+    got = extend_prompt("river mill", index, tfidf_from_index(index), HashEmbedder(), gen,
+                        1.0, 0.1, 10, Gazetteer(["Red River"]))
+    assert len(got) == 7
+    assert temporal_scans == {}
+
+
+@pytest.mark.parametrize("text, scans", [
+    ("the 3rd bell, 1999", {"_YEAR_RE", "_CLOCK_RE", "_ORDINAL_DAY_RE"}),
+    ("\u0663:\u0664\u0665", {"_YEAR_RE", "_CLOCK_RE", "_ORDINAL_DAY_RE", "_MONTH_RE"}),
+    ("early March light", {"_MONTH_RE"}),
+    ("_may", {"_MONTH_RE"}),
+    ("caf\u00e9 light", {"_MONTH_RE"}),
+    ("mayday, maytime", set()),
+])
+def test_entity_count_runs_a_temporal_pattern_only_where_it_could_match(temporal_scans,
+                                                                        text, scans):
+    # a digit runs the three digit patterns; a month token, or any non-ASCII
+    # character, runs the month pattern
+    entity_count(text, Gazetteer([]), tokenize(text))
+    assert temporal_scans == Counter(dict.fromkeys(scans, 1))
 
 
 def test_extend_prompt_top_k():

@@ -1,5 +1,5 @@
-"""Property tests for tokenizing, index counting, gazetteer matching, the
-JSON Lines loaders and the artwork metadata table.
+"""Property tests for tokenizing, index counting, gazetteer matching, entity
+counting, the JSON Lines loaders and the artwork metadata table.
 
 They need hypothesis (the ``test`` extra) and are skipped without it.
 """
@@ -20,7 +20,7 @@ from artdiff.errors import ConfigError  # noqa: E402
 from artdiff.promptx import (ArtworkMeta, Document, FixtureGenerator,  # noqa: E402
                              Gazetteer, build_index, load_corpus_jsonl, read_artwork_table,
                              tfidf_fit, tfidf_from_index, tokenize)
-from reference import gazetteer_match_count  # noqa: E402
+from reference import gazetteer_match_count, temporal_count  # noqa: E402
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -105,6 +105,34 @@ PHRASES = st.lists(st.lists(PLACE_TOKENS, min_size=1, max_size=4).map(tuple), ma
 def test_gazetteer_match_count_equals_the_full_scan(phrases, tokens):
     gazetteer = Gazetteer(" ".join(phrase) for phrase in phrases)
     assert gazetteer.match_count(tokens) == gazetteer_match_count(set(phrases), tokens)
+
+
+# Pieces that sit on the edges of the temporal patterns: non-ASCII digits
+# (Arabic-Indic, Devanagari, fullwidth), characters that IGNORECASE folds
+# onto ASCII letters (U+017F LONG S onto s, U+212A KELVIN SIGN onto k,
+# U+0130 and U+0131 onto i) next to the month-name pieces they complete,
+# underscores that glue a month name into a longer word, clock colons,
+# ordinal suffixes in mixed case, and a lone surrogate
+TEMPORAL_PIECES = st.sampled_from([
+    "0", "1", "2", "9", "19", "1999", "2024", "3000", "07", "30", ":", " ", "_", ".", "-",
+    "st", "nd", "RD", "Th", "may", "MAY", "May", "august", "March", "dEcember", "june",
+    "augu", "t", "apr", "l", "\u017f", "\u212a", "\u0130", "\u0131", "\u0663", "\u0664",
+    "\u0665", "\u0967", "\uff11", "\ud800"])
+TEMPORAL_TEXT = st.lists(st.one_of(st.characters(), TEMPORAL_PIECES),
+                         max_size=24).map("".join)
+PLACES = Gazetteer(["May", "Paris", "Saint Louis"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(TEMPORAL_TEXT)
+@example("augu\u017ft")
+@example("_may")
+@example("\u0663:\u0664\u0665")
+@example("1ST of MAY")
+def test_entity_count_equals_the_ungated_scans(text):
+    tokens = tokenize(text)
+    assert promptx.entity_count(text, PLACES, tokens) == (
+        gazetteer_match_count(PLACES.phrases, tokens), temporal_count(text))
 
 
 @pytest.fixture(scope="module")
