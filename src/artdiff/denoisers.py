@@ -26,7 +26,9 @@ from one ``time_embedding`` call. Its trunk and head write each stage into
 a per-call workspace, one per row count, that also holds the biases tiled
 to its rows and the FF weights as contiguous transposes, so every bias add
 is same-shape and no FF product reads a transposed view; a one-row stage
-keeps the views, since gemv rounds by layout. Both bindings return fresh
+keeps the views, since gemv rounds by layout. A product of fewer than
+``DOT_ROWS`` rows goes through ``np.dot``, a larger one through
+``np.matmul``; both give the same bits. Both bindings return fresh
 predictions that never alias their workspace, so a caller (plms) may keep
 them across calls.
 
@@ -51,6 +53,21 @@ from .schedule import NoiseSchedule, linear_schedule
 
 ConditionTokens = np.ndarray  # (n_tokens, token_width), frozen float64
 
+# A forward product of fewer rows than this goes through ``np.dot``, one of
+# at least this many through ``np.matmul``: the same bits, at a different
+# dispatch cost. Timed for a (rows, 16) x (16, 16) product into a buffer
+# (median of 15; numpy 2.4 with OpenBLAS, 2-vCPU shared x86-64): np.dot
+# 1.2 against 1.8 us at 1 row, 1.2 against 2.2 at 2, 1.3 against 1.8 at 64,
+# 5.4 against 5.6 at 256; about even at 320 and 384 (7.0/7.2 and 7.8/7.7);
+# np.matmul ahead from 512 rows on (10.2 against 9.7 at 512, 34 against 28
+# at 2000, 102 against 65 at 4000).
+DOT_ROWS = 384
+
+
+def _product(rows: int):
+    """The product function for a left operand of ``rows`` rows."""
+    return np.dot if rows < DOT_ROWS else np.matmul
+
 
 class EpsilonPredictor(Protocol):
     """A noise predictor. ``predict(xt, t, condition)`` serves single
@@ -70,12 +87,16 @@ class EpsilonPredictor(Protocol):
         ...
 
 
+def _unprepared(t) -> ValueError:
+    return ValueError(f"timestep {t} is not one of the prepared timesteps")
+
+
 def _prepared(table: dict, t):
     """The entry a prepared predictor keeps for timestep t."""
     try:
         return table[t]
     except KeyError:
-        raise ValueError(f"timestep {t} is not one of the prepared timesteps") from None
+        raise _unprepared(t) from None
 
 
 def check_condition_tokens(condition: ConditionTokens) -> ConditionTokens:
@@ -137,13 +158,19 @@ class PreparedGaussianOracle:
         if any(not 1 <= t <= schedule.T for t in steps):
             raise ValueError(f"timesteps must lie in [1, {schedule.T}]")
         self._mu0 = oracle.mu0
-        abar = schedule.alpha_bars[np.asarray(steps, dtype=np.int64) - 1].tolist()
-        self._factors = {t: (math.sqrt(a) * var0, 1.0 - a, a * var0 + 1.0 - a,
-                             math.sqrt(a), math.sqrt(1.0 - a)) for t, a in zip(steps, abar)}
+        # one elementwise pass per factor; np.sqrt is correctly rounded, as
+        # math.sqrt is, so each entry has the bits of the scalar expression
+        a = schedule.alpha_bars[np.asarray(steps, dtype=np.int64) - 1]
+        sqrt_a = np.sqrt(a)
+        factors = (sqrt_a * var0, 1.0 - a, a * var0 + 1.0 - a, sqrt_a, np.sqrt(1.0 - a))
+        self._factors = dict(zip(steps, zip(*(f.tolist() for f in factors))))
         self._workspace: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 
     def predict(self, xt: Tensor, t) -> Tensor:
-        sqrt_a_var0, one_m_a, denom, sqrt_a, sqrt_1ma = _prepared(self._factors, t)
+        try:
+            sqrt_a_var0, one_m_a, denom, sqrt_a, sqrt_1ma = self._factors[t]
+        except KeyError:
+            raise _unprepared(t) from None
         xt = np.asarray(xt, dtype=np.float64)
         ws = self._workspace.get(xt.shape)
         if ws is None:
@@ -360,22 +387,24 @@ def _trunk(params: ToyDenoiserParams, x: np.ndarray, t, temb=None, ops=None):
     Features precomputed for t may be passed as ``temb``. ``ops``
     optionally holds a workspace's operands for this stage (see
     ``_Workspace``): three (rows, width) buffers that h1, a1 and h2 are
-    written into, the biases b_in, ff1_b1 and ff1_b2, and the right-hand
-    FF weights ff1_w1.T and ff1_w2.T. Without it each stage is a fresh
-    array, each bias a (1, width) row and each weight a transposed view.
+    written into, the biases b_in, ff1_b1 and ff1_b2, the right-hand FF
+    weights ff1_w1.T and ff1_w2.T, and the product function for its rows.
+    Without it each stage is a fresh array, each bias a (1, width) row,
+    each weight a transposed view, and the product function is chosen from
+    x's rows (``_product``).
     """
     if temb is None:
         temb = _time_features(params, t, x.shape[0])
-    h1, a1, h2, b_in, b1, b2, w1, w2 = ops if ops is not None else (
+    h1, a1, h2, b_in, b1, b2, w1, w2, mm = ops if ops is not None else (
         None, None, None, params.b_in, params.ff1_b1, params.ff1_b2,
-        params.ff1_w1.T, params.ff1_w2.T)
-    h1 = np.matmul(x, params.w_in.T, out=h1)
+        params.ff1_w1.T, params.ff1_w2.T, _product(len(x)))
+    h1 = mm(x, params.w_in.T, out=h1)
     h1 += b_in
-    h1 += temb @ params.w_time.T
-    a1 = np.matmul(h1, w1, out=a1)
+    h1 += _product(len(temb))(temb, params.w_time.T)
+    a1 = mm(h1, w1, out=a1)
     a1 += b1
     np.tanh(a1, out=a1)
-    h2 = np.matmul(a1, w2, out=h2)
+    h2 = mm(a1, w2, out=h2)
     np.add(h1, h2, out=h2)
     h2 += b2
     return temb, h1, a1, h2
@@ -386,20 +415,20 @@ def _head(params: ToyDenoiserParams, h3: np.ndarray, ops=None):
 
     ``ops`` optionally holds a workspace's operands for this stage: two
     (rows, width) buffers that a2 and h4 are written into, the biases
-    ff2_b1, ff2_b2 and b_out, and the right-hand FF weights ff2_w1.T and
-    ff2_w2.T; without it, as in ``_trunk``. The prediction is always a
-    fresh array.
+    ff2_b1, ff2_b2 and b_out, the right-hand FF weights ff2_w1.T and
+    ff2_w2.T, and the product function for its rows; without it, as in
+    ``_trunk``. The prediction is always a fresh array.
     """
-    a2, h4, b1, b2, b_out, w1, w2 = ops if ops is not None else (
+    a2, h4, b1, b2, b_out, w1, w2, mm = ops if ops is not None else (
         None, None, params.ff2_b1, params.ff2_b2, params.b_out,
-        params.ff2_w1.T, params.ff2_w2.T)
-    a2 = np.matmul(h3, w1, out=a2)
+        params.ff2_w1.T, params.ff2_w2.T, _product(len(h3)))
+    a2 = mm(h3, w1, out=a2)
     a2 += b1
     np.tanh(a2, out=a2)
-    h4 = np.matmul(a2, w2, out=h4)
+    h4 = mm(a2, w2, out=h4)
     np.add(h3, h4, out=h4)
     h4 += b2
-    out = h4 @ params.w_out.T
+    out = mm(h4, params.w_out.T)
     out += b_out
     return a2, h4, out
 
@@ -430,7 +459,8 @@ def _forward_pass(params: ToyDenoiserParams, xt: np.ndarray, t,
 class _Workspace:
     """The operands of the forward stages for one row count: three
     (rows, width) buffers, h3 the third, each bias tiled to the rows its
-    stage runs on, and the FF weights as right-hand operands. A guidance
+    stage runs on, the FF weights as right-hand operands, and the product
+    function for the stage's rows (``_product``), picked once. A guidance
     pair's trunk runs on the first half of the rows, and its h2 + attention
     goes to the second half of h3. The trunk operands of ``predict`` and
     of a pair are each built on first use, so a workspace that serves only
@@ -442,9 +472,11 @@ class _Workspace:
     transpose, which matmul reads about twice as fast as the transposed
     view and which gives the same bits at two rows and more. A one-row
     stage keeps the view: numpy sends a one-row product to gemv, whose
-    rounding depends on the layout. The operand tuples are made once,
-    because at one row making a view costs as much as the arithmetic it
-    serves."""
+    rounding depends on the layout. Below ``DOT_ROWS`` rows a stage's
+    products go through ``np.dot``, which dispatches in about 1.2 us against
+    matmul's 1.8-2.2 us at one or two rows and gives the same bits for the
+    views and the copies alike. The operand tuples are made once, because
+    at one row making a view costs as much as the arithmetic it serves."""
 
     # per stage: the buffers it writes, its biases, its FF weights
     TRUNK = (3, ("b_in", "ff1_b1", "ff1_b2"), ("ff1_w1", "ff1_w2"))
@@ -466,15 +498,16 @@ class _Workspace:
         return self._operands(self.TRUNK, len(self.h3) // 2)
 
     def _operands(self, stage, rows: int) -> tuple:
-        """The stage's buffers cut to rows, its biases tiled to rows and
-        its right-hand FF weights, in the order ``_trunk`` and ``_head``
-        unpack them."""
+        """The stage's buffers cut to rows, its biases tiled to rows, its
+        right-hand FF weights and its product function, in the order
+        ``_trunk`` and ``_head`` unpack them."""
         n_buffers, biases, weights = stage
         params = self.params
         return (*(buf[:rows] for buf in self.buffers[:n_buffers]),
                 *(np.repeat(getattr(params, name), rows, axis=0) for name in biases),
                 *(getattr(params, name).T if rows == 1
-                  else np.ascontiguousarray(getattr(params, name).T) for name in weights))
+                  else np.ascontiguousarray(getattr(params, name).T) for name in weights),
+                _product(rows))
 
 
 class PreparedToyDenoiser:
@@ -574,8 +607,10 @@ def _loss_and_grad(params: ToyDenoiserParams, grads: ToyDenoiserParams, xt: np.n
 
     The backward's products use ``np.dot``, which gives the bits of
     ``np.matmul`` at these shapes (batch 1 to 4096 checked) with less
-    dispatch per call. The forward is shared with sampling and keeps
-    ``np.matmul``, the faster of the two at sampling's thousands of rows.
+    dispatch per call. The forward is shared with sampling and picks its
+    product function from its rows (``_product``): ``np.dot`` at training's
+    batch of 64, ``np.matmul`` at sampling's thousands of rows, where it is
+    the faster of the two.
     """
     if memory is not None and np.ndim(memory) == 2:
         # _attend_backward takes the per-row (batch, n, dc) form

@@ -17,7 +17,8 @@ _U64 = 2**64
 
 
 def require_finite(x: Tensor, name: str = "value") -> None:
-    if not np.isfinite(x).all():
+    # the reduce ufunc itself: ndarray.all adds a Python wrapper around it
+    if not np.logical_and.reduce(np.isfinite(x), axis=None):
         raise ValueError(f"{name} contains non-finite elements")
 
 

@@ -208,8 +208,9 @@ def bm25_search(index: Bm25Index, query: str, k: int) -> list[tuple[Document, fl
     Query tokens contribute once per occurrence; an empty query scores
     every document zero. Only the postings of the query terms are read:
     each token adds ``idf * (tf*(k1+1)) / (tf + k1*(1-b+b*dl/avgdl))`` to
-    its documents, in query-token order starting from 0.0, with the length
-    norm read from ``index.norms``, so every score is bit-identical to the
+    its documents, in query-token order starting from 0.0 (one
+    ``np.bincount`` over every token's postings), with the length norm
+    read from ``index.norms``, so every score is bit-identical to the
     scalar formula. Documents the query does not touch score 0.0; when fewer
     than k are touched they fill the tail in ascending id order.
     """
@@ -219,15 +220,20 @@ def bm25_search(index: Bm25Index, query: str, k: int) -> list[tuple[Document, fl
     if n == 0:
         return []
     k = min(k, n)
-    acc = np.zeros(n)
     k1 = index.k1
+    positions, contributions = [], []
     for term in tokenize(query):
         row = index.vocab.get(term)
         if row is None:
             continue
         lo, hi = int(index.indptr[row]), int(index.indptr[row + 1])
         pos, tf = index.doc_pos[lo:hi], index.tfs[lo:hi]
-        acc[pos] += index.idf(term) * (tf * (k1 + 1.0)) / (tf + index.norms[pos])
+        positions.append(pos)
+        contributions.append(index.idf(term) * (tf * (k1 + 1.0)) / (tf + index.norms[pos]))
+    # bincount adds each document's contributions from 0.0 in input order,
+    # which is query-token order
+    acc = np.bincount(np.concatenate(positions), np.concatenate(contributions),
+                      minlength=n) if positions else np.zeros(n)
     touched = np.flatnonzero(acc)
     if touched.size > k:
         kth = np.partition(acc[touched], touched.size - k)[touched.size - k]

@@ -23,11 +23,16 @@ predictor: each step takes the bound ``predict(xt, t)``, or under guidance
 and one finiteness check of the state.
 
 The loop allocates its buffers once per call: the state, x0_pred, one
-scratch term and the noise draw. Each transfer writes its stages into them
-with the same operations in the same order as the fresh-array form, so the
-bits do not depend on which form ran. The plms warm-up probe is a fresh
-transfer and never overwrites the state. Predictions are never written
-to: plms keeps the last three.
+scratch term and one noise block. Each transfer writes its stages into
+them with the same operations in the same order as the fresh-array form,
+so the bits do not depend on which form ran. The noise of the transfers
+with sigma > 0 is drawn a block of steps at a time (at most
+``SAMPLE_BLOCK_ROWS`` sample rows, at least one step) in one
+``RngStream.normal`` call: one draw of k x B values gives the values of k
+draws of B, in order, so the noise and the stream's draw count are those
+of one draw per transfer. The plms warm-up probe is a fresh transfer and
+never overwrites the state. Predictions are never written to: plms keeps
+the last three.
 """
 
 from __future__ import annotations
@@ -48,6 +53,10 @@ SAMPLER_KINDS = ("ddpm", "ddim", "plms")
 DEFAULT_ETA = 1.0
 DEFAULT_STEPS = 200
 DEFAULT_GUIDANCE_SCALE = 5.0
+
+# ``sample`` draws the noise of as many transfers at once as fit in this
+# many sample rows, and of at least one
+SAMPLE_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -80,22 +89,24 @@ class SamplingPlan:
         object.__setattr__(self, "seed", int(self.seed))
 
 
-def _transfer(xt: np.ndarray, eps: np.ndarray, coefs, rng: RngStream | None, out=None
+def _transfer(xt: np.ndarray, eps: np.ndarray, coefs, noise: np.ndarray | None, out=None
               ) -> tuple[np.ndarray, np.ndarray]:
     """The DDIM transfer sqrt(abar_next) x0_pred + sqrt(rem) eps, plus sigma
-    times a fresh normal draw when sigma > 0; returns (x_next, x0_pred).
+    times the standard normal draw ``noise`` when sigma > 0; returns
+    (x_next, x0_pred).
 
     ``coefs`` is (sqrt(1 - abar_cur), sqrt(abar_cur), sqrt(abar_next),
-    sqrt(rem), sigma) with rem = 1 - abar_next - sigma^2. ``out`` optionally
-    holds four buffers of xt's shape that x_next, x0_pred, a scratch term
-    and the noise draw are written into; x_next may be xt itself, which is
-    read only before it is written. Without ``out`` each is a fresh array.
-    Either way the operations and their order are those of x0_pred =
-    (xt - sqrt(1 - abar_cur) eps) / sqrt(abar_cur) and the expression
-    above, so the bits are the same.
+    sqrt(rem), sigma) with rem = 1 - abar_next - sigma^2. ``noise`` has
+    xt's shape, is scaled by sigma in place, and is not read when sigma is
+    0. ``out`` optionally holds three buffers of xt's shape that x_next,
+    x0_pred and a scratch term are written into; x_next may be xt itself,
+    which is read only before it is written. Without ``out`` each is a
+    fresh array. Either way the operations and their order are those of
+    x0_pred = (xt - sqrt(1 - abar_cur) eps) / sqrt(abar_cur) and the
+    expression above, so the bits are the same.
     """
     sqrt_1m_ac, sqrt_ac, sqrt_an, sqrt_rem, sigma = coefs
-    x_next, x0_pred, scratch, noise = out if out is not None else (None, None, None, None)
+    x_next, x0_pred, scratch = out if out is not None else (None, None, None)
     scratch = np.multiply(sqrt_1m_ac, eps, out=scratch)
     np.subtract(xt, scratch, out=scratch)
     x0_pred = np.divide(scratch, sqrt_ac, out=x0_pred)
@@ -103,12 +114,31 @@ def _transfer(xt: np.ndarray, eps: np.ndarray, coefs, rng: RngStream | None, out
     np.multiply(sqrt_rem, eps, out=scratch)
     x_next += scratch
     if sigma > 0.0:
-        if rng is None:
-            raise ValueError("sigma > 0 requires an RngStream")
-        noise = rng.normal(x_next.shape, out=noise)
         noise *= sigma
         x_next += noise
     return x_next, x0_pred
+
+
+def _step_noise(rng: RngStream, sigmas, shape: tuple[int, ...]):
+    """The noise of each transfer in turn: None where sigma is 0, else a
+    view of ``shape`` into one block buffer allocated once. The draws of a
+    block of k transfers come from one ``rng.normal((k, *shape))`` call,
+    with k at most ``SAMPLE_BLOCK_ROWS // shape[0]`` and at least 1; a
+    block is drawn when its first transfer is reached."""
+    left = sum(sigma > 0.0 for sigma in sigmas)
+    block = np.empty((min(left, max(1, SAMPLE_BLOCK_ROWS // shape[0])), *shape))
+    rows = iter(())
+    for sigma in sigmas:
+        if sigma > 0.0:
+            row = next(rows, None)
+            if row is None:
+                k = min(len(block), left)
+                left -= k
+                rows = iter(rng.normal((k, *shape), out=block[:k]))
+                row = next(rows)
+            yield row
+        else:
+            yield None
 
 
 def ddim_step(xt: Tensor, eps: Tensor, t_cur: int, t_next: int, sigma: float,
@@ -130,8 +160,13 @@ def ddim_step(xt: Tensor, eps: Tensor, t_cur: int, t_next: int, sigma: float,
     if rem < -1e-12:
         raise ValueError(f"invalid sigma {sigma}: 1 - abar_next - sigma^2 is negative")
     coefs = (math.sqrt(1.0 - ac), math.sqrt(ac), math.sqrt(an), math.sqrt(max(rem, 0.0)), sigma)
-    x_next, x0_pred = _transfer(np.asarray(xt, dtype=np.float64),
-                                np.asarray(eps, dtype=np.float64), coefs, rng)
+    xt = np.asarray(xt, dtype=np.float64)
+    noise = None
+    if sigma > 0.0:
+        if rng is None:
+            raise ValueError("sigma > 0 requires an RngStream")
+        noise = rng.normal(xt.shape)
+    x_next, x0_pred = _transfer(xt, np.asarray(eps, dtype=np.float64), coefs, noise)
     require_finite(x_next, "ddim_step output")
     return x_next, x0_pred
 
@@ -202,7 +237,8 @@ def plms_combine(e_t: Tensor, history) -> Tensor:
     entries = tuple(history)
     e_t = np.asarray(e_t, dtype=np.float64)
     for h in entries:
-        require_same_shape(e_t, h, "e_t and history entry")
+        if getattr(h, "shape", None) != e_t.shape:   # the full check, for its message
+            require_same_shape(e_t, h, "e_t and history entry")
     if len(entries) == 1:
         return (3.0 * e_t - entries[0]) / 2.0
     if len(entries) == 2:
@@ -214,9 +250,10 @@ def plms_combine(e_t: Tensor, history) -> Tensor:
 
 def cfg_combine(eps_uncond: Tensor, eps_cond: Tensor, scale: float) -> Tensor:
     """Guided prediction: eps_uncond + scale * (eps_cond - eps_uncond)."""
-    require_same_shape(eps_uncond, eps_cond, "unconditional and conditional eps")
     u = np.asarray(eps_uncond, dtype=np.float64)
     c = np.asarray(eps_cond, dtype=np.float64)
+    if u.shape != c.shape:
+        require_same_shape(u, c, "unconditional and conditional eps")
     return u + float(scale) * (c - u)
 
 
@@ -235,8 +272,9 @@ def sample(predictor, plan: SamplingPlan, schedule: NoiseSchedule,
     The predictor is bound once with ``prepare``. Guidance combines its pair
     at every step when a condition is present and guidance_scale differs
     from 1. ddpm ignores the plan's eta.
-    Randomness enters through the x_T draw and, when sigma > 0, one draw
-    per transfer. The plms warmup re-evaluates the predictor at the next
+    Randomness enters through the x_T draw and, when sigma > 0, the
+    transfer's noise, drawn a block of transfers at a time (see the module
+    docstring). The plms warmup re-evaluates the predictor at the next
     timeline entry; when the first transfer targets t = 0 no re-evaluation
     is possible, so the plain prediction is used. Fully deterministic given
     (plan, predictor, condition). The prediction's shape is checked on
@@ -250,7 +288,7 @@ def sample(predictor, plan: SamplingPlan, schedule: NoiseSchedule,
     table, probe_coefs = _transfer_table(plan.timeline, schedule, eta)
     rng = RngStream(plan.seed)
     x = rng.normal((plan.batch, *plan.shape))
-    buffers = (x, np.empty_like(x), np.empty_like(x), np.empty_like(x))   # state first
+    buffers = (x, np.empty_like(x), np.empty_like(x))   # state first
     bound = predictor.prepare(condition, plan.timeline.steps)
     scale = plan.guidance_scale
     if condition is None or scale == 1.0:
@@ -259,7 +297,9 @@ def sample(predictor, plan: SamplingPlan, schedule: NoiseSchedule,
         def predict(xt, t):
             return cfg_combine(*bound.predict_pair(xt, t), scale)
     history: deque = deque(maxlen=3)   # plms noise predictions, newest first
-    for i, ((t_cur, t_next), coefs) in enumerate(zip(plan.timeline.pairs(), table.tolist())):
+    noises = _step_noise(rng, table[:, 4].tolist(), x.shape)
+    steps = zip(plan.timeline.pairs(), table.tolist(), noises)
+    for i, ((t_cur, t_next), coefs, noise) in enumerate(steps):
         eps = predict(x, t_cur)
         if i == 0:
             require_same_shape(eps, x, "prediction and state")
@@ -271,6 +311,6 @@ def sample(predictor, plan: SamplingPlan, schedule: NoiseSchedule,
                 probe, _ = _transfer(x, eps, probe_coefs, None)   # fresh: x stays the state
                 e = 0.5 * (eps + predict(probe, t_next))
             history.appendleft(eps)
-        _transfer(x, e, coefs, rng, buffers)
+        _transfer(x, e, coefs, noise, buffers)
         require_finite(x, "sample state")
     return x

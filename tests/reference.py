@@ -2,9 +2,10 @@
 
 Nothing in ``artdiff`` calls these functions. They are the forward process,
 the tractable posterior, the training loss, the DDIM noise scale and the
-denoised observation written out directly, plus small helpers the
-acceptance criteria need. Nothing here imports ``artdiff.samplers``, so a
-sampler check never compares the sampler with itself. The prompt-extension
+denoised observation written out directly, a DDIM sampling loop that
+draws its noise one transfer at a time, plus small helpers the acceptance
+criteria need. Nothing here imports ``artdiff.samplers``, so a sampler
+check never compares the sampler with itself. The prompt-extension
 pieces are the gazetteer scan that tries every position and the temporal
 count that runs all four patterns on every text, and the output piece is
 the text of ``samples.csv`` written value by value.
@@ -104,6 +105,34 @@ def ddim_sigma(eta: float, t_cur: int, t_next: int, schedule: NoiseSchedule) -> 
     ac = schedule.alpha_bar(t_cur)
     an = schedule.alpha_bar(t_next)
     return eta * math.sqrt((1.0 - an) / (1.0 - ac)) * math.sqrt(1.0 - ac / an)
+
+
+def ddim_sample_per_step_draws(predictor, plan, schedule: NoiseSchedule, condition=None):
+    """A ddim or ddpm sampling plan run transfer by transfer, with one
+    noise draw per transfer: x_T from the plan's seed, then at each
+    timeline pair the prediction (under guidance u + scale (c - u) of the
+    bound pair), x0 = (x - sqrt(1 - ac) eps) / sqrt(ac), x = sqrt(an) x0 +
+    sqrt(rem) eps, and when sigma > 0 sigma times a fresh draw of the same
+    stream added. ddpm is eta = 1. Returns the final state and the stream,
+    whose ``draws`` counts every value the run used."""
+    eta = 1.0 if plan.kind == "ddpm" else plan.eta
+    rng = RngStream(plan.seed)
+    x = rng.normal((plan.batch, *plan.shape))
+    bound = predictor.prepare(condition, plan.timeline.steps)
+    guided = condition is not None and plan.guidance_scale != 1.0
+    for t_cur, t_next in plan.timeline.pairs():
+        if guided:
+            u, c = bound.predict_pair(x, t_cur)
+            eps = u + float(plan.guidance_scale) * (c - u)
+        else:
+            eps = bound.predict(x, t_cur)
+        ac, an = schedule.alpha_bar(t_cur), schedule.alpha_bar(t_next)
+        sigma = ddim_sigma(eta, t_cur, t_next, schedule)
+        x0 = (x - math.sqrt(1.0 - ac) * eps) / math.sqrt(ac)
+        x = math.sqrt(an) * x0 + math.sqrt(max(1.0 - an - sigma * sigma, 0.0)) * eps
+        if sigma > 0.0:
+            x = x + sigma * rng.normal(x.shape)
+    return x, rng
 
 
 def exact_flow_endpoint(x_T: Tensor, mu0, var0: float, abar_T: float) -> Tensor:

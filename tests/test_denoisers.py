@@ -255,6 +255,20 @@ def test_prepared_oracle_allocates_only_its_prediction(default_schedule):
     assert peak < 2 * x.nbytes
 
 
+@pytest.mark.parametrize("var0", [0.25, 1, 0.0])
+def test_prepared_oracle_factors_equal_the_scalar_expressions(default_schedule, var0):
+    # the factor table comes from one numpy pass over alpha_bar; np.sqrt is
+    # correctly rounded like math.sqrt, so every factor keeps its bits
+    oracle = GaussianOracle(mu0=np.zeros(2), var0=var0, schedule=default_schedule)
+    steps = list(range(default_schedule.T, 0, -1)) + [5, 5]
+    want = {}
+    for t in steps:
+        a = default_schedule.alpha_bar(t)
+        want[t] = (math.sqrt(a) * var0, 1.0 - a, a * var0 + 1.0 - a,
+                   math.sqrt(a), math.sqrt(1.0 - a))
+    assert oracle.prepare(None, steps)._factors == want
+
+
 def test_prepared_oracle_rejects_unprepared_and_out_of_range_timesteps(default_schedule):
     oracle = GaussianOracle(mu0=np.zeros(2), var0=1.0, schedule=default_schedule)
     with pytest.raises(ValueError, match="timestep 7"):
@@ -844,6 +858,51 @@ def test_prepared_pair_allocates_no_batch_sized_temporaries():
     finally:
         tracemalloc.stop()
     assert peak < 2 * len(x) * p.width * 8
+
+
+FORWARD_ROWS = (1, 2, 7, 64, 2000, denoisers.DOT_ROWS - 1, denoisers.DOT_ROWS)
+
+
+@pytest.mark.parametrize("rows", FORWARD_ROWS)
+def test_dot_gives_the_bits_of_matmul_at_every_forward_product(rows):
+    # every forward product, with the right-hand weight as a transposed
+    # view and as a contiguous copy, fresh and into a buffer
+    rng = RngStream(54)
+    p = init_toy_denoiser(rng.child("init"), 2)
+    for name in ("w_in", "w_time", "ff1_w1", "ff1_w2", "ff2_w1", "ff2_w2", "w_out"):
+        weight = getattr(p, name)
+        left = rng.child(name).normal((rows, weight.shape[1]))
+        for right in (weight.T, np.ascontiguousarray(weight.T)):
+            want = np.matmul(left, right)
+            assert np.dot(left, right).tobytes() == want.tobytes()
+            out = np.empty_like(want)
+            assert np.dot(left, right, out=out) is out
+            assert out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", FORWARD_ROWS)
+def test_forward_bytes_do_not_depend_on_the_product_function(monkeypatch, rows):
+    # the workspace picks np.dot below DOT_ROWS rows, np.matmul at and
+    # above; a forward that takes np.matmul everywhere gives the same bytes
+    rng = RngStream(55)
+    p = init_toy_denoiser(rng.child("init"), 2)
+    cond = rng.child("c").normal((1, 16))
+    x = rng.child("x").normal((rows, 2))
+    ws = denoisers._Workspace(p, rows)
+    assert ws.head[-1] is ws.trunk[-1] is (np.dot if rows < denoisers.DOT_ROWS else np.matmul)
+
+    def run():
+        bound = ToyDenoiser(p).prepare(cond, (600, 7))
+        outs = [bound.predict(x, 600), *bound.predict_pair(x, 7),
+                toy_denoiser_forward(p, x, 7)]
+        grads = replace(p, vector=np.empty_like(p.vector))
+        loss = _loss_and_grad(p, grads, x, np.full(rows, 7), x[:, ::-1],
+                              cond[None].repeat(rows, 0), None)
+        return [a.tobytes() for a in outs] + [grads.vector.tobytes(), loss]
+
+    got = run()
+    monkeypatch.setattr(denoisers, "_product", lambda rows: np.matmul)
+    assert run() == got
 
 
 def test_project_skips_the_key_of_one_token():

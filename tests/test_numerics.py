@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from artdiff.numerics import RngStream, softmax
+from artdiff.numerics import RngStream, require_finite, softmax
 from reference import sample_stats
 
 
@@ -169,3 +169,19 @@ def test_block_draws_equal_per_step_draws(kind, batch):
     assert block.draws == per_step.draws == steps * np.prod(shape)
     # both streams continue alike after the block
     assert draw(block, shape).tobytes() == draw(per_step, shape).tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [[1.0, np.nan], [np.inf, 0.0], [0.0, -np.inf], [np.inf, -np.inf],
+                                 np.nan, [[1.0], [np.inf]]])
+def test_require_finite_raises_for_each_non_finite_kind(bad):
+    with pytest.raises(ValueError, match="sample state contains non-finite"):
+        require_finite(np.asarray(bad, dtype=np.float64), "sample state")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("good", [np.array([1e308, 1e308]), np.empty(0), np.empty((0, 2)),
+                                  np.array(2.5), np.float64(-0.0)])
+def test_require_finite_passes_finite_values_without_warnings(good):
+    # the sum of [1e308, 1e308] overflows; the check never sums
+    require_finite(good)

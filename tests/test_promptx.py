@@ -238,9 +238,12 @@ def test_bm25_pads_with_zero_score_documents_in_id_order():
 def test_bm25_repeated_query_tokens_count_per_occurrence():
     docs = random_docs(RngStream(5), 12)
     index = build_index(docs)
-    for query in ("china china", "city china city", "river river river"):
+    for query in ("china china", "city china city", "river river river",
+                  "china zebra city china river china city zebra"):
         got = [(doc.id, s) for doc, s in bm25_search(index, query, 4)]
         assert got == brute_top_k(docs, query, 4)
+        got = [(doc.id, s) for doc, s in bm25_search(index, query, 12)]
+        assert got == brute_top_k(docs, query, 12)
     once = dict((d.id, s) for d, s in bm25_search(index, "china", 12))
     twice = dict((d.id, s) for d, s in bm25_search(index, "china china", 12))
     assert all(twice[i] == once[i] + once[i] for i in once)

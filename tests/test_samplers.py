@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from artdiff import samplers
-from artdiff.denoisers import GaussianOracle
+from artdiff.denoisers import GaussianOracle, ToyDenoiser, init_toy_denoiser
 from artdiff.errors import ConfigError
 from artdiff.numerics import RngStream
 from artdiff.samplers import (SamplingPlan, cfg_combine, ddim_step, ddpm_step,
                               plms_combine, plms_sample, posterior_mean_from_eps,
                               sample)
 from artdiff.schedule import SamplingTimeline, linear_schedule, subsequence
-from reference import ddim_sigma, exact_flow_endpoint, predict_x0, q_sample
+from reference import (ddim_sample_per_step_draws, ddim_sigma, exact_flow_endpoint,
+                       predict_x0, q_sample, samples_csv_text)
 
 
 class FakePredictor:
@@ -555,7 +556,7 @@ def test_transfer_table_matches_scalar_expressions(T, eta):
         for i in (0, 1, 2, -3, -2, -1):
             (t_cur, t_next), coefs = pairs[i], table[i].tolist()
             r1, r2 = RngStream(52), RngStream(52)
-            got = samplers._transfer(x, eps, coefs, r1)
+            got = samplers._transfer(x, eps, coefs, r1.normal(x.shape) if coefs[4] > 0.0 else None)
             want = ddim_step(x, eps, t_cur, t_next, ddim_sigma(eta, t_cur, t_next, s), s, r2)
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
             assert r1.draws == r2.draws
@@ -689,13 +690,89 @@ def test_transfer_into_buffers_equals_fresh_arrays(sigma):
     eps = RngStream(61).normal((7, 2))
     coefs = (0.8, 0.6, 0.7, 0.5, sigma)
     r1, r2 = RngStream(62), RngStream(62)
-    want = samplers._transfer(x, eps, coefs, r1)
+
+    def noise(rng):   # the step's draw, taken only when sigma > 0
+        return rng.normal(x.shape) if sigma > 0.0 else None
+
+    want = samplers._transfer(x, eps, coefs, noise(r1))
     state = x.copy()
-    buffers = (state, np.empty_like(x), np.empty_like(x), np.empty_like(x))
-    got = samplers._transfer(state, eps, coefs, r2, buffers)
+    buffers = (state, np.empty_like(x), np.empty_like(x))
+    got = samplers._transfer(state, eps, coefs, noise(r2), buffers)
     assert got[0] is state and got[1] is buffers[1]
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
     assert r1.draws == r2.draws
+
+
+def _recording_streams(monkeypatch) -> list:
+    """The RngStreams ``sample`` makes from now on, in order."""
+    streams = []
+
+    class Recorded(RngStream):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            streams.append(self)
+
+    monkeypatch.setattr(samplers, "RngStream", Recorded)
+    return streams
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("batch", [1, 7, 2048, 2049])
+def test_block_noise_draws_equal_per_step_draws(monkeypatch, batch, eta):
+    # sample draws the noise of a block of transfers at once, at most
+    # SAMPLE_BLOCK_ROWS sample rows: 2048 rows make blocks of two steps and
+    # a last one of one step, 2049 rows blocks of one step
+    s = linear_schedule(1000)
+    rng = RngStream(70)
+    toy = ToyDenoiser(init_toy_denoiser(rng.child("init"), 2))
+    cond = rng.child("c").normal((1, 16))
+    plan = SamplingPlan(timeline=subsequence(s, 20), kind="ddim", shape=(2,), seed=71,
+                        batch=batch, eta=eta, guidance_scale=5.0)
+    streams = _recording_streams(monkeypatch)
+    got = sample(toy, plan, s, cond)
+    want, ref_rng = ddim_sample_per_step_draws(toy, plan, s, cond)
+    assert samples_csv_text(got) == samples_csv_text(want)
+    assert got.tobytes() == want.tobytes()
+    (stream,) = streams
+    assert stream.draws == ref_rng.draws == batch * 2 * (1 + (19 if eta > 0.0 else 0))
+
+
+@pytest.mark.parametrize("kind", ["ddim", "ddpm"])
+def test_block_noise_of_a_long_timeline_equals_per_step_draws(monkeypatch, kind):
+    # 999 drawing transfers at 7 rows: a block of 585 steps, then one of 414
+    s = linear_schedule(1000)
+    oracle = GaussianOracle(mu0=np.array([3.0, -1.0]), var0=0.25, schedule=s)
+    plan = SamplingPlan(timeline=subsequence(s, 1000), kind=kind, shape=(2,), seed=72,
+                        batch=7, eta=0.3)
+    assert samplers.SAMPLE_BLOCK_ROWS // 7 == 585
+    streams = _recording_streams(monkeypatch)
+    got = sample(oracle, plan, s)
+    want, ref_rng = ddim_sample_per_step_draws(oracle, plan, s)
+    assert samples_csv_text(got) == samples_csv_text(want)
+    (stream,) = streams
+    assert stream.draws == ref_rng.draws == 7 * 2 * 1000
+
+
+def test_b1_guided_sample_draws_its_noise_in_two_calls(monkeypatch):
+    # a count guard, no timing: x_T is one draw, and the 199 transfers with
+    # sigma > 0 of a 200-step B=1 call fit in one block
+    from artdiff import numerics
+
+    s = linear_schedule(1000)
+    toy = ToyDenoiser(init_toy_denoiser(RngStream(73), 2))
+    cond = RngStream(74).normal((1, 16))
+    plan = SamplingPlan(timeline=subsequence(s, 200), kind="ddim", shape=(2,), seed=75,
+                        batch=1, eta=1.0, guidance_scale=5.0)
+    calls = []
+    normal = numerics.RngStream.normal
+
+    def counted(self, shape, out=None):
+        calls.append(shape)
+        return normal(self, shape, out=out)
+
+    monkeypatch.setattr(numerics.RngStream, "normal", counted)
+    sample(toy, plan, s, cond)
+    assert calls == [(1, 2), (199, 1, 2)]
 
 
 def test_transfer_into_buffers_allocates_nothing():
@@ -707,12 +784,13 @@ def test_transfer_into_buffers_allocates_nothing():
     x = RngStream(63).normal((20000, 2))
     eps = RngStream(64).normal((20000, 2))
     rng = RngStream(65)
-    buffers = (x, np.empty_like(x), np.empty_like(x), np.empty_like(x))
+    buffers = (x, np.empty_like(x), np.empty_like(x))
+    noise = np.empty_like(x)
     coefs = (0.8, 0.6, 0.7, 0.5, 0.1)
-    samplers._transfer(x, eps, coefs, rng, buffers)
+    samplers._transfer(x, eps, coefs, rng.normal(x.shape, out=noise), buffers)
     tracemalloc.start()
     try:
-        samplers._transfer(x, eps, coefs, rng, buffers)
+        samplers._transfer(x, eps, coefs, rng.normal(x.shape, out=noise), buffers)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
