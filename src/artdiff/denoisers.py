@@ -13,7 +13,11 @@ the condition; training and inference both take it.
 With one condition token (a label) the softmax over the single key is
 exactly 1, so the attention is the affine map wo·wv·token: no query or
 score is formed, and the gradients of wq and wk are exact zeros, so
-training leaves both at their initial values.
+training leaves both at their initial values. Training hands each step
+the label token table and the batch's labels: the values are projected
+once per class and gathered per row, with the bits of projecting each
+row's token on its own, and the backward forms no gradient of h through
+the attention.
 
 Both predictors keep one contract, ``EpsilonPredictor``: ``predict`` for
 a single evaluation, ``prepare`` to bind one sampling call, the only way
@@ -225,10 +229,16 @@ class AttentionWeights:
     wo: np.ndarray  # (width, width)
 
 
-def _project(memory: np.ndarray, w: AttentionWeights):
+def _project(memory: np.ndarray, w: AttentionWeights, labels=None):
     """Keys and values (k, v) of condition memory: (n, W) each from shared
-    (n, dc) memory, (B, n, W) each from per-row (B, n, dc) memory. One
+    (n, dc) memory, (B, n, W) each from per-row (B, n, dc) memory. With
+    ``labels``, memory is a table of one-token conditions, (n_classes, dc),
+    and v is its (n_classes, W) value table, formed by an einsum: a row
+    gathered from it has the bits of the per-row einsum of that token. One
     token's key is never read (see ``_attend``), so k is None then."""
+    if labels is not None:
+        return None, np.einsum("nd,wd->nw", memory, w.wv)
+
     def project(weight):
         if memory.ndim == 2:
             return memory @ weight.T
@@ -237,18 +247,24 @@ def _project(memory: np.ndarray, w: AttentionWeights):
     return (project(w.wk) if memory.shape[-2] > 1 else None), project(w.wv)
 
 
-def _attend(h: np.ndarray, k: Optional[np.ndarray], v: np.ndarray, w: AttentionWeights):
+def _attend(h: np.ndarray, k: Optional[np.ndarray], v: np.ndarray, w: AttentionWeights,
+            labels=None):
     """Single-query attention of each row of h (B, W) over projected keys
     and values, (n, W) shared by every row or (B, n, W) one set per row.
+    With ``labels`` (B,), row i has one token of its own and v is a table
+    of one value per class, (n_classes, W): the row's value is
+    v[labels[i]].
 
-    A softmax over one key is exactly 1, so with n == 1 (read from v) the
-    attention is z = v in every row, no query or score is formed and k is
-    not read. Returns the projected attention output (B, W) and a cache
-    for backward.
+    A softmax over one key is exactly 1, so with one token (labels, or
+    n == 1 read from v) each row's attention z is its one value, no query
+    or score is formed and k is not read. Returns the projected attention
+    output (B, W) and a cache for backward.
     """
-    if v.shape[-2] == 1:
+    q = weights = None
+    if labels is not None:
+        z = v.take(labels, axis=0)      # a row gather; take is the cheaper call
+    elif v.shape[-2] == 1:
         z = np.repeat(v, len(h), axis=0) if v.ndim == 2 else v[:, 0]
-        q = weights = None
     else:
         q = h @ w.wq.T                                           # (B, W)
         weights = softmax((k @ q[:, :, None])[..., 0] / math.sqrt(w.wq.shape[0]))
@@ -258,27 +274,36 @@ def _attend(h: np.ndarray, k: Optional[np.ndarray], v: np.ndarray, w: AttentionW
     return out, cache
 
 
-def _attend_backward(g_out: np.ndarray, cache, memory: np.ndarray, w: AttentionWeights):
-    """Gradients (dh, d_wq, d_wk, d_wv, d_wo) of ``_attend`` over per-row
-    (B, n, dc) memory, the form training uses. With one token the scores
-    do not depend on h, wq or wk, so their gradients are exact zeros."""
+def _attend_backward(g_out: np.ndarray, cache, memory: np.ndarray, w: AttentionWeights,
+                     d_w: AttentionWeights, labels=None) -> Optional[np.ndarray]:
+    """Gradients of ``_attend`` over per-row (B, n, dc) memory, or with
+    ``labels`` over the (n_classes, dc) table of one-token conditions that
+    v was projected from. d_wq, d_wk, d_wv and d_wo are written into the
+    arrays of ``d_w``; dh is returned.
+
+    With one token the scores do not depend on h, wq or wk, so their
+    gradients are exact zeros: d_wq and d_wk are filled with 0.0 and dh is
+    not formed, None is returned. d_wv is then the 2-D einsum over each
+    row's token, which has the bits of the per-row 3-D einsum."""
     h, q, k, v, weights, z = cache
-    d_wo = np.dot(g_out.T, z)
+    np.dot(g_out.T, z, out=d_w.wo)
     dz = np.dot(g_out, w.wo)
     if weights is None:
-        d_wv = np.einsum("bnw,bnd->wd", dz[:, None, :], memory)
-        return np.zeros(h.shape), np.zeros(w.wq.shape), np.zeros(w.wk.shape), d_wv, d_wo
+        rows = memory.take(labels, axis=0) if labels is not None else memory[:, 0]
+        np.einsum("bw,bd->wd", dz, rows, out=d_w.wv)
+        d_w.wq.fill(0.0)
+        d_w.wk.fill(0.0)
+        return None
     d_weights = np.einsum("bw,bnw->bn", dz, v)
     dv = np.einsum("bn,bw->bnw", weights, dz)
     ds = (d_weights - (d_weights * weights).sum(axis=1, keepdims=True)) * weights
     ds = ds / math.sqrt(w.wq.shape[0])
     dq = np.einsum("bn,bnw->bw", ds, k)
     dkk = np.einsum("bn,bw->bnw", ds, q)
-    d_wq = dq.T @ h
-    d_wk = np.einsum("bnw,bnd->wd", dkk, memory)
-    d_wv = np.einsum("bnw,bnd->wd", dv, memory)
-    dh = dq @ w.wq
-    return dh, d_wq, d_wk, d_wv, d_wo
+    d_w.wq[...] = dq.T @ h
+    d_w.wk[...] = np.einsum("bnw,bnd->wd", dkk, memory)
+    d_w.wv[...] = np.einsum("bnw,bnd->wd", dv, memory)
+    return dq @ w.wq
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +460,10 @@ def _head(params: ToyDenoiserParams, h3: np.ndarray, ops=None):
 
 def _forward_pass(params: ToyDenoiserParams, xt: np.ndarray, t,
                   memory: Optional[np.ndarray], cond_mask: Optional[np.ndarray],
-                  temb: Optional[np.ndarray] = None):
+                  temb: Optional[np.ndarray] = None, labels=None):
     """Shared forward; returns the prediction and every intermediate needed
-    for the closed-form backward pass."""
+    for the closed-form backward pass. With ``labels``, memory is a table
+    of one-token conditions and row i's condition is memory[labels[i]]."""
     x, squeeze = _as_batch(params, xt)
     batch = x.shape[0]
     temb, h1, a1, h2 = _trunk(params, x, t, temb)
@@ -445,10 +471,13 @@ def _forward_pass(params: ToyDenoiserParams, xt: np.ndarray, t,
     mem = attn_cache = mask = None
     h3 = h2
     if memory is not None:
+        w = params.attention
         mem = _check_memory(params, memory, batch)
-        attn_out, attn_cache = _attend(h2, *_project(mem, params.attention), params.attention)
+        attn_out, attn_cache = _attend(h2, *_project(mem, w, labels), w, labels)
         mask = np.ones((batch, 1)) if cond_mask is None \
-            else np.asarray(cond_mask, dtype=np.float64).reshape(batch, 1)
+            else np.asarray(cond_mask, dtype=np.float64)
+        if mask.shape != (batch, 1):
+            mask = mask.reshape(batch, 1)
         h3 = h2 + mask * attn_out
 
     a2, h4, out = _head(params, h3)
@@ -598,12 +627,16 @@ def toy_denoiser_forward(params: ToyDenoiserParams, xt: Tensor, t: int,
 
 
 def _loss_and_grad(params: ToyDenoiserParams, grads: ToyDenoiserParams, xt: np.ndarray, t,
-                   eps: np.ndarray, memory, cond_mask, temb=None) -> float:
+                   eps: np.ndarray, memory, cond_mask, temb=None, labels=None) -> float:
     """Mean-squared noise-prediction loss. Every array's gradient is written
     into ``grads`` (the attention's as zeros without condition memory), so
     its ``vector`` is then the whole flat gradient.
 
-    ``temb`` optionally holds the time features of t, precomputed.
+    ``memory`` is shared (n, dc) memory, per-row (B, n, dc) memory, or with
+    ``labels`` (B,) the (n_classes, dc) table of one-token conditions that
+    training hands in: row i's condition is memory[labels[i]], the same
+    bits as per-row memory holding that token. ``cond_mask`` is (B,) or
+    (B, 1). ``temb`` optionally holds the time features of t, precomputed.
 
     The backward's products use ``np.dot``, which gives the bits of
     ``np.matmul`` at these shapes (batch 1 to 4096 checked) with less
@@ -612,10 +645,10 @@ def _loss_and_grad(params: ToyDenoiserParams, grads: ToyDenoiserParams, xt: np.n
     batch of 64, ``np.matmul`` at sampling's thousands of rows, where it is
     the faster of the two.
     """
-    if memory is not None and np.ndim(memory) == 2:
+    if memory is not None and labels is None and np.ndim(memory) == 2:
         # _attend_backward takes the per-row (batch, n, dc) form
         memory = np.broadcast_to(memory, (len(np.atleast_2d(xt)),) + np.shape(memory))
-    out, cache = _forward_pass(params, xt, t, memory, cond_mask, temb)
+    out, cache = _forward_pass(params, xt, t, memory, cond_mask, temb, labels)
     x, temb, h1, a1, h2, memory, attn_cache, mask, h3, a2, h4, _ = cache
     if temb.shape[0] != x.shape[0]:     # a scalar t gives one shared row
         temb = np.broadcast_to(temb, (x.shape[0], temb.shape[1]))
@@ -641,9 +674,9 @@ def _loss_and_grad(params: ToyDenoiserParams, grads: ToyDenoiserParams, xt: np.n
 
     if attn_cache is not None:
         g_attn = mask * gh3
-        dh, grads.wq[...], grads.wk[...], grads.wv[...], grads.wo[...] = \
-            _attend_backward(g_attn, attn_cache, memory, params.attention)
-        gh2 = gh3 + dh
+        dh = _attend_backward(g_attn, attn_cache, memory, params.attention, grads.attention,
+                              labels)
+        gh2 = gh3 if dh is None else gh3 + dh
     else:
         for slot in (grads.wq, grads.wk, grads.wv, grads.wo):
             slot.fill(0.0)
@@ -697,10 +730,6 @@ class LabelEmbedding:
 
     def condition(self, label: int) -> ConditionTokens:
         return self.tokens[int(label)][None, :]
-
-    def memory_for(self, labels: np.ndarray) -> np.ndarray:
-        """Per-sample memory (batch, 1, cond_width) for a vector of labels."""
-        return self.tokens[np.asarray(labels, dtype=np.int64)][:, None, :]
 
 
 @dataclass(frozen=True)
@@ -854,6 +883,13 @@ def train(params: ToyDenoiserParams, dataset, config: TrainConfig,
     labels on every batch or on none, so the drop stream is drawn exactly
     when a step uses it.
 
+    A conditional step passes the label embedding's token table and the
+    batch's labels, not a per-row (B, 1, dc) memory: the attention projects
+    the n_classes tokens to values once and gathers each row's by label
+    (``_project``, ``_attend``), with the bits of the per-row projection.
+    The drop masks of a block are kept as (k, b, 1), so each step's mask
+    is already the column the attention output is scaled by.
+
     The weights are a copy of ``params.vector``, and the gradient is one
     flat vector of the same layout, both viewed once per call; each step's
     backward pass writes the gradient in place and the Adam update writes
@@ -891,11 +927,12 @@ def train(params: ToyDenoiserParams, dataset, config: TrainConfig,
                 memory = mask = None
                 if label_embedding is not None and labels is not None:
                     if keep is None:
-                        keep = (rng_drop.uniform((k, b)) >= config.drop_prob).astype(np.float64)
-                    memory, mask = label_embedding.memory_for(labels), keep[i]
+                        keep = (rng_drop.uniform((k, b)) >= config.drop_prob) \
+                            .astype(np.float64)[:, :, None]
+                    memory, mask = label_embedding.tokens, keep[i]
 
                 loss = _loss_and_grad(params, grads, xt, ts[i], noise[i], memory, mask,
-                                      time_table[t_index[i]])
+                                      time_table[t_index[i]], labels)
                 if not math.isfinite(loss):
                     raise TrainingDivergedError(f"loss became non-finite at step {start + i}")
                 losses[start + i] = loss

@@ -278,7 +278,9 @@ def sample(predictor, plan: SamplingPlan, schedule: NoiseSchedule,
     timeline entry; when the first transfer targets t = 0 no re-evaluation
     is possible, so the plain prediction is used. Fully deterministic given
     (plan, predictor, condition). The prediction's shape is checked on
-    the first step, the state's finiteness on every step.
+    the first step, the state's finiteness on every step. A diverging run
+    raises no numpy overflow warning; its first non-finite state raises
+    ValueError.
     """
     if max(plan.timeline.steps) > schedule.T:
         raise ConfigError("timeline indices exceed the schedule length")
@@ -299,18 +301,19 @@ def sample(predictor, plan: SamplingPlan, schedule: NoiseSchedule,
     history: deque = deque(maxlen=3)   # plms noise predictions, newest first
     noises = _step_noise(rng, table[:, 4].tolist(), x.shape)
     steps = zip(plan.timeline.pairs(), table.tolist(), noises)
-    for i, ((t_cur, t_next), coefs, noise) in enumerate(steps):
-        eps = predict(x, t_cur)
-        if i == 0:
-            require_same_shape(eps, x, "prediction and state")
-        e = eps
-        if plan.kind == "plms":
-            if history:
-                e = plms_combine(eps, history)
-            elif t_next >= 1:
-                probe, _ = _transfer(x, eps, probe_coefs, None)   # fresh: x stays the state
-                e = 0.5 * (eps + predict(probe, t_next))
-            history.appendleft(eps)
-        _transfer(x, e, coefs, noise, buffers)
-        require_finite(x, "sample state")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, ((t_cur, t_next), coefs, noise) in enumerate(steps):
+            eps = predict(x, t_cur)
+            if i == 0:
+                require_same_shape(eps, x, "prediction and state")
+            e = eps
+            if plan.kind == "plms":
+                if history:
+                    e = plms_combine(eps, history)
+                elif t_next >= 1:
+                    probe, _ = _transfer(x, eps, probe_coefs, None)   # fresh: x stays the state
+                    e = 0.5 * (eps + predict(probe, t_next))
+                history.appendleft(eps)
+            _transfer(x, e, coefs, noise, buffers)
+            require_finite(x, "sample state")
     return x

@@ -3,9 +3,10 @@
 Nothing in ``artdiff`` calls these functions. They are the forward process,
 the tractable posterior, the training loss, the DDIM noise scale and the
 denoised observation written out directly, a DDIM sampling loop that
-draws its noise one transfer at a time, plus small helpers the acceptance
-criteria need. Nothing here imports ``artdiff.samplers``, so a sampler
-check never compares the sampler with itself. The prompt-extension
+draws its noise one transfer at a time, the per-row label memory that
+training's label form is checked against, plus small helpers the
+acceptance criteria need. Nothing here imports ``artdiff.samplers``, so a
+sampler check never compares the sampler with itself. The prompt-extension
 pieces are the gazetteer scan that tries every position and the temporal
 count that runs all four patterns on every text, and the output piece is
 the text of ``samples.csv`` written value by value.
@@ -18,8 +19,8 @@ import re
 
 import numpy as np
 
-from artdiff.denoisers import (AttentionWeights, ConditionTokens, _attend, _project,
-                               check_condition_tokens)
+from artdiff.denoisers import (AttentionWeights, ConditionTokens, LabelEmbedding, _attend,
+                               _project, check_condition_tokens)
 from artdiff.numerics import RngStream, Tensor, require_finite, require_same_shape
 from artdiff.schedule import NoiseSchedule
 
@@ -177,6 +178,13 @@ def cross_attention(queries: np.ndarray, memory: ConditionTokens,
         raise ValueError("queries must be a (m, width) token sequence")
     k, v = _project(check_condition_tokens(memory), weights)
     return _attend(queries, k, v, weights)[0]
+
+
+def label_memory(embedding: LabelEmbedding, labels) -> np.ndarray:
+    """Per-row one-token memory (batch, 1, cond_width) of a vector of
+    labels: the general per-row form that training's label form, the token
+    table plus the labels, must match bit for bit."""
+    return embedding.tokens[np.asarray(labels, dtype=np.int64)][:, None, :]
 
 
 def gazetteer_match_count(phrases, tokens: list[str]) -> int:

@@ -644,6 +644,18 @@ def test_diverging_toy_train_prints_one_line(tmp_path):
     assert proc.stderr.splitlines() == ["error: loss became non-finite at step 1"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["compare-samplers", "--var0", "1e308", "--batch", "4"],
+    ["sample", "--oracle", "--var0", "1e308"],
+], ids=["compare-samplers", "sample-oracle"])
+def test_diverging_sample_prints_one_line(tmp_path, argv):
+    # the state overflows within the first steps; numpy's overflow and
+    # invalid-value warnings must not reach stderr before the error line
+    proc = run_in_fresh_process(argv + ["--out", tmp_path / "o"])
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: sample state contains non-finite elements"]
+
+
 def test_prompt_extend_on_a_corpus_without_tokens_prints_nothing(tmp_path):
     # every document tokenizes to nothing, so the mean document length is 0
     corpus = tmp_path / "marks.jsonl"

@@ -14,7 +14,7 @@ from artdiff.denoisers import (AttentionWeights, GaussianOracle, LabelEmbedding,
 from artdiff.errors import TrainingDivergedError
 from artdiff.numerics import RngStream, softmax
 from artdiff.schedule import linear_schedule
-from reference import cross_attention, loss_simple, q_sample
+from reference import cross_attention, label_memory, loss_simple, q_sample
 
 
 def loop_attention_reference(queries, memory):
@@ -89,7 +89,7 @@ def reference_train(params, dataset, config, schedule, label_embedding=None):
         xt = np.sqrt(a) * x0 + np.sqrt(1.0 - a) * eps
         memory = keep = None
         if label_embedding is not None and labels is not None:
-            memory = label_embedding.memory_for(labels)
+            memory = label_memory(label_embedding, labels)
             keep = (rng_drop.uniform((b,)) >= config.drop_prob).astype(np.float64)
         grads = zero_grads(params)
         losses[step] = _loss_and_grad(params, grads, xt, t, eps, memory, keep)
@@ -508,7 +508,7 @@ def test_train_two_adam_steps_match_hand_update(default_schedule):
         a = default_schedule.alpha_bars[t - 1][:, None]
         xt = np.sqrt(a) * x0 + np.sqrt(1 - a) * eps
         grads = zero_grads(expect)
-        loss = _loss_and_grad(expect, grads, xt, t, eps, emb.memory_for(labels), keep)
+        loss = _loss_and_grad(expect, grads, xt, t, eps, label_memory(emb, labels), keep)
         assert losses[step] == loss
         expect = from_arrays(expect, adam.update(expect.arrays(), grads.arrays(), 0.01))
     for name, arr in expect.arrays().items():
@@ -603,11 +603,55 @@ def test_loss_and_grad_writes_every_gradient_slot():
     xt = rng.child("x").normal((4, 2))
     eps = rng.child("e").normal((4, 2))
     t = np.array([3, 77, 500, 998])
-    for mem in (None, rng.child("m1").normal((4, 1, 16)), rng.child("m2").normal((4, 2, 16))):
+    table, labels = rng.child("tokens").normal((8, 16)), np.array([5, 0, 5, 7])
+    for mem, lab in ((None, None), (rng.child("m1").normal((4, 1, 16)), None),
+                     (rng.child("m2").normal((4, 2, 16)), None), (table, labels)):
         zeroed, nans = zero_grads(p), replace(p, vector=np.full(p.vector.size, np.nan))
-        loss = _loss_and_grad(p, zeroed, xt, t, eps, mem, None)
-        assert _loss_and_grad(p, nans, xt, t, eps, mem, None) == loss
+        loss = _loss_and_grad(p, zeroed, xt, t, eps, mem, None, labels=lab)
+        assert _loss_and_grad(p, nans, xt, t, eps, mem, None, labels=lab) == loss
         assert zeroed.vector.tobytes() == nans.vector.tobytes()
+
+
+@pytest.mark.parametrize("masks", ["kept", "dropped", "mixed"])
+@pytest.mark.parametrize("batch", [1, 2, 7, 63, 64])
+def test_label_form_gradient_bytes_equal_per_row_memory(default_schedule, batch, masks):
+    # training hands in the token table and the labels; the loss and every
+    # gradient byte must equal those of per-row (B, 1, dc) memory
+    rng = RngStream(56)
+    p = init_toy_denoiser(rng.child("init"), 2)
+    emb = LabelEmbedding.create(8, p.cond_width, 3)
+    for draw in range(4):
+        r = rng.child(f"draw-{draw}")
+        labels = r.integers(0, 7, (batch,))
+        t = r.integers(1, default_schedule.T, (batch,))
+        xt, eps = r.normal((batch, 2)), r.normal((batch, 2))
+        keep = {"kept": np.ones(batch), "dropped": np.zeros(batch),
+                "mixed": (r.uniform((batch,)) >= 0.5).astype(np.float64)}[masks]
+        got, want = zero_grads(p), zero_grads(p)
+        loss = _loss_and_grad(p, got, xt, t, eps, emb.tokens, keep[:, None], labels=labels)
+        ref_loss = _loss_and_grad(p, want, xt, t, eps, label_memory(emb, labels), keep)
+        assert loss == ref_loss
+        assert got.vector.tobytes() == want.vector.tobytes()
+
+
+def test_conditional_train_projects_no_per_row_memory(default_schedule, monkeypatch):
+    # training hands the projection the (n_classes, dc) token table once a
+    # step, never a per-row (B, n, dc) memory
+    project, shapes = denoisers._project, []
+
+    def table_only(memory, w, labels=None):
+        assert np.ndim(memory) == 2, "training projected per-row memory"
+        shapes.append(np.shape(memory))
+        return project(memory, w, labels)
+
+    monkeypatch.setattr(denoisers, "_project", table_only)
+    ds = get_dataset("8-gaussian-ring")
+    p = init_toy_denoiser(RngStream(57), 2)
+    emb = LabelEmbedding.create(8, p.cond_width, 1)
+    for optimizer in ("adam", "sgd"):
+        cfg = TrainConfig(steps=3, batch_size=16, seed=2, drop_prob=0.1, optimizer=optimizer)
+        train(p, ds, cfg, default_schedule, emb)
+    assert shapes == [(8, p.cond_width)] * 6
 
 
 def test_train_reduces_loss_on_ring(default_schedule):
@@ -645,7 +689,7 @@ def test_label_embedding_shapes_and_determinism():
     e2 = LabelEmbedding.create(8, 16, 4)
     assert np.array_equal(e1.tokens, e2.tokens)
     assert e1.condition(3).shape == (1, 16)
-    mem = e1.memory_for(np.array([0, 7, 2]))
+    mem = label_memory(e1, np.array([0, 7, 2]))
     assert mem.shape == (3, 1, 16)
     assert np.array_equal(mem[1, 0], e1.tokens[7])
 
@@ -967,21 +1011,28 @@ def test_one_token_attend_equals_softmax_reference(shared, batch):
 
 
 def test_one_token_attend_backward_is_exact():
+    # per-row (B, 1, dc) memory, and the label form: a token table and labels
     rng = RngStream(49)
     p = init_toy_denoiser(rng.child("init"), 2)
     w = p.attention
     h = rng.child("h").normal((12, 16))
-    memory = rng.child("m").normal((12, 1, 16))
     g_out = rng.child("g").normal((12, 16))
-    _, cache = denoisers._attend(h, *denoisers._project(memory, w), w)
-    dh, d_wq, d_wk, d_wv, d_wo = denoisers._attend_backward(g_out, cache, memory, w)
-    _, q, k, v, weights, z = _softmax_attend_reference(h, memory, w)
-    ref = _softmax_attend_backward_reference(g_out, h, memory, q, k, v, weights, z, w)
-    for got, want in zip((dh, d_wq, d_wk), ref[:3]):
-        assert got.shape == want.shape and not np.any(got)
-        assert np.all(want == 0.0)
-    assert np.array_equal(d_wv, ref[3])
-    assert np.array_equal(d_wo, ref[4])
+    table, labels = rng.child("t").normal((5, 16)), rng.child("l").integers(0, 4, (12,))
+    for given, lab in ((rng.child("m").normal((12, 1, 16)), None), (table, labels)):
+        memory = given if lab is None else table[labels][:, None, :]
+        _, cache = denoisers._attend(h, *denoisers._project(given, w, lab), w, lab)
+        # the gradients are written over NaN, so every slot is seen to be written
+        d_w = AttentionWeights(*(np.full(a.shape, np.nan) for a in (w.wq, w.wk, w.wv, w.wo)))
+        dh = denoisers._attend_backward(g_out, cache, given, w, d_w, lab)
+        _, q, k, v, weights, z = _softmax_attend_reference(h, memory, w)
+        ref = _softmax_attend_backward_reference(g_out, h, memory, q, k, v, weights, z, w)
+        assert dh is None                                # exactly zero, so not formed
+        assert np.all(ref[0] == 0.0)
+        for got, want in zip((d_w.wq, d_w.wk), ref[1:3]):
+            assert got.shape == want.shape and not np.any(got)
+            assert np.all(want == 0.0)
+        assert np.array_equal(d_w.wv, ref[3])
+        assert np.array_equal(d_w.wo, ref[4])
 
 
 @pytest.mark.parametrize("optimizer,lr", [("adam", 1e-3), ("sgd", 0.05)])
