@@ -440,6 +440,9 @@ def cmd_corpus_stats(args) -> int:
     delimiter = resolver.get("delimiter", ",")
     if len(delimiter) != 1:
         raise ConfigError(f"--delimiter must be exactly one character, got {delimiter!r}")
+    if delimiter in '"\r\n':   # csv cannot split on its quote character or a line break
+        raise ConfigError("--delimiter cannot be the quote character or a line break, "
+                          f"got {delimiter!r}")
     out = resolver.out_dir()
 
     metas, malformed = read_artwork_table(metadata_path, delimiter)

@@ -8,11 +8,12 @@ embedder, fixture-backed generators, and gazetteer plus regular-expression
 entity rules. The ranking pipeline itself is complete.
 
 Retrieval runs over one tokenization pass of the corpus: ``build_index``
-stores the postings in compressed sparse row form (see ``Bm25Index``),
-and ``tfidf_from_index`` reads the TF-IDF document frequencies from the
-same postings. ``bm25_search`` scores only the postings of the query
-terms and returns the k best documents by descending score, then
-ascending id; documents sharing no term with the query score 0.0.
+sorts the documents by id and stores the postings in compressed sparse
+row form (see ``Bm25Index``), and ``tfidf_from_index`` reads the TF-IDF
+document frequencies from the same postings. ``bm25_search`` scores only
+the postings of the query terms and returns the k best documents by
+descending score, then ascending id, which is ascending position;
+documents sharing no term with the query score 0.0.
 
 Candidate scoring runs over one token list per candidate: ``extend_prompt``
 tokenizes each pooled text once, keys the deduplication on that list and
@@ -25,6 +26,7 @@ whose token starts no place name through a first-token index, and
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -86,19 +88,19 @@ class Document:
 class Bm25Index:
     """Inverted index over title+body tokens with Okapi scoring state.
 
-    Postings are stored in compressed sparse row (CSR) form. Documents are
-    addressed by their position in ``documents``. Term ``vocab[t]`` owns
-    the slice ``indptr[row]:indptr[row + 1]`` of ``doc_pos`` (document
-    positions, ascending) and ``tfs`` (term frequencies), so its document
-    frequency is the slice length. ``lengths`` holds each document's token
-    count, and ``norms`` its length norm ``k1 * (1.0 - b + b * dl / avgdl)``,
-    built once in that operation order, so a query gathers the scalar
-    formula's value bit for bit instead of computing it over every posting.
-    When ``avgdl`` is 0 every document is empty, no posting reads a norm, and
-    each norm is ``k1 * (1 - b)``. ``id_rank[pos]`` is the rank of a
-    document's id in ascending id order and ``id_order`` is its inverse, so
-    ties break on id without comparing strings. The arrays are read-only and
-    int32, except ``indptr`` (int64) and ``norms`` (float64).
+    ``documents`` is the corpus in ascending id order, and a document is
+    addressed by its position there, so position order is id order.
+    Postings are stored in compressed sparse row (CSR) form: term
+    ``vocab[t]`` owns the slice ``indptr[row]:indptr[row + 1]`` of
+    ``doc_pos`` (document positions, ascending) and ``tfs`` (term
+    frequencies), so its document frequency is the slice length. ``norms``
+    holds each document's length norm ``k1 * (1.0 - b + b * dl / avgdl)``
+    for its token count ``dl`` and the mean count ``avgdl``, built once in
+    that operation order, so a query gathers the scalar formula's value bit
+    for bit instead of computing it over every posting. When ``avgdl`` is 0
+    every document is empty, no posting reads a norm, and each norm is
+    ``k1 * (1 - b)``. The arrays are read-only and int32, except ``indptr``
+    (int64) and ``norms`` (float64).
     """
 
     documents: tuple[Document, ...]
@@ -106,13 +108,8 @@ class Bm25Index:
     indptr: np.ndarray
     doc_pos: np.ndarray
     tfs: np.ndarray
-    lengths: np.ndarray
     norms: np.ndarray
-    id_rank: np.ndarray
-    id_order: np.ndarray
-    avgdl: float
     k1: float
-    b: float
 
     @property
     def size(self) -> int:
@@ -173,23 +170,19 @@ def _count_terms(docs: tuple[Document, ...], int32_limit: int = 2**31
 
 def build_index(corpus: Iterable[Document], k1: float = DEFAULT_K1,
                 b: float = DEFAULT_B) -> Bm25Index:
-    """Index ``corpus`` in one tokenization pass (see ``_count_terms``).
+    """Index ``corpus``, sorted by id, in one tokenization pass (see
+    ``_count_terms``).
 
     ``k1 >= 0`` and ``0 <= b <= 1`` are required; they make every document
     that shares a term with a query score above zero.
     """
     if not (k1 >= 0.0 and 0.0 <= b <= 1.0):
         raise ValueError("BM25 needs k1 >= 0 and 0 <= b <= 1")
-    docs = tuple(corpus)
-    seen = set()
-    for doc in docs:
-        if doc.id in seen:
+    docs = tuple(sorted(corpus, key=lambda doc: doc.id))
+    for prev, doc in zip(docs, docs[1:]):   # a duplicate sits next to its twin
+        if prev.id == doc.id:
             raise ValueError(f"duplicate document id {doc.id!r}")
-        seen.add(doc.id)
     vocab, indptr, doc_pos, tfs, lengths = _count_terms(docs)
-    by_id = sorted(range(len(docs)), key=lambda pos: docs[pos].id)
-    id_rank = np.empty(len(docs), dtype=np.int32)
-    id_rank[by_id] = np.arange(len(docs), dtype=np.int32)
     avgdl = int(lengths.sum()) / len(docs) if docs else 0.0
     if avgdl:
         norms = k1 * (1.0 - b + b * lengths / avgdl)
@@ -197,9 +190,7 @@ def build_index(corpus: Iterable[Document], k1: float = DEFAULT_K1,
         norms = np.full(len(docs), k1 * (1.0 - b))
     return Bm25Index(documents=docs, vocab=vocab, indptr=_frozen(indptr, np.int64),
                      doc_pos=_frozen(doc_pos, np.int32), tfs=_frozen(tfs, np.int32),
-                     lengths=_frozen(lengths, np.int32), norms=_frozen(norms, np.float64),
-                     id_rank=_frozen(id_rank, np.int32), id_order=_frozen(by_id, np.int32),
-                     avgdl=avgdl, k1=k1, b=b)
+                     norms=_frozen(norms, np.float64), k1=k1)
 
 
 def bm25_search(index: Bm25Index, query: str, k: int) -> list[tuple[Document, float]]:
@@ -212,7 +203,8 @@ def bm25_search(index: Bm25Index, query: str, k: int) -> list[tuple[Document, fl
     ``np.bincount`` over every token's postings), with the length norm
     read from ``index.norms``, so every score is bit-identical to the
     scalar formula. Documents the query does not touch score 0.0; when fewer
-    than k are touched they fill the tail in ascending id order.
+    than k are touched they fill the tail in ascending id order. Positions
+    are in id order, so ties and padding both follow position.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -238,10 +230,9 @@ def bm25_search(index: Bm25Index, query: str, k: int) -> list[tuple[Document, fl
     if touched.size > k:
         kth = np.partition(acc[touched], touched.size - k)[touched.size - k]
         touched = touched[acc[touched] >= kth]   # every tie at the k-th score
-    ranked = touched[np.lexsort((index.id_rank[touched], -acc[touched]))][:k]
+    ranked = touched[np.argsort(-acc[touched], kind="stable")][:k]   # ties stay in id order
     if ranked.size < k:
-        untouched = index.id_order[acc[index.id_order] == 0.0]
-        ranked = np.concatenate([ranked, untouched[:k - ranked.size]])
+        ranked = np.concatenate([ranked, np.flatnonzero(acc == 0.0)[:k - ranked.size]])
     return [(index.documents[pos], float(acc[pos])) for pos in ranked.tolist()]
 
 
@@ -328,7 +319,6 @@ class HashEmbedder:
         self.width = int(width)
 
     def embed(self, text: str) -> np.ndarray:
-        import hashlib
         vec = np.zeros(self.width)
         for token in tokenize(text):
             digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
@@ -543,10 +533,9 @@ def extend_prompt(u: str, index: Bm25Index, tfidf_model: TfidfModel,
         raise ValueError("k must be >= 1")
     gaz = gazetteer if gazetteer is not None else Gazetteer(())
     pool: list[tuple[str, str]] = []
-    if index.size > 0:
-        for doc, _ in bm25_search(index, u, k):
-            for sentence in split_sentences(doc.title) + split_sentences(doc.body):
-                pool.append((sentence, "wiki-sentence"))
+    for doc, _ in bm25_search(index, u, k):
+        for sentence in split_sentences(doc.title) + split_sentences(doc.body):
+            pool.append((sentence, "wiki-sentence"))
     for text in generator.continuations(u):
         pool.append((text, "generator-continuation"))
     for text in generator.responses(u):

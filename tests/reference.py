@@ -7,9 +7,10 @@ draws its noise one transfer at a time, the per-row label memory that
 training's label form is checked against, plus small helpers the
 acceptance criteria need. Nothing here imports ``artdiff.samplers``, so a
 sampler check never compares the sampler with itself. The prompt-extension
-pieces are the gazetteer scan that tries every position and the temporal
-count that runs all four patterns on every text, and the output piece is
-the text of ``samples.csv`` written value by value.
+pieces are the BM25 length norms of recounted documents, the gazetteer scan
+that tries every position and the temporal count that runs all four
+patterns on every text, and the output piece is the text of
+``samples.csv`` written value by value.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 from artdiff.denoisers import (AttentionWeights, ConditionTokens, LabelEmbedding, _attend,
                                _project, check_condition_tokens)
 from artdiff.numerics import RngStream, Tensor, require_finite, require_same_shape
+from artdiff.promptx import tokenize
 from artdiff.schedule import NoiseSchedule
 
 
@@ -185,6 +187,17 @@ def label_memory(embedding: LabelEmbedding, labels) -> np.ndarray:
     labels: the general per-row form that training's label form, the token
     table plus the labels, must match bit for bit."""
     return embedding.tokens[np.asarray(labels, dtype=np.int64)][:, None, :]
+
+
+def bm25_norms(docs, k1: float = 1.2, b: float = 0.75) -> list[float]:
+    """Each document's BM25 length norm ``k1 * (1 - b + b * dl / avgdl)``,
+    with ``dl`` its ``tokenize`` count and ``avgdl`` their mean; every norm
+    is ``k1 * (1 - b)`` when no document has a token."""
+    lengths = [len(tokenize(doc.text())) for doc in docs]
+    avgdl = sum(lengths) / len(lengths) if lengths else 0.0
+    if not avgdl:
+        return [k1 * (1.0 - b)] * len(lengths)
+    return [k1 * (1.0 - b + b * dl / avgdl) for dl in lengths]
 
 
 def gazetteer_match_count(phrases, tokens: list[str]) -> int:

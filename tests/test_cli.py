@@ -745,12 +745,26 @@ def _with_setting(tmp_path, argv, form, key, value):
     return argv + ["--config", cfg]
 
 
-@pytest.mark.parametrize("form", ["flag", "config"])
-def test_corpus_stats_multi_character_delimiter_exits_2(tmp_path, capsys, form):
+@pytest.mark.parametrize("form, value, message", [
+    pytest.param("flag", "ab", "must be exactly one character, got 'ab'", id="flag"),
+    pytest.param("config", "ab", "must be exactly one character, got 'ab'", id="config"),
+    # csv cannot split on its quote character or on a line break; a config
+    # value cannot hold a line break
+    pytest.param("flag", '"', "cannot be the quote character or a line break, got '\"'",
+                 id="flag-quote"),
+    pytest.param("config", '"', "cannot be the quote character or a line break, got '\"'",
+                 id="config-quote"),
+    pytest.param("flag", "\n", "cannot be the quote character or a line break, got '\\n'",
+                 id="flag-line-feed"),
+    pytest.param("flag", "\r", "cannot be the quote character or a line break, got '\\r'",
+                 id="flag-carriage-return"),
+])
+def test_corpus_stats_multi_character_delimiter_exits_2(tmp_path, capsys, form, value, message):
     argv = ["corpus-stats", "--metadata", DATA / "artworks.csv", "--out", tmp_path / "o"]
-    argv = _with_setting(tmp_path, argv, form, "delimiter", "ab")
+    argv = _with_setting(tmp_path, argv, form, "delimiter", value)
     assert run(argv) == 2
-    assert "--delimiter must be exactly one character, got 'ab'" in _one_line_error(capsys)
+    assert f"--delimiter {message}" in _one_line_error(capsys)
+    assert not (tmp_path / "o" / "artist_histogram.csv").exists()
 
 
 @pytest.mark.parametrize("form", ["flag", "config"])

@@ -15,7 +15,7 @@ from artdiff.promptx import (ArtworkMeta, Document, FixtureGenerator,
                              read_artwork_table, score_candidate,
                              split_sentences, tfidf_fit, tfidf_from_index,
                              tfidf_score, tokenize, top_share)
-from reference import gazetteer_match_count
+from reference import bm25_norms, gazetteer_match_count
 
 
 def naive_bm25_scores(docs, query, k1=1.2, b=0.75):
@@ -89,7 +89,8 @@ def test_build_index_empty_corpus():
 
 def test_build_index_single_doc_avgdl():
     index = build_index([Document(id="a", title="one two", body="three four")])
-    assert index.avgdl == 4.0
+    # the one document has the mean length 4, so its norm is k1 exactly
+    assert index.norms.tolist() == bm25_norms(index.documents) == [1.2]
 
 
 def test_build_index_postings_match_recount():
@@ -101,7 +102,7 @@ def test_build_index_postings_match_recount():
     index = build_index(docs)
     assert index.indptr[-1] == len(index.doc_pos) == len(index.tfs)
     assert index.indptr[-1] == sum(len(set(tokenize(d.text()))) for d in docs)
-    for pos, doc in enumerate(docs):
+    for pos, doc in enumerate(index.documents):
         toks = tokenize(doc.text())
         for term in set(toks):
             row = index.vocab[term]
@@ -109,7 +110,7 @@ def test_build_index_postings_match_recount():
             row_docs = index.doc_pos[lo:hi].tolist()
             assert row_docs == sorted(row_docs)
             assert dict(zip(row_docs, index.tfs[lo:hi].tolist()))[pos] == toks.count(term)
-        assert index.lengths[pos] == len(toks)
+    assert index.norms.tolist() == bm25_norms(index.documents)
 
 
 def test_count_terms_int64_keys_match_int32_keys(data_dir):
@@ -279,8 +280,7 @@ def test_build_index_rejects_out_of_range_parameters():
 def test_bm25_norms_equal_the_scalar_formula_and_are_read_only(k1, b):
     index = build_index(random_docs(np.random.default_rng(5), 40), k1=k1, b=b)
     assert index.norms.dtype == np.float64
-    assert index.norms.tolist() == [k1 * (1.0 - b + b * dl / index.avgdl)
-                                    for dl in index.lengths.tolist()]
+    assert index.norms.tolist() == bm25_norms(index.documents, k1, b)
     with pytest.raises(ValueError):
         index.norms[0] = 1.0
 
@@ -288,7 +288,7 @@ def test_bm25_norms_equal_the_scalar_formula_and_are_read_only(k1, b):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bm25_on_a_corpus_without_tokens_warns_nothing():
     index = build_index([Document(id="b", title="???"), Document(id="a", title="!!!")])
-    assert index.avgdl == 0.0
+    assert not any(tokenize(doc.text()) for doc in index.documents)
     assert index.norms.tolist() == [1.2 * (1.0 - 0.75)] * 2
     got = bm25_search(index, "anything at all", 5)
     assert [(doc.id, score) for doc, score in got] == [("a", 0.0), ("b", 0.0)]

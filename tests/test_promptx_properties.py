@@ -1,5 +1,6 @@
-"""Property tests for tokenizing, index counting, gazetteer matching, entity
-counting, the JSON Lines loaders and the artwork metadata table.
+"""Property tests for tokenizing, index counting and search, gazetteer
+matching, entity counting, the JSON Lines loaders and the artwork metadata
+table.
 
 They need hypothesis (the ``test`` extra) and are skipped without it.
 """
@@ -18,9 +19,9 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from artdiff import promptx  # noqa: E402
 from artdiff.errors import ConfigError  # noqa: E402
 from artdiff.promptx import (ArtworkMeta, Document, FixtureGenerator,  # noqa: E402
-                             Gazetteer, build_index, load_corpus_jsonl, read_artwork_table,
-                             tfidf_fit, tfidf_from_index, tokenize)
-from reference import gazetteer_match_count, temporal_count  # noqa: E402
+                             Gazetteer, bm25_search, build_index, load_corpus_jsonl,
+                             read_artwork_table, tfidf_fit, tfidf_from_index, tokenize)
+from reference import bm25_norms, gazetteer_match_count, temporal_count  # noqa: E402
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -56,8 +57,9 @@ def test_tokenize_matches_regex_reference(text):
 @given(CORPUS)
 def test_index_fields_match_per_document_recount(docs):
     index = build_index(docs)
-    counts = [Counter(tokenize(doc.text())) for doc in docs]
-    first_seen = list(dict.fromkeys(tok for doc in docs for tok in tokenize(doc.text())))
+    counts = [Counter(tokenize(doc.text())) for doc in index.documents]
+    first_seen = list(dict.fromkeys(tok for doc in index.documents
+                                    for tok in tokenize(doc.text())))
     assert list(index.vocab) == first_seen
     assert list(index.vocab.values()) == list(range(len(first_seen)))
     assert index.indptr[0] == 0 and index.indptr[-1] == len(index.doc_pos) == len(index.tfs)
@@ -65,12 +67,29 @@ def test_index_fields_match_per_document_recount(docs):
         lo, hi = index.indptr[row], index.indptr[row + 1]
         postings = list(zip(index.doc_pos[lo:hi].tolist(), index.tfs[lo:hi].tolist()))
         assert postings == [(pos, c[term]) for pos, c in enumerate(counts) if term in c]
-    assert index.lengths.tolist() == [sum(c.values()) for c in counts]
-    assert index.avgdl == (sum(sum(c.values()) for c in counts) / len(docs) if docs else 0.0)
+    assert index.norms.tolist() == bm25_norms(index.documents)
     narrow = promptx._count_terms(tuple(docs))
     wide = promptx._count_terms(tuple(docs), int32_limit=0)
     assert narrow[0] == wide[0]
     assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(narrow[1:], wide[1:]))
+
+
+QUERY = st.lists(WORDS, max_size=5).map(" ".join)
+
+
+@settings(max_examples=75, deadline=None)   # half of PROPERTY: the suite has a ~30 s budget
+@given(CORPUS.flatmap(lambda docs: st.tuples(st.just(docs), st.permutations(docs))),
+       st.lists(st.tuples(QUERY, st.integers(1, 10)), max_size=4))
+def test_build_index_is_the_same_for_a_shuffled_corpus(pair, queries):
+    docs, shuffled = pair
+    index, other = build_index(docs), build_index(shuffled)
+    assert index.documents == other.documents == tuple(sorted(docs, key=lambda d: d.id))
+    assert list(index.vocab.items()) == list(other.vocab.items())
+    for name in ("indptr", "doc_pos", "tfs", "norms"):
+        a, b = getattr(index, name), getattr(other, name)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+    for query, k in queries:
+        assert bm25_search(index, query, k) == bm25_search(other, query, k)
 
 
 @PROPERTY
