@@ -28,7 +28,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import checkpoint as ckpt
 from .datasets import DATASETS, get_dataset
 from .denoisers import (GaussianOracle, LabelEmbedding, ToyDenoiser, TrainConfig,
                         init_toy_denoiser, load_denoiser, save_denoiser, train)
@@ -47,6 +46,7 @@ ENV_OUT = "ARTDIFF_OUT"
 COMPARISON_T = 2000
 COMPARE_STEP_COUNTS = (10, 20, 40, 80, 200)
 ORDER_FIT_COUNTS = (10, 20, 40, 80)
+DENSITY_BINS = 96
 CONFIG_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
@@ -55,7 +55,10 @@ def _fmt(x: float) -> str:
 
 
 class Resolver:
-    """Flag > config file > default resolution for one command invocation."""
+    """Flag > config file > default resolution for one command invocation.
+
+    A config line is ``key=value``: the key is stripped of all whitespace
+    and the value only of spaces, so a tab value stays a tab."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
@@ -65,8 +68,7 @@ class Resolver:
             known = _config_keys()
             first_line: dict[str, int] = {}
             for lineno, line in enumerate(_read_utf8(path).splitlines(), 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
+                if line.strip()[:1] in ("", "#"):   # blank or a comment
                     continue
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key=value")
@@ -78,7 +80,7 @@ class Resolver:
                     raise ConfigError(f"{path}:{lineno}: key {key!r} is already set "
                                       f"on line {first_line[key]}")
                 first_line[key] = lineno
-                self.file_values[key] = value.strip()
+                self.file_values[key] = value.strip(" ")
         self.resolved: dict = {}
 
     def get(self, key: str, default, cast=str):
@@ -158,6 +160,12 @@ def _var0_from(resolver: Resolver) -> float:
     return var0
 
 
+def _schedule_manifest(consts) -> dict:
+    """The manifest entry of a schedule's constants (T, beta_start, beta_end)."""
+    T, beta_start, beta_end = consts
+    return {"schedule": {"T": T, "beta_start": beta_start, "beta_end": beta_end}}
+
+
 def _schedule_from(resolver: Resolver, T: int | None = None):
     """The linear schedule of the resolved --timesteps (or a fixed T) and
     betas, with its constants; a bad value raises ``ConfigError``."""
@@ -184,8 +192,7 @@ def cmd_schedule_dump(args) -> int:
         lines.append(",".join([str(t), _fmt(schedule.beta(t)), _fmt(schedule.alpha(t)),
                                _fmt(schedule.alpha_bar(t)), _fmt(schedule.posterior_var(t))]))
     (out / "schedule.csv").write_text("\n".join(lines) + "\n")
-    _write_manifest(out, "schedule-dump", resolver, ["schedule.csv"],
-                    {"schedule": {"T": consts[0], "beta_start": consts[1], "beta_end": consts[2]}})
+    _write_manifest(out, "schedule-dump", resolver, ["schedule.csv"], _schedule_manifest(consts))
     print(f"wrote {out / 'schedule.csv'}")
     return 0
 
@@ -233,7 +240,7 @@ def cmd_toy_train(args) -> int:
     loss_lines = ["step,loss"] + [f"{i},{_fmt(v)}" for i, v in enumerate(losses)]
     (out / "loss.csv").write_text("\n".join(loss_lines) + "\n")
     _write_manifest(out, "toy-train", resolver, ["checkpoint.bin", "loss.csv"],
-                    {"schedule": {"T": consts[0], "beta_start": consts[1], "beta_end": consts[2]},
+                    {**_schedule_manifest(consts),
                      "final_loss": float(losses[-1]) if len(losses) else None})
     print(f"trained {name} for {steps} steps; wrote {out / 'checkpoint.bin'}")
     return 0
@@ -251,17 +258,18 @@ def _write_samples_csv(path: Path, samples: np.ndarray) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_density_ppm(path: Path, points: np.ndarray, bins: int = 96) -> None:
-    """2D histogram heatmap as a binary portable pixmap."""
+def _write_density_ppm(path: Path, points: np.ndarray) -> None:
+    """2D histogram heatmap of DENSITY_BINS x DENSITY_BINS pixels as a
+    binary portable pixmap."""
     lo = points.min(axis=0) - 0.5
     hi = points.max(axis=0) + 0.5
-    hist, _, _ = np.histogram2d(points[:, 0], points[:, 1], bins=bins,
+    hist, _, _ = np.histogram2d(points[:, 0], points[:, 1], bins=DENSITY_BINS,
                                 range=[[lo[0], hi[0]], [lo[1], hi[1]]])
     norm = hist.T[::-1] / max(hist.max(), 1.0)
     ramp = (norm ** 0.5 * 255).astype(np.uint8)
     rgb = np.stack([ramp, (ramp * 0.6).astype(np.uint8),
                     (255 - ramp).astype(np.uint8)], axis=-1)
-    header = f"P6\n{bins} {bins}\n255\n".encode()
+    header = f"P6\n{DENSITY_BINS} {DENSITY_BINS}\n255\n".encode()
     path.write_bytes(header + rgb.tobytes())
 
 
@@ -314,8 +322,7 @@ def cmd_sample(args) -> int:
     if plot and shape == (2,):
         _write_density_ppm(out / "density.ppm", samples)
         outputs.append("density.ppm")
-    _write_manifest(out, "sample", resolver, outputs,
-                    {"schedule": {"T": consts[0], "beta_start": consts[1], "beta_end": consts[2]}})
+    _write_manifest(out, "sample", resolver, outputs, _schedule_manifest(consts))
     print(f"wrote {batch} samples to {out / 'samples.csv'}")
     return 0
 
@@ -340,7 +347,7 @@ def cmd_compare_samplers(args) -> int:
     batch = resolver.get("batch", 256, int)
     # The reference trajectory needs 2000 distinct timesteps, so this
     # experiment runs on its own T=2000 schedule.
-    schedule, (_, beta_start, beta_end) = _schedule_from(resolver, COMPARISON_T)
+    schedule, consts = _schedule_from(resolver, COMPARISON_T)
     out = resolver.out_dir()
 
     oracle = GaussianOracle(mu0=mu0, var0=var0, schedule=schedule)
@@ -367,8 +374,7 @@ def cmd_compare_samplers(args) -> int:
         lines.append(f"{kind},order,{_fmt(order)}")
     (out / "report.csv").write_text("\n".join(lines) + "\n")
     _write_manifest(out, "compare-samplers", resolver, ["report.csv"],
-                    {"schedule": {"T": COMPARISON_T, "beta_start": beta_start,
-                                  "beta_end": beta_end}})
+                    _schedule_manifest(consts))
     print(f"wrote {out / 'report.csv'}; fitted orders: "
           + ", ".join(f"{k}={v:.3f}" for k, v in orders.items()))
     return 0
@@ -583,10 +589,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return 2
-    except (TrainingDivergedError, ckpt.CheckpointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ValueError, TrainingDivergedError) as exc:   # CheckpointError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -91,16 +91,12 @@ class EpsilonPredictor(Protocol):
         ...
 
 
-def _unprepared(t) -> ValueError:
-    return ValueError(f"timestep {t} is not one of the prepared timesteps")
-
-
 def _prepared(table: dict, t):
     """The entry a prepared predictor keeps for timestep t."""
     try:
         return table[t]
     except KeyError:
-        raise _unprepared(t) from None
+        raise ValueError(f"timestep {t} is not one of the prepared timesteps") from None
 
 
 def check_condition_tokens(condition: ConditionTokens) -> ConditionTokens:
@@ -171,10 +167,7 @@ class PreparedGaussianOracle:
         self._workspace: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 
     def predict(self, xt: Tensor, t) -> Tensor:
-        try:
-            sqrt_a_var0, one_m_a, denom, sqrt_a, sqrt_1ma = self._factors[t]
-        except KeyError:
-            raise _unprepared(t) from None
+        sqrt_a_var0, one_m_a, denom, sqrt_a, sqrt_1ma = _prepared(self._factors, t)
         xt = np.asarray(xt, dtype=np.float64)
         ws = self._workspace.get(xt.shape)
         if ws is None:
@@ -464,7 +457,7 @@ def _forward_pass(params: ToyDenoiserParams, xt: np.ndarray, t,
     """Shared forward; returns the prediction and every intermediate needed
     for the closed-form backward pass. With ``labels``, memory is a table
     of one-token conditions and row i's condition is memory[labels[i]]."""
-    x, squeeze = _as_batch(params, xt)
+    x, _ = _as_batch(params, xt)
     batch = x.shape[0]
     temb, h1, a1, h2 = _trunk(params, x, t, temb)
 
@@ -481,7 +474,7 @@ def _forward_pass(params: ToyDenoiserParams, xt: np.ndarray, t,
         h3 = h2 + mask * attn_out
 
     a2, h4, out = _head(params, h3)
-    cache = (x, temb, h1, a1, h2, mem, attn_cache, mask, h3, a2, h4, squeeze)
+    cache = (x, temb, h1, a1, h2, mem, attn_cache, mask, h3, a2, h4)
     return out, cache
 
 
@@ -649,7 +642,7 @@ def _loss_and_grad(params: ToyDenoiserParams, grads: ToyDenoiserParams, xt: np.n
         # _attend_backward takes the per-row (batch, n, dc) form
         memory = np.broadcast_to(memory, (len(np.atleast_2d(xt)),) + np.shape(memory))
     out, cache = _forward_pass(params, xt, t, memory, cond_mask, temb, labels)
-    x, temb, h1, a1, h2, memory, attn_cache, mask, h3, a2, h4, _ = cache
+    x, temb, h1, a1, h2, memory, attn_cache, mask, h3, a2, h4 = cache
     if temb.shape[0] != x.shape[0]:     # a scalar t gives one shared row
         temb = np.broadcast_to(temb, (x.shape[0], temb.shape[1]))
     eps = np.asarray(eps, dtype=np.float64).reshape(out.shape)
@@ -820,10 +813,12 @@ def load_denoiser(path):
 
 class _AdamState:
     """Adam moments over one flat parameter vector, and two scratch vectors
-    of the same size that every update writes its temporaries into."""
+    of the same size that every update writes its temporaries into. The
+    decay rates and eps are Adam's usual constants."""
 
-    def __init__(self, size: int, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, size: int):
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self._scratch = np.empty((2, size))

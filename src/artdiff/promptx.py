@@ -11,9 +11,10 @@ Retrieval runs over one tokenization pass of the corpus: ``build_index``
 sorts the documents by id and stores the postings in compressed sparse
 row form (see ``Bm25Index``), and ``tfidf_from_index`` reads the TF-IDF
 document frequencies from the same postings. ``bm25_search`` scores only
-the postings of the query terms and returns the k best documents by
-descending score, then ascending id, which is ascending position;
-documents sharing no term with the query score 0.0.
+the postings of the query terms, with Okapi BM25 at k1 = 1.2 and
+b = 0.75, and returns the k best documents by descending score, then
+ascending id, which is ascending position; documents sharing no term with
+the query score 0.0.
 
 Candidate scoring runs over one token list per candidate: ``extend_prompt``
 tokenizes each pooled text once, keys the deduplication on that list and
@@ -86,7 +87,8 @@ class Document:
 
 @dataclass(frozen=True, eq=False)
 class Bm25Index:
-    """Inverted index over title+body tokens with Okapi scoring state.
+    """Inverted index over title+body tokens with Okapi scoring state, at
+    ``DEFAULT_K1`` and ``DEFAULT_B``.
 
     ``documents`` is the corpus in ascending id order, and a document is
     addressed by its position there, so position order is id order.
@@ -109,17 +111,10 @@ class Bm25Index:
     doc_pos: np.ndarray
     tfs: np.ndarray
     norms: np.ndarray
-    k1: float
 
     @property
     def size(self) -> int:
         return len(self.documents)
-
-    def idf(self, term: str) -> float:
-        n = self.size
-        row = self.vocab.get(term)
-        df = 0 if row is None else int(self.indptr[row + 1] - self.indptr[row])
-        return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -168,16 +163,11 @@ def _count_terms(docs: tuple[Document, ...], int32_limit: int = 2**31
             np.frombuffer(lengths, dtype=np.intc).astype(np.int32))
 
 
-def build_index(corpus: Iterable[Document], k1: float = DEFAULT_K1,
-                b: float = DEFAULT_B) -> Bm25Index:
+def build_index(corpus: Iterable[Document]) -> Bm25Index:
     """Index ``corpus``, sorted by id, in one tokenization pass (see
-    ``_count_terms``).
-
-    ``k1 >= 0`` and ``0 <= b <= 1`` are required; they make every document
-    that shares a term with a query score above zero.
-    """
-    if not (k1 >= 0.0 and 0.0 <= b <= 1.0):
-        raise ValueError("BM25 needs k1 >= 0 and 0 <= b <= 1")
+    ``_count_terms``), with the length norms of ``DEFAULT_K1`` and
+    ``DEFAULT_B``."""
+    k1, b = DEFAULT_K1, DEFAULT_B
     docs = tuple(sorted(corpus, key=lambda doc: doc.id))
     for prev, doc in zip(docs, docs[1:]):   # a duplicate sits next to its twin
         if prev.id == doc.id:
@@ -190,7 +180,7 @@ def build_index(corpus: Iterable[Document], k1: float = DEFAULT_K1,
         norms = np.full(len(docs), k1 * (1.0 - b))
     return Bm25Index(documents=docs, vocab=vocab, indptr=_frozen(indptr, np.int64),
                      doc_pos=_frozen(doc_pos, np.int32), tfs=_frozen(tfs, np.int32),
-                     norms=_frozen(norms, np.float64), k1=k1)
+                     norms=_frozen(norms, np.float64))
 
 
 def bm25_search(index: Bm25Index, query: str, k: int) -> list[tuple[Document, float]]:
@@ -200,9 +190,11 @@ def bm25_search(index: Bm25Index, query: str, k: int) -> list[tuple[Document, fl
     every document zero. Only the postings of the query terms are read:
     each token adds ``idf * (tf*(k1+1)) / (tf + k1*(1-b+b*dl/avgdl))`` to
     its documents, in query-token order starting from 0.0 (one
-    ``np.bincount`` over every token's postings), with the length norm
-    read from ``index.norms``, so every score is bit-identical to the
-    scalar formula. Documents the query does not touch score 0.0; when fewer
+    ``np.bincount`` over every token's postings), with
+    ``idf = ln(1 + (n - df + 0.5) / (df + 0.5))`` for the term's posting
+    count ``df``, ``k1 = DEFAULT_K1`` and the length norm read from
+    ``index.norms``, so every score is bit-identical to the scalar
+    formula. Documents the query does not touch score 0.0; when fewer
     than k are touched they fill the tail in ascending id order. Positions
     are in id order, so ties and padding both follow position.
     """
@@ -212,7 +204,7 @@ def bm25_search(index: Bm25Index, query: str, k: int) -> list[tuple[Document, fl
     if n == 0:
         return []
     k = min(k, n)
-    k1 = index.k1
+    k1 = DEFAULT_K1
     positions, contributions = [], []
     for term in tokenize(query):
         row = index.vocab.get(term)
@@ -220,8 +212,10 @@ def bm25_search(index: Bm25Index, query: str, k: int) -> list[tuple[Document, fl
             continue
         lo, hi = int(index.indptr[row]), int(index.indptr[row + 1])
         pos, tf = index.doc_pos[lo:hi], index.tfs[lo:hi]
+        df = hi - lo
+        idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
         positions.append(pos)
-        contributions.append(index.idf(term) * (tf * (k1 + 1.0)) / (tf + index.norms[pos]))
+        contributions.append(idf * (tf * (k1 + 1.0)) / (tf + index.norms[pos]))
     # bincount adds each document's contributions from 0.0 in input order,
     # which is query-token order
     acc = np.bincount(np.concatenate(positions), np.concatenate(contributions),

@@ -767,6 +767,24 @@ def test_corpus_stats_multi_character_delimiter_exits_2(tmp_path, capsys, form, 
     assert not (tmp_path / "o" / "artist_histogram.csv").exists()
 
 
+@pytest.mark.parametrize("line", ["delimiter=\t", "delimiter = \t ", "\tdelimiter\t=\t"],
+                         ids=["bare", "spaced", "tab-around-key"])
+def test_corpus_stats_tab_delimiter_from_config_matches_the_flag(tmp_path, line):
+    # a config value keeps its tabs; only the spaces around it are stripped
+    table = tmp_path / "rows.tsv"
+    table.write_text("Dance\tPierre Auguste Renoir\tImpressionism\tgenre\t1883\n"
+                     "Boats\tMonet, Claude\tImpressionism\tmarina\t1874\n"
+                     "Oars\tMonet, Claude\tImpressionism\tmarina\t1875\n")
+    argv = ["corpus-stats", "--metadata", table]
+    assert run(argv + ["--delimiter", "\t", "--out", tmp_path / "flag"]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert run(argv + ["--config", cfg, "--out", tmp_path / "config"]) == 0
+    got = (tmp_path / "config" / "artist_histogram.csv").read_bytes()
+    assert got == (tmp_path / "flag" / "artist_histogram.csv").read_bytes()
+    assert got == b'artist,count\n"Monet, Claude",2\nPierre Auguste Renoir,1\n'
+
+
 @pytest.mark.parametrize("form", ["flag", "config"])
 def test_compare_samplers_bad_beta_start_exits_2(tmp_path, capsys, form):
     argv = ["compare-samplers", "--batch", 2, "--out", tmp_path / "o"]
