@@ -32,9 +32,11 @@ to its rows and the FF weights as contiguous transposes, so every bias add
 is same-shape and no FF product reads a transposed view; a one-row stage
 keeps the views, since gemv rounds by layout. A product of fewer than
 ``DOT_ROWS`` rows goes through ``np.dot``, a larger one through
-``np.matmul``; both give the same bits. Both bindings return fresh
-predictions that never alias their workspace, so a caller (plms) may keep
-them across calls.
+``np.matmul``; both give the same bits. The head (second FF block and
+output projection) runs in equal row tiles of at most ``HEAD_ROWS`` rows,
+which keep its products in cache, with the bits of one tile. Both
+bindings return fresh predictions that never alias their workspace, so a
+caller (plms) may keep them across calls.
 
 The toy's weights, ``ToyDenoiserParams``, are one flat float64 vector cut
 by one layout table into named views, each bias a (1, width) row; its
@@ -66,6 +68,15 @@ ConditionTokens = np.ndarray  # (n_tokens, token_width), frozen float64
 # np.matmul ahead from 512 rows on (10.2 against 9.7 at 512, 34 against 28
 # at 2000, 102 against 65 at 4000).
 DOT_ROWS = 384
+
+# The prepared denoiser runs its head (second FF block and output
+# projection) in equal row tiles of at most this many rows. Past about 3000
+# rows a (rows, 16) x (16, 16) product into a buffer costs more per row
+# (median of 40 best-of-20 timings; numpy 2.4 with OpenBLAS, 2-vCPU shared
+# x86-64, 4 MB L2): 8.8-9.9 ns a row at 1000-3000 rows, 13.7 at 4000; with
+# one OpenBLAS thread 12.5-13.7 against 25.5. The whole head took 428 us
+# at 4000 rows and 328 us as two 2000-row tiles, with the same bits.
+HEAD_ROWS = 2048
 
 
 def _product(rows: int):
@@ -428,14 +439,15 @@ def _trunk(params: ToyDenoiserParams, x: np.ndarray, t, temb=None, ops=None):
     return temb, h1, a1, h2
 
 
-def _head(params: ToyDenoiserParams, h3: np.ndarray, ops=None):
+def _head(params: ToyDenoiserParams, h3: np.ndarray, ops=None, out=None):
     """Second FF block and output projection: (a2, h4, prediction).
 
     ``ops`` optionally holds a workspace's operands for this stage: two
     (rows, width) buffers that a2 and h4 are written into, the biases
     ff2_b1, ff2_b2 and b_out, the right-hand FF weights ff2_w1.T and
     ff2_w2.T, and the product function for its rows; without it, as in
-    ``_trunk``. The prediction is always a fresh array.
+    ``_trunk``. The prediction is written into ``out`` when given, else
+    into a fresh array; never into the workspace.
     """
     a2, h4, b1, b2, b_out, w1, w2, mm = ops if ops is not None else (
         None, None, params.ff2_b1, params.ff2_b2, params.b_out,
@@ -446,7 +458,7 @@ def _head(params: ToyDenoiserParams, h3: np.ndarray, ops=None):
     h4 = mm(a2, w2, out=h4)
     np.add(h3, h4, out=h4)
     h4 += b2
-    out = mm(h4, params.w_out.T)
+    out = mm(h4, params.w_out.T, out=out)
     out += b_out
     return a2, h4, out
 
@@ -488,6 +500,11 @@ class _Workspace:
     of a pair are each built on first use, so a workspace that serves only
     pairs holds trunk tiles of half its rows.
 
+    The head runs in k = ceil(rows / ``HEAD_ROWS``) tiles of equal size,
+    cut at i * rows // k: ``head`` holds each tile's (start, stop, h3
+    rows, operands). A guided pair of 2000 rows a branch runs as its two
+    halves. Tiles of one size share their bias tiles.
+
     A tiled bias makes each bias add same-shape, which numpy runs about
     twice as fast at 2000 rows as the broadcast of a (1, width) row, with
     the same sums. Each FF weight is kept as a C-contiguous copy of its
@@ -509,7 +526,11 @@ class _Workspace:
         self.buffers = np.empty((3, rows, params.width))
         self.h3 = self.buffers[2]
         self.pair_cond = self.h3[rows // 2:]
-        self.head = self._operands(self.HEAD, rows)
+        self._biases: dict[tuple[str, int], np.ndarray] = {}
+        k = -(-rows // HEAD_ROWS)
+        cuts = [i * rows // k for i in range(k + 1)]
+        self.head = tuple((lo, hi, self.h3[lo:hi], self._operands(self.HEAD, hi - lo, lo))
+                          for lo, hi in zip(cuts, cuts[1:]))
 
     @cached_property
     def trunk(self) -> tuple:
@@ -519,17 +540,23 @@ class _Workspace:
     def pair_trunk(self) -> tuple:
         return self._operands(self.TRUNK, len(self.h3) // 2)
 
-    def _operands(self, stage, rows: int) -> tuple:
-        """The stage's buffers cut to rows, its biases tiled to rows, its
-        right-hand FF weights and its product function, in the order
-        ``_trunk`` and ``_head`` unpack them."""
+    def _operands(self, stage, rows: int, start: int = 0) -> tuple:
+        """The stage's buffers cut to rows from start, its biases tiled to
+        rows, its right-hand FF weights and its product function, in the
+        order ``_trunk`` and ``_head`` unpack them."""
         n_buffers, biases, weights = stage
         params = self.params
-        return (*(buf[:rows] for buf in self.buffers[:n_buffers]),
-                *(np.repeat(getattr(params, name), rows, axis=0) for name in biases),
+        return (*(buf[start:start + rows] for buf in self.buffers[:n_buffers]),
+                *(self._bias(name, rows) for name in biases),
                 *(getattr(params, name).T if rows == 1
                   else np.ascontiguousarray(getattr(params, name).T) for name in weights),
                 _product(rows))
+
+    def _bias(self, name: str, rows: int) -> np.ndarray:
+        """The bias row ``name`` repeated to rows, made once per size."""
+        if (name, rows) not in self._biases:
+            self._biases[name, rows] = np.repeat(getattr(self.params, name), rows, axis=0)
+        return self._biases[name, rows]
 
 
 class PreparedToyDenoiser:
@@ -544,16 +571,19 @@ class PreparedToyDenoiser:
     ``predict_pair`` the (unconditional, conditional) pair that
     classifier-free guidance combines. Both branches see the same
     (xt, t), so the trunk and the attention run once on the batch; only the
-    second FF block and the output projection run on the stacked
-    [h2, h2 + attention] rows.
+    second FF block and the output projection (the head) run on the
+    stacked [h2, h2 + attention] rows.
 
     The trunk and the second FF block write their stages into a workspace
     per row count, allocated on first use and reused by every later call
     with that count (a pair of B rows takes the 2B entry). It holds three
     (rows, width) buffers and the operands those stages read: the biases
     tiled to its rows and the FF weights as contiguous transposes (see
-    ``_Workspace``). The returned predictions are fresh arrays that never
-    alias the workspace, so a caller may keep them across calls.
+    ``_Workspace``). The head runs in equal row tiles of at most
+    ``HEAD_ROWS`` rows, so a pair of B = 2000 rows runs it as its two
+    halves, and each tile writes its rows of one fresh prediction. The
+    returned predictions never alias the workspace, so a caller may keep
+    them across calls.
     """
 
     def __init__(self, params: ToyDenoiserParams, condition: Optional[ConditionTokens],
@@ -596,7 +626,9 @@ class PreparedToyDenoiser:
             h2 = _trunk(params, x, t, temb, ws.trunk)[-1]
             if self._kv is not None:
                 np.add(h2, self._attention(h2), out=h2)
-        out = _head(params, ws.h3, ws.head)[-1]
+        out = np.empty((total, params.data_width))
+        for lo, hi, h3, ops in ws.head:
+            _head(params, h3, ops, out[lo:hi])
         require_finite(out, "denoiser output")
         if not pair:
             return out[0] if squeeze else out

@@ -19,8 +19,8 @@ square roots of abar and of the remainder 1 - abar_next - sigma^2), and
 the predictor bound to the call's condition and timeline by
 ``prepare(condition, timesteps)``, the one way ``sample`` queries a
 predictor: each step takes the bound ``predict(xt, t)``, or under guidance
-``cfg_combine`` of the bound ``predict_pair(xt, t)``, then the transfer
-and one finiteness check of the state.
+the bound ``predict_pair(xt, t)`` combined as ``cfg_combine`` does, inline,
+then the transfer and one finiteness check of the state.
 
 The loop allocates its buffers once per call: the state, x0_pred, one
 scratch term and one noise block. Each transfer writes its stages into
@@ -292,12 +292,13 @@ def sample(predictor, plan: SamplingPlan, schedule: NoiseSchedule,
     x = rng.normal((plan.batch, *plan.shape))
     buffers = (x, np.empty_like(x), np.empty_like(x))   # state first
     bound = predictor.prepare(condition, plan.timeline.steps)
-    scale = plan.guidance_scale
+    scale = float(plan.guidance_scale)
     if condition is None or scale == 1.0:
         predict = bound.predict
     else:
-        def predict(xt, t):
-            return cfg_combine(*bound.predict_pair(xt, t), scale)
+        def predict(xt, t):     # cfg_combine; the shape is checked on step 0
+            u, c = bound.predict_pair(xt, t)
+            return u + scale * (c - u)
     history: deque = deque(maxlen=3)   # plms noise predictions, newest first
     noises = _step_noise(rng, table[:, 4].tolist(), x.shape)
     steps = zip(plan.timeline.pairs(), table.tolist(), noises)

@@ -211,6 +211,23 @@ def test_sample_bytes_are_pinned(tmp_path, pin_checkpoint, name):
         (SAMPLE_PINS / f"{name}.csv").read_bytes()
 
 
+# "<sha256>  <run>/samples.csv" lines, as sha256sum prints them: guided
+# runs whose head spans one, two and more row tiles
+LARGE_SAMPLE_PINS = dict(line.split()[::-1] for line in
+                         (SAMPLE_PINS / "guided-large.sha256").read_text().splitlines())
+
+
+@pytest.mark.parametrize("run_name", sorted(LARGE_SAMPLE_PINS))
+def test_large_guided_sample_bytes_are_pinned(tmp_path, pin_checkpoint, run_name):
+    name = run_name.split("/")[0]           # e.g. ddim-guided-b2000
+    sampler, _, batch = name.split("-")
+    assert run(["sample", "--batch", batch[1:], "--seed", 2, "--checkpoint", pin_checkpoint,
+                "--ddim_steps", 10, "--sampler", sampler, "--label", 3, "--scale", 5,
+                "--out", tmp_path]) == 0
+    digest = hashlib.sha256((tmp_path / "samples.csv").read_bytes()).hexdigest()
+    assert digest == LARGE_SAMPLE_PINS[run_name]
+
+
 TRAIN_PINS = DATA / "train_pins"
 PINNED_TRAINING = {
     "cond-adam": ["--conditional"],
@@ -381,6 +398,23 @@ def test_corpus_stats_quotes_an_artist_with_a_carriage_return(tmp_path):
         rows = list(csv.reader(fh))
     assert rows == [["artist", "count"], ["Ann\r\nBell", "1"], ["Ann\rBell", "1"]]
     assert (out / "shares.csv").read_bytes() == b"top_k,share_pct\n10,100.0\n20,100.0\n30,100.0\n"
+
+
+@pytest.mark.parametrize("table, shares", [
+    ("artworks.csv", ["100.0", "100.0", "100.0"]),
+    (None, ["0.0", "0.0", "0.0"]),          # no valid row: a malformed one
+])
+def test_corpus_stats_shares_read_back_through_csv(tmp_path, table, shares):
+    if table is None:
+        path = tmp_path / "bad.csv"
+        path.write_text("only,three,fields\n")
+    else:
+        path = DATA / table
+    out = tmp_path / "stats"
+    assert run(["corpus-stats", "--metadata", path, "--out", out]) == 0
+    with open(out / "shares.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["top_k", "share_pct"], *([k, v] for k, v in zip(["10", "20", "30"], shares))]
 
 
 def test_config_file_flags_override(tmp_path):

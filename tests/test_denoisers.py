@@ -904,6 +904,35 @@ def test_prepared_pair_allocates_no_batch_sized_temporaries():
     assert peak < 2 * len(x) * p.width * 8
 
 
+@pytest.mark.parametrize("total", [2048, 2050, 4000, 4002, 6000])
+def test_head_tiles_give_the_bytes_of_one_tile(monkeypatch, total):
+    # the head runs in tiles of at most HEAD_ROWS rows; predict at `total`
+    # rows and a pair of total / 2 rows a branch give the bytes of one tile
+    rng = RngStream(56)
+    p = init_toy_denoiser(rng.child("init"), 2)
+    cond = rng.child("c").normal((1, 16))
+    x = rng.child("x").normal((total, 2))
+
+    def run(bound):
+        return [bound.predict(x, 600), *bound.predict_pair(x[:total // 2], 7),
+                bound.predict(x, 7), *bound.predict_pair(x[:total // 2], 600)]
+
+    bound = ToyDenoiser(p).prepare(cond, (600, 7))
+    tiled = run(bound)
+    copies = [result.copy() for result in tiled]
+    run(bound)      # later calls through the same workspaces
+    assert sorted(bound._workspace) == [total]
+    assert len(bound._workspace[total].head) == -(-total // denoisers.HEAD_ROWS)
+    for result, copy in zip(tiled, copies):
+        assert result.tobytes() == copy.tobytes()
+        assert not np.shares_memory(result, bound._workspace[total].buffers)
+    monkeypatch.setattr(denoisers, "HEAD_ROWS", 10**9)
+    one_tile = ToyDenoiser(p).prepare(cond, (600, 7))
+    for got, want in zip(tiled, run(one_tile)):
+        assert got.tobytes() == want.tobytes()
+    assert len(one_tile._workspace[total].head) == 1
+
+
 FORWARD_ROWS = (1, 2, 7, 64, 2000, denoisers.DOT_ROWS - 1, denoisers.DOT_ROWS)
 
 
@@ -933,7 +962,9 @@ def test_forward_bytes_do_not_depend_on_the_product_function(monkeypatch, rows):
     cond = rng.child("c").normal((1, 16))
     x = rng.child("x").normal((rows, 2))
     ws = denoisers._Workspace(p, rows)
-    assert ws.head[-1] is ws.trunk[-1] is (np.dot if rows < denoisers.DOT_ROWS else np.matmul)
+    for *_, head_ops in ws.head:    # each head tile's operands
+        assert head_ops[-1] is ws.trunk[-1] is \
+            (np.dot if rows < denoisers.DOT_ROWS else np.matmul)
 
     def run():
         bound = ToyDenoiser(p).prepare(cond, (600, 7))
