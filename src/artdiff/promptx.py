@@ -18,10 +18,12 @@ the query score 0.0.
 
 Candidate scoring runs over one token list per candidate: ``extend_prompt``
 tokenizes each pooled text once, keys the deduplication on that list and
-hands it to ``tfidf_score`` and ``entity_count``; only the embedder
-tokenizes the text again. ``Gazetteer.match_count`` skips every position
-whose token starts no place name through a first-token index, and
-``entity_count`` runs a temporal pattern only on a text that could match it.
+hands it to ``tfidf_score`` and ``entity_count``. One
+``Embedder.embed_tokens`` call embeds the prompt and the whole pool as the
+rows of one matrix, and one ``cosine`` pass relates every row to the
+prompt's. ``Gazetteer.match_count`` skips every position whose token
+starts no place name through a first-token index, and ``entity_count``
+runs a temporal pattern only on a text that could match it.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import re
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Protocol
+from typing import Iterable, Iterator, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -243,9 +245,12 @@ class TfidfModel:
 
 
 def _tfidf_model(vocab: dict[str, int], indptr: np.ndarray, n: int) -> TfidfModel:
-    """The model for CSR postings: a term's df is its row length."""
-    df = np.diff(indptr).tolist()
-    idf = {term: max(0.0, math.log(n / (1.0 + count))) for term, count in zip(vocab, df)}
+    """The model for CSR postings: a term's df is its row length. The log
+    runs once per distinct df, on the same integers, so every idf has the
+    bits of the per-term formula."""
+    dfs, which = np.unique(np.diff(indptr), return_inverse=True)
+    logs = [max(0.0, math.log(n / (1.0 + count))) for count in dfs.tolist()]
+    idf = dict(zip(vocab, map(logs.__getitem__, which.tolist())))
     return TfidfModel(idf=idf, n_docs=n)
 
 
@@ -283,21 +288,38 @@ def tfidf_score(model: TfidfModel, tokens: list[str]) -> float:
 # ---------------------------------------------------------------------------
 
 class Embedder(Protocol):
+    """Text to vector. ``embed_tokens`` embeds many texts, each given as its
+    ``tokenize`` list, as the rows of one (len(token_lists), width) float64
+    matrix; row i must equal ``embed`` of a text with those tokens."""
+
     def embed(self, text: str) -> np.ndarray:
         ...
 
+    def embed_tokens(self, token_lists: Sequence[list[str]]) -> np.ndarray:
+        ...
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity with the zero-vector convention of 0."""
+
+def cosine(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
+    """Cosine similarity with the zero-vector convention of 0.
+
+    ``v`` may also be an (n, width) matrix of vectors, one a row: the result
+    is then the float64 array of their n cosines against ``u``, from one
+    matrix-vector product and one pass over the row norms. Each row's dot
+    product and squared norm may sum in another order than the
+    one-vector ``u @ v``, so for vectors with non-integer entries a batched
+    cosine can differ from the one-vector cosine at rounding level; for
+    integer entries (``HashEmbedder``) every sum is exact and the bits agree.
+    """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
+    if u.ndim != 1 or v.ndim not in (1, 2) or v.shape[-1:] != u.shape:
         raise ValueError(f"vector width mismatch: {u.shape} vs {v.shape}")
     nu = math.sqrt(float(u @ u))
-    nv = math.sqrt(float(v @ v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(u @ v) / (nu * nv)
+    nv = np.sqrt(np.einsum("...i,...i->...", v, v))
+    cos = np.zeros(nv.shape)
+    if nu != 0.0:
+        np.divide(v @ u, nu * nv, out=cos, where=nv != 0.0)
+    return cos if v.ndim == 2 else float(cos)
 
 
 class HashEmbedder:
@@ -305,6 +327,10 @@ class HashEmbedder:
 
     A stand-in for a sentence encoder that preserves the property the
     relatedness score relies on: texts sharing vocabulary have high cosine.
+    Each token adds +1.0 or -1.0 at one of ``width`` slots, both read from
+    its blake2b digest, so every entry is an integer no larger in size than
+    the text's token count: dot products and norms of these vectors are
+    exact in any summation order.
     """
 
     def __init__(self, width: int = EMBED_WIDTH):
@@ -313,13 +339,29 @@ class HashEmbedder:
         self.width = int(width)
 
     def embed(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.width)
-        for token in tokenize(text):
-            digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
-            idx = int.from_bytes(digest[:4], "little") % self.width
-            sign = 1.0 if digest[4] & 1 else -1.0
-            vec[idx] += sign
-        return vec
+        return self.embed_tokens([tokenize(text)])[0]
+
+    def embed_tokens(self, token_lists: Sequence[list[str]]) -> np.ndarray:
+        """One row per token list. Each distinct token is hashed once per
+        call, and one ``np.bincount`` adds every row's signs from 0.0 in
+        token order, so a row has the bits of adding them one at a time."""
+        width = self.width
+        ids: defaultdict[str, int] = defaultdict(itertools.count().__next__)  # distinct tokens
+        flat, lengths = array("i"), array("i")
+        for tokens in token_lists:
+            flat.extend(map(ids.__getitem__, tokens))
+            lengths.append(len(tokens))
+        # each distinct token's 8-byte digest as a little-endian integer: its
+        # low 32 bits pick the slot and bit 32 (the fifth byte's low bit) the sign
+        digests = np.frombuffer(b"".join(hashlib.blake2b(token.encode("utf-8"), digest_size=8)
+                                         .digest() for token in ids), dtype="<u8")
+        slots = ((digests & 0xFFFFFFFF) % width).astype(np.intp)
+        signs = np.where(digests & (1 << 32), 1.0, -1.0)
+        n = len(lengths)
+        at = np.frombuffer(flat, dtype=np.intc)
+        keys = np.repeat(np.arange(0, n * width, width), lengths) + slots[at]
+        sums = np.bincount(keys, signs[at], minlength=n * width)
+        return sums.astype(np.float64, copy=False).reshape(n, width)   # int64 when no token
 
 
 # ---------------------------------------------------------------------------
@@ -434,27 +476,33 @@ class PromptCandidate:
             raise ValueError(f"unknown candidate source {self.source!r}")
 
 
+def _check_lambdas(lambda1: float, lambda2: float) -> None:
+    if not (math.isfinite(lambda1) and math.isfinite(lambda2)
+            and lambda1 >= 0.0 and lambda2 >= 0.0):
+        raise ValueError(f"lambda1 and lambda2 must be finite and >= 0, "
+                         f"got {lambda1!r} and {lambda2!r}")
+
+
 def score_candidate(u: str, v: str, tfidf_model: TfidfModel, embedder: Embedder,
                     lambda1: float, lambda2: float, gazetteer: Gazetteer,
                     source: str = "wiki-sentence", *,
-                    u_embedding: Optional[np.ndarray] = None,
-                    tokens: Optional[list[str]] = None) -> PromptCandidate:
+                    tokens: Optional[list[str]] = None,
+                    cos: Optional[float] = None) -> PromptCandidate:
     """Combined importance: tfidf(v) + lambda1 * cos(embed(u), embed(v))
     + lambda2 * (spatial + temporal entity count).
 
-    ``u_embedding``, when given, must be ``embedder.embed(u)``; callers
-    scoring many candidates for one prompt pass it to embed ``u`` once.
-    ``tokens``, when given, must be ``tokenize(v)``; the TF-IDF and entity
-    scores then read it instead of tokenizing ``v`` again.
+    ``lambda1`` and ``lambda2`` must be finite and >= 0. ``tokens``, when
+    given, must be ``tokenize(v)``; the TF-IDF and entity scores then read
+    it instead of tokenizing ``v`` again. ``cos``, when given, must be that
+    cosine; nothing is embedded then (``extend_prompt`` computes the
+    cosines of a whole pool in one batch).
     """
-    if lambda1 < 0.0 or lambda2 < 0.0:
-        raise ValueError("lambda1 and lambda2 must be >= 0")
+    _check_lambdas(lambda1, lambda2)
     if tokens is None:
         tokens = tokenize(v)
     fert = tfidf_score(tfidf_model, tokens)
-    if u_embedding is None:
-        u_embedding = embedder.embed(u)
-    cos = cosine(u_embedding, embedder.embed(v))
+    if cos is None:
+        cos = cosine(embedder.embed(u), embedder.embed(v))
     spatial, temporal = entity_count(v, gazetteer, tokens)
     score = fert + lambda1 * cos + lambda2 * (spatial + temporal)
     return PromptCandidate(text=v, source=source, tfidf=fert, cos=cos,
@@ -521,10 +569,18 @@ def extend_prompt(u: str, index: Bm25Index, tfidf_model: TfidfModel,
     plus the generator's continuations and responses. Candidates are
     deduplicated on their space-joined tokens (keeping the best-scoring
     variant) and the top k are returned, ties broken by ascending text.
-    Each candidate is tokenized once for its key and its scores.
+    ``lambda1`` and ``lambda2`` must be finite and >= 0.
+
+    Each candidate is tokenized once, for its key and its scores. One
+    ``embedder.embed_tokens`` call embeds the prompt and every candidate,
+    and one ``cosine`` pass gives every candidate's cosine, which
+    ``score_candidate`` then reads. With ``HashEmbedder`` the batched
+    cosines equal one-by-one ``score_candidate`` calls bit for bit (see
+    ``cosine``).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    _check_lambdas(lambda1, lambda2)
     gaz = gazetteer if gazetteer is not None else Gazetteer(())
     pool: list[tuple[str, str]] = []
     for doc, _ in bm25_search(index, u, k):
@@ -535,14 +591,14 @@ def extend_prompt(u: str, index: Bm25Index, tfidf_model: TfidfModel,
     for text in generator.responses(u):
         pool.append((text, "generator-response"))
 
-    u_embedding = embedder.embed(u)
+    pool = [(text, source) for text, source in pool if text.strip()]
+    token_lists = [tokenize(text) for text, _ in pool]
+    vectors = embedder.embed_tokens([tokenize(u), *token_lists])
+    cosines = cosine(vectors[0], vectors[1:]).tolist()
     best: dict[str, PromptCandidate] = {}
-    for text, source in pool:
-        if not text.strip():
-            continue
-        tokens = tokenize(text)
+    for (text, source), tokens, cos in zip(pool, token_lists, cosines):
         cand = score_candidate(u, text, tfidf_model, embedder, lambda1, lambda2,
-                               gaz, source=source, u_embedding=u_embedding, tokens=tokens)
+                               gaz, source=source, tokens=tokens, cos=cos)
         key = " ".join(tokens)
         cur = best.get(key)
         if (cur is None or cand.score > cur.score

@@ -7,14 +7,16 @@ draws its noise one transfer at a time, the per-row label memory that
 training's label form is checked against, plus small helpers the
 acceptance criteria need. Nothing here imports ``artdiff.samplers``, so a
 sampler check never compares the sampler with itself. The prompt-extension
-pieces are the BM25 length norms of recounted documents, the gazetteer scan
-that tries every position and the temporal count that runs all four
-patterns on every text, and the output piece is the text of
+pieces are the BM25 length norms of recounted documents, the hashed
+embedding added one token at a time, the gazetteer scan that tries every
+position and the temporal count that runs all four patterns on every
+text, and the output piece is the text of
 ``samples.csv`` written value by value.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 
@@ -198,6 +200,18 @@ def bm25_norms(docs, k1: float = 1.2, b: float = 0.75) -> list[float]:
     if not avgdl:
         return [k1 * (1.0 - b)] * len(lengths)
     return [k1 * (1.0 - b + b * dl / avgdl) for dl in lengths]
+
+
+def hash_embedding(tokens: list[str], width: int) -> np.ndarray:
+    """The signed-hash vector of a token list: from 0.0, each token adds
+    +1.0 or -1.0 at one slot, both read from its blake2b digest, hashing
+    every occurrence again."""
+    vec = np.zeros(width)
+    for token in tokens:
+        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+        idx = int.from_bytes(digest[:4], "little") % width
+        vec[idx] += 1.0 if digest[4] & 1 else -1.0
+    return vec
 
 
 def gazetteer_match_count(phrases, tokens: list[str]) -> int:

@@ -15,7 +15,7 @@ from artdiff.promptx import (ArtworkMeta, Document, FixtureGenerator,
                              read_artwork_table, score_candidate,
                              split_sentences, tfidf_fit, tfidf_from_index,
                              tfidf_score, tokenize, top_share)
-from reference import bm25_norms, gazetteer_match_count
+from reference import bm25_norms, gazetteer_match_count, hash_embedding
 
 
 def naive_bm25_scores(docs, query, k1=1.2, b=0.75):
@@ -343,6 +343,18 @@ def test_tfidf_from_index_equals_tfidf_fit(data_dir):
         assert derived.idf == fitted.idf  # same keys, exact floats
 
 
+def test_tfidf_idf_equals_the_per_term_formula_bit_for_bit(data_dir):
+    docs = load_corpus_jsonl(data_dir / "micro_corpus.jsonl")
+    n = len(docs)
+    token_sets = [set(tokenize(doc.text())) for doc in docs]
+    for model in (tfidf_fit(docs), tfidf_from_index(build_index(docs))):
+        assert model.idf.keys() == set().union(*token_sets)
+        for term, idf in model.idf.items():
+            df = sum(term in tokens for tokens in token_sets)
+            assert type(idf) is float
+            assert idf == max(0.0, math.log(n / (1.0 + df)))
+
+
 def test_tfidf_from_index_rejects_empty():
     with pytest.raises(ValueError):
         tfidf_from_index(build_index([]))
@@ -402,6 +414,9 @@ class ScaledEmbedder:
     def embed(self, text):
         return self.factor * self.base.embed(text)
 
+    def embed_tokens(self, token_lists):
+        return self.factor * self.base.embed_tokens(token_lists)
+
 
 def test_embedder_scaling_leaves_ranking_unchanged(data_dir):
     docs = load_corpus_jsonl(data_dir / "micro_corpus.jsonl")
@@ -415,6 +430,37 @@ def test_embedder_scaling_leaves_ranking_unchanged(data_dir):
                            ScaledEmbedder(HashEmbedder(), 41.5), gen,
                            1.0, 0.1, 12, gaz)
     assert [c.text for c in base] == [c.text for c in scaled]
+
+
+@pytest.mark.parametrize("width", [64, 7])
+def test_embed_tokens_rows_equal_the_scalar_accumulation(width):
+    e = HashEmbedder(width)
+    token_lists = [[], tokenize("china city china china"), ["city", "wheat"], [],
+                   tokenize("night train to the river city at night"), ["china"]]
+    got = e.embed_tokens(token_lists)
+    assert got.shape == (len(token_lists), width) and got.dtype == np.float64
+    for row, tokens in zip(got, token_lists):
+        assert np.array_equal(row, hash_embedding(tokens, width))
+        assert not np.signbit(row[row == 0.0]).any()   # no -0.0
+    assert np.array_equal(e.embed("China, city; china CHINA"), got[1])
+    assert np.array_equal(e.embed("!!!"), np.zeros(width))
+    assert e.embed_tokens([]).shape == (0, width)
+
+
+def test_cosine_of_a_matrix_is_each_row_cosine():
+    e = HashEmbedder()
+    texts = ["urbanization of China", "china city growth", "!!!", "wheat village night",
+             "China china", "urbanization of China"]
+    u, rows = e.embed(texts[0]), np.array([e.embed(t) for t in texts])
+    got = cosine(u, rows)
+    assert got.shape == (len(texts),) and got.dtype == np.float64
+    assert got.tolist() == [cosine(u, row) for row in rows]
+    assert got[2] == 0.0 and got[-1] == got[0] == pytest.approx(1.0, rel=1e-12)
+    assert cosine(np.zeros(64), rows).tolist() == [0.0] * len(texts)
+    assert cosine(u, rows[:0]).shape == (0,)
+    for bad in (np.zeros((2, 3)), np.zeros((2, 2, 64)), np.zeros((64, 2))):
+        with pytest.raises(ValueError):
+            cosine(u, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +574,19 @@ def test_score_candidate_rejects_negative_lambdas():
         score_candidate("u", "v", model, HashEmbedder(), -1.0, 0.0, Gazetteer([]))
 
 
+BAD_LAMBDAS = [float("nan"), float("inf"), -1.0]
+
+
+@pytest.mark.parametrize("bad", BAD_LAMBDAS, ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("which", ["lambda1", "lambda2"])
+def test_score_candidate_rejects_non_finite_and_negative_lambdas(which, bad):
+    model = TfidfModel(idf={"china": 0.5}, n_docs=2)
+    lambdas = {"lambda1": 1.0, "lambda2": 0.1, which: bad}
+    with pytest.raises(ValueError, match="finite"):
+        score_candidate("china", "china city", model, HashEmbedder(), gazetteer=Gazetteer([]),
+                        **lambdas)
+
+
 def test_prompt_candidate_source_validation():
     with pytest.raises(ValueError):
         PromptCandidate(text="x", source="weird", tfidf=0, cos=0,
@@ -552,6 +611,20 @@ def test_extend_prompt_empty_everything():
     got = extend_prompt("anything", index, model, HashEmbedder(),
                         EmptyGenerator(), 1.0, 0.1, 5, Gazetteer([]))
     assert got == []
+
+
+@pytest.mark.parametrize("bad", BAD_LAMBDAS, ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("which", ["lambda1", "lambda2"])
+def test_extend_prompt_rejects_non_finite_and_negative_lambdas(data_dir, which, bad):
+    docs = load_corpus_jsonl(data_dir / "micro_corpus.jsonl")
+    index = build_index(docs)
+    model = tfidf_from_index(index)
+    gen = FixtureGenerator.from_file(data_dir / "fixtures.jsonl")
+    lambdas = {"lambda1": 1.0, "lambda2": 0.1, which: bad}
+    for u, idx, g in (("urbanization of China", index, gen),
+                      ("anything", build_index([]), EmptyGenerator())):   # and an empty pool
+        with pytest.raises(ValueError, match="finite"):
+            extend_prompt(u, idx, model, HashEmbedder(), g, k=10, **lambdas)
 
 
 def test_extend_prompt_surfaces_relevant_sentence():
@@ -609,13 +682,21 @@ def test_extend_prompt_uses_generators_and_dedupes(data_dir):
 
 
 class CountingEmbedder(HashEmbedder):
+    """Records the text of each ``embed`` call and the token lists of each
+    ``embed_tokens`` call made from outside ``embed``."""
+
     def __init__(self):
         super().__init__()
         self.texts = []
+        self.batches = []
 
     def embed(self, text):
         self.texts.append(text)
-        return super().embed(text)
+        return super().embed_tokens([tokenize(text)])[0]
+
+    def embed_tokens(self, token_lists):
+        self.batches.append(list(token_lists))
+        return super().embed_tokens(token_lists)
 
 
 def test_extend_prompt_embeds_prompt_once_per_call(data_dir):
@@ -628,22 +709,76 @@ def test_extend_prompt_embeds_prompt_once_per_call(data_dir):
     counting = CountingEmbedder()
     for call in (1, 2):
         got = extend_prompt(u, index, model, counting, gen, 1.0, 0.1, 10, gaz)
-        assert counting.texts.count(u) == call
-    assert len(counting.texts) > 2   # the candidates were embedded too
+        assert len(counting.batches) == call   # one batch per call
+        prompts = [batch[0] for batch in counting.batches]
+        assert prompts == [tokenize(u)] * call
+        assert sum(batch.count(tokenize(u)) for batch in counting.batches) == call
+    assert counting.texts == []
+    assert all(len(batch) > 2 for batch in counting.batches)   # the candidates were embedded too
     plain = extend_prompt(u, index, model, HashEmbedder(), gen, 1.0, 0.1, 10, gaz)
     assert got == plain
 
 
-def test_score_candidate_reuses_given_prompt_embedding(data_dir):
+def test_score_candidate_uses_a_given_cosine(data_dir):
     model = tfidf_fit(load_corpus_jsonl(data_dir / "micro_corpus.jsonl"))
     gaz = Gazetteer.from_file(data_dir / "gazetteer.txt")
     counting = CountingEmbedder()
     u, v = "urbanization of China", "Shenzhen grew in 1980."
     fresh = score_candidate(u, v, model, counting, 1.0, 0.1, gaz)
-    reused = score_candidate(u, v, model, counting, 1.0, 0.1, gaz,
-                             u_embedding=HashEmbedder().embed(u))
-    assert fresh == reused
-    assert counting.texts == [u, v, v]
+    assert counting.texts == [u, v]
+    given = score_candidate(u, v, model, counting, 1.0, 0.1, gaz,
+                            cos=cosine(HashEmbedder().embed(u), HashEmbedder().embed(v)))
+    assert fresh == given
+    assert counting.texts == [u, v] and counting.batches == []   # nothing embedded
+    other = score_candidate(u, v, model, counting, 1.0, 0.1, gaz, cos=0.25)
+    assert other.cos == 0.25
+    assert other.score == fresh.tfidf + 0.25 + 0.1 * (fresh.spatial_entities
+                                                      + fresh.temporal_entities)
+    assert counting.texts == [u, v]
+
+
+class ListGenerator:
+    def __init__(self, continuations, responses=()):
+        self._continuations, self._responses = list(continuations), list(responses)
+
+    def continuations(self, prompt):
+        return list(self._continuations)
+
+    def responses(self, prompt):
+        return list(self._responses)
+
+
+@pytest.mark.parametrize("width", [64, 7])
+def test_extend_prompt_candidates_equal_one_by_one_scoring(data_dir, monkeypatch, width):
+    index = build_index(load_corpus_jsonl(data_dir / "micro_corpus.jsonl"))
+    model = tfidf_from_index(index)
+    gaz = Gazetteer.from_file(data_dir / "gazetteer.txt")
+    fixtures = FixtureGenerator.from_file(data_dir / "fixtures.jsonl")
+    u = "urbanization of China"
+    token_less = ListGenerator(["!!!", " ", "China city at 6:30"] + fixtures.continuations(u),
+                               ["... --- ..."] + fixtures.responses(u))
+    scored = []
+    real_score = promptx.score_candidate
+
+    def recording_score(u, v, model, embedder, lambda1, lambda2, gaz, source, **given):
+        cand = real_score(u, v, model, embedder, lambda1, lambda2, gaz, source, **given)
+        scored.append((u, v, model, lambda1, lambda2, gaz, source, cand))
+        return cand
+
+    monkeypatch.setattr(promptx, "score_candidate", recording_score)
+    for prompt, gen, k in ((u, fixtures, 10), (u, token_less, 50), ("Asian morning", fixtures, 3),
+                           ("!!!", token_less, 50)):
+        scored.clear()
+        got = extend_prompt(prompt, index, model, HashEmbedder(width), gen, 0.7, 0.2, k, gaz)
+        assert len(scored) >= len(got) > 0
+        for u_, v, model_, lambda1, lambda2, gaz_, source, cand in scored:
+            alone = real_score(u_, v, model_, HashEmbedder(width), lambda1, lambda2, gaz_, source)
+            assert vars(cand) == vars(alone)
+            assert type(cand.cos) is float
+        assert all(any(c == cand for *_, cand in scored) for c in got)
+        if gen is token_less:
+            blank = [cand for *_, cand in scored if cand.text in ("!!!", "... --- ...")]
+            assert len(blank) == 2 and all(c.cos == 0.0 for c in blank)
 
 
 def test_score_candidate_with_its_token_list_equals_tokenizing_again(data_dir):
@@ -688,8 +823,8 @@ def test_extend_prompt_tokenizes_each_candidate_at_most_twice(data_dir, monkeypa
         calls.clear()
         assert extend_prompt(u, index, model, HashEmbedder(), gen, 1.0, 0.1, 10, gaz) == expected
         assert calls["scored"] > 10
-        # the prompt is tokenized twice too: once for BM25, once for its embedding
-        assert calls["tokenize"] <= 2 * calls["scored"] + 2
+        # the prompt is tokenized twice: once for BM25, once for its embedding
+        assert calls["tokenize"] <= calls["scored"] + 2
 
 
 @pytest.fixture
