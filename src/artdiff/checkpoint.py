@@ -1,7 +1,7 @@
 """Versioned binary container for named float64 arrays.
 
 Layout (all integers little-endian):
-  8 bytes   magic
+  8 bytes   magic (``DENOISER_MAGIC``)
   u32       format version (1)
   u32       number of arrays
   per array: u16 name length, utf-8 name, u8 ndim (at most 32), u64 * ndim extents
@@ -27,11 +27,9 @@ class CheckpointError(ValueError):
     pass
 
 
-def save_arrays(path, magic: bytes, arrays: dict[str, np.ndarray]) -> None:
-    if len(magic) != 8:
-        raise CheckpointError("magic must be exactly 8 bytes")
+def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
     head = bytearray()
-    head += magic
+    head += DENOISER_MAGIC
     head += struct.pack("<I", FORMAT_VERSION)
     head += struct.pack("<I", len(arrays))
     payload = bytearray()
@@ -47,16 +45,16 @@ def save_arrays(path, magic: bytes, arrays: dict[str, np.ndarray]) -> None:
     Path(path).write_bytes(body + checksum)
 
 
-def load_arrays(path, expected_magic: bytes) -> dict[str, np.ndarray]:
+def load_arrays(path) -> dict[str, np.ndarray]:
     blob = Path(path).read_bytes()
     if len(blob) < 24:
         raise CheckpointError(f"{path}: truncated checkpoint")
     body, checksum = blob[:-8], blob[-8:]
     if hashlib.sha256(body).digest()[:8] != checksum:
         raise CheckpointError(f"{path}: checksum mismatch")
-    if body[:8] != expected_magic:
+    if body[:8] != DENOISER_MAGIC:
         raise CheckpointError(f"{path}: magic {body[:8]!r} does not match "
-                              f"expected {expected_magic!r}")
+                              f"expected {DENOISER_MAGIC!r}")
     (version,) = struct.unpack_from("<I", body, 8)
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")

@@ -8,7 +8,9 @@ output file, and emits line-oriented text artifacts so runs can be
 compared byte-for-byte. The ARTDIFF_OUT environment variable overrides the
 default output directory when --out is not given.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
+Exit codes: 0 success, 1 runtime failure (including an output file that
+cannot be written), 2 usage or configuration error (including an input
+file that does not exist).
 """
 
 from __future__ import annotations
@@ -114,16 +116,15 @@ class Resolver:
 
 
 def _write_manifest(out: Path, command: str, resolver: Resolver, outputs: list[str],
-                    extra: dict | None = None) -> None:
+                    extra: dict) -> None:
     """manifest.json: the command, its resolved config, the numpy and
-    Python versions (the bytes are reproducible at a fixed numpy version)
-    and the sha256 of each named output file the command wrote."""
+    Python versions (the bytes are reproducible at a fixed numpy version),
+    the sha256 of each named output file the command wrote, and the
+    command's own ``extra`` entries."""
     manifest = {"command": command, "config": resolver.resolved,
                 "versions": {"numpy": np.__version__, "python": platform.python_version()},
                 "outputs": {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                            for name in outputs}}
-    if extra:
-        manifest.update(extra)
+                            for name in outputs}, **extra}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
@@ -359,14 +360,25 @@ def cmd_compare_samplers(args) -> int:
                             guidance_scale=1.0)
         return sample(oracle, plan, schedule)
 
+    def norm(x: np.ndarray) -> float:
+        with np.errstate(over="ignore"):    # an overflow reads inf, refused below
+            return float(np.linalg.norm(x))
+
+    # an error of 0, inf or nan has no logarithm, so no order can be fitted
     reference = endpoint("ddim", COMPARISON_T)
-    ref_norm = float(np.linalg.norm(reference))
+    ref_norm = norm(reference)
+    if not 0.0 < ref_norm < math.inf:
+        raise ConfigError("compare-samplers cannot measure relative errors: the reference "
+                          f"endpoint has norm {ref_norm}")
     lines = ["kind,steps,rel_l2"]
     orders = {}
     for kind in ("ddim", "plms"):
         errs = {}
         for k in COMPARE_STEP_COUNTS:
-            err = float(np.linalg.norm(endpoint(kind, k) - reference)) / ref_norm
+            err = norm(endpoint(kind, k) - reference) / ref_norm
+            if k in ORDER_FIT_COUNTS and not 0.0 < err < math.inf:
+                raise ConfigError(f"compare-samplers cannot fit an order: the {kind} error "
+                                  f"at {k} steps is {err}")
             errs[k] = err
             lines.append(f"{kind},{k},{_fmt(err)}")
         orders[kind] = _fit_order(ORDER_FIT_COUNTS, [errs[k] for k in ORDER_FIT_COUNTS])
@@ -589,6 +601,10 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return 2
+    except OSError as exc:      # a directory in an output file's place, say
+        name = f"{exc.filename}: " if exc.filename else ""    # a full disk names no file
+        print(f"error: {name}{exc.strerror or exc}", file=sys.stderr)
+        return 1
     except (ValueError, TrainingDivergedError) as exc:   # CheckpointError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

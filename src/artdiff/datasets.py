@@ -19,7 +19,6 @@ RING_MODES = 8
 class ToyDataset:
     """Infinite sampler of (points, labels); labels may be None."""
 
-    name: str
     dim: int
     n_classes: int  # 0 for unlabeled datasets
     _sampler: Callable[[int, RngStream], tuple[np.ndarray, Optional[np.ndarray]]]
@@ -63,9 +62,9 @@ def _sample_line(n: int, rng: RngStream):
 
 
 DATASETS: dict[str, ToyDataset] = {
-    "8-gaussian-ring": ToyDataset("8-gaussian-ring", 2, RING_MODES, _sample_ring),
-    "two-moons": ToyDataset("two-moons", 2, 2, _sample_two_moons),
-    "line-subspace": ToyDataset("line-subspace", 2, 0, _sample_line),
+    "8-gaussian-ring": ToyDataset(2, RING_MODES, _sample_ring),
+    "two-moons": ToyDataset(2, 2, _sample_two_moons),
+    "line-subspace": ToyDataset(2, 0, _sample_line),
 }
 
 

@@ -41,6 +41,8 @@ caller (plms) may keep them across calls.
 The toy's weights, ``ToyDenoiserParams``, are one flat float64 vector cut
 by one layout table into named views, each bias a (1, width) row; its
 gradient has the same form, so training updates the whole vector at once.
+The attention reads wq, wk, wv and wo from the params and writes their
+gradients into the gradient's views.
 """
 
 from __future__ import annotations
@@ -77,6 +79,10 @@ DOT_ROWS = 384
 # one OpenBLAS thread 12.5-13.7 against 25.5. The whole head took 428 us
 # at 4000 rows and 328 us as two 2000-row tiles, with the same bits.
 HEAD_ROWS = 2048
+
+# The widths of the time features and of a condition token in a new
+# denoiser; a loaded checkpoint keeps the widths it records.
+TIME_DIM = COND_WIDTH = 16
 
 
 def _product(rows: int):
@@ -222,42 +228,32 @@ def time_embedding(t, dim: int) -> Tensor:
     return out
 
 
-@dataclass(frozen=True)
-class AttentionWeights:
-    """Single-head projections: queries from the hidden state, keys and
-    values from the condition memory, then an output projection."""
-
-    wq: np.ndarray  # (width, width)
-    wk: np.ndarray  # (width, cond_width)
-    wv: np.ndarray  # (width, cond_width)
-    wo: np.ndarray  # (width, width)
-
-
-def _project(memory: np.ndarray, w: AttentionWeights, labels=None):
-    """Keys and values (k, v) of condition memory: (n, W) each from shared
-    (n, dc) memory, (B, n, W) each from per-row (B, n, dc) memory. With
-    ``labels``, memory is a table of one-token conditions, (n_classes, dc),
-    and v is its (n_classes, W) value table, formed by an einsum: a row
-    gathered from it has the bits of the per-row einsum of that token. One
-    token's key is never read (see ``_attend``), so k is None then."""
+def _project(memory: np.ndarray, params: ToyDenoiserParams, labels=None):
+    """Keys and values (k, v) of condition memory, projected by the params'
+    wk and wv: (n, W) each from shared (n, dc) memory, (B, n, W) each from
+    per-row (B, n, dc) memory. With ``labels``, memory is a table of
+    one-token conditions, (n_classes, dc), and v is its (n_classes, W)
+    value table, formed by an einsum: a row gathered from it has the bits
+    of the per-row einsum of that token. One token's key is never read
+    (see ``_attend``), so k is None then."""
     if labels is not None:
-        return None, np.einsum("nd,wd->nw", memory, w.wv)
+        return None, np.einsum("nd,wd->nw", memory, params.wv)
 
     def project(weight):
         if memory.ndim == 2:
             return memory @ weight.T
         return np.einsum("bnd,wd->bnw", memory, weight)
 
-    return (project(w.wk) if memory.shape[-2] > 1 else None), project(w.wv)
+    return (project(params.wk) if memory.shape[-2] > 1 else None), project(params.wv)
 
 
-def _attend(h: np.ndarray, k: Optional[np.ndarray], v: np.ndarray, w: AttentionWeights,
+def _attend(h: np.ndarray, k: Optional[np.ndarray], v: np.ndarray, params: ToyDenoiserParams,
             labels=None):
-    """Single-query attention of each row of h (B, W) over projected keys
-    and values, (n, W) shared by every row or (B, n, W) one set per row.
-    With ``labels`` (B,), row i has one token of its own and v is a table
-    of one value per class, (n_classes, W): the row's value is
-    v[labels[i]].
+    """Single-query attention, with the params' wq and wo, of each row of
+    h (B, W) over projected keys and values, (n, W) shared by every row or
+    (B, n, W) one set per row. With ``labels`` (B,), row i has one token of
+    its own and v is a table of one value per class, (n_classes, W): the
+    row's value is v[labels[i]].
 
     A softmax over one key is exactly 1, so with one token (labels, or
     n == 1 read from v) each row's attention z is its one value, no query
@@ -270,44 +266,44 @@ def _attend(h: np.ndarray, k: Optional[np.ndarray], v: np.ndarray, w: AttentionW
     elif v.shape[-2] == 1:
         z = np.repeat(v, len(h), axis=0) if v.ndim == 2 else v[:, 0]
     else:
-        q = h @ w.wq.T                                           # (B, W)
-        weights = softmax((k @ q[:, :, None])[..., 0] / math.sqrt(w.wq.shape[0]))
+        q = h @ params.wq.T                                      # (B, W)
+        weights = softmax((k @ q[:, :, None])[..., 0] / math.sqrt(params.wq.shape[0]))
         z = (weights[:, None, :] @ v)[:, 0]
-    out = z @ w.wo.T
+    out = z @ params.wo.T
     cache = (h, q, k, v, weights, z)
     return out, cache
 
 
-def _attend_backward(g_out: np.ndarray, cache, memory: np.ndarray, w: AttentionWeights,
-                     d_w: AttentionWeights, labels=None) -> Optional[np.ndarray]:
+def _attend_backward(g_out: np.ndarray, cache, memory: np.ndarray, params: ToyDenoiserParams,
+                     grads: ToyDenoiserParams, labels=None) -> Optional[np.ndarray]:
     """Gradients of ``_attend`` over per-row (B, n, dc) memory, or with
     ``labels`` over the (n_classes, dc) table of one-token conditions that
     v was projected from. d_wq, d_wk, d_wv and d_wo are written into the
-    arrays of ``d_w``; dh is returned.
+    views of ``grads``; dh is returned.
 
     With one token the scores do not depend on h, wq or wk, so their
     gradients are exact zeros: d_wq and d_wk are filled with 0.0 and dh is
     not formed, None is returned. d_wv is then the 2-D einsum over each
     row's token, which has the bits of the per-row 3-D einsum."""
     h, q, k, v, weights, z = cache
-    np.dot(g_out.T, z, out=d_w.wo)
-    dz = np.dot(g_out, w.wo)
+    np.dot(g_out.T, z, out=grads.wo)
+    dz = np.dot(g_out, params.wo)
     if weights is None:
         rows = memory.take(labels, axis=0) if labels is not None else memory[:, 0]
-        np.einsum("bw,bd->wd", dz, rows, out=d_w.wv)
-        d_w.wq.fill(0.0)
-        d_w.wk.fill(0.0)
+        np.einsum("bw,bd->wd", dz, rows, out=grads.wv)
+        grads.wq.fill(0.0)
+        grads.wk.fill(0.0)
         return None
     d_weights = np.einsum("bw,bnw->bn", dz, v)
     dv = np.einsum("bn,bw->bnw", weights, dz)
     ds = (d_weights - (d_weights * weights).sum(axis=1, keepdims=True)) * weights
-    ds = ds / math.sqrt(w.wq.shape[0])
+    ds = ds / math.sqrt(params.wq.shape[0])
     dq = np.einsum("bn,bnw->bw", ds, k)
     dkk = np.einsum("bn,bw->bnw", ds, q)
-    d_w.wq[...] = dq.T @ h
-    d_w.wk[...] = np.einsum("bnw,bnd->wd", dkk, memory)
-    d_w.wv[...] = np.einsum("bnw,bnd->wd", dv, memory)
-    return dq @ w.wq
+    grads.wq[...] = dq.T @ h
+    grads.wk[...] = np.einsum("bnw,bnd->wd", dkk, memory)
+    grads.wv[...] = np.einsum("bnw,bnd->wd", dv, memory)
+    return dq @ params.wq
 
 
 # ---------------------------------------------------------------------------
@@ -363,18 +359,13 @@ class ToyDenoiserParams:
         """The named weights in checkpoint shapes (biases 1-D), as views."""
         return {name: getattr(self, name).reshape(shape) for name, shape in self._layout().items()}
 
-    @cached_property
-    def attention(self) -> AttentionWeights:
-        """The attention's weights, built once per params: they are views,
-        so they follow every in-place write to ``vector``."""
-        return AttentionWeights(wq=self.wq, wk=self.wk, wv=self.wv, wo=self.wo)
 
-
-def init_toy_denoiser(rng: RngStream, data_width: int, width: int = 16,
-                      time_dim: int = 16, cond_width: int = 16) -> ToyDenoiserParams:
-    """Gaussian fan-in initialization of every weight matrix, zero biases."""
+def init_toy_denoiser(rng: RngStream, data_width: int, width: int = 16) -> ToyDenoiserParams:
+    """Gaussian fan-in initialization of every weight matrix, zero biases;
+    time features and condition tokens are ``TIME_DIM`` and ``COND_WIDTH``
+    wide."""
     widths = dict(data_width=int(data_width), width=int(width),
-                  time_dim=int(time_dim), cond_width=int(cond_width))
+                  time_dim=TIME_DIM, cond_width=COND_WIDTH)
     vector = np.concatenate([np.zeros(shape) if len(shape) == 1
                              else (rng.normal(shape) / math.sqrt(shape[1])).ravel()
                              for shape in _param_shapes(**widths).values()])
@@ -476,9 +467,8 @@ def _forward_pass(params: ToyDenoiserParams, xt: np.ndarray, t,
     mem = attn_cache = mask = None
     h3 = h2
     if memory is not None:
-        w = params.attention
         mem = _check_memory(params, memory, batch)
-        attn_out, attn_cache = _attend(h2, *_project(mem, w, labels), w, labels)
+        attn_out, attn_cache = _attend(h2, *_project(mem, params, labels), params, labels)
         mask = np.ones((batch, 1)) if cond_mask is None \
             else np.asarray(cond_mask, dtype=np.float64)
         if mask.shape != (batch, 1):
@@ -595,7 +585,7 @@ class PreparedToyDenoiser:
             if memory.shape[1] != params.cond_width:
                 raise ValueError(f"condition tokens have width {memory.shape[1]}, "
                                  f"expected {params.cond_width}")
-            self._kv = _project(memory, params.attention)
+            self._kv = _project(memory, params)
         self._one_token_out: dict[int, np.ndarray] = {}   # batch size -> output
         self._workspace: dict[int, _Workspace] = {}       # rows -> buffers
         steps = [int(t) for t in timesteps]
@@ -638,9 +628,9 @@ class PreparedToyDenoiser:
     def _attention(self, h2: np.ndarray) -> np.ndarray:
         k, v = self._kv
         if len(v) > 1:
-            return _attend(h2, k, v, self.params.attention)[0]
+            return _attend(h2, k, v, self.params)[0]
         if len(h2) not in self._one_token_out:
-            self._one_token_out[len(h2)] = _attend(h2, k, v, self.params.attention)[0]
+            self._one_token_out[len(h2)] = _attend(h2, k, v, self.params)[0]
         return self._one_token_out[len(h2)]
 
 
@@ -699,8 +689,7 @@ def _loss_and_grad(params: ToyDenoiserParams, grads: ToyDenoiserParams, xt: np.n
 
     if attn_cache is not None:
         g_attn = mask * gh3
-        dh = _attend_backward(g_attn, attn_cache, memory, params.attention, grads.attention,
-                              labels)
+        dh = _attend_backward(g_attn, attn_cache, memory, params, grads, labels)
         gh2 = gh3 if dh is None else gh3 + dh
     else:
         for slot in (grads.wq, grads.wk, grads.wv, grads.wo):
@@ -793,7 +782,7 @@ def save_denoiser(path, params: ToyDenoiserParams, schedule: NoiseSchedule,
     for name, arr in arrays.items():
         if not np.all(np.isfinite(arr)):
             raise ckpt.CheckpointError(f"{path}: refusing to save non-finite values in {name!r}")
-    ckpt.save_arrays(path, ckpt.DENOISER_MAGIC, arrays)
+    ckpt.save_arrays(path, arrays)
 
 
 def load_denoiser(path):
@@ -803,7 +792,7 @@ def load_denoiser(path):
     ``label_tokens``), every value, and every shape (against the widths in
     ``meta``) are checked; any failure raises CheckpointError.
     """
-    arrays = ckpt.load_arrays(path, ckpt.DENOISER_MAGIC)
+    arrays = ckpt.load_arrays(path)
 
     def bad(message: str) -> ckpt.CheckpointError:
         return ckpt.CheckpointError(f"{path}: {message}")

@@ -176,9 +176,8 @@ def _transfer_table(timeline: SamplingTimeline, schedule: NoiseSchedule, eta: fl
 
     Returns an (n, 5) array with one ``_transfer`` coefficient row per pair
     of ``timeline.pairs()``, at noise scale
-    eta * sqrt((1 - abar_next) / (1 - abar_cur)) * sqrt(1 - abar_cur / abar_next),
-    and the coefficients of the first transfer at sigma = 0 (the plms
-    probe). The values come from the same elementwise operations, in the
+    eta * sqrt((1 - abar_next) / (1 - abar_cur)) * sqrt(1 - abar_cur / abar_next).
+    The values come from the same elementwise operations, in the
     same order, as the scalar ``ddim_sigma`` of tests/reference.py and
     ``ddim_step``, so they equal theirs bit for bit.
     """
@@ -189,10 +188,8 @@ def _transfer_table(timeline: SamplingTimeline, schedule: NoiseSchedule, eta: fl
     rem = 1.0 - an - sigma * sigma
     if np.any(rem < -1e-12):
         raise ValueError(f"invalid eta {eta}: 1 - abar_next - sigma^2 is negative")
-    table = np.stack([np.sqrt(1.0 - ac), np.sqrt(ac), np.sqrt(an),
-                      np.sqrt(np.maximum(rem, 0.0)), sigma], axis=1)
-    probe = (*table[0, :3].tolist(), math.sqrt(1.0 - float(an[0])), 0.0)   # 1 - abar_next - 0^2
-    return table, probe
+    return np.stack([np.sqrt(1.0 - ac), np.sqrt(ac), np.sqrt(an),
+                     np.sqrt(np.maximum(rem, 0.0)), sigma], axis=1)
 
 
 def posterior_mean_from_eps(xt: Tensor, eps: Tensor, t: int,
@@ -287,7 +284,7 @@ def sample(predictor, plan: SamplingPlan, schedule: NoiseSchedule,
     if plan.kind == "ddpm" and not plan.timeline.is_identity(schedule.T):
         raise ConfigError("ddpm requires the full identity timeline (T, T-1, ..., 1)")
     eta = {"ddpm": 1.0, "ddim": plan.eta, "plms": 0.0}[plan.kind]
-    table, probe_coefs = _transfer_table(plan.timeline, schedule, eta)
+    table = _transfer_table(plan.timeline, schedule, eta)
     rng = RngStream(plan.seed)
     x = rng.normal((plan.batch, *plan.shape))
     buffers = (x, np.empty_like(x), np.empty_like(x))   # state first
@@ -312,7 +309,9 @@ def sample(predictor, plan: SamplingPlan, schedule: NoiseSchedule,
                 if history:
                     e = plms_combine(eps, history)
                 elif t_next >= 1:
-                    probe, _ = _transfer(x, eps, probe_coefs, None)   # fresh: x stays the state
+                    # plms runs at sigma 0, so the step's own coefficients
+                    # serve the probe; a fresh transfer, x stays the state
+                    probe, _ = _transfer(x, eps, coefs, None)
                     e = 0.5 * (eps + predict(probe, t_next))
                 history.appendleft(eps)
             _transfer(x, e, coefs, noise, buffers)

@@ -22,7 +22,7 @@ import re
 
 import numpy as np
 
-from artdiff.denoisers import (AttentionWeights, ConditionTokens, LabelEmbedding, _attend,
+from artdiff.denoisers import (ConditionTokens, LabelEmbedding, ToyDenoiserParams, _attend,
                                _project, check_condition_tokens)
 from artdiff.numerics import RngStream, Tensor, require_finite, require_same_shape
 from artdiff.promptx import tokenize
@@ -175,13 +175,15 @@ def sample_stats(batch: list[Tensor]) -> tuple[Tensor, Tensor]:
 
 
 def cross_attention(queries: np.ndarray, memory: ConditionTokens,
-                    weights: AttentionWeights) -> np.ndarray:
-    """Attend a sequence of query tokens (m, W) over condition memory (n, dc)."""
+                    params: ToyDenoiserParams) -> np.ndarray:
+    """Attend a sequence of query tokens (m, W) over condition memory (n, dc)
+    with the attention weights wq, wk, wv and wo of ``params`` (or of any
+    object holding those four)."""
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2:
         raise ValueError("queries must be a (m, width) token sequence")
-    k, v = _project(check_condition_tokens(memory), weights)
-    return _attend(queries, k, v, weights)[0]
+    k, v = _project(check_condition_tokens(memory), params)
+    return _attend(queries, k, v, params)[0]
 
 
 def label_memory(embedding: LabelEmbedding, labels) -> np.ndarray:

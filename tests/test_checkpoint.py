@@ -21,8 +21,8 @@ def roundtrip_arrays():
 def test_roundtrip(tmp_path):
     path = tmp_path / "ck.bin"
     arrays = roundtrip_arrays()
-    save_arrays(path, DENOISER_MAGIC, arrays)
-    loaded = load_arrays(path, DENOISER_MAGIC)
+    save_arrays(path, arrays)
+    loaded = load_arrays(path)
     assert set(loaded) == set(arrays)
     for name, arr in arrays.items():
         assert np.array_equal(loaded[name], arr)
@@ -32,39 +32,36 @@ def test_roundtrip(tmp_path):
 def test_save_is_byte_deterministic(tmp_path):
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"
     arrays = roundtrip_arrays()
-    save_arrays(a, DENOISER_MAGIC, arrays)
-    save_arrays(b, DENOISER_MAGIC, arrays)
+    save_arrays(a, arrays)
+    save_arrays(b, arrays)
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_wrong_magic_rejected(tmp_path):
     path = tmp_path / "ck.bin"
-    save_arrays(path, DENOISER_MAGIC, roundtrip_arrays())
-    with pytest.raises(CheckpointError):
-        load_arrays(path, b"ARTOTHER")
+    save_arrays(path, roundtrip_arrays())
+    body = b"ARTOTHER" + path.read_bytes()[8:-8]
+    path.write_bytes(body + hashlib.sha256(body).digest()[:8])   # only the magic is wrong
+    with pytest.raises(CheckpointError, match="magic"):
+        load_arrays(path)
 
 
 def test_corrupted_payload_rejected(tmp_path):
     path = tmp_path / "ck.bin"
-    save_arrays(path, DENOISER_MAGIC, roundtrip_arrays())
+    save_arrays(path, roundtrip_arrays())
     blob = bytearray(path.read_bytes())
     blob[len(blob) // 2] ^= 0xFF
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError):
-        load_arrays(path, DENOISER_MAGIC)
+        load_arrays(path)
 
 
 def test_truncated_file_rejected(tmp_path):
     path = tmp_path / "ck.bin"
-    save_arrays(path, DENOISER_MAGIC, roundtrip_arrays())
+    save_arrays(path, roundtrip_arrays())
     path.write_bytes(path.read_bytes()[:10])
     with pytest.raises(CheckpointError):
-        load_arrays(path, DENOISER_MAGIC)
-
-
-def test_bad_magic_length():
-    with pytest.raises(CheckpointError):
-        save_arrays("/tmp/never-written.bin", b"SHORT", {})
+        load_arrays(path)
 
 
 def test_denoiser_checkpoint_roundtrip(tmp_path):
@@ -116,7 +113,7 @@ def test_crafted_shape_table_raises_checkpoint_error(tmp_path, blob, message):
     path = tmp_path / "crafted.bin"
     path.write_bytes(blob)
     with pytest.raises(CheckpointError) as info:
-        load_arrays(path, DENOISER_MAGIC)
+        load_arrays(path)
     assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
 
 
@@ -148,13 +145,13 @@ def _crafted(tmp_path, **changes):
 
     path = tmp_path / "crafted.bin"
     save_denoiser(path, *_denoiser_parts())
-    arrays = load_arrays(path, DENOISER_MAGIC)
+    arrays = load_arrays(path)
     for name, value in changes.items():
         if value is None:
             del arrays[name]
         else:
             arrays[name] = value
-    save_arrays(path, DENOISER_MAGIC, arrays)
+    save_arrays(path, arrays)
     return path
 
 

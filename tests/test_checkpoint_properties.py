@@ -6,6 +6,7 @@ hypothesis (the ``test`` extra) and are skipped without it.
 """
 
 import hashlib
+import math
 
 import pytest
 
@@ -13,8 +14,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from artdiff.checkpoint import CheckpointError  # noqa: E402
-from artdiff.denoisers import (LabelEmbedding, init_toy_denoiser,  # noqa: E402
-                               load_denoiser, save_denoiser)
+from artdiff.denoisers import (LabelEmbedding, ToyDenoiserParams,  # noqa: E402
+                               _param_shapes, load_denoiser, save_denoiser)
 from artdiff.numerics import RngStream  # noqa: E402
 from artdiff.schedule import linear_schedule  # noqa: E402
 
@@ -26,7 +27,9 @@ def bodies(tmp_path_factory):
     """A valid denoiser checkpoint without its checksum, and a file path
     to write crafted blobs to."""
     root = tmp_path_factory.mktemp("checkpoints")
-    params = init_toy_denoiser(RngStream(4), 2, width=4, time_dim=4, cond_width=3)
+    widths = (2, 4, 4, 3)      # small, and none of them a new denoiser's 16
+    size = sum(math.prod(shape) for shape in _param_shapes(*widths).values())
+    params = ToyDenoiserParams(*widths, vector=RngStream(4).normal((size,)))
     save_denoiser(root / "denoiser.bin", params, linear_schedule(50),
                   LabelEmbedding.create(3, params.cond_width, 4))
     return (root / "denoiser.bin").read_bytes()[:-8], root / "crafted.bin"

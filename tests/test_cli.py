@@ -620,6 +620,20 @@ def test_compare_samplers_zero_var0_exits_2(tmp_path, capsys, mu0):
                 "--out", tmp_path / "s"]) == 0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--mu0", "0,0", "--var0", "1e-300"], "reference endpoint has norm 0.0"),
+    (["--mu0", "1e300,1e300"], "reference endpoint has norm inf"),
+    (["--var0", "1e-30"], "the ddim error at 10 steps is 0.0"),
+], ids=["zero-reference", "overflowing-reference", "zero-error"])
+def test_compare_samplers_degenerate_errors_exit_2(tmp_path, capsys, argv, message):
+    # a relative error over a norm of 0 or inf, or the log of a zero error,
+    # has no value; no numpy warning may reach stderr either
+    out = tmp_path / "o"
+    assert run(["compare-samplers", *argv, "--batch", 1, "--out", out]) == 2
+    assert message in _one_line_error(capsys)
+    assert not (out / "report.csv").exists()
+
+
 @pytest.mark.parametrize("hidden", [0, -3])
 def test_toy_train_non_positive_hidden_exits_2(tmp_path, capsys, hidden):
     assert run(["toy-train", "--dataset", "8-gaussian-ring", "--steps", 1,
@@ -643,10 +657,10 @@ def test_sample_label_out_of_range_exits_2(tmp_path, capsys):
 
 
 def _rewrite_checkpoint(path, **changes):
-    from artdiff.checkpoint import DENOISER_MAGIC, load_arrays, save_arrays
-    arrays = load_arrays(path, DENOISER_MAGIC)
+    from artdiff.checkpoint import load_arrays, save_arrays
+    arrays = load_arrays(path)
     arrays.update(changes)
-    save_arrays(path, DENOISER_MAGIC, arrays)
+    save_arrays(path, arrays)
 
 
 def test_sample_overflowing_checkpoint_is_runtime_failure(tmp_path, capsys):
@@ -859,6 +873,21 @@ def test_out_path_that_is_a_file_exits_2(tmp_path, capsys):
     assert run(["sample", "--oracle", "--ddim_steps", 5, "--batch", 2, "--out", blocker]) == 2
     assert f"cannot create output directory {blocker}" in _one_line_error(capsys)
     assert blocker.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("argv, blocked", [
+    (["schedule-dump", "--timesteps", 10], "schedule.csv"),
+    (["schedule-dump", "--timesteps", 10], "manifest.json"),
+    (["corpus-stats", "--metadata", DATA / "artworks.csv"], "shares.csv"),
+    (["sample", "--oracle", "--ddim_steps", 5, "--batch", 2], "samples.csv"),
+], ids=["schedule-dump", "schedule-dump-manifest", "corpus-stats", "sample-oracle"])
+def test_unwritable_output_file_exits_1_with_one_line(tmp_path, capsys, argv, blocked):
+    # a directory in the way of one output: the write fails at run time
+    out = tmp_path / "o"
+    (out / blocked).mkdir(parents=True)
+    assert run(argv + ["--out", out]) == 1
+    err = _one_line_error(capsys)
+    assert err.startswith("error: ") and blocked in err and "Is a directory" in err
 
 
 def test_out_of_memory_is_one_line_runtime_failure(tmp_path, capsys, monkeypatch):

@@ -1,9 +1,11 @@
-"""Property tests for the CLI's output files.
+"""Property tests for the CLI's output files and its config files.
 
 They need hypothesis (the ``test`` extra) and are skipped without it.
 """
 
+import contextlib
 import csv
+import io
 import json
 import tempfile
 from collections import Counter
@@ -16,11 +18,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from artdiff.cli import _write_samples_csv, main  # noqa: E402
+from artdiff.cli import _config_keys, _write_samples_csv, main  # noqa: E402
 from artdiff.promptx import (FixtureGenerator, Gazetteer, HashEmbedder,  # noqa: E402
                              artist_histogram, build_index, extend_prompt, load_corpus_jsonl,
                              read_artwork_table, tfidf_from_index)
 from reference import samples_csv_text  # noqa: E402
+
+DATA = Path(__file__).parent / "data"
 
 # non-empty, already stripped names that hold commas, quotes and line breaks
 ARTISTS = st.text(st.one_of(st.sampled_from(',"\'\n\r '), st.characters(categories=("L", "N", "P"))),
@@ -122,3 +126,41 @@ def test_candidates_jsonl_reads_back_as_the_ranked_candidates(bodies, continuati
     rows = [json.loads(line) for line in lines]
     assert rows and all(set(row) == CANDIDATE_KEYS for row in rows)
     assert rows == [vars(c) for c in expected]
+
+
+# config-file text: known keys (so duplicates arise) and one unknown key,
+# with values from a small alphabet, among blank lines and comments
+CONFIG_VALUE = st.one_of(st.integers(-5, 50).map(str),
+                         st.sampled_from(["nan", "inf", "1e3", "", "\t", "é", "日本", "="]))
+CONFIG_LINE = st.one_of(
+    st.tuples(st.sampled_from(sorted(_config_keys()) + ["bogus"]), CONFIG_VALUE).map("=".join),
+    st.sampled_from(["", "   ", "# a comment", "  # indented comment", "no equals sign"]))
+CONFIG_ARGV = {
+    "schedule-dump": ["schedule-dump"],
+    "corpus-stats": ["corpus-stats", "--metadata", DATA / "artworks.csv"],
+    "prompt-extend": ["prompt-extend", "urbanization of China",
+                      "--corpus", DATA / "micro_corpus.jsonl",
+                      "--gazetteer", DATA / "gazetteer.txt",
+                      "--fixtures", DATA / "fixtures.jsonl"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_ARGV))
+@settings(max_examples=25, deadline=None)
+@given(lines=st.lists(CONFIG_LINE, max_size=8))
+def test_any_config_file_exits_0_or_2_with_one_error_line(command, lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "run.cfg", Path(tmp) / "o"
+        cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            # --out is always a flag, so no config line can move the outputs
+            code = main([str(a) for a in CONFIG_ARGV[command]]
+                        + ["--config", str(cfg), "--out", str(out)])
+        written = {p.name for p in out.iterdir()} if out.is_dir() else set()
+    assert code in (0, 2)
+    if code == 0:
+        assert "manifest.json" in written and err.getvalue() == ""
+    else:
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
+        assert "Traceback" not in err.getvalue()

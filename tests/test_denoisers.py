@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from artdiff import denoisers
 from artdiff.cli import _fmt, main
 from artdiff.datasets import get_dataset
-from artdiff.denoisers import (AttentionWeights, GaussianOracle, LabelEmbedding,
+from artdiff.denoisers import (GaussianOracle, LabelEmbedding,
                                ToyDenoiser, TrainConfig, _loss_and_grad,
                                init_toy_denoiser, load_denoiser, save_denoiser,
                                time_embedding, toy_denoiser_forward, train)
@@ -34,8 +35,9 @@ def loop_attention_reference(queries, memory):
 
 
 def identity_weights(width):
+    """A stand-alone attention weight set: the four projections, identities."""
     eye = np.eye(width)
-    return AttentionWeights(wq=eye, wk=eye, wv=eye, wo=eye)
+    return SimpleNamespace(wq=eye, wk=eye, wv=eye, wo=eye)
 
 
 class ReferenceAdam:
@@ -324,8 +326,7 @@ def test_attention_single_memory_token():
 
 def test_attention_identical_keys_average_values():
     # keys equal -> weights 1/2 each -> output is the mean of the values
-    w = AttentionWeights(wq=np.eye(2), wk=np.zeros((2, 2)), wv=np.eye(2),
-                         wo=np.eye(2))
+    w = SimpleNamespace(wq=np.eye(2), wk=np.zeros((2, 2)), wv=np.eye(2), wo=np.eye(2))
     memory = np.array([[1.0, 5.0], [3.0, -1.0]])
     out = cross_attention(np.array([[0.4, -0.2]]), memory, w)
     assert np.allclose(out[0], memory.mean(axis=0), atol=1e-14)
@@ -347,7 +348,7 @@ def test_attention_weights_nonnegative_rows_sum_one():
     from artdiff.denoisers import _attend, _project
     h = rng.normal((6, 16))
     mem = rng.normal((6, 3, 16))
-    _, cache = _attend(h, *_project(mem, p.attention), p.attention)
+    _, cache = _attend(h, *_project(mem, p), p)
     weights = cache[4]
     assert np.all(weights >= 0.0)
     assert np.max(np.abs(weights.sum(axis=1) - 1.0)) <= 1e-12
@@ -358,10 +359,10 @@ def test_attention_permutation_invariance():
     p = init_toy_denoiser(rng, 2)
     q = rng.normal((4, 16))
     mem = rng.normal((5, 16))
-    base = cross_attention(q, mem, p.attention)
+    base = cross_attention(q, mem, p)
     for seed in range(5):
         perm = np.random.default_rng(seed).permutation(5)
-        out = cross_attention(q, mem[perm], p.attention)
+        out = cross_attention(q, mem[perm], p)
         assert np.max(np.abs(out - base)) <= 5e-14
 
 
@@ -735,9 +736,9 @@ def test_attend_shared_memory_matches_per_row_memory():
     p = init_toy_denoiser(rng.child("init"), 2)
     h = rng.child("h").normal((50, 16))
     mem = rng.child("m").normal((3, 16))
-    out, cache = _attend(h, *_project(mem, p.attention), p.attention)
-    ref, ref_cache = _attend(h, *_project(np.broadcast_to(mem, (50, 3, 16)), p.attention),
-                             p.attention)
+    out, cache = _attend(h, *_project(mem, p), p)
+    ref, ref_cache = _attend(h, *_project(np.broadcast_to(mem, (50, 3, 16)), p),
+                             p)
     assert _rel_err(out, ref) <= 1e-12
     assert _rel_err(cache[4], ref_cache[4]) <= 1e-12     # attention weights
 
@@ -787,7 +788,7 @@ def _reference_pair(p, xt, t, cond):
     """The guidance pair as the softmax path computes it: the trunk and
     attention once, the head on the stacked rows."""
     h2 = denoisers._trunk(p, xt, t)[-1]
-    attn, _ = denoisers._attend(h2, *denoisers._project(cond, p.attention), p.attention)
+    attn, _ = denoisers._attend(h2, *denoisers._project(cond, p), p)
     out = denoisers._head(p, np.concatenate([h2, h2 + attn]))[-1]
     return out[:len(xt)], out[len(xt):]
 
@@ -857,7 +858,7 @@ def test_prepared_attention_equals_fresh_attend(n_tokens):
     bound = ToyDenoiser(p).prepare(memory, (1,))
     for i, batch in enumerate((1, 7, 2000, 7, 1)):
         h = rng.child(f"h{i}").normal((batch, 16))
-        fresh = denoisers._attend(h, *denoisers._project(memory, p.attention), p.attention)[0]
+        fresh = denoisers._attend(h, *denoisers._project(memory, p), p)[0]
         assert np.array_equal(bound._attention(h), fresh)
 
 
@@ -983,7 +984,7 @@ def test_forward_bytes_do_not_depend_on_the_product_function(monkeypatch, rows):
 def test_project_skips_the_key_of_one_token():
     # one token's key is never read, so it is not projected
     rng = RngStream(53)
-    w = init_toy_denoiser(rng.child("init"), 2).attention
+    w = init_toy_denoiser(rng.child("init"), 2)
     for memory in (rng.child("s").normal((1, 16)), rng.child("r").normal((5, 1, 16))):
         k, v = denoisers._project(memory, w)
         assert k is None and v.shape[-2] == 1
@@ -1031,11 +1032,10 @@ def _softmax_attend_backward_reference(g_out, h, memory, q, k, v, weights, z, w)
 def test_one_token_attend_equals_softmax_reference(shared, batch):
     rng = RngStream(48)
     p = init_toy_denoiser(rng.child("init"), 2)
-    w = p.attention
     h = rng.child("h").normal((batch, 16))
     memory = rng.child("m").normal((1, 16) if shared else (batch, 1, 16))
-    out, cache = denoisers._attend(h, *denoisers._project(memory, w), w)
-    ref = _softmax_attend_reference(h, memory, w)
+    out, cache = denoisers._attend(h, *denoisers._project(memory, p), p)
+    ref = _softmax_attend_reference(h, memory, p)
     assert np.array_equal(out, ref[0])
     assert np.array_equal(cache[-1], ref[-1])       # z = v in every row
     assert cache[1] is None and cache[4] is None    # no query, no scores
@@ -1045,18 +1045,17 @@ def test_one_token_attend_backward_is_exact():
     # per-row (B, 1, dc) memory, and the label form: a token table and labels
     rng = RngStream(49)
     p = init_toy_denoiser(rng.child("init"), 2)
-    w = p.attention
     h = rng.child("h").normal((12, 16))
     g_out = rng.child("g").normal((12, 16))
     table, labels = rng.child("t").normal((5, 16)), rng.child("l").integers(0, 4, (12,))
     for given, lab in ((rng.child("m").normal((12, 1, 16)), None), (table, labels)):
         memory = given if lab is None else table[labels][:, None, :]
-        _, cache = denoisers._attend(h, *denoisers._project(given, w, lab), w, lab)
+        _, cache = denoisers._attend(h, *denoisers._project(given, p, lab), p, lab)
         # the gradients are written over NaN, so every slot is seen to be written
-        d_w = AttentionWeights(*(np.full(a.shape, np.nan) for a in (w.wq, w.wk, w.wv, w.wo)))
-        dh = denoisers._attend_backward(g_out, cache, given, w, d_w, lab)
-        _, q, k, v, weights, z = _softmax_attend_reference(h, memory, w)
-        ref = _softmax_attend_backward_reference(g_out, h, memory, q, k, v, weights, z, w)
+        d_w = replace(p, vector=np.full_like(p.vector, np.nan))
+        dh = denoisers._attend_backward(g_out, cache, given, p, d_w, lab)
+        _, q, k, v, weights, z = _softmax_attend_reference(h, memory, p)
+        ref = _softmax_attend_backward_reference(g_out, h, memory, q, k, v, weights, z, p)
         assert dh is None                                # exactly zero, so not formed
         assert np.all(ref[0] == 0.0)
         for got, want in zip((d_w.wq, d_w.wk), ref[1:3]):
