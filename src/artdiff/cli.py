@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import hashlib
 import io
@@ -31,15 +32,15 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import DATASETS, get_dataset
-from .denoisers import (GaussianOracle, LabelEmbedding, ToyDenoiser, TrainConfig,
-                        init_toy_denoiser, load_denoiser, save_denoiser, train)
+from .denoisers import (OPTIMIZERS, GaussianOracle, LabelEmbedding, ToyDenoiser,
+                        TrainConfig, init_toy_denoiser, load_denoiser, save_denoiser, train)
 from .errors import ConfigError, TrainingDivergedError
 from .numerics import RngStream
 from .promptx import (DEFAULT_LAMBDA1, DEFAULT_LAMBDA2, FixtureGenerator,
                       Gazetteer, HashEmbedder, artist_histogram, build_index,
                       _read_utf8, extend_prompt, load_corpus_jsonl,
                       read_artwork_table, tfidf_from_index, top_share)
-from .samplers import (DEFAULT_ETA, DEFAULT_GUIDANCE_SCALE, DEFAULT_STEPS,
+from .samplers import (DEFAULT_ETA, DEFAULT_GUIDANCE_SCALE, DEFAULT_STEPS, SAMPLER_KINDS,
                        SamplingPlan, sample)
 from .schedule import (DEFAULT_BETA_END, DEFAULT_BETA_START, DEFAULT_T,
                        linear_schedule, subsequence)
@@ -57,15 +58,18 @@ def _fmt(x: float) -> str:
 
 
 class Resolver:
-    """Flag > config file > default resolution for one command invocation.
+    """Flag > config file > default resolution for one command invocation;
+    the type and default of each key come from the command's ``COMMANDS``
+    entry.
 
     A config line is ``key=value``: the key is stripped of all whitespace
     and the value only of spaces, so a tab value stays a tab."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
+        self.flags = COMMANDS[args.command][2]
         self.file_values: dict[str, str] = {}
-        if getattr(args, "config", None) is not None:
+        if args.config is not None:
             path = _require_file(args.config, "config")
             known = _config_keys()
             first_line: dict[str, int] = {}
@@ -85,24 +89,24 @@ class Resolver:
                 self.file_values[key] = value.strip(" ")
         self.resolved: dict = {}
 
-    def get(self, key: str, default, cast=str):
-        flag = getattr(self.args, key, None)
-        if flag is not None:
-            value = flag
-        elif key in self.file_values:
+    def get(self, key: str):
+        kind, default, _ = self.flags["--" + key]
+        value = getattr(self.args, key)
+        if value is None and key in self.file_values:
             raw = self.file_values[key]
-            try:
-                value = CONFIG_BOOLEANS[raw.lower()] if cast is bool else cast(raw)
+            try:    # a choice is read as text and checked where it is used
+                value = (CONFIG_BOOLEANS[raw.lower()] if kind is bool
+                         else kind(raw) if kind in (int, float) else raw)
             except (KeyError, ValueError):
-                what = "boolean (1/true/yes or 0/false/no)" if cast is bool else cast.__name__
+                what = "boolean (1/true/yes or 0/false/no)" if kind is bool else kind.__name__
                 raise ConfigError(f"config value {key}={raw!r} is not a valid {what}") from None
-        else:
+        elif value is None:
             value = default
         self.resolved[key] = value
         return value
 
     def out_dir(self) -> Path:
-        out = self.get("out", None)
+        out = self.get("out")
         if out is None:
             out = os.environ.get(ENV_OUT) or "artdiff-out"
         self.resolved["out"] = str(out)
@@ -115,13 +119,12 @@ class Resolver:
         return out
 
 
-def _write_manifest(out: Path, command: str, resolver: Resolver, outputs: list[str],
-                    extra: dict) -> None:
+def _write_manifest(out: Path, resolver: Resolver, outputs: list[str], extra: dict) -> None:
     """manifest.json: the command, its resolved config, the numpy and
     Python versions (the bytes are reproducible at a fixed numpy version),
     the sha256 of each named output file the command wrote, and the
     command's own ``extra`` entries."""
-    manifest = {"command": command, "config": resolver.resolved,
+    manifest = {"command": resolver.args.command, "config": resolver.resolved,
                 "versions": {"numpy": np.__version__, "python": platform.python_version()},
                 "outputs": {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                             for name in outputs}, **extra}
@@ -147,15 +150,15 @@ def _parse_vector(text: str) -> np.ndarray:
     return vec
 
 
-def _seed_from(resolver: Resolver, default: int) -> int:
-    seed = resolver.get("seed", default, int)
+def _seed_from(resolver: Resolver) -> int:
+    seed = resolver.get("seed")
     if not 0 <= seed < 2 ** 64:
         raise ConfigError(f"--seed must be an integer in [0, 2**64), got {seed}")
     return seed
 
 
 def _var0_from(resolver: Resolver) -> float:
-    var0 = resolver.get("var0", 0.25, float)
+    var0 = resolver.get("var0")
     if not (math.isfinite(var0) and var0 >= 0.0):
         raise ConfigError(f"--var0 must be a finite number >= 0, got {var0}")
     return var0
@@ -171,13 +174,10 @@ def _schedule_from(resolver: Resolver, T: int | None = None):
     """The linear schedule of the resolved --timesteps (or a fixed T) and
     betas, with its constants; a bad value raises ``ConfigError``."""
     if T is None:
-        T = resolver.get("timesteps", DEFAULT_T, int)
-    beta_start = resolver.get("beta_start", DEFAULT_BETA_START, float)
-    beta_end = resolver.get("beta_end", DEFAULT_BETA_END, float)
-    try:
-        return linear_schedule(T, beta_start, beta_end), (T, beta_start, beta_end)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        T = resolver.get("timesteps")
+    beta_start = resolver.get("beta_start")
+    beta_end = resolver.get("beta_end")
+    return linear_schedule(T, beta_start, beta_end), (T, beta_start, beta_end)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +193,7 @@ def cmd_schedule_dump(args) -> int:
         lines.append(",".join([str(t), _fmt(schedule.beta(t)), _fmt(schedule.alpha(t)),
                                _fmt(schedule.alpha_bar(t)), _fmt(schedule.posterior_var(t))]))
     (out / "schedule.csv").write_text("\n".join(lines) + "\n")
-    _write_manifest(out, "schedule-dump", resolver, ["schedule.csv"], _schedule_manifest(consts))
+    _write_manifest(out, resolver, ["schedule.csv"], _schedule_manifest(consts))
     print(f"wrote {out / 'schedule.csv'}")
     return 0
 
@@ -204,22 +204,22 @@ def cmd_schedule_dump(args) -> int:
 
 def cmd_toy_train(args) -> int:
     resolver = Resolver(args)
-    name = resolver.get("dataset", None)
+    name = resolver.get("dataset")
     if name is None or name not in DATASETS:
         known = ", ".join(sorted(DATASETS))
         raise ConfigError(f"unknown dataset {name!r}; available: {known}")
     dataset = get_dataset(name)
     schedule, consts = _schedule_from(resolver)
-    seed = _seed_from(resolver, 0)
-    steps = resolver.get("steps", 20000, int)
-    batch = resolver.get("batch", 64, int)
-    lr = resolver.get("lr", 1e-3, float)
-    optimizer = resolver.get("optimizer", "adam")
-    drop_prob = resolver.get("drop_prob", 0.1, float)
-    hidden = resolver.get("hidden", 16, int)
+    seed = _seed_from(resolver)
+    steps = resolver.get("steps")
+    batch = resolver.get("batch")
+    lr = resolver.get("lr")
+    optimizer = resolver.get("optimizer")
+    drop_prob = resolver.get("drop_prob")
+    hidden = resolver.get("hidden")
     if hidden < 1:
         raise ConfigError(f"--hidden must be an integer >= 1, got {hidden}")
-    conditional = bool(resolver.get("conditional", False, bool))
+    conditional = resolver.get("conditional")
     out = resolver.out_dir()
 
     params = init_toy_denoiser(RngStream(seed).child("init"), dataset.dim,
@@ -230,17 +230,14 @@ def cmd_toy_train(args) -> int:
             raise ConfigError(f"dataset {name!r} has no labels for conditional training")
         embedding = LabelEmbedding.create(dataset.n_classes, params.cond_width, seed)
 
-    try:
-        config = TrainConfig(steps=steps, batch_size=batch, learning_rate=lr,
-                             seed=seed, optimizer=optimizer, drop_prob=drop_prob)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    config = TrainConfig(steps=steps, batch_size=batch, learning_rate=lr,
+                         seed=seed, optimizer=optimizer, drop_prob=drop_prob)
     params, losses = train(params, dataset, config, schedule, embedding)
     save_denoiser(out / "checkpoint.bin", params, schedule, embedding)
 
     loss_lines = ["step,loss"] + [f"{i},{_fmt(v)}" for i, v in enumerate(losses)]
     (out / "loss.csv").write_text("\n".join(loss_lines) + "\n")
-    _write_manifest(out, "toy-train", resolver, ["checkpoint.bin", "loss.csv"],
+    _write_manifest(out, resolver, ["checkpoint.bin", "loss.csv"],
                     {**_schedule_manifest(consts),
                      "final_loss": float(losses[-1]) if len(losses) else None})
     print(f"trained {name} for {steps} steps; wrote {out / 'checkpoint.bin'}")
@@ -276,26 +273,26 @@ def _write_density_ppm(path: Path, points: np.ndarray) -> None:
 
 def cmd_sample(args) -> int:
     resolver = Resolver(args)
-    kind = resolver.get("sampler", "ddim")
-    eta = resolver.get("ddim_eta", DEFAULT_ETA, float)
-    steps = resolver.get("ddim_steps", DEFAULT_STEPS, int)
-    scale = resolver.get("scale", DEFAULT_GUIDANCE_SCALE, float)
-    seed = _seed_from(resolver, 0)
-    batch = resolver.get("batch", 1000, int)
-    oracle = bool(resolver.get("oracle", False, bool))
-    label = resolver.get("label", None, int)
-    plot = bool(resolver.get("plot", False, bool))
+    kind = resolver.get("sampler")
+    eta = resolver.get("ddim_eta")
+    steps = resolver.get("ddim_steps")
+    scale = resolver.get("scale")
+    seed = _seed_from(resolver)
+    batch = resolver.get("batch")
+    oracle = resolver.get("oracle")
+    label = resolver.get("label")
+    plot = resolver.get("plot")
     out = resolver.out_dir()
 
     condition = None
     if oracle:
-        mu0 = _parse_vector(resolver.get("mu0", "3,-1"))
+        mu0 = _parse_vector(resolver.get("mu0"))
         var0 = _var0_from(resolver)
         schedule, consts = _schedule_from(resolver)
         predictor = GaussianOracle(mu0=mu0, var0=var0, schedule=schedule)
         shape = (mu0.size,)
-    elif getattr(args, "checkpoint", None) or resolver.file_values.get("checkpoint"):
-        path = _require_file(resolver.get("checkpoint", None), "checkpoint")
+    elif checkpoint := resolver.get("checkpoint"):
+        path = _require_file(checkpoint, "checkpoint")
         params, schedule, embedding = load_denoiser(path)
         consts = (schedule.T, float(schedule.betas[0]), float(schedule.betas[-1]))
         predictor = ToyDenoiser(params)
@@ -310,12 +307,8 @@ def cmd_sample(args) -> int:
     else:
         raise ConfigError("sample needs either --oracle or --checkpoint")
 
-    try:
-        plan = SamplingPlan(timeline=subsequence(schedule, steps), kind=kind,
-                            shape=shape, seed=seed, batch=batch, eta=eta,
-                            guidance_scale=scale)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    plan = SamplingPlan(timeline=subsequence(schedule, steps), kind=kind, shape=shape,
+                        seed=seed, batch=batch, eta=eta, guidance_scale=scale)
     samples = sample(predictor, plan, schedule, condition)
 
     _write_samples_csv(out / "samples.csv", samples)
@@ -323,7 +316,7 @@ def cmd_sample(args) -> int:
     if plot and shape == (2,):
         _write_density_ppm(out / "density.ppm", samples)
         outputs.append("density.ppm")
-    _write_manifest(out, "sample", resolver, outputs, _schedule_manifest(consts))
+    _write_manifest(out, resolver, outputs, _schedule_manifest(consts))
     print(f"wrote {batch} samples to {out / 'samples.csv'}")
     return 0
 
@@ -339,13 +332,13 @@ def _fit_order(step_counts, errors) -> float:
 
 def cmd_compare_samplers(args) -> int:
     resolver = Resolver(args)
-    mu0 = _parse_vector(resolver.get("mu0", "3,-1"))
+    mu0 = _parse_vector(resolver.get("mu0"))
     var0 = _var0_from(resolver)
     if var0 == 0.0:
         raise ConfigError("compare-samplers needs --var0 > 0: point-mass data gives every "
                           "sampler zero error, so no order can be fitted")
-    seed = _seed_from(resolver, 123)
-    batch = resolver.get("batch", 256, int)
+    seed = _seed_from(resolver)
+    batch = resolver.get("batch")
     # The reference trajectory needs 2000 distinct timesteps, so this
     # experiment runs on its own T=2000 schedule.
     schedule, consts = _schedule_from(resolver, COMPARISON_T)
@@ -360,14 +353,18 @@ def cmd_compare_samplers(args) -> int:
                             guidance_scale=1.0)
         return sample(oracle, plan, schedule)
 
+    # Each norm is taken of its input divided by a power of two that is at
+    # least max|reference|: exact, so the relative errors keep their bits,
+    # and no square inside the norm can overflow.
+    reference = endpoint("ddim", COMPARISON_T)
+    exponent = np.frexp(np.max(np.abs(reference)))[1]
+
     def norm(x: np.ndarray) -> float:
-        with np.errstate(over="ignore"):    # an overflow reads inf, refused below
-            return float(np.linalg.norm(x))
+        return float(np.linalg.norm(np.ldexp(x, -exponent)))
 
     # an error of 0, inf or nan has no logarithm, so no order can be fitted
-    reference = endpoint("ddim", COMPARISON_T)
     ref_norm = norm(reference)
-    if not 0.0 < ref_norm < math.inf:
+    if ref_norm == 0.0:
         raise ConfigError("compare-samplers cannot measure relative errors: the reference "
                           f"endpoint has norm {ref_norm}")
     lines = ["kind,steps,rel_l2"]
@@ -385,8 +382,7 @@ def cmd_compare_samplers(args) -> int:
     for kind, order in orders.items():
         lines.append(f"{kind},order,{_fmt(order)}")
     (out / "report.csv").write_text("\n".join(lines) + "\n")
-    _write_manifest(out, "compare-samplers", resolver, ["report.csv"],
-                    _schedule_manifest(consts))
+    _write_manifest(out, resolver, ["report.csv"], _schedule_manifest(consts))
     print(f"wrote {out / 'report.csv'}; fitted orders: "
           + ", ".join(f"{k}={v:.3f}" for k, v in orders.items()))
     return 0
@@ -399,12 +395,12 @@ def cmd_compare_samplers(args) -> int:
 def cmd_prompt_extend(args) -> int:
     resolver = Resolver(args)
     prompt = args.prompt
-    corpus_path = _require_file(resolver.get("corpus", None), "corpus")
-    gazetteer_path = _require_file(resolver.get("gazetteer", None), "gazetteer")
-    fixtures_path = _require_file(resolver.get("fixtures", None), "fixtures")
-    lambda1 = resolver.get("lambda1", DEFAULT_LAMBDA1, float)
-    lambda2 = resolver.get("lambda2", DEFAULT_LAMBDA2, float)
-    topk = resolver.get("topk", 10, int)
+    corpus_path = _require_file(resolver.get("corpus"), "corpus")
+    gazetteer_path = _require_file(resolver.get("gazetteer"), "gazetteer")
+    fixtures_path = _require_file(resolver.get("fixtures"), "fixtures")
+    lambda1 = resolver.get("lambda1")
+    lambda2 = resolver.get("lambda2")
+    topk = resolver.get("topk")
     if topk < 1:
         raise ConfigError(f"--topk must be >= 1, got {topk}")
     for name, value in (("lambda1", lambda1), ("lambda2", lambda2)):
@@ -420,13 +416,9 @@ def cmd_prompt_extend(args) -> int:
                                    FixtureGenerator.from_file(fixtures_path),
                                    lambda1, lambda2, topk,
                                    Gazetteer.from_file(gazetteer_path))
-    lines = [json.dumps({"text": c.text, "source": c.source, "tfidf": c.tfidf,
-                         "cos": c.cos, "spatial_entities": c.spatial_entities,
-                         "temporal_entities": c.temporal_entities, "score": c.score},
-                        sort_keys=True)
-             for c in candidates]
+    lines = [json.dumps(dataclasses.asdict(c), sort_keys=True) for c in candidates]
     (out / "candidates.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""))
-    _write_manifest(out, "prompt-extend", resolver, ["candidates.jsonl"],
+    _write_manifest(out, resolver, ["candidates.jsonl"],
                     {"prompt": prompt, "n_candidates": len(candidates)})
     print(f"wrote {len(candidates)} candidates to {out / 'candidates.jsonl'}")
     return 0
@@ -454,8 +446,8 @@ def _write_csv(path: Path, rows) -> None:
 
 def cmd_corpus_stats(args) -> int:
     resolver = Resolver(args)
-    metadata_path = _require_file(resolver.get("metadata", None), "metadata")
-    delimiter = resolver.get("delimiter", ",")
+    metadata_path = _require_file(resolver.get("metadata"), "metadata")
+    delimiter = resolver.get("delimiter")
     if len(delimiter) != 1:
         raise ConfigError(f"--delimiter must be exactly one character, got {delimiter!r}")
     if delimiter in '"\r\n':   # csv cannot split on its quote character or a line break
@@ -468,7 +460,7 @@ def cmd_corpus_stats(args) -> int:
     _write_csv(out / "artist_histogram.csv", [("artist", "count"), *histogram])
     _write_csv(out / "shares.csv", [("top_k", "share_pct")]
                + [(k, _fmt(100.0 * top_share(histogram, k))) for k in (10, 20, 30)])
-    _write_manifest(out, "corpus-stats", resolver, ["artist_histogram.csv", "shares.csv"],
+    _write_manifest(out, resolver, ["artist_histogram.csv", "shares.csv"],
                     {"rows": len(metas), "malformed_rows": malformed})
     print(f"{len(metas)} rows ({malformed} malformed); "
           f"wrote {out / 'artist_histogram.csv'}")
@@ -479,103 +471,77 @@ def cmd_corpus_stats(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--out", help=f"output directory (default: ${ENV_OUT} or artdiff-out)")
+_COMMON = {"--config": (str, None, "key=value config file; flags override it"),
+           "--out": (str, None, f"output directory (default: ${ENV_OUT} or artdiff-out)")}
+_BETAS = {"--beta_start": (float, DEFAULT_BETA_START, ""),
+          "--beta_end": (float, DEFAULT_BETA_END, "")}
+_SCHEDULE = {**_COMMON, "--timesteps": (int, DEFAULT_T, "diffusion chain length T"), **_BETAS}
+_MU0 = (str, "3,-1", "oracle data mean, comma-separated, e.g. --mu0 -1.4,2 or --mu0=-1.4,2")
 
-
-def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--timesteps", type=int, help="diffusion chain length T")
-    p.add_argument("--beta_start", type=float)
-    p.add_argument("--beta_end", type=float)
-
-
-MU0_HELP = "oracle data mean, comma-separated, e.g. --mu0 -1.4,2 or --mu0=-1.4,2"
+# command -> (function, help line, flags). A flag is name -> (type, default,
+# help): type bool is a switch and a tuple lists the choices. Each name with
+# "--" (bar --config) is also a config key; "prompt" is a positional.
+COMMANDS = {
+    "schedule-dump": (cmd_schedule_dump, "emit the variance schedule tables as CSV", _SCHEDULE),
+    "toy-train": (cmd_toy_train, "train the toy denoiser on a built-in dataset", {
+        **_SCHEDULE, "--dataset": (str, None, "|".join(sorted(DATASETS))),
+        "--steps": (int, 20000, ""), "--batch": (int, 64, ""), "--lr": (float, 1e-3, ""),
+        "--optimizer": (OPTIMIZERS, "adam", ""), "--drop_prob": (float, 0.1, ""),
+        "--hidden": (int, 16, ""), "--seed": (int, 0, ""), "--conditional": (bool, False, "")}),
+    "sample": (cmd_sample, "generate samples from a checkpoint or the oracle", {
+        **_SCHEDULE, "--sampler": (SAMPLER_KINDS, "ddim", ""),
+        "--ddim_eta": (float, DEFAULT_ETA, ""), "--ddim_steps": (int, DEFAULT_STEPS, ""),
+        "--scale": (float, DEFAULT_GUIDANCE_SCALE, ""), "--seed": (int, 0, ""),
+        "--batch": (int, 1000, ""), "--oracle": (bool, False, ""), "--mu0": _MU0,
+        "--var0": (float, 0.25, "oracle data variance"),
+        "--checkpoint": (str, None, "trained denoiser checkpoint"),
+        "--label": (int, None, "condition label for a conditional checkpoint"),
+        "--plot": (bool, False, "also write a density heatmap (2D data only)")}),
+    "compare-samplers": (cmd_compare_samplers,
+                         "endpoint errors and convergence orders vs a fine reference", {
+        **_COMMON, "--mu0": _MU0, "--var0": (float, 0.25, ""), "--seed": (int, 123, ""),
+        "--batch": (int, 256, ""), **_BETAS}),
+    "prompt-extend": (cmd_prompt_extend, "rank prompt extensions for an input prompt", {
+        **_COMMON, "prompt": (str, None, ""),
+        "--corpus": (str, None, "JSON Lines corpus (id, title, body)"),
+        "--gazetteer": (str, None, "plain-text place names, one per line"),
+        "--fixtures": (str, None, "JSON Lines generator fixtures"),
+        "--lambda1": (float, DEFAULT_LAMBDA1, ""), "--lambda2": (float, DEFAULT_LAMBDA2, ""),
+        "--topk": (int, 10, "")}),
+    "corpus-stats": (cmd_corpus_stats, "artist histogram and top-k shares", {
+        **_COMMON, "--metadata": (str, None, "character-separated artwork table"),
+        "--delimiter": (str, ",", "")}),
+}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every command, built once per process: parsing leaves
-    it unchanged, so every ``main`` call and ``_config_keys`` share it."""
+    """The parser of every command, built once per process from ``COMMANDS``:
+    parsing leaves it unchanged, so every ``main`` call shares it. A flag
+    parses to None when it is not given, so a config value can stand in."""
     parser = argparse.ArgumentParser(prog="artdiff",
                                      description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("schedule-dump", help="emit the variance schedule tables as CSV")
-    _add_common(p)
-    _add_schedule_flags(p)
-    p.set_defaults(func=cmd_schedule_dump)
-
-    p = sub.add_parser("toy-train", help="train the toy denoiser on a built-in dataset")
-    _add_common(p)
-    _add_schedule_flags(p)
-    p.add_argument("--dataset", help="|".join(sorted(DATASETS)))
-    p.add_argument("--steps", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--optimizer", choices=["adam", "sgd"])
-    p.add_argument("--drop_prob", type=float)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--conditional", action="store_true", default=None)
-    p.set_defaults(func=cmd_toy_train)
-
-    p = sub.add_parser("sample", help="generate samples from a checkpoint or the oracle")
-    _add_common(p)
-    _add_schedule_flags(p)
-    p.add_argument("--sampler", choices=["ddpm", "ddim", "plms"])
-    p.add_argument("--ddim_eta", type=float)
-    p.add_argument("--ddim_steps", type=int)
-    p.add_argument("--scale", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--oracle", action="store_true", default=None)
-    p.add_argument("--mu0", help=MU0_HELP)
-    p.add_argument("--var0", type=float, help="oracle data variance")
-    p.add_argument("--checkpoint", help="trained denoiser checkpoint")
-    p.add_argument("--label", type=int, help="condition label for a conditional checkpoint")
-    p.add_argument("--plot", action="store_true", default=None,
-                   help="also write a density heatmap (2D data only)")
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("compare-samplers",
-                       help="endpoint errors and convergence orders vs a fine reference")
-    _add_common(p)
-    p.add_argument("--mu0", help=MU0_HELP)
-    p.add_argument("--var0", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--beta_start", type=float)
-    p.add_argument("--beta_end", type=float)
-    p.set_defaults(func=cmd_compare_samplers)
-
-    p = sub.add_parser("prompt-extend", help="rank prompt extensions for an input prompt")
-    _add_common(p)
-    p.add_argument("prompt")
-    p.add_argument("--corpus", help="JSON Lines corpus (id, title, body)")
-    p.add_argument("--gazetteer", help="plain-text place names, one per line")
-    p.add_argument("--fixtures", help="JSON Lines generator fixtures")
-    p.add_argument("--lambda1", type=float)
-    p.add_argument("--lambda2", type=float)
-    p.add_argument("--topk", type=int)
-    p.set_defaults(func=cmd_prompt_extend)
-
-    p = sub.add_parser("corpus-stats", help="artist histogram and top-k shares")
-    _add_common(p)
-    p.add_argument("--metadata", help="character-separated artwork table")
-    p.add_argument("--delimiter")
-    p.set_defaults(func=cmd_corpus_stats)
-
+    for command, (func, line, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=line)
+        for name, (kind, default, text) in flags.items():
+            if default is not None:
+                text = f"{text} (default: {default})".lstrip()
+            if kind is bool:
+                p.add_argument(name, action="store_true", default=None, help=text)
+            elif isinstance(kind, tuple):
+                p.add_argument(name, choices=kind, help=text)
+            else:
+                p.add_argument(name, type=kind, help=text)
+        p.set_defaults(func=func)
     return parser
 
 
 def _config_keys() -> set[str]:
     """Every key a config file may set: the flags of all subcommands."""
-    parser = build_parser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {action.dest for sub in commands.choices.values() for action in sub._actions
-            if action.option_strings and action.dest not in ("help", "config")}
+    return {name[2:] for _, _, flags in COMMANDS.values() for name in flags
+            if name.startswith("--")} - {"config"}
 
 
 def _join_dash_values(argv: list[str]) -> list[str]:

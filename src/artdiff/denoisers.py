@@ -55,7 +55,7 @@ from typing import Optional, Protocol
 import numpy as np
 
 from . import checkpoint as ckpt
-from .errors import TrainingDivergedError
+from .errors import ConfigError, TrainingDivergedError
 from .numerics import RngStream, Tensor, require_finite, softmax
 from .schedule import NoiseSchedule, linear_schedule
 
@@ -83,6 +83,8 @@ HEAD_ROWS = 2048
 # The widths of the time features and of a condition token in a new
 # denoiser; a loaded checkpoint keeps the widths it records.
 TIME_DIM = COND_WIDTH = 16
+
+OPTIMIZERS = ("adam", "sgd")   # the update rules ``train`` knows
 
 
 def _product(rows: int):
@@ -752,19 +754,19 @@ class TrainConfig:
     batch_size: int = 64
     learning_rate: float = 1e-3
     seed: int = 0
-    optimizer: str = "adam"  # or "sgd"
+    optimizer: str = "adam"  # one of OPTIMIZERS
     drop_prob: float = 0.0   # condition-drop probability for guidance training
 
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
-            raise ValueError(f"learning rate must be a finite number > 0, "
-                             f"got {self.learning_rate}")
+            raise ConfigError(f"learning rate must be a finite number > 0, "
+                              f"got {self.learning_rate}")
         if not 0.0 <= self.drop_prob <= 1.0:
-            raise ValueError("drop probability must lie in [0, 1]")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError("optimizer must be 'adam' or 'sgd'")
+            raise ConfigError("drop probability must lie in [0, 1]")
+        if self.optimizer not in OPTIMIZERS:
+            raise ConfigError("optimizer must be " + " or ".join(map(repr, OPTIMIZERS)))
         if self.steps < 0 or self.batch_size < 1:
-            raise ValueError("steps must be >= 0 and batch_size >= 1")
+            raise ConfigError("steps must be >= 0 and batch_size >= 1")
 
 
 def save_denoiser(path, params: ToyDenoiserParams, schedule: NoiseSchedule,

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
+
 DEFAULT_T = 1000
 DEFAULT_BETA_START = 1e-4
 DEFAULT_BETA_END = 0.02
@@ -31,13 +33,13 @@ class NoiseSchedule:
     def __post_init__(self):
         betas = np.asarray(self.betas, dtype=np.float64)
         if betas.ndim != 1 or betas.size < 1:
-            raise ValueError("betas must be a nonempty vector")
+            raise ConfigError("betas must be a nonempty vector")
         if np.any(betas <= 0.0) or np.any(betas >= 1.0):
-            raise ValueError("every beta must lie strictly inside (0, 1)")
+            raise ConfigError("every beta must lie strictly inside (0, 1)")
         alphas = 1.0 - betas
         alpha_bars = np.cumprod(alphas)
         if np.any(alpha_bars <= 0.0) or np.any(alpha_bars >= 1.0):
-            raise ValueError("alpha_bar left (0, 1); schedule too long or betas invalid")
+            raise ConfigError("alpha_bar left (0, 1); schedule too long or betas invalid")
         prev = np.concatenate(([1.0], alpha_bars[:-1]))
         posterior = (1.0 - prev) / (1.0 - alpha_bars) * betas
         object.__setattr__(self, "betas", betas)
@@ -106,9 +108,9 @@ def linear_schedule(T: int = DEFAULT_T,
     """Linearly interpolated betas from beta_start (t=1) to beta_end (t=T)."""
     T = int(T)
     if not 1 <= T <= MAX_T:
-        raise ValueError(f"T must be an integer in [1, {MAX_T}], got {T}")
+        raise ConfigError(f"T must be an integer in [1, {MAX_T}], got {T}")
     if not (0.0 < beta_start <= beta_end < 1.0):
-        raise ValueError("need 0 < beta_start <= beta_end < 1")
+        raise ConfigError("need 0 < beta_start <= beta_end < 1")
     return NoiseSchedule(betas=np.linspace(beta_start, beta_end, T))
 
 
@@ -124,7 +126,7 @@ def subsequence(schedule: NoiseSchedule, num_steps: int) -> SamplingTimeline:
     num_steps = int(num_steps)
     T = schedule.T
     if not 1 <= num_steps <= T:
-        raise ValueError(f"num_steps must lie in [1, {T}], got {num_steps}")
+        raise ConfigError(f"num_steps must lie in [1, {T}], got {num_steps}")
     if num_steps == 1:
         return SamplingTimeline(steps=(T,))
     span = T - T // num_steps
