@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import DATASETS, get_dataset
+from .datasets import DATASETS
 from .denoisers import (OPTIMIZERS, GaussianOracle, LabelEmbedding, ToyDenoiser,
                         TrainConfig, init_toy_denoiser, load_denoiser, save_denoiser, train)
 from .errors import ConfigError, TrainingDivergedError
@@ -208,7 +208,7 @@ def cmd_toy_train(args) -> int:
     if name is None or name not in DATASETS:
         known = ", ".join(sorted(DATASETS))
         raise ConfigError(f"unknown dataset {name!r}; available: {known}")
-    dataset = get_dataset(name)
+    dataset = DATASETS[name]
     schedule, consts = _schedule_from(resolver)
     seed = _seed_from(resolver)
     steps = resolver.get("steps")

@@ -67,10 +67,3 @@ DATASETS: dict[str, ToyDataset] = {
     "line-subspace": ToyDataset(2, 0, _sample_line),
 }
 
-
-def get_dataset(name: str) -> ToyDataset:
-    try:
-        return DATASETS[name]
-    except KeyError:
-        known = ", ".join(sorted(DATASETS))
-        raise KeyError(f"unknown dataset {name!r}; available: {known}") from None

@@ -21,22 +21,23 @@ the attention.
 
 Both predictors keep one contract, ``EpsilonPredictor``: ``predict`` for
 a single evaluation, ``prepare`` to bind one sampling call, the only way
-the sampler queries them. The oracle's binding looks alpha_bar up once
-per timestep and writes the stages of the posterior mean into a workspace
-per state shape, which holds mu0 tiled to that shape. The toy's,
-``PreparedToyDenoiser``, checks and projects the condition once, keeps a
-one-token attention output per batch size, and takes all time features
-from one ``time_embedding`` call. Its trunk and head write each stage into
-a per-call workspace, one per row count, that also holds the biases tiled
-to its rows and the FF weights as contiguous transposes, so every bias add
-is same-shape and no FF product reads a transposed view; a one-row stage
-keeps the views, since gemv rounds by layout. A product of fewer than
-``DOT_ROWS`` rows goes through ``np.dot``, a larger one through
-``np.matmul``; both give the same bits. The head (second FF block and
-output projection) runs in equal row tiles of at most ``HEAD_ROWS`` rows,
-which keep its products in cache, with the bits of one tile. Both
-bindings return fresh predictions that never alias their workspace, so a
-caller (plms) may keep them across calls.
+the sampler queries them. A state xt is a (batch, width) array. The
+oracle's binding looks alpha_bar up once per timestep and writes the
+stages of the posterior mean into a workspace per state shape, which
+holds mu0 tiled to that shape. The toy's, ``PreparedToyDenoiser``, checks
+and projects the condition once, keeps a one-token attention output per
+batch size, and takes all time features from one ``time_embedding`` call:
+the forward and backward take time features, never a timestep. Its trunk
+and head write each stage into a per-call workspace, one per row count,
+that also holds the biases tiled to its rows and the FF weights as
+contiguous transposes, so every bias add is same-shape and no FF product
+reads a transposed view; a one-row stage keeps the views, since gemv
+rounds by layout. A product of fewer than ``DOT_ROWS`` rows goes through
+``np.dot``, a larger one through ``np.matmul``; both give the same bits.
+The head (second FF block and output projection) runs in equal row tiles
+of at most ``HEAD_ROWS`` rows, which keep its products in cache, with the
+bits of one tile. Both bindings return fresh predictions that never alias
+their workspace, so a caller (plms) may keep them across calls.
 
 The toy's weights, ``ToyDenoiserParams``, are one flat float64 vector cut
 by one layout table into named views, each bias a (1, width) row; its
@@ -93,9 +94,9 @@ def _product(rows: int):
 
 
 class EpsilonPredictor(Protocol):
-    """A noise predictor. ``predict(xt, t, condition)`` serves single
-    evaluations (``ddpm_step``, the tests' ``loss_simple``, the bench's
-    output checks).
+    """A noise predictor over a (batch, width) array of states xt.
+    ``predict(xt, t, condition)`` serves single evaluations (``ddpm_step``,
+    the tests' ``loss_simple``, the bench's output checks).
     Sampling binds it once per call with ``prepare(condition, timesteps)``:
     the bound ``predict(xt, t)`` equals ``predict(xt, t, condition)`` at
     those timesteps and raises ValueError at any other, and with a condition
@@ -374,16 +375,12 @@ def init_toy_denoiser(rng: RngStream, data_width: int, width: int = 16) -> ToyDe
     return ToyDenoiserParams(**widths, vector=vector)
 
 
-def _as_batch(params: ToyDenoiserParams, xt) -> tuple[np.ndarray, bool]:
-    """(batch, data_width) input and whether xt was a single 1D sample."""
+def _as_batch(params: ToyDenoiserParams, xt) -> np.ndarray:
+    """xt as a float64 (batch, data_width) array; another shape raises ValueError."""
     x = np.asarray(xt, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != params.data_width:
-        raise ValueError(f"input width {x.shape[-1] if x.ndim else '?'} does not match "
-                         f"configured width {params.data_width}")
-    return x, squeeze
+        raise ValueError(f"input of shape {x.shape} is not (batch, {params.data_width})")
+    return x
 
 
 def _check_memory(params: ToyDenoiserParams, memory, batch: int) -> np.ndarray:
@@ -394,20 +391,12 @@ def _check_memory(params: ToyDenoiserParams, memory, batch: int) -> np.ndarray:
     return mem
 
 
-def _time_features(params: ToyDenoiserParams, t, batch: int) -> np.ndarray:
-    """A scalar t gives one (1, time_dim) feature row, broadcast over the
-    batch; per-sample t gives (batch, time_dim)."""
-    t_arr = np.asarray(t, dtype=np.float64)
-    if t_arr.ndim == 0:
-        return time_embedding(t_arr, params.time_dim)[None, :]
-    return time_embedding(np.broadcast_to(t_arr, (batch,)), params.time_dim)
+def _trunk(params: ToyDenoiserParams, x: np.ndarray, temb: np.ndarray, ops=None):
+    """Input projection, time features and the first FF block: (h1, a1, h2).
 
-
-def _trunk(params: ToyDenoiserParams, x: np.ndarray, t, temb=None, ops=None):
-    """Input projection, time features and the first FF block.
-
-    Features precomputed for t may be passed as ``temb``. ``ops``
-    optionally holds a workspace's operands for this stage (see
+    ``temb`` holds the time features (``time_embedding``): one
+    (1, time_dim) row shared by every row of x, or one row per row of x.
+    ``ops`` optionally holds a workspace's operands for this stage (see
     ``_Workspace``): three (rows, width) buffers that h1, a1 and h2 are
     written into, the biases b_in, ff1_b1 and ff1_b2, the right-hand FF
     weights ff1_w1.T and ff1_w2.T, and the product function for its rows.
@@ -415,8 +404,6 @@ def _trunk(params: ToyDenoiserParams, x: np.ndarray, t, temb=None, ops=None):
     each weight a transposed view, and the product function is chosen from
     x's rows (``_product``).
     """
-    if temb is None:
-        temb = _time_features(params, t, x.shape[0])
     h1, a1, h2, b_in, b1, b2, w1, w2, mm = ops if ops is not None else (
         None, None, None, params.b_in, params.ff1_b1, params.ff1_b2,
         params.ff1_w1.T, params.ff1_w2.T, _product(len(x)))
@@ -429,7 +416,7 @@ def _trunk(params: ToyDenoiserParams, x: np.ndarray, t, temb=None, ops=None):
     h2 = mm(a1, w2, out=h2)
     np.add(h1, h2, out=h2)
     h2 += b2
-    return temb, h1, a1, h2
+    return h1, a1, h2
 
 
 def _head(params: ToyDenoiserParams, h3: np.ndarray, ops=None, out=None):
@@ -456,15 +443,14 @@ def _head(params: ToyDenoiserParams, h3: np.ndarray, ops=None, out=None):
     return a2, h4, out
 
 
-def _forward_pass(params: ToyDenoiserParams, xt: np.ndarray, t,
-                  memory: Optional[np.ndarray], cond_mask: Optional[np.ndarray],
-                  temb: Optional[np.ndarray] = None, labels=None):
-    """Shared forward; returns the prediction and every intermediate needed
-    for the closed-form backward pass. With ``labels``, memory is a table
-    of one-token conditions and row i's condition is memory[labels[i]]."""
-    x, _ = _as_batch(params, xt)
+def _forward_pass(params: ToyDenoiserParams, xt: np.ndarray, temb: np.ndarray,
+                  memory: Optional[np.ndarray], cond_mask: Optional[np.ndarray], labels=None):
+    """Shared forward over time features ``temb`` (see ``_trunk``): the
+    prediction and every intermediate the closed-form backward needs. With
+    ``labels``, memory is a one-token condition table; row i reads memory[labels[i]]."""
+    x = _as_batch(params, xt)
     batch = x.shape[0]
-    temb, h1, a1, h2 = _trunk(params, x, t, temb)
+    h1, a1, h2 = _trunk(params, x, temb)
 
     mem = attn_cache = mask = None
     h3 = h2
@@ -604,7 +590,7 @@ class PreparedToyDenoiser:
 
     def _run(self, xt, t, pair: bool):
         params = self.params
-        x, squeeze = _as_batch(params, xt)
+        x = _as_batch(params, xt)
         rows = len(x)
         temb = _prepared(self._features, t)
         total = 2 * rows if pair else rows
@@ -612,20 +598,17 @@ class PreparedToyDenoiser:
         if ws is None:
             ws = self._workspace[total] = _Workspace(params, total)
         if pair:
-            h2 = _trunk(params, x, t, temb, ws.pair_trunk)[-1]
+            h2 = _trunk(params, x, temb, ws.pair_trunk)[-1]
             np.add(h2, self._attention(h2), out=ws.pair_cond)
         else:
-            h2 = _trunk(params, x, t, temb, ws.trunk)[-1]
+            h2 = _trunk(params, x, temb, ws.trunk)[-1]
             if self._kv is not None:
                 np.add(h2, self._attention(h2), out=h2)
         out = np.empty((total, params.data_width))
         for lo, hi, h3, ops in ws.head:
             _head(params, h3, ops, out[lo:hi])
         require_finite(out, "denoiser output")
-        if not pair:
-            return out[0] if squeeze else out
-        uncond, cond = out[:rows], out[rows:]
-        return (uncond[0], cond[0]) if squeeze else (uncond, cond)
+        return (out[:rows], out[rows:]) if pair else out
 
     def _attention(self, h2: np.ndarray) -> np.ndarray:
         k, v = self._kv
@@ -643,8 +626,8 @@ def toy_denoiser_forward(params: ToyDenoiserParams, xt: Tensor, t: int,
     return PreparedToyDenoiser(params, condition, (t,)).predict(xt, t)
 
 
-def _loss_and_grad(params: ToyDenoiserParams, grads: ToyDenoiserParams, xt: np.ndarray, t,
-                   eps: np.ndarray, memory, cond_mask, temb=None, labels=None) -> float:
+def _loss_and_grad(params: ToyDenoiserParams, grads: ToyDenoiserParams, xt: np.ndarray,
+                   temb: np.ndarray, eps: np.ndarray, memory, cond_mask, labels=None) -> float:
     """Mean-squared noise-prediction loss. Every array's gradient is written
     into ``grads`` (the attention's as zeros without condition memory), so
     its ``vector`` is then the whole flat gradient.
@@ -653,7 +636,7 @@ def _loss_and_grad(params: ToyDenoiserParams, grads: ToyDenoiserParams, xt: np.n
     ``labels`` (B,) the (n_classes, dc) table of one-token conditions that
     training hands in: row i's condition is memory[labels[i]], the same
     bits as per-row memory holding that token. ``cond_mask`` is (B,) or
-    (B, 1). ``temb`` optionally holds the time features of t, precomputed.
+    (B, 1). ``temb`` holds each row's time features, (B, time_dim).
 
     The backward's products use ``np.dot``, which gives the bits of
     ``np.matmul`` at these shapes (batch 1 to 4096 checked) with less
@@ -664,11 +647,9 @@ def _loss_and_grad(params: ToyDenoiserParams, grads: ToyDenoiserParams, xt: np.n
     """
     if memory is not None and labels is None and np.ndim(memory) == 2:
         # _attend_backward takes the per-row (batch, n, dc) form
-        memory = np.broadcast_to(memory, (len(np.atleast_2d(xt)),) + np.shape(memory))
-    out, cache = _forward_pass(params, xt, t, memory, cond_mask, temb, labels)
+        memory = np.broadcast_to(memory, (len(xt),) + np.shape(memory))
+    out, cache = _forward_pass(params, xt, temb, memory, cond_mask, labels)
     x, temb, h1, a1, h2, memory, attn_cache, mask, h3, a2, h4 = cache
-    if temb.shape[0] != x.shape[0]:     # a scalar t gives one shared row
-        temb = np.broadcast_to(temb, (x.shape[0], temb.shape[1]))
     eps = np.asarray(eps, dtype=np.float64).reshape(out.shape)
     g_out = out - eps
     sq = g_out * g_out
@@ -933,8 +914,7 @@ def train(params: ToyDenoiserParams, dataset, config: TrainConfig,
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, config.steps, block):
             k = min(block, config.steps - start)
-            ts = rng_t.integers(1, schedule.T, (k, b))
-            t_index = ts - 1
+            t_index = rng_t.integers(1, schedule.T, (k, b)) - 1
             noise = rng_eps.normal((k, b, dataset.dim))
             a = schedule.alpha_bars[t_index][:, :, None]
             sqrt_a, scaled_noise = np.sqrt(a), np.sqrt(1.0 - a) * noise
@@ -949,8 +929,8 @@ def train(params: ToyDenoiserParams, dataset, config: TrainConfig,
                             .astype(np.float64)[:, :, None]
                     memory, mask = label_embedding.tokens, keep[i]
 
-                loss = _loss_and_grad(params, grads, xt, ts[i], noise[i], memory, mask,
-                                      time_table[t_index[i]], labels)
+                loss = _loss_and_grad(params, grads, xt, time_table[t_index[i]], noise[i],
+                                      memory, mask, labels)
                 if not math.isfinite(loss):
                     raise TrainingDivergedError(f"loss became non-finite at step {start + i}")
                 losses[start + i] = loss

@@ -17,13 +17,14 @@ ascending id, which is ascending position; documents sharing no term with
 the query score 0.0.
 
 Candidate scoring runs over one token list per candidate: ``extend_prompt``
-tokenizes each pooled text once, keys the deduplication on that list and
-hands it to ``tfidf_score`` and ``entity_count``. One
-``Embedder.embed_tokens`` call embeds the prompt and the whole pool as the
-rows of one matrix, and one ``cosine`` pass relates every row to the
-prompt's. ``Gazetteer.match_count`` skips every position whose token
-starts no place name through a first-token index, and ``entity_count``
-runs a temporal pattern only on a text that could match it.
+tokenizes each pooled text once and keys the deduplication on that list.
+One ``Embedder.embed_tokens`` call embeds the prompt and the whole pool as
+the rows of one matrix, and one ``cosine`` pass relates every row to the
+prompt's. ``score_candidate`` takes a candidate's text, token list and
+cosine, and hands the list to ``tfidf_score`` and ``entity_count``.
+``Gazetteer.match_count`` skips every position whose token starts no
+place name through a first-token index, and ``entity_count`` runs a
+temporal pattern only on a text that could match it.
 """
 
 from __future__ import annotations
@@ -241,7 +242,6 @@ class TfidfModel:
     """Per-term inverse document frequencies, ln(N / (1 + df)) clamped at 0."""
 
     idf: dict[str, float]
-    n_docs: int
 
 
 def _tfidf_model(vocab: dict[str, int], indptr: np.ndarray, n: int) -> TfidfModel:
@@ -251,7 +251,7 @@ def _tfidf_model(vocab: dict[str, int], indptr: np.ndarray, n: int) -> TfidfMode
     dfs, which = np.unique(np.diff(indptr), return_inverse=True)
     logs = [max(0.0, math.log(n / (1.0 + count))) for count in dfs.tolist()]
     idf = dict(zip(vocab, map(logs.__getitem__, which.tolist())))
-    return TfidfModel(idf=idf, n_docs=n)
+    return TfidfModel(idf=idf)
 
 
 def tfidf_fit(training_corpus: Iterable[Document]) -> TfidfModel:
@@ -288,12 +288,9 @@ def tfidf_score(model: TfidfModel, tokens: list[str]) -> float:
 # ---------------------------------------------------------------------------
 
 class Embedder(Protocol):
-    """Text to vector. ``embed_tokens`` embeds many texts, each given as its
-    ``tokenize`` list, as the rows of one (len(token_lists), width) float64
-    matrix; row i must equal ``embed`` of a text with those tokens."""
-
-    def embed(self, text: str) -> np.ndarray:
-        ...
+    """Texts to vectors. ``embed_tokens`` embeds many texts, each given as
+    its ``tokenize`` list, as the rows of one (len(token_lists), width)
+    float64 matrix; a row depends only on its own token list."""
 
     def embed_tokens(self, token_lists: Sequence[list[str]]) -> np.ndarray:
         ...
@@ -476,33 +473,18 @@ class PromptCandidate:
             raise ValueError(f"unknown candidate source {self.source!r}")
 
 
-def _check_lambdas(lambda1: float, lambda2: float) -> None:
-    if not (math.isfinite(lambda1) and math.isfinite(lambda2)
-            and lambda1 >= 0.0 and lambda2 >= 0.0):
-        raise ValueError(f"lambda1 and lambda2 must be finite and >= 0, "
-                         f"got {lambda1!r} and {lambda2!r}")
-
-
-def score_candidate(u: str, v: str, tfidf_model: TfidfModel, embedder: Embedder,
+def score_candidate(v: str, tokens: list[str], cos: float, tfidf_model: TfidfModel,
                     lambda1: float, lambda2: float, gazetteer: Gazetteer,
-                    source: str = "wiki-sentence", *,
-                    tokens: Optional[list[str]] = None,
-                    cos: Optional[float] = None) -> PromptCandidate:
-    """Combined importance: tfidf(v) + lambda1 * cos(embed(u), embed(v))
-    + lambda2 * (spatial + temporal entity count).
+                    source: str = "wiki-sentence") -> PromptCandidate:
+    """Combined importance of candidate text ``v`` for a prompt u:
+    tfidf(v) + lambda1 * cos(embed(u), embed(v)) + lambda2 * (spatial +
+    temporal entity count).
 
-    ``lambda1`` and ``lambda2`` must be finite and >= 0. ``tokens``, when
-    given, must be ``tokenize(v)``; the TF-IDF and entity scores then read
-    it instead of tokenizing ``v`` again. ``cos``, when given, must be that
-    cosine; nothing is embedded then (``extend_prompt`` computes the
-    cosines of a whole pool in one batch).
+    ``tokens`` is ``tokenize(v)``, which the TF-IDF and entity scores
+    read, and ``cos`` is the cosine; ``extend_prompt`` makes both, the
+    cosines of a whole pool in one batch, and checks the lambdas once.
     """
-    _check_lambdas(lambda1, lambda2)
-    if tokens is None:
-        tokens = tokenize(v)
     fert = tfidf_score(tfidf_model, tokens)
-    if cos is None:
-        cos = cosine(embedder.embed(u), embedder.embed(v))
     spatial, temporal = entity_count(v, gazetteer, tokens)
     score = fert + lambda1 * cos + lambda2 * (spatial + temporal)
     return PromptCandidate(text=v, source=source, tfidf=fert, cos=cos,
@@ -575,12 +557,15 @@ def extend_prompt(u: str, index: Bm25Index, tfidf_model: TfidfModel,
     ``embedder.embed_tokens`` call embeds the prompt and every candidate,
     and one ``cosine`` pass gives every candidate's cosine, which
     ``score_candidate`` then reads. With ``HashEmbedder`` the batched
-    cosines equal one-by-one ``score_candidate`` calls bit for bit (see
+    cosines equal one-vector ``cosine`` calls bit for bit (see
     ``cosine``).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    _check_lambdas(lambda1, lambda2)
+    if not (math.isfinite(lambda1) and math.isfinite(lambda2)
+            and lambda1 >= 0.0 and lambda2 >= 0.0):
+        raise ValueError(f"lambda1 and lambda2 must be finite and >= 0, "
+                         f"got {lambda1!r} and {lambda2!r}")
     gaz = gazetteer if gazetteer is not None else Gazetteer(())
     pool: list[tuple[str, str]] = []
     for doc, _ in bm25_search(index, u, k):
@@ -597,8 +582,7 @@ def extend_prompt(u: str, index: Bm25Index, tfidf_model: TfidfModel,
     cosines = cosine(vectors[0], vectors[1:]).tolist()
     best: dict[str, PromptCandidate] = {}
     for (text, source), tokens, cos in zip(pool, token_lists, cosines):
-        cand = score_candidate(u, text, tfidf_model, embedder, lambda1, lambda2,
-                               gaz, source=source, tokens=tokens, cos=cos)
+        cand = score_candidate(text, tokens, cos, tfidf_model, lambda1, lambda2, gaz, source)
         key = " ".join(tokens)
         cur = best.get(key)
         if (cur is None or cand.score > cur.score

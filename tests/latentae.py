@@ -9,8 +9,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import TrainingDivergedError
-from .numerics import RngStream, Tensor, require_finite, require_same_shape
+from artdiff.errors import TrainingDivergedError
+from artdiff.numerics import RngStream, Tensor, require_finite, require_same_shape
 
 _PROB_CLAMP = 1e-12
 

@@ -14,21 +14,20 @@ import numpy as np
 import pytest
 
 from artdiff.cli import main as cli_main
-from artdiff.datasets import get_dataset, ring_centers
+from artdiff.datasets import DATASETS, ring_centers
 from artdiff.denoisers import (GaussianOracle, ToyDenoiser, TrainConfig,
-                               _loss_and_grad, init_toy_denoiser, train)
-from artdiff.latentae import (AeTrainConfig, MomentPair, decode,
-                              encode_moments, init_toy_autoencoder, kl_loss,
-                              train_toy_ae)
+                               _loss_and_grad, init_toy_denoiser, time_embedding, train)
 from artdiff.numerics import RngStream
 from artdiff.promptx import (Document, Gazetteer, TfidfModel, bm25_search,
-                             build_index, score_candidate)
+                             build_index, cosine, score_candidate, tokenize)
 from artdiff.samplers import (SamplingPlan, plms_combine, posterior_mean_from_eps,
                               sample)
 from artdiff.schedule import linear_schedule, subsequence
 
+from latentae import (AeTrainConfig, MomentPair, decode, encode_moments,
+                      init_toy_autoencoder, kl_loss, train_toy_ae)
 from reference import ddim_sigma, q_step, sample_stats
-from test_promptx import WORDS, naive_bm25_scores, random_docs
+from test_promptx import WORDS, naive_bm25_scores, random_docs, scored
 
 DATA = Path(__file__).parent / "data"
 
@@ -182,10 +181,11 @@ def test_criterion_06_gradient_fidelity():
 
     grads = replace(params, vector=np.empty_like(params.vector))
     scratch = replace(params, vector=np.empty_like(params.vector))
-    _loss_and_grad(params, grads, xt, t, eps, memory, mask)
+    temb = time_embedding(t, params.time_dim)
+    _loss_and_grad(params, grads, xt, temb, eps, memory, mask)
 
     def loss_at(vec):
-        return _loss_and_grad(replace(params, vector=vec), scratch, xt, t, eps, memory, mask)
+        return _loss_and_grad(replace(params, vector=vec), scratch, xt, temb, eps, memory, mask)
 
     vec = params.vector
     h = 1e-4
@@ -214,7 +214,7 @@ def test_criterion_06_gradient_fidelity():
 def test_criterion_07_toy_generative_quality():
     start = time.perf_counter()
     schedule = linear_schedule(1000)
-    dataset = get_dataset("8-gaussian-ring")
+    dataset = DATASETS["8-gaussian-ring"]
     params = init_toy_denoiser(RngStream(0).child("init"), 2)
     config = TrainConfig(steps=20_000, batch_size=64, learning_rate=1e-3, seed=0)
     params, losses = train(params, dataset, config, schedule)
@@ -244,7 +244,7 @@ def test_criterion_08_autoencoder_losses():
     assert abs(kl_loss(MomentPair(mu=np.array([0.0]), logvar=np.array([1.0])))
                - (math.e - 2.0) / 2.0) <= 1e-9
 
-    dataset = get_dataset("line-subspace")
+    dataset = DATASETS["line-subspace"]
     params = init_toy_autoencoder(RngStream(5).child("ae"), 2, 1)
     config = AeTrainConfig(steps=3000, batch_size=256, learning_rate=0.02,
                            seed=5, kl_weight=1e-3)
@@ -284,9 +284,11 @@ def test_criterion_10_scoring_pipeline(tmp_path):
             return np.array([5.0, 0.0]) if text == "query text" \
                 else np.array([4.0, 3.0])
 
-    model = TfidfModel(idf={"shenzhen": 1.0, "1980": 1.0}, n_docs=2)
-    cand = score_candidate("query text", "shenzhen 1980", model, StubEmbedder(),
-                           0.5, 0.1, Gazetteer(["Shenzhen"]))
+    stub = StubEmbedder()
+    model = TfidfModel(idf={"shenzhen": 1.0, "1980": 1.0})
+    cand = score_candidate("shenzhen 1980", tokenize("shenzhen 1980"),
+                           cosine(stub.embed("query text"), stub.embed("shenzhen 1980")),
+                           model, 0.5, 0.1, Gazetteer(["Shenzhen"]))
     assert cand.tfidf == 0.5
     assert cand.cos == 0.8
     assert (cand.spatial_entities, cand.temporal_entities) == (1, 1)
@@ -294,14 +296,12 @@ def test_criterion_10_scoring_pipeline(tmp_path):
 
     # monotone under component perturbations
     gaz = Gazetteer(["china"])
-    lo = TfidfModel(idf={"china": 0.2}, n_docs=2)
-    hi = TfidfModel(idf={"china": 0.9}, n_docs=2)
-    from artdiff.promptx import HashEmbedder
-    e = HashEmbedder()
-    assert score_candidate("china", "china", hi, e, 1.0, 0.1, gaz).score \
-        >= score_candidate("china", "china", lo, e, 1.0, 0.1, gaz).score
-    assert score_candidate("china", "china in 1980", lo, e, 1.0, 0.1, gaz).score \
-        >= score_candidate("china", "china in town", lo, e, 1.0, 0.1, gaz).score
+    lo = TfidfModel(idf={"china": 0.2})
+    hi = TfidfModel(idf={"china": 0.9})
+    assert scored("china", "china", hi, 1.0, 0.1, gaz).score \
+        >= scored("china", "china", lo, 1.0, 0.1, gaz).score
+    assert scored("china", "china in 1980", lo, 1.0, 0.1, gaz).score \
+        >= scored("china", "china in town", lo, 1.0, 0.1, gaz).score
 
     # extend_prompt through the CLI is byte-deterministic across runs
     args = ["prompt-extend", "urbanization of China",

@@ -685,14 +685,34 @@ def test_sample_overflowing_checkpoint_is_runtime_failure(tmp_path, capsys):
     assert "non-finite" in _one_line_error(capsys)
 
 
+SRC = Path(__file__).parents[1] / "src"
+
+
+def python_in_fresh_process(args):
+    """``python args`` in a new interpreter that imports artdiff from src/."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable] + [str(a) for a in args],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 def run_in_fresh_process(argv):
     """The CLI in a new interpreter, so numpy's floating-point warnings reach
     stderr as they would for a user, and pytest's warning capture cannot
     hide them."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-        str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "artdiff.cli"] + [str(a) for a in argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+    return python_in_fresh_process(["-m", "artdiff.cli"] + argv)
+
+
+def test_cli_loads_every_module_of_the_package():
+    # code that no command loads is reference code for the tests and lives
+    # in tests/, next to them (as latentae.py does), not in the package
+    proc = python_in_fresh_process(["-c", "import sys, artdiff.cli; print(*sorted(m for m in "
+                                          "sys.modules if m.split('.')[0] == 'artdiff'))"])
+    assert proc.returncode == 0, proc.stderr
+    files = {"artdiff" + ("" if f.stem == "__init__" else "." + f.stem)
+             for f in (SRC / "artdiff").glob("*.py")}
+    assert len(files) > 5
+    assert set(proc.stdout.split()) == files
 
 
 def test_diverging_toy_train_prints_one_line(tmp_path):

@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
 
-from artdiff.datasets import DATASETS, get_dataset, ring_centers
+from artdiff.datasets import DATASETS, ring_centers
 from artdiff.numerics import RngStream
 
 
 def test_registry_contents():
     assert set(DATASETS) == {"8-gaussian-ring", "two-moons", "line-subspace"}
-    with pytest.raises(KeyError):
-        get_dataset("mnist")
 
 
 @pytest.mark.parametrize("name", sorted(DATASETS))
 def test_samplers_shapes_and_determinism(name):
-    ds = get_dataset(name)
+    ds = DATASETS[name]
     x1, labels1 = ds.sample(128, RngStream(7))
     x2, labels2 = ds.sample(128, RngStream(7))
     assert x1.shape == (128, 2)
@@ -38,7 +36,7 @@ def test_ring_geometry():
 
 
 def test_ring_samples_concentrate_near_centers():
-    ds = get_dataset("8-gaussian-ring")
+    ds = DATASETS["8-gaussian-ring"]
     x, labels = ds.sample(4000, RngStream(3))
     centers = ring_centers()
     dist_to_own = np.linalg.norm(x - centers[labels], axis=1)
@@ -48,7 +46,7 @@ def test_ring_samples_concentrate_near_centers():
 
 
 def test_line_subspace_is_one_dimensional():
-    ds = get_dataset("line-subspace")
+    ds = DATASETS["line-subspace"]
     x, _ = ds.sample(500, RngStream(4))
     centered = x - x.mean(axis=0)
     # second singular value vanishes: points lie exactly on an affine line
@@ -57,7 +55,7 @@ def test_line_subspace_is_one_dimensional():
 
 
 def test_two_moons_separation():
-    ds = get_dataset("two-moons")
+    ds = DATASETS["two-moons"]
     x, labels = ds.sample(2000, RngStream(5))
     top = x[labels == 0]
     bottom = x[labels == 1]

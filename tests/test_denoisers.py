@@ -7,7 +7,7 @@ import pytest
 
 from artdiff import denoisers
 from artdiff.cli import _fmt, main
-from artdiff.datasets import get_dataset
+from artdiff.datasets import DATASETS
 from artdiff.denoisers import (GaussianOracle, LabelEmbedding,
                                ToyDenoiser, TrainConfig, _loss_and_grad,
                                init_toy_denoiser, load_denoiser, save_denoiser,
@@ -94,7 +94,8 @@ def reference_train(params, dataset, config, schedule, label_embedding=None):
             memory = label_memory(label_embedding, labels)
             keep = (rng_drop.uniform((b,)) >= config.drop_prob).astype(np.float64)
         grads = zero_grads(params)
-        losses[step] = _loss_and_grad(params, grads, xt, t, eps, memory, keep)
+        losses[step] = _loss_and_grad(params, grads, xt, time_embedding(t, params.time_dim),
+                                      eps, memory, keep)
         arrays, grads = params.arrays(), grads.arrays()
         if adam is not None:
             arrays = adam.update(arrays, grads, config.learning_rate)
@@ -393,9 +394,9 @@ def test_forward_shape_contract_over_random_draws():
         out = toy_denoiser_forward(p, xt, int(rng.integers(1, 1000, (1,))[0]))
         assert out.shape == xt.shape
         assert np.all(np.isfinite(out))
-    # single unbatched sample keeps its shape
-    single = toy_denoiser_forward(p, np.zeros(2), 5)
-    assert single.shape == (2,)
+    # a single sample is a one-row batch; a 1D vector is refused
+    with pytest.raises(ValueError, match=r"not \(batch, 2\)"):
+        toy_denoiser_forward(p, np.zeros(2), 5)
 
 
 def test_forward_deterministic():
@@ -435,10 +436,11 @@ def test_gradients_match_finite_differences_spot_check(default_schedule):
     eps = rng.child("e").normal((4, 2))
     a = default_schedule.alpha_bars[t - 1][:, None]
     xt = np.sqrt(a) * x0 + np.sqrt(1 - a) * eps
+    temb = time_embedding(t, p.time_dim)
     for mem, mask in [(None, None),
                       (rng.child("m").normal((4, 1, 16)), np.array([1.0, 0.0, 1.0, 1.0]))]:
         grads, scratch = zero_grads(p), zero_grads(p)
-        _loss_and_grad(p, grads, xt, t, eps, mem, mask)
+        _loss_and_grad(p, grads, xt, temb, eps, mem, mask)
         gvec = grads.vector
         vec = p.vector
         coords = RngStream(21).integers(0, vec.size - 1, (60,))
@@ -447,8 +449,8 @@ def test_gradients_match_finite_differences_spot_check(default_schedule):
             vp, vm = vec.copy(), vec.copy()
             vp[i] += h
             vm[i] -= h
-            lp = _loss_and_grad(replace(p, vector=vp), scratch, xt, t, eps, mem, mask)
-            lm = _loss_and_grad(replace(p, vector=vm), scratch, xt, t, eps, mem, mask)
+            lp = _loss_and_grad(replace(p, vector=vp), scratch, xt, temb, eps, mem, mask)
+            lm = _loss_and_grad(replace(p, vector=vm), scratch, xt, temb, eps, mem, mask)
             fd = (lp - lm) / (2 * h)
             assert abs(fd - gvec[i]) <= 1e-4 * max(abs(fd), abs(gvec[i]), 1e-6)
 
@@ -458,7 +460,7 @@ def test_gradients_match_finite_differences_spot_check(default_schedule):
 # ---------------------------------------------------------------------------
 
 def test_train_zero_steps_is_identity(default_schedule):
-    ds = get_dataset("8-gaussian-ring")
+    ds = DATASETS["8-gaussian-ring"]
     p = init_toy_denoiser(RngStream(22), 2)
     cfg = TrainConfig(steps=0, batch_size=8, seed=1)
     trained, losses = train(p, ds, cfg, default_schedule)
@@ -469,7 +471,7 @@ def test_train_zero_steps_is_identity(default_schedule):
 
 def test_train_single_sgd_step_matches_hand_update(default_schedule):
     # replay the training loop's draws and apply the update by hand
-    ds = get_dataset("8-gaussian-ring")
+    ds = DATASETS["8-gaussian-ring"]
     p = init_toy_denoiser(RngStream(23), 2)
     cfg = TrainConfig(steps=1, batch_size=6, learning_rate=0.05, seed=9,
                       optimizer="sgd")
@@ -482,7 +484,7 @@ def test_train_single_sgd_step_matches_hand_update(default_schedule):
     a = default_schedule.alpha_bars[t - 1][:, None]
     xt = np.sqrt(a) * x0 + np.sqrt(1 - a) * eps
     grads = zero_grads(p)
-    loss = _loss_and_grad(p, grads, xt, t, eps, None, None)
+    loss = _loss_and_grad(p, grads, xt, time_embedding(t, p.time_dim), eps, None, None)
     assert losses[0] == loss
     for name, arr in p.arrays().items():
         expect = arr - 0.05 * grads.arrays()[name]
@@ -491,7 +493,7 @@ def test_train_single_sgd_step_matches_hand_update(default_schedule):
 
 def test_train_two_adam_steps_match_hand_update(default_schedule):
     # replay two conditional steps' draws and apply a dict-based Adam by hand
-    ds = get_dataset("8-gaussian-ring")
+    ds = DATASETS["8-gaussian-ring"]
     p = init_toy_denoiser(RngStream(24), 2)
     emb = LabelEmbedding.create(8, p.cond_width, 2)
     cfg = TrainConfig(steps=2, batch_size=6, learning_rate=0.01, seed=4, drop_prob=0.5)
@@ -509,7 +511,8 @@ def test_train_two_adam_steps_match_hand_update(default_schedule):
         a = default_schedule.alpha_bars[t - 1][:, None]
         xt = np.sqrt(a) * x0 + np.sqrt(1 - a) * eps
         grads = zero_grads(expect)
-        loss = _loss_and_grad(expect, grads, xt, t, eps, label_memory(emb, labels), keep)
+        loss = _loss_and_grad(expect, grads, xt, time_embedding(t, expect.time_dim), eps,
+                              label_memory(emb, labels), keep)
         assert losses[step] == loss
         expect = from_arrays(expect, adam.update(expect.arrays(), grads.arrays(), 0.01))
     for name, arr in expect.arrays().items():
@@ -521,7 +524,7 @@ def test_train_matches_reference_loop(default_schedule, variant):
     # the later runs cross two block boundaries of the timestep, noise and
     # drop draws and end in a short block: at an odd batch, and at a batch
     # large enough to cut the block to two steps
-    ds = get_dataset("8-gaussian-ring")
+    ds = DATASETS["8-gaussian-ring"]
     p = init_toy_denoiser(RngStream(26), 2)
     emb = None if variant.startswith("uncond") else LabelEmbedding.create(8, p.cond_width, 3)
     large = denoisers.TRAIN_BLOCK_ROWS // 2 - 1
@@ -548,7 +551,7 @@ def test_toy_train_outputs_match_reference_loop_bytes(tmp_path, variant):
     emb = LabelEmbedding.create(8, p.cond_width, 3) if conditional else None
     cfg = TrainConfig(steps=30, batch_size=16, learning_rate=0.01, seed=3, drop_prob=0.1,
                       optimizer=variant.split("-")[1])
-    expect, losses = reference_train(p, get_dataset("8-gaussian-ring"), cfg, schedule, emb)
+    expect, losses = reference_train(p, DATASETS["8-gaussian-ring"], cfg, schedule, emb)
     save_denoiser(tmp_path / "ref.bin", expect, schedule, emb)
     loss_csv = "\n".join(["step,loss"] + [f"{i},{_fmt(v)}" for i, v in enumerate(losses)])
     assert (tmp_path / "cli" / "checkpoint.bin").read_bytes() == \
@@ -566,7 +569,7 @@ def test_time_table_rows_match_time_embedding(default_schedule, monkeypatch):
     original = denoisers.time_embedding
     monkeypatch.setattr(denoisers, "time_embedding",
                         lambda t, dim: calls.append(np.shape(t)) or original(t, dim))
-    train(init_toy_denoiser(RngStream(27), 2), get_dataset("8-gaussian-ring"),
+    train(init_toy_denoiser(RngStream(27), 2), DATASETS["8-gaussian-ring"],
           TrainConfig(steps=5, batch_size=4), default_schedule)
     assert calls == [(T,)]
 
@@ -603,13 +606,13 @@ def test_loss_and_grad_writes_every_gradient_slot():
     p = init_toy_denoiser(rng.child("init"), 2)
     xt = rng.child("x").normal((4, 2))
     eps = rng.child("e").normal((4, 2))
-    t = np.array([3, 77, 500, 998])
+    temb = time_embedding(np.array([3, 77, 500, 998]), p.time_dim)
     table, labels = rng.child("tokens").normal((8, 16)), np.array([5, 0, 5, 7])
     for mem, lab in ((None, None), (rng.child("m1").normal((4, 1, 16)), None),
                      (rng.child("m2").normal((4, 2, 16)), None), (table, labels)):
         zeroed, nans = zero_grads(p), replace(p, vector=np.full(p.vector.size, np.nan))
-        loss = _loss_and_grad(p, zeroed, xt, t, eps, mem, None, labels=lab)
-        assert _loss_and_grad(p, nans, xt, t, eps, mem, None, labels=lab) == loss
+        loss = _loss_and_grad(p, zeroed, xt, temb, eps, mem, None, labels=lab)
+        assert _loss_and_grad(p, nans, xt, temb, eps, mem, None, labels=lab) == loss
         assert zeroed.vector.tobytes() == nans.vector.tobytes()
 
 
@@ -624,13 +627,13 @@ def test_label_form_gradient_bytes_equal_per_row_memory(default_schedule, batch,
     for draw in range(4):
         r = rng.child(f"draw-{draw}")
         labels = r.integers(0, 7, (batch,))
-        t = r.integers(1, default_schedule.T, (batch,))
+        temb = time_embedding(r.integers(1, default_schedule.T, (batch,)), p.time_dim)
         xt, eps = r.normal((batch, 2)), r.normal((batch, 2))
         keep = {"kept": np.ones(batch), "dropped": np.zeros(batch),
                 "mixed": (r.uniform((batch,)) >= 0.5).astype(np.float64)}[masks]
         got, want = zero_grads(p), zero_grads(p)
-        loss = _loss_and_grad(p, got, xt, t, eps, emb.tokens, keep[:, None], labels=labels)
-        ref_loss = _loss_and_grad(p, want, xt, t, eps, label_memory(emb, labels), keep)
+        loss = _loss_and_grad(p, got, xt, temb, eps, emb.tokens, keep[:, None], labels=labels)
+        ref_loss = _loss_and_grad(p, want, xt, temb, eps, label_memory(emb, labels), keep)
         assert loss == ref_loss
         assert got.vector.tobytes() == want.vector.tobytes()
 
@@ -646,7 +649,7 @@ def test_conditional_train_projects_no_per_row_memory(default_schedule, monkeypa
         return project(memory, w, labels)
 
     monkeypatch.setattr(denoisers, "_project", table_only)
-    ds = get_dataset("8-gaussian-ring")
+    ds = DATASETS["8-gaussian-ring"]
     p = init_toy_denoiser(RngStream(57), 2)
     emb = LabelEmbedding.create(8, p.cond_width, 1)
     for optimizer in ("adam", "sgd"):
@@ -656,7 +659,7 @@ def test_conditional_train_projects_no_per_row_memory(default_schedule, monkeypa
 
 
 def test_train_reduces_loss_on_ring(default_schedule):
-    ds = get_dataset("8-gaussian-ring")
+    ds = DATASETS["8-gaussian-ring"]
     p = init_toy_denoiser(RngStream(0).child("init"), 2)
     cfg = TrainConfig(steps=2000, batch_size=64, learning_rate=1e-3, seed=0)
     _, losses = train(p, ds, cfg, default_schedule)
@@ -664,7 +667,7 @@ def test_train_reduces_loss_on_ring(default_schedule):
 
 
 def test_train_detects_divergence(default_schedule):
-    ds = get_dataset("8-gaussian-ring")
+    ds = DATASETS["8-gaussian-ring"]
     p = init_toy_denoiser(RngStream(25), 2)
     cfg = TrainConfig(steps=100, batch_size=8, learning_rate=1e14, seed=0,
                       optimizer="sgd")
@@ -717,7 +720,7 @@ def test_fused_guidance_pair_matches_two_forward_calls(batch):
     rng = RngStream(40)
     p = init_toy_denoiser(rng.child("init"), 2)
     cond = rng.child("c").normal((1, 16))
-    xt = rng.child("x").normal((2,) if batch == 1 else (batch, 2))
+    xt = rng.child("x").normal((batch, 2))
     for t in (1, 37, 999):
         uncond, conditioned = ToyDenoiser(p).prepare(cond, (t,)).predict_pair(xt, t)
         ref_u = toy_denoiser_forward(p, xt, t)
@@ -744,22 +747,25 @@ def test_attend_shared_memory_matches_per_row_memory():
 
 
 def test_scalar_t_features_match_per_row_features():
+    # a prepared predictor hands the trunk one (1, time_dim) row for the
+    # whole batch; it gives the trunk of one feature row per sample
     from artdiff.denoisers import _trunk
 
     rng = RngStream(43)
     p = init_toy_denoiser(rng.child("init"), 2)
     x = rng.child("x").normal((40, 2))
     for t in (1, 500, 1000):
-        temb, h1, _, h2 = _trunk(p, x, t)
-        ref_temb, ref_h1, _, ref_h2 = _trunk(p, x, np.full(40, t))
-        assert temb.shape == (1, 16) and ref_temb.shape == (40, 16)
+        temb, ref_temb = time_embedding(t, 16)[None], time_embedding(np.full(40, t), 16)
         assert np.array_equal(np.broadcast_to(temb, ref_temb.shape), ref_temb)
+        h1, _, h2 = _trunk(p, x, temb)
+        ref_h1, _, ref_h2 = _trunk(p, x, ref_temb)
         assert _rel_err(h1, ref_h1) <= 1e-12
         assert _rel_err(h2, ref_h2) <= 1e-12
 
 
 def test_gradients_with_scalar_t_and_shared_memory_match_per_row():
-    # scalar t and 2D memory reach the backward pass as per-row inputs
+    # one scalar t's feature row broadcast over the batch, and 2D memory,
+    # reach the backward pass as per-row inputs
     rng = RngStream(44)
     p = init_toy_denoiser(rng.child("init"), 2)
     xt = rng.child("x").normal((5, 2))
@@ -767,8 +773,9 @@ def test_gradients_with_scalar_t_and_shared_memory_match_per_row():
     mem = rng.child("m").normal((2, 16))
     mask = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
     grads, ref_grads = zero_grads(p), zero_grads(p)
-    loss = _loss_and_grad(p, grads, xt, 300, eps, mem, mask)
-    ref_loss = _loss_and_grad(p, ref_grads, xt, np.full(5, 300), eps,
+    loss = _loss_and_grad(p, grads, xt, np.broadcast_to(time_embedding(300, 16), (5, 16)),
+                          eps, mem, mask)
+    ref_loss = _loss_and_grad(p, ref_grads, xt, time_embedding(np.full(5, 300), 16), eps,
                               np.broadcast_to(mem, (5, 2, 16)), mask)
     assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
     for name, g in ref_grads.arrays().items():
@@ -780,14 +787,14 @@ def test_gradients_with_scalar_t_and_shared_memory_match_per_row():
 # ---------------------------------------------------------------------------
 
 def _reference_forward(p, xt, t, cond):
-    """The training forward (per-step time features, softmax attention)."""
-    return denoisers._forward_pass(p, xt, t, cond, None)[0]
+    """The training forward (fresh time features, softmax attention)."""
+    return denoisers._forward_pass(p, xt, time_embedding(t, p.time_dim)[None], cond, None)[0]
 
 
 def _reference_pair(p, xt, t, cond):
     """The guidance pair as the softmax path computes it: the trunk and
     attention once, the head on the stacked rows."""
-    h2 = denoisers._trunk(p, xt, t)[-1]
+    h2 = denoisers._trunk(p, xt, time_embedding(t, p.time_dim)[None])[-1]
     attn, _ = denoisers._attend(h2, *denoisers._project(cond, p), p)
     out = denoisers._head(p, np.concatenate([h2, h2 + attn]))[-1]
     return out[:len(xt)], out[len(xt):]
@@ -819,13 +826,10 @@ def test_prepared_predictor_matches_forward_bit_for_bit(default_schedule, batch)
         if batch > 1:   # at one row the forward pass's head is gemv, the pair's gemm
             assert pair[0].tobytes() == uncond.tobytes()
             assert pair[1].tobytes() == single.tobytes()
-    # a single sample as a 1D vector keeps its shape
-    pair = bound.predict_pair(x[0], steps[3])
-    assert pair[0].shape == pair[1].shape == (2,)
-    for got, ref in zip(pair, _reference_pair(p, x[:1], steps[3], cond)):
-        assert np.array_equal(got, ref[0])
-    assert np.array_equal(bound.predict(x[0], steps[3]),
-                          toy_denoiser_forward(p, x[0], steps[3], cond))
+    # a single sample is a one-row batch; a 1D vector is refused
+    for run in (bound.predict, bound.predict_pair):
+        with pytest.raises(ValueError, match=r"not \(batch, 2\)"):
+            run(x[0], steps[3])
 
 
 def test_prepared_predictor_rejects_unprepared_timestep_and_missing_condition():
@@ -972,8 +976,8 @@ def test_forward_bytes_do_not_depend_on_the_product_function(monkeypatch, rows):
         outs = [bound.predict(x, 600), *bound.predict_pair(x, 7),
                 toy_denoiser_forward(p, x, 7)]
         grads = replace(p, vector=np.empty_like(p.vector))
-        loss = _loss_and_grad(p, grads, x, np.full(rows, 7), x[:, ::-1],
-                              cond[None].repeat(rows, 0), None)
+        loss = _loss_and_grad(p, grads, x, time_embedding(np.full(rows, 7), p.time_dim),
+                              x[:, ::-1], cond[None].repeat(rows, 0), None)
         return [a.tobytes() for a in outs] + [grads.vector.tobytes(), loss]
 
     got = run()
@@ -1068,7 +1072,7 @@ def test_one_token_attend_backward_is_exact():
 @pytest.mark.parametrize("optimizer,lr", [("adam", 1e-3), ("sgd", 0.05)])
 def test_conditional_training_leaves_query_and_key_weights_unchanged(default_schedule,
                                                                       optimizer, lr):
-    ds = get_dataset("8-gaussian-ring")
+    ds = DATASETS["8-gaussian-ring"]
     p = init_toy_denoiser(RngStream(50), 2)
     emb = LabelEmbedding.create(8, p.cond_width, 5)
     cfg = TrainConfig(steps=200, batch_size=32, learning_rate=lr, seed=6, drop_prob=0.1,

@@ -4,14 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from artdiff.datasets import get_dataset
+from artdiff.datasets import DATASETS
 from artdiff.errors import TrainingDivergedError
-from artdiff.latentae import (AeTrainConfig, MomentPair, ToyAutoencoderParams,
-                              _ae_loss_and_grad, decode, encode_moments,
-                              gan_loss_component, init_toy_autoencoder,
-                              kl_loss, recon_loss, reparam_sample,
-                              train_toy_ae)
 from artdiff.numerics import RngStream
+from latentae import (AeTrainConfig, MomentPair, ToyAutoencoderParams,
+                      _ae_loss_and_grad, decode, encode_moments,
+                      gan_loss_component, init_toy_autoencoder,
+                      kl_loss, recon_loss, reparam_sample,
+                      train_toy_ae)
 
 
 def test_moment_pair_validation():
@@ -136,7 +136,7 @@ def test_gan_loss_clamped_upper_bound():
 
 def test_ae_gradients_match_finite_differences():
     p = init_toy_autoencoder(RngStream(9), 2, 1)
-    x, _ = get_dataset("line-subspace").sample(8, RngStream(10))
+    x, _ = DATASETS["line-subspace"].sample(8, RngStream(10))
     loss, grads = _ae_loss_and_grad(p, x, 1e-3)
     h = 1e-6
     for name, arr in p.arrays().items():
@@ -154,7 +154,7 @@ def test_ae_gradients_match_finite_differences():
 
 def test_train_zero_steps_unchanged():
     p = init_toy_autoencoder(RngStream(11), 2, 1)
-    trained, losses = train_toy_ae(p, get_dataset("line-subspace"),
+    trained, losses = train_toy_ae(p, DATASETS["line-subspace"],
                                    AeTrainConfig(steps=0, seed=1))
     assert losses.size == 0
     for name, arr in p.arrays().items():
@@ -162,7 +162,7 @@ def test_train_zero_steps_unchanged():
 
 
 def test_subspace_recovery_and_monotone_loss():
-    ds = get_dataset("line-subspace")
+    ds = DATASETS["line-subspace"]
     p = init_toy_autoencoder(RngStream(5).child("ae"), 2, 1)
     cfg = AeTrainConfig(steps=3000, batch_size=256, learning_rate=0.02, seed=5,
                         kl_weight=1e-3)
@@ -176,7 +176,7 @@ def test_subspace_recovery_and_monotone_loss():
 
 
 def test_train_divergence_detection():
-    ds = get_dataset("line-subspace")
+    ds = DATASETS["line-subspace"]
     p = init_toy_autoencoder(RngStream(12), 2, 1)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDivergedError):

@@ -339,7 +339,6 @@ def test_tfidf_from_index_equals_tfidf_fit(data_dir):
     for docs in corpora:
         fitted = tfidf_fit(docs)
         derived = tfidf_from_index(build_index(docs))
-        assert derived.n_docs == fitted.n_docs
         assert derived.idf == fitted.idf  # same keys, exact floats
 
 
@@ -527,11 +526,18 @@ class StubEmbedder:
         return np.array([4.0, 3.0])
 
 
+def scored(u, v, model, lambda1, lambda2, gazetteer, embedder=HashEmbedder()):
+    """``score_candidate`` of text v for prompt u, with v's tokens and the
+    embedder's cosine, as ``extend_prompt`` passes them."""
+    cos = cosine(embedder.embed(u), embedder.embed(v))
+    return score_candidate(v, tokenize(v), cos, model, lambda1, lambda2, gazetteer)
+
+
 def test_score_candidate_worked_example():
-    model = TfidfModel(idf={"shenzhen": 1.0, "1980": 1.0}, n_docs=2)
+    model = TfidfModel(idf={"shenzhen": 1.0, "1980": 1.0})
     gaz = Gazetteer(["Shenzhen"])
-    cand = score_candidate("query text", "shenzhen 1980", model, StubEmbedder(),
-                           lambda1=0.5, lambda2=0.1, gazetteer=gaz)
+    cand = scored("query text", "shenzhen 1980", model, lambda1=0.5, lambda2=0.1,
+                  gazetteer=gaz, embedder=StubEmbedder())
     assert cand.tfidf == 0.5
     assert cand.cos == 0.8
     assert (cand.spatial_entities, cand.temporal_entities) == (1, 1)
@@ -540,51 +546,33 @@ def test_score_candidate_worked_example():
 
 
 def test_score_candidate_reduces_to_tfidf():
-    model = TfidfModel(idf={"china": 0.7}, n_docs=3)
-    cand = score_candidate("u", "china", model, HashEmbedder(), 0.0, 0.1,
-                           Gazetteer([]))
+    model = TfidfModel(idf={"china": 0.7})
+    cand = scored("u", "china", model, 0.0, 0.1, Gazetteer([]))
     assert cand.score == cand.tfidf == pytest.approx(0.7, rel=1e-12)
 
 
 def test_score_candidate_self_similarity():
-    model = TfidfModel(idf={}, n_docs=1)
-    cand = score_candidate("urban china", "urban china", model, HashEmbedder(),
-                           lambda1=0.6, lambda2=0.0, gazetteer=Gazetteer([]))
+    model = TfidfModel(idf={})
+    cand = scored("urban china", "urban china", model, lambda1=0.6, lambda2=0.0,
+                  gazetteer=Gazetteer([]))
     assert cand.cos == pytest.approx(1.0, rel=1e-12)
     assert cand.score == pytest.approx(0.6, rel=1e-12)
 
 
 def test_score_candidate_monotone_in_components():
     gaz = Gazetteer(["china"])
-    lo = TfidfModel(idf={"china": 0.2}, n_docs=2)
-    hi = TfidfModel(idf={"china": 0.9}, n_docs=2)
-    e = HashEmbedder()
-    base = score_candidate("china", "china", lo, e, 1.0, 0.1, gaz)
-    richer_tfidf = score_candidate("china", "china", hi, e, 1.0, 0.1, gaz)
+    lo = TfidfModel(idf={"china": 0.2})
+    hi = TfidfModel(idf={"china": 0.9})
+    base = scored("china", "china", lo, 1.0, 0.1, gaz)
+    richer_tfidf = scored("china", "china", hi, 1.0, 0.1, gaz)
     assert richer_tfidf.score >= base.score
-    with_entity = score_candidate("china", "china in 1980", lo, e, 1.0, 0.1, gaz)
-    without_year = score_candidate("china", "china in town", lo, e, 1.0, 0.1, gaz)
+    with_entity = scored("china", "china in 1980", lo, 1.0, 0.1, gaz)
+    without_year = scored("china", "china in town", lo, 1.0, 0.1, gaz)
     assert with_entity.temporal_entities > without_year.temporal_entities
     assert with_entity.score >= without_year.score
 
 
-def test_score_candidate_rejects_negative_lambdas():
-    model = TfidfModel(idf={}, n_docs=1)
-    with pytest.raises(ValueError):
-        score_candidate("u", "v", model, HashEmbedder(), -1.0, 0.0, Gazetteer([]))
-
-
 BAD_LAMBDAS = [float("nan"), float("inf"), -1.0]
-
-
-@pytest.mark.parametrize("bad", BAD_LAMBDAS, ids=["nan", "inf", "negative"])
-@pytest.mark.parametrize("which", ["lambda1", "lambda2"])
-def test_score_candidate_rejects_non_finite_and_negative_lambdas(which, bad):
-    model = TfidfModel(idf={"china": 0.5}, n_docs=2)
-    lambdas = {"lambda1": 1.0, "lambda2": 0.1, which: bad}
-    with pytest.raises(ValueError, match="finite"):
-        score_candidate("china", "china city", model, HashEmbedder(), gazetteer=Gazetteer([]),
-                        **lambdas)
 
 
 def test_prompt_candidate_source_validation():
@@ -607,7 +595,7 @@ class EmptyGenerator:
 
 def test_extend_prompt_empty_everything():
     index = build_index([])
-    model = TfidfModel(idf={}, n_docs=0)
+    model = TfidfModel(idf={})
     got = extend_prompt("anything", index, model, HashEmbedder(),
                         EmptyGenerator(), 1.0, 0.1, 5, Gazetteer([]))
     assert got == []
@@ -722,19 +710,13 @@ def test_extend_prompt_embeds_prompt_once_per_call(data_dir):
 def test_score_candidate_uses_a_given_cosine(data_dir):
     model = tfidf_fit(load_corpus_jsonl(data_dir / "micro_corpus.jsonl"))
     gaz = Gazetteer.from_file(data_dir / "gazetteer.txt")
-    counting = CountingEmbedder()
     u, v = "urbanization of China", "Shenzhen grew in 1980."
-    fresh = score_candidate(u, v, model, counting, 1.0, 0.1, gaz)
-    assert counting.texts == [u, v]
-    given = score_candidate(u, v, model, counting, 1.0, 0.1, gaz,
-                            cos=cosine(HashEmbedder().embed(u), HashEmbedder().embed(v)))
-    assert fresh == given
-    assert counting.texts == [u, v] and counting.batches == []   # nothing embedded
-    other = score_candidate(u, v, model, counting, 1.0, 0.1, gaz, cos=0.25)
+    fresh = scored(u, v, model, 1.0, 0.1, gaz)
+    assert fresh.cos == cosine(HashEmbedder().embed(u), HashEmbedder().embed(v))
+    other = score_candidate(v, tokenize(v), 0.25, model, 1.0, 0.1, gaz)
     assert other.cos == 0.25
     assert other.score == fresh.tfidf + 0.25 + 0.1 * (fresh.spatial_entities
                                                       + fresh.temporal_entities)
-    assert counting.texts == [u, v]
 
 
 class ListGenerator:
@@ -757,27 +739,30 @@ def test_extend_prompt_candidates_equal_one_by_one_scoring(data_dir, monkeypatch
     u = "urbanization of China"
     token_less = ListGenerator(["!!!", " ", "China city at 6:30"] + fixtures.continuations(u),
                                ["... --- ..."] + fixtures.responses(u))
-    scored = []
+    calls = []
     real_score = promptx.score_candidate
 
-    def recording_score(u, v, model, embedder, lambda1, lambda2, gaz, source, **given):
-        cand = real_score(u, v, model, embedder, lambda1, lambda2, gaz, source, **given)
-        scored.append((u, v, model, lambda1, lambda2, gaz, source, cand))
+    def recording_score(v, tokens, cos, model, lambda1, lambda2, gaz, source):
+        cand = real_score(v, tokens, cos, model, lambda1, lambda2, gaz, source)
+        calls.append((v, tokens, model, lambda1, lambda2, gaz, source, cand))
         return cand
 
     monkeypatch.setattr(promptx, "score_candidate", recording_score)
+    e = HashEmbedder(width)
     for prompt, gen, k in ((u, fixtures, 10), (u, token_less, 50), ("Asian morning", fixtures, 3),
                            ("!!!", token_less, 50)):
-        scored.clear()
-        got = extend_prompt(prompt, index, model, HashEmbedder(width), gen, 0.7, 0.2, k, gaz)
-        assert len(scored) >= len(got) > 0
-        for u_, v, model_, lambda1, lambda2, gaz_, source, cand in scored:
-            alone = real_score(u_, v, model_, HashEmbedder(width), lambda1, lambda2, gaz_, source)
+        calls.clear()
+        got = extend_prompt(prompt, index, model, e, gen, 0.7, 0.2, k, gaz)
+        assert len(calls) >= len(got) > 0
+        for v, tokens, model_, lambda1, lambda2, gaz_, source, cand in calls:
+            assert tokens == tokenize(v)
+            cos = cosine(e.embed(prompt), e.embed(v))     # one vector at a time
+            alone = real_score(v, tokens, cos, model_, lambda1, lambda2, gaz_, source)
             assert vars(cand) == vars(alone)
             assert type(cand.cos) is float
-        assert all(any(c == cand for *_, cand in scored) for c in got)
+        assert all(any(c == cand for *_, cand in calls) for c in got)
         if gen is token_less:
-            blank = [cand for *_, cand in scored if cand.text in ("!!!", "... --- ...")]
+            blank = [cand for *_, cand in calls if cand.text in ("!!!", "... --- ...")]
             assert len(blank) == 2 and all(c.cos == 0.0 for c in blank)
 
 
@@ -790,9 +775,7 @@ def test_score_candidate_with_its_token_list_equals_tokenizing_again(data_dir):
     texts = [s for doc in docs for s in split_sentences(doc.title) + split_sentences(doc.body)]
     texts += gen.continuations(u) + gen.responses(u)
     for v in texts + ["!!!", "China, China city; 3rd of May 2024 at 7:30"]:
-        with_tokens = score_candidate(u, v, model, HashEmbedder(), 1.0, 0.1, gaz,
-                                      tokens=tokenize(v))
-        assert with_tokens == score_candidate(u, v, model, HashEmbedder(), 1.0, 0.1, gaz)
+        with_tokens = scored(u, v, model, 1.0, 0.1, gaz)
         assert with_tokens.tfidf == tfidf_score(model, tokenize(v))
         assert (with_tokens.spatial_entities, with_tokens.temporal_entities) == \
             entity_count(v, gaz, tokenize(v))
