@@ -164,12 +164,14 @@ class PreparedGaussianOracle:
     posterior mean are computed once per timestep. The oracle ignores the
     condition, so ``predict_pair`` is the same prediction twice.
 
-    Each state shape gets a workspace on first use: mu0 tiled to that shape
-    and one scratch buffer. The prior term is (1 - abar) times the tile,
-    elementwise the same product as (1 - abar) mu0 broadcast over the rows,
-    so the add that follows runs over equal shapes. Every stage is written
-    in place; the returned prediction is a fresh array that never aliases
-    the workspace, because plms keeps past predictions.
+    A state is a (batch, mu0.size) array, as the toy's is (batch, width);
+    another shape raises ValueError. Each state shape gets a workspace on
+    first use: mu0 tiled to that shape and one scratch buffer. The prior
+    term is (1 - abar) times the tile, elementwise the same product as
+    (1 - abar) mu0 broadcast over the rows, so the add that follows runs
+    over equal shapes. Every stage is written in place; the returned
+    prediction is a fresh array that never aliases the workspace, because
+    plms keeps past predictions.
     """
 
     def __init__(self, oracle: GaussianOracle, timesteps):
@@ -177,7 +179,7 @@ class PreparedGaussianOracle:
         schedule, var0 = oracle.schedule, oracle.var0
         if any(not 1 <= t <= schedule.T for t in steps):
             raise ValueError(f"timesteps must lie in [1, {schedule.T}]")
-        self._mu0 = oracle.mu0
+        self._mu0 = oracle.mu0.ravel()
         # one elementwise pass per factor; np.sqrt is correctly rounded, as
         # math.sqrt is, so each entry has the bits of the scalar expression
         a = schedule.alpha_bars[np.asarray(steps, dtype=np.int64) - 1]
@@ -189,6 +191,8 @@ class PreparedGaussianOracle:
     def predict(self, xt: Tensor, t) -> Tensor:
         sqrt_a_var0, one_m_a, denom, sqrt_a, sqrt_1ma = _prepared(self._factors, t)
         xt = np.asarray(xt, dtype=np.float64)
+        if xt.ndim != 2 or xt.shape[1] != self._mu0.size:
+            raise ValueError(f"input of shape {xt.shape} is not (batch, {self._mu0.size})")
         ws = self._workspace.get(xt.shape)
         if ws is None:
             tile = np.broadcast_to(self._mu0, xt.shape).copy()   # C order, as xt
@@ -559,7 +563,8 @@ class PreparedToyDenoiser:
     tiled to its rows and the FF weights as contiguous transposes (see
     ``_Workspace``). The head runs in equal row tiles of at most
     ``HEAD_ROWS`` rows, so a pair of B = 2000 rows runs it as its two
-    halves, and each tile writes its rows of one fresh prediction. The
+    halves, and each tile writes its rows of one fresh prediction; a
+    single tile's own fresh prediction is returned as it is. The
     returned predictions never alias the workspace, so a caller may keep
     them across calls.
     """
@@ -604,9 +609,12 @@ class PreparedToyDenoiser:
             h2 = _trunk(params, x, temb, ws.trunk)[-1]
             if self._kv is not None:
                 np.add(h2, self._attention(h2), out=h2)
-        out = np.empty((total, params.data_width))
-        for lo, hi, h3, ops in ws.head:
-            _head(params, h3, ops, out[lo:hi])
+        if len(ws.head) == 1:   # one tile: the head's own fresh prediction
+            out = _head(params, ws.h3, ws.head[0][-1])[-1]
+        else:
+            out = np.empty((total, params.data_width))
+            for lo, hi, h3, ops in ws.head:
+                _head(params, h3, ops, out[lo:hi])
         require_finite(out, "denoiser output")
         return (out[:rows], out[rows:]) if pair else out
 

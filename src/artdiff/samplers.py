@@ -33,6 +33,17 @@ draws of B, in order, so the noise and the stream's draw count are those
 of one draw per transfer. The plms warm-up probe is a fresh transfer and
 never overwrites the state. Predictions are never written to: plms keeps
 the last three.
+
+A state of one row takes the same loop on Python floats (``_run_row``):
+the guidance combine, the plms combinations, the warm-up probe and the
+transfer, noise included, are one expression per element, and each step
+writes its floats back into the (1, ...) state array that the predictor
+reads and the finiteness check sees. At one row numpy's per-call dispatch
+costs more than the arithmetic. The bits are those of the array loop:
+each Python float operation is one correctly rounded float64 operation,
+as each binary ufunc is, the expressions take the array form's operations
+in its order, and neither form fuses or reassociates them. No BLAS runs in
+either transfer. Two rows and more keep the array loop (``_run_rows``).
 """
 
 from __future__ import annotations
@@ -274,10 +285,11 @@ def sample(predictor, plan: SamplingPlan, schedule: NoiseSchedule,
     docstring). The plms warmup re-evaluates the predictor at the next
     timeline entry; when the first transfer targets t = 0 no re-evaluation
     is possible, so the plain prediction is used. Fully deterministic given
-    (plan, predictor, condition). The prediction's shape is checked on
-    the first step, the state's finiteness on every step. A diverging run
-    raises no numpy overflow warning; its first non-finite state raises
-    ValueError.
+    (plan, predictor, condition); a one-row state runs on Python floats
+    with the array loop's bits (see the module docstring). The
+    prediction's shape is checked on the first step (at one row, on every
+    step), the state's finiteness on every step. A diverging run raises no
+    numpy overflow warning; its first non-finite state raises ValueError.
     """
     if max(plan.timeline.steps) > schedule.T:
         raise ConfigError("timeline indices exceed the schedule length")
@@ -287,33 +299,97 @@ def sample(predictor, plan: SamplingPlan, schedule: NoiseSchedule,
     table = _transfer_table(plan.timeline, schedule, eta)
     rng = RngStream(plan.seed)
     x = rng.normal((plan.batch, *plan.shape))
-    buffers = (x, np.empty_like(x), np.empty_like(x))   # state first
     bound = predictor.prepare(condition, plan.timeline.steps)
     scale = float(plan.guidance_scale)
-    if condition is None or scale == 1.0:
+    guidance = None if condition is None or scale == 1.0 else scale
+    noises = _step_noise(rng, table[:, 4].tolist(), x.shape)
+    steps = zip(plan.timeline.pairs(), table.tolist(), noises)
+    run = _run_row if plan.batch == 1 else _run_rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        run(x, steps, bound, guidance, plan.kind == "plms")
+    return x
+
+
+def _run_rows(x, steps, bound, guidance, plms: bool) -> None:
+    """``sample``'s loop over the state x, in place: the steps' arithmetic
+    on whole arrays, through ``_transfer`` into buffers allocated once."""
+    buffers = (x, np.empty_like(x), np.empty_like(x))   # state first
+    if guidance is None:
         predict = bound.predict
     else:
         def predict(xt, t):     # cfg_combine; the shape is checked on step 0
             u, c = bound.predict_pair(xt, t)
-            return u + scale * (c - u)
+            return u + guidance * (c - u)
     history: deque = deque(maxlen=3)   # plms noise predictions, newest first
-    noises = _step_noise(rng, table[:, 4].tolist(), x.shape)
-    steps = zip(plan.timeline.pairs(), table.tolist(), noises)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, ((t_cur, t_next), coefs, noise) in enumerate(steps):
-            eps = predict(x, t_cur)
-            if i == 0:
-                require_same_shape(eps, x, "prediction and state")
-            e = eps
-            if plan.kind == "plms":
-                if history:
-                    e = plms_combine(eps, history)
-                elif t_next >= 1:
-                    # plms runs at sigma 0, so the step's own coefficients
-                    # serve the probe; a fresh transfer, x stays the state
-                    probe, _ = _transfer(x, eps, coefs, None)
-                    e = 0.5 * (eps + predict(probe, t_next))
-                history.appendleft(eps)
-            _transfer(x, e, coefs, noise, buffers)
-            require_finite(x, "sample state")
-    return x
+    for i, ((t_cur, t_next), coefs, noise) in enumerate(steps):
+        eps = predict(x, t_cur)
+        if i == 0:
+            require_same_shape(eps, x, "prediction and state")
+        e = eps
+        if plms:
+            if history:
+                e = plms_combine(eps, history)
+            elif t_next >= 1:
+                # plms runs at sigma 0, so the step's own coefficients
+                # serve the probe; a fresh transfer, x stays the state
+                probe, _ = _transfer(x, eps, coefs, None)
+                e = 0.5 * (eps + predict(probe, t_next))
+            history.appendleft(eps)
+        _transfer(x, e, coefs, noise, buffers)
+        require_finite(x, "sample state")
+
+
+def _run_row(x, steps, bound, guidance, plms: bool) -> None:
+    """``_run_rows`` for a state of one row: each step's arithmetic on
+    Python floats, one expression per element, written back into x.
+
+    The predictors still see the (1, ...) state array, and the probe is a
+    fresh array. The guidance combine, the plms combinations and the
+    transfer take the operations of ``cfg_combine``, ``plms_combine`` and
+    ``_transfer`` in their order, and a Python float operation rounds as
+    the float64 ufunc does, once per operation, so every value has the
+    bits of the array loop. Every prediction's shape is checked.
+    """
+    state = x.reshape(-1)       # x's one row as a view, written every step
+
+    def floats(eps) -> list:
+        if eps.shape != x.shape:
+            require_same_shape(eps, x, "prediction and state")
+        return eps.ravel().tolist()
+
+    def predict(xt, t) -> list:
+        if guidance is None:
+            return floats(bound.predict(xt, t))
+        u, c = bound.predict_pair(xt, t)
+        return [a + guidance * (b - a) for a, b in zip(floats(u), floats(c))]
+
+    xs = state.tolist()
+    history: deque = deque(maxlen=3)   # plms noise predictions, newest first
+    for (t_cur, t_next), coefs, noise in steps:
+        eps = predict(x, t_cur)
+        e = eps
+        if plms:
+            if len(history) == 1:
+                e = [(3.0 * a - b) / 2.0 for a, b in zip(eps, *history)]
+            elif len(history) == 2:
+                e = [(23.0 * a - 16.0 * b + 5.0 * c) / 12.0 for a, b, c in zip(eps, *history)]
+            elif history:
+                e = [(55.0 * a - 59.0 * b + 37.0 * c - 9.0 * d) / 24.0
+                     for a, b, c, d in zip(eps, *history)]
+            elif t_next >= 1:
+                probe = np.array(_transfer_row(xs, eps, coefs, None)).reshape(x.shape)
+                e = [0.5 * (a + b) for a, b in zip(eps, predict(probe, t_next))]
+            history.appendleft(eps)
+        xs = _transfer_row(xs, e, coefs, noise)
+        state[:] = xs
+        require_finite(x, "sample state")
+
+
+def _transfer_row(xs: list, es: list, coefs, noise) -> list:
+    """``_transfer``'s x_next for one row of floats: the same operations in
+    the same order, the noise row scaled by sigma and added when sigma > 0."""
+    sqrt_1m_ac, sqrt_ac, sqrt_an, sqrt_rem, sigma = coefs
+    if sigma > 0.0:
+        return [sqrt_an * ((x - sqrt_1m_ac * e) / sqrt_ac) + sqrt_rem * e + z * sigma
+                for x, e, z in zip(xs, es, noise.ravel().tolist())]
+    return [sqrt_an * ((x - sqrt_1m_ac * e) / sqrt_ac) + sqrt_rem * e for x, e in zip(xs, es)]

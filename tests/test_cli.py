@@ -188,6 +188,11 @@ PINNED_RUNS = {
     # one row: the guided pair and the loop buffers at their smallest
     "ddim-guided-b1": ["--sampler", "ddim", "--label", 3, "--scale", 5, "--batch", 1],
     "plms-guided-b1": ["--sampler", "plms", "--label", 3, "--scale", 5, "--batch", 1],
+    "ddim-unguided-b1": ["--sampler", "ddim", "--batch", 1],
+    "oracle-plms-b1": ["--oracle", "--mu0", "3,-1", "--var0", 0.25, "--timesteps", 100,
+                       "--ddim_steps", 20, "--sampler", "plms", "--batch", 1],
+    "oracle-ddpm-b1": ["--oracle", "--mu0", "3,-1", "--var0", 0.25, "--timesteps", 100,
+                       "--ddim_steps", 100, "--sampler", "ddpm", "--batch", 1],
 }
 
 

@@ -123,10 +123,21 @@ def test_oracle_point_mass_recovers_noise_exactly(default_schedule):
     oracle = GaussianOracle(mu0=mu0, var0=0.0, schedule=default_schedule)
     rng = RngStream(2)
     for t in [1, 250, 999]:
-        eps = rng.normal((2,))
-        xt = q_sample(mu0, t, eps, default_schedule)
+        eps = rng.normal((1, 2))
+        xt = q_sample(mu0[None, :], t, eps, default_schedule)
         rec = oracle.predict(xt, t)
         assert np.max(np.abs(rec - eps)) <= 1e-10
+
+
+@pytest.mark.parametrize("shape", [(2,), (1, 3), (1, 1, 2)])
+def test_oracle_refuses_a_state_that_is_not_batch_by_width(default_schedule, shape):
+    # a state is (batch, width), as the toy takes it; a (2,) row does not
+    # broadcast into one
+    oracle = GaussianOracle(mu0=np.array([2.0, -3.0]), var0=0.5, schedule=default_schedule)
+    with pytest.raises(ValueError, match=r"is not \(batch, 2\)"):
+        oracle.predict(np.zeros(shape), 10)
+    with pytest.raises(ValueError, match=r"is not \(batch, 2\)"):
+        oracle.prepare(None, (10,)).predict_pair(np.zeros(shape), 10)
 
 
 def test_oracle_matches_monte_carlo_regression(default_schedule):

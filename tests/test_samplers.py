@@ -502,16 +502,30 @@ def reference_plms(predictor, schedule, timeline, x):
     return x
 
 
-def test_plms_driver_matches_independent_reference(default_schedule):
+@pytest.mark.parametrize("batch", [1, 8])
+def test_plms_driver_matches_independent_reference(default_schedule, batch):
+    # one row takes the float loop, eight the array loop; the step counts
+    # cover the first transfer without a probe and every history depth
     oracle = GaussianOracle(mu0=np.array([1.0, -2.0]), var0=0.6,
                             schedule=default_schedule)
     for steps in (1, 2, 3, 4, 9, 40):
-        plan = make_plan(default_schedule, "plms", steps, seed=101, batch=8)
+        plan = make_plan(default_schedule, "plms", steps, seed=101, batch=batch)
         got = sample(oracle, plan, default_schedule)
         want = reference_plms(oracle, default_schedule,
                               subsequence(default_schedule, steps),
-                              RngStream(101).normal((8, 2)))
+                              RngStream(101).normal((batch, 2)))
         assert np.array_equal(got, want)
+
+
+def test_one_row_plms_of_the_toy_matches_independent_reference(default_schedule):
+    # the toy's predictions at the probe's step differ from the first
+    # step's by more than the oracle's, so its warm-up average is pinned too
+    toy = ToyDenoiser(init_toy_denoiser(RngStream(102), 2))
+    for steps in (2, 3, 9):
+        plan = make_plan(default_schedule, "plms", steps, seed=103, batch=1)
+        want = reference_plms(toy, default_schedule, subsequence(default_schedule, steps),
+                              RngStream(103).normal((1, 2)))
+        assert sample(toy, plan, default_schedule).tobytes() == want.tobytes()
 
 
 def test_plms_tracks_fine_ddim_reference():
@@ -746,6 +760,62 @@ def test_block_noise_of_a_long_timeline_equals_per_step_draws(monkeypatch, kind)
     assert samples_csv_text(got) == samples_csv_text(want)
     (stream,) = streams
     assert stream.draws == ref_rng.draws == 7 * 2 * 1000
+
+
+@pytest.mark.parametrize("kind, eta", [("ddim", 0.0), ("ddim", 0.3), ("ddim", 1.0),
+                                       ("ddpm", 1.0)])
+@pytest.mark.parametrize("predictor", ["toy-guided", "toy-unguided", "oracle"])
+def test_one_row_sample_equals_per_step_draws(monkeypatch, kind, eta, predictor):
+    # the float loop of one row against the reference loop's arrays
+    s = linear_schedule(100)
+    rng = RngStream(76)
+    cond = rng.child("c").normal((2, 16))
+    pred = ToyDenoiser(init_toy_denoiser(rng.child("init"), 2))
+    if predictor == "oracle":
+        pred = GaussianOracle(mu0=np.array([3.0, -1.0]), var0=0.25, schedule=s)
+    if predictor != "toy-guided":
+        cond = None
+    steps = 100 if kind == "ddpm" else 20
+    plan = SamplingPlan(timeline=subsequence(s, steps), kind=kind, shape=(2,), seed=77,
+                        batch=1, eta=eta, guidance_scale=5.0)
+    streams = _recording_streams(monkeypatch)
+    got = sample(pred, plan, s, cond)
+    want, ref_rng = ddim_sample_per_step_draws(pred, plan, s, cond)
+    assert got.tobytes() == want.tobytes()
+    (stream,) = streams
+    assert stream.draws == ref_rng.draws == 2 * (1 + (steps - 1 if eta > 0.0 else 0))
+
+
+@pytest.mark.parametrize("kind", ["ddim", "plms"])
+@pytest.mark.parametrize("guided", [False, True])
+def test_one_row_sample_takes_no_array_transfer(monkeypatch, kind, guided):
+    # a count guard, no timing: one row never reaches _transfer; two rows
+    # call it once per transfer, the plms warm-up probe included
+    calls = []
+    transfer = samplers._transfer
+    monkeypatch.setattr(samplers, "_transfer",
+                        lambda *a, **k: calls.append(1) or transfer(*a, **k))
+    s = linear_schedule(100)
+    toy = ToyDenoiser(init_toy_denoiser(RngStream(78), 2))
+    cond = RngStream(79).normal((1, 16)) if guided else None
+    for batch, want in ((1, 0), (2, 10 + (kind == "plms"))):
+        plan = SamplingPlan(timeline=subsequence(s, 10), kind=kind, shape=(2,), seed=80,
+                            batch=batch, eta=1.0, guidance_scale=5.0)
+        calls.clear()
+        sample(toy, plan, s, cond)
+        assert len(calls) == want
+
+
+@pytest.mark.parametrize("guided", [False, True])
+def test_one_row_sample_checks_prediction_shape(default_schedule, guided):
+    # a (2,) prediction would broadcast against the (1, 2) state
+    class Flat(FakePredictor):
+        def predict(self, xt, t, condition=None):
+            return np.zeros(np.shape(xt)[1:])
+
+    plan = make_plan(default_schedule, "ddim", 5, batch=1, guidance_scale=5.0)
+    with pytest.raises(ValueError, match="prediction and state"):
+        sample(Flat(), plan, default_schedule, np.ones((1, 3)) if guided else None)
 
 
 def test_b1_guided_sample_draws_its_noise_in_two_calls(monkeypatch):
