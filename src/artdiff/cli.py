@@ -251,8 +251,7 @@ def cmd_toy_train(args) -> int:
 def _write_samples_csv(path: Path, samples: np.ndarray) -> None:
     # repr of the Python floats that tolist gives is _fmt of each value; a
     # row at a time, so no list of every value is held at once
-    flat = samples.reshape(samples.shape[0], -1)
-    lines = [",".join(map(repr, row.tolist())) for row in flat]
+    lines = [",".join(map(repr, row.tolist())) for row in samples]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -290,13 +289,13 @@ def cmd_sample(args) -> int:
         var0 = _var0_from(resolver)
         schedule, consts = _schedule_from(resolver)
         predictor = GaussianOracle(mu0=mu0, var0=var0, schedule=schedule)
-        shape = (mu0.size,)
+        width = mu0.size
     elif checkpoint := resolver.get("checkpoint"):
         path = _require_file(checkpoint, "checkpoint")
         params, schedule, embedding = load_denoiser(path)
         consts = (schedule.T, float(schedule.betas[0]), float(schedule.betas[-1]))
         predictor = ToyDenoiser(params)
-        shape = (params.data_width,)
+        width = params.data_width
         if label is not None:
             if embedding is None:
                 raise ConfigError("checkpoint was trained unconditionally; --label is unusable")
@@ -307,13 +306,13 @@ def cmd_sample(args) -> int:
     else:
         raise ConfigError("sample needs either --oracle or --checkpoint")
 
-    plan = SamplingPlan(timeline=subsequence(schedule, steps), kind=kind, shape=shape,
+    plan = SamplingPlan(timeline=subsequence(schedule, steps), kind=kind, width=width,
                         seed=seed, batch=batch, eta=eta, guidance_scale=scale)
     samples = sample(predictor, plan, schedule, condition)
 
     _write_samples_csv(out / "samples.csv", samples)
     outputs = ["samples.csv"]
-    if plot and shape == (2,):
+    if plot and width == 2:
         _write_density_ppm(out / "density.ppm", samples)
         outputs.append("density.ppm")
     _write_manifest(out, resolver, outputs, _schedule_manifest(consts))
@@ -345,11 +344,10 @@ def cmd_compare_samplers(args) -> int:
     out = resolver.out_dir()
 
     oracle = GaussianOracle(mu0=mu0, var0=var0, schedule=schedule)
-    shape = (mu0.size,)
 
     def endpoint(kind: str, num_steps: int) -> np.ndarray:
         plan = SamplingPlan(timeline=subsequence(schedule, num_steps), kind=kind,
-                            shape=shape, seed=seed, batch=batch, eta=0.0,
+                            width=mu0.size, seed=seed, batch=batch, eta=0.0,
                             guidance_scale=1.0)
         return sample(oracle, plan, schedule)
 
@@ -409,13 +407,9 @@ def cmd_prompt_extend(args) -> int:
     out = resolver.out_dir()
 
     index = build_index(load_corpus_jsonl(corpus_path))
-    if index.size == 0:
-        candidates = []
-    else:
-        candidates = extend_prompt(prompt, index, tfidf_from_index(index), HashEmbedder(),
-                                   FixtureGenerator.from_file(fixtures_path),
-                                   lambda1, lambda2, topk,
-                                   Gazetteer.from_file(gazetteer_path))
+    candidates = extend_prompt(prompt, index, tfidf_from_index(index), HashEmbedder(),
+                               FixtureGenerator.from_file(fixtures_path), lambda1, lambda2, topk,
+                               Gazetteer.from_file(gazetteer_path))
     lines = [json.dumps(dataclasses.asdict(c), sort_keys=True) for c in candidates]
     (out / "candidates.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""))
     _write_manifest(out, resolver, ["candidates.jsonl"],

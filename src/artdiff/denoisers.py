@@ -190,9 +190,7 @@ class PreparedGaussianOracle:
 
     def predict(self, xt: Tensor, t) -> Tensor:
         sqrt_a_var0, one_m_a, denom, sqrt_a, sqrt_1ma = _prepared(self._factors, t)
-        xt = np.asarray(xt, dtype=np.float64)
-        if xt.ndim != 2 or xt.shape[1] != self._mu0.size:
-            raise ValueError(f"input of shape {xt.shape} is not (batch, {self._mu0.size})")
+        xt = _as_batch(xt, self._mu0.size)
         ws = self._workspace.get(xt.shape)
         if ws is None:
             tile = np.broadcast_to(self._mu0, xt.shape).copy()   # C order, as xt
@@ -379,11 +377,11 @@ def init_toy_denoiser(rng: RngStream, data_width: int, width: int = 16) -> ToyDe
     return ToyDenoiserParams(**widths, vector=vector)
 
 
-def _as_batch(params: ToyDenoiserParams, xt) -> np.ndarray:
-    """xt as a float64 (batch, data_width) array; another shape raises ValueError."""
+def _as_batch(xt, width: int) -> np.ndarray:
+    """xt as a float64 (batch, width) array; another shape raises ValueError."""
     x = np.asarray(xt, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.data_width:
-        raise ValueError(f"input of shape {x.shape} is not (batch, {params.data_width})")
+    if x.ndim != 2 or x.shape[1] != width:
+        raise ValueError(f"input of shape {x.shape} is not (batch, {width})")
     return x
 
 
@@ -452,7 +450,7 @@ def _forward_pass(params: ToyDenoiserParams, xt: np.ndarray, temb: np.ndarray,
     """Shared forward over time features ``temb`` (see ``_trunk``): the
     prediction and every intermediate the closed-form backward needs. With
     ``labels``, memory is a one-token condition table; row i reads memory[labels[i]]."""
-    x = _as_batch(params, xt)
+    x = _as_batch(xt, params.data_width)
     batch = x.shape[0]
     h1, a1, h2 = _trunk(params, x, temb)
 
@@ -595,7 +593,7 @@ class PreparedToyDenoiser:
 
     def _run(self, xt, t, pair: bool):
         params = self.params
-        x = _as_batch(params, xt)
+        x = _as_batch(xt, params.data_width)
         rows = len(x)
         temb = _prepared(self._features, t)
         total = 2 * rows if pair else rows

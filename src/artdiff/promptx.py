@@ -115,10 +115,6 @@ class Bm25Index:
     tfs: np.ndarray
     norms: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return len(self.documents)
-
 
 def _frozen(values, dtype) -> np.ndarray:
     arr = np.asarray(values, dtype=dtype)
@@ -203,9 +199,7 @@ def bm25_search(index: Bm25Index, query: str, k: int) -> list[tuple[Document, fl
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = index.size
-    if n == 0:
-        return []
+    n = len(index.documents)
     k = min(k, n)
     k1 = DEFAULT_K1
     positions, contributions = [], []
@@ -256,10 +250,8 @@ def _tfidf_model(vocab: dict[str, int], indptr: np.ndarray, n: int) -> TfidfMode
 
 def tfidf_fit(training_corpus: Iterable[Document]) -> TfidfModel:
     """Fit on ``training_corpus``, counted as ``build_index`` counts it;
-    duplicate document ids are allowed here."""
+    duplicate document ids are allowed, and no document gives no idf."""
     docs = tuple(training_corpus)
-    if not docs:
-        raise ValueError("tfidf_fit needs a nonempty corpus")
     vocab, indptr, *_ = _count_terms(docs)
     return _tfidf_model(vocab, indptr, len(docs))
 
@@ -267,9 +259,7 @@ def tfidf_fit(training_corpus: Iterable[Document]) -> TfidfModel:
 def tfidf_from_index(index: Bm25Index) -> TfidfModel:
     """The model ``tfidf_fit`` gives on the indexed documents, read from
     the index's document frequencies instead of tokenizing them again."""
-    if index.size == 0:
-        raise ValueError("tfidf_from_index needs a nonempty index")
-    return _tfidf_model(index.vocab, index.indptr, index.size)
+    return _tfidf_model(index.vocab, index.indptr, len(index.documents))
 
 
 def tfidf_score(model: TfidfModel, tokens: list[str]) -> float:

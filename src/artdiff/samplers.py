@@ -34,11 +34,13 @@ of one draw per transfer. The plms warm-up probe is a fresh transfer and
 never overwrites the state. Predictions are never written to: plms keeps
 the last three.
 
-A state of one row takes the same loop on Python floats (``_run_row``):
-the guidance combine, the plms combinations, the warm-up probe and the
-transfer, noise included, are one expression per element, and each step
-writes its floats back into the (1, ...) state array that the predictor
-reads and the finiteness check sees. At one row numpy's per-call dispatch
+The state is a (batch, width) array. A state of one row takes the same
+loop on Python floats (``_run_row``): the guidance combine, the plms
+combinations, the warm-up probe and the transfer, noise included, are one
+expression per element, and each step writes its floats back into the
+(1, width) state array that the predictor reads and the finiteness check
+sees. The plms combinations are one table, ``_ADAMS_BASHFORTH``, whose
+expressions both loops apply. At one row numpy's per-call dispatch
 costs more than the arithmetic. The bits are those of the array loop:
 each Python float operation is one correctly rounded float64 operation,
 as each binary ufunc is, the expressions take the array form's operations
@@ -76,7 +78,7 @@ class SamplingPlan:
 
     timeline: SamplingTimeline
     kind: str
-    shape: tuple[int, ...]
+    width: int
     seed: int
     batch: int = 1
     eta: float = DEFAULT_ETA
@@ -92,10 +94,9 @@ class SamplingPlan:
                               f"got {self.guidance_scale}")
         if int(self.batch) < 1:
             raise ConfigError("batch must be a positive integer")
-        shape = tuple(int(s) for s in self.shape)
-        if len(shape) == 0 or any(s < 1 for s in shape):
-            raise ConfigError(f"invalid sample shape {shape}")
-        object.__setattr__(self, "shape", shape)
+        if int(self.width) < 1:
+            raise ConfigError("width must be a positive integer")
+        object.__setattr__(self, "width", int(self.width))
         object.__setattr__(self, "batch", int(self.batch))
         object.__setattr__(self, "seed", int(self.seed))
 
@@ -203,20 +204,10 @@ def _transfer_table(timeline: SamplingTimeline, schedule: NoiseSchedule, eta: fl
                      np.sqrt(np.maximum(rem, 0.0)), sigma], axis=1)
 
 
-def posterior_mean_from_eps(xt: Tensor, eps: Tensor, t: int,
-                            schedule: NoiseSchedule) -> Tensor:
-    """Posterior mean in noise form: (x_t - (1-alpha_t)/sqrt(1-abar_t) * eps) / sqrt(alpha_t)."""
-    require_same_shape(xt, eps, "xt and eps")
-    a = schedule.alpha(t)
-    abar = schedule.alpha_bar(t)
-    xt = np.asarray(xt, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    return (xt - (1.0 - a) / math.sqrt(1.0 - abar) * eps) / math.sqrt(a)
-
-
 def ddpm_step(predictor, xt: Tensor, t: int, schedule: NoiseSchedule,
               rng: RngStream, condition=None) -> Tensor:
-    """Ancestral reverse step from N(posterior mean, posterior variance).
+    """Ancestral reverse step from N(posterior mean, posterior variance),
+    the mean (x_t - (1 - alpha_t) / sqrt(1 - abar_t) eps) / sqrt(alpha_t).
 
     ``sample`` runs ddpm as the eta = 1 DDIM transfer; this direct form is
     the reference it is checked against. At t = 1 the posterior variance
@@ -225,7 +216,9 @@ def ddpm_step(predictor, xt: Tensor, t: int, schedule: NoiseSchedule,
     t = schedule.check_step(t)
     eps = predictor.predict(xt, t, condition)
     require_same_shape(eps, xt, "prediction and xt")
-    mean = posterior_mean_from_eps(xt, eps, t, schedule)
+    a, abar = schedule.alpha(t), schedule.alpha_bar(t)
+    xt, eps = np.asarray(xt, dtype=np.float64), np.asarray(eps, dtype=np.float64)
+    mean = (xt - (1.0 - a) / math.sqrt(1.0 - abar) * eps) / math.sqrt(a)
     var = schedule.posterior_var(t)
     if var > 0.0:
         mean = mean + math.sqrt(var) * rng.normal(np.shape(mean))
@@ -233,27 +226,27 @@ def ddpm_step(predictor, xt: Tensor, t: int, schedule: NoiseSchedule,
     return mean
 
 
-def plms_combine(e_t: Tensor, history) -> Tensor:
-    """Adams-Bashforth combination of the newest prediction with history.
+# The Adams-Bashforth combination of the newest prediction e_t with a
+# history of depth 1, 2 or 3 (newest first), at index depth - 1; each
+# expression works on arrays and on floats alike
+_ADAMS_BASHFORTH = (
+    lambda e_t, e1: (3.0 * e_t - e1) / 2.0,
+    lambda e_t, e1, e2: (23.0 * e_t - 16.0 * e1 + 5.0 * e2) / 12.0,
+    lambda e_t, e1, e2, e3: (55.0 * e_t - 59.0 * e1 + 37.0 * e2 - 9.0 * e3) / 24.0,
+)
 
-    History is a sequence ordered newest first; supported depths are 1, 2,
-    and 3:
-      1: (3 e_t - e_{t+1}) / 2
-      2: (23 e_t - 16 e_{t+1} + 5 e_{t+2}) / 12
-      3: (55 e_t - 59 e_{t+1} + 37 e_{t+2} - 9 e_{t+3}) / 24
-    """
+
+def plms_combine(e_t: Tensor, history) -> Tensor:
+    """Adams-Bashforth combination of the newest prediction with history,
+    a sequence ordered newest first of depth 1, 2 or 3 (``_ADAMS_BASHFORTH``)."""
     entries = tuple(history)
     e_t = np.asarray(e_t, dtype=np.float64)
     for h in entries:
         if getattr(h, "shape", None) != e_t.shape:   # the full check, for its message
             require_same_shape(e_t, h, "e_t and history entry")
-    if len(entries) == 1:
-        return (3.0 * e_t - entries[0]) / 2.0
-    if len(entries) == 2:
-        return (23.0 * e_t - 16.0 * entries[0] + 5.0 * entries[1]) / 12.0
-    if len(entries) == 3:
-        return (55.0 * e_t - 59.0 * entries[0] + 37.0 * entries[1] - 9.0 * entries[2]) / 24.0
-    raise ValueError(f"history depth must be 1..3, got {len(entries)}")
+    if not 1 <= len(entries) <= 3:
+        raise ValueError(f"history depth must be 1..3, got {len(entries)}")
+    return _ADAMS_BASHFORTH[len(entries) - 1](e_t, *entries)
 
 
 def cfg_combine(eps_uncond: Tensor, eps_cond: Tensor, scale: float) -> Tensor:
@@ -298,7 +291,7 @@ def sample(predictor, plan: SamplingPlan, schedule: NoiseSchedule,
     eta = {"ddpm": 1.0, "ddim": plan.eta, "plms": 0.0}[plan.kind]
     table = _transfer_table(plan.timeline, schedule, eta)
     rng = RngStream(plan.seed)
-    x = rng.normal((plan.batch, *plan.shape))
+    x = rng.normal((plan.batch, plan.width))
     bound = predictor.prepare(condition, plan.timeline.steps)
     scale = float(plan.guidance_scale)
     guidance = None if condition is None or scale == 1.0 else scale
@@ -343,19 +336,19 @@ def _run_row(x, steps, bound, guidance, plms: bool) -> None:
     """``_run_rows`` for a state of one row: each step's arithmetic on
     Python floats, one expression per element, written back into x.
 
-    The predictors still see the (1, ...) state array, and the probe is a
+    The predictors still see the (1, width) state array, and the probe is a
     fresh array. The guidance combine, the plms combinations and the
     transfer take the operations of ``cfg_combine``, ``plms_combine`` and
     ``_transfer`` in their order, and a Python float operation rounds as
     the float64 ufunc does, once per operation, so every value has the
     bits of the array loop. Every prediction's shape is checked.
     """
-    state = x.reshape(-1)       # x's one row as a view, written every step
+    state = x[0]                # x's one row as a view, written every step
 
     def floats(eps) -> list:
         if eps.shape != x.shape:
             require_same_shape(eps, x, "prediction and state")
-        return eps.ravel().tolist()
+        return eps[0].tolist()
 
     def predict(xt, t) -> list:
         if guidance is None:
@@ -369,15 +362,10 @@ def _run_row(x, steps, bound, guidance, plms: bool) -> None:
         eps = predict(x, t_cur)
         e = eps
         if plms:
-            if len(history) == 1:
-                e = [(3.0 * a - b) / 2.0 for a, b in zip(eps, *history)]
-            elif len(history) == 2:
-                e = [(23.0 * a - 16.0 * b + 5.0 * c) / 12.0 for a, b, c in zip(eps, *history)]
-            elif history:
-                e = [(55.0 * a - 59.0 * b + 37.0 * c - 9.0 * d) / 24.0
-                     for a, b, c, d in zip(eps, *history)]
+            if history:
+                e = list(map(_ADAMS_BASHFORTH[len(history) - 1], eps, *history))
             elif t_next >= 1:
-                probe = np.array(_transfer_row(xs, eps, coefs, None)).reshape(x.shape)
+                probe = np.array([_transfer_row(xs, eps, coefs, None)])
                 e = [0.5 * (a + b) for a, b in zip(eps, predict(probe, t_next))]
             history.appendleft(eps)
         xs = _transfer_row(xs, e, coefs, noise)
@@ -391,5 +379,5 @@ def _transfer_row(xs: list, es: list, coefs, noise) -> list:
     sqrt_1m_ac, sqrt_ac, sqrt_an, sqrt_rem, sigma = coefs
     if sigma > 0.0:
         return [sqrt_an * ((x - sqrt_1m_ac * e) / sqrt_ac) + sqrt_rem * e + z * sigma
-                for x, e, z in zip(xs, es, noise.ravel().tolist())]
+                for x, e, z in zip(xs, es, noise[0].tolist())]
     return [sqrt_an * ((x - sqrt_1m_ac * e) / sqrt_ac) + sqrt_rem * e for x, e in zip(xs, es)]

@@ -1,7 +1,8 @@
 """Reference math that the tests compare the program against.
 
 Nothing in ``artdiff`` calls these functions. They are the forward process,
-the tractable posterior, the training loss, the DDIM noise scale and the
+the tractable posterior (its mean in the (x0, xt) and the noise form), the
+training loss, the DDIM noise scale and the
 denoised observation written out directly, a DDIM sampling loop that
 draws its noise one transfer at a time, the per-row label memory that
 training's label form is checked against, plus small helpers the
@@ -67,6 +68,17 @@ def posterior_params(x0: Tensor, xt: Tensor, t: int,
     return mean, schedule.posterior_var(t)
 
 
+def posterior_mean_from_eps(xt: Tensor, eps: Tensor, t: int,
+                            schedule: NoiseSchedule) -> Tensor:
+    """Posterior mean in noise form: (x_t - (1-alpha_t)/sqrt(1-abar_t) * eps) / sqrt(alpha_t)."""
+    require_same_shape(xt, eps, "xt and eps")
+    a = schedule.alpha(t)
+    abar = schedule.alpha_bar(t)
+    xt = np.asarray(xt, dtype=np.float64)
+    eps = np.asarray(eps, dtype=np.float64)
+    return (xt - (1.0 - a) / math.sqrt(1.0 - abar) * eps) / math.sqrt(a)
+
+
 def loss_simple(predictor, x0: Tensor, t: int, eps: Tensor,
                 schedule: NoiseSchedule, condition=None) -> float:
     """Mean squared noise-prediction error at step t.
@@ -122,7 +134,7 @@ def ddim_sample_per_step_draws(predictor, plan, schedule: NoiseSchedule, conditi
     whose ``draws`` counts every value the run used."""
     eta = 1.0 if plan.kind == "ddpm" else plan.eta
     rng = RngStream(plan.seed)
-    x = rng.normal((plan.batch, *plan.shape))
+    x = rng.normal((plan.batch, plan.width))
     bound = predictor.prepare(condition, plan.timeline.steps)
     guided = condition is not None and plan.guidance_scale != 1.0
     for t_cur, t_next in plan.timeline.pairs():

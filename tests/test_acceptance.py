@@ -20,13 +20,12 @@ from artdiff.denoisers import (GaussianOracle, ToyDenoiser, TrainConfig,
 from artdiff.numerics import RngStream
 from artdiff.promptx import (Document, Gazetteer, TfidfModel, bm25_search,
                              build_index, cosine, score_candidate, tokenize)
-from artdiff.samplers import (SamplingPlan, plms_combine, posterior_mean_from_eps,
-                              sample)
+from artdiff.samplers import SamplingPlan, plms_combine, sample
 from artdiff.schedule import linear_schedule, subsequence
 
 from latentae import (AeTrainConfig, MomentPair, decode, encode_moments,
                       init_toy_autoencoder, kl_loss, train_toy_ae)
-from reference import ddim_sigma, q_step, sample_stats
+from reference import ddim_sigma, posterior_mean_from_eps, q_step, sample_stats
 from test_promptx import WORDS, naive_bm25_scores, random_docs, scored
 
 DATA = Path(__file__).parent / "data"
@@ -121,7 +120,7 @@ def test_criterion_04_oracle_end_to_end_sampling():
     oracle = GaussianOracle(mu0=mu0, var0=var0, schedule=schedule)
     n = 20_000
     plan = SamplingPlan(timeline=subsequence(schedule, 200), kind="ddim",
-                        shape=(2,), seed=100, batch=n, eta=1.0,
+                        width=2, seed=100, batch=n, eta=1.0,
                         guidance_scale=1.0)
     samples = sample(oracle, plan, schedule)
     mean, cov = sample_stats(list(samples))
@@ -145,7 +144,7 @@ def test_criterion_05_convergence_order():
 
     def endpoint(kind, k):
         plan = SamplingPlan(timeline=subsequence(schedule, k), kind=kind,
-                            shape=(2,), seed=123, batch=256, eta=0.0,
+                            width=2, seed=123, batch=256, eta=0.0,
                             guidance_scale=1.0)
         return sample(oracle, plan, schedule)
 
@@ -221,7 +220,7 @@ def test_criterion_07_toy_generative_quality():
     assert losses[-1000:].mean() < 0.7 * losses[:1000].mean()
 
     plan = SamplingPlan(timeline=subsequence(schedule, 50), kind="plms",
-                        shape=(2,), seed=11, batch=1000, guidance_scale=1.0)
+                        width=2, seed=11, batch=1000, guidance_scale=1.0)
     points = sample(ToyDenoiser(params), plan, schedule)
     centers = ring_centers()
     dist = np.linalg.norm(points[:, None, :] - centers[None], axis=2)

@@ -189,6 +189,7 @@ PINNED_RUNS = {
     "ddim-guided-b1": ["--sampler", "ddim", "--label", 3, "--scale", 5, "--batch", 1],
     "plms-guided-b1": ["--sampler", "plms", "--label", 3, "--scale", 5, "--batch", 1],
     "ddim-unguided-b1": ["--sampler", "ddim", "--batch", 1],
+    "plms-unguided-b1": ["--sampler", "plms", "--batch", 1],
     "oracle-plms-b1": ["--oracle", "--mu0", "3,-1", "--var0", 0.25, "--timesteps", 100,
                        "--ddim_steps", 20, "--sampler", "plms", "--batch", 1],
     "oracle-ddpm-b1": ["--oracle", "--mu0", "3,-1", "--var0", 0.25, "--timesteps", 100,
@@ -347,6 +348,21 @@ def test_prompt_extend_empty_corpus_writes_no_candidates(tmp_path):
                 "--gazetteer", DATA / "gazetteer.txt",
                 "--fixtures", DATA / "fixtures.jsonl", "--out", out]) == 0
     assert (out / "candidates.jsonl").read_bytes() == b""
+
+
+def test_prompt_extend_empty_corpus_ranks_generator_candidates(tmp_path):
+    # nothing is retrieved, so the pool is the fixture prompt's generator texts
+    corpus = tmp_path / "empty.jsonl"
+    corpus.write_text("")
+    out = tmp_path / "o"
+    assert run(["prompt-extend", "urbanization of China", "--corpus", corpus,
+                "--gazetteer", DATA / "gazetteer.txt",
+                "--fixtures", DATA / "fixtures.jsonl", "--out", out]) == 0
+    rows = [json.loads(line) for line in (out / "candidates.jsonl").read_text().splitlines()]
+    assert len(rows) == 4
+    assert all(row["source"].startswith("generator-") and row["tfidf"] == 0.0 for row in rows)
+    assert [row["score"] for row in rows] == sorted((row["score"] for row in rows), reverse=True)
+    assert json.loads((out / "manifest.json").read_text())["n_candidates"] == 4
 
 
 def test_corpus_stats(tmp_path):
@@ -809,14 +825,22 @@ def test_prompt_extend_malformed_corpus_exits_2(tmp_path, capsys, text, line, me
     assert not (tmp_path / "o" / "candidates.jsonl").exists()
 
 
+def _micro_and_empty_corpus(tmp_path):
+    # an empty corpus takes the general path, which reads and checks every input file
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    return DATA / "micro_corpus.jsonl", empty
+
+
 def test_prompt_extend_malformed_fixtures_exits_2(tmp_path, capsys):
     fixtures = tmp_path / "fixtures.jsonl"
     fixtures.write_text('{"prompt": "x", "responses": ["ok"]}\n{"prompt": "y"\n')
-    assert run(["prompt-extend", "x", "--corpus", DATA / "micro_corpus.jsonl",
-                "--gazetteer", DATA / "gazetteer.txt",
-                "--fixtures", fixtures, "--out", tmp_path / "o"]) == 2
-    assert f"{fixtures}:2: invalid JSON" in _one_line_error(capsys)
-    assert not (tmp_path / "o" / "candidates.jsonl").exists()
+    for corpus in _micro_and_empty_corpus(tmp_path):
+        assert run(["prompt-extend", "x", "--corpus", corpus,
+                    "--gazetteer", DATA / "gazetteer.txt",
+                    "--fixtures", fixtures, "--out", tmp_path / "o"]) == 2
+        assert f"{fixtures}:2: invalid JSON" in _one_line_error(capsys)
+        assert not (tmp_path / "o" / "candidates.jsonl").exists()
 
 
 def _with_setting(tmp_path, argv, form, key, value):
@@ -880,10 +904,11 @@ def test_compare_samplers_bad_beta_start_exits_2(tmp_path, capsys, form):
 def test_prompt_extend_non_utf8_gazetteer_exits_2(tmp_path, capsys):
     gazetteer = tmp_path / "gazetteer.txt"
     gazetteer.write_bytes(b"Shenzhen\nBei\xffjing\n")
-    assert run(["prompt-extend", "x", "--corpus", DATA / "micro_corpus.jsonl",
-                "--gazetteer", gazetteer, "--fixtures", DATA / "fixtures.jsonl",
-                "--out", tmp_path / "o"]) == 2
-    assert f"{gazetteer}:2: not UTF-8 text" in _one_line_error(capsys)
+    for corpus in _micro_and_empty_corpus(tmp_path):
+        assert run(["prompt-extend", "x", "--corpus", corpus,
+                    "--gazetteer", gazetteer, "--fixtures", DATA / "fixtures.jsonl",
+                    "--out", tmp_path / "o"]) == 2
+        assert f"{gazetteer}:2: not UTF-8 text" in _one_line_error(capsys)
 
 
 def test_corpus_stats_non_utf8_metadata_exits_2(tmp_path, capsys):

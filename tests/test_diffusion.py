@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from artdiff.numerics import RngStream
-from artdiff.samplers import posterior_mean_from_eps
 from artdiff.schedule import NoiseSchedule, linear_schedule
-from reference import loss_simple, posterior_params, q_sample, q_step
+from reference import loss_simple, posterior_mean_from_eps, posterior_params, q_sample, q_step
 
 
 class ConstantPredictor:

@@ -83,7 +83,7 @@ def test_tokenize_non_ascii_splits_like_punctuation():
 
 def test_build_index_empty_corpus():
     index = build_index([])
-    assert index.size == 0
+    assert index.documents == ()
     assert bm25_search(index, "anything", 5) == []
 
 
@@ -354,14 +354,17 @@ def test_tfidf_idf_equals_the_per_term_formula_bit_for_bit(data_dir):
             assert idf == max(0.0, math.log(n / (1.0 + df)))
 
 
-def test_tfidf_from_index_rejects_empty():
-    with pytest.raises(ValueError):
-        tfidf_from_index(build_index([]))
+def test_tfidf_fit_of_an_empty_corpus_is_an_empty_idf_table():
+    # the general path: no document, no term, and every text scores 0
+    model = tfidf_fit([])
+    assert model == TfidfModel(idf={})
+    assert tfidf_score(model, tokenize("urbanization of China")) == 0.0
 
 
-def test_tfidf_fit_rejects_empty():
-    with pytest.raises(ValueError):
-        tfidf_fit([])
+def test_tfidf_from_index_of_an_empty_index_is_an_empty_idf_table():
+    model = tfidf_from_index(build_index([]))
+    assert model == TfidfModel(idf={})
+    assert tfidf_score(model, tokenize("urbanization of China")) == 0.0
 
 
 def test_tfidf_fit_accepts_duplicate_ids():

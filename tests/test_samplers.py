@@ -10,11 +10,10 @@ from artdiff.denoisers import GaussianOracle, ToyDenoiser, init_toy_denoiser
 from artdiff.errors import ConfigError
 from artdiff.numerics import RngStream
 from artdiff.samplers import (SamplingPlan, cfg_combine, ddim_step, ddpm_step,
-                              plms_combine, plms_sample, posterior_mean_from_eps,
-                              sample)
+                              plms_combine, plms_sample, sample)
 from artdiff.schedule import SamplingTimeline, linear_schedule, subsequence
 from reference import (ddim_sample_per_step_draws, ddim_sigma, exact_flow_endpoint,
-                       predict_x0, q_sample, samples_csv_text)
+                       posterior_mean_from_eps, predict_x0, q_sample, samples_csv_text)
 
 
 class FakePredictor:
@@ -51,7 +50,7 @@ class CondSensitivePredictor(FakePredictor):
 
 
 def make_plan(schedule, kind, steps, **kw):
-    defaults = dict(shape=(2,), seed=5, batch=4, eta=0.0, guidance_scale=1.0)
+    defaults = dict(width=2, seed=5, batch=4, eta=0.0, guidance_scale=1.0)
     defaults.update(kw)
     return SamplingPlan(timeline=subsequence(schedule, steps), kind=kind, **defaults)
 
@@ -63,22 +62,22 @@ def make_plan(schedule, kind, steps, **kw):
 def test_plan_rejects_bad_fields(default_schedule):
     tl = subsequence(default_schedule, 10)
     with pytest.raises(ConfigError):
-        SamplingPlan(timeline=tl, kind="euler", shape=(2,), seed=0)
+        SamplingPlan(timeline=tl, kind="euler", width=2, seed=0)
     with pytest.raises(ConfigError):
-        SamplingPlan(timeline=tl, kind="ddim", shape=(2,), seed=0, eta=1.5)
+        SamplingPlan(timeline=tl, kind="ddim", width=2, seed=0, eta=1.5)
     with pytest.raises(ConfigError):
-        SamplingPlan(timeline=tl, kind="ddim", shape=(2,), seed=0, guidance_scale=-1.0)
+        SamplingPlan(timeline=tl, kind="ddim", width=2, seed=0, guidance_scale=-1.0)
     with pytest.raises(ConfigError):
-        SamplingPlan(timeline=tl, kind="ddim", shape=(2,), seed=0, batch=0)
+        SamplingPlan(timeline=tl, kind="ddim", width=2, seed=0, batch=0)
     with pytest.raises(ConfigError):
-        SamplingPlan(timeline=tl, kind="ddim", shape=(0,), seed=0)
+        SamplingPlan(timeline=tl, kind="ddim", width=0, seed=0)
 
 
 @pytest.mark.parametrize("scale", [float("nan"), float("inf"), float("-inf")])
 def test_plan_rejects_non_finite_guidance_scale(default_schedule, scale):
     with pytest.raises(ConfigError, match="guidance_scale must be a finite number"):
         SamplingPlan(timeline=subsequence(default_schedule, 10), kind="ddim",
-                     shape=(2,), seed=0, guidance_scale=scale)
+                     width=2, seed=0, guidance_scale=scale)
 
 
 def test_ddpm_requires_identity_timeline(default_schedule):
@@ -329,7 +328,7 @@ def test_plms_equals_ddim_for_constant_predictor(default_schedule):
 def test_plms_single_step_timeline(default_schedule):
     pred = ConstantPredictor(0.5)
     plan = SamplingPlan(timeline=SamplingTimeline(steps=(1000,)), kind="plms",
-                        shape=(2,), seed=21, batch=3)
+                        width=2, seed=21, batch=3)
     out = sample(pred, plan, default_schedule)
     xT = RngStream(21).normal((3, 2))
     expect = predict_x0(xT, pred.predict(xT, 1000), 1000, default_schedule)
@@ -355,7 +354,7 @@ def test_sample_bit_identical_across_runs(default_schedule):
 def test_sample_ddpm_matches_identity_timeline():
     s = linear_schedule(50)
     oracle = GaussianOracle(mu0=np.zeros(2), var0=1.0, schedule=s)
-    plan = SamplingPlan(timeline=subsequence(s, 50), kind="ddpm", shape=(2,),
+    plan = SamplingPlan(timeline=subsequence(s, 50), kind="ddpm", width=2,
                         seed=12, batch=6)
     a = sample(oracle, plan, s)
     b = sample(oracle, plan, s)
@@ -378,7 +377,7 @@ def test_sample_ddpm_matches_ancestral_step_loop(default_schedule, monkeypatch):
     oracle = GaussianOracle(mu0=np.array([3.0, -1.0]), var0=0.25,
                             schedule=default_schedule)
     plan = SamplingPlan(timeline=subsequence(default_schedule, default_schedule.T),
-                        kind="ddpm", shape=(2,), seed=41, batch=16, eta=0.0)
+                        kind="ddpm", width=2, seed=41, batch=16, eta=0.0)
     got = sample(oracle, plan, default_schedule)
     rng = RngStream(plan.seed)
     want = rng.normal((16, 2))
@@ -393,7 +392,7 @@ def test_ddim_eta_zero_consumes_randomness_only_for_init(default_schedule):
     oracle = GaussianOracle(mu0=np.zeros(2), var0=1.0, schedule=default_schedule)
     plan = make_plan(default_schedule, "ddim", 40, eta=0.0, batch=7, seed=2)
     rng = RngStream(plan.seed)
-    x = rng.normal((plan.batch, *plan.shape))
+    x = rng.normal((plan.batch, plan.width))
     init_draws = rng.draws
     for t_cur, t_next in plan.timeline.pairs():
         e = oracle.predict(x, t_cur)
@@ -467,7 +466,7 @@ def test_sample_endpoint_matches_exact_affine_propagation(default_schedule):
 
     oracle = GaussianOracle(mu0=mu0, var0=var0, schedule=default_schedule)
     n = 20_000
-    plan = SamplingPlan(timeline=timeline, kind="ddim", shape=(2,), seed=77,
+    plan = SamplingPlan(timeline=timeline, kind="ddim", width=2, seed=77,
                         batch=n, eta=1.0, guidance_scale=1.0)
     pts = sample(oracle, plan, default_schedule)
     se_mean = math.sqrt(exact_var / n)
@@ -534,7 +533,7 @@ def test_plms_tracks_fine_ddim_reference():
     oracle = GaussianOracle(mu0=np.array([1.5, -0.5]), var0=0.4, schedule=s)
 
     def endpoint(kind, k):
-        plan = SamplingPlan(timeline=subsequence(s, k), kind=kind, shape=(2,),
+        plan = SamplingPlan(timeline=subsequence(s, k), kind=kind, width=2,
                             seed=19, batch=64, eta=0.0)
         return sample(oracle, plan, s)
 
@@ -654,7 +653,7 @@ def test_guided_sample_has_no_per_step_overhead(monkeypatch):
     s = linear_schedule(1000)
     params = denoisers.init_toy_denoiser(RngStream(53), 2)
     cond = RngStream(54).normal((1, 16))
-    plan = SamplingPlan(timeline=subsequence(s, 200), kind="ddim", shape=(2,), seed=55,
+    plan = SamplingPlan(timeline=subsequence(s, 200), kind="ddim", width=2, seed=55,
                         batch=1, eta=1.0, guidance_scale=5.0)
     sample(denoisers.ToyDenoiser(params), plan, s, cond)
     assert counts["time_embedding"] == 1
@@ -679,7 +678,7 @@ def test_oracle_sample_schedule_lookups_do_not_grow_with_steps(monkeypatch, kind
     oracle = GaussianOracle(mu0=np.array([3.0, -1.0]), var0=0.25, schedule=s)
     counts = {}
     for steps in (2, 200):
-        plan = SamplingPlan(timeline=subsequence(s, steps), kind=kind, shape=(2,), seed=56,
+        plan = SamplingPlan(timeline=subsequence(s, steps), kind=kind, width=2, seed=56,
                             batch=3, eta=1.0, guidance_scale=5.0)
         calls.clear()
         guided = sample(oracle, plan, s, np.ones((1, 4)))
@@ -735,7 +734,7 @@ def test_block_noise_draws_equal_per_step_draws(monkeypatch, batch, eta):
     rng = RngStream(70)
     toy = ToyDenoiser(init_toy_denoiser(rng.child("init"), 2))
     cond = rng.child("c").normal((1, 16))
-    plan = SamplingPlan(timeline=subsequence(s, 20), kind="ddim", shape=(2,), seed=71,
+    plan = SamplingPlan(timeline=subsequence(s, 20), kind="ddim", width=2, seed=71,
                         batch=batch, eta=eta, guidance_scale=5.0)
     streams = _recording_streams(monkeypatch)
     got = sample(toy, plan, s, cond)
@@ -751,7 +750,7 @@ def test_block_noise_of_a_long_timeline_equals_per_step_draws(monkeypatch, kind)
     # 999 drawing transfers at 7 rows: a block of 585 steps, then one of 414
     s = linear_schedule(1000)
     oracle = GaussianOracle(mu0=np.array([3.0, -1.0]), var0=0.25, schedule=s)
-    plan = SamplingPlan(timeline=subsequence(s, 1000), kind=kind, shape=(2,), seed=72,
+    plan = SamplingPlan(timeline=subsequence(s, 1000), kind=kind, width=2, seed=72,
                         batch=7, eta=0.3)
     assert samplers.SAMPLE_BLOCK_ROWS // 7 == 585
     streams = _recording_streams(monkeypatch)
@@ -776,7 +775,7 @@ def test_one_row_sample_equals_per_step_draws(monkeypatch, kind, eta, predictor)
     if predictor != "toy-guided":
         cond = None
     steps = 100 if kind == "ddpm" else 20
-    plan = SamplingPlan(timeline=subsequence(s, steps), kind=kind, shape=(2,), seed=77,
+    plan = SamplingPlan(timeline=subsequence(s, steps), kind=kind, width=2, seed=77,
                         batch=1, eta=eta, guidance_scale=5.0)
     streams = _recording_streams(monkeypatch)
     got = sample(pred, plan, s, cond)
@@ -799,7 +798,7 @@ def test_one_row_sample_takes_no_array_transfer(monkeypatch, kind, guided):
     toy = ToyDenoiser(init_toy_denoiser(RngStream(78), 2))
     cond = RngStream(79).normal((1, 16)) if guided else None
     for batch, want in ((1, 0), (2, 10 + (kind == "plms"))):
-        plan = SamplingPlan(timeline=subsequence(s, 10), kind=kind, shape=(2,), seed=80,
+        plan = SamplingPlan(timeline=subsequence(s, 10), kind=kind, width=2, seed=80,
                             batch=batch, eta=1.0, guidance_scale=5.0)
         calls.clear()
         sample(toy, plan, s, cond)
@@ -826,7 +825,7 @@ def test_b1_guided_sample_draws_its_noise_in_two_calls(monkeypatch):
     s = linear_schedule(1000)
     toy = ToyDenoiser(init_toy_denoiser(RngStream(73), 2))
     cond = RngStream(74).normal((1, 16))
-    plan = SamplingPlan(timeline=subsequence(s, 200), kind="ddim", shape=(2,), seed=75,
+    plan = SamplingPlan(timeline=subsequence(s, 200), kind="ddim", width=2, seed=75,
                         batch=1, eta=1.0, guidance_scale=5.0)
     calls = []
     normal = numerics.RngStream.normal
@@ -876,7 +875,7 @@ def test_sample_returns_its_state_and_keeps_each_prediction():
 
     s = linear_schedule(100)
     pred = Recording()
-    sample(pred, SamplingPlan(timeline=subsequence(s, 10), kind="plms", shape=(2,),
+    sample(pred, SamplingPlan(timeline=subsequence(s, 10), kind="plms", width=2,
                               seed=66, batch=5), s)
     assert len(pred.seen) == 11
     for _, eps, copy in pred.seen:
@@ -895,7 +894,7 @@ def _ddim_errors_against_the_exact_flow(seed, step_counts):
     exact = exact_flow_endpoint(x_T, oracle.mu0, oracle.var0, s.alpha_bar(s.T))
     errors = {}
     for steps in step_counts:
-        plan = SamplingPlan(timeline=subsequence(s, steps), kind="ddim", shape=(2,),
+        plan = SamplingPlan(timeline=subsequence(s, steps), kind="ddim", width=2,
                             seed=seed, batch=256, eta=0.0)
         errors[steps] = np.linalg.norm(sample(oracle, plan, s) - exact) / np.linalg.norm(exact)
     return errors
