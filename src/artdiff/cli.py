@@ -2,11 +2,11 @@
 comparison, prompt extension, and corpus statistics.
 
 Every run resolves its configuration from flags, then an optional
-key=value config file (flags win), writes a manifest.json capturing the
+key=value config file (flags win), emits line-oriented text artifacts so
+runs can be compared byte-for-byte, writes a manifest.json capturing the
 resolved values, the numpy and Python versions and the sha256 of each
-output file, and emits line-oriented text artifacts so runs can be
-compared byte-for-byte. The ARTDIFF_OUT environment variable overrides the
-default output directory when --out is not given.
+output file, and prints one summary line. The ARTDIFF_OUT environment
+variable overrides the default output directory when --out is not given.
 
 Exit codes: 0 success, 1 runtime failure (including an output file that
 cannot be written), 2 usage or configuration error (including an input
@@ -88,6 +88,7 @@ class Resolver:
                 first_line[key] = lineno
                 self.file_values[key] = value.strip(" ")
         self.resolved: dict = {}
+        self.out: Path | None = None   # the directory out_dir made
 
     def get(self, key: str):
         kind, default, _ = self.flags["--" + key]
@@ -110,20 +111,20 @@ class Resolver:
         if out is None:
             out = os.environ.get(ENV_OUT) or "artdiff-out"
         self.resolved["out"] = str(out)
-        out = Path(out)
+        self.out = Path(out)
         try:
-            out.mkdir(parents=True, exist_ok=True)
+            self.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
-            raise ConfigError(f"cannot create output directory {out}: "
+            raise ConfigError(f"cannot create output directory {self.out}: "
                               f"{exc.strerror or exc}") from None
-        return out
+        return self.out
 
 
-def _write_manifest(out: Path, resolver: Resolver, outputs: list[str], extra: dict) -> None:
-    """manifest.json: the command, its resolved config, the numpy and
-    Python versions (the bytes are reproducible at a fixed numpy version),
-    the sha256 of each named output file the command wrote, and the
-    command's own ``extra`` entries."""
+def _write_manifest(resolver: Resolver, outputs: list[str], extra: dict) -> None:
+    """manifest.json in ``resolver.out``: the command, its resolved config,
+    the numpy and Python versions (the bytes are reproducible at a fixed
+    numpy version), the sha256 of each named output file, and ``extra``."""
+    out = resolver.out
     manifest = {"command": resolver.args.command, "config": resolver.resolved,
                 "versions": {"numpy": np.__version__, "python": platform.python_version()},
                 "outputs": {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
@@ -164,52 +165,46 @@ def _var0_from(resolver: Resolver) -> float:
     return var0
 
 
-def _schedule_manifest(consts) -> dict:
-    """The manifest entry of a schedule's constants (T, beta_start, beta_end)."""
-    T, beta_start, beta_end = consts
-    return {"schedule": {"T": T, "beta_start": beta_start, "beta_end": beta_end}}
+def _schedule_manifest(schedule) -> dict:
+    """The manifest entry of the schedule that ran, as a checkpoint records it."""
+    return {"schedule": {"T": schedule.T, "beta_start": float(schedule.betas[0]),
+                         "beta_end": float(schedule.betas[-1])}}
 
 
 def _schedule_from(resolver: Resolver, T: int | None = None):
     """The linear schedule of the resolved --timesteps (or a fixed T) and
-    betas, with its constants; a bad value raises ``ConfigError``."""
+    betas; a bad value raises ``ConfigError``."""
     if T is None:
         T = resolver.get("timesteps")
-    beta_start = resolver.get("beta_start")
-    beta_end = resolver.get("beta_end")
-    return linear_schedule(T, beta_start, beta_end), (T, beta_start, beta_end)
+    return linear_schedule(T, resolver.get("beta_start"), resolver.get("beta_end"))
 
 
 # ---------------------------------------------------------------------------
 # schedule-dump
 # ---------------------------------------------------------------------------
 
-def cmd_schedule_dump(args) -> int:
-    resolver = Resolver(args)
-    schedule, consts = _schedule_from(resolver)
+def cmd_schedule_dump(resolver: Resolver) -> tuple[list[str], dict, str]:
+    schedule = _schedule_from(resolver)
     out = resolver.out_dir()
     lines = ["t,beta,alpha,alpha_bar,posterior_var"]
     for t in range(1, schedule.T + 1):
         lines.append(",".join([str(t), _fmt(schedule.beta(t)), _fmt(schedule.alpha(t)),
                                _fmt(schedule.alpha_bar(t)), _fmt(schedule.posterior_var(t))]))
     (out / "schedule.csv").write_text("\n".join(lines) + "\n")
-    _write_manifest(out, resolver, ["schedule.csv"], _schedule_manifest(consts))
-    print(f"wrote {out / 'schedule.csv'}")
-    return 0
+    return ["schedule.csv"], _schedule_manifest(schedule), f"wrote {out / 'schedule.csv'}"
 
 
 # ---------------------------------------------------------------------------
 # toy-train
 # ---------------------------------------------------------------------------
 
-def cmd_toy_train(args) -> int:
-    resolver = Resolver(args)
+def cmd_toy_train(resolver: Resolver) -> tuple[list[str], dict, str]:
     name = resolver.get("dataset")
     if name is None or name not in DATASETS:
         known = ", ".join(sorted(DATASETS))
         raise ConfigError(f"unknown dataset {name!r}; available: {known}")
     dataset = DATASETS[name]
-    schedule, consts = _schedule_from(resolver)
+    schedule = _schedule_from(resolver)
     seed = _seed_from(resolver)
     steps = resolver.get("steps")
     batch = resolver.get("batch")
@@ -237,11 +232,10 @@ def cmd_toy_train(args) -> int:
 
     loss_lines = ["step,loss"] + [f"{i},{_fmt(v)}" for i, v in enumerate(losses)]
     (out / "loss.csv").write_text("\n".join(loss_lines) + "\n")
-    _write_manifest(out, resolver, ["checkpoint.bin", "loss.csv"],
-                    {**_schedule_manifest(consts),
-                     "final_loss": float(losses[-1]) if len(losses) else None})
-    print(f"trained {name} for {steps} steps; wrote {out / 'checkpoint.bin'}")
-    return 0
+    return (["checkpoint.bin", "loss.csv"],
+            {**_schedule_manifest(schedule),
+             "final_loss": float(losses[-1]) if len(losses) else None},
+            f"trained {name} for {steps} steps; wrote {out / 'checkpoint.bin'}")
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +264,7 @@ def _write_density_ppm(path: Path, points: np.ndarray) -> None:
     path.write_bytes(header + rgb.tobytes())
 
 
-def cmd_sample(args) -> int:
-    resolver = Resolver(args)
+def cmd_sample(resolver: Resolver) -> tuple[list[str], dict, str]:
     kind = resolver.get("sampler")
     eta = resolver.get("ddim_eta")
     steps = resolver.get("ddim_steps")
@@ -287,13 +280,12 @@ def cmd_sample(args) -> int:
     if oracle:
         mu0 = _parse_vector(resolver.get("mu0"))
         var0 = _var0_from(resolver)
-        schedule, consts = _schedule_from(resolver)
+        schedule = _schedule_from(resolver)
         predictor = GaussianOracle(mu0=mu0, var0=var0, schedule=schedule)
         width = mu0.size
     elif checkpoint := resolver.get("checkpoint"):
         path = _require_file(checkpoint, "checkpoint")
         params, schedule, embedding = load_denoiser(path)
-        consts = (schedule.T, float(schedule.betas[0]), float(schedule.betas[-1]))
         predictor = ToyDenoiser(params)
         width = params.data_width
         if label is not None:
@@ -315,22 +307,14 @@ def cmd_sample(args) -> int:
     if plot and width == 2:
         _write_density_ppm(out / "density.ppm", samples)
         outputs.append("density.ppm")
-    _write_manifest(out, resolver, outputs, _schedule_manifest(consts))
-    print(f"wrote {batch} samples to {out / 'samples.csv'}")
-    return 0
+    return outputs, _schedule_manifest(schedule), f"wrote {batch} samples to {out / 'samples.csv'}"
 
 
 # ---------------------------------------------------------------------------
 # compare-samplers
 # ---------------------------------------------------------------------------
 
-def _fit_order(step_counts, errors) -> float:
-    slope = np.polyfit(np.log(step_counts), np.log(errors), 1)[0]
-    return float(-slope)
-
-
-def cmd_compare_samplers(args) -> int:
-    resolver = Resolver(args)
+def cmd_compare_samplers(resolver: Resolver) -> tuple[list[str], dict, str]:
     mu0 = _parse_vector(resolver.get("mu0"))
     var0 = _var0_from(resolver)
     if var0 == 0.0:
@@ -340,7 +324,7 @@ def cmd_compare_samplers(args) -> int:
     batch = resolver.get("batch")
     # The reference trajectory needs 2000 distinct timesteps, so this
     # experiment runs on its own T=2000 schedule.
-    schedule, consts = _schedule_from(resolver, COMPARISON_T)
+    schedule = _schedule_from(resolver, COMPARISON_T)
     out = resolver.out_dir()
 
     oracle = GaussianOracle(mu0=mu0, var0=var0, schedule=schedule)
@@ -376,23 +360,22 @@ def cmd_compare_samplers(args) -> int:
                                   f"at {k} steps is {err}")
             errs[k] = err
             lines.append(f"{kind},{k},{_fmt(err)}")
-        orders[kind] = _fit_order(ORDER_FIT_COUNTS, [errs[k] for k in ORDER_FIT_COUNTS])
+        log_errs = np.log([errs[k] for k in ORDER_FIT_COUNTS])   # order = -(log-log slope)
+        orders[kind] = float(-np.polyfit(np.log(ORDER_FIT_COUNTS), log_errs, 1)[0])
     for kind, order in orders.items():
         lines.append(f"{kind},order,{_fmt(order)}")
     (out / "report.csv").write_text("\n".join(lines) + "\n")
-    _write_manifest(out, resolver, ["report.csv"], _schedule_manifest(consts))
-    print(f"wrote {out / 'report.csv'}; fitted orders: "
-          + ", ".join(f"{k}={v:.3f}" for k, v in orders.items()))
-    return 0
+    return (["report.csv"], _schedule_manifest(schedule),
+            f"wrote {out / 'report.csv'}; fitted orders: "
+            + ", ".join(f"{k}={v:.3f}" for k, v in orders.items()))
 
 
 # ---------------------------------------------------------------------------
 # prompt-extend
 # ---------------------------------------------------------------------------
 
-def cmd_prompt_extend(args) -> int:
-    resolver = Resolver(args)
-    prompt = args.prompt
+def cmd_prompt_extend(resolver: Resolver) -> tuple[list[str], dict, str]:
+    prompt = resolver.args.prompt
     corpus_path = _require_file(resolver.get("corpus"), "corpus")
     gazetteer_path = _require_file(resolver.get("gazetteer"), "gazetteer")
     fixtures_path = _require_file(resolver.get("fixtures"), "fixtures")
@@ -412,10 +395,8 @@ def cmd_prompt_extend(args) -> int:
                                Gazetteer.from_file(gazetteer_path))
     lines = [json.dumps(dataclasses.asdict(c), sort_keys=True) for c in candidates]
     (out / "candidates.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""))
-    _write_manifest(out, resolver, ["candidates.jsonl"],
-                    {"prompt": prompt, "n_candidates": len(candidates)})
-    print(f"wrote {len(candidates)} candidates to {out / 'candidates.jsonl'}")
-    return 0
+    return (["candidates.jsonl"], {"prompt": prompt, "n_candidates": len(candidates)},
+            f"wrote {len(candidates)} candidates to {out / 'candidates.jsonl'}")
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +419,7 @@ def _write_csv(path: Path, rows) -> None:
             fh.write(line.getvalue()[:-2] + "\n")
 
 
-def cmd_corpus_stats(args) -> int:
-    resolver = Resolver(args)
+def cmd_corpus_stats(resolver: Resolver) -> tuple[list[str], dict, str]:
     metadata_path = _require_file(resolver.get("metadata"), "metadata")
     delimiter = resolver.get("delimiter")
     if len(delimiter) != 1:
@@ -454,11 +434,9 @@ def cmd_corpus_stats(args) -> int:
     _write_csv(out / "artist_histogram.csv", [("artist", "count"), *histogram])
     _write_csv(out / "shares.csv", [("top_k", "share_pct")]
                + [(k, _fmt(100.0 * top_share(histogram, k))) for k in (10, 20, 30)])
-    _write_manifest(out, resolver, ["artist_histogram.csv", "shares.csv"],
-                    {"rows": len(metas), "malformed_rows": malformed})
-    print(f"{len(metas)} rows ({malformed} malformed); "
-          f"wrote {out / 'artist_histogram.csv'}")
-    return 0
+    return (["artist_histogram.csv", "shares.csv"],
+            {"rows": len(metas), "malformed_rows": malformed},
+            f"{len(metas)} rows ({malformed} malformed); wrote {out / 'artist_histogram.csv'}")
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +450,11 @@ _BETAS = {"--beta_start": (float, DEFAULT_BETA_START, ""),
 _SCHEDULE = {**_COMMON, "--timesteps": (int, DEFAULT_T, "diffusion chain length T"), **_BETAS}
 _MU0 = (str, "3,-1", "oracle data mean, comma-separated, e.g. --mu0 -1.4,2 or --mu0=-1.4,2")
 
-# command -> (function, help line, flags). A flag is name -> (type, default,
-# help): type bool is a switch and a tuple lists the choices. Each name with
-# "--" (bar --config) is also a config key; "prompt" is a positional.
+# command -> (function, help line, flags). A function takes the Resolver and
+# returns the files it wrote, its own manifest entries and its stdout line.
+# A flag is name -> (type, default, help): type bool is a switch and a tuple
+# lists the choices. Each name with "--" (bar --config) is also a config
+# key; "prompt" is a positional.
 COMMANDS = {
     "schedule-dump": (cmd_schedule_dump, "emit the variance schedule tables as CSV", _SCHEDULE),
     "toy-train": (cmd_toy_train, "train the toy denoiser on a built-in dataset", {
@@ -554,7 +534,11 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(_join_dash_values(argv))
     try:
-        return args.func(args)
+        resolver = Resolver(args)
+        outputs, extra, message = args.func(resolver)
+        _write_manifest(resolver, outputs, extra)
+        print(message)
+        return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

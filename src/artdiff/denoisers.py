@@ -144,9 +144,10 @@ class GaussianOracle:
     schedule: NoiseSchedule
 
     def __post_init__(self):
-        if self.var0 < 0.0:
-            raise ValueError("var0 must be >= 0")
+        if not (math.isfinite(self.var0) and self.var0 >= 0.0):
+            raise ValueError(f"var0 must be a finite number >= 0, got {self.var0}")
         object.__setattr__(self, "mu0", np.asarray(self.mu0, dtype=np.float64))
+        require_finite(self.mu0, "mu0")
 
     def predict(self, xt: Tensor, t: int, condition=None) -> Tensor:
         t = self.schedule.check_step(t)
@@ -445,31 +446,6 @@ def _head(params: ToyDenoiserParams, h3: np.ndarray, ops=None, out=None):
     return a2, h4, out
 
 
-def _forward_pass(params: ToyDenoiserParams, xt: np.ndarray, temb: np.ndarray,
-                  memory: Optional[np.ndarray], cond_mask: Optional[np.ndarray], labels=None):
-    """Shared forward over time features ``temb`` (see ``_trunk``): the
-    prediction and every intermediate the closed-form backward needs. With
-    ``labels``, memory is a one-token condition table; row i reads memory[labels[i]]."""
-    x = _as_batch(xt, params.data_width)
-    batch = x.shape[0]
-    h1, a1, h2 = _trunk(params, x, temb)
-
-    mem = attn_cache = mask = None
-    h3 = h2
-    if memory is not None:
-        mem = _check_memory(params, memory, batch)
-        attn_out, attn_cache = _attend(h2, *_project(mem, params, labels), params, labels)
-        mask = np.ones((batch, 1)) if cond_mask is None \
-            else np.asarray(cond_mask, dtype=np.float64)
-        if mask.shape != (batch, 1):
-            mask = mask.reshape(batch, 1)
-        h3 = h2 + mask * attn_out
-
-    a2, h4, out = _head(params, h3)
-    cache = (x, temb, h1, a1, h2, mem, attn_cache, mask, h3, a2, h4)
-    return out, cache
-
-
 class _Workspace:
     """The operands of the forward stages for one row count: three
     (rows, width) buffers, h3 the third, each bias tiled to the rows its
@@ -634,9 +610,9 @@ def toy_denoiser_forward(params: ToyDenoiserParams, xt: Tensor, t: int,
 
 def _loss_and_grad(params: ToyDenoiserParams, grads: ToyDenoiserParams, xt: np.ndarray,
                    temb: np.ndarray, eps: np.ndarray, memory, cond_mask, labels=None) -> float:
-    """Mean-squared noise-prediction loss. Every array's gradient is written
-    into ``grads`` (the attention's as zeros without condition memory), so
-    its ``vector`` is then the whole flat gradient.
+    """Mean-squared noise-prediction loss, by one forward and one backward
+    pass. Every array's gradient is written into ``grads`` (the attention's
+    as zeros without condition memory): its ``vector`` is the flat gradient.
 
     ``memory`` is shared (n, dc) memory, per-row (B, n, dc) memory, or with
     ``labels`` (B,) the (n_classes, dc) table of one-token conditions that
@@ -646,16 +622,27 @@ def _loss_and_grad(params: ToyDenoiserParams, grads: ToyDenoiserParams, xt: np.n
 
     The backward's products use ``np.dot``, which gives the bits of
     ``np.matmul`` at these shapes (batch 1 to 4096 checked) with less
-    dispatch per call. The forward is shared with sampling and picks its
-    product function from its rows (``_product``): ``np.dot`` at training's
-    batch of 64, ``np.matmul`` at sampling's thousands of rows, where it is
-    the faster of the two.
+    dispatch per call. The forward's ``_trunk`` and ``_head`` are sampling's
+    and pick their product function from the rows (``_product``): ``np.dot``
+    at training's batch of 64, ``np.matmul`` at sampling's thousands of
+    rows, where it is the faster of the two.
     """
     if memory is not None and labels is None and np.ndim(memory) == 2:
         # _attend_backward takes the per-row (batch, n, dc) form
         memory = np.broadcast_to(memory, (len(xt),) + np.shape(memory))
-    out, cache = _forward_pass(params, xt, temb, memory, cond_mask, labels)
-    x, temb, h1, a1, h2, memory, attn_cache, mask, h3, a2, h4 = cache
+    x = _as_batch(xt, params.data_width)
+    batch = x.shape[0]
+    h1, a1, h2 = _trunk(params, x, temb)
+    h3 = h2
+    if memory is not None:
+        memory = _check_memory(params, memory, batch)
+        attn_out, attn_cache = _attend(h2, *_project(memory, params, labels), params, labels)
+        mask = np.ones((batch, 1)) if cond_mask is None \
+            else np.asarray(cond_mask, dtype=np.float64)
+        if mask.shape != (batch, 1):
+            mask = mask.reshape(batch, 1)
+        h3 = h2 + mask * attn_out
+    a2, h4, out = _head(params, h3)
     eps = np.asarray(eps, dtype=np.float64).reshape(out.shape)
     g_out = out - eps
     sq = g_out * g_out
@@ -676,7 +663,7 @@ def _loss_and_grad(params: ToyDenoiserParams, grads: ToyDenoiserParams, xt: np.n
     gh3 = np.dot(gz2, params.ff2_w1)
     gh3 += gh4
 
-    if attn_cache is not None:
+    if memory is not None:
         g_attn = mask * gh3
         dh = _attend_backward(g_attn, attn_cache, memory, params, grads, labels)
         gh2 = gh3 if dh is None else gh3 + dh
@@ -732,7 +719,10 @@ class LabelEmbedding:
         return cls(tokens=tokens)
 
     def condition(self, label: int) -> ConditionTokens:
-        return self.tokens[int(label)][None, :]
+        label = int(label)
+        if not 0 <= label < len(self.tokens):
+            raise ValueError(f"label must lie in [0, {len(self.tokens)}), got {label}")
+        return self.tokens[label][None, :]
 
 
 @dataclass(frozen=True)

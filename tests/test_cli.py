@@ -564,6 +564,44 @@ def test_manifest_digests_every_output_file(tmp_path, argv):
     _check_output_digests(out)
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["schedule-dump", "--timesteps", 20], "wrote {out}/schedule.csv"),
+    (["toy-train", "--dataset", "8-gaussian-ring", "--steps", 5, "--timesteps", 20],
+     "trained 8-gaussian-ring for 5 steps; wrote {out}/checkpoint.bin"),
+    (["sample", "--oracle", "--ddim_steps", 5, "--batch", 3],
+     "wrote 3 samples to {out}/samples.csv"),
+    (["compare-samplers", "--batch", 4],
+     "wrote {out}/report.csv; fitted orders: ddim=0.948, plms=2.991"),
+    (["prompt-extend", "urbanization of China", "--corpus", DATA / "micro_corpus.jsonl",
+      "--gazetteer", DATA / "gazetteer.txt", "--fixtures", DATA / "fixtures.jsonl"],
+     "wrote 10 candidates to {out}/candidates.jsonl"),
+    (["corpus-stats", "--metadata", DATA / "artworks.csv"],
+     "10 rows (0 malformed); wrote {out}/artist_histogram.csv"),
+], ids=["schedule-dump", "toy-train", "sample", "compare-samplers", "prompt-extend",
+        "corpus-stats"])
+def test_each_command_prints_one_summary_line(tmp_path, capsys, argv, line):
+    out = tmp_path / "o"
+    assert run(argv + ["--out", out]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == line.format(out=out) + "\n"
+    assert captured.err == ""
+
+
+def test_manifest_schedule_is_the_schedule_that_ran(tmp_path):
+    # at T = 1 the schedule holds beta_start alone; the toy-train manifest
+    # records it as the checkpoint does, so sampling that checkpoint
+    # records the same block
+    train_out, sample_out = tmp_path / "t", tmp_path / "s"
+    assert run(["toy-train", "--dataset", "8-gaussian-ring", "--steps", 5,
+                "--timesteps", 1, "--beta_end", 0.02, "--out", train_out]) == 0
+    assert run(["sample", "--checkpoint", train_out / "checkpoint.bin", "--ddim_steps", 1,
+                "--batch", 3, "--out", sample_out]) == 0
+    trained, sampled = (json.loads((out / "manifest.json").read_text())["schedule"]
+                        for out in (train_out, sample_out))
+    assert trained == sampled == {"T": 1, "beta_start": 1e-4, "beta_end": 1e-4}
+    assert json.loads((train_out / "manifest.json").read_text())["config"]["beta_end"] == 0.02
+
+
 # ---------------------------------------------------------------------------
 # input boundaries: exit 2 for bad input, 1 for runtime failures
 # ---------------------------------------------------------------------------

@@ -203,6 +203,18 @@ def test_oracle_rejects_negative_variance(default_schedule):
         GaussianOracle(mu0=np.zeros(1), var0=-0.1, schedule=default_schedule)
 
 
+@pytest.mark.parametrize("mu0, var0, message", [
+    ([0.0, 1.0], math.nan, "var0 must be a finite number"),
+    ([0.0, 1.0], math.inf, "var0 must be a finite number"),
+    ([math.nan, 1.0], 0.25, "mu0 contains non-finite"),
+    ([1.0, -math.inf], 0.25, "mu0 contains non-finite"),
+], ids=["nan-var0", "inf-var0", "nan-mu0", "inf-mu0"])
+def test_oracle_rejects_non_finite_inputs(default_schedule, mu0, var0, message):
+    # refused when built, not at the first sampling step
+    with pytest.raises(ValueError, match=message):
+        GaussianOracle(mu0=np.array(mu0), var0=var0, schedule=default_schedule)
+
+
 def _closed_form_oracle(oracle, xt, t):
     """The oracle's noise prediction, written out with one schedule lookup."""
     a = oracle.schedule.alpha_bar(t)
@@ -709,6 +721,14 @@ def test_label_embedding_shapes_and_determinism():
     assert np.array_equal(mem[1, 0], e1.tokens[7])
 
 
+@pytest.mark.parametrize("label", [-1, 8])    # -1 would index the last token
+def test_label_embedding_refuses_label_outside_table(label):
+    emb = LabelEmbedding.create(8, 16, 4)
+    assert np.array_equal(emb.condition(np.int64(7))[0], emb.tokens[7])
+    with pytest.raises(ValueError, match=r"label must lie in \[0, 8\), got " + str(label)):
+        emb.condition(label)
+
+
 def test_toy_denoiser_predictor_facade(default_schedule):
     p = init_toy_denoiser(RngStream(26), 2)
     pred = ToyDenoiser(p)
@@ -799,7 +819,10 @@ def test_gradients_with_scalar_t_and_shared_memory_match_per_row():
 
 def _reference_forward(p, xt, t, cond):
     """The training forward (fresh time features, softmax attention)."""
-    return denoisers._forward_pass(p, xt, time_embedding(t, p.time_dim)[None], cond, None)[0]
+    h2 = denoisers._trunk(p, xt, time_embedding(t, p.time_dim)[None])[-1]
+    if cond is not None:
+        h2 = h2 + denoisers._attend(h2, *denoisers._project(cond, p), p)[0]
+    return denoisers._head(p, h2)[-1]
 
 
 def _reference_pair(p, xt, t, cond):
