@@ -88,7 +88,11 @@ class Resolver:
                 first_line[key] = lineno
                 self.file_values[key] = value.strip(" ")
         self.resolved: dict = {}
-        self.out: Path | None = None   # the directory out_dir made
+        out = self.get("out")
+        if out is None:
+            out = os.environ.get(ENV_OUT) or "artdiff-out"
+        self.resolved["out"] = str(out)
+        self.out = Path(out)   # main creates it after the command returns
 
     def get(self, key: str):
         kind, default, _ = self.flags["--" + key]
@@ -106,24 +110,12 @@ class Resolver:
         self.resolved[key] = value
         return value
 
-    def out_dir(self) -> Path:
-        out = self.get("out")
-        if out is None:
-            out = os.environ.get(ENV_OUT) or "artdiff-out"
-        self.resolved["out"] = str(out)
-        self.out = Path(out)
-        try:
-            self.out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot create output directory {self.out}: "
-                              f"{exc.strerror or exc}") from None
-        return self.out
-
 
 def _write_manifest(resolver: Resolver, outputs: list[str], extra: dict) -> None:
-    """manifest.json in ``resolver.out``: the command, its resolved config,
-    the numpy and Python versions (the bytes are reproducible at a fixed
-    numpy version), the sha256 of each named output file, and ``extra``."""
+    """manifest.json in ``resolver.out``, written by ``main`` after the
+    command's files: the command, its resolved config, the numpy and Python
+    versions (the bytes are reproducible at a fixed numpy version), the
+    sha256 of each named output file, and ``extra``."""
     out = resolver.out
     manifest = {"command": resolver.args.command, "config": resolver.resolved,
                 "versions": {"numpy": np.__version__, "python": platform.python_version()},
@@ -183,22 +175,21 @@ def _schedule_from(resolver: Resolver, T: int | None = None):
 # schedule-dump
 # ---------------------------------------------------------------------------
 
-def cmd_schedule_dump(resolver: Resolver) -> tuple[list[str], dict, str]:
+def cmd_schedule_dump(resolver: Resolver) -> tuple[list[tuple], dict, str]:
     schedule = _schedule_from(resolver)
-    out = resolver.out_dir()
     lines = ["t,beta,alpha,alpha_bar,posterior_var"]
     for t in range(1, schedule.T + 1):
         lines.append(",".join([str(t), _fmt(schedule.beta(t)), _fmt(schedule.alpha(t)),
                                _fmt(schedule.alpha_bar(t)), _fmt(schedule.posterior_var(t))]))
-    (out / "schedule.csv").write_text("\n".join(lines) + "\n")
-    return ["schedule.csv"], _schedule_manifest(schedule), f"wrote {out / 'schedule.csv'}"
+    return ([("schedule.csv", Path.write_text, "\n".join(lines) + "\n")],
+            _schedule_manifest(schedule), f"wrote {resolver.out / 'schedule.csv'}")
 
 
 # ---------------------------------------------------------------------------
 # toy-train
 # ---------------------------------------------------------------------------
 
-def cmd_toy_train(resolver: Resolver) -> tuple[list[str], dict, str]:
+def cmd_toy_train(resolver: Resolver) -> tuple[list[tuple], dict, str]:
     name = resolver.get("dataset")
     if name is None or name not in DATASETS:
         known = ", ".join(sorted(DATASETS))
@@ -215,7 +206,6 @@ def cmd_toy_train(resolver: Resolver) -> tuple[list[str], dict, str]:
     if hidden < 1:
         raise ConfigError(f"--hidden must be an integer >= 1, got {hidden}")
     conditional = resolver.get("conditional")
-    out = resolver.out_dir()
 
     params = init_toy_denoiser(RngStream(seed).child("init"), dataset.dim,
                                width=hidden)
@@ -228,14 +218,12 @@ def cmd_toy_train(resolver: Resolver) -> tuple[list[str], dict, str]:
     config = TrainConfig(steps=steps, batch_size=batch, learning_rate=lr,
                          seed=seed, optimizer=optimizer, drop_prob=drop_prob)
     params, losses = train(params, dataset, config, schedule, embedding)
-    save_denoiser(out / "checkpoint.bin", params, schedule, embedding)
-
     loss_lines = ["step,loss"] + [f"{i},{_fmt(v)}" for i, v in enumerate(losses)]
-    (out / "loss.csv").write_text("\n".join(loss_lines) + "\n")
-    return (["checkpoint.bin", "loss.csv"],
+    return ([("checkpoint.bin", save_denoiser, params, schedule, embedding),
+             ("loss.csv", Path.write_text, "\n".join(loss_lines) + "\n")],
             {**_schedule_manifest(schedule),
              "final_loss": float(losses[-1]) if len(losses) else None},
-            f"trained {name} for {steps} steps; wrote {out / 'checkpoint.bin'}")
+            f"trained {name} for {steps} steps; wrote {resolver.out / 'checkpoint.bin'}")
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +252,7 @@ def _write_density_ppm(path: Path, points: np.ndarray) -> None:
     path.write_bytes(header + rgb.tobytes())
 
 
-def cmd_sample(resolver: Resolver) -> tuple[list[str], dict, str]:
+def cmd_sample(resolver: Resolver) -> tuple[list[tuple], dict, str]:
     kind = resolver.get("sampler")
     eta = resolver.get("ddim_eta")
     steps = resolver.get("ddim_steps")
@@ -274,7 +262,6 @@ def cmd_sample(resolver: Resolver) -> tuple[list[str], dict, str]:
     oracle = resolver.get("oracle")
     label = resolver.get("label")
     plot = resolver.get("plot")
-    out = resolver.out_dir()
 
     condition = None
     if oracle:
@@ -301,20 +288,18 @@ def cmd_sample(resolver: Resolver) -> tuple[list[str], dict, str]:
     plan = SamplingPlan(timeline=subsequence(schedule, steps), kind=kind, width=width,
                         seed=seed, batch=batch, eta=eta, guidance_scale=scale)
     samples = sample(predictor, plan, schedule, condition)
-
-    _write_samples_csv(out / "samples.csv", samples)
-    outputs = ["samples.csv"]
+    files = [("samples.csv", _write_samples_csv, samples)]
     if plot and width == 2:
-        _write_density_ppm(out / "density.ppm", samples)
-        outputs.append("density.ppm")
-    return outputs, _schedule_manifest(schedule), f"wrote {batch} samples to {out / 'samples.csv'}"
+        files.append(("density.ppm", _write_density_ppm, samples))
+    return (files, _schedule_manifest(schedule),
+            f"wrote {batch} samples to {resolver.out / 'samples.csv'}")
 
 
 # ---------------------------------------------------------------------------
 # compare-samplers
 # ---------------------------------------------------------------------------
 
-def cmd_compare_samplers(resolver: Resolver) -> tuple[list[str], dict, str]:
+def cmd_compare_samplers(resolver: Resolver) -> tuple[list[tuple], dict, str]:
     mu0 = _parse_vector(resolver.get("mu0"))
     var0 = _var0_from(resolver)
     if var0 == 0.0:
@@ -325,8 +310,6 @@ def cmd_compare_samplers(resolver: Resolver) -> tuple[list[str], dict, str]:
     # The reference trajectory needs 2000 distinct timesteps, so this
     # experiment runs on its own T=2000 schedule.
     schedule = _schedule_from(resolver, COMPARISON_T)
-    out = resolver.out_dir()
-
     oracle = GaussianOracle(mu0=mu0, var0=var0, schedule=schedule)
 
     def endpoint(kind: str, num_steps: int) -> np.ndarray:
@@ -364,9 +347,9 @@ def cmd_compare_samplers(resolver: Resolver) -> tuple[list[str], dict, str]:
         orders[kind] = float(-np.polyfit(np.log(ORDER_FIT_COUNTS), log_errs, 1)[0])
     for kind, order in orders.items():
         lines.append(f"{kind},order,{_fmt(order)}")
-    (out / "report.csv").write_text("\n".join(lines) + "\n")
-    return (["report.csv"], _schedule_manifest(schedule),
-            f"wrote {out / 'report.csv'}; fitted orders: "
+    return ([("report.csv", Path.write_text, "\n".join(lines) + "\n")],
+            _schedule_manifest(schedule),
+            f"wrote {resolver.out / 'report.csv'}; fitted orders: "
             + ", ".join(f"{k}={v:.3f}" for k, v in orders.items()))
 
 
@@ -374,7 +357,7 @@ def cmd_compare_samplers(resolver: Resolver) -> tuple[list[str], dict, str]:
 # prompt-extend
 # ---------------------------------------------------------------------------
 
-def cmd_prompt_extend(resolver: Resolver) -> tuple[list[str], dict, str]:
+def cmd_prompt_extend(resolver: Resolver) -> tuple[list[tuple], dict, str]:
     prompt = resolver.args.prompt
     corpus_path = _require_file(resolver.get("corpus"), "corpus")
     gazetteer_path = _require_file(resolver.get("gazetteer"), "gazetteer")
@@ -387,16 +370,15 @@ def cmd_prompt_extend(resolver: Resolver) -> tuple[list[str], dict, str]:
     for name, value in (("lambda1", lambda1), ("lambda2", lambda2)):
         if not (math.isfinite(value) and value >= 0.0):   # inf would write "Infinity" scores
             raise ConfigError(f"--{name} must be a finite number >= 0, got {value}")
-    out = resolver.out_dir()
 
     index = build_index(load_corpus_jsonl(corpus_path))
     candidates = extend_prompt(prompt, index, tfidf_from_index(index), HashEmbedder(),
                                FixtureGenerator.from_file(fixtures_path), lambda1, lambda2, topk,
                                Gazetteer.from_file(gazetteer_path))
     lines = [json.dumps(dataclasses.asdict(c), sort_keys=True) for c in candidates]
-    (out / "candidates.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""))
-    return (["candidates.jsonl"], {"prompt": prompt, "n_candidates": len(candidates)},
-            f"wrote {len(candidates)} candidates to {out / 'candidates.jsonl'}")
+    return ([("candidates.jsonl", Path.write_text, "\n".join(lines) + ("\n" if lines else ""))],
+            {"prompt": prompt, "n_candidates": len(candidates)},
+            f"wrote {len(candidates)} candidates to {resolver.out / 'candidates.jsonl'}")
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +401,7 @@ def _write_csv(path: Path, rows) -> None:
             fh.write(line.getvalue()[:-2] + "\n")
 
 
-def cmd_corpus_stats(resolver: Resolver) -> tuple[list[str], dict, str]:
+def cmd_corpus_stats(resolver: Resolver) -> tuple[list[tuple], dict, str]:
     metadata_path = _require_file(resolver.get("metadata"), "metadata")
     delimiter = resolver.get("delimiter")
     if len(delimiter) != 1:
@@ -427,16 +409,15 @@ def cmd_corpus_stats(resolver: Resolver) -> tuple[list[str], dict, str]:
     if delimiter in '"\r\n':   # csv cannot split on its quote character or a line break
         raise ConfigError("--delimiter cannot be the quote character or a line break, "
                           f"got {delimiter!r}")
-    out = resolver.out_dir()
 
     metas, malformed = read_artwork_table(metadata_path, delimiter)
     histogram = artist_histogram(metas)
-    _write_csv(out / "artist_histogram.csv", [("artist", "count"), *histogram])
-    _write_csv(out / "shares.csv", [("top_k", "share_pct")]
-               + [(k, _fmt(100.0 * top_share(histogram, k))) for k in (10, 20, 30)])
-    return (["artist_histogram.csv", "shares.csv"],
+    shares = [(k, _fmt(100.0 * top_share(histogram, k))) for k in (10, 20, 30)]
+    return ([("artist_histogram.csv", _write_csv, [("artist", "count"), *histogram]),
+             ("shares.csv", _write_csv, [("top_k", "share_pct"), *shares])],
             {"rows": len(metas), "malformed_rows": malformed},
-            f"{len(metas)} rows ({malformed} malformed); wrote {out / 'artist_histogram.csv'}")
+            f"{len(metas)} rows ({malformed} malformed); "
+            f"wrote {resolver.out / 'artist_histogram.csv'}")
 
 
 # ---------------------------------------------------------------------------
@@ -450,11 +431,12 @@ _BETAS = {"--beta_start": (float, DEFAULT_BETA_START, ""),
 _SCHEDULE = {**_COMMON, "--timesteps": (int, DEFAULT_T, "diffusion chain length T"), **_BETAS}
 _MU0 = (str, "3,-1", "oracle data mean, comma-separated, e.g. --mu0 -1.4,2 or --mu0=-1.4,2")
 
-# command -> (function, help line, flags). A function takes the Resolver and
-# returns the files it wrote, its own manifest entries and its stdout line.
-# A flag is name -> (type, default, help): type bool is a switch and a tuple
-# lists the choices. Each name with "--" (bar --config) is also a config
-# key; "prompt" is a positional.
+# command -> (function, help line, flags). A function takes the Resolver,
+# checks and computes, and writes nothing: it returns its files as (name,
+# writer, *args), which main writes with writer(path, *args), its manifest
+# entries and its stdout line. A flag is name -> (type, default, help): type
+# bool is a switch and a tuple lists the choices. Each name with "--" (bar
+# --config) is also a config key; "prompt" is a positional.
 COMMANDS = {
     "schedule-dump": (cmd_schedule_dump, "emit the variance schedule tables as CSV", _SCHEDULE),
     "toy-train": (cmd_toy_train, "train the toy denoiser on a built-in dataset", {
@@ -535,8 +517,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_join_dash_values(argv))
     try:
         resolver = Resolver(args)
-        outputs, extra, message = args.func(resolver)
-        _write_manifest(resolver, outputs, extra)
+        files, extra, message = args.func(resolver)
+        try:    # only now, so a refusal leaves no directory behind
+            resolver.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {resolver.out}: "
+                              f"{exc.strerror or exc}") from None
+        for name, writer, *writer_args in files:
+            writer(resolver.out / name, *writer_args)
+        _write_manifest(resolver, [name for name, *_ in files], extra)
         print(message)
         return 0
     except ConfigError as exc:

@@ -222,10 +222,7 @@ def time_embedding(t, dim: int) -> Tensor:
     if dim < 2 or dim % 2 != 0:
         raise ValueError("embedding dim must be an even integer >= 2")
     half = dim // 2
-    if half == 1:
-        freqs = np.array([1.0])
-    else:
-        freqs = 10.0 ** (-4.0 * np.arange(half) / (half - 1))
+    freqs = 10.0 ** (-4.0 * np.arange(half) / max(half - 1, 1))
     t_arr = np.asarray(t, dtype=np.float64)
     angles = t_arr[..., None] * freqs
     out = np.empty(angles.shape[:-1] + (dim,))

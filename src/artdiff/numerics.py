@@ -92,10 +92,6 @@ class RngStream:
         self.draws += out.size
         return out
 
-    def __repr__(self) -> str:
-        path = "/".join(self._path)
-        return f"RngStream(seed={self.seed}, path={path!r}, draws={self.draws})"
-
 
 def softmax(v: Tensor) -> Tensor:
     """Stable softmax along the last axis (max-subtraction form)."""

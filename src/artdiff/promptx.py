@@ -173,10 +173,8 @@ def build_index(corpus: Iterable[Document]) -> Bm25Index:
             raise ValueError(f"duplicate document id {doc.id!r}")
     vocab, indptr, doc_pos, tfs, lengths = _count_terms(docs)
     avgdl = int(lengths.sum()) / len(docs) if docs else 0.0
-    if avgdl:
-        norms = k1 * (1.0 - b + b * lengths / avgdl)
-    else:   # every document is empty: 0 / 0 would warn, and no posting reads it
-        norms = np.full(len(docs), k1 * (1.0 - b))
+    # avgdl is 0 only when every length is 0: dividing by 1 skips 0 / 0 and gives k1 * (1 - b)
+    norms = k1 * (1.0 - b + b * lengths / (avgdl or 1.0))
     return Bm25Index(documents=docs, vocab=vocab, indptr=_frozen(indptr, np.int64),
                      doc_pos=_frozen(doc_pos, np.int32), tfs=_frozen(tfs, np.int32),
                      norms=_frozen(norms, np.float64))

@@ -90,9 +90,6 @@ class SamplingTimeline:
             raise ValueError("timeline must be strictly decreasing")
         object.__setattr__(self, "steps", steps)
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
     def pairs(self) -> list[tuple[int, int]]:
         """(t_current, t_next) transfer pairs, ending at the virtual t = 0."""
         nxt = self.steps[1:] + (0,)

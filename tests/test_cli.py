@@ -965,6 +965,47 @@ def test_corpus_stats_over_long_metadata_field_exits_2(tmp_path, capsys):
     assert f"{table}:2: field larger than field limit" in _one_line_error(capsys)
 
 
+def _label_99(tmp_path):
+    return ["sample", "--checkpoint", _train_conditional(tmp_path), "--label", 99]
+
+
+def _untitled_corpus(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id": "a", "body": "x"}\n')
+    return ["prompt-extend", "x", "--corpus", corpus, "--gazetteer", DATA / "gazetteer.txt",
+            "--fixtures", DATA / "fixtures.jsonl"]
+
+
+def _non_utf8_metadata(tmp_path):
+    table = tmp_path / "rows.csv"
+    table.write_bytes(b"a,Solo \xffArtist,s,g,1900\n")
+    return ["corpus-stats", "--metadata", table]
+
+
+@pytest.mark.parametrize("make_argv, message", [
+    (lambda _: ["toy-train", "--dataset", "line-subspace", "--conditional", "--steps", 1],
+     "has no labels for conditional training"),
+    (lambda _: ["toy-train", "--dataset", "8-gaussian-ring", "--lr", -1, "--steps", 1],
+     "learning rate must be a finite number > 0"),
+    (lambda _: ["sample", "--oracle", "--ddim_eta", 3], "eta must lie in [0, 1]"),
+    (lambda _: ["sample", "--oracle", "--sampler", "ddpm", "--ddim_steps", 10],
+     "ddpm requires the full identity timeline"),
+    (_label_99, "--label must lie in [0, 8), got 99"),
+    (lambda _: ["compare-samplers", "--mu0", "0,0", "--var0", "1e-300", "--batch", 2],
+     "the reference endpoint has norm 0.0"),
+    (_untitled_corpus, "corpus.jsonl:1: missing field 'title'"),
+    (_non_utf8_metadata, "rows.csv:1: not UTF-8 text"),
+], ids=["unlabelled-conditional", "negative-lr", "eta-3", "strided-ddpm", "label-99",
+        "zero-reference-norm", "untitled-corpus", "non-utf8-metadata"])
+def test_refusal_while_computing_leaves_no_directory(tmp_path, capsys, make_argv, message):
+    # main makes --out only after the command returns, so a refusal that
+    # comes after the flag checks leaves no directory behind either
+    out = tmp_path / "o"
+    assert run(make_argv(tmp_path) + ["--out", out]) == 2
+    assert message in _one_line_error(capsys)
+    assert not out.exists()
+
+
 def test_out_path_that_is_a_file_exits_2(tmp_path, capsys):
     blocker = tmp_path / "taken"
     blocker.write_text("not a directory\n")
@@ -1001,6 +1042,7 @@ def test_out_of_memory_is_one_line_runtime_failure(tmp_path, capsys, monkeypatch
     assert run(["sample", "--oracle", "--ddim_steps", 5, "--batch", 2,
                 "--out", tmp_path / "o"]) == 1
     assert _one_line_error(capsys).startswith("error: out of memory: Unable to allocate")
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_file_rejects_unknown_key(tmp_path, capsys):

@@ -334,6 +334,18 @@ def test_time_embedding_rejects_odd_dim():
         time_embedding(1, 0)
 
 
+def test_time_width_two_is_sin_and_cos_and_predicts():
+    # load_denoiser accepts any even time width, 2 included: one frequency, 1
+    t = np.array([0.0, 1.0, 37.5, 999.0])
+    assert np.array_equal(time_embedding(t, 2), np.stack([np.sin(t), np.cos(t)], axis=-1))
+    size = sum(math.prod(shape) for shape in denoisers._param_shapes(2, 16, 2, 16).values())
+    params = denoisers.ToyDenoiserParams(data_width=2, width=16, time_dim=2, cond_width=16,
+                                         vector=RngStream(31).normal((size,)) / 4)
+    xt = RngStream(32).normal((5, 2))
+    out = ToyDenoiser(params).predict(xt, 500)
+    assert out.shape == xt.shape and np.all(np.isfinite(out))
+
+
 # ---------------------------------------------------------------------------
 # cross attention
 # ---------------------------------------------------------------------------
