@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import functools
 import hashlib
 import io
@@ -517,6 +518,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_join_dash_values(argv))
     try:
         resolver = Resolver(args)
+        # before the work, creating nothing: the nearest path at or above
+        # --out that exists must be a directory that mkdir may write into
+        out = resolver.out
+        base = next((p for p in (out, *out.parents) if os.path.exists(p)), out)
+        if not (base.is_dir() and os.access(base, os.W_OK | os.X_OK)):
+            reason = os.strerror(errno.EACCES if base.is_dir() else errno.ENOTDIR)
+            raise ConfigError(f"cannot create output directory {out}: {reason}")
         files, extra, message = args.func(resolver)
         try:    # only now, so a refusal leaves no directory behind
             resolver.out.mkdir(parents=True, exist_ok=True)

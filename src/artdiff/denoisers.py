@@ -20,14 +20,17 @@ row's token on its own, and the backward forms no gradient of h through
 the attention.
 
 Both predictors keep one contract, ``EpsilonPredictor``: ``predict`` for
-a single evaluation, ``prepare`` to bind one sampling call, the only way
-the sampler queries them. A state xt is a (batch, width) array. The
-oracle's binding looks alpha_bar up once per timestep and writes the
-stages of the posterior mean into a workspace per state shape, which
-holds mu0 tiled to that shape. The toy's, ``PreparedToyDenoiser``, checks
-and projects the condition once, keeps a one-token attention output per
-batch size, and takes all time features from one ``time_embedding`` call:
-the forward and backward take time features, never a timestep. Its trunk
+a single evaluation, ``prepare`` to bind one sampling call's condition,
+timesteps and guidance scale, the only way the sampler queries them: the
+binding's ``predict`` gives one estimate, guided or not, per step. A
+state xt is a (batch, width) array. The oracle's binding looks alpha_bar
+up once per timestep and writes the stages of the posterior mean into a
+workspace per state shape, which holds mu0 tiled to that shape. The
+toy's, ``PreparedToyDenoiser``, checks and projects the condition once,
+keeps a one-token attention output per batch size, runs a guided step's
+two branches as one batch of stacked rows, and takes all time features
+from one ``time_embedding`` call: the forward and backward take time
+features, never a timestep. Its trunk
 and head write each stage into a per-call workspace, one per row count,
 that also holds the biases tiled to its rows and the FF weights as
 contiguous transposes, so every bias add is same-shape and no FF product
@@ -50,7 +53,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Optional, Protocol
 
 import numpy as np
@@ -97,17 +99,21 @@ class EpsilonPredictor(Protocol):
     """A noise predictor over a (batch, width) array of states xt.
     ``predict(xt, t, condition)`` serves single evaluations (``ddpm_step``,
     the tests' ``loss_simple``, the bench's output checks).
-    Sampling binds it once per call with ``prepare(condition, timesteps)``:
-    the bound ``predict(xt, t)`` equals ``predict(xt, t, condition)`` at
-    those timesteps and raises ValueError at any other, and with a condition
-    bound, ``predict_pair(xt, t)`` is the (unconditional, conditional) pair
-    that classifier-free guidance combines."""
+    Sampling binds it once per call with
+    ``prepare(condition, timesteps, scale)`` and takes one estimate per
+    step from the bound ``predict(xt, t)``, which raises ValueError at a
+    timestep not bound. Without a scale it equals
+    ``predict(xt, t, condition)``; with one it is the classifier-free
+    guidance estimate ``cfg_combine(predict(xt, t), predict(xt, t,
+    condition), scale)``, and a scale without a condition raises
+    ValueError."""
 
     def predict(self, xt: Tensor, t: int, condition: Optional[ConditionTokens] = None) -> Tensor:
         """Noise estimate with xt's shape; deterministic per (xt, t, condition)."""
         ...
 
-    def prepare(self, condition: Optional[ConditionTokens], timesteps):
+    def prepare(self, condition: Optional[ConditionTokens], timesteps,
+                scale: Optional[float] = None):
         ...
 
 
@@ -153,17 +159,17 @@ class GaussianOracle:
         t = self.schedule.check_step(t)
         return self.prepare(None, (t,)).predict(xt, t)
 
-    def prepare(self, condition, timesteps) -> "PreparedGaussianOracle":
-        """This oracle bound to the timesteps of one sampling call; the
-        condition is ignored."""
+    def prepare(self, condition, timesteps, scale=None) -> "PreparedGaussianOracle":
+        """This oracle bound to the timesteps of one sampling call. The
+        condition and the guidance scale are ignored: both branches are
+        one prediction, so the guided estimate is that prediction."""
         return PreparedGaussianOracle(self, timesteps)
 
 
 class PreparedGaussianOracle:
     """A ``GaussianOracle`` bound to the timesteps of one sampling call:
     alpha_bar is read from the schedule's table and the factors of the
-    posterior mean are computed once per timestep. The oracle ignores the
-    condition, so ``predict_pair`` is the same prediction twice.
+    posterior mean are computed once per timestep.
 
     A state is a (batch, mu0.size) array, as the toy's is (batch, width);
     another shape raises ValueError. Each state shape gets a workspace on
@@ -205,10 +211,6 @@ class PreparedGaussianOracle:
         np.subtract(xt, scratch, out=eps)
         eps /= sqrt_1ma
         return eps
-
-    def predict_pair(self, xt: Tensor, t) -> tuple[Tensor, Tensor]:
-        eps = self.predict(xt, t)
-        return eps, eps
 
 
 # ---------------------------------------------------------------------------
@@ -444,19 +446,18 @@ def _head(params: ToyDenoiserParams, h3: np.ndarray, ops=None, out=None):
 
 
 class _Workspace:
-    """The operands of the forward stages for one row count: three
-    (rows, width) buffers, h3 the third, each bias tiled to the rows its
-    stage runs on, the FF weights as right-hand operands, and the product
-    function for the stage's rows (``_product``), picked once. A guidance
-    pair's trunk runs on the first half of the rows, and its h2 + attention
-    goes to the second half of h3. The trunk operands of ``predict`` and
-    of a pair are each built on first use, so a workspace that serves only
-    pairs holds trunk tiles of half its rows.
+    """The operands of the forward stages for a batch of rows, or of its two
+    guidance branches: three (branches x rows, width) buffers, h3 the
+    third, each bias tiled to the rows its stage runs on, the FF weights
+    as right-hand operands, and the product function for the stage's rows
+    (``_product``), picked once. The trunk runs on the first rows; its
+    h2 + attention goes to ``cond``, the second half of h3 under guidance
+    and all of h3, h2 itself, without.
 
-    The head runs in k = ceil(rows / ``HEAD_ROWS``) tiles of equal size,
-    cut at i * rows // k: ``head`` holds each tile's (start, stop, h3
-    rows, operands). A guided pair of 2000 rows a branch runs as its two
-    halves. Tiles of one size share their bias tiles.
+    The head runs on all the rows, in k = ceil(rows / ``HEAD_ROWS``) tiles
+    of equal size, cut at i * rows // k: ``head`` holds each tile's (start,
+    stop, h3 rows, operands). A guided batch of 2000 rows runs it as its
+    two halves. Tiles of one size share their bias tiles.
 
     A tiled bias makes each bias add same-shape, which numpy runs about
     twice as fast at 2000 rows as the broadcast of a (1, width) row, with
@@ -474,24 +475,18 @@ class _Workspace:
     TRUNK = (3, ("b_in", "ff1_b1", "ff1_b2"), ("ff1_w1", "ff1_w2"))
     HEAD = (2, ("ff2_b1", "ff2_b2", "b_out"), ("ff2_w1", "ff2_w2"))
 
-    def __init__(self, params: ToyDenoiserParams, rows: int):
+    def __init__(self, params: ToyDenoiserParams, rows: int, branches: int = 1):
         self.params = params
-        self.buffers = np.empty((3, rows, params.width))
+        total = branches * rows
+        self.buffers = np.empty((3, total, params.width))
         self.h3 = self.buffers[2]
-        self.pair_cond = self.h3[rows // 2:]
+        self.cond = self.h3[total - rows:]
         self._biases: dict[tuple[str, int], np.ndarray] = {}
-        k = -(-rows // HEAD_ROWS)
-        cuts = [i * rows // k for i in range(k + 1)]
+        self.trunk = self._operands(self.TRUNK, rows)
+        k = -(-total // HEAD_ROWS)
+        cuts = [i * total // k for i in range(k + 1)]
         self.head = tuple((lo, hi, self.h3[lo:hi], self._operands(self.HEAD, hi - lo, lo))
                           for lo, hi in zip(cuts, cuts[1:]))
-
-    @cached_property
-    def trunk(self) -> tuple:
-        return self._operands(self.TRUNK, len(self.h3))
-
-    @cached_property
-    def pair_trunk(self) -> tuple:
-        return self._operands(self.TRUNK, len(self.h3) // 2)
 
     def _operands(self, stage, rows: int, start: int = 0) -> tuple:
         """The stage's buffers cut to rows from start, its biases tiled to
@@ -513,35 +508,39 @@ class _Workspace:
 
 
 class PreparedToyDenoiser:
-    """The toy denoiser bound to one condition (or none) and one set of
-    timesteps: the inference wiring every toy prediction takes.
+    """The toy denoiser bound to one condition (or none), one set of
+    timesteps and, under classifier-free guidance, one scale: the inference
+    wiring every toy prediction takes.
 
     The condition is checked and projected to keys and values once. A
     one-token condition's attention output does not depend on h2, so it is
     kept per batch size. The time-feature rows of all the timesteps come
     from one ``time_embedding`` call, and only those timesteps may be
-    queried. ``predict`` gives the bound condition's branch,
-    ``predict_pair`` the (unconditional, conditional) pair that
-    classifier-free guidance combines. Both branches see the same
-    (xt, t), so the trunk and the attention run once on the batch; only the
-    second FF block and the output projection (the head) run on the
-    stacked [h2, h2 + attention] rows.
+    queried. Without a scale ``predict`` gives the bound condition's
+    branch; with one, which needs a condition, the guided estimate
+    u + scale (c - u). Both branches see the same (xt, t), so the trunk
+    and the attention run once on the batch, and only the second FF block
+    and the output projection (the head) run on the stacked
+    [h2, h2 + attention] rows. The combine runs in place in the
+    conditional half of the fresh prediction, c -= u, c *= scale,
+    c += u: float addition and multiplication commute bit for bit, so
+    these are ``cfg_combine``'s three roundings in its order.
 
     The trunk and the second FF block write their stages into a workspace
     per row count, allocated on first use and reused by every later call
-    with that count (a pair of B rows takes the 2B entry). It holds three
-    (rows, width) buffers and the operands those stages read: the biases
-    tiled to its rows and the FF weights as contiguous transposes (see
-    ``_Workspace``). The head runs in equal row tiles of at most
-    ``HEAD_ROWS`` rows, so a pair of B = 2000 rows runs it as its two
-    halves, and each tile writes its rows of one fresh prediction; a
-    single tile's own fresh prediction is returned as it is. The
-    returned predictions never alias the workspace, so a caller may keep
-    them across calls.
+    with that count (a guided batch of B rows takes the 2B entry). It holds
+    three (rows, width) buffers and the operands those stages read: the
+    biases tiled to its rows and the FF weights as contiguous transposes
+    (see ``_Workspace``). The head runs in equal row tiles of at most
+    ``HEAD_ROWS`` rows, so a guided batch of B = 2000 rows runs it as its
+    two halves, and each tile writes its rows of one fresh prediction; a
+    single tile's own fresh prediction is used as it is. The returned
+    predictions never alias the workspace, so a caller may keep them
+    across calls.
     """
 
     def __init__(self, params: ToyDenoiserParams, condition: Optional[ConditionTokens],
-                 timesteps):
+                 timesteps, scale: Optional[float] = None):
         self.params = params
         self._kv = None
         if condition is not None:
@@ -550,6 +549,9 @@ class PreparedToyDenoiser:
                 raise ValueError(f"condition tokens have width {memory.shape[1]}, "
                                  f"expected {params.cond_width}")
             self._kv = _project(memory, params)
+        elif scale is not None:
+            raise ValueError("a guidance scale needs a condition")
+        self._scale = None if scale is None else float(scale)
         self._one_token_out: dict[int, np.ndarray] = {}   # batch size -> output
         self._workspace: dict[int, _Workspace] = {}       # rows -> buffers
         steps = [int(t) for t in timesteps]
@@ -557,37 +559,31 @@ class PreparedToyDenoiser:
         self._features = {t: table[i:i + 1] for i, t in enumerate(steps)}
 
     def predict(self, xt: Tensor, t) -> Tensor:
-        return self._run(xt, t, pair=False)
-
-    def predict_pair(self, xt: Tensor, t) -> tuple[Tensor, Tensor]:
-        if self._kv is None:
-            raise ValueError("a guidance pair needs a condition")
-        return self._run(xt, t, pair=True)
-
-    def _run(self, xt, t, pair: bool):
-        params = self.params
+        params, scale = self.params, self._scale
         x = _as_batch(xt, params.data_width)
         rows = len(x)
         temb = _prepared(self._features, t)
-        total = 2 * rows if pair else rows
-        ws = self._workspace.get(total)
+        branches = 1 if scale is None else 2
+        ws = self._workspace.get(branches * rows)
         if ws is None:
-            ws = self._workspace[total] = _Workspace(params, total)
-        if pair:
-            h2 = _trunk(params, x, temb, ws.pair_trunk)[-1]
-            np.add(h2, self._attention(h2), out=ws.pair_cond)
-        else:
-            h2 = _trunk(params, x, temb, ws.trunk)[-1]
-            if self._kv is not None:
-                np.add(h2, self._attention(h2), out=h2)
+            ws = self._workspace[branches * rows] = _Workspace(params, rows, branches)
+        h2 = _trunk(params, x, temb, ws.trunk)[-1]
+        if self._kv is not None:
+            np.add(h2, self._attention(h2), out=ws.cond)
         if len(ws.head) == 1:   # one tile: the head's own fresh prediction
             out = _head(params, ws.h3, ws.head[0][-1])[-1]
         else:
-            out = np.empty((total, params.data_width))
+            out = np.empty((len(ws.h3), params.data_width))
             for lo, hi, h3, ops in ws.head:
                 _head(params, h3, ops, out[lo:hi])
         require_finite(out, "denoiser output")
-        return (out[:rows], out[rows:]) if pair else out
+        if scale is None:
+            return out
+        u, c = out[:rows], out[rows:]
+        c -= u
+        c *= scale
+        c += u
+        return c
 
     def _attention(self, h2: np.ndarray) -> np.ndarray:
         k, v = self._kv
@@ -693,10 +689,12 @@ class ToyDenoiser:
     def predict(self, xt: Tensor, t: int, condition: Optional[ConditionTokens] = None) -> Tensor:
         return toy_denoiser_forward(self.params, xt, t, condition)
 
-    def prepare(self, condition: Optional[ConditionTokens], timesteps) -> PreparedToyDenoiser:
-        """This denoiser bound to one condition and the timesteps of one
-        sampling call; see ``PreparedToyDenoiser``."""
-        return PreparedToyDenoiser(self.params, condition, timesteps)
+    def prepare(self, condition: Optional[ConditionTokens], timesteps,
+                scale: Optional[float] = None) -> PreparedToyDenoiser:
+        """This denoiser bound to one condition, the timesteps of one
+        sampling call and a guidance scale or none; see
+        ``PreparedToyDenoiser``."""
+        return PreparedToyDenoiser(self.params, condition, timesteps, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Reverse-process generation: one sampling loop for the ancestral (DDPM),
-DDIM and pseudo linear multistep (PLMS) samplers, plus classifier-free
-guidance combination.
+DDIM and pseudo linear multistep (PLMS) samplers, plus ``cfg_combine``,
+the classifier-free guidance combination that a guided binding applies.
 
 Every sampler is the DDIM transfer in one loop over the timeline: predict
 the noise, pass it through the sampler's rule, move from t_cur to t_next.
@@ -16,11 +16,11 @@ returns the denoised observation exactly.
 A sampling call works out everything that does not depend on the state
 before its loop: a table of every transfer's coefficients (sigma and the
 square roots of abar and of the remainder 1 - abar_next - sigma^2), and
-the predictor bound to the call's condition and timeline by
-``prepare(condition, timesteps)``, the one way ``sample`` queries a
-predictor: each step takes the bound ``predict(xt, t)``, or under guidance
-the bound ``predict_pair(xt, t)`` combined as ``cfg_combine`` does, inline,
-then the transfer and one finiteness check of the state.
+the predictor bound to the call's condition, timeline and guidance scale
+by ``prepare(condition, timesteps, scale)``, the one way ``sample``
+queries a predictor: each step takes one noise estimate from the bound
+``predict(xt, t)``, guided by the binding when a scale is bound, then the
+transfer and one finiteness check of the state.
 
 The loop allocates its buffers once per call: the state, x0_pred, one
 scratch term and one noise block. Each transfer writes its stages into
@@ -35,13 +35,12 @@ never overwrites the state. Predictions are never written to: plms keeps
 the last three.
 
 The state is a (batch, width) array. A state of one row takes the same
-loop on Python floats (``_run_row``): the guidance combine, the plms
-combinations, the warm-up probe and the transfer, noise included, are one
-expression per element, and each step writes its floats back into the
-(1, width) state array that the predictor reads and the finiteness check
-sees. The plms combinations are one table, ``_ADAMS_BASHFORTH``, whose
-expressions both loops apply. At one row numpy's per-call dispatch
-costs more than the arithmetic. The bits are those of the array loop:
+loop on Python floats (``_run_row``): the plms combinations, the warm-up
+probe and the transfer, noise included, are one expression per element,
+and each step writes its floats back into the (1, width) state array that
+the predictor reads and the finiteness check sees. The plms combinations
+are one table, ``_ADAMS_BASHFORTH``, whose expressions both loops apply.
+At one row numpy's per-call dispatch costs more than the arithmetic. The bits are those of the array loop:
 each Python float operation is one correctly rounded float64 operation,
 as each binary ufunc is, the expressions take the array form's operations
 in its order, and neither form fuses or reassociates them. No BLAS runs in
@@ -270,9 +269,9 @@ def sample(predictor, plan: SamplingPlan, schedule: NoiseSchedule,
            condition=None) -> Tensor:
     """Draw x_T from the plan's seed and run the configured sampler.
 
-    The predictor is bound once with ``prepare``. Guidance combines its pair
-    at every step when a condition is present and guidance_scale differs
-    from 1. ddpm ignores the plan's eta.
+    The predictor is bound once with ``prepare``, with the plan's
+    guidance_scale when a condition is present and the scale differs from
+    1, so that every step's estimate is guided. ddpm ignores the plan's eta.
     Randomness enters through the x_T draw and, when sigma > 0, the
     transfer's noise, drawn a block of transfers at a time (see the module
     docstring). The plms warmup re-evaluates the predictor at the next
@@ -292,27 +291,21 @@ def sample(predictor, plan: SamplingPlan, schedule: NoiseSchedule,
     table = _transfer_table(plan.timeline, schedule, eta)
     rng = RngStream(plan.seed)
     x = rng.normal((plan.batch, plan.width))
-    bound = predictor.prepare(condition, plan.timeline.steps)
     scale = float(plan.guidance_scale)
-    guidance = None if condition is None or scale == 1.0 else scale
+    bound = predictor.prepare(condition, plan.timeline.steps,
+                              None if condition is None or scale == 1.0 else scale)
     noises = _step_noise(rng, table[:, 4].tolist(), x.shape)
     steps = zip(plan.timeline.pairs(), table.tolist(), noises)
     run = _run_row if plan.batch == 1 else _run_rows
     with np.errstate(over="ignore", invalid="ignore"):
-        run(x, steps, bound, guidance, plan.kind == "plms")
+        run(x, steps, bound.predict, plan.kind == "plms")
     return x
 
 
-def _run_rows(x, steps, bound, guidance, plms: bool) -> None:
+def _run_rows(x, steps, predict, plms: bool) -> None:
     """``sample``'s loop over the state x, in place: the steps' arithmetic
     on whole arrays, through ``_transfer`` into buffers allocated once."""
     buffers = (x, np.empty_like(x), np.empty_like(x))   # state first
-    if guidance is None:
-        predict = bound.predict
-    else:
-        def predict(xt, t):     # cfg_combine; the shape is checked on step 0
-            u, c = bound.predict_pair(xt, t)
-            return u + guidance * (c - u)
     history: deque = deque(maxlen=3)   # plms noise predictions, newest first
     for i, ((t_cur, t_next), coefs, noise) in enumerate(steps):
         eps = predict(x, t_cur)
@@ -332,41 +325,36 @@ def _run_rows(x, steps, bound, guidance, plms: bool) -> None:
         require_finite(x, "sample state")
 
 
-def _run_row(x, steps, bound, guidance, plms: bool) -> None:
+def _run_row(x, steps, predict, plms: bool) -> None:
     """``_run_rows`` for a state of one row: each step's arithmetic on
     Python floats, one expression per element, written back into x.
 
-    The predictors still see the (1, width) state array, and the probe is a
-    fresh array. The guidance combine, the plms combinations and the
-    transfer take the operations of ``cfg_combine``, ``plms_combine`` and
-    ``_transfer`` in their order, and a Python float operation rounds as
-    the float64 ufunc does, once per operation, so every value has the
-    bits of the array loop. Every prediction's shape is checked.
+    The predictor still sees the (1, width) state array, and the probe is a
+    fresh array. The plms combinations and the transfer take the
+    operations of ``plms_combine`` and ``_transfer`` in their order, and a
+    Python float operation rounds as the float64 ufunc does, once per
+    operation, so every value has the bits of the array loop. Every
+    prediction's shape is checked.
     """
     state = x[0]                # x's one row as a view, written every step
 
-    def floats(eps) -> list:
+    def floats(xt, t) -> list:
+        eps = predict(xt, t)
         if eps.shape != x.shape:
             require_same_shape(eps, x, "prediction and state")
         return eps[0].tolist()
 
-    def predict(xt, t) -> list:
-        if guidance is None:
-            return floats(bound.predict(xt, t))
-        u, c = bound.predict_pair(xt, t)
-        return [a + guidance * (b - a) for a, b in zip(floats(u), floats(c))]
-
     xs = state.tolist()
     history: deque = deque(maxlen=3)   # plms noise predictions, newest first
     for (t_cur, t_next), coefs, noise in steps:
-        eps = predict(x, t_cur)
+        eps = floats(x, t_cur)
         e = eps
         if plms:
             if history:
                 e = list(map(_ADAMS_BASHFORTH[len(history) - 1], eps, *history))
             elif t_next >= 1:
                 probe = np.array([_transfer_row(xs, eps, coefs, None)])
-                e = [0.5 * (a + b) for a, b in zip(eps, predict(probe, t_next))]
+                e = [0.5 * (a + b) for a, b in zip(eps, floats(probe, t_next))]
             history.appendleft(eps)
         xs = _transfer_row(xs, e, coefs, noise)
         state[:] = xs

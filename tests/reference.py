@@ -4,7 +4,9 @@ Nothing in ``artdiff`` calls these functions. They are the forward process,
 the tractable posterior (its mean in the (x0, xt) and the noise form), the
 training loss, the DDIM noise scale and the
 denoised observation written out directly, a DDIM sampling loop that
-draws its noise one transfer at a time, the per-row label memory that
+draws its noise one transfer at a time and forms its guided estimate from
+two unguided predictions, the toy denoiser's two guidance branches on
+stacked rows, the per-row label memory that
 training's label form is checked against, plus small helpers the
 acceptance criteria need. Nothing here imports ``artdiff.samplers``, so a
 sampler check never compares the sampler with itself. The prompt-extension
@@ -24,7 +26,8 @@ import re
 import numpy as np
 
 from artdiff.denoisers import (ConditionTokens, LabelEmbedding, ToyDenoiserParams, _attend,
-                               _project, check_condition_tokens)
+                               _head, _project, _trunk, check_condition_tokens,
+                               time_embedding)
 from artdiff.numerics import RngStream, Tensor, require_finite, require_same_shape
 from artdiff.promptx import tokenize
 from artdiff.schedule import NoiseSchedule
@@ -124,22 +127,32 @@ def ddim_sigma(eta: float, t_cur: int, t_next: int, schedule: NoiseSchedule) -> 
     return eta * math.sqrt((1.0 - an) / (1.0 - ac)) * math.sqrt(1.0 - ac / an)
 
 
-def ddim_sample_per_step_draws(predictor, plan, schedule: NoiseSchedule, condition=None):
+def ddim_sample_per_step_draws(predictor, plan, schedule: NoiseSchedule, condition=None,
+                               pair=None):
     """A ddim or ddpm sampling plan run transfer by transfer, with one
     noise draw per transfer: x_T from the plan's seed, then at each
-    timeline pair the prediction (under guidance u + scale (c - u) of the
-    bound pair), x0 = (x - sqrt(1 - ac) eps) / sqrt(ac), x = sqrt(an) x0 +
-    sqrt(rem) eps, and when sigma > 0 sigma times a fresh draw of the same
-    stream added. ddpm is eta = 1. Returns the final state and the stream,
-    whose ``draws`` counts every value the run used."""
+    timeline pair the prediction, x0 = (x - sqrt(1 - ac) eps) / sqrt(ac),
+    x = sqrt(an) x0 + sqrt(rem) eps, and when sigma > 0 sigma times a fresh
+    draw of the same stream added. ddpm is eta = 1. Under guidance the
+    prediction is u + scale (c - u) of the pair (u, c) that
+    ``pair(x, t)`` gives, by default the predictions of two unguided
+    bindings, one without the condition and one with it. Returns the final
+    state and the stream, whose ``draws`` counts every value the run used."""
     eta = 1.0 if plan.kind == "ddpm" else plan.eta
     rng = RngStream(plan.seed)
     x = rng.normal((plan.batch, plan.width))
-    bound = predictor.prepare(condition, plan.timeline.steps)
+    steps = plan.timeline.steps
+    bound = predictor.prepare(condition, steps)
     guided = condition is not None and plan.guidance_scale != 1.0
+    if guided and pair is None:
+        uncond = predictor.prepare(None, steps)
+
+        def pair(x, t):
+            return uncond.predict(x, t), bound.predict(x, t)
+
     for t_cur, t_next in plan.timeline.pairs():
         if guided:
-            u, c = bound.predict_pair(x, t_cur)
+            u, c = pair(x, t_cur)
             eps = u + float(plan.guidance_scale) * (c - u)
         else:
             eps = bound.predict(x, t_cur)
@@ -150,6 +163,20 @@ def ddim_sample_per_step_draws(predictor, plan, schedule: NoiseSchedule, conditi
         if sigma > 0.0:
             x = x + sigma * rng.normal(x.shape)
     return x, rng
+
+
+def toy_guidance_pair(params: ToyDenoiserParams, xt: Tensor, t: int,
+                      condition: ConditionTokens) -> tuple[Tensor, Tensor]:
+    """The toy denoiser's (unconditional, conditional) predictions as a
+    guided step forms them, on fresh arrays: the trunk and the attention
+    once on xt's rows, the head on the stacked [h2, h2 + attention] rows.
+    At one row these are not the bits of two one-row forward passes, since
+    numpy sends a one-row product to gemv and the stacked head's two rows
+    to gemm."""
+    h2 = _trunk(params, xt, time_embedding(t, params.time_dim)[None])[-1]
+    attn = _attend(h2, *_project(check_condition_tokens(condition), params), params)[0]
+    out = _head(params, np.concatenate([h2, h2 + attn]))[-1]
+    return out[:len(xt)], out[len(xt):]
 
 
 def exact_flow_endpoint(x_T: Tensor, mu0, var0: float, abar_T: float) -> Tensor:

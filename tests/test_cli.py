@@ -1006,6 +1006,22 @@ def test_refusal_while_computing_leaves_no_directory(tmp_path, capsys, make_argv
     assert not out.exists()
 
 
+def test_out_under_a_file_is_refused_before_the_command_runs(tmp_path, capsys, monkeypatch):
+    # mkdir cannot make a directory below a regular file; main sees that
+    # before the command runs, so training never starts
+    from artdiff import cli
+
+    blocker = tmp_path / "blk"
+    blocker.write_text("not a directory\n")
+    trained = []
+    monkeypatch.setattr(cli, "train", lambda *args: trained.append(args))
+    assert run(["toy-train", "--steps", 3000, "--out", blocker / "x"]) == 2
+    err = _one_line_error(capsys)
+    assert f"cannot create output directory {blocker / 'x'}: Not a directory" in err
+    assert trained == []
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_out_path_that_is_a_file_exits_2(tmp_path, capsys):
     blocker = tmp_path / "taken"
     blocker.write_text("not a directory\n")

@@ -14,8 +14,9 @@ from artdiff.denoisers import (GaussianOracle, LabelEmbedding,
                                time_embedding, toy_denoiser_forward, train)
 from artdiff.errors import TrainingDivergedError
 from artdiff.numerics import RngStream, softmax
+from artdiff.samplers import cfg_combine
 from artdiff.schedule import linear_schedule
-from reference import cross_attention, label_memory, loss_simple, q_sample
+from reference import cross_attention, label_memory, loss_simple, q_sample, toy_guidance_pair
 
 
 def loop_attention_reference(queries, memory):
@@ -137,7 +138,7 @@ def test_oracle_refuses_a_state_that_is_not_batch_by_width(default_schedule, sha
     with pytest.raises(ValueError, match=r"is not \(batch, 2\)"):
         oracle.predict(np.zeros(shape), 10)
     with pytest.raises(ValueError, match=r"is not \(batch, 2\)"):
-        oracle.prepare(None, (10,)).predict_pair(np.zeros(shape), 10)
+        oracle.prepare(np.ones((1, 4)), (10,), 5.0).predict(np.zeros(shape), 10)
 
 
 def test_oracle_matches_monte_carlo_regression(default_schedule):
@@ -236,9 +237,10 @@ def test_prepared_oracle_matches_predict_bit_for_bit(default_schedule, batch):
             got = bound.predict(x, t)
             assert got.tobytes() == oracle.predict(x, t).tobytes()
             assert got.tobytes() == _closed_form_oracle(oracle, x, t).tobytes()
-    # the condition is ignored: the guidance pair is the prediction twice
-    pair = oracle.prepare(np.ones((1, 4)), (10,)).predict_pair(x, 10)
-    assert all(eps.tobytes() == oracle.predict(x, 10).tobytes() for eps in pair)
+    # the condition and the scale are ignored: both guidance branches are
+    # the prediction, so the guided estimate is too
+    guided = oracle.prepare(np.ones((1, 4)), (10,), 5.0).predict(x, 10)
+    assert guided.tobytes() == oracle.predict(x, 10).tobytes()
 
 
 def test_prepared_oracle_predictions_never_alias_its_workspace(default_schedule):
@@ -247,19 +249,21 @@ def test_prepared_oracle_predictions_never_alias_its_workspace(default_schedule)
     oracle = GaussianOracle(mu0=np.array([3.0, -1.0]), var0=0.25, schedule=default_schedule)
     steps = (900, 400, 120, 3)
     bound = oracle.prepare(None, steps)
+    guided = oracle.prepare(np.ones((1, 4)), steps, 5.0)
     rng = RngStream(8)
     kept = []
     for i, batch in enumerate((20000, 1, 7, 20000)):
         x = rng.child(f"x{i}").normal((batch, 2))
         for t in steps:
-            for result in (bound.predict(x, t), *bound.predict_pair(x, t)):
+            for result in (bound.predict(x, t), guided.predict(x, t)):
                 kept.append((result, result.copy()))
             assert result.tobytes() == _closed_form_oracle(oracle, x, t).tobytes()
-    assert sorted(bound._workspace) == [(1, 2), (7, 2), (20000, 2)]
+    for binding in (bound, guided):
+        assert sorted(binding._workspace) == [(1, 2), (7, 2), (20000, 2)]
     for result, copy in kept:
         assert result.tobytes() == copy.tobytes()
-        assert not any(np.shares_memory(result, buf)
-                       for ws in bound._workspace.values() for buf in ws)
+        assert not any(np.shares_memory(result, buf) for binding in (bound, guided)
+                       for ws in binding._workspace.values() for buf in ws)
 
 
 def test_prepared_oracle_allocates_only_its_prediction(default_schedule):
@@ -758,21 +762,20 @@ def _rel_err(a, b):
 
 @pytest.mark.parametrize("batch", [1, 2000])
 def test_fused_guidance_pair_matches_two_forward_calls(batch):
-    from artdiff.samplers import cfg_combine
-
     rng = RngStream(40)
     p = init_toy_denoiser(rng.child("init"), 2)
     cond = rng.child("c").normal((1, 16))
     xt = rng.child("x").normal((batch, 2))
     for t in (1, 37, 999):
-        uncond, conditioned = ToyDenoiser(p).prepare(cond, (t,)).predict_pair(xt, t)
+        # scale 0 gives the unconditional branch, 1 the conditional one
+        uncond, conditioned, guided = (ToyDenoiser(p).prepare(cond, (t,), scale).predict(xt, t)
+                                       for scale in (0.0, 1.0, 5.0))
         ref_u = toy_denoiser_forward(p, xt, t)
         ref_c = toy_denoiser_forward(p, xt, t, cond)
         assert uncond.shape == conditioned.shape == xt.shape
         assert _rel_err(uncond, ref_u) <= 1e-12
         assert _rel_err(conditioned, ref_c) <= 1e-12
-        assert _rel_err(cfg_combine(uncond, conditioned, 5.0),
-                        cfg_combine(ref_u, ref_c, 5.0)) <= 1e-12
+        assert _rel_err(guided, cfg_combine(ref_u, ref_c, 5.0)) <= 1e-12
 
 
 def test_attend_shared_memory_matches_per_row_memory():
@@ -837,19 +840,12 @@ def _reference_forward(p, xt, t, cond):
     return denoisers._head(p, h2)[-1]
 
 
-def _reference_pair(p, xt, t, cond):
-    """The guidance pair as the softmax path computes it: the trunk and
-    attention once, the head on the stacked rows."""
-    h2 = denoisers._trunk(p, xt, time_embedding(t, p.time_dim)[None])[-1]
-    attn, _ = denoisers._attend(h2, *denoisers._project(cond, p), p)
-    out = denoisers._head(p, np.concatenate([h2, h2 + attn]))[-1]
-    return out[:len(xt)], out[len(xt):]
-
-
-@pytest.mark.parametrize("batch", [1, 2, 3, 7, 64, 2000])
+@pytest.mark.parametrize("batch", [1, 2, 3, 7, 64, 2000, 2050])
 def test_prepared_predictor_matches_forward_bit_for_bit(default_schedule, batch):
     # the workspace tiles the biases and keeps contiguous FF transposes; a
-    # one-row stage keeps the transposed views, since gemv rounds by layout
+    # one-row stage keeps the transposed views, since gemv rounds by layout.
+    # The guided estimate is cfg_combine's roundings of its two branches;
+    # at 2050 rows a branch its head runs in three tiles, unguided in two
     from artdiff.schedule import subsequence
 
     rng = RngStream(45)
@@ -858,6 +854,7 @@ def test_prepared_predictor_matches_forward_bit_for_bit(default_schedule, batch)
     steps = subsequence(default_schedule, 200).steps
     bound = ToyDenoiser(p).prepare(cond, steps)
     plain = ToyDenoiser(p).prepare(None, steps)
+    guided = ToyDenoiser(p).prepare(cond, steps, 5.0)
     x = rng.child("x").normal((batch, 2))
     for t in steps if batch < 2000 else steps[::25]:    # 8 steps at 2000 rows
         single = toy_denoiser_forward(p, x, t, cond)
@@ -866,14 +863,12 @@ def test_prepared_predictor_matches_forward_bit_for_bit(default_schedule, batch)
         assert np.array_equal(single, _reference_forward(p, x, t, cond))
         assert np.array_equal(plain.predict(x, t), uncond)
         assert np.array_equal(uncond, _reference_forward(p, x, t, None))
-        pair = bound.predict_pair(x, t)
-        for got, ref in zip(pair, _reference_pair(p, x, t, cond)):
-            assert got.tobytes() == ref.tobytes()
-        if batch > 1:   # at one row the forward pass's head is gemv, the pair's gemm
-            assert pair[0].tobytes() == uncond.tobytes()
-            assert pair[1].tobytes() == single.tobytes()
+        got = guided.predict(x, t)
+        assert got.tobytes() == cfg_combine(*toy_guidance_pair(p, x, t, cond), 5.0).tobytes()
+        if batch > 1:   # at one row the forward pass's head is gemv, the guided one's gemm
+            assert got.tobytes() == cfg_combine(uncond, single, 5.0).tobytes()
     # a single sample is a one-row batch; a 1D vector is refused
-    for run in (bound.predict, bound.predict_pair):
+    for run in (bound.predict, guided.predict):
         with pytest.raises(ValueError, match=r"not \(batch, 2\)"):
             run(x[0], steps[3])
 
@@ -884,7 +879,7 @@ def test_prepared_predictor_rejects_unprepared_timestep_and_missing_condition():
     with pytest.raises(ValueError, match="timestep 7"):
         bound.predict(np.zeros((2, 2)), 7)
     with pytest.raises(ValueError, match="needs a condition"):
-        bound.predict_pair(np.zeros((2, 2)), 10)
+        ToyDenoiser(p).prepare(None, (10, 5), 5.0)
     with pytest.raises(ValueError, match="width"):
         ToyDenoiser(p).prepare(np.zeros((1, 3)), (10,))
 
@@ -920,19 +915,21 @@ def test_prepared_predictions_never_alias_the_workspace():
     cond = rng.child("c").normal((1, 16))
     steps = (900, 400, 120, 3)
     bound = ToyDenoiser(p).prepare(cond, steps)
+    guided = ToyDenoiser(p).prepare(cond, steps, 5.0)
     kept = []
     for i, batch in enumerate((2000, 1, 7, 2000)):
         x = rng.child(f"x{i}").normal((batch, 2))
         for t in steps:
-            for result in (bound.predict(x, t), *bound.predict_pair(x, t)):
+            for result in (bound.predict(x, t), guided.predict(x, t)):
                 kept.append((result, result.copy()))
-    assert sorted(bound._workspace) == [1, 2, 7, 14, 2000, 4000]
-    for rows, ws in bound._workspace.items():
+    workspaces = {**bound._workspace, **guided._workspace}   # B rows, and 2B guided
+    assert sorted(workspaces) == [1, 2, 7, 14, 2000, 4000]
+    for rows, ws in workspaces.items():
         assert ws.buffers.shape == (3, rows, p.width)
     for result, copy in kept:
         assert result.tobytes() == copy.tobytes()
         assert not any(np.shares_memory(result, ws.buffers)
-                       for ws in bound._workspace.values())
+                       for ws in workspaces.values())
 
 
 def test_prepared_pair_allocates_no_batch_sized_temporaries():
@@ -943,12 +940,12 @@ def test_prepared_pair_allocates_no_batch_sized_temporaries():
 
     rng = RngStream(52)
     p = init_toy_denoiser(rng.child("init"), 2)
-    bound = ToyDenoiser(p).prepare(rng.child("c").normal((1, 16)), (10, 9))
+    bound = ToyDenoiser(p).prepare(rng.child("c").normal((1, 16)), (10, 9), 5.0)
     x = rng.child("x").normal((2000, 2))
-    bound.predict_pair(x, 10)     # allocates the workspace
+    bound.predict(x, 10)     # allocates the workspace
     tracemalloc.start()
     try:
-        bound.predict_pair(x, 9)
+        bound.predict(x, 9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -958,30 +955,37 @@ def test_prepared_pair_allocates_no_batch_sized_temporaries():
 @pytest.mark.parametrize("total", [2048, 2050, 4000, 4002, 6000])
 def test_head_tiles_give_the_bytes_of_one_tile(monkeypatch, total):
     # the head runs in tiles of at most HEAD_ROWS rows; predict at `total`
-    # rows and a pair of total / 2 rows a branch give the bytes of one tile
+    # rows and a guided batch of total / 2 rows a branch give the bytes of
+    # one tile
     rng = RngStream(56)
     p = init_toy_denoiser(rng.child("init"), 2)
     cond = rng.child("c").normal((1, 16))
     x = rng.child("x").normal((total, 2))
 
-    def run(bound):
-        return [bound.predict(x, 600), *bound.predict_pair(x[:total // 2], 7),
-                bound.predict(x, 7), *bound.predict_pair(x[:total // 2], 600)]
+    def bindings():
+        return ToyDenoiser(p).prepare(cond, (600, 7)), ToyDenoiser(p).prepare(cond, (600, 7), 5.0)
 
-    bound = ToyDenoiser(p).prepare(cond, (600, 7))
-    tiled = run(bound)
+    def run(bound, guided):
+        return [bound.predict(x, 600), guided.predict(x[:total // 2], 7),
+                bound.predict(x, 7), guided.predict(x[:total // 2], 600)]
+
+    tiling = bindings()
+    tiled = run(*tiling)
     copies = [result.copy() for result in tiled]
-    run(bound)      # later calls through the same workspaces
-    assert sorted(bound._workspace) == [total]
-    assert len(bound._workspace[total].head) == -(-total // denoisers.HEAD_ROWS)
+    run(*tiling)      # later calls through the same workspaces
+    for bound in tiling:
+        assert sorted(bound._workspace) == [total]
+        assert len(bound._workspace[total].head) == -(-total // denoisers.HEAD_ROWS)
     for result, copy in zip(tiled, copies):
         assert result.tobytes() == copy.tobytes()
-        assert not np.shares_memory(result, bound._workspace[total].buffers)
+        assert not any(np.shares_memory(result, bound._workspace[total].buffers)
+                       for bound in tiling)
     monkeypatch.setattr(denoisers, "HEAD_ROWS", 10**9)
-    one_tile = ToyDenoiser(p).prepare(cond, (600, 7))
-    for got, want in zip(tiled, run(one_tile)):
+    one_tile = bindings()
+    for got, want in zip(tiled, run(*one_tile)):
         assert got.tobytes() == want.tobytes()
-    assert len(one_tile._workspace[total].head) == 1
+    for bound in one_tile:
+        assert len(bound._workspace[total].head) == 1
 
 
 FORWARD_ROWS = (1, 2, 7, 64, 2000, denoisers.DOT_ROWS - 1, denoisers.DOT_ROWS)
@@ -1019,8 +1023,8 @@ def test_forward_bytes_do_not_depend_on_the_product_function(monkeypatch, rows):
 
     def run():
         bound = ToyDenoiser(p).prepare(cond, (600, 7))
-        outs = [bound.predict(x, 600), *bound.predict_pair(x, 7),
-                toy_denoiser_forward(p, x, 7)]
+        guided = ToyDenoiser(p).prepare(cond, (600, 7), 5.0)
+        outs = [bound.predict(x, 600), guided.predict(x, 7), toy_denoiser_forward(p, x, 7)]
         grads = replace(p, vector=np.empty_like(p.vector))
         loss = _loss_and_grad(p, grads, x, time_embedding(np.full(rows, 7), p.time_dim),
                               x[:, ::-1], cond[None].repeat(rows, 0), None)

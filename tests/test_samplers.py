@@ -13,15 +13,17 @@ from artdiff.samplers import (SamplingPlan, cfg_combine, ddim_step, ddpm_step,
                               plms_combine, plms_sample, sample)
 from artdiff.schedule import SamplingTimeline, linear_schedule, subsequence
 from reference import (ddim_sample_per_step_draws, ddim_sigma, exact_flow_endpoint,
-                       posterior_mean_from_eps, predict_x0, q_sample, samples_csv_text)
+                       posterior_mean_from_eps, predict_x0, q_sample, samples_csv_text,
+                       toy_guidance_pair)
 
 
 class FakePredictor:
     """Base of the fakes passed to ``sample``: gives them the ``prepare``
     of the predictor contract, bound to ``predict(xt, t, condition)`` at the
-    prepared timesteps and, for the guidance pair, also at no condition."""
+    prepared timesteps and, with a guidance scale, to ``cfg_combine`` of
+    the predictions at no condition and at the condition."""
 
-    def prepare(self, condition, timesteps):
+    def prepare(self, condition, timesteps, scale=None):
         steps = set(timesteps)
 
         def predict(xt, t, cond=condition):
@@ -29,8 +31,10 @@ class FakePredictor:
                 raise ValueError(f"timestep {t} is not one of the prepared timesteps")
             return self.predict(xt, t, cond)
 
-        return SimpleNamespace(predict=predict,
-                               predict_pair=lambda xt, t: (predict(xt, t, None), predict(xt, t)))
+        if scale is None:
+            return SimpleNamespace(predict=predict)
+        return SimpleNamespace(
+            predict=lambda xt, t: cfg_combine(predict(xt, t, None), predict(xt, t), scale))
 
 
 class ConstantPredictor(FakePredictor):
@@ -574,25 +578,27 @@ def test_transfer_table_matches_scalar_expressions(T, eta):
 
 
 class PreparingPredictor(CondSensitivePredictor):
-    """Offers ``prepare``; counts the preparations and the bound calls."""
+    """Offers ``prepare``; counts the preparations and the bound calls, the
+    calls of a binding with a guidance scale as "guided". Its bindings
+    have ``predict`` only, so a guided ``sample`` takes one estimate per
+    step from the binding."""
 
     def __init__(self):
-        self.calls = {"prepare": 0, "predict": 0, "predict_pair": 0}
+        self.calls = {"prepare": 0, "predict": 0, "guided": 0}
         self.prepared_with = None
 
-    def prepare(self, condition, timesteps):
+    def prepare(self, condition, timesteps, scale=None):
         self.calls["prepare"] += 1
-        self.prepared_with = tuple(timesteps)
+        self.prepared_with = (tuple(timesteps), scale)
         outer = self
 
         class Bound:
             def predict(self, xt, t):
-                outer.calls["predict"] += 1
-                return np.full(np.shape(xt), 0.0 if condition is None else 1.0)
-
-            def predict_pair(self, xt, t):
-                outer.calls["predict_pair"] += 1
-                return np.zeros(np.shape(xt)), np.ones(np.shape(xt))
+                if scale is None:
+                    outer.calls["predict"] += 1
+                    return np.full(np.shape(xt), 0.0 if condition is None else 1.0)
+                outer.calls["guided"] += 1
+                return cfg_combine(np.zeros(np.shape(xt)), np.ones(np.shape(xt)), scale)
 
         return Bound()
 
@@ -605,14 +611,16 @@ def test_sample_prepares_the_predictor_once_per_call(default_schedule, kind):
     got = sample(pred, plan, default_schedule, condition=cond)
     assert np.array_equal(got, sample(CondSensitivePredictor(), plan, default_schedule, cond))
     evaluations = 11 if kind == "plms" else 10
-    assert pred.calls == {"prepare": 1, "predict": 0, "predict_pair": evaluations}
-    assert pred.prepared_with == plan.timeline.steps
+    assert pred.calls == {"prepare": 1, "predict": 0, "guided": evaluations}
+    assert pred.prepared_with == (plan.timeline.steps, 5.0)
     sample(pred, plan, default_schedule)            # unguided: the single branch
-    assert pred.calls == {"prepare": 2, "predict": evaluations, "predict_pair": evaluations}
+    assert pred.calls == {"prepare": 2, "predict": evaluations, "guided": evaluations}
+    assert pred.prepared_with == (plan.timeline.steps, None)
     scale1 = make_plan(default_schedule, kind, 10, guidance_scale=1.0)
     sample(pred, scale1, default_schedule, cond)    # scale 1: the conditional branch alone
     assert pred.calls == {"prepare": 3, "predict": 2 * evaluations,
-                          "predict_pair": evaluations}
+                          "guided": evaluations}
+    assert pred.prepared_with == (plan.timeline.steps, None)
 
 
 def test_sample_checks_prediction_shape(default_schedule):
@@ -667,7 +675,7 @@ def test_guided_sample_has_no_per_step_overhead(monkeypatch):
 def test_oracle_sample_schedule_lookups_do_not_grow_with_steps(monkeypatch, kind):
     # a count guard, no timing: the prepared oracle reads the schedule table
     # once per call, so a 200-step call makes as many check_step calls as a
-    # 2-step one; its guidance pair is one prediction twice
+    # 2-step one; its guided estimate is its prediction, byte for byte
     from artdiff.schedule import NoiseSchedule
 
     calls = []
@@ -683,7 +691,7 @@ def test_oracle_sample_schedule_lookups_do_not_grow_with_steps(monkeypatch, kind
         calls.clear()
         guided = sample(oracle, plan, s, np.ones((1, 4)))
         counts[steps] = len(calls)
-        assert np.array_equal(guided, sample(oracle, plan, s))
+        assert guided.tobytes() == sample(oracle, plan, s).tobytes()
     assert counts[200] == counts[2]
 
 
@@ -738,7 +746,12 @@ def test_block_noise_draws_equal_per_step_draws(monkeypatch, batch, eta):
                         batch=batch, eta=eta, guidance_scale=5.0)
     streams = _recording_streams(monkeypatch)
     got = sample(toy, plan, s, cond)
-    want, ref_rng = ddim_sample_per_step_draws(toy, plan, s, cond)
+    # the guided estimate from the reference's own stacked branches: at one
+    # row two unguided one-row bindings run gemv where the guided head runs
+    # gemm, and at an odd batch some BLAS kernels round the stacked 2B-row
+    # head differently from two B-row ones
+    want, ref_rng = ddim_sample_per_step_draws(
+        toy, plan, s, cond, lambda x, t: toy_guidance_pair(toy.params, x, t, cond))
     assert samples_csv_text(got) == samples_csv_text(want)
     assert got.tobytes() == want.tobytes()
     (stream,) = streams
@@ -763,23 +776,29 @@ def test_block_noise_of_a_long_timeline_equals_per_step_draws(monkeypatch, kind)
 
 @pytest.mark.parametrize("kind, eta", [("ddim", 0.0), ("ddim", 0.3), ("ddim", 1.0),
                                        ("ddpm", 1.0)])
-@pytest.mark.parametrize("predictor", ["toy-guided", "toy-unguided", "oracle"])
+@pytest.mark.parametrize("predictor", ["toy-guided", "toy-unguided", "oracle",
+                                       "oracle-guided"])
 def test_one_row_sample_equals_per_step_draws(monkeypatch, kind, eta, predictor):
-    # the float loop of one row against the reference loop's arrays
+    # the float loop of one row against the reference loop's arrays; the
+    # guided oracle's reference combines two unguided bindings
     s = linear_schedule(100)
     rng = RngStream(76)
     cond = rng.child("c").normal((2, 16))
     pred = ToyDenoiser(init_toy_denoiser(rng.child("init"), 2))
-    if predictor == "oracle":
+    if predictor.startswith("oracle"):
         pred = GaussianOracle(mu0=np.array([3.0, -1.0]), var0=0.25, schedule=s)
-    if predictor != "toy-guided":
+    if predictor in ("toy-unguided", "oracle"):
         cond = None
     steps = 100 if kind == "ddpm" else 20
     plan = SamplingPlan(timeline=subsequence(s, steps), kind=kind, width=2, seed=77,
                         batch=1, eta=eta, guidance_scale=5.0)
     streams = _recording_streams(monkeypatch)
     got = sample(pred, plan, s, cond)
-    want, ref_rng = ddim_sample_per_step_draws(pred, plan, s, cond)
+    pair = None
+    if predictor == "toy-guided":   # the stacked reference, as in the test above
+        def pair(x, t):
+            return toy_guidance_pair(pred.params, x, t, cond)
+    want, ref_rng = ddim_sample_per_step_draws(pred, plan, s, cond, pair)
     assert got.tobytes() == want.tobytes()
     (stream,) = streams
     assert stream.draws == ref_rng.draws == 2 * (1 + (steps - 1 if eta > 0.0 else 0))
