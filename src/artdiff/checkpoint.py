@@ -81,11 +81,13 @@ def load_arrays(path) -> dict[str, np.ndarray]:
         raise CheckpointError(f"{path}: an array name is not valid UTF-8") from None
     arrays = {}
     for name, shape in table:
-        end = offset + 8 * math.prod(shape)    # Python ints: no overflow
+        count = math.prod(shape)    # Python ints: no overflow
+        end = offset + 8 * count
         if end > len(body):
             raise CheckpointError(f"{path}: payload shorter than shape table promises")
         try:
-            arrays[name] = np.frombuffer(body[offset:end], dtype="<f8").reshape(shape).copy()
+            arrays[name] = np.frombuffer(body, dtype="<f8", count=count,
+                                         offset=offset).reshape(shape).copy()
         except ValueError:      # an empty array with an extent numpy cannot index
             raise CheckpointError(f"{path}: array {name!r} has shape {shape}, "
                                   f"which numpy cannot hold") from None

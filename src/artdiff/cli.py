@@ -92,6 +92,8 @@ class Resolver:
         out = self.get("out")
         if out is None:
             out = os.environ.get(ENV_OUT) or "artdiff-out"
+        if out == "":   # Path("") is ".", the working directory
+            raise ConfigError("--out must not be empty")
         self.resolved["out"] = str(out)
         self.out = Path(out)   # main creates it after the command returns
 
@@ -372,10 +374,12 @@ def cmd_prompt_extend(resolver: Resolver) -> tuple[list[tuple], dict, str]:
         if not (math.isfinite(value) and value >= 0.0):   # inf would write "Infinity" scores
             raise ConfigError(f"--{name} must be a finite number >= 0, got {value}")
 
+    # the two small files before the corpus pass, so their faults show first
+    fixtures = FixtureGenerator.from_file(fixtures_path)
+    gazetteer = Gazetteer.from_file(gazetteer_path)
     index = build_index(load_corpus_jsonl(corpus_path))
     candidates = extend_prompt(prompt, index, tfidf_from_index(index), HashEmbedder(),
-                               FixtureGenerator.from_file(fixtures_path), lambda1, lambda2, topk,
-                               Gazetteer.from_file(gazetteer_path))
+                               fixtures, lambda1, lambda2, topk, gazetteer)
     lines = [json.dumps(dataclasses.asdict(c), sort_keys=True) for c in candidates]
     return ([("candidates.jsonl", Path.write_text, "\n".join(lines) + ("\n" if lines else ""))],
             {"prompt": prompt, "n_candidates": len(candidates)},

@@ -555,8 +555,8 @@ class PreparedToyDenoiser:
         self._one_token_out: dict[int, np.ndarray] = {}   # batch size -> output
         self._workspace: dict[int, _Workspace] = {}       # rows -> buffers
         steps = [int(t) for t in timesteps]
-        table = time_embedding(np.asarray(steps, dtype=np.float64), params.time_dim)
-        self._features = {t: table[i:i + 1] for i, t in enumerate(steps)}
+        table = time_embedding(np.asarray(steps, dtype=np.float64)[:, None], params.time_dim)
+        self._features = dict(zip(steps, table))   # t -> its (1, time_dim) row, a view
 
     def predict(self, xt: Tensor, t) -> Tensor:
         params, scale = self.params, self._scale
@@ -779,9 +779,9 @@ def load_denoiser(path):
     unexpected = sorted(set(arrays) - required - {"label_tokens"})
     if missing or unexpected:
         raise bad(f"wrong array set: missing {missing}, unexpected {unexpected}")
-    for name, arr in arrays.items():
-        if not np.all(np.isfinite(arr)):
-            raise bad(f"array {name!r} contains non-finite values")
+    if not np.all(np.isfinite(np.concatenate([arr.ravel() for arr in arrays.values()]))):
+        name = next(name for name, arr in arrays.items() if not np.all(np.isfinite(arr)))
+        raise bad(f"array {name!r} contains non-finite values")
     meta, consts = arrays["meta"], arrays["schedule"]
     if meta.shape != (4,) or not whole_positive(meta) or meta[2] % 2 != 0:
         raise bad("meta must hold four positive integer widths with an even time width")

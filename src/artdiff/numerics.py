@@ -3,20 +3,37 @@ softmax, shared by every other module.
 
 All arrays are 64-bit floats in row-major order. Public operations never
 let NaN or Inf escape: outputs are checked before they are returned.
+``require_finite`` picks its form by size: a float64 array of at most
+``FINITE_FLOATS`` values is checked value by value in Python, a larger one
+(or anything else) by one numpy pass, which alone raises, so both forms give
+the same verdict and message.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
 Tensor = np.ndarray
 
 _U64 = 2**64
+_F64 = np.dtype(np.float64)
+
+# require_finite checks a float64 array of at most this many values with
+# math.isfinite. The numpy pass costs 1.2-1.3 us at any small size; Python's
+# check, type and size test included, 0.4 us at 2 values, 0.5 at 4, 1.0 at
+# 16 and 1.4 at 24 (median of 5 best-of-5 timings of 5000 calls; numpy 2.4,
+# CPython 3.11, 2-vCPU shared x86-64). The test adds about 0.05 us to the
+# numpy pass. A B=1 guided sampling step checks 2-4 values twice.
+FINITE_FLOATS = 16
 
 
 def require_finite(x: Tensor, name: str = "value") -> None:
+    if (type(x) is Tensor and x.size <= FINITE_FLOATS and x.dtype is _F64
+            and all(map(math.isfinite, x.flat))):
+        return
     # the reduce ufunc itself: ndarray.all adds a Python wrapper around it
     if not np.logical_and.reduce(np.isfinite(x), axis=None):
         raise ValueError(f"{name} contains non-finite elements")

@@ -179,6 +179,18 @@ def test_load_denoiser_rejects_crafted_content(tmp_path, changes, message):
     assert message in str(info.value)
 
 
+def test_load_denoiser_names_the_first_non_finite_array_in_file_order(tmp_path):
+    from artdiff.denoisers import load_denoiser
+
+    path = _crafted(tmp_path, label_tokens=np.full((8, 16), np.nan),
+                    w_in=np.full((16, 2), np.inf))
+    names = list(load_arrays(path))
+    assert names.index("w_in") < names.index("label_tokens")
+    with pytest.raises(CheckpointError) as info:
+        load_denoiser(path)
+    assert str(info.value) == f"{path}: array 'w_in' contains non-finite values"
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_save_denoiser_refuses_non_finite_weights(tmp_path, bad):
     from dataclasses import replace

@@ -505,6 +505,17 @@ def test_empty_config_path_exits_2_config_file_not_found(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("form", ["flag", "config"])
+def test_empty_out_exits_2_and_creates_nothing(tmp_path, monkeypatch, capsys, form):
+    # Path("") is the working directory, where the outputs would land
+    monkeypatch.chdir(tmp_path)
+    argv = _with_setting(tmp_path, ["schedule-dump", "--timesteps", 5], form, "out", "")
+    before = sorted(tmp_path.iterdir())
+    assert run(argv) == 2
+    assert _one_line_error(capsys) == "error: --out must not be empty"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_config_file_not_utf8_exits_2_naming_file_and_line(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(b"seed=1\n\xff=2\n")
@@ -784,7 +795,8 @@ def test_diverging_toy_train_prints_one_line(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["compare-samplers", "--var0", "1e308", "--batch", "4"],
     ["sample", "--oracle", "--var0", "1e308"],
-], ids=["compare-samplers", "sample-oracle"])
+    ["sample", "--oracle", "--var0", "1e308", "--batch", "1"],   # the one-row loop
+], ids=["compare-samplers", "sample-oracle", "sample-oracle-one-row"])
 def test_diverging_sample_prints_one_line(tmp_path, argv):
     # the state overflows within the first steps; numpy's overflow and
     # invalid-value warnings must not reach stderr before the error line
@@ -879,6 +891,23 @@ def test_prompt_extend_malformed_fixtures_exits_2(tmp_path, capsys):
                     "--fixtures", fixtures, "--out", tmp_path / "o"]) == 2
         assert f"{fixtures}:2: invalid JSON" in _one_line_error(capsys)
         assert not (tmp_path / "o" / "candidates.jsonl").exists()
+
+
+@pytest.mark.parametrize("small, content, message", [
+    ("fixtures", b'{"prompt": "y"\n', "invalid JSON"),
+    ("gazetteer", b"Bei\xffjing\n", "not UTF-8 text"),
+])
+def test_prompt_extend_small_input_faults_show_before_the_corpus_pass(tmp_path, capsys, small,
+                                                                      content, message):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id": "a"}\n')     # malformed too: no title
+    files = {"fixtures": DATA / "fixtures.jsonl", "gazetteer": DATA / "gazetteer.txt"}
+    files[small] = tmp_path / small
+    files[small].write_bytes(content)
+    assert run(["prompt-extend", "x", "--corpus", corpus, "--gazetteer", files["gazetteer"],
+                "--fixtures", files["fixtures"], "--out", tmp_path / "o"]) == 2
+    assert f"{files[small]}:1: {message}" in _one_line_error(capsys)
+    assert not (tmp_path / "o").exists()
 
 
 def _with_setting(tmp_path, argv, form, key, value):

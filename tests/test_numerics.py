@@ -185,3 +185,57 @@ def test_require_finite_raises_for_each_non_finite_kind(bad):
 def test_require_finite_passes_finite_values_without_warnings(good):
     # the sum of [1e308, 1e308] overflows; the check never sums
     require_finite(good)
+
+
+# require_finite checks at most FINITE_FLOATS values in Python and more
+# with numpy; each shape below sits on one side of that size, and the
+# strided and transposed ones are views of a larger array
+FINITE_VIEWS = {
+    "1-D-1": lambda: np.zeros(1),
+    "1-D-16": lambda: np.zeros(16),
+    "1-D-17": lambda: np.zeros(17),
+    "2-D-16": lambda: np.zeros((4, 4)),
+    "2-D-17": lambda: np.zeros((1, 17)),
+    "strided-16": lambda: np.zeros((4, 8))[:, ::2],
+    "strided-17": lambda: np.zeros((17, 2))[:, 1],
+    "transposed-16": lambda: np.zeros((2, 8)).T,
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("view", FINITE_VIEWS)
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_require_finite_refuses_a_non_finite_value_anywhere(view, where, bad):
+    x = FINITE_VIEWS[view]()
+    assert x.flags.c_contiguous != view.startswith(("strided", "transposed"))
+    x.flat[{"first": 0, "middle": x.size // 2, "last": x.size - 1}[where]] = bad
+    with pytest.raises(ValueError) as info:
+        require_finite(x, "sample state")
+    assert str(info.value) == "sample state contains non-finite elements"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("view", FINITE_VIEWS)
+def test_require_finite_accepts_signed_zero_subnormals_and_the_largest_floats(view):
+    x = FINITE_VIEWS[view]()
+    edges = [-0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7e308, -1.7e308]
+    for i in range(x.size):
+        x.flat[i] = edges[i % len(edges)]
+    require_finite(x, "sample state")
+
+
+@pytest.mark.parametrize("size, numpy_calls", [(1, 0), (16, 0), (17, 1)])
+def test_require_finite_picks_its_form_by_size(monkeypatch, size, numpy_calls):
+    from artdiff import numerics
+
+    assert numerics.FINITE_FLOATS == 16
+    calls = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda x: calls.append(x) or isfinite(x))
+    require_finite(np.ones(size))
+    assert len(calls) == numpy_calls
+    # a non-finite value takes the numpy pass at every size: it alone raises
+    with pytest.raises(ValueError, match="^x contains non-finite elements$"):
+        require_finite(np.full(size, np.nan), "x")
+    assert len(calls) == numpy_calls + 1
