@@ -7,12 +7,20 @@ Layout (all integers little-endian):
   per array: u16 name length, utf-8 name, u8 ndim (at most 32), u64 * ndim extents
   payload   float64 little-endian array data, in table order
   u64       checksum: first 8 bytes of SHA-256 over everything before it
+
+``write_file`` is the one function of the package that writes a file:
+every CLI output, ``manifest.json`` and a saved checkpoint go through it.
+It rewrites a file in place and cuts it to the new length, so a rerun
+into the same directory leaves no stale bytes. A write that fails
+part-way leaves the new bytes over the old ones; nothing is fsynced, so
+neither form is durable.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -27,7 +35,26 @@ class CheckpointError(ValueError):
     pass
 
 
-def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
+def write_file(path, data: bytes) -> bytes:
+    """Make ``data`` the whole of the file at ``path`` and return it. The
+    file is opened without O_TRUNC, since on ext4 emptying a file that holds
+    data costs more than writing it, and cut at the end of ``data`` after
+    the write when it is longer (a device such as /dev/null has no length
+    to cut, and refuses ftruncate)."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if os.fstat(fd).st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+    return data
+
+
+def encode_arrays(arrays: dict[str, np.ndarray]) -> bytes:
+    """The checkpoint file of ``arrays``, in the layout above."""
     head = bytearray()
     head += DENOISER_MAGIC
     head += struct.pack("<I", FORMAT_VERSION)
@@ -41,8 +68,12 @@ def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
         head += struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b""
         payload += arr.tobytes()
     body = bytes(head) + bytes(payload)
-    checksum = hashlib.sha256(body).digest()[:8]
-    Path(path).write_bytes(body + checksum)
+    return body + hashlib.sha256(body).digest()[:8]
+
+
+def save_arrays(path, arrays: dict[str, np.ndarray]) -> bytes:
+    """Write the checkpoint file of ``arrays`` at ``path``; returns its bytes."""
+    return write_file(path, encode_arrays(arrays))
 
 
 def load_arrays(path) -> dict[str, np.ndarray]:

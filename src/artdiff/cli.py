@@ -4,9 +4,15 @@ comparison, prompt extension, and corpus statistics.
 Every run resolves its configuration from flags, then an optional
 key=value config file (flags win), emits line-oriented text artifacts so
 runs can be compared byte-for-byte, writes a manifest.json capturing the
-resolved values, the numpy and Python versions and the sha256 of each
-output file, and prints one summary line. The ARTDIFF_OUT environment
-variable overrides the default output directory when --out is not given.
+resolved values, the numpy and Python versions and the sha256 of the bytes
+written to each output file, and prints one summary line. The ARTDIFF_OUT
+environment variable overrides the default output directory when --out is
+not given.
+
+Outputs are rewritten in place and cut to their new length, so a rerun
+into the same directory leaves no stale bytes. A write that fails
+part-way leaves that file's new bytes over its old ones; nothing is
+fsynced, so no output is durable.
 
 Exit codes: 0 success, 1 runtime failure (including an output file that
 cannot be written), 2 usage or configuration error (including an input
@@ -32,9 +38,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import write_file
 from .datasets import DATASETS
 from .denoisers import (OPTIMIZERS, GaussianOracle, LabelEmbedding, ToyDenoiser,
-                        TrainConfig, init_toy_denoiser, load_denoiser, save_denoiser, train)
+                        TrainConfig, denoiser_bytes, init_toy_denoiser, load_denoiser, train)
 from .errors import ConfigError, TrainingDivergedError
 from .numerics import RngStream
 from .promptx import (DEFAULT_LAMBDA1, DEFAULT_LAMBDA2, FixtureGenerator,
@@ -114,17 +121,18 @@ class Resolver:
         return value
 
 
-def _write_manifest(resolver: Resolver, outputs: list[str], extra: dict) -> None:
+def _write_manifest(resolver: Resolver, written: dict[str, bytes], extra: dict) -> bytes:
     """manifest.json in ``resolver.out``, written by ``main`` after the
     command's files: the command, its resolved config, the numpy and Python
     versions (the bytes are reproducible at a fixed numpy version), the
-    sha256 of each named output file, and ``extra``."""
-    out = resolver.out
+    sha256 of the bytes written to each output file (``written`` maps its
+    name to them), and ``extra``."""
     manifest = {"command": resolver.args.command, "config": resolver.resolved,
                 "versions": {"numpy": np.__version__, "python": platform.python_version()},
-                "outputs": {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                            for name in outputs}, **extra}
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+                "outputs": {name: hashlib.sha256(data).hexdigest()
+                            for name, data in written.items()}, **extra}
+    return write_file(resolver.out / "manifest.json",
+                      (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
 
 
 def _require_file(path, what: str) -> Path:
@@ -184,7 +192,7 @@ def cmd_schedule_dump(resolver: Resolver) -> tuple[list[tuple], dict, str]:
     for t in range(1, schedule.T + 1):
         lines.append(",".join([str(t), _fmt(schedule.beta(t)), _fmt(schedule.alpha(t)),
                                _fmt(schedule.alpha_bar(t)), _fmt(schedule.posterior_var(t))]))
-    return ([("schedule.csv", Path.write_text, "\n".join(lines) + "\n")],
+    return ([("schedule.csv", write_file, ("\n".join(lines) + "\n").encode())],
             _schedule_manifest(schedule), f"wrote {resolver.out / 'schedule.csv'}")
 
 
@@ -222,8 +230,10 @@ def cmd_toy_train(resolver: Resolver) -> tuple[list[tuple], dict, str]:
                          seed=seed, optimizer=optimizer, drop_prob=drop_prob)
     params, losses = train(params, dataset, config, schedule, embedding)
     loss_lines = ["step,loss"] + [f"{i},{_fmt(v)}" for i, v in enumerate(losses)]
-    return ([("checkpoint.bin", save_denoiser, params, schedule, embedding),
-             ("loss.csv", Path.write_text, "\n".join(loss_lines) + "\n")],
+    # made here, so a non-finite weight is refused before main creates --out
+    checkpoint = denoiser_bytes(resolver.out / "checkpoint.bin", params, schedule, embedding)
+    return ([("checkpoint.bin", write_file, checkpoint),
+             ("loss.csv", write_file, ("\n".join(loss_lines) + "\n").encode())],
             {**_schedule_manifest(schedule),
              "final_loss": float(losses[-1]) if len(losses) else None},
             f"trained {name} for {steps} steps; wrote {resolver.out / 'checkpoint.bin'}")
@@ -233,14 +243,14 @@ def cmd_toy_train(resolver: Resolver) -> tuple[list[tuple], dict, str]:
 # sample
 # ---------------------------------------------------------------------------
 
-def _write_samples_csv(path: Path, samples: np.ndarray) -> None:
+def _write_samples_csv(path: Path, samples: np.ndarray) -> bytes:
     # repr of the Python floats that tolist gives is _fmt of each value; a
     # row at a time, so no list of every value is held at once
     lines = [",".join(map(repr, row.tolist())) for row in samples]
-    path.write_text("\n".join(lines) + "\n")
+    return write_file(path, ("\n".join(lines) + "\n").encode())
 
 
-def _write_density_ppm(path: Path, points: np.ndarray) -> None:
+def _write_density_ppm(path: Path, points: np.ndarray) -> bytes:
     """2D histogram heatmap of DENSITY_BINS x DENSITY_BINS pixels as a
     binary portable pixmap."""
     lo = points.min(axis=0) - 0.5
@@ -252,7 +262,7 @@ def _write_density_ppm(path: Path, points: np.ndarray) -> None:
     rgb = np.stack([ramp, (ramp * 0.6).astype(np.uint8),
                     (255 - ramp).astype(np.uint8)], axis=-1)
     header = f"P6\n{DENSITY_BINS} {DENSITY_BINS}\n255\n".encode()
-    path.write_bytes(header + rgb.tobytes())
+    return write_file(path, header + rgb.tobytes())
 
 
 def cmd_sample(resolver: Resolver) -> tuple[list[tuple], dict, str]:
@@ -350,7 +360,7 @@ def cmd_compare_samplers(resolver: Resolver) -> tuple[list[tuple], dict, str]:
         orders[kind] = float(-np.polyfit(np.log(ORDER_FIT_COUNTS), log_errs, 1)[0])
     for kind, order in orders.items():
         lines.append(f"{kind},order,{_fmt(order)}")
-    return ([("report.csv", Path.write_text, "\n".join(lines) + "\n")],
+    return ([("report.csv", write_file, ("\n".join(lines) + "\n").encode())],
             _schedule_manifest(schedule),
             f"wrote {resolver.out / 'report.csv'}; fitted orders: "
             + ", ".join(f"{k}={v:.3f}" for k, v in orders.items()))
@@ -381,7 +391,8 @@ def cmd_prompt_extend(resolver: Resolver) -> tuple[list[tuple], dict, str]:
     candidates = extend_prompt(prompt, index, tfidf_from_index(index), HashEmbedder(),
                                fixtures, lambda1, lambda2, topk, gazetteer)
     lines = [json.dumps(dataclasses.asdict(c), sort_keys=True) for c in candidates]
-    return ([("candidates.jsonl", Path.write_text, "\n".join(lines) + ("\n" if lines else ""))],
+    text = "\n".join(lines) + ("\n" if lines else "")
+    return ([("candidates.jsonl", write_file, text.encode())],
             {"prompt": prompt, "n_candidates": len(candidates)},
             f"wrote {len(candidates)} candidates to {resolver.out / 'candidates.jsonl'}")
 
@@ -390,20 +401,21 @@ def cmd_prompt_extend(resolver: Resolver) -> tuple[list[tuple], dict, str]:
 # corpus-stats
 # ---------------------------------------------------------------------------
 
-def _write_csv(path: Path, rows) -> None:
+def _write_csv(path: Path, rows) -> bytes:
     """Rows through the csv module, so fields holding commas, quotes or
-    line breaks are quoted; newline line ends like the other CSV outputs.
-    A csv writer quotes only the characters of its own line terminator, so
-    each row is formatted with "\r\n" (which quotes a bare "\r" too) and
-    written with "\n"."""
+    line breaks are quoted; newline line ends like the other CSV outputs;
+    UTF-8. A csv writer quotes only the characters of its own line
+    terminator, so each row is formatted with "\r\n" (which quotes a bare
+    "\r" too) and ends with "\n"."""
     line = io.StringIO()
     writer = csv.writer(line, lineterminator="\r\n")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        for row in rows:
-            line.seek(0)
-            line.truncate()
-            writer.writerow(row)
-            fh.write(line.getvalue()[:-2] + "\n")
+    lines = []
+    for row in rows:
+        line.seek(0)
+        line.truncate()
+        writer.writerow(row)
+        lines.append(line.getvalue()[:-2] + "\n")
+    return write_file(path, "".join(lines).encode())
 
 
 def cmd_corpus_stats(resolver: Resolver) -> tuple[list[tuple], dict, str]:
@@ -438,10 +450,11 @@ _MU0 = (str, "3,-1", "oracle data mean, comma-separated, e.g. --mu0 -1.4,2 or --
 
 # command -> (function, help line, flags). A function takes the Resolver,
 # checks and computes, and writes nothing: it returns its files as (name,
-# writer, *args), which main writes with writer(path, *args), its manifest
-# entries and its stdout line. A flag is name -> (type, default, help): type
-# bool is a switch and a tuple lists the choices. Each name with "--" (bar
-# --config) is also a config key; "prompt" is a positional.
+# writer, *args), which main writes with writer(path, *args), a call that
+# returns the bytes written; its manifest entries; and its stdout line. A
+# flag is name -> (type, default, help): type bool is a switch and a tuple
+# lists the choices. Each name with "--" (bar --config) is also a config
+# key; "prompt" is a positional.
 COMMANDS = {
     "schedule-dump": (cmd_schedule_dump, "emit the variance schedule tables as CSV", _SCHEDULE),
     "toy-train": (cmd_toy_train, "train the toy denoiser on a built-in dataset", {
@@ -535,9 +548,9 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {resolver.out}: "
                               f"{exc.strerror or exc}") from None
-        for name, writer, *writer_args in files:
-            writer(resolver.out / name, *writer_args)
-        _write_manifest(resolver, [name for name, *_ in files], extra)
+        written = {name: writer(resolver.out / name, *writer_args)
+                   for name, writer, *writer_args in files}
+        _write_manifest(resolver, written, extra)
         print(message)
         return 0
     except ConfigError as exc:

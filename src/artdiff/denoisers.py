@@ -741,11 +741,12 @@ class TrainConfig:
             raise ConfigError("steps must be >= 0 and batch_size >= 1")
 
 
-def save_denoiser(path, params: ToyDenoiserParams, schedule: NoiseSchedule,
-                  label_embedding: Optional[LabelEmbedding] = None) -> None:
-    """Write a denoiser checkpoint: parameters, widths, the linear-schedule
-    constants, and the frozen label tokens when training was conditional.
-    Non-finite values are refused."""
+def denoiser_bytes(path, params: ToyDenoiserParams, schedule: NoiseSchedule,
+                   label_embedding: Optional[LabelEmbedding] = None) -> bytes:
+    """The checkpoint file of a denoiser: parameters, widths, the
+    linear-schedule constants, and the frozen label tokens when training
+    was conditional. Non-finite values are refused with a CheckpointError
+    that names ``path``, the file the bytes are meant for."""
     arrays = params.arrays()
     arrays["meta"] = np.array([params.data_width, params.width, params.time_dim,
                                params.cond_width], dtype=np.float64)
@@ -756,7 +757,13 @@ def save_denoiser(path, params: ToyDenoiserParams, schedule: NoiseSchedule,
     for name, arr in arrays.items():
         if not np.all(np.isfinite(arr)):
             raise ckpt.CheckpointError(f"{path}: refusing to save non-finite values in {name!r}")
-    ckpt.save_arrays(path, arrays)
+    return ckpt.encode_arrays(arrays)
+
+
+def save_denoiser(path, params: ToyDenoiserParams, schedule: NoiseSchedule,
+                  label_embedding: Optional[LabelEmbedding] = None) -> bytes:
+    """Write ``denoiser_bytes`` at ``path``; returns them."""
+    return ckpt.write_file(path, denoiser_bytes(path, params, schedule, label_embedding))
 
 
 def load_denoiser(path):

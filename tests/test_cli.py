@@ -1035,6 +1035,17 @@ def test_refusal_while_computing_leaves_no_directory(tmp_path, capsys, make_argv
     assert not out.exists()
 
 
+def test_non_finite_checkpoint_is_refused_before_out_exists(tmp_path, capsys, monkeypatch):
+    # the checkpoint's bytes are made while computing, so the refusal of a
+    # diverged weight leaves no directory behind either
+    monkeypatch.chdir(tmp_path)
+    assert run(["toy-train", "--dataset", "8-gaussian-ring", "--optimizer", "sgd",
+                "--lr", 1.7e308, "--steps", 1, "--out", "o"]) == 1
+    assert _one_line_error(capsys) == \
+        "error: o/checkpoint.bin: refusing to save non-finite values in 'w_in'"
+    assert not (tmp_path / "o").exists()
+
+
 def test_out_under_a_file_is_refused_before_the_command_runs(tmp_path, capsys, monkeypatch):
     # mkdir cannot make a directory below a regular file; main sees that
     # before the command runs, so training never starts
@@ -1184,3 +1195,104 @@ def test_readme_cli_examples_parse():
     assert len(commands) >= 8
     for line in commands:
         build_parser().parse_args(shlex.split(line)[1:])
+
+
+# ---------------------------------------------------------------------------
+# outputs: rewritten in place through one writer
+# ---------------------------------------------------------------------------
+
+def _short_table(tmp_path):
+    table = tmp_path / "short.csv"
+    table.write_text("a,Solo Artist,s,g,1900\n")
+    return table
+
+
+_PROMPT_INPUTS = ["--corpus", DATA / "micro_corpus.jsonl", "--gazetteer", DATA / "gazetteer.txt",
+                  "--fixtures", DATA / "fixtures.jsonl"]
+
+# command -> (first argv, a second argv whose outputs are shorter)
+RERUNS = {
+    "schedule-dump": (lambda _: ["schedule-dump", "--timesteps", 50],
+                      lambda _: ["schedule-dump", "--timesteps", 10]),
+    "toy-train": (lambda _: ["toy-train", "--dataset", "8-gaussian-ring", "--timesteps", 50,
+                             "--steps", 20],
+                  lambda _: ["toy-train", "--dataset", "8-gaussian-ring", "--timesteps", 50,
+                             "--steps", 5, "--hidden", 4]),
+    "sample": (lambda _: ["sample", "--oracle", "--ddim_steps", 5, "--batch", 5, "--plot"],
+               lambda _: ["sample", "--oracle", "--ddim_steps", 5, "--batch", 2, "--plot"]),
+    "compare-samplers": (lambda _: ["compare-samplers", "--batch", 300],
+                         lambda _: ["compare-samplers", "--batch", 1]),
+    "prompt-extend": (lambda _: ["prompt-extend", "urbanization of China", *_PROMPT_INPUTS,
+                                 "--topk", 10],
+                      lambda _: ["prompt-extend", "urbanization of China", *_PROMPT_INPUTS,
+                                 "--topk", 1]),
+    "corpus-stats": (lambda _: ["corpus-stats", "--metadata", DATA / "artworks.csv"],
+                     lambda tmp_path: ["corpus-stats", "--metadata", _short_table(tmp_path)]),
+}
+
+
+@pytest.mark.parametrize("command", RERUNS)
+def test_rerun_into_the_same_out_leaves_no_stale_bytes(tmp_path, monkeypatch, command):
+    # each output is rewritten in place and cut to its new length: after a
+    # longer run, a shorter one leaves the bytes a fresh directory gets.
+    # --out is relative, so the two manifests record the same path.
+    first, second = (make(tmp_path) + ["--out", "o"] for make in RERUNS[command])
+    (tmp_path / "rerun").mkdir()
+    (tmp_path / "fresh").mkdir()
+    monkeypatch.chdir(tmp_path / "rerun")
+    assert run(first) == 0
+    before = read_all("o")
+    assert run(second) == 0
+    rerun = read_all("o")
+    monkeypatch.chdir(tmp_path / "fresh")
+    assert run(second) == 0
+    assert rerun == read_all("o")
+    assert set(before) == set(rerun)
+    assert any(len(rerun[name]) < len(before[name]) for name in rerun)
+    digests = json.loads(rerun["manifest.json"])["outputs"]
+    assert set(digests) == set(rerun) - {"manifest.json"}
+    for name, digest in digests.items():
+        assert digest == hashlib.sha256(rerun[name]).hexdigest()
+
+
+def test_every_output_goes_through_the_one_writer(tmp_path, monkeypatch):
+    # every other way of writing a file raises; all six commands still run
+    import builtins
+    import io
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an output bypassed artdiff.checkpoint.write_file")
+
+    def read_only(real):
+        def guarded(file, mode="r", *args, **kwargs):
+            if set(mode) & set("wax+"):
+                refuse()
+            return real(file, mode, *args, **kwargs)
+        return guarded
+
+    argvs = {command: make_argv(tmp_path) for command, (_, make_argv) in RERUNS.items()}
+    monkeypatch.setattr(Path, "write_text", refuse)
+    monkeypatch.setattr(Path, "write_bytes", refuse)
+    monkeypatch.setattr(builtins, "open", read_only(builtins.open))
+    monkeypatch.setattr(io, "open", read_only(io.open))
+    expected = {"schedule-dump": {"schedule.csv"}, "toy-train": {"checkpoint.bin", "loss.csv"},
+                "sample": {"samples.csv", "density.ppm"}, "compare-samplers": {"report.csv"},
+                "prompt-extend": {"candidates.jsonl"},
+                "corpus-stats": {"artist_histogram.csv", "shares.csv"}}
+    for command, argv in argvs.items():
+        out = tmp_path / command
+        assert run(argv + ["--out", out]) == 0
+        assert set(read_all(out)) == expected[command] | {"manifest.json"}
+
+
+def test_output_linked_to_a_device_is_written(tmp_path):
+    # a device has no length to cut, so the writer leaves it uncut
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "samples.csv").symlink_to(os.devnull)
+    assert run(["sample", "--oracle", "--ddim_steps", 5, "--batch", 2, "--out", out]) == 0
+    assert (out / "samples.csv").read_bytes() == b""
+    fresh = tmp_path / "fresh"
+    assert run(["sample", "--oracle", "--ddim_steps", 5, "--batch", 2, "--out", fresh]) == 0
+    digest = hashlib.sha256((fresh / "samples.csv").read_bytes()).hexdigest()
+    assert json.loads((out / "manifest.json").read_text())["outputs"]["samples.csv"] == digest
