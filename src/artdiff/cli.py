@@ -105,6 +105,13 @@ class Resolver:
         self.out = Path(out)   # main creates it after the command returns
 
     def get(self, key: str):
+        """The key's value from its flag, the config file or its default;
+        recorded in the manifest's config."""
+        self.resolved[key] = value = self.peek(key)
+        return value
+
+    def peek(self, key: str):
+        """The value ``get`` gives, left out of the manifest."""
         kind, default, _ = self.flags["--" + key]
         value = getattr(self.args, key)
         if value is None and key in self.file_values:
@@ -117,7 +124,6 @@ class Resolver:
                 raise ConfigError(f"config value {key}={raw!r} is not a valid {what}") from None
         elif value is None:
             value = default
-        self.resolved[key] = value
         return value
 
 
@@ -278,6 +284,10 @@ def cmd_sample(resolver: Resolver) -> tuple[list[tuple], dict, str]:
 
     condition = None
     if oracle:
+        if resolver.peek("checkpoint"):
+            raise ConfigError("sample takes --oracle or --checkpoint, not both")
+        if label is not None:
+            raise ConfigError("--label needs a conditional checkpoint; the oracle takes no label")
         mu0 = _parse_vector(resolver.get("mu0"))
         var0 = _var0_from(resolver)
         schedule = _schedule_from(resolver)

@@ -28,9 +28,11 @@ up once per timestep and writes the stages of the posterior mean into a
 workspace per state shape, which holds mu0 tiled to that shape. The
 toy's, ``PreparedToyDenoiser``, checks and projects the condition once,
 keeps a one-token attention output per batch size, runs a guided step's
-two branches as one batch of stacked rows, and takes all time features
-from one ``time_embedding`` call: the forward and backward take time
-features, never a timestep. Its trunk
+two branches as one batch of stacked rows, and binds the time term (time
+features times w_time.T) of every timestep once per call, from one
+``time_embedding`` call and one stacked matmul. The trunk takes the time
+term and the backward the time features, never a timestep; training
+forms each step's time term from its rows' features. Its trunk
 and head write each stage into a per-call workspace, one per row count,
 that also holds the biases tiled to its rows and the FF weights as
 contiguous transposes, so every bias add is same-shape and no FF product
@@ -393,11 +395,14 @@ def _check_memory(params: ToyDenoiserParams, memory, batch: int) -> np.ndarray:
     return mem
 
 
-def _trunk(params: ToyDenoiserParams, x: np.ndarray, temb: np.ndarray, ops=None):
-    """Input projection, time features and the first FF block: (h1, a1, h2).
+def _trunk(params: ToyDenoiserParams, x: np.ndarray, time_term: np.ndarray, ops=None):
+    """Input projection, time term and the first FF block: (h1, a1, h2).
 
-    ``temb`` holds the time features (``time_embedding``): one
-    (1, time_dim) row shared by every row of x, or one row per row of x.
+    ``time_term`` is the time features (``time_embedding``) times
+    w_time.T, added to h1: one (1, width) row shared by every row of x,
+    or one row per row of x. Sampling binds it once per call
+    (``PreparedToyDenoiser``); training forms it per step
+    (``_loss_and_grad``).
     ``ops`` optionally holds a workspace's operands for this stage (see
     ``_Workspace``): three (rows, width) buffers that h1, a1 and h2 are
     written into, the biases b_in, ff1_b1 and ff1_b2, the right-hand FF
@@ -411,7 +416,7 @@ def _trunk(params: ToyDenoiserParams, x: np.ndarray, temb: np.ndarray, ops=None)
         params.ff1_w1.T, params.ff1_w2.T, _product(len(x)))
     h1 = mm(x, params.w_in.T, out=h1)
     h1 += b_in
-    h1 += _product(len(temb))(temb, params.w_time.T)
+    h1 += time_term
     a1 = mm(h1, w1, out=a1)
     a1 += b1
     np.tanh(a1, out=a1)
@@ -514,8 +519,12 @@ class PreparedToyDenoiser:
 
     The condition is checked and projected to keys and values once. A
     one-token condition's attention output does not depend on h2, so it is
-    kept per batch size. The time-feature rows of all the timesteps come
-    from one ``time_embedding`` call, and only those timesteps may be
+    kept per batch size. The time terms of all the timesteps are bound
+    once: one ``time_embedding`` call gives their feature rows as a
+    (steps, 1, time_dim) table, and one ``np.matmul`` of it by w_time.T
+    forms every (1, width) term. Each row of that stacked product is the
+    one-row gemv that ``np.dot`` runs on the step's feature row, so a term
+    has the bits of the per-step product. Only those timesteps may be
     queried. Without a scale ``predict`` gives the bound condition's
     branch; with one, which needs a condition, the guided estimate
     u + scale (c - u). Both branches see the same (xt, t), so the trunk
@@ -556,18 +565,19 @@ class PreparedToyDenoiser:
         self._workspace: dict[int, _Workspace] = {}       # rows -> buffers
         steps = [int(t) for t in timesteps]
         table = time_embedding(np.asarray(steps, dtype=np.float64)[:, None], params.time_dim)
-        self._features = dict(zip(steps, table))   # t -> its (1, time_dim) row, a view
+        terms = np.matmul(table, params.w_time.T)    # per row np.dot's one-row gemv
+        self._time_terms = dict(zip(steps, terms))   # t -> its (1, width) row, a view
 
     def predict(self, xt: Tensor, t) -> Tensor:
         params, scale = self.params, self._scale
         x = _as_batch(xt, params.data_width)
         rows = len(x)
-        temb = _prepared(self._features, t)
+        time_term = _prepared(self._time_terms, t)
         branches = 1 if scale is None else 2
         ws = self._workspace.get(branches * rows)
         if ws is None:
             ws = self._workspace[branches * rows] = _Workspace(params, rows, branches)
-        h2 = _trunk(params, x, temb, ws.trunk)[-1]
+        h2 = _trunk(params, x, time_term, ws.trunk)[-1]
         if self._kv is not None:
             np.add(h2, self._attention(h2), out=ws.cond)
         if len(ws.head) == 1:   # one tile: the head's own fresh prediction
@@ -611,7 +621,10 @@ def _loss_and_grad(params: ToyDenoiserParams, grads: ToyDenoiserParams, xt: np.n
     ``labels`` (B,) the (n_classes, dc) table of one-token conditions that
     training hands in: row i's condition is memory[labels[i]], the same
     bits as per-row memory holding that token. ``cond_mask`` is (B,) or
-    (B, 1). ``temb`` holds each row's time features, (B, time_dim).
+    (B, 1). ``temb`` holds each row's time features, (B, time_dim): the
+    trunk's time term is formed from them here, per step, with the product
+    function of their rows, and the backward reads them for w_time's
+    gradient.
 
     The backward's products use ``np.dot``, which gives the bits of
     ``np.matmul`` at these shapes (batch 1 to 4096 checked) with less
@@ -625,7 +638,7 @@ def _loss_and_grad(params: ToyDenoiserParams, grads: ToyDenoiserParams, xt: np.n
         memory = np.broadcast_to(memory, (len(xt),) + np.shape(memory))
     x = _as_batch(xt, params.data_width)
     batch = x.shape[0]
-    h1, a1, h2 = _trunk(params, x, temb)
+    h1, a1, h2 = _trunk(params, x, _product(len(temb))(temb, params.w_time.T))
     h3 = h2
     if memory is not None:
         memory = _check_memory(params, memory, batch)

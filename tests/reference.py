@@ -26,7 +26,7 @@ import re
 import numpy as np
 
 from artdiff.denoisers import (ConditionTokens, LabelEmbedding, ToyDenoiserParams, _attend,
-                               _head, _project, _trunk, check_condition_tokens,
+                               _head, _product, _project, _trunk, check_condition_tokens,
                                time_embedding)
 from artdiff.numerics import RngStream, Tensor, require_finite, require_same_shape
 from artdiff.promptx import tokenize
@@ -173,7 +173,8 @@ def toy_guidance_pair(params: ToyDenoiserParams, xt: Tensor, t: int,
     At one row these are not the bits of two one-row forward passes, since
     numpy sends a one-row product to gemv and the stacked head's two rows
     to gemm."""
-    h2 = _trunk(params, xt, time_embedding(t, params.time_dim)[None])[-1]
+    temb = time_embedding(t, params.time_dim)[None]
+    h2 = _trunk(params, xt, _product(len(temb))(temb, params.w_time.T))[-1]
     attn = _attend(h2, *_project(check_condition_tokens(condition), params), params)[0]
     out = _head(params, np.concatenate([h2, h2 + attn]))[-1]
     return out[:len(xt)], out[len(xt):]

@@ -108,6 +108,28 @@ def test_sample_requires_predictor_source(tmp_path, capsys):
     assert "either --oracle or --checkpoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize("key, value, message", [
+    ("checkpoint", "/nonexistent.bin", "--oracle or --checkpoint, not both"),
+    ("label", "3", "--label needs a conditional checkpoint"),
+])
+def test_sample_oracle_refuses_checkpoint_and_label(tmp_path, capsys, form, key, value,
+                                                    message):
+    # the oracle reads neither, so each is refused before any work and
+    # without creating --out, given as a flag or in a config file alike
+    out = tmp_path / "o"
+    argv = ["sample", "--oracle", "--batch", 2, "--ddim_steps", 5, "--out", out]
+    if form == "flag":
+        argv += [f"--{key}", value]
+    else:
+        (tmp_path / "c.cfg").write_text(f"{key}={value}\n")
+        argv += ["--config", tmp_path / "c.cfg"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not out.exists()
+
+
 def test_sample_ddpm_with_strided_timeline_is_config_error(tmp_path, capsys):
     code = run(["sample", "--oracle", "--sampler", "ddpm", "--ddim_steps", 200,
                 "--batch", 4, "--out", tmp_path / "o"])

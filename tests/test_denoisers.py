@@ -834,7 +834,8 @@ def test_gradients_with_scalar_t_and_shared_memory_match_per_row():
 
 def _reference_forward(p, xt, t, cond):
     """The training forward (fresh time features, softmax attention)."""
-    h2 = denoisers._trunk(p, xt, time_embedding(t, p.time_dim)[None])[-1]
+    temb = time_embedding(t, p.time_dim)[None]
+    h2 = denoisers._trunk(p, xt, denoisers._product(len(temb))(temb, p.w_time.T))[-1]
     if cond is not None:
         h2 = h2 + denoisers._attend(h2, *denoisers._project(cond, p), p)[0]
     return denoisers._head(p, h2)[-1]
@@ -891,6 +892,24 @@ def test_time_feature_table_rows_equal_scalar_features(dim):
     table = time_embedding(np.arange(1, 2001, dtype=np.float64), dim)
     for t in range(1, 2001):
         assert np.array_equal(table[t - 1], time_embedding(t, dim))
+
+
+@pytest.mark.parametrize("time_dim", [2, 16, 64])
+@pytest.mark.parametrize("width", [1, 3, 16, 17, 64])
+def test_prepared_time_terms_equal_per_step_products(default_schedule, width, time_dim):
+    # a binding forms every timestep's time term in one stacked matmul; each
+    # row must be byte for byte the one-row product a step would form, so a
+    # numpy or BLAS build whose stacked matmul rounds differently fails here
+    from artdiff.schedule import subsequence
+
+    size = sum(math.prod(s) for s in denoisers._param_shapes(2, width, time_dim, 16).values())
+    p = denoisers.ToyDenoiserParams(2, width, time_dim, 16,
+                                    RngStream(48).child(f"{width}-{time_dim}").normal((size,)))
+    for steps in ((1,), subsequence(default_schedule, 200).steps, range(1, 1001)):
+        terms = denoisers.PreparedToyDenoiser(p, None, steps)._time_terms
+        for t in steps:
+            want = np.dot(time_embedding(t, time_dim)[None], p.w_time.T)
+            assert terms[t].tobytes() == want.tobytes(), (width, time_dim, t)
 
 
 @pytest.mark.parametrize("n_tokens", [1, 3])
