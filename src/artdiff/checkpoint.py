@@ -4,7 +4,8 @@ Layout (all integers little-endian):
   8 bytes   magic (``DENOISER_MAGIC``)
   u32       format version (1)
   u32       number of arrays
-  per array: u16 name length, utf-8 name, u8 ndim (at most 32), u64 * ndim extents
+  per array: u16 name length, utf-8 name (unique), u8 ndim (at most 32),
+            u64 * ndim extents
   payload   float64 little-endian array data, in table order
   u64       checksum: first 8 bytes of SHA-256 over everything before it
 
@@ -91,13 +92,15 @@ def load_arrays(path) -> dict[str, np.ndarray]:
         raise CheckpointError(f"{path}: unsupported format version {version}")
     (count,) = struct.unpack_from("<I", body, 12)
     offset = 16
-    table = []
+    table = {}      # name -> shape, in file order
     try:
         for _ in range(count):
             (name_len,) = struct.unpack_from("<H", body, offset)
             offset += 2
             name = body[offset:offset + name_len].decode("utf-8")
             offset += name_len
+            if name in table:
+                raise CheckpointError(f"{path}: array name {name!r} appears more than once")
             (ndim,) = struct.unpack_from("<B", body, offset)
             offset += 1
             if ndim > MAX_NDIM:
@@ -105,13 +108,13 @@ def load_arrays(path) -> dict[str, np.ndarray]:
                                       f"at most {MAX_NDIM} are allowed")
             shape = struct.unpack_from(f"<{ndim}Q", body, offset)
             offset += 8 * ndim
-            table.append((name, shape))
+            table[name] = shape
     except struct.error:
         raise CheckpointError(f"{path}: shape table is cut short") from None
     except UnicodeDecodeError:
         raise CheckpointError(f"{path}: an array name is not valid UTF-8") from None
     arrays = {}
-    for name, shape in table:
+    for name, shape in table.items():
         count = math.prod(shape)    # Python ints: no overflow
         end = offset + 8 * count
         if end > len(body):

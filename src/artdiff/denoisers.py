@@ -620,11 +620,12 @@ def _loss_and_grad(params: ToyDenoiserParams, grads: ToyDenoiserParams, xt: np.n
     ``memory`` is shared (n, dc) memory, per-row (B, n, dc) memory, or with
     ``labels`` (B,) the (n_classes, dc) table of one-token conditions that
     training hands in: row i's condition is memory[labels[i]], the same
-    bits as per-row memory holding that token. ``cond_mask`` is (B,) or
-    (B, 1). ``temb`` holds each row's time features, (B, time_dim): the
-    trunk's time term is formed from them here, per step, with the product
-    function of their rows, and the backward reads them for w_time's
-    gradient.
+    bits as per-row memory holding that token. With memory, ``cond_mask``
+    is the (B, 1) float64 column that scales each row's attention output
+    (training's drop mask). ``temb`` holds each row's time features,
+    (B, time_dim): the trunk's time term is formed from them here, per
+    step, with the product function of their rows, and the backward reads
+    them for w_time's gradient.
 
     The backward's products use ``np.dot``, which gives the bits of
     ``np.matmul`` at these shapes (batch 1 to 4096 checked) with less
@@ -643,11 +644,7 @@ def _loss_and_grad(params: ToyDenoiserParams, grads: ToyDenoiserParams, xt: np.n
     if memory is not None:
         memory = _check_memory(params, memory, batch)
         attn_out, attn_cache = _attend(h2, *_project(memory, params, labels), params, labels)
-        mask = np.ones((batch, 1)) if cond_mask is None \
-            else np.asarray(cond_mask, dtype=np.float64)
-        if mask.shape != (batch, 1):
-            mask = mask.reshape(batch, 1)
-        h3 = h2 + mask * attn_out
+        h3 = h2 + cond_mask * attn_out
     a2, h4, out = _head(params, h3)
     eps = np.asarray(eps, dtype=np.float64).reshape(out.shape)
     g_out = out - eps
@@ -670,7 +667,7 @@ def _loss_and_grad(params: ToyDenoiserParams, grads: ToyDenoiserParams, xt: np.n
     gh3 += gh4
 
     if memory is not None:
-        g_attn = mask * gh3
+        g_attn = cond_mask * gh3
         dh = _attend_backward(g_attn, attn_cache, memory, params, grads, labels)
         gh2 = gh3 if dh is None else gh3 + dh
     else:
@@ -771,12 +768,6 @@ def denoiser_bytes(path, params: ToyDenoiserParams, schedule: NoiseSchedule,
         if not np.all(np.isfinite(arr)):
             raise ckpt.CheckpointError(f"{path}: refusing to save non-finite values in {name!r}")
     return ckpt.encode_arrays(arrays)
-
-
-def save_denoiser(path, params: ToyDenoiserParams, schedule: NoiseSchedule,
-                  label_embedding: Optional[LabelEmbedding] = None) -> bytes:
-    """Write ``denoiser_bytes`` at ``path``; returns them."""
-    return ckpt.write_file(path, denoiser_bytes(path, params, schedule, label_embedding))
 
 
 def load_denoiser(path):

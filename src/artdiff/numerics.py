@@ -44,11 +44,8 @@ def require_same_shape(a: Tensor, b: Tensor, what: str = "operands") -> None:
         raise ValueError(f"shape mismatch between {what}: {np.shape(a)} vs {np.shape(b)}")
 
 
-def _check_shape(shape) -> tuple[int, ...]:
-    if isinstance(shape, (int, np.integer)):
-        shape = (int(shape),)
-    else:
-        shape = tuple(map(int, shape))
+def _check_shape(shape: tuple[int, ...]) -> tuple[int, ...]:
+    shape = tuple(map(int, shape))
     if not shape:
         raise ValueError("invalid shape: must have at least one extent")
     if min(shape) < 1:

@@ -229,45 +229,39 @@ def bm25_search(index: Bm25Index, query: str, k: int) -> list[tuple[Document, fl
 # TF-IDF fertility scoring
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TfidfModel:
-    """Per-term inverse document frequencies, ln(N / (1 + df)) clamped at 0."""
-
-    idf: dict[str, float]
-
-
-def _tfidf_model(vocab: dict[str, int], indptr: np.ndarray, n: int) -> TfidfModel:
-    """The model for CSR postings: a term's df is its row length. The log
-    runs once per distinct df, on the same integers, so every idf has the
-    bits of the per-term formula."""
+def _idf_table(vocab: dict[str, int], indptr: np.ndarray, n: int) -> dict[str, float]:
+    """Per-term inverse document frequencies, ln(n / (1 + df)) clamped at 0,
+    for CSR postings: a term's df is its row length. The log runs once per
+    distinct df, on the same integers, so every idf has the bits of the
+    per-term formula."""
     dfs, which = np.unique(np.diff(indptr), return_inverse=True)
     logs = [max(0.0, math.log(n / (1.0 + count))) for count in dfs.tolist()]
-    idf = dict(zip(vocab, map(logs.__getitem__, which.tolist())))
-    return TfidfModel(idf=idf)
+    return dict(zip(vocab, map(logs.__getitem__, which.tolist())))
 
 
-def tfidf_fit(training_corpus: Iterable[Document]) -> TfidfModel:
-    """Fit on ``training_corpus``, counted as ``build_index`` counts it;
-    duplicate document ids are allowed, and no document gives no idf."""
+def tfidf_fit(training_corpus: Iterable[Document]) -> dict[str, float]:
+    """The idf of every term of ``training_corpus``, counted as
+    ``build_index`` counts it; duplicate document ids are allowed, and no
+    document gives no idf."""
     docs = tuple(training_corpus)
     vocab, indptr, *_ = _count_terms(docs)
-    return _tfidf_model(vocab, indptr, len(docs))
+    return _idf_table(vocab, indptr, len(docs))
 
 
-def tfidf_from_index(index: Bm25Index) -> TfidfModel:
-    """The model ``tfidf_fit`` gives on the indexed documents, read from
-    the index's document frequencies instead of tokenizing them again."""
-    return _tfidf_model(index.vocab, index.indptr, len(index.documents))
+def tfidf_from_index(index: Bm25Index) -> dict[str, float]:
+    """The idf ``tfidf_fit`` gives on the indexed documents, read from the
+    index's document frequencies instead of tokenizing them again."""
+    return _idf_table(index.vocab, index.indptr, len(index.documents))
 
 
-def tfidf_score(model: TfidfModel, tokens: list[str]) -> float:
+def tfidf_score(idf: dict[str, float], tokens: list[str]) -> float:
     """Mean over a text's token occurrences of tf * idf; OOV terms score 0.
     ``tokens`` is ``tokenize`` of the text."""
     if not tokens:
         return 0.0
     counts = Counter(tokens)
     length = len(tokens)
-    total = sum((counts[tok] / length) * model.idf.get(tok, 0.0) for tok in tokens)
+    total = sum((counts[tok] / length) * idf.get(tok, 0.0) for tok in tokens)
     return total / length
 
 
@@ -284,27 +278,21 @@ class Embedder(Protocol):
         ...
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
-    """Cosine similarity with the zero-vector convention of 0.
-
-    ``v`` may also be an (n, width) matrix of vectors, one a row: the result
-    is then the float64 array of their n cosines against ``u``, from one
-    matrix-vector product and one pass over the row norms. Each row's dot
-    product and squared norm may sum in another order than the
-    one-vector ``u @ v``, so for vectors with non-integer entries a batched
-    cosine can differ from the one-vector cosine at rounding level; for
-    integer entries (``HashEmbedder``) every sum is exact and the bits agree.
-    """
+def cosine(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The float64 array of the n cosines of vector ``u`` against the rows
+    of the (n, width) matrix ``rows``, with the zero-vector convention of 0,
+    from one matrix-vector product and one pass over the row norms."""
     u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.ndim != 1 or v.ndim not in (1, 2) or v.shape[-1:] != u.shape:
-        raise ValueError(f"vector width mismatch: {u.shape} vs {v.shape}")
+    rows = np.asarray(rows, dtype=np.float64)
+    if u.ndim != 1 or rows.ndim != 2 or rows.shape[1:] != u.shape:
+        raise ValueError(f"cosine takes a vector and an (n, width) matrix, "
+                         f"got {u.shape} and {rows.shape}")
     nu = math.sqrt(float(u @ u))
-    nv = np.sqrt(np.einsum("...i,...i->...", v, v))
+    nv = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     cos = np.zeros(nv.shape)
     if nu != 0.0:
-        np.divide(v @ u, nu * nv, out=cos, where=nv != 0.0)
-    return cos if v.ndim == 2 else float(cos)
+        np.divide(rows @ u, nu * nv, out=cos, where=nv != 0.0)
+    return cos
 
 
 class HashEmbedder:
@@ -461,7 +449,7 @@ class PromptCandidate:
             raise ValueError(f"unknown candidate source {self.source!r}")
 
 
-def score_candidate(v: str, tokens: list[str], cos: float, tfidf_model: TfidfModel,
+def score_candidate(v: str, tokens: list[str], cos: float, idf: dict[str, float],
                     lambda1: float, lambda2: float, gazetteer: Gazetteer,
                     source: str = "wiki-sentence") -> PromptCandidate:
     """Combined importance of candidate text ``v`` for a prompt u:
@@ -469,10 +457,11 @@ def score_candidate(v: str, tokens: list[str], cos: float, tfidf_model: TfidfMod
     temporal entity count).
 
     ``tokens`` is ``tokenize(v)``, which the TF-IDF and entity scores
-    read, and ``cos`` is the cosine; ``extend_prompt`` makes both, the
-    cosines of a whole pool in one batch, and checks the lambdas once.
+    read with ``idf``, and ``cos`` is the cosine; ``extend_prompt`` makes
+    both, the cosines of a whole pool in one batch, and checks the lambdas
+    once.
     """
-    fert = tfidf_score(tfidf_model, tokens)
+    fert = tfidf_score(idf, tokens)
     spatial, temporal = entity_count(v, gazetteer, tokens)
     score = fert + lambda1 * cos + lambda2 * (spatial + temporal)
     return PromptCandidate(text=v, source=source, tfidf=fert, cos=cos,
@@ -527,12 +516,9 @@ def split_sentences(text: str) -> list[str]:
     return [s.strip() for s in _SENTENCE_SPLIT_RE.split(text) if s.strip()]
 
 
-def extend_prompt(u: str, index: Bm25Index, tfidf_model: TfidfModel,
-                  embedder: Embedder, generator: Generator,
-                  lambda1: float = DEFAULT_LAMBDA1,
-                  lambda2: float = DEFAULT_LAMBDA2,
-                  k: int = 10, gazetteer: Optional[Gazetteer] = None
-                  ) -> list[PromptCandidate]:
+def extend_prompt(u: str, index: Bm25Index, idf: dict[str, float], embedder: Embedder,
+                  generator: Generator, lambda1: float, lambda2: float, k: int,
+                  gazetteer: Gazetteer) -> list[PromptCandidate]:
     """Ranked prompt extensions for ``u``.
 
     The candidate pool is the sentences of the top-k retrieved documents
@@ -544,9 +530,7 @@ def extend_prompt(u: str, index: Bm25Index, tfidf_model: TfidfModel,
     Each candidate is tokenized once, for its key and its scores. One
     ``embedder.embed_tokens`` call embeds the prompt and every candidate,
     and one ``cosine`` pass gives every candidate's cosine, which
-    ``score_candidate`` then reads. With ``HashEmbedder`` the batched
-    cosines equal one-vector ``cosine`` calls bit for bit (see
-    ``cosine``).
+    ``score_candidate`` then reads.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -554,7 +538,6 @@ def extend_prompt(u: str, index: Bm25Index, tfidf_model: TfidfModel,
             and lambda1 >= 0.0 and lambda2 >= 0.0):
         raise ValueError(f"lambda1 and lambda2 must be finite and >= 0, "
                          f"got {lambda1!r} and {lambda2!r}")
-    gaz = gazetteer if gazetteer is not None else Gazetteer(())
     pool: list[tuple[str, str]] = []
     for doc, _ in bm25_search(index, u, k):
         for sentence in split_sentences(doc.title) + split_sentences(doc.body):
@@ -570,7 +553,7 @@ def extend_prompt(u: str, index: Bm25Index, tfidf_model: TfidfModel,
     cosines = cosine(vectors[0], vectors[1:]).tolist()
     best: dict[str, PromptCandidate] = {}
     for (text, source), tokens, cos in zip(pool, token_lists, cosines):
-        cand = score_candidate(text, tokens, cos, tfidf_model, lambda1, lambda2, gaz, source)
+        cand = score_candidate(text, tokens, cos, idf, lambda1, lambda2, gazetteer, source)
         key = " ".join(tokens)
         cur = best.get(key)
         if (cur is None or cand.score > cur.score

@@ -18,7 +18,7 @@ from artdiff.datasets import DATASETS, ring_centers
 from artdiff.denoisers import (GaussianOracle, ToyDenoiser, TrainConfig,
                                _loss_and_grad, init_toy_denoiser, time_embedding, train)
 from artdiff.numerics import RngStream
-from artdiff.promptx import (Document, Gazetteer, TfidfModel, bm25_search,
+from artdiff.promptx import (Document, Gazetteer, bm25_search,
                              build_index, cosine, score_candidate, tokenize)
 from artdiff.samplers import SamplingPlan, plms_combine, sample
 from artdiff.schedule import linear_schedule, subsequence
@@ -176,7 +176,7 @@ def test_criterion_06_gradient_fidelity():
     a = schedule.alpha_bars[t - 1][:, None]
     xt = np.sqrt(a) * x0 + np.sqrt(1 - a) * eps
     memory = rng.child("m").normal((3, 2, 16))
-    mask = np.array([1.0, 0.0, 1.0])
+    mask = np.array([[1.0], [0.0], [1.0]])
 
     grads = replace(params, vector=np.empty_like(params.vector))
     scratch = replace(params, vector=np.empty_like(params.vector))
@@ -284,9 +284,10 @@ def test_criterion_10_scoring_pipeline(tmp_path):
                 else np.array([4.0, 3.0])
 
     stub = StubEmbedder()
-    model = TfidfModel(idf={"shenzhen": 1.0, "1980": 1.0})
+    model = {"shenzhen": 1.0, "1980": 1.0}
     cand = score_candidate("shenzhen 1980", tokenize("shenzhen 1980"),
-                           cosine(stub.embed("query text"), stub.embed("shenzhen 1980")),
+                           cosine(stub.embed("query text"),
+                                  stub.embed("shenzhen 1980")[None]).tolist()[0],
                            model, 0.5, 0.1, Gazetteer(["Shenzhen"]))
     assert cand.tfidf == 0.5
     assert cand.cos == 0.8
@@ -295,8 +296,8 @@ def test_criterion_10_scoring_pipeline(tmp_path):
 
     # monotone under component perturbations
     gaz = Gazetteer(["china"])
-    lo = TfidfModel(idf={"china": 0.2})
-    hi = TfidfModel(idf={"china": 0.9})
+    lo = {"china": 0.2}
+    hi = {"china": 0.9}
     assert scored("china", "china", hi, 1.0, 0.1, gaz).score \
         >= scored("china", "china", lo, 1.0, 0.1, gaz).score
     assert scored("china", "china in 1980", lo, 1.0, 0.1, gaz).score \

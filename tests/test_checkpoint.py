@@ -4,7 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from artdiff.checkpoint import CheckpointError, DENOISER_MAGIC, load_arrays, save_arrays
+from artdiff.checkpoint import (CheckpointError, DENOISER_MAGIC, load_arrays, save_arrays,
+                                write_file)
 from artdiff.numerics import RngStream
 
 
@@ -65,16 +66,15 @@ def test_truncated_file_rejected(tmp_path):
 
 
 def test_denoiser_checkpoint_roundtrip(tmp_path):
-    from artdiff.denoisers import (LabelEmbedding, init_toy_denoiser,
-                                   load_denoiser, save_denoiser,
-                                   toy_denoiser_forward)
+    from artdiff.denoisers import (LabelEmbedding, denoiser_bytes, init_toy_denoiser,
+                                   load_denoiser, toy_denoiser_forward)
     from artdiff.schedule import linear_schedule
 
     schedule = linear_schedule(123, 2e-4, 0.01)
     params = init_toy_denoiser(RngStream(4), 2)
     embedding = LabelEmbedding.create(8, params.cond_width, 4)
     path = tmp_path / "denoiser.bin"
-    save_denoiser(path, params, schedule, embedding)
+    write_file(path, denoiser_bytes(path, params, schedule, embedding))
     p2, s2, e2 = load_denoiser(path)
     assert s2.T == 123
     assert s2.betas[0] == pytest.approx(2e-4, rel=1e-12)
@@ -107,14 +107,32 @@ def _blob(entries, payload=b"\0" * 8) -> bytes:
     (_blob([_entry(b"a", (2 ** 62, 4))]), "payload shorter than shape table promises"),
     (_blob([_entry(b"a", (1,) * 33)]), "33 dimensions, at most 32"),
     (_blob([_entry(b"a", (0, 2 ** 63)), _entry(b"b", ())]), "numpy cannot hold"),
+    (_blob([_entry(b"a", (2,)), _entry(b"a", (1,))], payload=struct.pack("<3d", 1, 2, 3)),
+     "array name 'a' appears more than once"),
 ], ids=["short-table", "non-utf8-name", "extent-2**62", "ndim-33",
-        "empty-huge-extent"])
+        "empty-huge-extent", "repeated-name"])
 def test_crafted_shape_table_raises_checkpoint_error(tmp_path, blob, message):
     path = tmp_path / "crafted.bin"
     path.write_bytes(blob)
     with pytest.raises(CheckpointError) as info:
         load_arrays(path)
     assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
+
+
+def test_cli_checkpoint_with_a_repeated_array_name_exits_1_with_one_line(tmp_path, capsys):
+    # a denoiser checkpoint whose table holds w_in twice: neither copy is kept
+    from artdiff.cli import main
+    from artdiff.denoisers import denoiser_bytes
+
+    path = tmp_path / "twice.bin"
+    write_file(path, denoiser_bytes(path, *_denoiser_parts()))
+    pairs = [("w_in", np.zeros((16, 2))), *load_arrays(path).items()]
+    path.write_bytes(_blob([_entry(name.encode(), arr.shape) for name, arr in pairs],
+                           payload=b"".join(arr.astype("<f8").tobytes() for _, arr in pairs)))
+    assert main(["sample", "--checkpoint", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: array name 'w_in' appears more than once\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_crafted_shape_table_exits_1_with_one_line(tmp_path, capsys):
@@ -141,10 +159,10 @@ def _denoiser_parts():
 
 def _crafted(tmp_path, **changes):
     """Save a valid denoiser checkpoint, then rewrite its arrays (None drops one)."""
-    from artdiff.denoisers import save_denoiser
+    from artdiff.denoisers import denoiser_bytes
 
     path = tmp_path / "crafted.bin"
-    save_denoiser(path, *_denoiser_parts())
+    write_file(path, denoiser_bytes(path, *_denoiser_parts()))
     arrays = load_arrays(path)
     for name, value in changes.items():
         if value is None:
@@ -192,15 +210,16 @@ def test_load_denoiser_names_the_first_non_finite_array_in_file_order(tmp_path):
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-def test_save_denoiser_refuses_non_finite_weights(tmp_path, bad):
+def test_denoiser_bytes_refuses_non_finite_weights(tmp_path, bad):
     from dataclasses import replace
 
-    from artdiff.denoisers import save_denoiser
+    from artdiff.denoisers import denoiser_bytes
 
     params, schedule, embedding = _denoiser_parts()
     params = replace(params, vector=params.vector.copy())
     params.b_in[0, 3] = bad
     path = tmp_path / "never.bin"
-    with pytest.raises(CheckpointError, match="non-finite"):
-        save_denoiser(path, params, schedule, embedding)
+    with pytest.raises(CheckpointError, match="non-finite") as info:
+        denoiser_bytes(path, params, schedule, embedding)
+    assert str(info.value).startswith(f"{path}: ")
     assert not path.exists()

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from artdiff.checkpoint import CheckpointError  # noqa: E402
 from artdiff.denoisers import (LabelEmbedding, ToyDenoiserParams,  # noqa: E402
-                               _param_shapes, load_denoiser, save_denoiser)
+                               _param_shapes, denoiser_bytes, load_denoiser)
 from artdiff.numerics import RngStream  # noqa: E402
 from artdiff.schedule import linear_schedule  # noqa: E402
 
@@ -30,9 +30,9 @@ def bodies(tmp_path_factory):
     widths = (2, 4, 4, 3)      # small, and none of them a new denoiser's 16
     size = sum(math.prod(shape) for shape in _param_shapes(*widths).values())
     params = ToyDenoiserParams(*widths, vector=RngStream(4).normal((size,)))
-    save_denoiser(root / "denoiser.bin", params, linear_schedule(50),
-                  LabelEmbedding.create(3, params.cond_width, 4))
-    return (root / "denoiser.bin").read_bytes()[:-8], root / "crafted.bin"
+    blob = denoiser_bytes(root / "denoiser.bin", params, linear_schedule(50),
+                          LabelEmbedding.create(3, params.cond_width, 4))
+    return blob[:-8], root / "crafted.bin"
 
 
 def _load(bodies, body):

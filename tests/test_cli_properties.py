@@ -19,7 +19,8 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from artdiff.cli import _config_keys, _write_samples_csv, main  # noqa: E402
-from artdiff.promptx import (FixtureGenerator, Gazetteer, HashEmbedder,  # noqa: E402
+from artdiff.promptx import (DEFAULT_LAMBDA1, DEFAULT_LAMBDA2,  # noqa: E402
+                             FixtureGenerator, Gazetteer, HashEmbedder,
                              artist_histogram, build_index, extend_prompt, load_corpus_jsonl,
                              read_artwork_table, tfidf_from_index)
 from reference import samples_csv_text  # noqa: E402
@@ -121,8 +122,8 @@ def test_candidates_jsonl_reads_back_as_the_ranked_candidates(bodies, continuati
         lines = (out / "candidates.jsonl").read_text(encoding="utf-8").splitlines()
         index = build_index(load_corpus_jsonl(corpus))
         expected = extend_prompt(PROMPT, index, tfidf_from_index(index), HashEmbedder(),
-                                 FixtureGenerator.from_file(fixtures),
-                                 gazetteer=Gazetteer.from_file(gazetteer))
+                                 FixtureGenerator.from_file(fixtures), DEFAULT_LAMBDA1,
+                                 DEFAULT_LAMBDA2, 10, Gazetteer.from_file(gazetteer))
     rows = [json.loads(line) for line in lines]
     assert rows and all(set(row) == CANDIDATE_KEYS for row in rows)
     assert rows == [vars(c) for c in expected]

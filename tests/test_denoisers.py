@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from artdiff import denoisers
+from artdiff.checkpoint import write_file
 from artdiff.cli import _fmt, main
 from artdiff.datasets import DATASETS
 from artdiff.denoisers import (GaussianOracle, LabelEmbedding,
                                ToyDenoiser, TrainConfig, _loss_and_grad,
-                               init_toy_denoiser, load_denoiser, save_denoiser,
+                               denoiser_bytes, init_toy_denoiser, load_denoiser,
                                time_embedding, toy_denoiser_forward, train)
 from artdiff.errors import TrainingDivergedError
 from artdiff.numerics import RngStream, softmax
@@ -93,7 +94,7 @@ def reference_train(params, dataset, config, schedule, label_embedding=None):
         memory = keep = None
         if label_embedding is not None and labels is not None:
             memory = label_memory(label_embedding, labels)
-            keep = (rng_drop.uniform((b,)) >= config.drop_prob).astype(np.float64)
+            keep = (rng_drop.uniform((b,)) >= config.drop_prob).astype(np.float64)[:, None]
         grads = zero_grads(params)
         losses[step] = _loss_and_grad(params, grads, xt, time_embedding(t, params.time_dim),
                                       eps, memory, keep)
@@ -477,7 +478,7 @@ def test_gradients_match_finite_differences_spot_check(default_schedule):
     xt = np.sqrt(a) * x0 + np.sqrt(1 - a) * eps
     temb = time_embedding(t, p.time_dim)
     for mem, mask in [(None, None),
-                      (rng.child("m").normal((4, 1, 16)), np.array([1.0, 0.0, 1.0, 1.0]))]:
+                      (rng.child("m").normal((4, 1, 16)), np.array([[1.0], [0.0], [1.0], [1.0]]))]:
         grads, scratch = zero_grads(p), zero_grads(p)
         _loss_and_grad(p, grads, xt, temb, eps, mem, mask)
         gvec = grads.vector
@@ -551,7 +552,7 @@ def test_train_two_adam_steps_match_hand_update(default_schedule):
         xt = np.sqrt(a) * x0 + np.sqrt(1 - a) * eps
         grads = zero_grads(expect)
         loss = _loss_and_grad(expect, grads, xt, time_embedding(t, expect.time_dim), eps,
-                              label_memory(emb, labels), keep)
+                              label_memory(emb, labels), keep[:, None])
         assert losses[step] == loss
         expect = from_arrays(expect, adam.update(expect.arrays(), grads.arrays(), 0.01))
     for name, arr in expect.arrays().items():
@@ -591,10 +592,9 @@ def test_toy_train_outputs_match_reference_loop_bytes(tmp_path, variant):
     cfg = TrainConfig(steps=30, batch_size=16, learning_rate=0.01, seed=3, drop_prob=0.1,
                       optimizer=variant.split("-")[1])
     expect, losses = reference_train(p, DATASETS["8-gaussian-ring"], cfg, schedule, emb)
-    save_denoiser(tmp_path / "ref.bin", expect, schedule, emb)
     loss_csv = "\n".join(["step,loss"] + [f"{i},{_fmt(v)}" for i, v in enumerate(losses)])
     assert (tmp_path / "cli" / "checkpoint.bin").read_bytes() == \
-        (tmp_path / "ref.bin").read_bytes()
+        denoiser_bytes(tmp_path / "ref.bin", expect, schedule, emb)
     assert (tmp_path / "cli" / "loss.csv").read_text() == loss_csv + "\n"
 
 
@@ -630,7 +630,7 @@ def test_param_views_share_the_flat_vector(tmp_path):
     # arrays() gives the checkpoint shapes: biases 1-D
     assert {n: a.shape for n, a in p.arrays().items()} == shapes
     # a checkpoint round trip returns an equal vector
-    save_denoiser(tmp_path / "p.bin", p, linear_schedule(10))
+    write_file(tmp_path / "p.bin", denoiser_bytes(tmp_path / "p.bin", p, linear_schedule(10)))
     assert np.array_equal(load_denoiser(tmp_path / "p.bin")[0].vector, p.vector)
     for bad in (p.vector[:-1], np.append(p.vector, 0.0), p.vector.astype(np.float32),
                 p.vector.tolist()):
@@ -650,9 +650,25 @@ def test_loss_and_grad_writes_every_gradient_slot():
     for mem, lab in ((None, None), (rng.child("m1").normal((4, 1, 16)), None),
                      (rng.child("m2").normal((4, 2, 16)), None), (table, labels)):
         zeroed, nans = zero_grads(p), replace(p, vector=np.full(p.vector.size, np.nan))
-        loss = _loss_and_grad(p, zeroed, xt, temb, eps, mem, None, labels=lab)
-        assert _loss_and_grad(p, nans, xt, temb, eps, mem, None, labels=lab) == loss
+        mask = None if mem is None else np.ones((4, 1))
+        loss = _loss_and_grad(p, zeroed, xt, temb, eps, mem, mask, labels=lab)
+        assert _loss_and_grad(p, nans, xt, temb, eps, mem, mask, labels=lab) == loss
         assert zeroed.vector.tobytes() == nans.vector.tobytes()
+
+
+def test_loss_and_grad_takes_the_mask_as_one_column():
+    # with memory the mask is the (B, 1) column training passes: no
+    # all-ones mask stands in for None, and a (B,) mask is not reshaped
+    rng = RngStream(29)
+    p = init_toy_denoiser(rng.child("init"), 2)
+    xt, eps = rng.child("x").normal((4, 2)), rng.child("e").normal((4, 2))
+    temb = time_embedding(np.array([3, 77, 500, 998]), p.time_dim)
+    mem = rng.child("m").normal((4, 1, 16))
+    assert math.isfinite(_loss_and_grad(p, zero_grads(p), xt, temb, eps, mem, np.ones((4, 1))))
+    with pytest.raises(TypeError):
+        _loss_and_grad(p, zero_grads(p), xt, temb, eps, mem, None)
+    with pytest.raises(ValueError):
+        _loss_and_grad(p, zero_grads(p), xt, temb, eps, mem, np.ones(4))
 
 
 @pytest.mark.parametrize("masks", ["kept", "dropped", "mixed"])
@@ -672,7 +688,8 @@ def test_label_form_gradient_bytes_equal_per_row_memory(default_schedule, batch,
                 "mixed": (r.uniform((batch,)) >= 0.5).astype(np.float64)}[masks]
         got, want = zero_grads(p), zero_grads(p)
         loss = _loss_and_grad(p, got, xt, temb, eps, emb.tokens, keep[:, None], labels=labels)
-        ref_loss = _loss_and_grad(p, want, xt, temb, eps, label_memory(emb, labels), keep)
+        ref_loss = _loss_and_grad(p, want, xt, temb, eps, label_memory(emb, labels),
+                                  keep[:, None])
         assert loss == ref_loss
         assert got.vector.tobytes() == want.vector.tobytes()
 
@@ -793,18 +810,21 @@ def test_attend_shared_memory_matches_per_row_memory():
 
 
 def test_scalar_t_features_match_per_row_features():
-    # a prepared predictor hands the trunk one (1, time_dim) row for the
-    # whole batch; it gives the trunk of one feature row per sample
-    from artdiff.denoisers import _trunk
+    # a prepared predictor hands the trunk one shared (1, width) time term,
+    # features times w_time.T, for the whole batch; it gives the trunk of one
+    # term per sample. The width is not TIME_DIM, so features passed where
+    # the trunk takes terms fail on shape
+    from artdiff.denoisers import TIME_DIM, _trunk
 
     rng = RngStream(43)
-    p = init_toy_denoiser(rng.child("init"), 2)
+    p = init_toy_denoiser(rng.child("init"), 2, width=24)
+    assert p.width != TIME_DIM == p.time_dim
     x = rng.child("x").normal((40, 2))
     for t in (1, 500, 1000):
-        temb, ref_temb = time_embedding(t, 16)[None], time_embedding(np.full(40, t), 16)
+        temb, ref_temb = time_embedding(t, TIME_DIM)[None], time_embedding(np.full(40, t), TIME_DIM)
         assert np.array_equal(np.broadcast_to(temb, ref_temb.shape), ref_temb)
-        h1, _, h2 = _trunk(p, x, temb)
-        ref_h1, _, ref_h2 = _trunk(p, x, ref_temb)
+        h1, _, h2 = _trunk(p, x, np.dot(temb, p.w_time.T))
+        ref_h1, _, ref_h2 = _trunk(p, x, np.dot(ref_temb, p.w_time.T))
         assert _rel_err(h1, ref_h1) <= 1e-12
         assert _rel_err(h2, ref_h2) <= 1e-12
 
@@ -817,7 +837,7 @@ def test_gradients_with_scalar_t_and_shared_memory_match_per_row():
     xt = rng.child("x").normal((5, 2))
     eps = rng.child("e").normal((5, 2))
     mem = rng.child("m").normal((2, 16))
-    mask = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
+    mask = np.array([[1.0], [0.0], [1.0], [1.0], [0.0]])
     grads, ref_grads = zero_grads(p), zero_grads(p)
     loss = _loss_and_grad(p, grads, xt, np.broadcast_to(time_embedding(300, 16), (5, 16)),
                           eps, mem, mask)
@@ -1046,7 +1066,7 @@ def test_forward_bytes_do_not_depend_on_the_product_function(monkeypatch, rows):
         outs = [bound.predict(x, 600), guided.predict(x, 7), toy_denoiser_forward(p, x, 7)]
         grads = replace(p, vector=np.empty_like(p.vector))
         loss = _loss_and_grad(p, grads, x, time_embedding(np.full(rows, 7), p.time_dim),
-                              x[:, ::-1], cond[None].repeat(rows, 0), None)
+                              x[:, ::-1], cond[None].repeat(rows, 0), np.ones((rows, 1)))
         return [a.tobytes() for a in outs] + [grads.vector.tobytes(), loss]
 
     got = run()

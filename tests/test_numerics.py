@@ -60,6 +60,16 @@ def test_gaussian_invalid_shapes(shape):
         RngStream(0).normal(shape)
 
 
+@pytest.mark.parametrize("kind", ["normal", "uniform", "integers"])
+def test_draws_take_a_shape_tuple_not_a_count(kind):
+    rng = RngStream(0)
+    draw = {"normal": rng.normal, "uniform": rng.uniform,
+            "integers": lambda shape: rng.integers(0, 9, shape)}[kind]
+    with pytest.raises(TypeError):
+        draw(3)
+    assert rng.draws == 0 and draw((3,)).shape == (3,)
+
+
 def test_draw_counter_counts_elements():
     r = RngStream(0)
     r.normal((4, 2))

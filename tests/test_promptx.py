@@ -9,7 +9,7 @@ from artdiff.errors import ConfigError
 from artdiff.numerics import RngStream
 from artdiff.promptx import (ArtworkMeta, Document, FixtureGenerator,
                              Gazetteer, HashEmbedder, PromptCandidate,
-                             TfidfModel, artist_histogram, bm25_search,
+                             artist_histogram, bm25_search,
                              build_index, compose_caption, cosine,
                              entity_count, extend_prompt, load_corpus_jsonl,
                              read_artwork_table, score_candidate,
@@ -291,18 +291,18 @@ def test_bm25_on_a_corpus_without_tokens_warns_nothing():
 # ---------------------------------------------------------------------------
 
 def test_tfidf_oov_scores_zero():
-    model = tfidf_fit([Document(id="a", title="china city")])
-    assert tfidf_score(model, tokenize("wheat plateau")) == 0.0
-    assert tfidf_score(model, tokenize("")) == 0.0
+    idf = tfidf_fit([Document(id="a", title="china city")])
+    assert tfidf_score(idf, tokenize("wheat plateau")) == 0.0
+    assert tfidf_score(idf, tokenize("")) == 0.0
 
 
 def test_tfidf_single_doc_convention():
     # every term has df = N = 1, so idf = ln(1/2) clamps to 0 and the score
     # of the document against itself is 0 under the stated convention
     doc = Document(id="a", title="china city urban")
-    model = tfidf_fit([doc])
-    assert model.idf["china"] == 0.0
-    assert tfidf_score(model, tokenize(doc.text())) == 0.0
+    idf = tfidf_fit([doc])
+    assert idf["china"] == 0.0
+    assert tfidf_score(idf, tokenize(doc.text())) == 0.0
 
 
 def test_tfidf_hand_computation():
@@ -312,11 +312,11 @@ def test_tfidf_hand_computation():
         Document(id="c", title="river sky"),
         Document(id="d", title="night train"),
     ]
-    model = tfidf_fit(docs)
+    idf = tfidf_fit(docs)
     # idf(china) = idf(city) = ln(4 / (1 + 1)) = ln 2; text tokens are
     # (china, china, city) so occurrence values are (2/3, 2/3, 1/3) * ln 2
     expect = ((2 / 3) * math.log(2.0) * 2 + (1 / 3) * math.log(2.0)) / 3
-    assert tfidf_score(model, tokenize("china china city")) == pytest.approx(expect, rel=1e-12)
+    assert tfidf_score(idf, tokenize("china china city")) == pytest.approx(expect, rel=1e-12)
 
 
 def test_tfidf_idf_decreases_when_term_spreads():
@@ -327,8 +327,8 @@ def test_tfidf_idf_decreases_when_term_spreads():
         Document(id="d", title="sky"),
     ]
     grown = base + [Document(id="e", title="china train")]
-    idf_before = tfidf_fit(base).idf["china"]
-    idf_after = tfidf_fit(grown).idf["china"]
+    idf_before = tfidf_fit(base)["china"]
+    idf_after = tfidf_fit(grown)["china"]
     assert idf_after < idf_before
 
 
@@ -339,16 +339,16 @@ def test_tfidf_from_index_equals_tfidf_fit(data_dir):
     for docs in corpora:
         fitted = tfidf_fit(docs)
         derived = tfidf_from_index(build_index(docs))
-        assert derived.idf == fitted.idf  # same keys, exact floats
+        assert derived == fitted  # same keys, exact floats
 
 
 def test_tfidf_idf_equals_the_per_term_formula_bit_for_bit(data_dir):
     docs = load_corpus_jsonl(data_dir / "micro_corpus.jsonl")
     n = len(docs)
     token_sets = [set(tokenize(doc.text())) for doc in docs]
-    for model in (tfidf_fit(docs), tfidf_from_index(build_index(docs))):
-        assert model.idf.keys() == set().union(*token_sets)
-        for term, idf in model.idf.items():
+    for table in (tfidf_fit(docs), tfidf_from_index(build_index(docs))):
+        assert table.keys() == set().union(*token_sets)
+        for term, idf in table.items():
             df = sum(term in tokens for tokens in token_sets)
             assert type(idf) is float
             assert idf == max(0.0, math.log(n / (1.0 + df)))
@@ -356,22 +356,22 @@ def test_tfidf_idf_equals_the_per_term_formula_bit_for_bit(data_dir):
 
 def test_tfidf_fit_of_an_empty_corpus_is_an_empty_idf_table():
     # the general path: no document, no term, and every text scores 0
-    model = tfidf_fit([])
-    assert model == TfidfModel(idf={})
-    assert tfidf_score(model, tokenize("urbanization of China")) == 0.0
+    idf = tfidf_fit([])
+    assert type(idf) is dict and idf == {}
+    assert tfidf_score(idf, tokenize("urbanization of China")) == 0.0
 
 
 def test_tfidf_from_index_of_an_empty_index_is_an_empty_idf_table():
-    model = tfidf_from_index(build_index([]))
-    assert model == TfidfModel(idf={})
-    assert tfidf_score(model, tokenize("urbanization of China")) == 0.0
+    idf = tfidf_from_index(build_index([]))
+    assert idf == {}
+    assert tfidf_score(idf, tokenize("urbanization of China")) == 0.0
 
 
 def test_tfidf_fit_accepts_duplicate_ids():
     # build_index rejects duplicate ids; the TF-IDF fit counts every document
     docs = [Document(id="a", title="china city"), Document(id="a", title="china"),
             Document(id="b", title="wheat")]
-    assert tfidf_fit(docs).idf == {"china": 0.0, "city": math.log(3 / 2),
+    assert tfidf_fit(docs) == {"china": 0.0, "city": math.log(3 / 2),
                                    "wheat": math.log(3 / 2)}
 
 
@@ -379,15 +379,21 @@ def test_tfidf_fit_accepts_duplicate_ids():
 # cosine and embedder
 # ---------------------------------------------------------------------------
 
+def cos1(u, v):
+    """The cosine of vectors u and v, as ``cosine`` gives it for the one-row
+    matrix holding v."""
+    return cosine(u, np.asarray(v)[None]).tolist()[0]
+
+
 def test_cosine_examples():
     v = np.array([0.3, -0.4])
-    assert cosine(v, v) == pytest.approx(1.0, rel=1e-12)
-    assert cosine(np.array([1.0, 0.0]), np.array([0.0, 2.0])) == 0.0
-    assert cosine(np.array([1.0, 0.0]), np.array([1.0, 1.0])) \
+    assert cos1(v, v) == pytest.approx(1.0, rel=1e-12)
+    assert cos1(np.array([1.0, 0.0]), np.array([0.0, 2.0])) == 0.0
+    assert cos1(np.array([1.0, 0.0]), np.array([1.0, 1.0])) \
         == pytest.approx(0.707107, abs=1e-6)
-    assert cosine(np.zeros(3), np.ones(3)) == 0.0
+    assert cos1(np.zeros(3), np.ones(3)) == 0.0
     with pytest.raises(ValueError):
-        cosine(np.zeros(2), np.zeros(3))
+        cos1(np.zeros(2), np.zeros(3))
 
 
 def test_hash_embedder_deterministic_and_vocab_sensitive():
@@ -396,8 +402,8 @@ def test_hash_embedder_deterministic_and_vocab_sensitive():
     b = e.embed("urbanization of China")
     assert np.array_equal(a, b)
     assert a.shape == (64,)
-    shared = cosine(e.embed("china city growth"), e.embed("china city towers"))
-    disjoint = cosine(e.embed("china city growth"), e.embed("wheat village night"))
+    shared = cos1(e.embed("china city growth"), e.embed("china city towers"))
+    disjoint = cos1(e.embed("china city growth"), e.embed("wheat village night"))
     assert shared > disjoint
 
 
@@ -405,7 +411,7 @@ def test_embedder_scaling_leaves_cosine_unchanged():
     e = HashEmbedder()
     u = e.embed("urban china")
     v = e.embed("china train")
-    assert cosine(3.7 * u, 3.7 * v) == pytest.approx(cosine(u, v), rel=1e-12)
+    assert cos1(3.7 * u, 3.7 * v) == pytest.approx(cos1(u, v), rel=1e-12)
 
 
 class ScaledEmbedder:
@@ -423,12 +429,12 @@ class ScaledEmbedder:
 def test_embedder_scaling_leaves_ranking_unchanged(data_dir):
     docs = load_corpus_jsonl(data_dir / "micro_corpus.jsonl")
     index = build_index(docs)
-    model = tfidf_fit(docs)
+    idf = tfidf_fit(docs)
     gaz = Gazetteer.from_file(data_dir / "gazetteer.txt")
     gen = FixtureGenerator.from_file(data_dir / "fixtures.jsonl")
-    base = extend_prompt("urbanization of China", index, model, HashEmbedder(),
+    base = extend_prompt("urbanization of China", index, idf, HashEmbedder(),
                          gen, 1.0, 0.1, 12, gaz)
-    scaled = extend_prompt("urbanization of China", index, model,
+    scaled = extend_prompt("urbanization of China", index, idf,
                            ScaledEmbedder(HashEmbedder(), 41.5), gen,
                            1.0, 0.1, 12, gaz)
     assert [c.text for c in base] == [c.text for c in scaled]
@@ -456,13 +462,13 @@ def test_cosine_of_a_matrix_is_each_row_cosine():
     u, rows = e.embed(texts[0]), np.array([e.embed(t) for t in texts])
     got = cosine(u, rows)
     assert got.shape == (len(texts),) and got.dtype == np.float64
-    assert got.tolist() == [cosine(u, row) for row in rows]
+    assert got.tolist() == [cos1(u, row) for row in rows]
     assert got[2] == 0.0 and got[-1] == got[0] == pytest.approx(1.0, rel=1e-12)
     assert cosine(np.zeros(64), rows).tolist() == [0.0] * len(texts)
     assert cosine(u, rows[:0]).shape == (0,)
-    for bad in (np.zeros((2, 3)), np.zeros((2, 2, 64)), np.zeros((64, 2))):
+    for bad in (np.zeros((2, 3)), np.zeros((2, 2, 64)), np.zeros((64, 2)), rows[1]):
         with pytest.raises(ValueError):
-            cosine(u, bad)
+            cosine(u, bad)   # a single vector too: the rows are one (n, width) matrix
 
 
 # ---------------------------------------------------------------------------
@@ -529,17 +535,17 @@ class StubEmbedder:
         return np.array([4.0, 3.0])
 
 
-def scored(u, v, model, lambda1, lambda2, gazetteer, embedder=HashEmbedder()):
+def scored(u, v, idf, lambda1, lambda2, gazetteer, embedder=HashEmbedder()):
     """``score_candidate`` of text v for prompt u, with v's tokens and the
     embedder's cosine, as ``extend_prompt`` passes them."""
-    cos = cosine(embedder.embed(u), embedder.embed(v))
-    return score_candidate(v, tokenize(v), cos, model, lambda1, lambda2, gazetteer)
+    cos = cos1(embedder.embed(u), embedder.embed(v))
+    return score_candidate(v, tokenize(v), cos, idf, lambda1, lambda2, gazetteer)
 
 
 def test_score_candidate_worked_example():
-    model = TfidfModel(idf={"shenzhen": 1.0, "1980": 1.0})
+    idf = {"shenzhen": 1.0, "1980": 1.0}
     gaz = Gazetteer(["Shenzhen"])
-    cand = scored("query text", "shenzhen 1980", model, lambda1=0.5, lambda2=0.1,
+    cand = scored("query text", "shenzhen 1980", idf, lambda1=0.5, lambda2=0.1,
                   gazetteer=gaz, embedder=StubEmbedder())
     assert cand.tfidf == 0.5
     assert cand.cos == 0.8
@@ -549,14 +555,14 @@ def test_score_candidate_worked_example():
 
 
 def test_score_candidate_reduces_to_tfidf():
-    model = TfidfModel(idf={"china": 0.7})
-    cand = scored("u", "china", model, 0.0, 0.1, Gazetteer([]))
+    idf = {"china": 0.7}
+    cand = scored("u", "china", idf, 0.0, 0.1, Gazetteer([]))
     assert cand.score == cand.tfidf == pytest.approx(0.7, rel=1e-12)
 
 
 def test_score_candidate_self_similarity():
-    model = TfidfModel(idf={})
-    cand = scored("urban china", "urban china", model, lambda1=0.6, lambda2=0.0,
+    idf = {}
+    cand = scored("urban china", "urban china", idf, lambda1=0.6, lambda2=0.0,
                   gazetteer=Gazetteer([]))
     assert cand.cos == pytest.approx(1.0, rel=1e-12)
     assert cand.score == pytest.approx(0.6, rel=1e-12)
@@ -564,8 +570,8 @@ def test_score_candidate_self_similarity():
 
 def test_score_candidate_monotone_in_components():
     gaz = Gazetteer(["china"])
-    lo = TfidfModel(idf={"china": 0.2})
-    hi = TfidfModel(idf={"china": 0.9})
+    lo = {"china": 0.2}
+    hi = {"china": 0.9}
     base = scored("china", "china", lo, 1.0, 0.1, gaz)
     richer_tfidf = scored("china", "china", hi, 1.0, 0.1, gaz)
     assert richer_tfidf.score >= base.score
@@ -598,10 +604,17 @@ class EmptyGenerator:
 
 def test_extend_prompt_empty_everything():
     index = build_index([])
-    model = TfidfModel(idf={})
-    got = extend_prompt("anything", index, model, HashEmbedder(),
+    idf = {}
+    got = extend_prompt("anything", index, idf, HashEmbedder(),
                         EmptyGenerator(), 1.0, 0.1, 5, Gazetteer([]))
     assert got == []
+
+
+def test_extend_prompt_requires_its_gazetteer():
+    # no empty-gazetteer fallback: the gazetteer is the ninth argument
+    with pytest.raises(TypeError, match="gazetteer"):
+        extend_prompt("anything", build_index([]), {}, HashEmbedder(), EmptyGenerator(),
+                      1.0, 0.1, 5)
 
 
 @pytest.mark.parametrize("bad", BAD_LAMBDAS, ids=["nan", "inf", "negative"])
@@ -609,13 +622,14 @@ def test_extend_prompt_empty_everything():
 def test_extend_prompt_rejects_non_finite_and_negative_lambdas(data_dir, which, bad):
     docs = load_corpus_jsonl(data_dir / "micro_corpus.jsonl")
     index = build_index(docs)
-    model = tfidf_from_index(index)
+    idf = tfidf_from_index(index)
     gen = FixtureGenerator.from_file(data_dir / "fixtures.jsonl")
     lambdas = {"lambda1": 1.0, "lambda2": 0.1, which: bad}
     for u, idx, g in (("urbanization of China", index, gen),
                       ("anything", build_index([]), EmptyGenerator())):   # and an empty pool
         with pytest.raises(ValueError, match="finite"):
-            extend_prompt(u, idx, model, HashEmbedder(), g, k=10, **lambdas)
+            extend_prompt(u, idx, idf, HashEmbedder(), g, k=10, gazetteer=Gazetteer([]),
+                          **lambdas)
 
 
 def test_extend_prompt_surfaces_relevant_sentence():
@@ -625,8 +639,8 @@ def test_extend_prompt_surfaces_relevant_sentence():
         Document(id="noise", title="Night sky", body="Stars shine at night."),
     ]
     index = build_index(docs)
-    model = tfidf_fit(docs)
-    got = extend_prompt("urbanization of china", index, model, HashEmbedder(),
+    idf = tfidf_fit(docs)
+    got = extend_prompt("urbanization of china", index, idf, HashEmbedder(),
                         EmptyGenerator(), 1.0, 0.1, 10, Gazetteer(["china"]))
     texts = [c.text for c in got]
     assert "The urbanization of china accelerated." in texts
@@ -641,13 +655,13 @@ def test_extend_prompt_order_invariant_to_pool_order():
         Document(id="b", title="Wheat", body="Children run in wheat fields."),
         Document(id="c", title="Trains", body="A train crosses the plateau in 2006."),
     ]
-    model = tfidf_fit(docs)
+    idf = tfidf_fit(docs)
     gaz = make_gazetteer()
     gen = EmptyGenerator()
-    ranked1 = extend_prompt("china train", build_index(docs), model,
+    ranked1 = extend_prompt("china train", build_index(docs), idf,
                             HashEmbedder(), gen, 1.0, 0.1, 10, gaz)
     ranked2 = extend_prompt("china train", build_index(list(reversed(docs))),
-                            model, HashEmbedder(), gen, 1.0, 0.1, 10, gaz)
+                            idf, HashEmbedder(), gen, 1.0, 0.1, 10, gaz)
     assert [(c.text, c.score) for c in ranked1] == [(c.text, c.score) for c in ranked2]
     scores = [c.score for c in ranked1]
     assert scores == sorted(scores, reverse=True)
@@ -656,10 +670,10 @@ def test_extend_prompt_order_invariant_to_pool_order():
 def test_extend_prompt_uses_generators_and_dedupes(data_dir):
     docs = load_corpus_jsonl(data_dir / "micro_corpus.jsonl")
     index = build_index(docs)
-    model = tfidf_fit(docs)
+    idf = tfidf_fit(docs)
     gen = FixtureGenerator.from_file(data_dir / "fixtures.jsonl")
     gaz = Gazetteer.from_file(data_dir / "gazetteer.txt")
-    got = extend_prompt("urbanization of China", index, model, HashEmbedder(),
+    got = extend_prompt("urbanization of China", index, idf, HashEmbedder(),
                         gen, 1.0, 0.1, 50, gaz)
     sources = {c.source for c in got}
     assert "generator-continuation" in sources
@@ -693,30 +707,30 @@ class CountingEmbedder(HashEmbedder):
 def test_extend_prompt_embeds_prompt_once_per_call(data_dir):
     docs = load_corpus_jsonl(data_dir / "micro_corpus.jsonl")
     index = build_index(docs)
-    model = tfidf_from_index(index)
+    idf = tfidf_from_index(index)
     gen = FixtureGenerator.from_file(data_dir / "fixtures.jsonl")
     gaz = Gazetteer.from_file(data_dir / "gazetteer.txt")
     u = "urbanization of China"
     counting = CountingEmbedder()
     for call in (1, 2):
-        got = extend_prompt(u, index, model, counting, gen, 1.0, 0.1, 10, gaz)
+        got = extend_prompt(u, index, idf, counting, gen, 1.0, 0.1, 10, gaz)
         assert len(counting.batches) == call   # one batch per call
         prompts = [batch[0] for batch in counting.batches]
         assert prompts == [tokenize(u)] * call
         assert sum(batch.count(tokenize(u)) for batch in counting.batches) == call
     assert counting.texts == []
     assert all(len(batch) > 2 for batch in counting.batches)   # the candidates were embedded too
-    plain = extend_prompt(u, index, model, HashEmbedder(), gen, 1.0, 0.1, 10, gaz)
+    plain = extend_prompt(u, index, idf, HashEmbedder(), gen, 1.0, 0.1, 10, gaz)
     assert got == plain
 
 
 def test_score_candidate_uses_a_given_cosine(data_dir):
-    model = tfidf_fit(load_corpus_jsonl(data_dir / "micro_corpus.jsonl"))
+    idf = tfidf_fit(load_corpus_jsonl(data_dir / "micro_corpus.jsonl"))
     gaz = Gazetteer.from_file(data_dir / "gazetteer.txt")
     u, v = "urbanization of China", "Shenzhen grew in 1980."
-    fresh = scored(u, v, model, 1.0, 0.1, gaz)
-    assert fresh.cos == cosine(HashEmbedder().embed(u), HashEmbedder().embed(v))
-    other = score_candidate(v, tokenize(v), 0.25, model, 1.0, 0.1, gaz)
+    fresh = scored(u, v, idf, 1.0, 0.1, gaz)
+    assert fresh.cos == cos1(HashEmbedder().embed(u), HashEmbedder().embed(v))
+    other = score_candidate(v, tokenize(v), 0.25, idf, 1.0, 0.1, gaz)
     assert other.cos == 0.25
     assert other.score == fresh.tfidf + 0.25 + 0.1 * (fresh.spatial_entities
                                                       + fresh.temporal_entities)
@@ -736,7 +750,7 @@ class ListGenerator:
 @pytest.mark.parametrize("width", [64, 7])
 def test_extend_prompt_candidates_equal_one_by_one_scoring(data_dir, monkeypatch, width):
     index = build_index(load_corpus_jsonl(data_dir / "micro_corpus.jsonl"))
-    model = tfidf_from_index(index)
+    idf = tfidf_from_index(index)
     gaz = Gazetteer.from_file(data_dir / "gazetteer.txt")
     fixtures = FixtureGenerator.from_file(data_dir / "fixtures.jsonl")
     u = "urbanization of China"
@@ -745,9 +759,9 @@ def test_extend_prompt_candidates_equal_one_by_one_scoring(data_dir, monkeypatch
     calls = []
     real_score = promptx.score_candidate
 
-    def recording_score(v, tokens, cos, model, lambda1, lambda2, gaz, source):
-        cand = real_score(v, tokens, cos, model, lambda1, lambda2, gaz, source)
-        calls.append((v, tokens, model, lambda1, lambda2, gaz, source, cand))
+    def recording_score(v, tokens, cos, idf, lambda1, lambda2, gaz, source):
+        cand = real_score(v, tokens, cos, idf, lambda1, lambda2, gaz, source)
+        calls.append((v, tokens, idf, lambda1, lambda2, gaz, source, cand))
         return cand
 
     monkeypatch.setattr(promptx, "score_candidate", recording_score)
@@ -755,12 +769,12 @@ def test_extend_prompt_candidates_equal_one_by_one_scoring(data_dir, monkeypatch
     for prompt, gen, k in ((u, fixtures, 10), (u, token_less, 50), ("Asian morning", fixtures, 3),
                            ("!!!", token_less, 50)):
         calls.clear()
-        got = extend_prompt(prompt, index, model, e, gen, 0.7, 0.2, k, gaz)
+        got = extend_prompt(prompt, index, idf, e, gen, 0.7, 0.2, k, gaz)
         assert len(calls) >= len(got) > 0
-        for v, tokens, model_, lambda1, lambda2, gaz_, source, cand in calls:
+        for v, tokens, idf_, lambda1, lambda2, gaz_, source, cand in calls:
             assert tokens == tokenize(v)
-            cos = cosine(e.embed(prompt), e.embed(v))     # one vector at a time
-            alone = real_score(v, tokens, cos, model_, lambda1, lambda2, gaz_, source)
+            cos = cos1(e.embed(prompt), e.embed(v))     # one vector at a time
+            alone = real_score(v, tokens, cos, idf_, lambda1, lambda2, gaz_, source)
             assert vars(cand) == vars(alone)
             assert type(cand.cos) is float
         assert all(any(c == cand for *_, cand in calls) for c in got)
@@ -771,26 +785,26 @@ def test_extend_prompt_candidates_equal_one_by_one_scoring(data_dir, monkeypatch
 
 def test_score_candidate_with_its_token_list_equals_tokenizing_again(data_dir):
     docs = load_corpus_jsonl(data_dir / "micro_corpus.jsonl")
-    model = tfidf_fit(docs)
+    idf = tfidf_fit(docs)
     gaz = Gazetteer.from_file(data_dir / "gazetteer.txt")
     gen = FixtureGenerator.from_file(data_dir / "fixtures.jsonl")
     u = "urbanization of China"
     texts = [s for doc in docs for s in split_sentences(doc.title) + split_sentences(doc.body)]
     texts += gen.continuations(u) + gen.responses(u)
     for v in texts + ["!!!", "China, China city; 3rd of May 2024 at 7:30"]:
-        with_tokens = scored(u, v, model, 1.0, 0.1, gaz)
-        assert with_tokens.tfidf == tfidf_score(model, tokenize(v))
+        with_tokens = scored(u, v, idf, 1.0, 0.1, gaz)
+        assert with_tokens.tfidf == tfidf_score(idf, tokenize(v))
         assert (with_tokens.spatial_entities, with_tokens.temporal_entities) == \
             entity_count(v, gaz, tokenize(v))
 
 
 def test_extend_prompt_tokenizes_each_candidate_at_most_twice(data_dir, monkeypatch):
     index = build_index(load_corpus_jsonl(data_dir / "micro_corpus.jsonl"))
-    model = tfidf_from_index(index)
+    idf = tfidf_from_index(index)
     gen = FixtureGenerator.from_file(data_dir / "fixtures.jsonl")
     gaz = Gazetteer.from_file(data_dir / "gazetteer.txt")
     prompts = ("urbanization of China", "Asian morning")
-    plain = [extend_prompt(u, index, model, HashEmbedder(), gen, 1.0, 0.1, 10, gaz)
+    plain = [extend_prompt(u, index, idf, HashEmbedder(), gen, 1.0, 0.1, 10, gaz)
              for u in prompts]
     calls = Counter()
     real_tokenize, real_score = promptx.tokenize, promptx.score_candidate
@@ -807,7 +821,7 @@ def test_extend_prompt_tokenizes_each_candidate_at_most_twice(data_dir, monkeypa
     monkeypatch.setattr(promptx, "score_candidate", counting_score)
     for u, expected in zip(prompts, plain):
         calls.clear()
-        assert extend_prompt(u, index, model, HashEmbedder(), gen, 1.0, 0.1, 10, gaz) == expected
+        assert extend_prompt(u, index, idf, HashEmbedder(), gen, 1.0, 0.1, 10, gaz) == expected
         assert calls["scored"] > 10
         # the prompt is tokenized twice: once for BM25, once for its embedding
         assert calls["tokenize"] <= calls["scored"] + 2
@@ -862,8 +876,8 @@ def test_entity_count_runs_a_temporal_pattern_only_where_it_could_match(temporal
 
 def test_extend_prompt_top_k():
     docs = [Document(id="a", title="china", body="China grows. China builds. China paints.")]
-    model = tfidf_fit(docs)
-    got = extend_prompt("china", build_index(docs), model, HashEmbedder(),
+    idf = tfidf_fit(docs)
+    got = extend_prompt("china", build_index(docs), idf, HashEmbedder(),
                         EmptyGenerator(), 1.0, 0.0, 2, Gazetteer([]))
     assert len(got) == 2
 
