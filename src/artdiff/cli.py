@@ -391,7 +391,7 @@ def cmd_prompt_extend(resolver: Resolver) -> tuple[list[tuple], dict, str]:
     if topk < 1:
         raise ConfigError(f"--topk must be >= 1, got {topk}")
     for name, value in (("lambda1", lambda1), ("lambda2", lambda2)):
-        if not (math.isfinite(value) and value >= 0.0):   # inf would write "Infinity" scores
+        if not (math.isfinite(value) and value >= 0.0):
             raise ConfigError(f"--{name} must be a finite number >= 0, got {value}")
 
     # the two small files before the corpus pass, so their faults show first
@@ -400,6 +400,10 @@ def cmd_prompt_extend(resolver: Resolver) -> tuple[list[tuple], dict, str]:
     index = build_index(load_corpus_jsonl(corpus_path))
     candidates = extend_prompt(prompt, index, tfidf_from_index(index), HashEmbedder(),
                                fixtures, lambda1, lambda2, topk, gazetteer)
+    # finite lambdas can still overflow a score, and JSON has no infinity
+    if any(not math.isfinite(c.score) for c in candidates):
+        raise ConfigError(f"a candidate score overflows at --lambda1 {lambda1} and "
+                          f"--lambda2 {lambda2}; lower them")
     lines = [json.dumps(dataclasses.asdict(c), sort_keys=True) for c in candidates]
     text = "\n".join(lines) + ("\n" if lines else "")
     return ([("candidates.jsonl", write_file, text.encode())],

@@ -27,18 +27,15 @@ class ToyDataset:
         return self._sampler(int(n), rng)
 
 
-def ring_centers(modes: int = RING_MODES, radius: float = RING_RADIUS) -> np.ndarray:
-    angles = 2.0 * math.pi * np.arange(modes) / modes
-    return radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-
-
-_RING_CENTERS = ring_centers()
-_RING_CENTERS.setflags(write=False)
+# the centres of the ring's modes, (RING_MODES, 2), read-only
+RING_CENTERS = RING_RADIUS * np.stack(
+    [f(2.0 * math.pi * np.arange(RING_MODES) / RING_MODES) for f in (np.cos, np.sin)], axis=1)
+RING_CENTERS.setflags(write=False)
 
 
 def _sample_ring(n: int, rng: RngStream):
     labels = rng.integers(0, RING_MODES - 1, (n,))
-    points = _RING_CENTERS[labels] + RING_STD * rng.normal((n, 2))
+    points = RING_CENTERS[labels] + RING_STD * rng.normal((n, 2))
     return points, labels
 
 

@@ -387,14 +387,6 @@ def _as_batch(xt, width: int) -> np.ndarray:
     return x
 
 
-def _check_memory(params: ToyDenoiserParams, memory, batch: int) -> np.ndarray:
-    mem = np.asarray(memory, dtype=np.float64)
-    if not (mem.ndim == 2 or (mem.ndim == 3 and mem.shape[0] == batch)) \
-            or mem.shape[-1] != params.cond_width:
-        raise ValueError("condition memory must be (n, cond_width) or (batch, n, cond_width)")
-    return mem
-
-
 def _trunk(params: ToyDenoiserParams, x: np.ndarray, time_term: np.ndarray, ops=None):
     """Input projection, time term and the first FF block: (h1, a1, h2).
 
@@ -617,11 +609,11 @@ def _loss_and_grad(params: ToyDenoiserParams, grads: ToyDenoiserParams, xt: np.n
     pass. Every array's gradient is written into ``grads`` (the attention's
     as zeros without condition memory): its ``vector`` is the flat gradient.
 
-    ``memory`` is shared (n, dc) memory, per-row (B, n, dc) memory, or with
-    ``labels`` (B,) the (n_classes, dc) table of one-token conditions that
-    training hands in: row i's condition is memory[labels[i]], the same
-    bits as per-row memory holding that token. With memory, ``cond_mask``
-    is the (B, 1) float64 column that scales each row's attention output
+    ``memory`` is per-row (B, n, dc) float64 memory or, with ``labels``
+    (B,), the (n_classes, dc) table of one-token conditions that training
+    hands in: row i's condition is memory[labels[i]], the same bits as
+    per-row memory holding that token. With memory, ``cond_mask`` is the
+    (B, 1) float64 column that scales each row's attention output
     (training's drop mask). ``temb`` holds each row's time features,
     (B, time_dim): the trunk's time term is formed from them here, per
     step, with the product function of their rows, and the backward reads
@@ -634,15 +626,10 @@ def _loss_and_grad(params: ToyDenoiserParams, grads: ToyDenoiserParams, xt: np.n
     at training's batch of 64, ``np.matmul`` at sampling's thousands of
     rows, where it is the faster of the two.
     """
-    if memory is not None and labels is None and np.ndim(memory) == 2:
-        # _attend_backward takes the per-row (batch, n, dc) form
-        memory = np.broadcast_to(memory, (len(xt),) + np.shape(memory))
     x = _as_batch(xt, params.data_width)
-    batch = x.shape[0]
     h1, a1, h2 = _trunk(params, x, _product(len(temb))(temb, params.w_time.T))
     h3 = h2
     if memory is not None:
-        memory = _check_memory(params, memory, batch)
         attn_out, attn_cache = _attend(h2, *_project(memory, params, labels), params, labels)
         h3 = h2 + cond_mask * attn_out
     a2, h4, out = _head(params, h3)

@@ -525,15 +525,14 @@ def extend_prompt(u: str, index: Bm25Index, idf: dict[str, float], embedder: Emb
     plus the generator's continuations and responses. Candidates are
     deduplicated on their space-joined tokens (keeping the best-scoring
     variant) and the top k are returned, ties broken by ascending text.
-    ``lambda1`` and ``lambda2`` must be finite and >= 0.
+    ``k`` must be >= 1 (``bm25_search`` checks it), and ``lambda1`` and
+    ``lambda2`` finite and >= 0.
 
     Each candidate is tokenized once, for its key and its scores. One
     ``embedder.embed_tokens`` call embeds the prompt and every candidate,
     and one ``cosine`` pass gives every candidate's cosine, which
     ``score_candidate`` then reads.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if not (math.isfinite(lambda1) and math.isfinite(lambda2)
             and lambda1 >= 0.0 and lambda2 >= 0.0):
         raise ValueError(f"lambda1 and lambda2 must be finite and >= 0, "

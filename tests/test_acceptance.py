@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from artdiff.cli import main as cli_main
-from artdiff.datasets import DATASETS, ring_centers
+from artdiff.datasets import DATASETS, RING_CENTERS
 from artdiff.denoisers import (GaussianOracle, ToyDenoiser, TrainConfig,
                                _loss_and_grad, init_toy_denoiser, time_embedding, train)
 from artdiff.numerics import RngStream
@@ -222,7 +222,7 @@ def test_criterion_07_toy_generative_quality():
     plan = SamplingPlan(timeline=subsequence(schedule, 50), kind="plms",
                         width=2, seed=11, batch=1000, guidance_scale=1.0)
     points = sample(ToyDenoiser(params), plan, schedule)
-    centers = ring_centers()
+    centers = RING_CENTERS
     dist = np.linalg.norm(points[:, None, :] - centers[None], axis=2)
     nearest = dist.argmin(axis=1)
     within = dist.min(axis=1) <= 0.5

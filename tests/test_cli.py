@@ -350,6 +350,21 @@ def test_prompt_extend_bad_flag_exits_2(tmp_path, capsys, flag, value, message):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_prompt_extend_overflowing_score_exits_2_and_writes_nothing(tmp_path, capsys):
+    # finite lambdas whose terms sum past the largest float: JSON has no
+    # Infinity, so the run is refused before --out exists
+    out = tmp_path / "o"
+    code = run(["prompt-extend", "painting paris 1890",
+                "--corpus", DATA / "micro_corpus.jsonl",
+                "--gazetteer", DATA / "gazetteer.txt",
+                "--fixtures", DATA / "fixtures.jsonl",
+                "--lambda1", "1e308", "--lambda2", "1e308", "--out", out])
+    assert code == 2
+    assert _one_line_error(capsys) == ("error: a candidate score overflows at --lambda1 1e+308 "
+                                       "and --lambda2 1e+308; lower them")
+    assert not out.exists()
+
+
 def test_prompt_extend_topk_zero_on_empty_corpus_exits_2(tmp_path, capsys):
     corpus = tmp_path / "empty.jsonl"
     corpus.write_text("")
@@ -1082,6 +1097,24 @@ def test_out_under_a_file_is_refused_before_the_command_runs(tmp_path, capsys, m
     assert f"cannot create output directory {blocker / 'x'}: Not a directory" in err
     assert trained == []
     assert blocker.read_text() == "not a directory\n"
+
+
+def test_out_in_an_unwritable_directory_is_refused_before_the_command_runs(
+        tmp_path, capsys, monkeypatch):
+    # root may write anywhere, so the denial is simulated: os.access says
+    # no, and main refuses before training starts or any directory is made
+    from artdiff import cli
+
+    trained = []
+    monkeypatch.setattr(cli, "train", lambda *args: trained.append(args))
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    out = tmp_path / "locked" / "o"
+    assert run(["toy-train", "--dataset", "8-gaussian-ring", "--steps", 3000,
+                "--out", out]) == 2
+    assert _one_line_error(capsys) == \
+        f"error: cannot create output directory {out}: Permission denied"
+    assert trained == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_out_path_that_is_a_file_exits_2(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from artdiff.datasets import DATASETS, ring_centers
+from artdiff.datasets import DATASETS, RING_CENTERS
 from artdiff.numerics import RngStream
 
 
@@ -26,8 +26,9 @@ def test_samplers_shapes_and_determinism(name):
 
 
 def test_ring_geometry():
-    centers = ring_centers()
+    centers = RING_CENTERS
     assert centers.shape == (8, 2)
+    assert not centers.flags.writeable
     radii = np.linalg.norm(centers, axis=1)
     assert np.allclose(radii, 2.0, atol=1e-12)
     # adjacent centers are far enough apart for the 0.5 assignment radius
@@ -38,7 +39,7 @@ def test_ring_geometry():
 def test_ring_samples_concentrate_near_centers():
     ds = DATASETS["8-gaussian-ring"]
     x, labels = ds.sample(4000, RngStream(3))
-    centers = ring_centers()
+    centers = RING_CENTERS
     dist_to_own = np.linalg.norm(x - centers[labels], axis=1)
     assert np.quantile(dist_to_own, 0.99) < 0.5
     # all eight modes appear

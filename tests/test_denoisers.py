@@ -829,20 +829,20 @@ def test_scalar_t_features_match_per_row_features():
         assert _rel_err(h2, ref_h2) <= 1e-12
 
 
-def test_gradients_with_scalar_t_and_shared_memory_match_per_row():
-    # one scalar t's feature row broadcast over the batch, and 2D memory,
-    # reach the backward pass as per-row inputs
+def test_gradients_with_scalar_t_match_per_row():
+    # one scalar t's feature row broadcast over the batch reaches the
+    # backward pass as per-row time features
     rng = RngStream(44)
     p = init_toy_denoiser(rng.child("init"), 2)
     xt = rng.child("x").normal((5, 2))
     eps = rng.child("e").normal((5, 2))
-    mem = rng.child("m").normal((2, 16))
+    mem = np.broadcast_to(rng.child("m").normal((2, 16)), (5, 2, 16))
     mask = np.array([[1.0], [0.0], [1.0], [1.0], [0.0]])
     grads, ref_grads = zero_grads(p), zero_grads(p)
     loss = _loss_and_grad(p, grads, xt, np.broadcast_to(time_embedding(300, 16), (5, 16)),
                           eps, mem, mask)
     ref_loss = _loss_and_grad(p, ref_grads, xt, time_embedding(np.full(5, 300), 16), eps,
-                              np.broadcast_to(mem, (5, 2, 16)), mask)
+                              mem, mask)
     assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
     for name, g in ref_grads.arrays().items():
         assert np.allclose(grads.arrays()[name], g, rtol=1e-12, atol=1e-15), name
