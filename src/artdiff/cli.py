@@ -230,7 +230,7 @@ def cmd_toy_train(resolver: Resolver) -> tuple[list[tuple], dict, str]:
     if conditional:
         if dataset.n_classes < 1:
             raise ConfigError(f"dataset {name!r} has no labels for conditional training")
-        embedding = LabelEmbedding.create(dataset.n_classes, params.cond_width, seed)
+        embedding = LabelEmbedding.create(dataset.n_classes, seed)
 
     config = TrainConfig(steps=steps, batch_size=batch, learning_rate=lr,
                          seed=seed, optimizer=optimizer, drop_prob=drop_prob)

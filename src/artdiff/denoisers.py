@@ -3,52 +3,17 @@ conditional denoiser with sinusoidal time features and one cross-attention
 block over condition tokens, plus its training loop.
 
 The trainable network is intentionally tiny: input projection, additive
-time features, a residual tanh stage, a residual single-head cross-attention
-insertion (identity when unconditioned), a second residual tanh stage, and
-an output projection. Gradients are computed in closed form and are checked
+time features ``TIME_DIM`` wide, a residual tanh stage, a residual
+single-head cross-attention insertion over condition tokens ``COND_WIDTH``
+wide (identity when unconditioned), a second residual tanh stage, and an
+output projection. There is one attention, ``_attend``, which training and
+inference both take. Gradients are computed in closed form and are checked
 against finite differences in the test suite.
-
-There is one attention, ``_attend``, over keys and values projected from
-the condition; training and inference both take it.
-With one condition token (a label) the softmax over the single key is
-exactly 1, so the attention is the affine map wo·wv·token: no query or
-score is formed, and the gradients of wq and wk are exact zeros, so
-training leaves both at their initial values. Training hands each step
-the label token table and the batch's labels: the values are projected
-once per class and gathered per row, with the bits of projecting each
-row's token on its own, and the backward forms no gradient of h through
-the attention.
 
 Both predictors keep one contract, ``EpsilonPredictor``: ``predict`` for
 a single evaluation, ``prepare`` to bind one sampling call's condition,
 timesteps and guidance scale, the only way the sampler queries them: the
-binding's ``predict`` gives one estimate, guided or not, per step. A
-state xt is a (batch, width) array. The oracle's binding looks alpha_bar
-up once per timestep and writes the stages of the posterior mean into a
-workspace per state shape, which holds mu0 tiled to that shape. The
-toy's, ``PreparedToyDenoiser``, checks and projects the condition once,
-keeps a one-token attention output per batch size, runs a guided step's
-two branches as one batch of stacked rows, and binds the time term (time
-features times w_time.T) of every timestep once per call, from one
-``time_embedding`` call and one stacked matmul. The trunk takes the time
-term and the backward the time features, never a timestep; training
-forms each step's time term from its rows' features. Its trunk
-and head write each stage into a per-call workspace, one per row count,
-that also holds the biases tiled to its rows and the FF weights as
-contiguous transposes, so every bias add is same-shape and no FF product
-reads a transposed view; a one-row stage keeps the views, since gemv
-rounds by layout. A product of fewer than ``DOT_ROWS`` rows goes through
-``np.dot``, a larger one through ``np.matmul``; both give the same bits.
-The head (second FF block and output projection) runs in equal row tiles
-of at most ``HEAD_ROWS`` rows, which keep its products in cache, with the
-bits of one tile. Both bindings return fresh predictions that never alias
-their workspace, so a caller (plms) may keep them across calls.
-
-The toy's weights, ``ToyDenoiserParams``, are one flat float64 vector cut
-by one layout table into named views, each bias a (1, width) row; its
-gradient has the same form, so training updates the whole vector at once.
-The attention reads wq, wk, wv and wo from the params and writes their
-gradients into the gradient's views.
+binding's ``predict`` gives one estimate, guided or not, per step.
 """
 
 from __future__ import annotations
@@ -85,8 +50,8 @@ DOT_ROWS = 384
 # at 4000 rows and 328 us as two 2000-row tiles, with the same bits.
 HEAD_ROWS = 2048
 
-# The widths of the time features and of a condition token in a new
-# denoiser; a loaded checkpoint keeps the widths it records.
+# The widths of the time features and of a condition token; a checkpoint
+# that records other widths is refused.
 TIME_DIM = COND_WIDTH = 16
 
 OPTIMIZERS = ("adam", "sgd")   # the update rules ``train`` knows
@@ -219,17 +184,14 @@ class PreparedGaussianOracle:
 # Building blocks
 # ---------------------------------------------------------------------------
 
-def time_embedding(t, dim: int) -> Tensor:
-    """Sinusoidal features: interleaved (sin(t w_k), cos(t w_k)) pairs with
-    w_k geometrically spaced from 1 down to 1/10000."""
-    dim = int(dim)
-    if dim < 2 or dim % 2 != 0:
-        raise ValueError("embedding dim must be an even integer >= 2")
-    half = dim // 2
-    freqs = 10.0 ** (-4.0 * np.arange(half) / max(half - 1, 1))
+def time_embedding(t) -> Tensor:
+    """Sinusoidal features, ``TIME_DIM`` wide: interleaved (sin(t w_k),
+    cos(t w_k)) pairs with w_k geometrically spaced from 1 down to 1/10000."""
+    half = TIME_DIM // 2
+    freqs = 10.0 ** (-4.0 * np.arange(half) / (half - 1))
     t_arr = np.asarray(t, dtype=np.float64)
     angles = t_arr[..., None] * freqs
-    out = np.empty(angles.shape[:-1] + (dim,))
+    out = np.empty(angles.shape[:-1] + (TIME_DIM,))
     out[..., 0::2] = np.sin(angles)
     out[..., 1::2] = np.cos(angles)
     return out
@@ -317,15 +279,14 @@ def _attend_backward(g_out: np.ndarray, cache, memory: np.ndarray, params: ToyDe
 # Toy denoiser
 # ---------------------------------------------------------------------------
 
-def _param_shapes(data_width: int, width: int, time_dim: int,
-                  cond_width: int) -> dict[str, tuple[int, ...]]:
+def _param_shapes(data_width: int, width: int) -> dict[str, tuple[int, ...]]:
     """The layout table: every weight array's name and checkpoint shape, in
     the order the arrays tile the flat parameter vector."""
     w, d = width, data_width
     return {
-        "w_in": (w, d), "b_in": (w,), "w_time": (w, time_dim),
+        "w_in": (w, d), "b_in": (w,), "w_time": (w, TIME_DIM),
         "ff1_w1": (w, w), "ff1_b1": (w,), "ff1_w2": (w, w), "ff1_b2": (w,),
-        "wq": (w, w), "wk": (w, cond_width), "wv": (w, cond_width), "wo": (w, w),
+        "wq": (w, w), "wk": (w, COND_WIDTH), "wv": (w, COND_WIDTH), "wo": (w, w),
         "ff2_w1": (w, w), "ff2_b1": (w,), "ff2_w2": (w, w), "ff2_b2": (w,),
         "w_out": (d, w), "b_out": (d,),
     }
@@ -343,8 +304,6 @@ class ToyDenoiserParams:
 
     data_width: int
     width: int
-    time_dim: int
-    cond_width: int
     vector: np.ndarray
 
     def __post_init__(self):
@@ -360,7 +319,7 @@ class ToyDenoiserParams:
                                                                   else (1,) + shape))
 
     def _layout(self) -> dict[str, tuple[int, ...]]:
-        return _param_shapes(self.data_width, self.width, self.time_dim, self.cond_width)
+        return _param_shapes(self.data_width, self.width)
 
     def arrays(self) -> dict[str, np.ndarray]:
         """The named weights in checkpoint shapes (biases 1-D), as views."""
@@ -368,15 +327,12 @@ class ToyDenoiserParams:
 
 
 def init_toy_denoiser(rng: RngStream, data_width: int, width: int = 16) -> ToyDenoiserParams:
-    """Gaussian fan-in initialization of every weight matrix, zero biases;
-    time features and condition tokens are ``TIME_DIM`` and ``COND_WIDTH``
-    wide."""
-    widths = dict(data_width=int(data_width), width=int(width),
-                  time_dim=TIME_DIM, cond_width=COND_WIDTH)
+    """Gaussian fan-in initialization of every weight matrix, zero biases."""
+    data_width, width = int(data_width), int(width)
     vector = np.concatenate([np.zeros(shape) if len(shape) == 1
                              else (rng.normal(shape) / math.sqrt(shape[1])).ravel()
-                             for shape in _param_shapes(**widths).values()])
-    return ToyDenoiserParams(**widths, vector=vector)
+                             for shape in _param_shapes(data_width, width).values()])
+    return ToyDenoiserParams(data_width, width, vector)
 
 
 def _as_batch(xt, width: int) -> np.ndarray:
@@ -513,7 +469,7 @@ class PreparedToyDenoiser:
     one-token condition's attention output does not depend on h2, so it is
     kept per batch size. The time terms of all the timesteps are bound
     once: one ``time_embedding`` call gives their feature rows as a
-    (steps, 1, time_dim) table, and one ``np.matmul`` of it by w_time.T
+    (steps, 1, TIME_DIM) table, and one ``np.matmul`` of it by w_time.T
     forms every (1, width) term. Each row of that stacked product is the
     one-row gemv that ``np.dot`` runs on the step's feature row, so a term
     has the bits of the per-step product. Only those timesteps may be
@@ -527,17 +483,12 @@ class PreparedToyDenoiser:
     c += u: float addition and multiplication commute bit for bit, so
     these are ``cfg_combine``'s three roundings in its order.
 
-    The trunk and the second FF block write their stages into a workspace
-    per row count, allocated on first use and reused by every later call
-    with that count (a guided batch of B rows takes the 2B entry). It holds
-    three (rows, width) buffers and the operands those stages read: the
-    biases tiled to its rows and the FF weights as contiguous transposes
-    (see ``_Workspace``). The head runs in equal row tiles of at most
-    ``HEAD_ROWS`` rows, so a guided batch of B = 2000 rows runs it as its
-    two halves, and each tile writes its rows of one fresh prediction; a
-    single tile's own fresh prediction is used as it is. The returned
-    predictions never alias the workspace, so a caller may keep them
-    across calls.
+    The trunk and the head write their stages into a ``_Workspace`` per
+    row count, made on first use and reused by every later call with that
+    count (a guided batch of B rows takes the 2B entry). Each head tile
+    writes its rows of one fresh prediction; a single tile's own fresh
+    prediction is used as it is. The returned predictions never alias the
+    workspace, so a caller may keep them across calls.
     """
 
     def __init__(self, params: ToyDenoiserParams, condition: Optional[ConditionTokens],
@@ -546,9 +497,9 @@ class PreparedToyDenoiser:
         self._kv = None
         if condition is not None:
             memory = check_condition_tokens(condition)
-            if memory.shape[1] != params.cond_width:
+            if memory.shape[1] != COND_WIDTH:
                 raise ValueError(f"condition tokens have width {memory.shape[1]}, "
-                                 f"expected {params.cond_width}")
+                                 f"expected {COND_WIDTH}")
             self._kv = _project(memory, params)
         elif scale is not None:
             raise ValueError("a guidance scale needs a condition")
@@ -556,7 +507,7 @@ class PreparedToyDenoiser:
         self._one_token_out: dict[int, np.ndarray] = {}   # batch size -> output
         self._workspace: dict[int, _Workspace] = {}       # rows -> buffers
         steps = [int(t) for t in timesteps]
-        table = time_embedding(np.asarray(steps, dtype=np.float64)[:, None], params.time_dim)
+        table = time_embedding(np.asarray(steps, dtype=np.float64)[:, None])
         terms = np.matmul(table, params.w_time.T)    # per row np.dot's one-row gemv
         self._time_terms = dict(zip(steps, terms))   # t -> its (1, width) row, a view
 
@@ -615,7 +566,7 @@ def _loss_and_grad(params: ToyDenoiserParams, grads: ToyDenoiserParams, xt: np.n
     per-row memory holding that token. With memory, ``cond_mask`` is the
     (B, 1) float64 column that scales each row's attention output
     (training's drop mask). ``temb`` holds each row's time features,
-    (B, time_dim): the trunk's time term is formed from them here, per
+    (B, TIME_DIM): the trunk's time term is formed from them here, per
     step, with the product function of their rows, and the backward reads
     them for w_time's gradient.
 
@@ -702,11 +653,11 @@ class ToyDenoiser:
 class LabelEmbedding:
     """Fixed (untrained) map from label indices to single condition tokens."""
 
-    tokens: np.ndarray  # (n_classes, cond_width)
+    tokens: np.ndarray  # (n_classes, COND_WIDTH)
 
     @classmethod
-    def create(cls, n_classes: int, cond_width: int, seed: int) -> "LabelEmbedding":
-        tokens = RngStream(seed).child("label-embedding").normal((n_classes, cond_width))
+    def create(cls, n_classes: int, seed: int) -> "LabelEmbedding":
+        tokens = RngStream(seed).child("label-embedding").normal((n_classes, COND_WIDTH))
         tokens.setflags(write=False)
         return cls(tokens=tokens)
 
@@ -745,8 +696,8 @@ def denoiser_bytes(path, params: ToyDenoiserParams, schedule: NoiseSchedule,
     was conditional. Non-finite values are refused with a CheckpointError
     that names ``path``, the file the bytes are meant for."""
     arrays = params.arrays()
-    arrays["meta"] = np.array([params.data_width, params.width, params.time_dim,
-                               params.cond_width], dtype=np.float64)
+    arrays["meta"] = np.array([params.data_width, params.width, TIME_DIM, COND_WIDTH],
+                              dtype=np.float64)
     arrays["schedule"] = np.array([schedule.T, float(schedule.betas[0]),
                                    float(schedule.betas[-1])])
     if label_embedding is not None:
@@ -761,8 +712,9 @@ def load_denoiser(path):
     """Returns (params, schedule, label_embedding or None).
 
     The array set (the layout's names, ``meta``, ``schedule`` and optional
-    ``label_tokens``), every value, and every shape (against the widths in
-    ``meta``) are checked; any failure raises CheckpointError.
+    ``label_tokens``), every value, the widths in ``meta`` (the time and
+    condition widths must be ``TIME_DIM`` and ``COND_WIDTH``) and every
+    shape against them are checked; any failure raises CheckpointError.
     """
     arrays = ckpt.load_arrays(path)
 
@@ -772,7 +724,7 @@ def load_denoiser(path):
     def whole_positive(values: np.ndarray) -> bool:
         return bool(np.all(values >= 1) and np.all(values == np.floor(values)))
 
-    required = {"meta", "schedule", *_param_shapes(0, 0, 0, 0)}   # names only
+    required = {"meta", "schedule", *_param_shapes(0, 0)}   # names only
     missing = sorted(required - set(arrays))
     unexpected = sorted(set(arrays) - required - {"label_tokens"})
     if missing or unexpected:
@@ -781,18 +733,18 @@ def load_denoiser(path):
         name = next(name for name, arr in arrays.items() if not np.all(np.isfinite(arr)))
         raise bad(f"array {name!r} contains non-finite values")
     meta, consts = arrays["meta"], arrays["schedule"]
-    if meta.shape != (4,) or not whole_positive(meta) or meta[2] % 2 != 0:
-        raise bad("meta must hold four positive integer widths with an even time width")
-    widths = [int(v) for v in meta]
-    cond_width = widths[3]
+    if meta.shape != (4,) or meta.tolist()[2:] != [TIME_DIM, COND_WIDTH] \
+            or not whole_positive(meta[:2]):
+        raise bad(f"meta must hold two positive integer widths, then {TIME_DIM} and {COND_WIDTH}")
+    widths = [int(v) for v in meta[:2]]
     shapes = _param_shapes(*widths)
     for name, shape in shapes.items():
         if arrays[name].shape != shape:
             raise bad(f"array {name!r} has shape {arrays[name].shape}, meta implies {shape}")
     tokens = arrays.get("label_tokens")
     if tokens is not None and (tokens.ndim != 2 or tokens.shape[0] < 1
-                               or tokens.shape[1] != cond_width):
-        raise bad(f"label_tokens has shape {tokens.shape}, expected (n, {cond_width})")
+                               or tokens.shape[1] != COND_WIDTH):
+        raise bad(f"label_tokens has shape {tokens.shape}, expected (n, {COND_WIDTH})")
     if consts.shape != (3,) or not whole_positive(consts[0]):
         raise bad("schedule must hold (T, beta_start, beta_end) with a positive integer T")
     try:
@@ -801,7 +753,7 @@ def load_denoiser(path):
         raise bad(f"invalid schedule constants: {exc}") from None
     vector = np.concatenate([arrays[name].ravel() for name in shapes])
     embedding = LabelEmbedding(tokens=tokens) if tokens is not None else None
-    return ToyDenoiserParams(*widths, vector=vector), schedule, embedding
+    return ToyDenoiserParams(*widths, vector), schedule, embedding
 
 
 class _AdamState:
@@ -894,7 +846,7 @@ def train(params: ToyDenoiserParams, dataset, config: TrainConfig,
     vec = params.vector.copy()
     params = replace(params, vector=vec)
     grads = replace(params, vector=np.empty_like(vec))    # written whole every step
-    time_table = time_embedding(np.arange(1, schedule.T + 1), params.time_dim)
+    time_table = time_embedding(np.arange(1, schedule.T + 1))
     adam = _AdamState(vec.size) if config.optimizer == "adam" else None
     losses = np.zeros(config.steps)
     b, lr = config.batch_size, config.learning_rate

@@ -173,7 +173,7 @@ def toy_guidance_pair(params: ToyDenoiserParams, xt: Tensor, t: int,
     At one row these are not the bits of two one-row forward passes, since
     numpy sends a one-row product to gemv and the stacked head's two rows
     to gemm."""
-    temb = time_embedding(t, params.time_dim)[None]
+    temb = time_embedding(t)[None]
     h2 = _trunk(params, xt, _product(len(temb))(temb, params.w_time.T))[-1]
     attn = _attend(h2, *_project(check_condition_tokens(condition), params), params)[0]
     out = _head(params, np.concatenate([h2, h2 + attn]))[-1]
@@ -227,7 +227,7 @@ def cross_attention(queries: np.ndarray, memory: ConditionTokens,
 
 
 def label_memory(embedding: LabelEmbedding, labels) -> np.ndarray:
-    """Per-row one-token memory (batch, 1, cond_width) of a vector of
+    """Per-row one-token memory (batch, 1, COND_WIDTH) of a vector of
     labels: the general per-row form that training's label form, the token
     table plus the labels, must match bit for bit."""
     return embedding.tokens[np.asarray(labels, dtype=np.int64)][:, None, :]

@@ -180,7 +180,7 @@ def test_criterion_06_gradient_fidelity():
 
     grads = replace(params, vector=np.empty_like(params.vector))
     scratch = replace(params, vector=np.empty_like(params.vector))
-    temb = time_embedding(t, params.time_dim)
+    temb = time_embedding(t)
     _loss_and_grad(params, grads, xt, temb, eps, memory, mask)
 
     def loss_at(vec):

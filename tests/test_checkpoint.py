@@ -72,7 +72,7 @@ def test_denoiser_checkpoint_roundtrip(tmp_path):
 
     schedule = linear_schedule(123, 2e-4, 0.01)
     params = init_toy_denoiser(RngStream(4), 2)
-    embedding = LabelEmbedding.create(8, params.cond_width, 4)
+    embedding = LabelEmbedding.create(8, 4)
     path = tmp_path / "denoiser.bin"
     write_file(path, denoiser_bytes(path, params, schedule, embedding))
     p2, s2, e2 = load_denoiser(path)
@@ -154,7 +154,7 @@ def _denoiser_parts():
     from artdiff.schedule import linear_schedule
 
     params = init_toy_denoiser(RngStream(4), 2)
-    return params, linear_schedule(50), LabelEmbedding.create(8, params.cond_width, 4)
+    return params, linear_schedule(50), LabelEmbedding.create(8, 4)
 
 
 def _crafted(tmp_path, **changes):
@@ -173,13 +173,20 @@ def _crafted(tmp_path, **changes):
     return path
 
 
+# every checkpoint's time and condition widths are 16
+WIDTHS = "meta must hold two positive integer widths, then 16 and 16"
+
+
 @pytest.mark.parametrize("changes, message", [
     ({"extra": np.zeros(3)}, "unexpected ['extra']"),
     ({"meta": None}, "missing ['meta']"),
     ({"wq": None}, "missing ['wq']"),
     ({"w_in": np.zeros((16, 3))}, "'w_in' has shape (16, 3)"),
     ({"b_out": np.zeros(3)}, "'b_out' has shape (3,)"),
-    ({"meta": np.array([2.0, 16.0, 15.0, 16.0])}, "even time width"),
+    ({"meta": np.array([2.0, 16.0, 15.0, 16.0])}, WIDTHS),
+    ({"meta": np.array([2.0, 16.0, 8.0, 16.0]), "w_time": np.zeros((16, 8))}, WIDTHS),
+    ({"meta": np.array([2.0, 16.0, 16.0, 8.0]), "wk": np.zeros((16, 8)),
+      "wv": np.zeros((16, 8))}, WIDTHS),
     ({"meta": np.array([2.0, 16.0, 16.0])}, "meta"),
     ({"label_tokens": np.zeros((8, 5))}, "label_tokens"),
     ({"schedule": np.array([50.0, 0.5, 0.1])}, "schedule"),
@@ -187,13 +194,15 @@ def _crafted(tmp_path, **changes):
     ({"b_out": np.array([np.inf, 0.0])}, "'b_out' contains non-finite"),
     ({"label_tokens": np.full((8, 16), np.nan)}, "'label_tokens' contains non-finite"),
 ], ids=["extra-array", "no-meta", "no-wq", "w_in-shape", "b_out-shape", "odd-time-width",
-        "short-meta", "token-width", "bad-schedule", "huge-T", "inf-bias", "nan-tokens"])
+        "time-width-8", "cond-width-8", "short-meta", "token-width", "bad-schedule", "huge-T",
+        "inf-bias", "nan-tokens"])
 def test_load_denoiser_rejects_crafted_content(tmp_path, changes, message):
     from artdiff.denoisers import load_denoiser
 
     path = _crafted(tmp_path, **changes)
     with pytest.raises(CheckpointError) as info:
         load_denoiser(path)
+    assert str(info.value).startswith(f"{path}: ")
     assert message in str(info.value)
 
 

@@ -27,11 +27,11 @@ def bodies(tmp_path_factory):
     """A valid denoiser checkpoint without its checksum, and a file path
     to write crafted blobs to."""
     root = tmp_path_factory.mktemp("checkpoints")
-    widths = (2, 4, 4, 3)      # small, and none of them a new denoiser's 16
+    widths = (2, 4)      # small; the time and condition widths are 16
     size = sum(math.prod(shape) for shape in _param_shapes(*widths).values())
     params = ToyDenoiserParams(*widths, vector=RngStream(4).normal((size,)))
     blob = denoiser_bytes(root / "denoiser.bin", params, linear_schedule(50),
-                          LabelEmbedding.create(3, params.cond_width, 4))
+                          LabelEmbedding.create(3, 4))
     return blob[:-8], root / "crafted.bin"
 
 

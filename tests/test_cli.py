@@ -510,6 +510,26 @@ def test_sample_with_corrupt_checkpoint_exits_1(tmp_path, capsys):
     assert "checksum" in capsys.readouterr().err
 
 
+def test_sample_refuses_a_checkpoint_of_another_time_width(tmp_path, capsys):
+    # every denoiser's time features are 16 wide; a checkpoint that records
+    # another time width is refused before any output is made
+    from artdiff.checkpoint import load_arrays, save_arrays
+
+    train_out = tmp_path / "train"
+    assert run(["toy-train", "--dataset", "8-gaussian-ring", "--steps", 0,
+                "--seed", 1, "--timesteps", 50, "--out", train_out]) == 0
+    arrays = load_arrays(train_out / "checkpoint.bin")
+    arrays["meta"] = np.array([2.0, 16.0, 8.0, 16.0])
+    arrays["w_time"] = np.zeros((16, 8))
+    path, out = tmp_path / "time-width-8.bin", tmp_path / "o"
+    save_arrays(path, arrays)
+    capsys.readouterr()
+    assert run(["sample", "--checkpoint", path, "--ddim_steps", 10,
+                "--batch", 2, "--out", out]) == 1
+    assert _one_line_error(capsys).startswith(f"error: {path}: meta must hold")
+    assert not out.exists()
+
+
 def test_config_file_booleans_and_missing_config(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("oracle=true\nmu0=1,1\nvar0=0.5\nddim_steps=10\nbatch=3\n")

@@ -7,6 +7,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -18,7 +19,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from artdiff.cli import _config_keys, _write_samples_csv, main  # noqa: E402
+from artdiff.checkpoint import load_arrays, save_arrays  # noqa: E402
+from artdiff.cli import COMMANDS, _config_keys, _write_samples_csv, main  # noqa: E402
+from artdiff.datasets import DATASETS  # noqa: E402
 from artdiff.promptx import (DEFAULT_LAMBDA1, DEFAULT_LAMBDA2,  # noqa: E402
                              FixtureGenerator, Gazetteer, HashEmbedder,
                              artist_histogram, build_index, extend_prompt, load_corpus_jsonl,
@@ -165,3 +168,125 @@ def test_any_config_file_exits_0_or_2_with_one_error_line(command, lines):
     else:
         assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
         assert "Traceback" not in err.getvalue()
+
+
+# Every flag of every command at random values. Each flag has values in
+# range and edge values; each draw takes edge values for at most two flags,
+# so most draws run and each edge value is met on its own. An int flag's
+# range is small, so that no draw allocates more than a few MB, and its
+# edge values are refused before any work; a float flag's edge values are
+# EDGE_FLAG_FLOATS; a path is a test-data file, the flag's own in range and
+# another at the edge. A switch is on or off and a choice one of its own.
+EDGE_INTS = [0, -1, 2 ** 63]
+EDGE_FLAG_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, -1e308, 5e-324]
+DATA_FILES = [DATA / name for name in ("micro_corpus.jsonl", "gazetteer.txt",
+                                       "fixtures.jsonl", "artworks.csv")]
+
+
+def _ints(lo, hi, *edges):
+    return st.integers(lo, hi), st.sampled_from(EDGE_INTS + list(edges))
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi), st.sampled_from(EDGE_FLAG_FLOATS)
+
+
+def _data_file(name):
+    return st.just(DATA / name), st.sampled_from([f for f in DATA_FILES if f.name != name])
+
+
+# flag -> (values in range, edge values); None leaves the flag out
+FLAG_VALUES = {
+    "--timesteps": _ints(1, 50, 1_000_001), "--steps": _ints(0, 3), "--batch": _ints(1, 8),
+    "--hidden": _ints(1, 8), "--ddim_steps": _ints(1, 10), "--topk": _ints(1, 12),
+    "--seed": (st.integers(0, 2 ** 64 - 1), st.sampled_from([-1, 2 ** 64])),
+    "--label": (st.one_of(st.none(), st.integers(0, 7)), st.sampled_from([-1, 8, 2 ** 63])),
+    "--lr": _floats(1e-6, 1.0), "--drop_prob": _floats(0.0, 1.0),
+    "--beta_start": _floats(1e-5, 0.01), "--beta_end": _floats(0.01, 0.05),
+    "--ddim_eta": _floats(0.0, 1.0), "--scale": _floats(0.0, 10.0), "--var0": _floats(0.01, 4.0),
+    "--lambda1": _floats(0.0, 4.0), "--lambda2": _floats(0.0, 4.0),
+    "--config": (st.none(), st.sampled_from(DATA_FILES)),
+    "--dataset": (st.sampled_from(sorted(DATASETS)), st.just("no-such-dataset")),
+    # names of the checkpoints fixture
+    "--checkpoint": (st.sampled_from(["conditional", "unconditional"]),
+                     st.sampled_from([None, "time-width-8", "missing"])),
+    "--mu0": (st.sampled_from(["3,-1", "-1.4,2", "0", "0.5,-2,1"]),
+              st.sampled_from(["1e308,-1e308", "nan,1", "1,,2", ""])),
+    "--corpus": _data_file("micro_corpus.jsonl"), "--gazetteer": _data_file("gazetteer.txt"),
+    "--fixtures": _data_file("fixtures.jsonl"), "--metadata": _data_file("artworks.csv"),
+    "--delimiter": (st.sampled_from([",", ";", "\t"]), st.sampled_from(['"', "\n", "", "ab"])),
+    "prompt": (st.sampled_from(["urbanization of China", "painting paris 1890", "日本 1890"]),
+               st.sampled_from(["", " "])),
+}
+
+
+@pytest.fixture(scope="module")
+def checkpoints(tmp_path_factory):
+    """Small checkpoints by name: conditional, unconditional, one that
+    records a time width of 8, and a missing file."""
+    root = tmp_path_factory.mktemp("flag-checkpoints")
+    for name, switches in (("conditional", ["--conditional"]), ("unconditional", [])):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["toy-train", "--dataset=8-gaussian-ring", "--steps=2", "--batch=4",
+                         "--timesteps=50", f"--out={root / name}", *switches]) == 0
+    arrays = load_arrays(root / "unconditional" / "checkpoint.bin")
+    arrays["meta"] = np.array([2.0, 16.0, 8.0, 16.0])
+    arrays["w_time"] = np.zeros((16, 8))
+    save_arrays(root / "time-width-8.bin", arrays)
+    return {None: None, "conditional": root / "conditional" / "checkpoint.bin",
+            "unconditional": root / "unconditional" / "checkpoint.bin",
+            "time-width-8": root / "time-width-8.bin", "missing": root / "missing.bin"}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_random_flag_values_exit_0_1_or_2_cleanly(command, checkpoints):
+    values = {}
+    for name, (kind, _, _) in COMMANDS[command][2].items():
+        if kind is bool:
+            values[name] = (st.booleans(), None)
+        elif isinstance(kind, tuple):
+            values[name] = (st.sampled_from(kind), None)
+        elif name != "--out":      # every run writes to a fresh --out
+            values[name] = FLAG_VALUES[name]
+    if command == "compare-samplers":
+        values["--batch"] = _ints(1, 2)     # each call runs a 2000-step reference
+    edged = [name for name, (_, edge) in values.items() if edge is not None]
+
+    @settings(max_examples=10 if command == "compare-samplers" else 30, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        edges = data.draw(st.sets(st.sampled_from(edged), max_size=2), label="edges")
+        drawn = {name: data.draw(strategies[name in edges], label=name)
+                 for name, strategies in values.items()}
+        if command == "sample":
+            # in range, --checkpoint is given only without --oracle, and
+            # --label only with the conditional checkpoint
+            if drawn["--oracle"] and "--checkpoint" not in edges:
+                drawn["--checkpoint"] = None
+            if drawn["--checkpoint"] != "conditional" and "--label" not in edges:
+                drawn["--label"] = None
+            drawn["--checkpoint"] = checkpoints[drawn["--checkpoint"]]
+        argv = [command]
+        for name, value in drawn.items():
+            kind = COMMANDS[command][2][name][0]
+            if name == "prompt":
+                argv.append(value)
+            elif kind is bool:
+                argv += [name] if value else []
+            elif value is not None:     # "=": argparse reads a separate -1e308 as a flag
+                argv.append(f"{name}={value!r}" if kind is float else f"{name}={value}")
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "o"
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv + [f"--out={out}"])
+            made, manifest = out.exists(), (out / "manifest.json").is_file()
+        assert code in (0, 1, 2), argv
+        if code == 0:
+            assert len(stdout.getvalue().splitlines()) == 1 and manifest, argv
+        else:
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+            assert not made, argv
+
+    check()

@@ -9,7 +9,7 @@ from artdiff import denoisers
 from artdiff.checkpoint import write_file
 from artdiff.cli import _fmt, main
 from artdiff.datasets import DATASETS
-from artdiff.denoisers import (GaussianOracle, LabelEmbedding,
+from artdiff.denoisers import (COND_WIDTH, TIME_DIM, GaussianOracle, LabelEmbedding,
                                ToyDenoiser, TrainConfig, _loss_and_grad,
                                denoiser_bytes, init_toy_denoiser, load_denoiser,
                                time_embedding, toy_denoiser_forward, train)
@@ -96,7 +96,7 @@ def reference_train(params, dataset, config, schedule, label_embedding=None):
             memory = label_memory(label_embedding, labels)
             keep = (rng_drop.uniform((b,)) >= config.drop_prob).astype(np.float64)[:, None]
         grads = zero_grads(params)
-        losses[step] = _loss_and_grad(params, grads, xt, time_embedding(t, params.time_dim),
+        losses[step] = _loss_and_grad(params, grads, xt, time_embedding(t),
                                       eps, memory, keep)
         arrays, grads = params.arrays(), grads.arrays()
         if adam is not None:
@@ -314,15 +314,16 @@ def test_prepared_oracle_rejects_unprepared_and_out_of_range_timesteps(default_s
 # ---------------------------------------------------------------------------
 
 def test_time_embedding_at_zero():
-    emb = time_embedding(0, 12)
-    assert np.array_equal(emb[0::2], np.zeros(6))
-    assert np.array_equal(emb[1::2], np.ones(6))
-    assert np.linalg.norm(emb) == pytest.approx(math.sqrt(6), rel=1e-15)
+    emb = time_embedding(0)
+    half = TIME_DIM // 2
+    assert np.array_equal(emb[0::2], np.zeros(half))
+    assert np.array_equal(emb[1::2], np.ones(half))
+    assert np.linalg.norm(emb) == pytest.approx(math.sqrt(half), rel=1e-15)
 
 
-def test_time_embedding_no_collisions_dim32():
-    embs = time_embedding(np.arange(1, 1001, dtype=np.float64), 32)
-    assert embs.shape == (1000, 32)
+def test_time_embedding_no_collisions():
+    embs = time_embedding(np.arange(1, 1001, dtype=np.float64))
+    assert embs.shape == (1000, TIME_DIM)
     distinct = {embs[i].tobytes() for i in range(1000)}
     assert len(distinct) == 1000
     # stronger: minimal pairwise distance over a subsample is positive
@@ -330,25 +331,6 @@ def test_time_embedding_no_collisions_dim32():
     d = np.linalg.norm(sub[:, None] - sub[None, :], axis=2)
     np.fill_diagonal(d, np.inf)
     assert d.min() > 1e-3
-
-
-def test_time_embedding_rejects_odd_dim():
-    with pytest.raises(ValueError):
-        time_embedding(1, 7)
-    with pytest.raises(ValueError):
-        time_embedding(1, 0)
-
-
-def test_time_width_two_is_sin_and_cos_and_predicts():
-    # load_denoiser accepts any even time width, 2 included: one frequency, 1
-    t = np.array([0.0, 1.0, 37.5, 999.0])
-    assert np.array_equal(time_embedding(t, 2), np.stack([np.sin(t), np.cos(t)], axis=-1))
-    size = sum(math.prod(shape) for shape in denoisers._param_shapes(2, 16, 2, 16).values())
-    params = denoisers.ToyDenoiserParams(data_width=2, width=16, time_dim=2, cond_width=16,
-                                         vector=RngStream(31).normal((size,)) / 4)
-    xt = RngStream(32).normal((5, 2))
-    out = ToyDenoiser(params).predict(xt, 500)
-    assert out.shape == xt.shape and np.all(np.isfinite(out))
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +458,7 @@ def test_gradients_match_finite_differences_spot_check(default_schedule):
     eps = rng.child("e").normal((4, 2))
     a = default_schedule.alpha_bars[t - 1][:, None]
     xt = np.sqrt(a) * x0 + np.sqrt(1 - a) * eps
-    temb = time_embedding(t, p.time_dim)
+    temb = time_embedding(t)
     for mem, mask in [(None, None),
                       (rng.child("m").normal((4, 1, 16)), np.array([[1.0], [0.0], [1.0], [1.0]]))]:
         grads, scratch = zero_grads(p), zero_grads(p)
@@ -524,7 +506,7 @@ def test_train_single_sgd_step_matches_hand_update(default_schedule):
     a = default_schedule.alpha_bars[t - 1][:, None]
     xt = np.sqrt(a) * x0 + np.sqrt(1 - a) * eps
     grads = zero_grads(p)
-    loss = _loss_and_grad(p, grads, xt, time_embedding(t, p.time_dim), eps, None, None)
+    loss = _loss_and_grad(p, grads, xt, time_embedding(t), eps, None, None)
     assert losses[0] == loss
     for name, arr in p.arrays().items():
         expect = arr - 0.05 * grads.arrays()[name]
@@ -535,7 +517,7 @@ def test_train_two_adam_steps_match_hand_update(default_schedule):
     # replay two conditional steps' draws and apply a dict-based Adam by hand
     ds = DATASETS["8-gaussian-ring"]
     p = init_toy_denoiser(RngStream(24), 2)
-    emb = LabelEmbedding.create(8, p.cond_width, 2)
+    emb = LabelEmbedding.create(8, 2)
     cfg = TrainConfig(steps=2, batch_size=6, learning_rate=0.01, seed=4, drop_prob=0.5)
     trained, losses = train(p, ds, cfg, default_schedule, emb)
 
@@ -551,7 +533,7 @@ def test_train_two_adam_steps_match_hand_update(default_schedule):
         a = default_schedule.alpha_bars[t - 1][:, None]
         xt = np.sqrt(a) * x0 + np.sqrt(1 - a) * eps
         grads = zero_grads(expect)
-        loss = _loss_and_grad(expect, grads, xt, time_embedding(t, expect.time_dim), eps,
+        loss = _loss_and_grad(expect, grads, xt, time_embedding(t), eps,
                               label_memory(emb, labels), keep[:, None])
         assert losses[step] == loss
         expect = from_arrays(expect, adam.update(expect.arrays(), grads.arrays(), 0.01))
@@ -566,7 +548,7 @@ def test_train_matches_reference_loop(default_schedule, variant):
     # large enough to cut the block to two steps
     ds = DATASETS["8-gaussian-ring"]
     p = init_toy_denoiser(RngStream(26), 2)
-    emb = None if variant.startswith("uncond") else LabelEmbedding.create(8, p.cond_width, 3)
+    emb = None if variant.startswith("uncond") else LabelEmbedding.create(8, 3)
     large = denoisers.TRAIN_BLOCK_ROWS // 2 - 1
     for steps, batch in ((25, 16), (2 * denoisers.TRAIN_BLOCK + 3, 7), (5, large)):
         cfg = TrainConfig(steps=steps, batch_size=batch, learning_rate=0.01, seed=8,
@@ -588,7 +570,7 @@ def test_toy_train_outputs_match_reference_loop_bytes(tmp_path, variant):
 
     schedule = linear_schedule(200)
     p = init_toy_denoiser(RngStream(3).child("init"), 2)
-    emb = LabelEmbedding.create(8, p.cond_width, 3) if conditional else None
+    emb = LabelEmbedding.create(8, 3) if conditional else None
     cfg = TrainConfig(steps=30, batch_size=16, learning_rate=0.01, seed=3, drop_prob=0.1,
                       optimizer=variant.split("-")[1])
     expect, losses = reference_train(p, DATASETS["8-gaussian-ring"], cfg, schedule, emb)
@@ -600,14 +582,14 @@ def test_toy_train_outputs_match_reference_loop_bytes(tmp_path, variant):
 
 def test_time_table_rows_match_time_embedding(default_schedule, monkeypatch):
     T = default_schedule.T
-    table = time_embedding(np.arange(1, T + 1), 16)
+    table = time_embedding(np.arange(1, T + 1))
     for t in range(1, T + 1):
-        assert np.array_equal(table[t - 1], time_embedding(t, 16)), t
+        assert np.array_equal(table[t - 1], time_embedding(t)), t
     # per-sample t in training reads the table, built once per train call
     calls = []
     original = denoisers.time_embedding
     monkeypatch.setattr(denoisers, "time_embedding",
-                        lambda t, dim: calls.append(np.shape(t)) or original(t, dim))
+                        lambda t: calls.append(np.shape(t)) or original(t))
     train(init_toy_denoiser(RngStream(27), 2), DATASETS["8-gaussian-ring"],
           TrainConfig(steps=5, batch_size=4), default_schedule)
     assert calls == [(T,)]
@@ -615,7 +597,7 @@ def test_time_table_rows_match_time_embedding(default_schedule, monkeypatch):
 
 def test_param_views_share_the_flat_vector(tmp_path):
     p = init_toy_denoiser(RngStream(28), 2)
-    shapes = denoisers._param_shapes(p.data_width, p.width, p.time_dim, p.cond_width)
+    shapes = denoisers._param_shapes(p.data_width, p.width)
     # the views tile the vector exactly once, in layout order; a bias is a row
     p.vector[:] = np.arange(p.vector.size)
     offset = 0
@@ -645,7 +627,7 @@ def test_loss_and_grad_writes_every_gradient_slot():
     p = init_toy_denoiser(rng.child("init"), 2)
     xt = rng.child("x").normal((4, 2))
     eps = rng.child("e").normal((4, 2))
-    temb = time_embedding(np.array([3, 77, 500, 998]), p.time_dim)
+    temb = time_embedding(np.array([3, 77, 500, 998]))
     table, labels = rng.child("tokens").normal((8, 16)), np.array([5, 0, 5, 7])
     for mem, lab in ((None, None), (rng.child("m1").normal((4, 1, 16)), None),
                      (rng.child("m2").normal((4, 2, 16)), None), (table, labels)):
@@ -662,7 +644,7 @@ def test_loss_and_grad_takes_the_mask_as_one_column():
     rng = RngStream(29)
     p = init_toy_denoiser(rng.child("init"), 2)
     xt, eps = rng.child("x").normal((4, 2)), rng.child("e").normal((4, 2))
-    temb = time_embedding(np.array([3, 77, 500, 998]), p.time_dim)
+    temb = time_embedding(np.array([3, 77, 500, 998]))
     mem = rng.child("m").normal((4, 1, 16))
     assert math.isfinite(_loss_and_grad(p, zero_grads(p), xt, temb, eps, mem, np.ones((4, 1))))
     with pytest.raises(TypeError):
@@ -678,11 +660,11 @@ def test_label_form_gradient_bytes_equal_per_row_memory(default_schedule, batch,
     # gradient byte must equal those of per-row (B, 1, dc) memory
     rng = RngStream(56)
     p = init_toy_denoiser(rng.child("init"), 2)
-    emb = LabelEmbedding.create(8, p.cond_width, 3)
+    emb = LabelEmbedding.create(8, 3)
     for draw in range(4):
         r = rng.child(f"draw-{draw}")
         labels = r.integers(0, 7, (batch,))
-        temb = time_embedding(r.integers(1, default_schedule.T, (batch,)), p.time_dim)
+        temb = time_embedding(r.integers(1, default_schedule.T, (batch,)))
         xt, eps = r.normal((batch, 2)), r.normal((batch, 2))
         keep = {"kept": np.ones(batch), "dropped": np.zeros(batch),
                 "mixed": (r.uniform((batch,)) >= 0.5).astype(np.float64)}[masks]
@@ -707,11 +689,11 @@ def test_conditional_train_projects_no_per_row_memory(default_schedule, monkeypa
     monkeypatch.setattr(denoisers, "_project", table_only)
     ds = DATASETS["8-gaussian-ring"]
     p = init_toy_denoiser(RngStream(57), 2)
-    emb = LabelEmbedding.create(8, p.cond_width, 1)
+    emb = LabelEmbedding.create(8, 1)
     for optimizer in ("adam", "sgd"):
         cfg = TrainConfig(steps=3, batch_size=16, seed=2, drop_prob=0.1, optimizer=optimizer)
         train(p, ds, cfg, default_schedule, emb)
-    assert shapes == [(8, p.cond_width)] * 6
+    assert shapes == [(8, COND_WIDTH)] * 6
 
 
 def test_train_reduces_loss_on_ring(default_schedule):
@@ -745,8 +727,8 @@ def test_train_config_validation():
 
 
 def test_label_embedding_shapes_and_determinism():
-    e1 = LabelEmbedding.create(8, 16, 4)
-    e2 = LabelEmbedding.create(8, 16, 4)
+    e1 = LabelEmbedding.create(8, 4)
+    e2 = LabelEmbedding.create(8, 4)
     assert np.array_equal(e1.tokens, e2.tokens)
     assert e1.condition(3).shape == (1, 16)
     mem = label_memory(e1, np.array([0, 7, 2]))
@@ -756,7 +738,7 @@ def test_label_embedding_shapes_and_determinism():
 
 @pytest.mark.parametrize("label", [-1, 8])    # -1 would index the last token
 def test_label_embedding_refuses_label_outside_table(label):
-    emb = LabelEmbedding.create(8, 16, 4)
+    emb = LabelEmbedding.create(8, 4)
     assert np.array_equal(emb.condition(np.int64(7))[0], emb.tokens[7])
     with pytest.raises(ValueError, match=r"label must lie in \[0, 8\), got " + str(label)):
         emb.condition(label)
@@ -814,14 +796,14 @@ def test_scalar_t_features_match_per_row_features():
     # features times w_time.T, for the whole batch; it gives the trunk of one
     # term per sample. The width is not TIME_DIM, so features passed where
     # the trunk takes terms fail on shape
-    from artdiff.denoisers import TIME_DIM, _trunk
+    from artdiff.denoisers import _trunk
 
     rng = RngStream(43)
     p = init_toy_denoiser(rng.child("init"), 2, width=24)
-    assert p.width != TIME_DIM == p.time_dim
+    assert p.width != TIME_DIM
     x = rng.child("x").normal((40, 2))
     for t in (1, 500, 1000):
-        temb, ref_temb = time_embedding(t, TIME_DIM)[None], time_embedding(np.full(40, t), TIME_DIM)
+        temb, ref_temb = time_embedding(t)[None], time_embedding(np.full(40, t))
         assert np.array_equal(np.broadcast_to(temb, ref_temb.shape), ref_temb)
         h1, _, h2 = _trunk(p, x, np.dot(temb, p.w_time.T))
         ref_h1, _, ref_h2 = _trunk(p, x, np.dot(ref_temb, p.w_time.T))
@@ -839,9 +821,9 @@ def test_gradients_with_scalar_t_match_per_row():
     mem = np.broadcast_to(rng.child("m").normal((2, 16)), (5, 2, 16))
     mask = np.array([[1.0], [0.0], [1.0], [1.0], [0.0]])
     grads, ref_grads = zero_grads(p), zero_grads(p)
-    loss = _loss_and_grad(p, grads, xt, np.broadcast_to(time_embedding(300, 16), (5, 16)),
+    loss = _loss_and_grad(p, grads, xt, np.broadcast_to(time_embedding(300), (5, TIME_DIM)),
                           eps, mem, mask)
-    ref_loss = _loss_and_grad(p, ref_grads, xt, time_embedding(np.full(5, 300), 16), eps,
+    ref_loss = _loss_and_grad(p, ref_grads, xt, time_embedding(np.full(5, 300)), eps,
                               mem, mask)
     assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
     for name, g in ref_grads.arrays().items():
@@ -854,7 +836,7 @@ def test_gradients_with_scalar_t_match_per_row():
 
 def _reference_forward(p, xt, t, cond):
     """The training forward (fresh time features, softmax attention)."""
-    temb = time_embedding(t, p.time_dim)[None]
+    temb = time_embedding(t)[None]
     h2 = denoisers._trunk(p, xt, denoisers._product(len(temb))(temb, p.w_time.T))[-1]
     if cond is not None:
         h2 = h2 + denoisers._attend(h2, *denoisers._project(cond, p), p)[0]
@@ -905,31 +887,35 @@ def test_prepared_predictor_rejects_unprepared_timestep_and_missing_condition():
         ToyDenoiser(p).prepare(np.zeros((1, 3)), (10,))
 
 
-@pytest.mark.parametrize("dim", [2, 4, 16, 64])
-def test_time_feature_table_rows_equal_scalar_features(dim):
+@pytest.mark.parametrize("columns", [1, 2, 4, 16, 64])
+def test_time_feature_table_rows_equal_scalar_features(columns):
     # a prepared predictor reads one table of every timestep's features,
-    # toy_denoiser_forward a one-row table; both equal the scalar features
-    table = time_embedding(np.arange(1, 2001, dtype=np.float64), dim)
-    for t in range(1, 2001):
-        assert np.array_equal(table[t - 1], time_embedding(t, dim))
+    # made from a (steps, 1) column, training one made from a vector and
+    # toy_denoiser_forward a one-row table; in every shape of the timesteps
+    # each row equals the scalar features
+    t = np.arange(1, 2049, dtype=np.float64).reshape(-1, columns)
+    table = time_embedding(t).reshape(-1, TIME_DIM)
+    for t in range(1, 2049):
+        assert np.array_equal(table[t - 1], time_embedding(t))
 
 
-@pytest.mark.parametrize("time_dim", [2, 16, 64])
+@pytest.mark.parametrize("data_width", [2, 16, 64])
 @pytest.mark.parametrize("width", [1, 3, 16, 17, 64])
-def test_prepared_time_terms_equal_per_step_products(default_schedule, width, time_dim):
+def test_prepared_time_terms_equal_per_step_products(default_schedule, width, data_width):
     # a binding forms every timestep's time term in one stacked matmul; each
     # row must be byte for byte the one-row product a step would form, so a
-    # numpy or BLAS build whose stacked matmul rounds differently fails here
+    # numpy or BLAS build whose stacked matmul rounds differently fails here.
+    # The data width moves w_time within the flat vector
     from artdiff.schedule import subsequence
 
-    size = sum(math.prod(s) for s in denoisers._param_shapes(2, width, time_dim, 16).values())
-    p = denoisers.ToyDenoiserParams(2, width, time_dim, 16,
-                                    RngStream(48).child(f"{width}-{time_dim}").normal((size,)))
+    size = sum(math.prod(s) for s in denoisers._param_shapes(data_width, width).values())
+    p = denoisers.ToyDenoiserParams(data_width, width,
+                                    RngStream(48).child(f"{width}-{data_width}").normal((size,)))
     for steps in ((1,), subsequence(default_schedule, 200).steps, range(1, 1001)):
         terms = denoisers.PreparedToyDenoiser(p, None, steps)._time_terms
         for t in steps:
-            want = np.dot(time_embedding(t, time_dim)[None], p.w_time.T)
-            assert terms[t].tobytes() == want.tobytes(), (width, time_dim, t)
+            want = np.dot(time_embedding(t)[None], p.w_time.T)
+            assert terms[t].tobytes() == want.tobytes(), (width, data_width, t)
 
 
 @pytest.mark.parametrize("n_tokens", [1, 3])
@@ -1065,7 +1051,7 @@ def test_forward_bytes_do_not_depend_on_the_product_function(monkeypatch, rows):
         guided = ToyDenoiser(p).prepare(cond, (600, 7), 5.0)
         outs = [bound.predict(x, 600), guided.predict(x, 7), toy_denoiser_forward(p, x, 7)]
         grads = replace(p, vector=np.empty_like(p.vector))
-        loss = _loss_and_grad(p, grads, x, time_embedding(np.full(rows, 7), p.time_dim),
+        loss = _loss_and_grad(p, grads, x, time_embedding(np.full(rows, 7)),
                               x[:, ::-1], cond[None].repeat(rows, 0), np.ones((rows, 1)))
         return [a.tobytes() for a in outs] + [grads.vector.tobytes(), loss]
 
@@ -1163,7 +1149,7 @@ def test_conditional_training_leaves_query_and_key_weights_unchanged(default_sch
                                                                       optimizer, lr):
     ds = DATASETS["8-gaussian-ring"]
     p = init_toy_denoiser(RngStream(50), 2)
-    emb = LabelEmbedding.create(8, p.cond_width, 5)
+    emb = LabelEmbedding.create(8, 5)
     cfg = TrainConfig(steps=200, batch_size=32, learning_rate=lr, seed=6, drop_prob=0.1,
                       optimizer=optimizer)
     trained, _ = train(p, ds, cfg, default_schedule, emb)

@@ -19,13 +19,18 @@ reaches it, the entry goes.
 
 ``PYTHONPATH=src python tests/test_traffic.py`` prints, for each module, how
 many statements the runs reached out of the total, and lists every
-unreached statement grouped by its reason.
+unreached statement grouped by its reason. It also lists each keyword
+default of the package's functions and dataclasses that no call in the
+runs overrides: a parameter that only ever takes one value may be a
+constant. The list is a report; no test reads it.
 """
 
 from __future__ import annotations
 
 import ast
 import contextlib
+import importlib
+import inspect
 import io
 import json
 import os
@@ -212,12 +217,52 @@ def allowed_reasons(statements: list[Statement]) -> tuple[dict[Statement, str],
 # the traffic
 # ---------------------------------------------------------------------------
 
-def trace_lines(run) -> dict[str, set[int]]:
-    """The source lines of the package that ``run()`` executes, per module.
-    Only the package's frames are traced line by line; the tracer that was
-    set before (a coverage tool's, say) is set again afterwards."""
+def keyword_defaults() -> dict:
+    """The code object of each function and method of the package that has
+    keyword defaults, a dataclass's ``__init__`` included, mapped to its
+    name and its {parameter: default}."""
+    out = {}
+
+    def add(module: str, func) -> None:
+        defaults = {name: p.default for name, p in inspect.signature(func).parameters.items()
+                    if p.default is not p.empty}
+        if defaults:
+            out[func.__code__] = (f"{module}.{func.__qualname__}", defaults)
+
+    def members(module: str, cls) -> None:
+        for member in vars(cls).values():
+            member = getattr(member, "__func__", member)   # classmethod, staticmethod
+            if inspect.isfunction(member):
+                add(module, member)
+            elif inspect.isclass(member) and member.__module__ == cls.__module__:
+                members(module, member)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"artdiff.{path.stem}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                add(path.stem, obj)
+            elif inspect.isclass(obj):
+                members(path.stem, obj)
+    return out
+
+
+def _is_default(value, default) -> bool:
+    return value is default or (type(value) is type(default) and value == default)
+
+
+def trace_lines(run) -> tuple[dict[str, set[int]], set[tuple]]:
+    """The source lines of the package that ``run()`` executes, per module,
+    and the (code, parameter) of each keyword default (``keyword_defaults``)
+    that some call passed another value for. Only the package's frames are
+    traced line by line; the tracer that was set before (a coverage tool's,
+    say) is set again afterwards."""
     files = {str(path): path.stem for path in PACKAGE.glob("*.py")}
+    defaults = keyword_defaults()
     hits: dict[str, set[int]] = defaultdict(set)
+    overridden: set[tuple] = set()
 
     def local(frame, event, arg):
         if event == "line":
@@ -225,7 +270,12 @@ def trace_lines(run) -> dict[str, set[int]]:
         return local
 
     def call(frame, event, arg):
-        return local if frame.f_code.co_filename in files else None
+        code = frame.f_code
+        if code in defaults:    # a dataclass __init__ is code of no package file
+            args = frame.f_locals
+            overridden.update((code, name) for name, default in defaults[code][1].items()
+                              if not _is_default(args[name], default))
+        return local if code.co_filename in files else None
 
     previous = sys.gettrace()
     sys.settrace(call)
@@ -233,7 +283,7 @@ def trace_lines(run) -> dict[str, set[int]]:
         run()
     finally:
         sys.settrace(previous)
-    return hits
+    return hits, overridden
 
 
 def _cli(*argv) -> None:
@@ -257,13 +307,14 @@ def run_traffic(work: Path) -> None:
     with mock.patch.dict(os.environ, {cli.ENV_OUT: str(work / "env-out")}):
         _cli("schedule-dump", "--timesteps", 3)
 
-    # toy-train: conditional Adam on the ring, SGD on two-moons, and the
-    # unlabeled line
+    # toy-train: conditional Adam on the ring, SGD on two-moons at another
+    # beta_start, learning rate and seed, and the unlabeled line
     ckpt = work / "cond" / "checkpoint.bin"
     _cli("toy-train", "--dataset", "8-gaussian-ring", "--conditional", "--timesteps", 20,
          "--steps", 3, "--batch", 8, "--out", ckpt.parent)
     _cli("toy-train", "--dataset", "two-moons", "--optimizer", "sgd", "--timesteps", 20,
-         "--steps", 2, "--batch", 4, "--out", work / "moons")
+         "--steps", 2, "--batch", 4, "--beta_start", 2e-4, "--lr", 0.01, "--seed", 3,
+         "--out", work / "moons")
     _cli("toy-train", "--dataset", "line-subspace", "--timesteps", 20, "--steps", 1,
          "--batch", 2, "--hidden", 4, "--out", work / "line")
 
@@ -335,7 +386,8 @@ def classify(statements: list[Statement], hits: dict[str, set[int]]) -> dict[str
 @pytest.fixture(scope="module")
 def traffic(tmp_path_factory):
     statements = package_statements()
-    return statements, trace_lines(lambda: run_traffic(tmp_path_factory.mktemp("traffic")))
+    hits, _ = trace_lines(lambda: run_traffic(tmp_path_factory.mktemp("traffic")))
+    return statements, hits
 
 
 def test_every_statement_is_reached_or_has_a_reason(traffic):
@@ -408,7 +460,7 @@ def test_the_statement_reader_sees_each_kind():
 def report() -> None:
     statements = package_statements()
     with tempfile.TemporaryDirectory() as work:
-        hits = trace_lines(lambda: run_traffic(Path(work)))
+        hits, overridden = trace_lines(lambda: run_traffic(Path(work)))
     groups = classify(statements, hits)
     unreached = {s for group in groups.values() for s in group}
     for module in [*sorted({s.module for s in statements}), None]:
@@ -420,6 +472,11 @@ def report() -> None:
         print(f"\n{len(groups[reason])} unreached, {reason}:")
         for stmt in groups[reason]:
             print("  " + stmt.where())
+    kept = [f"{name}({param}={default!r})" for code, (name, params) in keyword_defaults().items()
+            for param, default in params.items() if (code, param) not in overridden]
+    print(f"\n{len(kept)} keyword defaults that no call overrides:")
+    for entry in kept:
+        print("  " + entry)
 
 
 if __name__ == "__main__":
