@@ -78,6 +78,11 @@ def save_arrays(path, arrays: dict[str, np.ndarray]) -> bytes:
 
 
 def load_arrays(path) -> dict[str, np.ndarray]:
+    """The arrays of the checkpoint file at ``path`` by name, in table
+    order. The payload is copied once, into one writable float64 array, and
+    each array is a view into that copy (its ``base``): the arrays share no
+    memory with the file's bytes, only with each other's payload. A fault
+    in the file raises CheckpointError naming ``path``."""
     blob = Path(path).read_bytes()
     if len(blob) < 24:
         raise CheckpointError(f"{path}: truncated checkpoint")
@@ -113,19 +118,20 @@ def load_arrays(path) -> dict[str, np.ndarray]:
         raise CheckpointError(f"{path}: shape table is cut short") from None
     except UnicodeDecodeError:
         raise CheckpointError(f"{path}: an array name is not valid UTF-8") from None
-    arrays = {}
+    # the payload copied once, whole float64 values only; each array is a
+    # view into the copy, cut and checked in table order
+    rest = len(body) - offset
+    payload = np.frombuffer(body, dtype="<f8", count=rest // 8, offset=offset).copy()
+    arrays, end = {}, 0
     for name, shape in table.items():
-        count = math.prod(shape)    # Python ints: no overflow
-        end = offset + 8 * count
-        if end > len(body):
+        start, end = end, end + math.prod(shape)    # Python ints: no overflow
+        if end > len(payload):
             raise CheckpointError(f"{path}: payload shorter than shape table promises")
         try:
-            arrays[name] = np.frombuffer(body, dtype="<f8", count=count,
-                                         offset=offset).reshape(shape).copy()
+            arrays[name] = payload[start:end].reshape(shape)
         except ValueError:      # an empty array with an extent numpy cannot index
             raise CheckpointError(f"{path}: array {name!r} has shape {shape}, "
                                   f"which numpy cannot hold") from None
-        offset = end
-    if offset != len(body):
+    if 8 * end != rest:
         raise CheckpointError(f"{path}: trailing bytes after payload")
     return arrays

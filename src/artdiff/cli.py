@@ -167,6 +167,15 @@ def _seed_from(resolver: Resolver) -> int:
     return seed
 
 
+def _extent_from(resolver: Resolver, key: str, low: int) -> int:
+    """The resolved count flag ``key``: an integer from ``low`` below 2**63,
+    since a larger one is no array extent numpy can make."""
+    value = resolver.get(key)
+    if not low <= value < 2 ** 63:
+        raise ConfigError(f"--{key} must be an integer in [{low}, 2**63), got {value}")
+    return value
+
+
 def _var0_from(resolver: Resolver) -> float:
     var0 = resolver.get("var0")
     if not (math.isfinite(var0) and var0 >= 0.0):
@@ -214,14 +223,12 @@ def cmd_toy_train(resolver: Resolver) -> tuple[list[tuple], dict, str]:
     dataset = DATASETS[name]
     schedule = _schedule_from(resolver)
     seed = _seed_from(resolver)
-    steps = resolver.get("steps")
-    batch = resolver.get("batch")
+    steps = _extent_from(resolver, "steps", 0)
+    batch = _extent_from(resolver, "batch", 1)
     lr = resolver.get("lr")
     optimizer = resolver.get("optimizer")
     drop_prob = resolver.get("drop_prob")
-    hidden = resolver.get("hidden")
-    if hidden < 1:
-        raise ConfigError(f"--hidden must be an integer >= 1, got {hidden}")
+    hidden = _extent_from(resolver, "hidden", 1)
     conditional = resolver.get("conditional")
 
     params = init_toy_denoiser(RngStream(seed).child("init"), dataset.dim,
@@ -277,7 +284,7 @@ def cmd_sample(resolver: Resolver) -> tuple[list[tuple], dict, str]:
     steps = resolver.get("ddim_steps")
     scale = resolver.get("scale")
     seed = _seed_from(resolver)
-    batch = resolver.get("batch")
+    batch = _extent_from(resolver, "batch", 1)
     oracle = resolver.get("oracle")
     label = resolver.get("label")
     plot = resolver.get("plot")
@@ -329,7 +336,7 @@ def cmd_compare_samplers(resolver: Resolver) -> tuple[list[tuple], dict, str]:
         raise ConfigError("compare-samplers needs --var0 > 0: point-mass data gives every "
                           "sampler zero error, so no order can be fitted")
     seed = _seed_from(resolver)
-    batch = resolver.get("batch")
+    batch = _extent_from(resolver, "batch", 1)
     # The reference trajectory needs 2000 distinct timesteps, so this
     # experiment runs on its own T=2000 schedule.
     schedule = _schedule_from(resolver, COMPARISON_T)

@@ -401,7 +401,8 @@ def _head(params: ToyDenoiserParams, h3: np.ndarray, ops=None, out=None):
 class _Workspace:
     """The operands of the forward stages for a batch of rows, or of its two
     guidance branches: three (branches x rows, width) buffers, h3 the
-    third, each bias tiled to the rows its stage runs on, the FF weights
+    third, each bias tiled to the rows its stage runs on (a one-row stage
+    adds the (1, width) bias view, already of its shape), the FF weights
     as right-hand operands, and the product function for the stage's rows
     (``_product``), picked once. The trunk runs on the first rows; its
     h2 + attention goes to ``cond``, the second half of h3 under guidance
@@ -454,7 +455,10 @@ class _Workspace:
                 _product(rows))
 
     def _bias(self, name: str, rows: int) -> np.ndarray:
-        """The bias row ``name`` repeated to rows, made once per size."""
+        """The bias row ``name`` repeated to rows, made once per size; at
+        one row, the (1, width) bias view itself."""
+        if rows == 1:
+            return getattr(self.params, name)
         if (name, rows) not in self._biases:
             self._biases[name, rows] = np.repeat(getattr(self.params, name), rows, axis=0)
         return self._biases[name, rows]
@@ -481,7 +485,11 @@ class PreparedToyDenoiser:
     [h2, h2 + attention] rows. The combine runs in place in the
     conditional half of the fresh prediction, c -= u, c *= scale,
     c += u: float addition and multiplication commute bit for bit, so
-    these are ``cfg_combine``'s three roundings in its order.
+    these are ``cfg_combine``'s three roundings in its order. At one row
+    it runs on Python floats instead, (c - u) * scale + u per element into
+    a fresh (1, width) array: each float operation rounds once as the
+    float64 ufunc does, so the bits are the same, without three ufunc
+    calls a step.
 
     The trunk and the head write their stages into a ``_Workspace`` per
     row count, made on first use and reused by every later call with that
@@ -532,6 +540,9 @@ class PreparedToyDenoiser:
         require_finite(out, "denoiser output")
         if scale is None:
             return out
+        if rows == 1:   # on floats: the two rows' values, combined as below
+            u, c = out.tolist()
+            return np.array([[(ci - ui) * scale + ui for ui, ci in zip(u, c)]])
         u, c = out[:rows], out[rows:]
         c -= u
         c *= scale
@@ -721,20 +732,21 @@ def load_denoiser(path):
     def bad(message: str) -> ckpt.CheckpointError:
         return ckpt.CheckpointError(f"{path}: {message}")
 
-    def whole_positive(values: np.ndarray) -> bool:
-        return bool(np.all(values >= 1) and np.all(values == np.floor(values)))
+    def whole_positive(value: float) -> bool:
+        return value >= 1 and value.is_integer()
 
     required = {"meta", "schedule", *_param_shapes(0, 0)}   # names only
     missing = sorted(required - set(arrays))
     unexpected = sorted(set(arrays) - required - {"label_tokens"})
     if missing or unexpected:
         raise bad(f"wrong array set: missing {missing}, unexpected {unexpected}")
-    if not np.all(np.isfinite(np.concatenate([arr.ravel() for arr in arrays.values()]))):
+    # every array is a view into one payload copy (``load_arrays``), which
+    # they fill: one pass over it checks them all
+    if not np.logical_and.reduce(np.isfinite(arrays["meta"].base)):
         name = next(name for name, arr in arrays.items() if not np.all(np.isfinite(arr)))
         raise bad(f"array {name!r} contains non-finite values")
-    meta, consts = arrays["meta"], arrays["schedule"]
-    if meta.shape != (4,) or meta.tolist()[2:] != [TIME_DIM, COND_WIDTH] \
-            or not whole_positive(meta[:2]):
+    meta = arrays["meta"].tolist() if arrays["meta"].shape == (4,) else []
+    if meta[2:] != [TIME_DIM, COND_WIDTH] or not all(map(whole_positive, meta[:2])):
         raise bad(f"meta must hold two positive integer widths, then {TIME_DIM} and {COND_WIDTH}")
     widths = [int(v) for v in meta[:2]]
     shapes = _param_shapes(*widths)
@@ -745,10 +757,11 @@ def load_denoiser(path):
     if tokens is not None and (tokens.ndim != 2 or tokens.shape[0] < 1
                                or tokens.shape[1] != COND_WIDTH):
         raise bad(f"label_tokens has shape {tokens.shape}, expected (n, {COND_WIDTH})")
-    if consts.shape != (3,) or not whole_positive(consts[0]):
+    consts = arrays["schedule"].tolist() if arrays["schedule"].shape == (3,) else []
+    if not consts or not whole_positive(consts[0]):
         raise bad("schedule must hold (T, beta_start, beta_end) with a positive integer T")
     try:
-        schedule = linear_schedule(int(consts[0]), float(consts[1]), float(consts[2]))
+        schedule = linear_schedule(int(consts[0]), consts[1], consts[2])
     except ValueError as exc:
         raise bad(f"invalid schedule constants: {exc}") from None
     vector = np.concatenate([arrays[name].ravel() for name in shapes])

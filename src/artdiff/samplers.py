@@ -14,8 +14,9 @@ targets the virtual step t = 0 where alpha_bar is 1, so with sigma = 0 it
 returns the denoised observation exactly.
 
 A sampling call works out everything that does not depend on the state
-before its loop: a table of every transfer's coefficients (sigma and the
-square roots of abar and of the remainder 1 - abar_next - sigma^2), and
+before its loop, in whole-array passes: a table of every transfer's
+coefficients (sigma and the square roots of abar and of the remainder
+1 - abar_next - sigma^2), turned into Python floats with one ``tolist``, and
 the predictor bound to the call's condition, timeline and guidance scale
 by ``prepare(condition, timesteps, scale)``, the one way ``sample``
 queries a predictor: each step takes one noise estimate from the bound
@@ -38,13 +39,16 @@ The state is a (batch, width) array. A state of one row takes the same
 loop on Python floats (``_run_row``): the plms combinations, the warm-up
 probe and the transfer, noise included, are one expression per element,
 and each step writes its floats back into the (1, width) state array that
-the predictor reads and the finiteness check sees. The plms combinations
-are one table, ``_ADAMS_BASHFORTH``, whose expressions both loops apply.
-At one row numpy's per-call dispatch costs more than the arithmetic. The bits are those of the array loop:
-each Python float operation is one correctly rounded float64 operation,
-as each binary ufunc is, the expressions take the array form's operations
-in its order, and neither form fuses or reassociates them. No BLAS runs in
-either transfer. Two rows and more keep the array loop (``_run_rows``).
+the predictor reads and the finiteness check sees. Its noise comes as
+Python floats too: ``_step_noise`` turns each drawn block into floats with
+one ``tolist``, so a step reads its noise without a numpy call. The plms
+combinations are one table, ``_ADAMS_BASHFORTH``, whose expressions both
+loops apply. At one row numpy's per-call dispatch costs more than the
+arithmetic. The bits are those of the array loop: each Python float
+operation is one correctly rounded float64 operation, as each binary ufunc
+is, the expressions take the array form's operations in its order, and
+neither form fuses or reassociates them. No BLAS runs in either transfer.
+Two rows and more keep the array loop (``_run_rows``).
 """
 
 from __future__ import annotations
@@ -130,13 +134,15 @@ def _transfer(xt: np.ndarray, eps: np.ndarray, coefs, noise: np.ndarray | None, 
     return x_next, x0_pred
 
 
-def _step_noise(rng: RngStream, sigmas, shape: tuple[int, ...]):
+def _step_noise(rng: RngStream, sigmas: list, shape: tuple[int, ...]):
     """The noise of each transfer in turn: None where sigma is 0, else a
-    view of ``shape`` into one block buffer allocated once. The draws of a
-    block of k transfers come from one ``rng.normal((k, *shape))`` call,
-    with k at most ``SAMPLE_BLOCK_ROWS // shape[0]`` and at least 1; a
-    block is drawn when its first transfer is reached."""
-    left = sum(sigma > 0.0 for sigma in sigmas)
+    view of ``shape`` into one block buffer allocated once, or at one row
+    (``shape[0] == 1``) that row's values as a list of Python floats, from
+    one ``tolist`` of the block. The draws of a block of k transfers come
+    from one ``rng.normal((k, *shape))`` call, with k at most
+    ``SAMPLE_BLOCK_ROWS // shape[0]`` and at least 1; a block is drawn when
+    its first transfer is reached."""
+    left = len(sigmas) - sigmas.count(0.0)      # no sigma is negative
     block = np.empty((min(left, max(1, SAMPLE_BLOCK_ROWS // shape[0])), *shape))
     rows = iter(())
     for sigma in sigmas:
@@ -145,7 +151,8 @@ def _step_noise(rng: RngStream, sigmas, shape: tuple[int, ...]):
             if row is None:
                 k = min(len(block), left)
                 left -= k
-                rows = iter(rng.normal((k, *shape), out=block[:k]))
+                drawn = rng.normal((k, *shape), out=block[:k])
+                rows = iter(drawn[:, 0].tolist() if shape[0] == 1 else drawn)
                 row = next(rows)
             yield row
         else:
@@ -193,14 +200,20 @@ def _transfer_table(timeline: SamplingTimeline, schedule: NoiseSchedule, eta: fl
     ``ddim_step``, so they equal theirs bit for bit.
     """
     abar = np.concatenate(([1.0], schedule.alpha_bars))   # abar[0] = 1 at the virtual t = 0
-    ac = abar[list(timeline.steps)]
-    an = abar[list(timeline.steps[1:]) + [0]]
-    sigma = eta * np.sqrt((1.0 - an) / (1.0 - ac)) * np.sqrt(1.0 - ac / an)
+    a = abar[list(timeline.steps + (0,))]
+    ac, an = a[:-1], a[1:]
+    table = np.empty((len(ac), 5))
+    sqrt_1m_ac, sqrt_ac, sqrt_an, sqrt_rem, sigma = table.T
+    np.multiply(eta, np.sqrt((1.0 - an) / (1.0 - ac)), out=sigma)
+    sigma *= np.sqrt(1.0 - ac / an)
     rem = 1.0 - an - sigma * sigma
-    if np.any(rem < -1e-12):
+    if (rem < -1e-12).any():
         raise ValueError(f"invalid eta {eta}: 1 - abar_next - sigma^2 is negative")
-    return np.stack([np.sqrt(1.0 - ac), np.sqrt(ac), np.sqrt(an),
-                     np.sqrt(np.maximum(rem, 0.0)), sigma], axis=1)
+    np.sqrt(1.0 - ac, out=sqrt_1m_ac)
+    np.sqrt(ac, out=sqrt_ac)
+    np.sqrt(an, out=sqrt_an)
+    np.sqrt(np.maximum(rem, 0.0, out=rem), out=sqrt_rem)
+    return table
 
 
 def ddpm_step(predictor, xt: Tensor, t: int, schedule: NoiseSchedule,
@@ -294,8 +307,9 @@ def sample(predictor, plan: SamplingPlan, schedule: NoiseSchedule,
     scale = float(plan.guidance_scale)
     bound = predictor.prepare(condition, plan.timeline.steps,
                               None if condition is None or scale == 1.0 else scale)
-    noises = _step_noise(rng, table[:, 4].tolist(), x.shape)
-    steps = zip(plan.timeline.pairs(), table.tolist(), noises)
+    rows = table.tolist()
+    noises = _step_noise(rng, [row[4] for row in rows], x.shape)
+    steps = zip(plan.timeline.pairs(), rows, noises)
     run = _run_row if plan.batch == 1 else _run_rows
     with np.errstate(over="ignore", invalid="ignore"):
         run(x, steps, bound.predict, plan.kind == "plms")
@@ -363,9 +377,9 @@ def _run_row(x, steps, predict, plms: bool) -> None:
 
 def _transfer_row(xs: list, es: list, coefs, noise) -> list:
     """``_transfer``'s x_next for one row of floats: the same operations in
-    the same order, the noise row scaled by sigma and added when sigma > 0."""
+    the same order, the noise floats scaled by sigma and added when sigma > 0."""
     sqrt_1m_ac, sqrt_ac, sqrt_an, sqrt_rem, sigma = coefs
     if sigma > 0.0:
         return [sqrt_an * ((x - sqrt_1m_ac * e) / sqrt_ac) + sqrt_rem * e + z * sigma
-                for x, e, z in zip(xs, es, noise[0].tolist())]
+                for x, e, z in zip(xs, es, noise)]
     return [sqrt_an * ((x - sqrt_1m_ac * e) / sqrt_ac) + sqrt_rem * e for x, e in zip(xs, es)]

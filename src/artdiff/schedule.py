@@ -7,6 +7,7 @@ is deterministic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,11 +35,12 @@ class NoiseSchedule:
         betas = np.asarray(self.betas, dtype=np.float64)
         if betas.ndim != 1 or betas.size < 1:
             raise ConfigError("betas must be a nonempty vector")
-        if np.any(betas <= 0.0) or np.any(betas >= 1.0):
+        # the ndarray methods: np.any adds a Python wrapper around them
+        if (betas <= 0.0).any() or (betas >= 1.0).any():
             raise ConfigError("every beta must lie strictly inside (0, 1)")
         alphas = 1.0 - betas
         alpha_bars = np.cumprod(alphas)
-        if np.any(alpha_bars <= 0.0) or np.any(alpha_bars >= 1.0):
+        if (alpha_bars <= 0.0).any() or (alpha_bars >= 1.0).any():
             raise ConfigError("alpha_bar left (0, 1); schedule too long or betas invalid")
         prev = np.concatenate(([1.0], alpha_bars[:-1]))
         posterior = (1.0 - prev) / (1.0 - alpha_bars) * betas
@@ -81,12 +83,12 @@ class SamplingTimeline:
     steps: tuple[int, ...]
 
     def __post_init__(self):
-        steps = tuple(int(s) for s in self.steps)
-        if len(steps) == 0:
+        steps = tuple(map(int, self.steps))
+        if not steps:
             raise ValueError("timeline must be nonempty")
-        if any(s < 1 for s in steps):
+        if min(steps) < 1:
             raise ValueError("timeline indices must be >= 1")
-        if any(a <= b for a, b in zip(steps, steps[1:])):
+        if not all(map(operator.gt, steps, steps[1:])):
             raise ValueError("timeline must be strictly decreasing")
         object.__setattr__(self, "steps", steps)
 
@@ -124,8 +126,8 @@ def subsequence(schedule: NoiseSchedule, num_steps: int) -> SamplingTimeline:
     T = schedule.T
     if not 1 <= num_steps <= T:
         raise ConfigError(f"num_steps must lie in [1, {T}], got {num_steps}")
-    if num_steps == 1:
-        return SamplingTimeline(steps=(T,))
+    # int64 holds i * span, which stays below MAX_T**2; at one step span is
+    # 0, and the divisor 1 gives (T,)
     span = T - T // num_steps
-    return SamplingTimeline(steps=tuple(T - (i * span) // (num_steps - 1)
-                                        for i in range(num_steps)))
+    steps = T - np.arange(num_steps, dtype=np.int64) * span // max(num_steps - 1, 1)
+    return SamplingTimeline(steps=tuple(steps.tolist()))

@@ -30,6 +30,22 @@ def test_roundtrip(tmp_path):
         assert loaded[name].shape == arr.shape
 
 
+def test_loaded_arrays_are_writable_float64_sharing_no_memory(tmp_path):
+    from artdiff.denoisers import denoiser_bytes, load_denoiser
+
+    path = tmp_path / "ck.bin"
+    save_arrays(path, roundtrip_arrays())
+    denoiser = tmp_path / "denoiser.bin"
+    write_file(denoiser, denoiser_bytes(denoiser, *_denoiser_parts()))
+    for loaded in (load_arrays(path), load_arrays(denoiser)):
+        arrays = list(loaded.values())
+        for i, arr in enumerate(arrays):
+            assert arr.dtype == np.float64 and arr.flags.writeable
+            assert not any(np.shares_memory(arr, other) for other in arrays[i + 1:])
+    params, _, embedding = load_denoiser(denoiser)
+    assert not np.shares_memory(params.vector, embedding.tokens)
+
+
 def test_save_is_byte_deterministic(tmp_path):
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"
     arrays = roundtrip_arrays()
@@ -100,6 +116,9 @@ def _blob(entries, payload=b"\0" * 8) -> bytes:
     return body + hashlib.sha256(body).digest()[:8]
 
 
+HUGE_EXTENT_A = f"array 'a' has shape (0, {2 ** 63}), which numpy cannot hold"
+
+
 @pytest.mark.parametrize("blob, message", [
     (_blob([_entry(b"a", (1,)), _entry(b"b", (2, 3))[:-8]], payload=b""),
      "shape table is cut short"),
@@ -109,8 +128,18 @@ def _blob(entries, payload=b"\0" * 8) -> bytes:
     (_blob([_entry(b"a", (0, 2 ** 63)), _entry(b"b", ())]), "numpy cannot hold"),
     (_blob([_entry(b"a", (2,)), _entry(b"a", (1,))], payload=struct.pack("<3d", 1, 2, 3)),
      "array name 'a' appears more than once"),
+    # two faults at once: the first in table order is the one reported
+    (_blob([_entry(b"a", (0, 2 ** 63)), _entry(b"b", (4,))]), HUGE_EXTENT_A),
+    (_blob([_entry(b"a", (4,)), _entry(b"b", (0, 2 ** 63))]),
+     "payload shorter than shape table promises"),
+    (_blob([_entry(b"a", (0, 2 ** 63))]), HUGE_EXTENT_A),
+    (_blob([_entry(b"a", (1,))], payload=b"\0" * 12), "trailing bytes after payload"),
+    (_blob([_entry(b"a", (2,))], payload=b"\0" * 12),
+     "payload shorter than shape table promises"),
 ], ids=["short-table", "non-utf8-name", "extent-2**62", "ndim-33",
-        "empty-huge-extent", "repeated-name"])
+        "empty-huge-extent", "repeated-name", "huge-extent-then-short-payload",
+        "short-payload-then-huge-extent", "huge-extent-and-trailing-bytes",
+        "trailing-part-value", "short-by-part-value"])
 def test_crafted_shape_table_raises_checkpoint_error(tmp_path, blob, message):
     path = tmp_path / "crafted.bin"
     path.write_bytes(blob)

@@ -220,6 +220,12 @@ FLAG_VALUES = {
 }
 
 
+# count flags whose 2**63 is refused before any work: no array has an
+# extent that large
+EXTENT_FLAGS = {"toy-train": ("--steps", "--batch", "--hidden"), "sample": ("--batch",),
+                "compare-samplers": ("--batch",)}
+
+
 @pytest.fixture(scope="module")
 def checkpoints(tmp_path_factory):
     """Small checkpoints by name: conditional, unconditional, one that
@@ -282,6 +288,8 @@ def test_random_flag_values_exit_0_1_or_2_cleanly(command, checkpoints):
                 code = main(argv + [f"--out={out}"])
             made, manifest = out.exists(), (out / "manifest.json").is_file()
         assert code in (0, 1, 2), argv
+        if any(drawn[name] == 2 ** 63 for name in EXTENT_FLAGS.get(command, ())):
+            assert code == 2, argv
         if code == 0:
             assert len(stdout.getvalue().splitlines()) == 1 and manifest, argv
         else:
@@ -290,3 +298,18 @@ def test_random_flag_values_exit_0_1_or_2_cleanly(command, checkpoints):
             assert not made, argv
 
     check()
+
+
+@pytest.mark.parametrize("command, flag", [(command, flag) for command, flags in
+                                           EXTENT_FLAGS.items() for flag in flags])
+def test_count_flag_at_2_63_exits_2_naming_the_flag(tmp_path, command, flag):
+    argv = {"toy-train": ["toy-train", "--dataset=8-gaussian-ring", "--steps=2"],
+            "sample": ["sample", "--oracle"], "compare-samplers": ["compare-samplers"]}[command]
+    out = tmp_path / "o"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv + [f"{flag}={2 ** 63}", f"--out={out}"])
+    assert code == 2 and stdout.getvalue() == "" and not out.exists()
+    low = 0 if flag == "--steps" else 1
+    want = f"error: {flag} must be an integer in [{low}, 2**63), got {2 ** 63}\n"
+    assert stderr.getvalue() == want

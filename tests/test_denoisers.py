@@ -777,6 +777,36 @@ def test_fused_guidance_pair_matches_two_forward_calls(batch):
         assert _rel_err(guided, cfg_combine(ref_u, ref_c, 5.0)) <= 1e-12
 
 
+@pytest.mark.parametrize("scale", [0.0, 1.0, 5.0])
+def test_one_row_guided_prediction_is_cfg_combine_bit_for_bit(monkeypatch, scale):
+    # at one row the binding combines its two head rows on Python floats:
+    # the bits of cfg_combine of those rows, over random rows and over head
+    # rows whose difference overflows to inf (nan once scaled by 0)
+    rng = RngStream(56)
+    p = init_toy_denoiser(rng.child("init"), 2)
+    cond = rng.child("c").normal((1, 16))
+    for i in range(20):
+        x = rng.child(f"x{i}").normal((1, 2)) * 10.0 ** (i % 5 - 2)
+        t = 1 + 47 * i
+        u, c = toy_guidance_pair(p, x, t, cond)
+        got = ToyDenoiser(p).prepare(cond, (t,), scale).predict(x, t)
+        assert got.shape == (1, 2) and got.tobytes() == cfg_combine(u, c, scale).tobytes()
+    heads = [np.array([[-1e308, 1e308], [1e308, -1e308]]),
+             np.array([[1.7e308, -3.0], [-1.7e308, 2.5e-308]])]
+    heads += [np.clip(rng.child(f"h{i}").normal((2, 2)), -3.5, 3.5) * 5e307 for i in range(20)]
+    bound = ToyDenoiser(p).prepare(cond, (5,), scale)
+    x = rng.child("x").normal((1, 2))
+    overflowed = 0
+    for head in heads:
+        monkeypatch.setattr(denoisers, "_head", lambda *a, **k: (None, None, head.copy()))
+        got = bound.predict(x, 5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = cfg_combine(head[:1], head[1:], scale)
+        assert got.shape == (1, 2) and got.tobytes() == want.tobytes()
+        overflowed += not np.all(np.isfinite(want))
+    assert overflowed >= 2
+
+
 def test_attend_shared_memory_matches_per_row_memory():
     from artdiff.denoisers import _attend, _project
 

@@ -758,6 +758,25 @@ def test_block_noise_draws_equal_per_step_draws(monkeypatch, batch, eta):
     assert stream.draws == ref_rng.draws == batch * 2 * (1 + (19 if eta > 0.0 else 0))
 
 
+@pytest.mark.parametrize("block_rows", [1, 3, 4096])
+def test_one_row_step_noise_floats_equal_the_array_rows(monkeypatch, block_rows):
+    # at one row each transfer's noise comes as Python floats, from blocks
+    # of at most block_rows transfers: the values of the same draws as the
+    # (1, width) arrays of one draw per transfer, with the same draw count
+    monkeypatch.setattr(samplers, "SAMPLE_BLOCK_ROWS", block_rows)
+    sigmas = [0.5, 0.0, 1.0, 2.0, 0.0, 0.25, 1e-3, 0.7, 0.0]
+    rng, ref = RngStream(81), RngStream(81)
+    got = list(samplers._step_noise(rng, sigmas, (1, 3)))
+    assert len(got) == len(sigmas)
+    for sigma, noise in zip(sigmas, got):
+        if sigma > 0.0:
+            assert type(noise) is list and all(type(z) is float for z in noise)
+            assert np.array(noise).tobytes() == ref.normal((1, 3))[0].tobytes()
+        else:
+            assert noise is None
+    assert rng.draws == ref.draws == 3 * 6
+
+
 @pytest.mark.parametrize("kind", ["ddim", "ddpm"])
 def test_block_noise_of_a_long_timeline_equals_per_step_draws(monkeypatch, kind):
     # 999 drawing transfers at 7 rows: a block of 585 steps, then one of 414

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from artdiff.numerics import RngStream
-from artdiff.schedule import (NoiseSchedule, SamplingTimeline, linear_schedule,
+from artdiff.schedule import (MAX_T, NoiseSchedule, SamplingTimeline, linear_schedule,
                               subsequence)
 
 
@@ -115,27 +115,48 @@ def test_subsequence_always_yields_valid_timeline():
 
 
 def test_timeline_validation():
-    with pytest.raises(ValueError):
-        SamplingTimeline(steps=())
-    with pytest.raises(ValueError):
-        SamplingTimeline(steps=(5, 5))
-    with pytest.raises(ValueError):
-        SamplingTimeline(steps=(3, 7))
-    with pytest.raises(ValueError):
-        SamplingTimeline(steps=(2, 0))
+    # the three refusals, each with its own message
+    for steps, message in [((), "timeline must be nonempty"),
+                           ((2, 0), "timeline indices must be >= 1"),
+                           ((0, 5), "timeline indices must be >= 1"),
+                           ((3, -1, 7), "timeline indices must be >= 1"),
+                           ((5, 5), "timeline must be strictly decreasing"),
+                           ((3, 7), "timeline must be strictly decreasing"),
+                           ((9, 4, 4, 1), "timeline must be strictly decreasing")]:
+        with pytest.raises(ValueError) as info:
+            SamplingTimeline(steps=steps)
+        assert str(info.value) == message, steps
+
+
+def test_subsequence_equals_the_scalar_rule_at_max_t():
+    # tiny betas, so that alpha_bar stays inside (0, 1) over MAX_T steps
+    s = linear_schedule(MAX_T, 1e-9, 1e-9)
+    for n in (1, 2, 3, 7, 1000, 65_537, 333_334, MAX_T - 1):
+        steps = subsequence(s, n).steps
+        assert steps == _scalar_subsequence(MAX_T, n), n
+        assert all(type(t) is int for t in steps[:3])
 
 
 def test_timeline_pairs_end_at_zero():
     assert SamplingTimeline(steps=(9, 5, 2)).pairs() == [(9, 5), (5, 2), (2, 0)]
 
 
-@pytest.mark.parametrize("T", [7, 10, 100, 999, 1000])
+def _scalar_subsequence(T: int, n: int) -> tuple[int, ...]:
+    """subsequence's rule, one Python integer expression per entry."""
+    if n == 1:
+        return (T,)
+    span = T - T // n
+    return tuple(T - (i * span) // (n - 1) for i in range(n))
+
+
+@pytest.mark.parametrize("T", [1, 2, 7, 10, 100, 999, 1000, 2000])
 def test_subsequence_spreads_every_step_count_evenly(T):
-    # for every n: strictly decreasing from T to T // n, neighbouring gaps
-    # within one of each other, and the old stride-T//n timeline whenever
-    # n divides T
+    # for every n: the scalar rule exactly, strictly decreasing from T to
+    # T // n, neighbouring gaps within one of each other, and the old
+    # stride-T//n timeline whenever n divides T
     s = linear_schedule(T)
     for n in range(1, T + 1):
+        assert subsequence(s, n).steps == _scalar_subsequence(T, n), n
         steps = np.array(subsequence(s, n).steps)
         assert len(steps) == n and steps[0] == T and steps[-1] == T // n
         gaps = -np.diff(steps)
