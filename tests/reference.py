@@ -11,9 +11,10 @@ training's label form is checked against, plus small helpers the
 acceptance criteria need. Nothing here imports ``artdiff.samplers``, so a
 sampler check never compares the sampler with itself. The prompt-extension
 pieces are the BM25 length norms of recounted documents, the hashed
-embedding added one token at a time, the gazetteer scan that tries every
-position and the temporal count that runs all four patterns on every
-text, and the output piece is the text of
+embedding added one token at a time and its cosine, the gazetteer scan that
+tries every position, the temporal count that runs all four patterns on
+every text, the TF-IDF score summed left to right, and the ranking of a
+candidate pool scored one candidate at a time; the output piece is the text of
 ``samples.csv`` written value by value.
 """
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+from collections import Counter
 
 import numpy as np
 
@@ -291,6 +293,59 @@ def temporal_count(text: str) -> int:
     whole text."""
     return (len(_YEAR_RE.findall(text)) + len(_CLOCK_RE.findall(text))
             + len(_MONTH_RE.findall(text)) + len(_ORDINAL_DAY_RE.findall(text)))
+
+
+def tfidf_score(idf: dict[str, float], tokens: list[str]) -> float:
+    """Mean over a text's token occurrences of tf * idf, OOV terms scoring
+    0 and a token-less text 0.0: each occurrence adds
+    ``(count / length) * idf`` to a total that starts at 0.0, left to
+    right, so the sum does not depend on how a Python version's ``sum``
+    adds floats."""
+    if not tokens:
+        return 0.0
+    counts = Counter(tokens)
+    length = len(tokens)
+    total = 0.0
+    for token in tokens:
+        total += (counts[token] / length) * idf.get(token, 0.0)
+    return total / length
+
+
+def hash_cosine(u_tokens: list[str], v_tokens: list[str], width: int) -> float:
+    """The cosine of two token lists' hash embeddings, 0.0 when either is
+    the zero vector. Their entries are integers, so the dot products are
+    exact in any order."""
+    u, v = hash_embedding(u_tokens, width), hash_embedding(v_tokens, width)
+    uu, vv = float(u @ u), float(v @ v)
+    if uu == 0.0 or vv == 0.0:
+        return 0.0
+    return float(u @ v) / (math.sqrt(uu) * math.sqrt(vv))
+
+
+def ranked_candidates(u: str, pool, idf: dict[str, float], lambda1: float, lambda2: float,
+                      phrases, width: int, k: int) -> list[dict]:
+    """The top-k prompt extensions of prompt ``u`` among the (text, source)
+    pairs of ``pool``, as dicts of the ``PromptCandidate`` fields, each
+    scored on its own: blank texts dropped, one candidate kept per
+    space-joined token list (the higher score, then the smaller text), then
+    ranked by descending score and ascending text."""
+    best: dict[str, dict] = {}
+    for text, source in pool:
+        if not text.strip():
+            continue
+        tokens = tokenize(text)
+        fert = tfidf_score(idf, tokens)
+        cos = hash_cosine(tokenize(u), tokens, width)
+        spatial, temporal = gazetteer_match_count(phrases, tokens), temporal_count(text)
+        cand = {"text": text, "source": source, "tfidf": fert, "cos": cos,
+                "spatial_entities": spatial, "temporal_entities": temporal,
+                "score": fert + lambda1 * cos + lambda2 * (spatial + temporal)}
+        key = " ".join(tokens)
+        cur = best.get(key)
+        if (cur is None or cand["score"] > cur["score"]
+                or (cand["score"] == cur["score"] and text < cur["text"])):
+            best[key] = cand
+    return sorted(best.values(), key=lambda c: (-c["score"], c["text"]))[:k]
 
 
 def samples_csv_text(samples: np.ndarray) -> str:

@@ -862,6 +862,21 @@ def test_diverging_sample_prints_one_line(tmp_path, argv):
     assert proc.stderr.splitlines() == ["error: sample state contains non-finite elements"]
 
 
+def test_prompt_extend_overflowing_entity_bonus_prints_one_line(tmp_path):
+    # --lambda2 1e308 times a pool's two or more entities overflows the
+    # scores' vector pass; numpy's overflow warning must not reach stderr
+    out = tmp_path / "o"
+    proc = run_in_fresh_process(["prompt-extend", "urbanization of China",
+                                 "--corpus", DATA / "micro_corpus.jsonl",
+                                 "--gazetteer", DATA / "gazetteer.txt",
+                                 "--fixtures", DATA / "fixtures.jsonl",
+                                 "--lambda2", "1e308", "--out", out])
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: a candidate score overflows at --lambda1 1.0 "
+                                        "and --lambda2 1e+308; lower them"]
+    assert not out.exists()
+
+
 def test_prompt_extend_on_a_corpus_without_tokens_prints_nothing(tmp_path):
     # every document tokenizes to nothing, so the mean document length is 0
     corpus = tmp_path / "marks.jsonl"

@@ -141,6 +141,10 @@ CONFIG_LINE = st.one_of(
     st.sampled_from(["", "   ", "# a comment", "  # indented comment", "no equals sign"]))
 CONFIG_ARGV = {
     "schedule-dump": ["schedule-dump"],
+    # the costly keys are pinned as flags, which win over a config line
+    "toy-train": ["toy-train", "--dataset", "8-gaussian-ring", "--steps", 2, "--batch", 2],
+    "sample --oracle": ["sample", "--oracle", "--batch", 2, "--ddim_steps", 2],
+    "compare-samplers": ["compare-samplers", "--batch", 2],
     "corpus-stats": ["corpus-stats", "--metadata", DATA / "artworks.csv"],
     "prompt-extend": ["prompt-extend", "urbanization of China",
                       "--corpus", DATA / "micro_corpus.jsonl",

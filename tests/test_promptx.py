@@ -14,8 +14,9 @@ from artdiff.promptx import (ArtworkMeta, Document, FixtureGenerator,
                              entity_count, extend_prompt, load_corpus_jsonl,
                              read_artwork_table, score_candidate,
                              split_sentences, tfidf_fit, tfidf_from_index,
-                             tfidf_score, tokenize, top_share)
-from reference import bm25_norms, gazetteer_match_count, hash_embedding
+                             tokenize, top_share)
+from reference import (bm25_norms, gazetteer_match_count, hash_embedding, ranked_candidates,
+                       tfidf_score)
 
 
 def naive_bm25_scores(docs, query, k1=1.2, b=0.75):
@@ -294,6 +295,21 @@ def test_tfidf_oov_scores_zero():
     idf = tfidf_fit([Document(id="a", title="china city")])
     assert tfidf_score(idf, tokenize("wheat plateau")) == 0.0
     assert tfidf_score(idf, tokenize("")) == 0.0
+
+
+def test_tfidf_sums_left_to_right_whatever_the_python_version():
+    # ten terms of 0.1 add to 0.9999999999999999 left to right; Python
+    # 3.12's compensated sum would give 1.0, and a tfidf of 0.1
+    tokens = [f"t{i}" for i in range(10)]
+    idf = dict.fromkeys(tokens, 1.0)
+    want = 0.9999999999999999 / 10
+    assert want != 0.1
+    text = " ".join(tokens)
+    assert tfidf_score(idf, tokens) == want
+    assert score_candidate(text, tokens, 0.0, idf, 1.0, 0.1, Gazetteer([])).tfidf == want
+    (got,) = extend_prompt("x", build_index([]), idf, HashEmbedder(), ListGenerator([text]),
+                           1.0, 0.1, 1, Gazetteer([]))
+    assert got.tfidf == want
 
 
 def test_tfidf_single_doc_convention():
@@ -747,8 +763,17 @@ class ListGenerator:
         return list(self._responses)
 
 
+def candidate_pool(u, index, generator, k):
+    """The (text, source) pairs ``extend_prompt`` pools for prompt ``u``:
+    the sentences of the top-k documents, then the generator's texts."""
+    pool = [(sentence, "wiki-sentence") for doc, _ in bm25_search(index, u, k)
+            for sentence in split_sentences(doc.title) + split_sentences(doc.body)]
+    return (pool + [(text, "generator-continuation") for text in generator.continuations(u)]
+            + [(text, "generator-response") for text in generator.responses(u)])
+
+
 @pytest.mark.parametrize("width", [64, 7])
-def test_extend_prompt_candidates_equal_one_by_one_scoring(data_dir, monkeypatch, width):
+def test_extend_prompt_candidates_equal_one_by_one_scoring(data_dir, width):
     index = build_index(load_corpus_jsonl(data_dir / "micro_corpus.jsonl"))
     idf = tfidf_from_index(index)
     gaz = Gazetteer.from_file(data_dir / "gazetteer.txt")
@@ -756,31 +781,22 @@ def test_extend_prompt_candidates_equal_one_by_one_scoring(data_dir, monkeypatch
     u = "urbanization of China"
     token_less = ListGenerator(["!!!", " ", "China city at 6:30"] + fixtures.continuations(u),
                                ["... --- ..."] + fixtures.responses(u))
-    calls = []
-    real_score = promptx.score_candidate
-
-    def recording_score(v, tokens, cos, idf, lambda1, lambda2, gaz, source):
-        cand = real_score(v, tokens, cos, idf, lambda1, lambda2, gaz, source)
-        calls.append((v, tokens, idf, lambda1, lambda2, gaz, source, cand))
-        return cand
-
-    monkeypatch.setattr(promptx, "score_candidate", recording_score)
     e = HashEmbedder(width)
     for prompt, gen, k in ((u, fixtures, 10), (u, token_less, 50), ("Asian morning", fixtures, 3),
                            ("!!!", token_less, 50)):
-        calls.clear()
         got = extend_prompt(prompt, index, idf, e, gen, 0.7, 0.2, k, gaz)
-        assert len(calls) >= len(got) > 0
-        for v, tokens, idf_, lambda1, lambda2, gaz_, source, cand in calls:
-            assert tokens == tokenize(v)
-            cos = cos1(e.embed(prompt), e.embed(v))     # one vector at a time
-            alone = real_score(v, tokens, cos, idf_, lambda1, lambda2, gaz_, source)
-            assert vars(cand) == vars(alone)
-            assert type(cand.cos) is float
-        assert all(any(c == cand for *_, cand in calls) for c in got)
+        # every candidate scored on its own: scalar TF-IDF, one vector at a
+        # time, the full gazetteer and temporal scans
+        alone = ranked_candidates(prompt, candidate_pool(prompt, index, gen, k), idf,
+                                  0.7, 0.2, gaz.phrases, width, k)
+        assert len(got) > 0
+        assert [vars(c) for c in got] == alone
+        assert all(type(c.cos) is float and type(c.tfidf) is float
+                   and type(c.score) is float for c in got)
         if gen is token_less:
-            blank = [cand for *_, cand in calls if cand.text in ("!!!", "... --- ...")]
-            assert len(blank) == 2 and all(c.cos == 0.0 for c in blank)
+            # both token-less texts key on "" and score the same: the smaller text stays
+            blank = [c for c in got if not tokenize(c.text)]
+            assert [(c.text, c.cos, c.tfidf) for c in blank] == [("!!!", 0.0, 0.0)]
 
 
 def test_score_candidate_with_its_token_list_equals_tokenizing_again(data_dir):
@@ -806,25 +822,22 @@ def test_extend_prompt_tokenizes_each_candidate_at_most_twice(data_dir, monkeypa
     prompts = ("urbanization of China", "Asian morning")
     plain = [extend_prompt(u, index, idf, HashEmbedder(), gen, 1.0, 0.1, 10, gaz)
              for u in prompts]
+    pools = [candidate_pool(u, index, gen, 10) for u in prompts]
     calls = Counter()
-    real_tokenize, real_score = promptx.tokenize, promptx.score_candidate
+    real_tokenize = promptx.tokenize
 
     def counting_tokenize(text):
         calls["tokenize"] += 1
         return real_tokenize(text)
 
-    def counting_score(*args, **kwargs):
-        calls["scored"] += 1
-        return real_score(*args, **kwargs)
-
     monkeypatch.setattr(promptx, "tokenize", counting_tokenize)
-    monkeypatch.setattr(promptx, "score_candidate", counting_score)
-    for u, expected in zip(prompts, plain):
+    for u, expected, pool in zip(prompts, plain, pools):
         calls.clear()
         assert extend_prompt(u, index, idf, HashEmbedder(), gen, 1.0, 0.1, 10, gaz) == expected
-        assert calls["scored"] > 10
+        scored = sum(1 for text, _ in pool if text.strip())
+        assert scored > 10
         # the prompt is tokenized twice: once for BM25, once for its embedding
-        assert calls["tokenize"] <= calls["scored"] + 2
+        assert calls["tokenize"] <= scored + 2
 
 
 @pytest.fixture

@@ -1,6 +1,6 @@
 """Property tests for tokenizing, index counting and search, gazetteer
-matching, entity counting, the JSON Lines loaders and the artwork metadata
-table.
+matching, entity counting, candidate pool scoring, the JSON Lines loaders
+and the artwork metadata table.
 
 They need hypothesis (the ``test`` extra) and are skipped without it.
 """
@@ -9,6 +9,7 @@ import json
 import math
 import re
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,9 +20,12 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from artdiff import promptx  # noqa: E402
 from artdiff.errors import ConfigError  # noqa: E402
 from artdiff.promptx import (ArtworkMeta, Document, FixtureGenerator,  # noqa: E402
-                             Gazetteer, bm25_search, build_index, load_corpus_jsonl,
-                             read_artwork_table, tfidf_fit, tfidf_from_index, tokenize)
-from reference import bm25_norms, gazetteer_match_count, temporal_count  # noqa: E402
+                             Gazetteer, HashEmbedder, bm25_search, build_index,
+                             extend_prompt, load_corpus_jsonl, read_artwork_table, tfidf_fit,
+                             tfidf_from_index, tokenize)
+from reference import (bm25_norms, gazetteer_match_count, ranked_candidates,  # noqa: E402
+                       temporal_count)
+from test_promptx import ListGenerator, brute_top_k, candidate_pool  # noqa: E402
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -90,6 +94,66 @@ def test_build_index_is_the_same_for_a_shuffled_corpus(pair, queries):
         assert a.dtype == b.dtype and a.tolist() == b.tolist()
     for query, k in queries:
         assert bm25_search(index, query, k) == bm25_search(other, query, k)
+
+
+# query words: repeats, tokens in no document ("zebra") and texts without tokens
+BM25_QUERY = st.lists(st.one_of(WORDS, st.just("zebra")), max_size=6).map(" ".join)
+
+
+@settings(max_examples=100, deadline=None)
+@given(CORPUS, BM25_QUERY, st.integers(1, 12))
+@example([], "art", 3)
+@example([Document(id="a", title="art river"), Document(id="b", title="x1")], "", 1)
+@example([Document(id="a", title="art"), Document(id="b", title="river")], "zebra", 2)
+@example([Document(id="a", title="river"), Document(id="b", title="art art"),
+          Document(id="c", title="b")], "art art river", 12)
+def test_bm25_sparse_and_dense_forms_equal_the_brute_force_ranking(docs, query, k):
+    index = build_index(docs)
+    n = len(index.documents)
+    rows = [index.vocab[t] for t in tokenize(query) if t in index.vocab]
+    postings = sum(int(index.indptr[row + 1] - index.indptr[row]) for row in rows)
+    want = brute_top_k(list(index.documents), query, k)
+    # 0 forces the dense form and inf the sparse one; the others put the
+    # threshold just below the query's postings, at them and just above
+    shares = [0.0, math.inf] + [(postings + d) / n for d in (-0.5, 0.0, 0.5) if n]
+    for share in shares:
+        with mock.patch.object(promptx, "SPARSE_POSTINGS", share):
+            got = bm25_search(index, query, k)
+        assert [(doc.id, score) for doc, score in got] == want
+
+
+# candidate texts over a few words: case variants that share a key and
+# score alike, place names, temporal pieces, OOV words and token-less texts
+POOL_WORDS = st.sampled_from(["China", "china", "city", "Lhasa", "Pearl", "River", "river",
+                              "zebra", "1980", "May", "3rd", "6:30", "!!!", "--", "art"])
+POOL_TEXT = st.lists(POOL_WORDS, max_size=6).map(" ".join)
+IDF = st.dictionaries(st.sampled_from(["china", "city", "lhasa", "river", "art", "1980", "may"]),
+                      st.one_of(st.sampled_from([0.0, 0.1, 1.0]), st.floats(0.0, 5.0)),
+                      max_size=7)
+LAMBDA = st.sampled_from([0.0, 0.1, 1.0, 1e308])
+
+
+@settings(max_examples=100, deadline=None)
+@given(POOL_TEXT, st.lists(POOL_TEXT, max_size=3), st.lists(POOL_TEXT, max_size=6),
+       st.lists(POOL_TEXT, max_size=4), IDF, LAMBDA, LAMBDA, st.integers(1, 12),
+       st.sampled_from([64, 7, 1]))
+@example("china", [], ["China city", "china city", "!!!", "--"], [], {"china": 1.0},
+         0.0, 1e308, 10, 64)
+def test_extend_prompt_equals_scoring_each_candidate_alone(prompt, bodies, continuations,
+                                                           responses, idf, lambda1, lambda2,
+                                                           k, width):
+    index = build_index([Document(id=f"d{i}", title="river", body=body)
+                         for i, body in enumerate(bodies)])
+    generator = ListGenerator(continuations, responses)
+    gazetteer = Gazetteer(["Lhasa", "Pearl River", "China"])
+    got = extend_prompt(prompt, index, idf, HashEmbedder(width), generator, lambda1, lambda2,
+                        k, gazetteer)
+    want = ranked_candidates(prompt, candidate_pool(prompt, index, generator, k), idf,
+                             lambda1, lambda2, gazetteer.phrases, width, k)
+    assert [vars(c) for c in got] == want
+    for cand in got:
+        assert all(type(getattr(cand, name)) is float for name in ("tfidf", "cos", "score"))
+        assert type(cand.spatial_entities) is int and type(cand.temporal_entities) is int
 
 
 @PROPERTY

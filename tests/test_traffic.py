@@ -64,6 +64,7 @@ ALLOWED = {
         "samplers.plms_sample",
         "denoisers.GaussianOracle.predict",
         "promptx.HashEmbedder.embed",
+        "promptx.score_candidate",
         "checkpoint.save_arrays",
     ),
     "attention over two or more condition tokens: criterion 06's gradient check "
