@@ -2,12 +2,13 @@
 comparison, prompt extension, and corpus statistics.
 
 Every run resolves its configuration from flags, then an optional
-key=value config file (flags win), emits line-oriented text artifacts so
-runs can be compared byte-for-byte, writes a manifest.json capturing the
-resolved values, the numpy and Python versions and the sha256 of the bytes
-written to each output file, and prints one summary line. The ARTDIFF_OUT
-environment variable overrides the default output directory when --out is
-not given.
+key=value config file (flags win); ``Resolver.peek`` alone reads either's
+text, checks it and refuses a bad one with one line and exit 2. It emits
+line-oriented text artifacts so runs can be compared byte-for-byte, writes
+a manifest.json capturing the resolved values, the numpy and Python
+versions and the sha256 of the bytes written to each output file, and
+prints one summary line. The ARTDIFF_OUT environment variable overrides
+the default output directory when --out is not given.
 
 Outputs are rewritten in place and cut to their new length, so a rerun
 into the same directory leaves no stale bytes. A write that fails
@@ -67,16 +68,20 @@ def _fmt(x: float) -> str:
 
 class Resolver:
     """Flag > config file > default resolution for one command invocation;
-    the type and default of each key come from the command's ``COMMANDS``
-    entry.
+    the kind and default of each key come from the command's ``COMMANDS``
+    entry, and its range from ``RANGES``.
 
-    A config line is ``key=value``: the key is stripped of all whitespace
-    and the value only of spaces, so a tab value stays a tab."""
+    Every flag given is read first, so a bad one is refused where the command
+    does not use it. A config line is ``key=value``: the key is stripped of
+    all whitespace and the value only of spaces, so a tab value stays a tab."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.flags = COMMANDS[args.command][2]
         self.file_values: dict[str, str] = {}
+        for name in self.flags:
+            if name.startswith("--") and getattr(args, name[2:]) is not None:
+                self.peek(name[2:])
         if args.config is not None:
             path = _require_file(args.config, "config")
             known = _config_keys()
@@ -111,19 +116,25 @@ class Resolver:
         return value
 
     def peek(self, key: str):
-        """The value ``get`` gives, left out of the manifest."""
+        """The value ``get`` gives, left out of the manifest: the flag's text,
+        or else the config line's, read as its kind and checked."""
         kind, default, _ = self.flags["--" + key]
-        value = getattr(self.args, key)
-        if value is None and key in self.file_values:
-            raw = self.file_values[key]
-            try:    # a choice is read as text and checked where it is used
-                value = (CONFIG_BOOLEANS[raw.lower()] if kind is bool
-                         else kind(raw) if kind in (int, float) else raw)
+        value, where = getattr(self.args, key), f"--{key}"
+        if value is None:   # a default is checked too: a missing --dataset is no choice
+            value, where = self.file_values.get(key, default), f"config value {key}"
+        if kind in (bool, int, float) and isinstance(value, str):   # a given switch is True
+            try:
+                value = CONFIG_BOOLEANS[value.lower()] if kind is bool else kind(value)
             except (KeyError, ValueError):
                 what = "boolean (1/true/yes or 0/false/no)" if kind is bool else kind.__name__
-                raise ConfigError(f"config value {key}={raw!r} is not a valid {what}") from None
-        elif value is None:
-            value = default
+                raise ConfigError(f"{where}={value!r} is not a valid {what}") from None
+        if isinstance(kind, tuple) and value not in kind:
+            raise ConfigError(f"unknown {key} {value!r}; available: {', '.join(kind)}")
+        low, high = RANGES.get(key, (None, None))
+        if low is not None and not low <= value < (high or math.inf):   # nan and inf too
+            rule = (f"a finite number >= {low}" if kind is float else f">= {low}" if high is None
+                    else f"an integer in [{low}, 2**{high.bit_length() - 1})")
+            raise ConfigError(f"--{key} must be {rule}, got {value}")
         return value
 
 
@@ -160,29 +171,6 @@ def _parse_vector(text: str) -> np.ndarray:
     return vec
 
 
-def _seed_from(resolver: Resolver) -> int:
-    seed = resolver.get("seed")
-    if not 0 <= seed < 2 ** 64:
-        raise ConfigError(f"--seed must be an integer in [0, 2**64), got {seed}")
-    return seed
-
-
-def _extent_from(resolver: Resolver, key: str, low: int) -> int:
-    """The resolved count flag ``key``: an integer from ``low`` below 2**63,
-    since a larger one is no array extent numpy can make."""
-    value = resolver.get(key)
-    if not low <= value < 2 ** 63:
-        raise ConfigError(f"--{key} must be an integer in [{low}, 2**63), got {value}")
-    return value
-
-
-def _var0_from(resolver: Resolver) -> float:
-    var0 = resolver.get("var0")
-    if not (math.isfinite(var0) and var0 >= 0.0):
-        raise ConfigError(f"--var0 must be a finite number >= 0, got {var0}")
-    return var0
-
-
 def _schedule_manifest(schedule) -> dict:
     """The manifest entry of the schedule that ran, as a checkpoint records it."""
     return {"schedule": {"T": schedule.T, "beta_start": float(schedule.betas[0]),
@@ -217,18 +205,15 @@ def cmd_schedule_dump(resolver: Resolver) -> tuple[list[tuple], dict, str]:
 
 def cmd_toy_train(resolver: Resolver) -> tuple[list[tuple], dict, str]:
     name = resolver.get("dataset")
-    if name is None or name not in DATASETS:
-        known = ", ".join(sorted(DATASETS))
-        raise ConfigError(f"unknown dataset {name!r}; available: {known}")
     dataset = DATASETS[name]
     schedule = _schedule_from(resolver)
-    seed = _seed_from(resolver)
-    steps = _extent_from(resolver, "steps", 0)
-    batch = _extent_from(resolver, "batch", 1)
+    seed = resolver.get("seed")
+    steps = resolver.get("steps")
+    batch = resolver.get("batch")
     lr = resolver.get("lr")
     optimizer = resolver.get("optimizer")
     drop_prob = resolver.get("drop_prob")
-    hidden = _extent_from(resolver, "hidden", 1)
+    hidden = resolver.get("hidden")
     conditional = resolver.get("conditional")
 
     params = init_toy_denoiser(RngStream(seed).child("init"), dataset.dim,
@@ -283,8 +268,8 @@ def cmd_sample(resolver: Resolver) -> tuple[list[tuple], dict, str]:
     eta = resolver.get("ddim_eta")
     steps = resolver.get("ddim_steps")
     scale = resolver.get("scale")
-    seed = _seed_from(resolver)
-    batch = _extent_from(resolver, "batch", 1)
+    seed = resolver.get("seed")
+    batch = resolver.get("batch")
     oracle = resolver.get("oracle")
     label = resolver.get("label")
     plot = resolver.get("plot")
@@ -296,7 +281,7 @@ def cmd_sample(resolver: Resolver) -> tuple[list[tuple], dict, str]:
         if label is not None:
             raise ConfigError("--label needs a conditional checkpoint; the oracle takes no label")
         mu0 = _parse_vector(resolver.get("mu0"))
-        var0 = _var0_from(resolver)
+        var0 = resolver.get("var0")
         schedule = _schedule_from(resolver)
         predictor = GaussianOracle(mu0=mu0, var0=var0, schedule=schedule)
         width = mu0.size
@@ -331,12 +316,12 @@ def cmd_sample(resolver: Resolver) -> tuple[list[tuple], dict, str]:
 
 def cmd_compare_samplers(resolver: Resolver) -> tuple[list[tuple], dict, str]:
     mu0 = _parse_vector(resolver.get("mu0"))
-    var0 = _var0_from(resolver)
+    var0 = resolver.get("var0")
     if var0 == 0.0:
         raise ConfigError("compare-samplers needs --var0 > 0: point-mass data gives every "
                           "sampler zero error, so no order can be fitted")
-    seed = _seed_from(resolver)
-    batch = _extent_from(resolver, "batch", 1)
+    seed = resolver.get("seed")
+    batch = resolver.get("batch")
     # The reference trajectory needs 2000 distinct timesteps, so this
     # experiment runs on its own T=2000 schedule.
     schedule = _schedule_from(resolver, COMPARISON_T)
@@ -392,14 +377,9 @@ def cmd_prompt_extend(resolver: Resolver) -> tuple[list[tuple], dict, str]:
     corpus_path = _require_file(resolver.get("corpus"), "corpus")
     gazetteer_path = _require_file(resolver.get("gazetteer"), "gazetteer")
     fixtures_path = _require_file(resolver.get("fixtures"), "fixtures")
+    topk = resolver.get("topk")
     lambda1 = resolver.get("lambda1")
     lambda2 = resolver.get("lambda2")
-    topk = resolver.get("topk")
-    if topk < 1:
-        raise ConfigError(f"--topk must be >= 1, got {topk}")
-    for name, value in (("lambda1", lambda1), ("lambda2", lambda2)):
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ConfigError(f"--{name} must be a finite number >= 0, got {value}")
 
     # the two small files before the corpus pass, so their faults show first
     fixtures = FixtureGenerator.from_file(fixtures_path)
@@ -473,13 +453,13 @@ _MU0 = (str, "3,-1", "oracle data mean, comma-separated, e.g. --mu0 -1.4,2 or --
 # checks and computes, and writes nothing: it returns its files as (name,
 # writer, *args), which main writes with writer(path, *args), a call that
 # returns the bytes written; its manifest entries; and its stdout line. A
-# flag is name -> (type, default, help): type bool is a switch and a tuple
-# lists the choices. Each name with "--" (bar --config) is also a config
-# key; "prompt" is a positional.
+# flag is name -> (kind, default, help): kind bool is a switch, a tuple
+# lists the choices, and int, float or str reads the text. Each name with
+# "--" (bar --config) is also a config key; "prompt" is a positional.
 COMMANDS = {
     "schedule-dump": (cmd_schedule_dump, "emit the variance schedule tables as CSV", _SCHEDULE),
     "toy-train": (cmd_toy_train, "train the toy denoiser on a built-in dataset", {
-        **_SCHEDULE, "--dataset": (str, None, "|".join(sorted(DATASETS))),
+        **_SCHEDULE, "--dataset": (tuple(sorted(DATASETS)), None, ""),
         "--steps": (int, 20000, ""), "--batch": (int, 64, ""), "--lr": (float, 1e-3, ""),
         "--optimizer": (OPTIMIZERS, "adam", ""), "--drop_prob": (float, 0.1, ""),
         "--hidden": (int, 16, ""), "--seed": (int, 0, ""), "--conditional": (bool, False, "")}),
@@ -508,15 +488,24 @@ COMMANDS = {
         "--delimiter": (str, ",", "")}),
 }
 
+# config key -> [low, high) in every command (high None: no bound); no array
+# extent reaches 2**63. A range set by other values (T, labels) is checked later.
+RANGES = {"seed": (0, 2 ** 64), "steps": (0, 2 ** 63), "batch": (1, 2 ** 63), "topk": (1, None),
+          "hidden": (1, 2 ** 63), "var0": (0, None), "lambda1": (0, None), "lambda2": (0, None)}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # an unknown flag, a flag without its value, no command
+        self.exit(2, f"error: {message}\n")
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every command, built once per process from ``COMMANDS``:
     parsing leaves it unchanged, so every ``main`` call shares it. A flag
-    parses to None when it is not given, so a config value can stand in."""
-    parser = argparse.ArgumentParser(prog="artdiff",
-                                     description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parses to its text, or to None when not given so a config value can stand in."""
+    parser = _Parser(prog="artdiff", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (func, line, flags) in COMMANDS.items():
         p = sub.add_parser(command, help=line)
@@ -525,10 +514,9 @@ def build_parser() -> argparse.ArgumentParser:
                 text = f"{text} (default: {default})".lstrip()
             if kind is bool:
                 p.add_argument(name, action="store_true", default=None, help=text)
-            elif isinstance(kind, tuple):
-                p.add_argument(name, choices=kind, help=text)
-            else:
-                p.add_argument(name, type=kind, help=text)
+            else:   # text; a choice's metavar lists the choices in --help
+                p.add_argument(name, help=text, metavar="{%s}" % ",".join(kind)
+                               if isinstance(kind, tuple) else None)
         p.set_defaults(func=func)
     return parser
 

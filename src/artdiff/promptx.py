@@ -522,15 +522,15 @@ def _score_pool(texts: Sequence[str], token_lists: Sequence[list[str]], cosines:
 
 
 def score_candidate(v: str, tokens: list[str], cos: float, idf: dict[str, float],
-                    lambda1: float, lambda2: float, gazetteer: Gazetteer,
-                    source: str = "wiki-sentence") -> PromptCandidate:
+                    lambda1: float, lambda2: float, gazetteer: Gazetteer) -> PromptCandidate:
     """Combined importance of candidate text ``v`` for a prompt u:
     tfidf(v) + lambda1 * cos(embed(u), embed(v)) + lambda2 * (spatial +
     temporal entity count), from ``_score_pool`` on a one-candidate pool.
-    ``tokens`` is ``tokenize(v)`` and ``cos`` the cosine."""
+    ``tokens`` is ``tokenize(v)`` and ``cos`` the cosine; the candidate is
+    a wiki sentence."""
     (fert,), (spatial,), (temporal,), (score,) = _score_pool(
         [v], [tokens], np.array([cos], dtype=np.float64), idf, lambda1, lambda2, gazetteer)
-    return PromptCandidate(text=v, source=source, tfidf=fert, cos=cos,
+    return PromptCandidate(text=v, source="wiki-sentence", tfidf=fert, cos=cos,
                            spatial_entities=spatial, temporal_entities=temporal, score=score)
 
 

@@ -103,6 +103,13 @@ def test_mu0_help_documents_equals_form(capsys, command):
     assert "--mu0 -1.4,2" in help_text
 
 
+def test_choice_flag_help_lists_its_choices(capsys):
+    # a choice flag parses to text, so its metavar carries the choices
+    with pytest.raises(SystemExit):
+        main(["sample", "--help"])
+    assert "--sampler {ddpm,ddim,plms}" in capsys.readouterr().out
+
+
 def test_sample_requires_predictor_source(tmp_path, capsys):
     assert run(["sample", "--out", tmp_path / "o"]) == 2
     assert "either --oracle or --checkpoint" in capsys.readouterr().err
@@ -1222,6 +1229,26 @@ def test_bad_flag_after_a_good_call_still_exits_2(tmp_path, capsys):
     assert "unrecognized arguments: --bogus" in capsys.readouterr().err
     assert run(["schedule-dump", "--timesteps", 10, "--out", tmp_path / "c"]) == 0
     assert read_all(tmp_path / "a")["schedule.csv"] == read_all(tmp_path / "c")["schedule.csv"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["schedule-dump", "--bogus", 1], id="unknown-flag"),
+    pytest.param(["sample", "--oracle", "--batch"], id="flag-without-value"),
+    pytest.param([], id="no-command"),
+])
+def test_argparse_refusal_exits_2_with_one_line(tmp_path, capsys, monkeypatch, argv):
+    # argparse's own refusals print one line like every other, not a usage block
+    from artdiff.cli import ENV_OUT
+
+    out = tmp_path / "o"
+    monkeypatch.setenv(ENV_OUT, str(out))
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert not out.exists()
 
 
 # every key a config file may set: a flag renamed in or dropped from

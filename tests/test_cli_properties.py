@@ -20,8 +20,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from artdiff.checkpoint import load_arrays, save_arrays  # noqa: E402
-from artdiff.cli import COMMANDS, _config_keys, _write_samples_csv, main  # noqa: E402
-from artdiff.datasets import DATASETS  # noqa: E402
+from artdiff.cli import COMMANDS, RANGES, _config_keys, _write_samples_csv, main  # noqa: E402
 from artdiff.promptx import (DEFAULT_LAMBDA1, DEFAULT_LAMBDA2,  # noqa: E402
                              FixtureGenerator, Gazetteer, HashEmbedder,
                              artist_histogram, build_index, extend_prompt, load_corpus_jsonl,
@@ -144,6 +143,9 @@ CONFIG_ARGV = {
     # the costly keys are pinned as flags, which win over a config line
     "toy-train": ["toy-train", "--dataset", "8-gaussian-ring", "--steps", 2, "--batch", 2],
     "sample --oracle": ["sample", "--oracle", "--batch", 2, "--ddim_steps", 2],
+    # "conditional" names the checkpoints fixture's conditional checkpoint
+    "sample --checkpoint": ["sample", "--checkpoint", "conditional", "--batch", 2,
+                            "--ddim_steps", 2],
     "compare-samplers": ["compare-samplers", "--batch", 2],
     "corpus-stats": ["corpus-stats", "--metadata", DATA / "artworks.csv"],
     "prompt-extend": ["prompt-extend", "urbanization of China",
@@ -156,14 +158,14 @@ CONFIG_ARGV = {
 @pytest.mark.parametrize("command", sorted(CONFIG_ARGV))
 @settings(max_examples=25, deadline=None)
 @given(lines=st.lists(CONFIG_LINE, max_size=8))
-def test_any_config_file_exits_0_or_2_with_one_error_line(command, lines):
+def test_any_config_file_exits_0_or_2_with_one_error_line(command, checkpoints, lines):
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "run.cfg", Path(tmp) / "o"
         cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             # --out is always a flag, so no config line can move the outputs
-            code = main([str(a) for a in CONFIG_ARGV[command]]
+            code = main([str(checkpoints.get(a, a)) for a in CONFIG_ARGV[command]]
                         + ["--config", str(cfg), "--out", str(out)])
         written = {p.name for p in out.iterdir()} if out.is_dir() else set()
     assert code in (0, 2)
@@ -179,9 +181,13 @@ def test_any_config_file_exits_0_or_2_with_one_error_line(command, lines):
 # so most draws run and each edge value is met on its own. An int flag's
 # range is small, so that no draw allocates more than a few MB, and its
 # edge values are refused before any work; a float flag's edge values are
-# EDGE_FLAG_FLOATS; a path is a test-data file, the flag's own in range and
-# another at the edge. A switch is on or off and a choice one of its own.
-EDGE_INTS = [0, -1, 2 ** 63]
+# EDGE_FLAG_FLOATS; both also meet text that is no number of their kind. A
+# path is a test-data file, the flag's own in range and another at the
+# edge. A switch is on or off, and a choice is one of its own or, at the
+# edge, none of them.
+BAD_INT_TEXT = ["x", "1.5", ""]
+BAD_FLOAT_TEXT = ["x", ""]
+EDGE_INTS = [0, -1, 2 ** 63] + BAD_INT_TEXT
 EDGE_FLAG_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, -1e308, 5e-324]
 DATA_FILES = [DATA / name for name in ("micro_corpus.jsonl", "gazetteer.txt",
                                        "fixtures.jsonl", "artworks.csv")]
@@ -192,7 +198,7 @@ def _ints(lo, hi, *edges):
 
 
 def _floats(lo, hi):
-    return st.floats(lo, hi), st.sampled_from(EDGE_FLAG_FLOATS)
+    return st.floats(lo, hi), st.sampled_from(EDGE_FLAG_FLOATS + BAD_FLOAT_TEXT)
 
 
 def _data_file(name):
@@ -203,14 +209,14 @@ def _data_file(name):
 FLAG_VALUES = {
     "--timesteps": _ints(1, 50, 1_000_001), "--steps": _ints(0, 3), "--batch": _ints(1, 8),
     "--hidden": _ints(1, 8), "--ddim_steps": _ints(1, 10), "--topk": _ints(1, 12),
-    "--seed": (st.integers(0, 2 ** 64 - 1), st.sampled_from([-1, 2 ** 64])),
-    "--label": (st.one_of(st.none(), st.integers(0, 7)), st.sampled_from([-1, 8, 2 ** 63])),
+    "--seed": (st.integers(0, 2 ** 64 - 1), st.sampled_from([-1, 2 ** 64] + BAD_INT_TEXT)),
+    "--label": (st.one_of(st.none(), st.integers(0, 7)),
+                st.sampled_from([-1, 8, 2 ** 63] + BAD_INT_TEXT)),
     "--lr": _floats(1e-6, 1.0), "--drop_prob": _floats(0.0, 1.0),
     "--beta_start": _floats(1e-5, 0.01), "--beta_end": _floats(0.01, 0.05),
     "--ddim_eta": _floats(0.0, 1.0), "--scale": _floats(0.0, 10.0), "--var0": _floats(0.01, 4.0),
     "--lambda1": _floats(0.0, 4.0), "--lambda2": _floats(0.0, 4.0),
     "--config": (st.none(), st.sampled_from(DATA_FILES)),
-    "--dataset": (st.sampled_from(sorted(DATASETS)), st.just("no-such-dataset")),
     # names of the checkpoints fixture
     "--checkpoint": (st.sampled_from(["conditional", "unconditional"]),
                      st.sampled_from([None, "time-width-8", "missing"])),
@@ -224,10 +230,20 @@ FLAG_VALUES = {
 }
 
 
-# count flags whose 2**63 is refused before any work: no array has an
-# extent that large
-EXTENT_FLAGS = {"toy-train": ("--steps", "--batch", "--hidden"), "sample": ("--batch",),
-                "compare-samplers": ("--batch",)}
+# count flags whose 2**63 is refused before any work, from cli.RANGES: no
+# array has an extent that large
+EXTENT_FLAGS = {command: tuple(name for name in flags
+                               if RANGES.get(name[2:], (0, None))[1] == 2 ** 63)
+                for command, (_, _, flags) in COMMANDS.items()}
+EXTENT_FLAGS = {command: flags for command, flags in EXTENT_FLAGS.items() if flags}
+
+
+def _malformed(kind, value) -> bool:
+    """Whether ``value`` is text that is no number of an int or float flag's
+    kind, or no choice of a choice flag."""
+    if isinstance(kind, tuple):
+        return value not in kind
+    return kind in (int, float) and isinstance(value, str)
 
 
 @pytest.fixture(scope="module")
@@ -255,7 +271,7 @@ def test_random_flag_values_exit_0_1_or_2_cleanly(command, checkpoints):
         if kind is bool:
             values[name] = (st.booleans(), None)
         elif isinstance(kind, tuple):
-            values[name] = (st.sampled_from(kind), None)
+            values[name] = (st.sampled_from(kind), st.just(f"no-such-{name[2:]}"))
         elif name != "--out":      # every run writes to a fresh --out
             values[name] = FLAG_VALUES[name]
     if command == "compare-samplers":
@@ -284,7 +300,7 @@ def test_random_flag_values_exit_0_1_or_2_cleanly(command, checkpoints):
             elif kind is bool:
                 argv += [name] if value else []
             elif value is not None:     # "=": argparse reads a separate -1e308 as a flag
-                argv.append(f"{name}={value!r}" if kind is float else f"{name}={value}")
+                argv.append(f"{name}={value!r}" if isinstance(value, float) else f"{name}={value}")
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "o"
             stdout, stderr = io.StringIO(), io.StringIO()
@@ -294,6 +310,11 @@ def test_random_flag_values_exit_0_1_or_2_cleanly(command, checkpoints):
         assert code in (0, 1, 2), argv
         if any(drawn[name] == 2 ** 63 for name in EXTENT_FLAGS.get(command, ())):
             assert code == 2, argv
+        if any(_malformed(COMMANDS[command][2][name][0], drawn[name]) for name in edges):
+            # every flag is read before any work, so one drawn at an edge is named
+            lines = stderr.getvalue().splitlines()
+            assert code == 2 and any(name in lines[0] or f"unknown {name[2:]} " in lines[0]
+                                     for name in edges), (argv, lines)
         if code == 0:
             assert len(stdout.getvalue().splitlines()) == 1 and manifest, argv
         else:
@@ -314,6 +335,6 @@ def test_count_flag_at_2_63_exits_2_naming_the_flag(tmp_path, command, flag):
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv + [f"{flag}={2 ** 63}", f"--out={out}"])
     assert code == 2 and stdout.getvalue() == "" and not out.exists()
-    low = 0 if flag == "--steps" else 1
+    low = RANGES[flag[2:]][0]
     want = f"error: {flag} must be an integer in [{low}, 2**63), got {2 ** 63}\n"
     assert stderr.getvalue() == want

@@ -94,6 +94,11 @@ ALLOWED = {
     "handling the block rule cannot see, since it is a function of its own": (
         "denoisers.load_denoiser.bad",
     ),
+    "prints argparse's own refusal (an unknown flag, a flag without its value, no "
+    "command) as one line: error handling the block rule cannot see, since it ends "
+    "in argparse's exit call": (
+        "cli._Parser.error",
+    ),
     "a shape check whose call raises on a mismatch: error handling the block "
     "rule cannot see, since the block ends in a call": (
         "samplers.plms_combine: require_same_shape(",
