@@ -69,7 +69,7 @@ def _fmt(x: float) -> str:
 class Resolver:
     """Flag > config file > default resolution for one command invocation;
     the kind and default of each key come from the command's ``COMMANDS``
-    entry, and its range from ``RANGES``.
+    entry, and its range from ``RANGES`` or its text's rules from ``TEXT_RULES``.
 
     Every flag given is read first, so a bad one is refused where the command
     does not use it. A config line is ``key=value``: the key is stripped of
@@ -135,6 +135,13 @@ class Resolver:
             rule = (f"a finite number >= {low}" if kind is float else f">= {low}" if high is None
                     else f"an integer in [{low}, 2**{high.bit_length() - 1})")
             raise ConfigError(f"--{key} must be {rule}, got {value}")
+        for test, rule in TEXT_RULES.get(key, ()):
+            try:
+                ok = test(value)
+            except ValueError:
+                ok = False
+            if not ok:
+                raise ConfigError(f"--{key} {rule}, got {value!r}")
         return value
 
 
@@ -161,14 +168,9 @@ def _require_file(path, what: str) -> Path:
     return p
 
 
-def _parse_vector(text: str) -> np.ndarray:
-    try:
-        vec = np.array([float(part) for part in str(text).split(",")])
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse vector {text!r}: {exc}") from None
-    if not np.all(np.isfinite(vec)):
-        raise ConfigError(f"vector {text!r} has non-finite components")
-    return vec
+def _vector(text: str) -> np.ndarray:
+    """The comma-separated numbers of a --mu0 text; ``TEXT_RULES`` checks them."""
+    return np.array([float(part) for part in text.split(",")])
 
 
 def _schedule_manifest(schedule) -> dict:
@@ -280,7 +282,7 @@ def cmd_sample(resolver: Resolver) -> tuple[list[tuple], dict, str]:
             raise ConfigError("sample takes --oracle or --checkpoint, not both")
         if label is not None:
             raise ConfigError("--label needs a conditional checkpoint; the oracle takes no label")
-        mu0 = _parse_vector(resolver.get("mu0"))
+        mu0 = _vector(resolver.get("mu0"))
         var0 = resolver.get("var0")
         schedule = _schedule_from(resolver)
         predictor = GaussianOracle(mu0=mu0, var0=var0, schedule=schedule)
@@ -315,7 +317,7 @@ def cmd_sample(resolver: Resolver) -> tuple[list[tuple], dict, str]:
 # ---------------------------------------------------------------------------
 
 def cmd_compare_samplers(resolver: Resolver) -> tuple[list[tuple], dict, str]:
-    mu0 = _parse_vector(resolver.get("mu0"))
+    mu0 = _vector(resolver.get("mu0"))
     var0 = resolver.get("var0")
     if var0 == 0.0:
         raise ConfigError("compare-samplers needs --var0 > 0: point-mass data gives every "
@@ -421,14 +423,7 @@ def _write_csv(path: Path, rows) -> bytes:
 
 def cmd_corpus_stats(resolver: Resolver) -> tuple[list[tuple], dict, str]:
     metadata_path = _require_file(resolver.get("metadata"), "metadata")
-    delimiter = resolver.get("delimiter")
-    if len(delimiter) != 1:
-        raise ConfigError(f"--delimiter must be exactly one character, got {delimiter!r}")
-    if delimiter in '"\r\n':   # csv cannot split on its quote character or a line break
-        raise ConfigError("--delimiter cannot be the quote character or a line break, "
-                          f"got {delimiter!r}")
-
-    metas, malformed = read_artwork_table(metadata_path, delimiter)
+    metas, malformed = read_artwork_table(metadata_path, resolver.get("delimiter"))
     histogram = artist_histogram(metas)
     shares = [(k, _fmt(100.0 * top_share(histogram, k))) for k in (10, 20, 30)]
     return ([("artist_histogram.csv", _write_csv, [("artist", "count"), *histogram]),
@@ -493,10 +488,19 @@ COMMANDS = {
 RANGES = {"seed": (0, 2 ** 64), "steps": (0, 2 ** 63), "batch": (1, 2 ** 63), "topk": (1, None),
           "hidden": (1, 2 ** 63), "var0": (0, None), "lambda1": (0, None), "lambda2": (0, None)}
 
+# config key -> the (test, rule) pairs its text must pass, in order; a test
+# that raises ValueError fails. csv cannot split on its quote or a line break.
+TEXT_RULES = {
+    "mu0": ((lambda text: np.isfinite(_vector(text)).all(),
+             "must be comma-separated finite numbers"),),
+    "delimiter": ((lambda text: len(text) == 1, "must be exactly one character"),
+                  (lambda text: text not in '"\r\n',
+                   "cannot be the quote character or a line break"))}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):   # an unknown flag, a flag without its value, no command
-        self.exit(2, f"error: {message}\n")
+        raise ConfigError(message)
 
 
 @functools.cache
@@ -507,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="artdiff", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (func, line, flags) in COMMANDS.items():
+    for command, (_, line, flags) in COMMANDS.items():
         p = sub.add_parser(command, help=line)
         for name, (kind, default, text) in flags.items():
             if default is not None:
@@ -517,7 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
             else:   # text; a choice's metavar lists the choices in --help
                 p.add_argument(name, help=text, metavar="{%s}" % ",".join(kind)
                                if isinstance(kind, tuple) else None)
-        p.set_defaults(func=func)
     return parser
 
 
@@ -541,8 +544,8 @@ def _join_dash_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_join_dash_values(argv))
-    try:
+    try:    # --help prints and exits 0 from parse_args
+        args = build_parser().parse_args(_join_dash_values(argv))
         resolver = Resolver(args)
         # before the work, creating nothing: the nearest path at or above
         # --out that exists must be a directory that mkdir may write into
@@ -551,7 +554,7 @@ def main(argv=None) -> int:
         if not (base.is_dir() and os.access(base, os.W_OK | os.X_OK)):
             reason = os.strerror(errno.EACCES if base.is_dir() else errno.ENOTDIR)
             raise ConfigError(f"cannot create output directory {out}: {reason}")
-        files, extra, message = args.func(resolver)
+        files, extra, message = COMMANDS[args.command][0](resolver)
         try:    # only now, so a refusal leaves no directory behind
             resolver.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:

@@ -10,10 +10,11 @@ output projection. There is one attention, ``_attend``, which training and
 inference both take. Gradients are computed in closed form and are checked
 against finite differences in the test suite.
 
-Both predictors keep one contract, ``EpsilonPredictor``: ``predict`` for
-a single evaluation, ``prepare`` to bind one sampling call's condition,
-timesteps and guidance scale, the only way the sampler queries them: the
-binding's ``predict`` gives one estimate, guided or not, per step.
+Both predictors keep one contract, ``EpsilonPredictor``: ``prepare``
+binds one sampling call's condition, timesteps and guidance scale, and the
+binding's ``predict`` gives one estimate, guided or not, per step. The
+single-evaluation ``predict`` methods and ``toy_denoiser_forward`` are
+one-step bindings, kept because the bench's tracer wraps them by name.
 """
 
 from __future__ import annotations
@@ -63,21 +64,16 @@ def _product(rows: int):
 
 
 class EpsilonPredictor(Protocol):
-    """A noise predictor over a (batch, width) array of states xt.
-    ``predict(xt, t, condition)`` serves single evaluations (``ddpm_step``,
-    the tests' ``loss_simple``, the bench's output checks).
-    Sampling binds it once per call with
-    ``prepare(condition, timesteps, scale)`` and takes one estimate per
-    step from the bound ``predict(xt, t)``, which raises ValueError at a
-    timestep not bound. Without a scale it equals
-    ``predict(xt, t, condition)``; with one it is the classifier-free
-    guidance estimate ``cfg_combine(predict(xt, t), predict(xt, t,
-    condition), scale)``, and a scale without a condition raises
+    """A noise predictor over a (batch, width) array of states xt, queried
+    only through ``prepare(condition, timesteps, scale)``: a sampling call
+    binds it once, ``ddpm_step`` to its one step, and each step takes one
+    estimate with xt's shape from the bound ``predict(xt, t)``, which raises
+    ValueError at a timestep not bound. Without a scale it is the noise
+    estimate at the condition (none: unconditional), deterministic per
+    (xt, t, condition); with one it is the classifier-free guidance
+    estimate ``cfg_combine(u, c, scale)`` of the unconditional and
+    conditional estimates, and a scale without a condition raises
     ValueError."""
-
-    def predict(self, xt: Tensor, t: int, condition: Optional[ConditionTokens] = None) -> Tensor:
-        """Noise estimate with xt's shape; deterministic per (xt, t, condition)."""
-        ...
 
     def prepare(self, condition: Optional[ConditionTokens], timesteps,
                 scale: Optional[float] = None):

@@ -64,6 +64,7 @@ EMBED_WIDTH = 64
 # the same (119-124 us) for 5,000-6,000; at 10,000 sparse took 204 us and
 # dense 158 us.
 SPARSE_POSTINGS = 0.25
+INT32_KEYS = 2 ** 31   # ``_count_terms``'s keys are int32 below this len(vocab) * n
 
 # Byte table for ``tokenize``: every byte outside [a-z0-9] becomes a space.
 _TOKEN_BYTES = bytes(c if chr(c) in "abcdefghijklmnopqrstuvwxyz0123456789" else 0x20
@@ -136,7 +137,7 @@ def _frozen(values, dtype) -> np.ndarray:
     return arr
 
 
-def _count_terms(docs: tuple[Document, ...], int32_limit: int = 2**31
+def _count_terms(docs: tuple[Document, ...]
                  ) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Tokenize every document once and count its terms.
 
@@ -145,7 +146,7 @@ def _count_terms(docs: tuple[Document, ...], int32_limit: int = 2**31
     all documents stream into one buffer; the (term, document) keys
     ``row * n + pos`` are then sorted once, so each run of equal keys is one
     posting and its length is the term frequency. Keys are int32 while
-    ``len(vocab) * n < int32_limit`` and int64 otherwise.
+    ``len(vocab) * n < INT32_KEYS`` and int64 otherwise.
     """
     vocab: defaultdict[str, int] = defaultdict(itertools.count().__next__)  # new term: next row
     ids, lengths = array("i"), array("i")
@@ -154,7 +155,7 @@ def _count_terms(docs: tuple[Document, ...], int32_limit: int = 2**31
         ids.extend(map(vocab.__getitem__, tokens))
         lengths.append(len(tokens))
     n = len(docs)
-    dtype = np.int32 if len(vocab) * n < int32_limit else np.int64
+    dtype = np.int32 if len(vocab) * n < INT32_KEYS else np.int64
     key = np.frombuffer(ids, dtype=np.intc).astype(dtype, copy=False)  # int32 keys reuse ids
     del ids
     key *= n

@@ -221,12 +221,12 @@ def ddpm_step(predictor, xt: Tensor, t: int, schedule: NoiseSchedule,
     """Ancestral reverse step from N(posterior mean, posterior variance),
     the mean (x_t - (1 - alpha_t) / sqrt(1 - abar_t) eps) / sqrt(alpha_t).
 
-    ``sample`` runs ddpm as the eta = 1 DDIM transfer; this direct form is
-    the reference it is checked against. At t = 1 the posterior variance
-    is zero and the step is the pure mean; no randomness is consumed there.
+    ``sample`` runs ddpm as the eta = 1 DDIM transfer; this direct form, on
+    a one-step binding's eps, is its reference. At t = 1 the posterior
+    variance is zero and the step is the pure mean, drawing no randomness.
     """
     t = schedule.check_step(t)
-    eps = predictor.predict(xt, t, condition)
+    eps = predictor.prepare(condition, (t,)).predict(xt, t)
     require_same_shape(eps, xt, "prediction and xt")
     a, abar = schedule.alpha(t), schedule.alpha_bar(t)
     xt, eps = np.asarray(xt, dtype=np.float64), np.asarray(eps, dtype=np.float64)

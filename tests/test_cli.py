@@ -105,8 +105,9 @@ def test_mu0_help_documents_equals_form(capsys, command):
 
 def test_choice_flag_help_lists_its_choices(capsys):
     # a choice flag parses to text, so its metavar carries the choices
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["sample", "--help"])
+    assert exc.value.code == 0
     assert "--sampler {ddpm,ddim,plms}" in capsys.readouterr().out
 
 
@@ -800,6 +801,28 @@ def test_sample_label_out_of_range_exits_2(tmp_path, capsys):
     assert "--label" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("mu0", [["--mu0", "garbage"], ["--mu0=nan,1"]], ids=["text", "nan"])
+def test_sample_checkpoint_refuses_a_bad_mu0_it_does_not_read(tmp_path, capsys, mu0):
+    # every flag given is checked before any work, --mu0 too, although a
+    # checkpoint run never reads it
+    ckpt_path, out = _train_conditional(tmp_path), tmp_path / "o"
+    assert run(["sample", "--checkpoint", ckpt_path, "--label", 3, *mu0, "--ddim_steps", 5,
+                "--batch", 2, "--out", out]) == 2
+    text = mu0[-1].split("=")[-1]
+    assert _one_line_error(capsys) == (f"error: --mu0 must be comma-separated finite numbers, "
+                                       f"got {text!r}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["mu0=1,,2", "mu0=", "mu0=1e400"])
+def test_oracle_refuses_a_bad_mu0_config_line(tmp_path, capsys, line):
+    cfg, out = tmp_path / "run.cfg", tmp_path / "o"
+    cfg.write_text(line + "\n")
+    assert run(["sample", "--oracle", "--config", cfg, "--out", out]) == 2
+    assert _one_line_error(capsys).startswith("error: --mu0 must be comma-separated finite")
+    assert not out.exists()
+
+
 def _rewrite_checkpoint(path, **changes):
     from artdiff.checkpoint import load_arrays, save_arrays
     arrays = load_arrays(path)
@@ -1223,9 +1246,7 @@ def test_parser_is_built_once_per_process():
 def test_bad_flag_after_a_good_call_still_exits_2(tmp_path, capsys):
     # the shared parser keeps no state from one call to the next
     assert run(["schedule-dump", "--timesteps", 10, "--out", tmp_path / "a"]) == 0
-    with pytest.raises(SystemExit) as exc:
-        run(["schedule-dump", "--bogus", 1, "--out", tmp_path / "b"])
-    assert exc.value.code == 2
+    assert run(["schedule-dump", "--bogus", 1, "--out", tmp_path / "b"]) == 2
     assert "unrecognized arguments: --bogus" in capsys.readouterr().err
     assert run(["schedule-dump", "--timesteps", 10, "--out", tmp_path / "c"]) == 0
     assert read_all(tmp_path / "a")["schedule.csv"] == read_all(tmp_path / "c")["schedule.csv"]
@@ -1237,14 +1258,13 @@ def test_bad_flag_after_a_good_call_still_exits_2(tmp_path, capsys):
     pytest.param([], id="no-command"),
 ])
 def test_argparse_refusal_exits_2_with_one_line(tmp_path, capsys, monkeypatch, argv):
-    # argparse's own refusals print one line like every other, not a usage block
+    # argparse's own refusals print one line like every other, not a usage
+    # block, and main returns 2 for them as for every other refusal
     from artdiff.cli import ENV_OUT
 
     out = tmp_path / "o"
     monkeypatch.setenv(ENV_OUT, str(out))
-    with pytest.raises(SystemExit) as exc:
-        run(argv)
-    assert exc.value.code == 2
+    assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
@@ -1284,6 +1304,7 @@ def test_config_line_resolves_like_its_flag(tmp_path, command, key, kind):
         flag_argv, line = [f"--{key}"], f"{key}=yes"
     else:
         text = kind[0] if isinstance(kind, tuple) else {int: "7", float: "0.5"}.get(kind, "v")
+        text = "1.5,-2" if key == "mu0" else text   # text that TEXT_RULES accepts
         flag_argv, line = [f"--{key}", text], f"{key}={text}"
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")

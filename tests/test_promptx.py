@@ -114,10 +114,11 @@ def test_build_index_postings_match_recount():
     assert index.norms.tolist() == bm25_norms(index.documents)
 
 
-def test_count_terms_int64_keys_match_int32_keys(data_dir):
+def test_count_terms_int64_keys_match_int32_keys(data_dir, monkeypatch):
     docs = tuple(load_corpus_jsonl(data_dir / "micro_corpus.jsonl"))
     narrow = promptx._count_terms(docs)
-    wide = promptx._count_terms(docs, int32_limit=0)   # forces int64 keys
+    monkeypatch.setattr(promptx, "INT32_KEYS", 0)   # forces int64 keys
+    wide = promptx._count_terms(docs)
     assert len(narrow[0]) * len(docs) < 2**31
     assert narrow[0] == wide[0] and list(narrow[0]) == list(wide[0])
     for a, b in zip(narrow[1:], wide[1:]):

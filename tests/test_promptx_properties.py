@@ -73,7 +73,8 @@ def test_index_fields_match_per_document_recount(docs):
         assert postings == [(pos, c[term]) for pos, c in enumerate(counts) if term in c]
     assert index.norms.tolist() == bm25_norms(index.documents)
     narrow = promptx._count_terms(tuple(docs))
-    wide = promptx._count_terms(tuple(docs), int32_limit=0)
+    with mock.patch.object(promptx, "INT32_KEYS", 0):
+        wide = promptx._count_terms(tuple(docs))
     assert narrow[0] == wide[0]
     assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(narrow[1:], wide[1:]))
 

@@ -156,8 +156,9 @@ def test_subsequence_spreads_every_step_count_evenly(T):
     # stride-T//n timeline whenever n divides T
     s = linear_schedule(T)
     for n in range(1, T + 1):
-        assert subsequence(s, n).steps == _scalar_subsequence(T, n), n
-        steps = np.array(subsequence(s, n).steps)
+        timeline = subsequence(s, n).steps    # built once, checked both ways
+        assert timeline == _scalar_subsequence(T, n), n
+        steps = np.array(timeline)
         assert len(steps) == n and steps[0] == T and steps[-1] == T // n
         gaps = -np.diff(steps)
         assert np.all(gaps >= max(T // n, 1))   # no gap shorter than the last transfer

@@ -17,12 +17,17 @@ first line, stripped, starts with ``text``. Every entry must name at least
 one statement, and each one it names must be unreached: once a command
 reaches it, the entry goes.
 
+The same runs record which keyword defaults of the package's functions and
+dataclasses some call overrides. A parameter that only ever takes one value
+may be a constant, so the test also fails on each default that no call
+overrides unless ``KEPT_DEFAULTS`` names it, as ``"module.function(name)"``,
+under the reason it stays; an entry that a call overrides, or that names no
+default, fails too.
+
 ``PYTHONPATH=src python tests/test_traffic.py`` prints, for each module, how
 many statements the runs reached out of the total, and lists every
-unreached statement grouped by its reason. It also lists each keyword
-default of the package's functions and dataclasses that no call in the
-runs overrides: a parameter that only ever takes one value may be a
-constant. The list is a report; no test reads it.
+unreached statement and every default that no call overrides, grouped by
+its reason.
 """
 
 from __future__ import annotations
@@ -94,15 +99,29 @@ ALLOWED = {
     "handling the block rule cannot see, since it is a function of its own": (
         "denoisers.load_denoiser.bad",
     ),
-    "prints argparse's own refusal (an unknown flag, a flag without its value, no "
-    "command) as one line: error handling the block rule cannot see, since it ends "
-    "in argparse's exit call": (
-        "cli._Parser.error",
-    ),
     "a shape check whose call raises on a mismatch: error handling the block "
     "rule cannot see, since the block ends in a call": (
         "samplers.plms_combine: require_same_shape(",
         "samplers._run_row.floats: require_same_shape(",
+    ),
+}
+
+KEPT_DEFAULTS = {
+    "named in bench/tracer.py's tables, which a program change may not edit; "
+    "ROADMAP item 1 step B deletes them or moves them to the tests": (
+        "denoisers.GaussianOracle.predict(condition)",
+        "samplers.ddim_step(rng)",
+        "samplers.ddpm_step(condition)",
+        "samplers.plms_sample(condition)",
+    ),
+    "the prompt embedding's width: ROADMAP item 9 embeds prompts as condition "
+    "tokens COND_WIDTH wide": (
+        "promptx.HashEmbedder.__init__(width)",
+    ),
+    "the EpsilonPredictor contract's guidance scale: the oracle takes no condition, "
+    "so no run passes it a scale, and no run calls the Protocol's own method": (
+        "denoisers.EpsilonPredictor.prepare(scale)",
+        "denoisers.GaussianOracle.prepare(scale)",
     ),
 }
 
@@ -389,15 +408,21 @@ def classify(statements: list[Statement], hits: dict[str, set[int]]) -> dict[str
     return groups
 
 
+def unvaried_defaults(overridden: set[tuple]) -> list[str]:
+    """Each keyword default that no call overrode, as ``"module.function(name)"``."""
+    return [f"{name}({param})" for code, (name, params) in keyword_defaults().items()
+            for param in params if (code, param) not in overridden]
+
+
 @pytest.fixture(scope="module")
 def traffic(tmp_path_factory):
     statements = package_statements()
-    hits, _ = trace_lines(lambda: run_traffic(tmp_path_factory.mktemp("traffic")))
-    return statements, hits
+    hits, overridden = trace_lines(lambda: run_traffic(tmp_path_factory.mktemp("traffic")))
+    return statements, hits, overridden
 
 
 def test_every_statement_is_reached_or_has_a_reason(traffic):
-    statements, hits = traffic
+    statements, hits, _ = traffic
     unexplained = classify(statements, hits).get(NO_REASON, [])
     assert not unexplained, ("reached by no command and no bench call; give each a caller, "
                              "or an ALLOWED entry with its reason:\n"
@@ -405,13 +430,25 @@ def test_every_statement_is_reached_or_has_a_reason(traffic):
 
 
 def test_every_allowed_entry_names_unreached_statements(traffic):
-    statements, hits = traffic
+    statements, hits, _ = traffic
     _, named = allowed_reasons(statements)
     unreached = {s for group in classify(statements, hits).values() for s in group}
     for entry, covered in named.items():
         assert covered, f"ALLOWED entry {entry!r} names no statement"
         reached = [s.where() for s in covered if s not in unreached]
         assert not reached, f"ALLOWED entry {entry!r} names reached statements: {reached}"
+
+
+def test_every_unvaried_keyword_default_has_a_reason(traffic):
+    _, _, overridden = traffic
+    unvaried = unvaried_defaults(overridden)
+    kept = {entry for entries in KEPT_DEFAULTS.values() for entry in entries}
+    missing = [entry for entry in unvaried if entry not in kept]
+    assert not missing, ("a keyword default that no command and no bench call overrides; "
+                         "make it a constant, or give it a KEPT_DEFAULTS entry with its "
+                         "reason:\n" + "\n".join(missing))
+    stale = sorted(kept - set(unvaried))
+    assert not stale, f"KEPT_DEFAULTS entries that name no unvaried default: {stale}"
 
 
 READER_CASES = '''"""A module docstring."""
@@ -478,11 +515,13 @@ def report() -> None:
         print(f"\n{len(groups[reason])} unreached, {reason}:")
         for stmt in groups[reason]:
             print("  " + stmt.where())
-    kept = [f"{name}({param}={default!r})" for code, (name, params) in keyword_defaults().items()
-            for param, default in params.items() if (code, param) not in overridden]
-    print(f"\n{len(kept)} keyword defaults that no call overrides:")
-    for entry in kept:
-        print("  " + entry)
+    unvaried = unvaried_defaults(overridden)
+    reasons = {entry: reason for reason, entries in KEPT_DEFAULTS.items() for entry in entries}
+    print(f"\n{len(unvaried)} keyword defaults that no call overrides:")
+    for reason in [*KEPT_DEFAULTS, NO_REASON]:
+        entries = [entry for entry in unvaried if reasons.get(entry, NO_REASON) == reason]
+        if entries:
+            print(f"  {reason}:\n" + "".join(f"    {entry}\n" for entry in entries), end="")
 
 
 if __name__ == "__main__":
